@@ -76,7 +76,12 @@ import typing
 
 from repro.audit.alerts import Alert, AlertLog
 from repro.audit.onestg import OnlineOneStg
-from repro.core.nominal import db_item_filter, is_ns_item, ns_site
+from repro.core.nominal import (
+    db_item_filter,
+    is_ns_item,
+    ns_site,
+    unreadable_db_count,
+)
 from repro.txn.transaction import Transaction, TxnKind, TxnStatus
 from repro.wal.log import CHECKPOINT_KEY
 
@@ -698,9 +703,7 @@ class ProtocolAuditor:
             self._watch_spans(now)
 
     def _unreadable_count(self, site: "Site") -> int:
-        return sum(
-            1 for item in site.copies.unreadable_items() if not is_ns_item(item)
-        )
+        return unreadable_db_count(site.copies, self.system.cluster.site_ids)
 
     def _watch_drain(self, now: float) -> None:
         for site_id, site in self.system.cluster.sites.items():

@@ -22,7 +22,7 @@ import dataclasses
 import typing
 
 from repro.core.config import RowaaConfig
-from repro.core.nominal import is_ns_item, ns_item
+from repro.core.nominal import is_ns_item, ns_item, unreadable_db_count
 from repro.errors import (
     CopyUnreadable,
     NetworkError,
@@ -572,13 +572,11 @@ class CopierService:
         return program
 
     def _check_drained(self) -> None:
-        unreadable = [
-            item for item in self.site.copies.unreadable_items() if not is_ns_item(item)
-        ]
+        unreadable = unreadable_db_count(self.site.copies, self.tm.catalog.site_ids)
         # Missing-list drain curve: one point per completed refresh gives
         # the reporter the unreadable-count-over-time trajectory.
         self.site.obs.registry.series(
             "recovery.unreadable", self.site.site_id
-        ).append(self.kernel.now, float(len(unreadable)))
+        ).append(self.kernel.now, float(unreadable))
         if not unreadable and self.drained_at is None:
             self.drained_at = self.kernel.now

@@ -13,6 +13,11 @@ concurrency control like other data items").
 
 from __future__ import annotations
 
+import typing
+
+if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.storage.copies import CopyStore
+
 _PREFIX = "NS["
 _SUFFIX = "]"
 
@@ -32,6 +37,16 @@ def ns_site(item: str) -> int:
     if not is_ns_item(item):
         raise ValueError(f"{item!r} is not a nominal session number item")
     return int(item[len(_PREFIX) : -len(_SUFFIX)])
+
+
+def unreadable_db_count(copies: "CopyStore", site_ids: typing.Iterable[int]) -> int:
+    """Unreadable copies of the user database (DB, excluding NS) in ``copies``.
+
+    The store's O(1) mark count less the marked ``NS[k]`` copies, so the
+    cost is one lookup per site rather than one per item.
+    """
+    marked_ns = sum(1 for site_id in site_ids if copies.is_unreadable(ns_item(site_id)))
+    return copies.unreadable_count() - marked_ns
 
 
 def db_item_filter(item: str) -> bool:

@@ -24,7 +24,7 @@ from repro.core.copier import CopierService
 from repro.core.identify import IdentificationPolicy, MarkAllPolicy
 from repro.core.faillock import FailLockPolicy
 from repro.core.missinglist import MissingListPolicy
-from repro.core.nominal import ns_item
+from repro.core.nominal import ns_item, unreadable_db_count
 from repro.core.recovery import RecoveryManager, RecoveryRecord
 from repro.core.rowaa import RowaaStrategy
 from repro.core.session import SessionManager
@@ -255,13 +255,8 @@ class RowaaSystem(DatabaseSystem):
 
     def unreadable_counts(self) -> dict[int, int]:
         """Per-site count of unreadable (non-NS) copies."""
-        from repro.core.nominal import is_ns_item
-
+        site_ids = self.cluster.site_ids
         return {
-            site_id: sum(
-                1
-                for item in self.cluster.site(site_id).copies.unreadable_items()
-                if not is_ns_item(item)
-            )
-            for site_id in self.cluster.site_ids
+            site_id: unreadable_db_count(self.cluster.site(site_id).copies, site_ids)
+            for site_id in site_ids
         }

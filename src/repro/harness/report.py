@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from repro.core.nominal import unreadable_db_count
 from repro.harness.metrics import mean
 from repro.harness.tables import Table
 from repro.system import DatabaseSystem
@@ -26,11 +27,7 @@ def site_report(system: DatabaseSystem) -> Table:
         site = system.cluster.site(site_id)
         tm = system.tms[site_id]
         sessions = getattr(system, "sessions", None)
-        unreadable = sum(
-            1
-            for item in site.copies.unreadable_items()
-            if not item.startswith("NS[")
-        )
+        unreadable = unreadable_db_count(site.copies, system.cluster.site_ids)
         table.add_row(
             site=site_id,
             status=site.status.value,

@@ -189,13 +189,7 @@ class MultiVersionStore:
     def is_stale_serving(self) -> bool:
         """Whether snapshot reads here are currently fenced by the
         durable stale cut (recovering, or unreadable marks remain)."""
-        if not self.site.is_operational:
-            return True
-        copies = self.site.copies
-        for item in copies.items():
-            if copies.get(item).unreadable:
-                return True
-        return False
+        return not self.site.is_operational or self.site.copies.unreadable_count() > 0
 
     def serving_cut(self) -> tuple[Cut, bool]:
         """The cut a read-only transaction beginning now reads at, and
@@ -321,13 +315,7 @@ class MultiVersionStore:
                 for ts, commit, seq, value in records:
                     self._observe(item, value, Version(ts, commit, seq))
         self.stale_cut = base
-        copies = self.site.copies
-        fully_current = True
-        for item in copies.items():
-            if copies.get(item).unreadable:
-                fully_current = False
-                break
-        if fully_current:
+        if not self.site.copies.unreadable_count():
             crash_time = self.site.last_crash_time or 0.0
             self.stale_cut = max(base, crash_time - self.floor_delay, 0.0)
 

@@ -189,7 +189,7 @@ def attach_sampler(
     def missing_depth() -> float:
         return float(
             sum(
-                len(cluster.site(site_id).copies.unreadable_items())
+                cluster.site(site_id).copies.unreadable_count()
                 for site_id in cluster.site_ids
             )
         )

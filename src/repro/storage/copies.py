@@ -57,11 +57,17 @@ class CopyStore:
     keeps uncommitted writes in per-transaction workspaces), so the store
     survives crashes by construction — matching a redo/no-undo stable
     database.
+
+    The store owns the §3.4 marks: every write of ``DataCopy.unreadable``
+    happens here, and ``_unreadable`` holds exactly the marked items, so
+    "is anything still unreadable?" (asked per snapshot begin and per
+    copier refresh) is a set-size read rather than a walk over all copies.
     """
 
     def __init__(self, site_id: int) -> None:
         self.site_id = site_id
         self._copies: dict[str, DataCopy] = {}
+        self._unreadable: set[str] = set()
         self.bytes_copied = 0  # crude copier work counter (E5)
         #: Optional redo-journal hook (set by the site's SiteWal): called
         #: as ``journal(op, item, value, version)`` for every committed
@@ -110,6 +116,7 @@ class CopyStore:
         copy.value = value
         copy.version = version
         copy.unreadable = False
+        self._unreadable.discard(item)
         if self.journal is not None:
             self.journal("write", item, value, version)
         for hook in self.version_hooks:
@@ -120,6 +127,7 @@ class CopyStore:
         if _san.ACTIVE is not None:
             self._track_mark(item, "CopyStore.mark_unreadable")
         self._copies[item].unreadable = True
+        self._unreadable.add(item)
         if self.journal is not None:
             self.journal("mark", item)
 
@@ -128,11 +136,13 @@ class CopyStore:
         if _san.ACTIVE is not None:
             self._track_mark(item, "CopyStore.clear_unreadable")
         self._copies[item].unreadable = False
+        self._unreadable.discard(item)
         if self.journal is not None:
             self.journal("clear", item)
 
     def mark_all_unreadable(self) -> None:
         """The basic algorithm's conservative step 2: mark every copy."""
+        self._unreadable.update(self._copies)
         for item, copy in self._copies.items():
             copy.unreadable = True
             if self.journal is not None:
@@ -148,14 +158,25 @@ class CopyStore:
         _san.ACTIVE.on_access(self.site_id, ("copy", item), "write", where)
 
     def unreadable_items(self) -> list[str]:
-        """Items whose local copy is currently marked unreadable."""
-        return [name for name, copy in self._copies.items() if copy.unreadable]
+        """Items whose local copy is currently marked unreadable, in
+        creation order (copier lanes are fanned out in this order)."""
+        unreadable = self._unreadable
+        return [name for name in self._copies if name in unreadable]
+
+    def unreadable_count(self) -> int:
+        """How many local copies are currently marked unreadable; O(1)."""
+        return len(self._unreadable)
+
+    def is_unreadable(self, item: str) -> bool:
+        """True if this site holds a copy of ``item`` and it is marked."""
+        return item in self._unreadable
 
     # -- restart reconstruction (repro.wal restore path) ----------------------
 
     def reset(self) -> None:
         """Drop every copy: the restore path rebuilds from checkpoint+log."""
         self._copies.clear()
+        self._unreadable.clear()
         for hook in self.version_hooks:
             hook("reset", None, None, None)
 
@@ -176,6 +197,10 @@ class CopyStore:
         copy.value = value
         copy.version = version
         copy.unreadable = unreadable
+        if unreadable:
+            self._unreadable.add(item)
+        else:
+            self._unreadable.discard(item)
         for hook in self.version_hooks:
             hook("install", item, value, version)
         return copy

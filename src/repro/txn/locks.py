@@ -19,6 +19,14 @@ Grant policy
 Waiters may abandon the queue (their process is interrupted by a crash or
 a deadlock abort); abandoned requests are purged lazily via the future's
 abandon hook.
+
+Cost model
+----------
+Commit and abort call :meth:`LockManager.cancel` at every site, so it must
+not look at the whole table. ``_queued_by_txn`` indexes each transaction's
+*queued* requests by lock state, next to ``_held_by_txn`` for its holds;
+every route out of a queue (grant, abandon, timeout, victim kill) goes
+through :meth:`LockManager._left_queue`, which keeps the index exact.
 """
 
 from __future__ import annotations
@@ -64,10 +72,12 @@ class _Request:
 
 
 class _LockState:
-    __slots__ = ("item", "holders", "queue")
+    __slots__ = ("item", "order", "holders", "queue")
 
-    def __init__(self, item: str) -> None:
+    def __init__(self, item: str, order: int) -> None:
         self.item = item
+        #: Rank of the item in the table (entries are never removed).
+        self.order = order
         self.holders: dict[str, LockMode] = {}
         self.queue: collections.deque[_Request] = collections.deque()
 
@@ -100,6 +110,9 @@ class LockManager:
         self.obs = obs
         self._table: dict[str, _LockState] = {}
         self._held_by_txn: dict[str, set[str]] = {}
+        #: Lock states each transaction has a *queued* request on, one
+        #: entry per request (a state repeats if two requests queue on it).
+        self._queued_by_txn: dict[str, list[_LockState]] = {}
         self.stats_waits = 0
         self.stats_grants = 0
 
@@ -121,7 +134,7 @@ class LockManager:
             )
         state = self._table.get(item)
         if state is None:
-            state = self._table[item] = _LockState(item)
+            state = self._table[item] = _LockState(item, len(self._table))
         future = Future(self.kernel, name=f"lock:{item}:{mode.value}:{txn_id}")
 
         held = state.holders.get(txn_id)
@@ -143,6 +156,7 @@ class LockManager:
             state.queue.appendleft(request)
         else:
             state.queue.append(request)
+        self._queued_by_txn.setdefault(txn_id, []).append(state)
         future.on_abandoned(lambda _fut, it=item, req=request: self._abandon(it, req))
         if self.wait_timeout is not None:
             request.timer = self.kernel.schedule_callback(
@@ -206,19 +220,19 @@ class LockManager:
 
         Returns True if any request was killed.
         """
-        killed = False
-        for item, state in self._table.items():
-            victims = [r for r in state.queue if r.txn_id == txn_id]
-            for request in victims:
+        waiting = self._queued_by_txn.get(txn_id)
+        if not waiting:
+            return False
+        # Table order, so same-instant failures and grants are scheduled
+        # in the order a walk over the whole table would produce.
+        for state in sorted(set(waiting), key=_table_order):
+            for request in [r for r in state.queue if r.txn_id == txn_id]:
                 state.queue.remove(request)
-                if request.timer is not None:
-                    request.timer.cancel()
-                killed = True
+                self._left_queue(state, request)
                 if not request.future.triggered:
                     request.future.fail(DeadlockDetected(txn_id))
-            if victims:
-                self._promote_waiters(item, state)
-        return killed
+            self._promote_waiters(state.item, state)
+        return True
 
     # -- introspection for the deadlock detector ---------------------------------
 
@@ -227,24 +241,28 @@ class LockManager:
 
         A queued request waits on every conflicting current holder and on
         every conflicting request ahead of it in the queue (FIFO order is
-        itself a blocking relation).
+        itself a blocking relation). Only items somebody queues on are
+        visited, in table order.
         """
         edges: list[tuple[str, str]] = []
-        for state in self._table.values():
-            for index, request in enumerate(state.queue):
+        waited = {state for states in self._queued_by_txn.values() for state in states}
+        for state in sorted(waited, key=_table_order):
+            ahead: list[_Request] = []
+            for request in state.queue:
                 for holder, held_mode in state.holders.items():
                     if holder != request.txn_id and not request.mode.compatible(held_mode):
                         edges.append((request.txn_id, holder))
-                for ahead in list(state.queue)[:index]:
-                    if ahead.txn_id != request.txn_id and not request.mode.compatible(
-                        ahead.mode
+                for earlier in ahead:
+                    if earlier.txn_id != request.txn_id and not request.mode.compatible(
+                        earlier.mode
                     ):
-                        edges.append((request.txn_id, ahead.txn_id))
+                        edges.append((request.txn_id, earlier.txn_id))
+                ahead.append(request)
         return edges
 
     def waiting_txns(self) -> set[str]:
         """Transactions with at least one queued request here."""
-        return {request.txn_id for state in self._table.values() for request in state.queue}
+        return set(self._queued_by_txn)
 
     # -- internals ------------------------------------------------------------
 
@@ -275,8 +293,7 @@ class LockManager:
             if not self._compatible_with_holders(state, head):
                 break
             state.queue.popleft()
-            if head.timer is not None:
-                head.timer.cancel()
+            self._left_queue(state, head)
             state.holders[head.txn_id] = head.mode
             self._held_by_txn.setdefault(head.txn_id, set()).add(item)
             self.stats_grants += 1
@@ -320,15 +337,31 @@ class LockManager:
             state.queue.remove(request)
         except ValueError:
             return
-        if request.timer is not None:
-            request.timer.cancel()
+        self._left_queue(state, request)
         self._promote_waiters(item, state)
 
     def _expire(self, item: str, request: _Request) -> None:
         state = self._table.get(item)
         if state is None or request not in state.queue:
             return
+        request.timer = None  # this is that timer firing: nothing left to cancel
         state.queue.remove(request)
+        self._left_queue(state, request)
         if not request.future.triggered:
             request.future.fail(DeadlockDetected(request.txn_id))
         self._promote_waiters(item, state)
+
+    def _left_queue(self, state: _LockState, request: _Request) -> None:
+        """Bookkeeping for a request that just left ``state.queue``, by any
+        route: drop its backstop timer and its per-transaction index entry."""
+        if request.timer is not None:
+            request.timer.cancel()
+            request.timer = None
+        waiting = self._queued_by_txn[request.txn_id]
+        waiting.remove(state)
+        if not waiting:
+            del self._queued_by_txn[request.txn_id]
+
+
+def _table_order(state: _LockState) -> int:
+    return state.order

@@ -47,6 +47,9 @@ class TxnKind(enum.Enum):
     COPIER = "copier"
 
 
+_KIND_PREFIX = {TxnKind.USER: "T", TxnKind.CONTROL: "C", TxnKind.COPIER: "P"}
+
+
 class TxnStatus(enum.Enum):
     ACTIVE = "active"
     COMMITTED = "committed"
@@ -59,7 +62,8 @@ class Transaction:
 
     ``seq`` is globally unique and doubles as the version tie-break for
     committed writes; ``txn_id`` is the human-readable name used in locks,
-    messages, and histories.
+    messages, and histories (derived once: ``kind``, ``seq`` and
+    ``home_site`` never change after construction).
     """
 
     home_site: int
@@ -96,16 +100,17 @@ class Transaction:
     quorum_needed: int = 0
     #: Root observability span (repro.obs.spans.Span) when tracing is on.
     span: typing.Any = dataclasses.field(default=None, repr=False)
+    #: ``T<seq>@<home>`` / ``C…`` / ``P…`` by kind; read on every RPC, lock
+    #: and recorder call, so it is built once here rather than per access.
+    txn_id: str = dataclasses.field(init=False)
+
+    def __post_init__(self) -> None:
+        self.txn_id = f"{_KIND_PREFIX[self.kind]}{self.seq}@{self.home_site}"
 
     @property
     def span_id(self) -> int | None:
         """This transaction's root span id, for RPC attribution."""
         return self.span.span_id if self.span is not None else None
-
-    @property
-    def txn_id(self) -> str:
-        prefix = {TxnKind.USER: "T", TxnKind.CONTROL: "C", TxnKind.COPIER: "P"}[self.kind]
-        return f"{prefix}{self.seq}@{self.home_site}"
 
     @property
     def is_finished(self) -> bool:

@@ -2,7 +2,8 @@
 
 Runs the traced log-shipping recovery scenario twice with the same seed
 and asserts the durable outcome is **byte-identical**: per-site final
-LSNs, the serialized log metadata and checkpoint blobs, the
+LSNs, the serialized log metadata, segment-directory and checkpoint
+blobs (``wal.meta`` / ``wal.dir`` / ``wal.ckpt``), the
 reconstructed copies (value, version, unreadable mark), and the stable
 session state. Any nondeterminism in the journal/replay path — record
 ordering, fuzzy-checkpoint contents, truncation watermarks — shows up
@@ -31,7 +32,7 @@ import hashlib
 import pickle
 import typing
 
-from repro.wal.log import CHECKPOINT_KEY, META_KEY
+from repro.wal.log import CHECKPOINT_KEY, DIRECTORY_KEY, META_KEY, RedoLog
 
 
 def site_durable_state(site: typing.Any) -> dict:
@@ -44,6 +45,10 @@ def site_durable_state(site: typing.Any) -> dict:
             wal.log.truncated_through_lsn if wal is not None else None
         ),
         "meta_blob": site.stable._blobs.get(META_KEY),
+        "directory_blob": site.stable._blobs.get(DIRECTORY_KEY),
+        # ``wal.dir`` stops at the last truncation; the directory a
+        # restart would reassemble from stable storage covers the rest.
+        "segments": RedoLog(site.stable).segments if wal is not None else None,
         "checkpoint_blob": site.stable._blobs.get(CHECKPOINT_KEY),
         "session_last": site.stable.get("session.last"),
         "copies": sorted(

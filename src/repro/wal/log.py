@@ -2,14 +2,26 @@
 
 Layout in the site's :class:`~repro.storage.stable.StableStorage`:
 
-* ``wal.meta`` — log metadata: next LSN, durable LSN, the segment
-  directory, truncation watermarks, and the highest commit sequence
-  number among durable write records;
 * ``wal.seg.<n>`` — one *segment* per group commit: the tuple of
-  records flushed together (every :meth:`flush` is exactly one stable
-  segment write plus the metadata write — the group-commit cost model);
+  records flushed together. Segment ids are consecutive and never
+  reused;
+* ``wal.meta`` — the four counters every group commit moves: next LSN,
+  durable LSN, next segment id, and the highest commit sequence number
+  among durable write records. Fixed size, rewritten by every flush;
+* ``wal.dir`` — what only truncation moves: the directory of the
+  segments retained behind the last truncation, the id of the first
+  segment flushed after it, the truncation watermarks and the per-item
+  truncated-commit map. Rewritten by :meth:`RedoLog.truncate` (i.e. at
+  checkpoints), never by a flush;
 * ``wal.ckpt`` — the last fuzzy checkpoint (written by
   :class:`~repro.wal.wal.SiteWal`, not here).
+
+Cost model: every :meth:`RedoLog.flush` is exactly one stable segment
+put plus one O(1) ``wal.meta`` put — independent of how many items the
+site holds and of how much log it retains. :meth:`RedoLog.load_meta`
+(restart only) pays instead: it rebuilds the directory as the
+``wal.dir`` prefix followed by the segments ``[tail_from, next_segment)``,
+whose LSN bounds follow from contiguity and from the segments themselves.
 
 Invariants:
 
@@ -17,7 +29,8 @@ Invariants:
   ``lsn <= durable_lsn`` (everything above sits in the volatile append
   buffer and is lost by a crash — the owner counts those losses);
 * segments partition the durable LSN range ``(truncated_through,
-  durable_lsn]`` in order;
+  durable_lsn]`` in order, without gaps (a crash re-issues the LSNs of
+  the dropped tail);
 * ``truncated_max_commit`` is the highest commit sequence number among
   ever-truncated write records: a catch-up request anchored at or below
   it cannot be served completely from the log and must fall back to
@@ -32,8 +45,19 @@ from repro.storage.stable import StableStorage
 from repro.wal.records import LogRecord
 
 META_KEY = "wal.meta"
+DIRECTORY_KEY = "wal.dir"
 SEGMENT_PREFIX = "wal.seg."
 CHECKPOINT_KEY = "wal.ckpt"
+
+#: What ``wal.dir`` stands for until the first truncation writes it.
+_NEVER_TRUNCATED: dict = {
+    "segments": [],
+    "tail_from": 1,
+    "truncated_through_lsn": 0,
+    "truncated_max_commit": 0,
+    "truncated_records": 0,
+    "truncated_commit_by_item": {},
+}
 
 
 class RedoLog:
@@ -61,33 +85,60 @@ class RedoLog:
 
     def load_meta(self) -> None:
         """Re-sync in-memory metadata from stable storage (restart path)."""
-        meta = self.stable.get(META_KEY)
+        meta = typing.cast("dict | None", self.stable.get(META_KEY))
         if meta is None:
             return
-        meta = typing.cast(dict, meta)
         self.next_lsn = meta["next_lsn"]
         self.durable_lsn = meta["durable_lsn"]
-        self.segments = [tuple(entry) for entry in meta["segments"]]
         self._next_segment = meta["next_segment"]
-        self.truncated_through_lsn = meta["truncated_through_lsn"]
-        self.truncated_max_commit = meta["truncated_max_commit"]
-        self.truncated_records = meta["truncated_records"]
-        self.truncated_commit_by_item = dict(meta["truncated_commit_by_item"])
         self.high_commit = meta["high_commit"]
+        directory = typing.cast(
+            dict, self.stable.get(DIRECTORY_KEY, _NEVER_TRUNCATED)
+        )
+        # Copied: ``get`` hands out private blobs, the default it does not.
+        self.segments = list(directory["segments"])
+        self.truncated_through_lsn = directory["truncated_through_lsn"]
+        self.truncated_max_commit = directory["truncated_max_commit"]
+        self.truncated_records = directory["truncated_records"]
+        self.truncated_commit_by_item = dict(directory["truncated_commit_by_item"])
+        # Segments flushed since the last truncation: contiguity gives each
+        # one's first LSN and the newest one's last (the durable LSN); only
+        # the boundaries in between have to be read back.
+        first = self.segments[-1][2] + 1 if self.segments else self.truncated_through_lsn + 1
+        for segment_id in range(directory["tail_from"], self._next_segment):
+            last = self.durable_lsn
+            if segment_id + 1 < self._next_segment:
+                records = typing.cast(
+                    tuple, self.stable.get(f"{SEGMENT_PREFIX}{segment_id}")
+                )
+                last = records[-1].lsn
+            self.segments.append((segment_id, first, last))
+            first = last + 1
 
     def _store_meta(self) -> int:
+        """Persist the per-flush counters (fixed size)."""
         return self.stable.put(
             META_KEY,
             {
                 "next_lsn": self.next_lsn,
                 "durable_lsn": self.durable_lsn,
-                "segments": [list(entry) for entry in self.segments],
                 "next_segment": self._next_segment,
+                "high_commit": self.high_commit,
+            },
+        )
+
+    def _store_directory(self) -> None:
+        """Persist what a truncation changed; every directory entry is a
+        retained segment, so later flushes start at ``_next_segment``."""
+        self.stable.put(
+            DIRECTORY_KEY,
+            {
+                "segments": self.segments,
+                "tail_from": self._next_segment,
                 "truncated_through_lsn": self.truncated_through_lsn,
                 "truncated_max_commit": self.truncated_max_commit,
                 "truncated_records": self.truncated_records,
-                "truncated_commit_by_item": dict(self.truncated_commit_by_item),
-                "high_commit": self.high_commit,
+                "truncated_commit_by_item": self.truncated_commit_by_item,
             },
         )
 
@@ -206,7 +257,7 @@ class RedoLog:
         if dropped:
             self.segments = keep
             self.truncated_records += dropped
-            self._store_meta()
+            self._store_directory()
         return dropped
 
     @property

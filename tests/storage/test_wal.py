@@ -6,7 +6,7 @@ from repro.site import Site
 from repro.storage.copies import Version
 from repro.storage.stable import StableStorage
 from repro.wal import RedoLog, SiteWal, WalConfig
-from repro.wal.log import CHECKPOINT_KEY, META_KEY, SEGMENT_PREFIX
+from repro.wal.log import CHECKPOINT_KEY, DIRECTORY_KEY, META_KEY, SEGMENT_PREFIX
 
 
 def v(commit, ts=None):
@@ -117,6 +117,55 @@ class TestRedoLog:
         assert reloaded.truncated_commit_by_item == {"X": 1}
         assert reloaded.high_commit == 3
         assert [r.value for r in reloaded.records_after(0)] == [2, 3]
+
+    def test_flush_leaves_the_directory_alone(self):
+        """Stable layout: a flush rewrites ``wal.meta`` (four counters) and
+        never ``wal.dir``; only a truncation that drops something does."""
+        stable = StableStorage()
+        log = RedoLog(stable)
+        for i in range(1, 5):
+            log.append("write", item="X", value=i, version=v(i))
+            log.flush()
+        assert DIRECTORY_KEY not in stable  # nothing truncated yet
+        assert set(stable.get(META_KEY)) == {
+            "next_lsn", "durable_lsn", "next_segment", "high_commit",
+        }
+        log.truncate(2)
+        directory_blob = stable._blobs[DIRECTORY_KEY]
+        assert stable.get(DIRECTORY_KEY)["segments"] == [(3, 3, 3), (4, 4, 4)]
+        assert stable.get(DIRECTORY_KEY)["tail_from"] == 5
+        log.append("write", item="X", value=5, version=v(5))
+        log.flush()
+        log.truncate(2)  # below the watermark: drops nothing, writes nothing
+        assert stable._blobs[DIRECTORY_KEY] is directory_blob
+
+    def test_reload_reassembles_prefix_and_tail(self):
+        """The directory a restart sees is the ``wal.dir`` prefix plus the
+        segments flushed since, with uneven sizes and a dropped volatile
+        tail in between."""
+        stable = StableStorage()
+        log = RedoLog(stable)
+        commit = 0
+        for size in (1, 3, 2, 5, 1, 4, 2):
+            for _ in range(size):
+                commit += 1
+                log.append("write", item=f"X{commit % 3}", value=commit, version=v(commit))
+            log.flush()
+            if commit == 11:
+                log.truncate(4)  # drops segments 1-2, keeps 3-4 as the prefix
+                log.append("write", item="X0", value=-1, version=v(99))
+                assert log.discard_unflushed() == 1  # crash: LSN 12 re-issued
+        assert [entry[0] for entry in log.segments] == [3, 4, 5, 6, 7]
+        reloaded = RedoLog(stable)
+        assert reloaded.segments == log.segments
+        assert reloaded.segments[0][1] == reloaded.truncated_through_lsn + 1 == 5
+        assert reloaded.segments[-1][2] == reloaded.durable_lsn == 18
+        assert reloaded.truncated_commit_by_item == log.truncated_commit_by_item
+        assert reloaded.truncated_commit_by_item == {"X1": 4, "X2": 2, "X0": 3}
+        assert (reloaded.truncated_max_commit, reloaded.truncated_records) == (4, 4)
+        assert reloaded.next_lsn == log.next_lsn == 19
+        assert reloaded.high_commit == log.high_commit == 99
+        assert [r.lsn for r in reloaded.records_after(0)] == list(range(5, 19))
 
 
 def make_site(wal_config=None):
@@ -238,3 +287,107 @@ class TestSiteWal:
         assert checkpoint["lsn"] == site.wal.log.durable_lsn
         assert checkpoint["items"]["X"] == (1, v(1), False)
         assert site.stable.get(META_KEY) is not None
+
+
+ITEM_NAMES = [f"X{index:04d}" for index in range(4096)]
+
+
+def _flush_bytes_per_commit(n_items, config, warmup_records, commits):
+    """Bytes each of ``commits`` identical 4-write commits adds to
+    ``wal.bytes_flushed``, after a warm-up that writes (and, config
+    permitting, truncates) every item of an ``n_items`` store.
+
+    The warm-up has the same record count whatever the store size, so
+    both stores number the measured commits' LSNs, segments and versions
+    alike — and every one of them stays in pickle's two-byte integer
+    band, where equal shapes serialize to equal sizes.
+    """
+    site = make_site(config)
+    names = ITEM_NAMES[:n_items]
+    for name in names:
+        site.copies.create(name, 0)
+    site.wal.checkpoint()
+    commit = 0
+    for index in range(warmup_records):
+        commit += 1
+        site.copies.apply_write(names[index % n_items], 0, v(commit))
+        site.wal.on_commit()
+    deltas = []
+    for _ in range(commits):
+        for name in names[:4]:
+            commit += 1
+            site.copies.apply_write(name, 0, v(commit))
+        before = site.wal.stats.bytes_flushed
+        site.wal.on_commit()
+        deltas.append(site.wal.stats.bytes_flushed - before)
+    assert 256 < site.wal.log._next_segment and site.wal.log.next_lsn < 65536
+    return deltas, site
+
+
+class TestFlushCostIsSizeIndependent:
+    """A group commit costs the segment plus O(1) metadata: the same bytes
+    on a small and a large store, with a short or a long retained log."""
+
+    def test_same_bytes_per_commit_on_16_and_4096_items(self):
+        config = WalConfig(checkpoint_every=512, retain_records=64)
+        small, small_site = _flush_bytes_per_commit(16, config, 4096, 200)
+        large, large_site = _flush_bytes_per_commit(4096, config, 4096, 200)
+        # The premise: what truncation tracks per item did grow with the store.
+        assert len(small_site.wal.log.truncated_commit_by_item) == 16
+        assert len(large_site.wal.log.truncated_commit_by_item) > 3000
+        assert large_site.wal.stats.checkpoints == small_site.wal.stats.checkpoints > 1
+        assert small == large
+        assert len(set(large)) == 1  # across checkpoints and truncations too
+
+    def test_bytes_per_commit_do_not_grow_with_the_retained_log(self):
+        never = WalConfig(checkpoint_every=10**9, retain_records=10**9)
+        deltas, site = _flush_bytes_per_commit(16, never, 300, 300)
+        assert site.wal.stats.checkpoints == 1  # the genesis one only
+        assert len(site.wal.log.segments) == 600  # all of it retained
+        assert len(set(deltas)) == 1
+
+
+class TestRestoreRoundTripsTheDirectory:
+    def test_crash_restore_reassembles_segments_and_truncated_commits(self):
+        site = make_site(WalConfig(checkpoint_every=16, retain_records=6))
+        site.power_on()
+        site.become_operational()
+        for name in ITEM_NAMES[:8]:
+            site.copies.create(name, 0)
+        site.wal.checkpoint()
+        commit = 0
+        for size in (1, 3, 2, 4) * 7:  # 70 records: several checkpoints, then a tail
+            for _ in range(size):
+                commit += 1
+                site.copies.apply_write(ITEM_NAMES[commit % 8], commit, v(commit))
+            site.wal.on_commit()
+        site.copies.mark_unreadable(ITEM_NAMES[3])
+        site.wal.flush()
+        site.copies.mark_unreadable(ITEM_NAMES[5])  # never flushed
+        site.copies.apply_write(ITEM_NAMES[0], -1, v(commit + 1))  # never flushed
+        log = site.wal.log
+        directory = site.stable.get(DIRECTORY_KEY)
+        assert 0 < len(directory["segments"]) < len(log.segments)  # prefix + tail
+        expected = (
+            list(log.segments), dict(log.truncated_commit_by_item),
+            log.truncated_through_lsn, log.truncated_max_commit,
+            log.truncated_records, log.durable_lsn,
+        )
+        site.crash()
+        # Corrupt the volatile directory: restore must rebuild it from stable.
+        log.segments = [(99, 1, 1)]
+        log.truncated_commit_by_item = {"bogus": 1}
+        log.truncated_through_lsn = log.truncated_max_commit = log.truncated_records = -1
+        site.power_on()
+        assert site.wal.stats.replays == 1
+        assert (
+            log.segments, log.truncated_commit_by_item,
+            log.truncated_through_lsn, log.truncated_max_commit,
+            log.truncated_records, log.durable_lsn,
+        ) == expected
+        assert log.next_lsn == log.durable_lsn + 1
+        assert site.copies.get(ITEM_NAMES[commit % 8]).value == commit
+        # The rebuilt store's mark index matches the marks replay restored.
+        assert site.copies.unreadable_items() == [ITEM_NAMES[3]]
+        assert site.copies.unreadable_count() == 1
+        assert not site.copies.get(ITEM_NAMES[5]).unreadable
