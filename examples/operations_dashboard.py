@@ -12,7 +12,6 @@ import random
 
 from repro.core import RowaaSystem
 from repro.harness.report import full_report
-from repro.harness.trace import SystemTracer
 from repro.net import ConstantLatency
 from repro.sim import Kernel
 from repro.workload import ClientPool, WorkloadGenerator, WorkloadSpec
@@ -29,7 +28,7 @@ def main():
         detection_delay=5.0,
     )
     system.boot()
-    tracer = SystemTracer(system, keep_user_txns=False)  # protocol events only
+    system.obs.enable_timeline()  # record site/txn instants from here on
 
     pool = ClientPool(
         system,
@@ -56,7 +55,12 @@ def main():
     kernel.run(until=720.0)
 
     print("=== incident timeline (protocol events) ===")
-    print(tracer.render())
+    for instant in system.obs.spans.instants:
+        if instant.category == "txn":  # protocol events only: skip user txns
+            continue
+        detail = f"  {instant.detail}" if instant.detail else ""
+        print(f"[t={instant.time:9.1f}] site {instant.site_id}: "
+              f"{instant.category}/{instant.name}{detail}")
     print()
     print("=== post-mortem report ===")
     print(full_report(system))

@@ -5,7 +5,6 @@ Usage::
     python -m repro list
     python -m repro e1 [--seed 3] [--scale small|full] [--jobs 4]
     python -m repro all --scale small --jobs 4 --bench-out BENCH_grid.json
-    python -m repro bench [--quick] [--check]
     python -m repro trace --experiment e2 --out trace.json [--jsonl spans.jsonl]
     python -m repro metrics --experiment e2 [--out metrics.json]
     python -m repro audit --experiment e2 [--out alerts.jsonl]
@@ -14,23 +13,22 @@ Usage::
         [--speedscope s.json] [--out prof.json]
     python -m repro schedfuzz --experiment e2 [--schedules 8] [--races]
         [--out schedules.json | --replay schedules.json]
+    python -m repro lint [--json] [--changed]
 
 Each experiment prints the table documented in EXPERIMENTS.md; ``small``
 scale finishes in a few seconds per experiment, ``full`` matches the
 recorded tables. ``--jobs N`` fans the (scheme × seed × config) cell
 grid across a process pool — results are identical to a serial run
-(cells are pure functions of their arguments). ``bench`` runs the
-microbenchmark suite and appends to the perf trajectory
-(``BENCH_kernel.json``); ``bench --check`` additionally fails when
-kernel event throughput regressed more than 30% against the last
-committed entry.
+(cells are pure functions of their arguments). Performance is measured
+by the reference benchmark, not from here: ``python -m benchmarks.perf``
+(``BENCHMARK.json``, ``benchmarks/perf/README.md``).
 
 ``trace`` and ``metrics`` run one small traced scenario of an experiment
-(spans + timeline on; see :mod:`repro.obs.scenarios`) and export the
-observability stream: ``trace`` writes a Chrome trace-event file for
-chrome://tracing or https://ui.perfetto.dev (plus optionally the raw
-JSONL stream), ``metrics`` a metrics-registry snapshot; both print the
-recovery-timeline report.
+(spans + timeline on; see :func:`repro.harness.runner.run_traced`) and
+export the observability stream: ``trace`` writes a Chrome trace-event
+file for chrome://tracing or https://ui.perfetto.dev (plus optionally
+the raw JSONL stream), ``metrics`` a metrics-registry snapshot; both
+print the recovery-timeline report.
 
 ``latency`` runs a traced scenario with the windowed time-series
 sampler on and prints the critical-path **latency budget**
@@ -50,8 +48,9 @@ wal/copier/mvcc/audit/obs/workload), printed as a table whose rows sum
 to the dispatch wall time. ``--folded``/``--speedscope`` export the
 *sim-time* flamegraph collapsed from the span tree; ``--sample`` adds
 ``sys.setprofile`` host folded stacks; ``--out`` saves everything as
-JSON. The profiler's own overhead is gated by ``bench --check``
-(``kernel_events_profiled_per_s`` under ``--max-overhead``).
+JSON. What the probes cost is the reference benchmark's
+``obs.trace_overhead_pct`` (its traced rep runs with spans, timeline and
+this profiler on).
 
 ``audit`` runs the same traced scenario under the online protocol
 auditor (:mod:`repro.audit`): live 1-STG cycle detection, session
@@ -83,95 +82,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 import typing
 
-from repro.harness.experiments import (
-    e1_availability,
-    e2_resume,
-    e3_overhead,
-    e4_copiers,
-    e5_identification,
-    e6_multifailure,
-    e7_control_cost,
-    e8_serializability,
-    e9_catchup,
-    e10_commit_modes,
-    e11_snapshot_reads,
-)
-
-Runner = typing.Callable[..., object]
-
-EXPERIMENTS: dict[str, dict] = {
-    "e1": {
-        "module": e1_availability,
-        "title": "availability vs failed sites",
-        "full": dict(n_sites=5, replication=3, n_items=12, max_failed=4,
-                     load_duration=300.0),
-        "small": dict(n_sites=4, replication=2, n_items=8, max_failed=2,
-                      load_duration=150.0),
-    },
-    "e2": {
-        "module": e2_resume,
-        "title": "recovery latency vs missed updates",
-        "full": dict(n_items=24, missed_updates=(0, 8, 24, 48)),
-        "small": dict(n_items=12, missed_updates=(0, 6, 12)),
-    },
-    "e3": {
-        "module": e3_overhead,
-        "title": "failure-free overhead",
-        "full": dict(site_counts=(3, 5, 7), load_duration=400.0, repeats=3),
-        "small": dict(site_counts=(3,), load_duration=200.0, repeats=1),
-    },
-    "e4": {
-        "module": e4_copiers,
-        "title": "copier scheduling strategies",
-        "full": dict(n_items=24, stale_fraction=0.5, read_duration=500.0),
-        "small": dict(n_items=12, stale_fraction=0.5, read_duration=250.0),
-    },
-    "e5": {
-        "module": e5_identification,
-        "title": "out-of-date identification policies",
-        "full": dict(n_items=24, update_fractions=(0.125, 0.5, 1.0)),
-        "small": dict(n_items=12, update_fractions=(0.25, 1.0)),
-    },
-    "e6": {
-        "module": e6_multifailure,
-        "title": "multiple/cascading failures",
-        "full": dict(trials=6),
-        "small": dict(trials=2),
-    },
-    "e7": {
-        "module": e7_control_cost,
-        "title": "control/status maintenance cost",
-        "full": dict(item_counts=(4, 16, 48)),
-        "small": dict(item_counts=(4, 16)),
-    },
-    "e8": {
-        "module": e8_serializability,
-        "title": "one-serializability under failures",
-        "full": dict(trials=5, duration=800.0),
-        "small": dict(trials=2, duration=400.0),
-    },
-    "e9": {
-        "module": e9_catchup,
-        "title": "catch-up transport: log-shipping vs item copy",
-        "full": dict(n_items=24, missed_updates=(4, 16, 48)),
-        "small": dict(n_items=12, missed_updates=(4, 12)),
-    },
-    "e10": {
-        "module": e10_commit_modes,
-        "title": "commit modes: sync 2PC vs async quorum",
-        "full": dict(trials=4, duration=600.0),
-        "small": dict(trials=2, duration=300.0),
-    },
-    "e11": {
-        "module": e11_snapshot_reads,
-        "title": "snapshot reads vs lock-based reads under failures",
-        "full": dict(trials=4, duration=600.0),
-        "small": dict(trials=2, duration=300.0),
-    },
-}
+from repro.harness import parallel
+from repro.harness.runner import EXPERIMENTS, TracedRun, experiment_module, run_traced
+from repro.lint.cli import run_lint
+from repro.obs import hostclock
+from repro.obs.report import recovery_timeline, render_recovery_timeline
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -182,9 +99,8 @@ def build_parser() -> argparse.ArgumentParser:
         "'Site Recovery in Replicated Distributed Database Systems'.",
     )
     parser.add_argument(
-        "experiment",
-        help="experiment id (e1..e11), 'all', 'list', 'bench', 'trace', "
-        "'metrics', 'audit', 'latency', 'profile', 'schedfuzz', or 'lint'",
+        "experiment", type=str.lower,
+        help=f"experiment id (e1..e11), or one of: {', '.join(SUBCOMMANDS)}",
     )
     parser.add_argument("--seed", type=int, default=3, help="master seed")
     parser.add_argument(
@@ -199,47 +115,19 @@ def build_parser() -> argparse.ArgumentParser:
         "--bench-out", default=None, metavar="PATH",
         help="append per-cell wall times to this grid trajectory file",
     )
-    # bench-only options (ignored by the experiment subcommands).
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="bench: smaller iteration counts (CI smoke mode)",
-    )
-    parser.add_argument(
-        "--label", default="dev", help="bench: label for the trajectory entry"
-    )
-    parser.add_argument(
-        "--trajectory", default="BENCH_kernel.json", metavar="PATH",
-        help="bench: trajectory file (default: BENCH_kernel.json)",
-    )
-    parser.add_argument(
-        "--check", action="store_true",
-        help="bench: fail on regression against the last trajectory entry",
-    )
-    parser.add_argument(
-        "--max-regression", type=float, default=0.30, metavar="FRAC",
-        help="bench --check: tolerated fractional drop (default 0.30)",
-    )
-    parser.add_argument(
-        "--max-overhead", type=float, default=0.05, metavar="FRAC",
-        help="bench --check: tolerated instrumentation overhead on the "
-        "kernel-events bench with tracing disabled (default 0.05)",
-    )
-    parser.add_argument(
-        "--no-append", action="store_true",
-        help="bench: do not write the run into the trajectory file",
-    )
     parser.add_argument(
         "--out", default=None, metavar="PATH",
-        help="bench/trace/metrics/audit: write this run's output to a "
-        "standalone file (trace default: trace.json; audit default: "
-        "alerts.jsonl)",
+        help="trace/metrics/audit/latency/profile/schedfuzz/lint: write "
+        "this run's output to a standalone file (trace default: "
+        "trace.json; audit default: alerts.jsonl)",
     )
-    # trace/metrics/audit/latency/profile options (ignored elsewhere).
+    # Options of the scenario-running subcommands (ignored elsewhere).
     parser.add_argument(
-        "--experiment", dest="scenario", default="e2", metavar="EID",
-        help="trace/metrics/audit/latency/profile: which experiment's "
-        "traced scenario to run (default: e2; latency runs both commit "
-        "modes for e10)",
+        "--experiment", dest="scenario", type=str.lower, default="e2",
+        metavar="EID",
+        help="trace/metrics/audit/latency/profile/schedfuzz: which "
+        "experiment's traced scenario to run (default: e2; latency runs "
+        "every scenario of e10/e11, baseline first)",
     )
     parser.add_argument(
         "--jsonl", default=None, metavar="PATH",
@@ -325,192 +213,106 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run_one(
-    name: str, seed: int, scale: str, jobs: int | None = None,
-    bench_out: str | None = None,
-) -> None:
-    """Run one experiment and print its table."""
-    from repro.harness import parallel
+def run_list(args: argparse.Namespace) -> int:
+    """The ``list`` subcommand: every experiment id and its title."""
+    for key, spec in EXPERIMENTS.items():
+        print(f"{key}  {spec['title']}")
+    return 0
 
-    spec = EXPERIMENTS[name]
-    params = dict(spec[scale])
-    params["seed"] = seed
-    start = time.time()
-    table, timings = parallel.run_experiment(spec["module"], params, jobs=jobs)
-    wall = time.time() - start
-    print(table.render())
-    print(f"({name} at scale={scale}, seed={seed}, jobs={jobs or 1}, "
-          f"{wall:.1f}s wall)\n")
-    if bench_out:
+
+def run_experiments(args: argparse.Namespace) -> int:
+    """One experiment's table — or, for ``all``, the whole E1–E11 grid
+    with every cell of every experiment pooled together.
+
+    The dispatch table's fallback: a name that is neither a subcommand
+    nor an experiment id exits 2.
+    """
+    name, single = args.experiment, args.experiment != "all"
+    if single and name not in EXPERIMENTS:
+        print(f"unknown experiment {name!r}; try 'list'", file=sys.stderr)
+        return 2
+    specs = [
+        (key, experiment_module(key), {**EXPERIMENTS[key][args.scale], "seed": args.seed})
+        for key in ([name] if single else EXPERIMENTS)
+    ]
+    start = hostclock.now()
+    tables, timings = parallel.run_grid(specs, jobs=args.jobs)
+    wall = hostclock.now() - start
+    # Blank lines as CI tees them: `all` separates its tables, a single
+    # experiment trails its footer.
+    for table in tables.values():
+        print(table.render(), end="\n" if single else "\n\n")
+    print(f"({name} at scale={args.scale}, seed={args.seed}, "
+          f"jobs={args.jobs or 1}, {wall:.1f}s wall)", end="\n\n" if single else "\n")
+    if args.bench_out:
         parallel.write_grid_trajectory(
-            bench_out, timings, label=f"{name}@{scale}", jobs=jobs,
-            extra={"wall_s": round(wall, 4), "seed": seed},
+            args.bench_out, timings, label=f"{name}@{args.scale}", jobs=args.jobs,
+            extra={"wall_s": round(wall, 4), "seed": args.seed},
         )
+    return 0
 
 
-def run_all(
-    seed: int, scale: str, jobs: int | None, bench_out: str | None
+def _run_scenario(
+    args: argparse.Namespace, scenario: str | None = None, **probes: typing.Any
+) -> TracedRun | None:
+    """Run a traced scenario for the subcommand named in ``args.experiment``.
+
+    The front half the scenario-running subcommands share: an unknown
+    experiment id prints ``<subcommand>: …`` to stderr and yields None
+    (the caller exits 2).
+    """
+    try:
+        return run_traced(scenario or args.scenario, seed=args.seed, **probes)
+    except ValueError as exc:
+        print(f"{args.experiment}: {exc}", file=sys.stderr)
+        return None
+
+
+def _print_report(
+    run: TracedRun, lines: typing.Mapping, skip: tuple[str, ...] = ()
 ) -> None:
-    """Run the whole E1–E8 grid, pooling every cell together."""
-    from repro.harness import parallel
-
-    specs = []
-    for name, spec in EXPERIMENTS.items():
-        params = dict(spec[scale])
-        params["seed"] = seed
-        specs.append((name, spec["module"], params))
-    start = time.time()
-    tables, timings = parallel.run_grid(specs, jobs=jobs)
-    wall = time.time() - start
-    for name, table in tables.items():
-        print(table.render())
-        print()
-    print(f"(all at scale={scale}, seed={seed}, jobs={jobs or 1}, "
-          f"{wall:.1f}s wall)")
-    if bench_out:
-        parallel.write_grid_trajectory(
-            bench_out, timings, label=f"all@{scale}", jobs=jobs,
-            extra={"wall_s": round(wall, 4), "seed": seed},
-        )
-
-
-def run_bench(args: argparse.Namespace) -> int:
-    """The ``bench`` subcommand: microbench suite + trajectory."""
-    from repro.harness import bench
-
-    snapshots: dict = {}
-    metrics = bench.run_suite(quick=args.quick, snapshots=snapshots)
-    for key, value in metrics.items():
-        print(f"{key}: {value:.1f}")
-    overhead = bench.overhead_fraction(metrics)
-    if overhead is not None:
-        print(f"instrumentation_overhead: {overhead:.1%}")
-    sampled_overhead = bench.attribution_overhead_fraction(metrics)
-    if sampled_overhead is not None:
-        print(f"latency_attribution_overhead: {sampled_overhead:.1%}")
-        # Percent, not fraction: append_entry rounds metrics to one
-        # decimal, which would flatten a fraction to 0.0 or 0.1.
-        metrics["latency_attribution_overhead_pct"] = sampled_overhead * 100
-    mvcc_overhead = bench.ro_overhead_fraction(metrics)
-    if mvcc_overhead is not None:
-        print(f"mvcc_write_overhead: {mvcc_overhead:.1%}")
-        metrics["mvcc_write_overhead_pct"] = mvcc_overhead * 100
-    profiler_overhead = bench.profiler_overhead_fraction(metrics)
-    if profiler_overhead is not None:
-        print(f"profiler_overhead: {profiler_overhead:.1%}")
-        metrics["profiler_overhead_pct"] = profiler_overhead * 100
-    sanitize_overhead = bench.sanitize_overhead_fraction(metrics)
-    if sanitize_overhead is not None:
-        print(f"sanitize_off_overhead: {sanitize_overhead:.1%}")
-        metrics["sanitize_off_overhead_pct"] = sanitize_overhead * 100
-
-    exit_code = 0
-    if args.check:
-        trajectory = bench.load_trajectory(args.trajectory)
-        baseline = bench.latest_entry(trajectory, quick=args.quick)
-        if baseline is None:
-            print(f"no baseline in {args.trajectory}; nothing to check")
-        else:
-            ok, report = bench.compare(
-                baseline["metrics"], metrics,
-                max_regression=args.max_regression,
-            )
-            print(f"\nvs baseline {baseline['label']!r} "
-                  f"({baseline['timestamp']}):")
-            print(report)
-            if not ok:
-                exit_code = 1
-            base_profile = baseline.get("obs", {}).get("profile")
-            cur_profile = snapshots.get("profile")
-            if base_profile and cur_profile:
-                for line in bench.share_drift(base_profile, cur_profile):
-                    print(line)
-        if overhead is not None and overhead > args.max_overhead:
-            print(f"instrumentation overhead {overhead:.1%} exceeds "
-                  f"--max-overhead {args.max_overhead:.0%}  << REGRESSION")
-            exit_code = 1
-        if sampled_overhead is not None and sampled_overhead > args.max_overhead:
-            print(f"latency attribution overhead {sampled_overhead:.1%} exceeds "
-                  f"--max-overhead {args.max_overhead:.0%}  << REGRESSION")
-            exit_code = 1
-        if mvcc_overhead is not None and mvcc_overhead > args.max_overhead:
-            print(f"mvcc write overhead {mvcc_overhead:.1%} exceeds "
-                  f"--max-overhead {args.max_overhead:.0%}  << REGRESSION")
-            exit_code = 1
-        if profiler_overhead is not None and profiler_overhead > args.max_overhead:
-            print(f"profiler overhead {profiler_overhead:.1%} exceeds "
-                  f"--max-overhead {args.max_overhead:.0%}  << REGRESSION")
-            exit_code = 1
-        if sanitize_overhead is not None and sanitize_overhead > args.max_overhead:
-            print(f"sanitizer-off overhead {sanitize_overhead:.1%} exceeds "
-                  f"--max-overhead {args.max_overhead:.0%}  << REGRESSION")
-            exit_code = 1
-    if not args.no_append:
-        bench.append_entry(
-            args.trajectory, metrics, label=args.label, quick=args.quick,
-            snapshots=snapshots,
-        )
-    if args.out:
-        import json
-
-        with open(args.out, "w") as handle:
-            json.dump({"label": args.label, "quick": args.quick,
-                       "metrics": metrics}, handle, indent=2)
-            handle.write("\n")
-    return exit_code
+    """The shared back half: ``key: value`` lines, then the
+    recovery-timeline report (minus the sections in ``skip``)."""
+    for key, value in lines.items():
+        print(f"{key}: {value}")
+    print()
+    timeline = recovery_timeline(run.system)
+    for section in skip:
+        timeline.pop(section, None)
+    print(render_recovery_timeline(timeline))
 
 
 def run_trace(args: argparse.Namespace) -> int:
     """The ``trace`` subcommand: traced scenario -> Chrome trace file."""
     from repro.obs.export import export_chrome_trace, export_jsonl
-    from repro.obs.report import recovery_timeline, render_recovery_timeline
-    from repro.obs.scenarios import run_traced
 
-    try:
-        run = run_traced(
-            args.scenario, seed=args.seed, sample_period=args.sample_period
-        )
-    except ValueError as exc:
-        print(f"trace: {exc}", file=sys.stderr)
+    run = _run_scenario(args, sample_period=args.sample_period)
+    if run is None:
         return 2
-    label = f"{run.experiment}@seed={args.seed}"
     out = args.out or "trace.json"
-    n_events = export_chrome_trace(run.obs, out, label=label)
+    n_events = export_chrome_trace(run.obs, out, label=run.label)
     recorder = run.obs.spans
     print(f"{out}: {n_events} trace events ({len(recorder.spans)} spans, "
           f"{len(recorder.instants)} instants) — open in chrome://tracing "
           "or https://ui.perfetto.dev")
     if args.jsonl:
-        n_lines = export_jsonl(run.obs, args.jsonl, label=label)
+        n_lines = export_jsonl(run.obs, args.jsonl, label=run.label)
         print(f"{args.jsonl}: {n_lines} JSONL lines")
-    for key, value in run.summary.items():
-        print(f"{key}: {value}")
-    print()
-    print(render_recovery_timeline(recovery_timeline(run.system)))
+    _print_report(run, run.summary)
     return 0
 
 
 def run_metrics(args: argparse.Namespace) -> int:
     """The ``metrics`` subcommand: traced scenario -> registry snapshot."""
     from repro.obs.export import export_metrics_json
-    from repro.obs.report import recovery_timeline, render_recovery_timeline
-    from repro.obs.scenarios import run_traced
 
-    try:
-        run = run_traced(args.scenario, seed=args.seed)
-    except ValueError as exc:
-        print(f"metrics: {exc}", file=sys.stderr)
+    run = _run_scenario(args)
+    if run is None:
         return 2
     if args.out:
-        export_metrics_json(
-            run.obs, args.out, label=f"{run.experiment}@seed={args.seed}"
-        )
+        export_metrics_json(run.obs, args.out, label=run.label)
         print(f"wrote metrics snapshot to {args.out}")
-    snapshot = run.obs.registry.snapshot()
-    for name in sorted(snapshot["global"]):
-        print(f"{name}: {snapshot['global'][name]}")
-    print()
-    print(render_recovery_timeline(recovery_timeline(run.system)))
+    _print_report(run, dict(sorted(run.obs.registry.snapshot()["global"].items())))
     return 0
 
 
@@ -519,14 +321,14 @@ def run_latency(args: argparse.Namespace) -> int:
 
     Runs the traced scenario with the windowed sampler attached, prints
     the per-category latency budget and per-outage throughput troughs.
-    ``--experiment e10`` runs both commit modes (``e10`` async,
-    ``e10sync`` baseline) back to back on the same seed. Exit status:
+    Given an experiment id with several scenarios in the registry
+    (``e10``: ``e10sync`` baseline then ``e10`` async; likewise
+    ``e11``) it runs them back to back on the same seed. Exit status:
     0 on success, 2 on an unknown experiment name.
     """
     import json
 
     from repro.obs.critpath import latency_budget, render_latency_budget
-    from repro.obs.scenarios import run_traced
     from repro.obs.timeseries import (
         export_series_jsonl,
         outage_stats,
@@ -534,17 +336,13 @@ def run_latency(args: argparse.Namespace) -> int:
     )
 
     period = args.sample_period if args.sample_period is not None else 10.0
-    paired = {"e10": ["e10sync", "e10"], "e11": ["e11sync", "e11"]}
-    scenarios = paired.get(args.scenario, [args.scenario])
+    scenarios = EXPERIMENTS.get(args.scenario, {}).get("scenarios", [args.scenario])
     budgets: dict[str, dict] = {}
     troughs: dict[str, dict] = {}
     for index, scenario in enumerate(scenarios):
-        try:
-            run = run_traced(scenario, seed=args.seed, sample_period=period)
-        except ValueError as exc:
-            print(f"latency: {exc}", file=sys.stderr)
+        run = _run_scenario(args, scenario, sample_period=period)
+        if run is None:
             return 2
-        label = f"{scenario}@seed={args.seed}"
         mode = run.summary.get("commit_mode")
         print(f"== {scenario}" + (f" ({mode})" if mode else ""))
         budget = latency_budget(run.obs)
@@ -558,7 +356,7 @@ def run_latency(args: argparse.Namespace) -> int:
                 print(line)
             if args.series:
                 n_lines = export_series_jsonl(
-                    sampler, args.series, label=label, append=index > 0
+                    sampler, args.series, label=run.label, append=index > 0
                 )
                 print(f"{args.series}: +{n_lines} JSONL lines")
         print()
@@ -600,27 +398,22 @@ def run_profile(args: argparse.Namespace) -> int:
         folded_stacks,
         render_profile,
     )
-    from repro.obs.report import recovery_timeline, render_recovery_timeline
-    from repro.obs.scenarios import run_traced
 
     sampler = StackSampler() if args.sample else None
+    if sampler is not None:
+        sampler.start()
     try:
+        run = _run_scenario(args, profile=True)
+    finally:
         if sampler is not None:
-            sampler.start()
-        try:
-            run = run_traced(args.scenario, seed=args.seed, profile=True)
-        finally:
-            if sampler is not None:
-                sampler.stop()
-    except ValueError as exc:
-        print(f"profile: {exc}", file=sys.stderr)
+            sampler.stop()
+    if run is None:
         return 2
     report = run.obs.profiler.report()
     print(render_profile(report))
-    label = f"{run.experiment}@seed={args.seed}"
     sim_folded = folded_stacks(run.obs.spans)
     if args.speedscope:
-        n_stacks = export_speedscope(run.obs.spans, args.speedscope, label=label)
+        n_stacks = export_speedscope(run.obs.spans, args.speedscope, label=run.label)
         print(f"{args.speedscope}: speedscope profile, {n_stacks} sim-time "
               "stacks — open at https://www.speedscope.app")
     if args.folded:
@@ -649,12 +442,7 @@ def run_profile(args: argparse.Namespace) -> int:
             json.dump(document, handle, indent=2)
             handle.write("\n")
         print(f"wrote profile to {args.out}")
-    for key, value in run.summary.items():
-        print(f"{key}: {value}")
-    print()
-    timeline = recovery_timeline(run.system)
-    timeline.pop("profile", None)  # the table already led the output
-    print(render_recovery_timeline(timeline))
+    _print_report(run, run.summary, skip=("profile",))  # the table led the output
     return 0
 
 
@@ -733,26 +521,16 @@ def run_audit(args: argparse.Namespace) -> int:
     Exit status: 0 when no critical alert fired, 1 on any critical
     alert (the CI audit gate), 2 on an unknown experiment name.
     """
-    from repro.obs.report import recovery_timeline, render_recovery_timeline
-    from repro.obs.scenarios import run_traced
-
-    try:
-        run = run_traced(args.scenario, seed=args.seed, audit=True)
-    except ValueError as exc:
-        print(f"audit: {exc}", file=sys.stderr)
+    run = _run_scenario(args, audit=True)
+    if run is None:
         return 2
     auditor = run.obs.audit
     summary = auditor.summary()
     out = args.out or "alerts.jsonl"
-    n_lines = auditor.alerts.export_jsonl(
-        out, label=f"{run.experiment}@seed={args.seed}"
-    )
+    n_lines = auditor.alerts.export_jsonl(out, label=run.label)
     print(f"{out}: {n_lines} JSONL lines")
     print(auditor.alerts.render_summary())
-    for key, value in run.summary.items():
-        print(f"{key}: {value}")
-    print()
-    print(render_recovery_timeline(recovery_timeline(run.system)))
+    _print_report(run, run.summary)
     if auditor.alerts.has_critical:
         print(
             f"audit: {summary['critical']} critical alert(s)  << VIOLATION",
@@ -762,41 +540,25 @@ def run_audit(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Subcommand -> handler; any other name is an experiment id
+#: (:func:`run_experiments`, which also serves ``all``).
+SUBCOMMANDS: dict[str, typing.Callable[[argparse.Namespace], int]] = {
+    "list": run_list,
+    "all": run_experiments,
+    "trace": run_trace,
+    "metrics": run_metrics,
+    "audit": run_audit,
+    "latency": run_latency,
+    "profile": run_profile,
+    "schedfuzz": run_schedfuzz,
+    "lint": run_lint,
+}
+
+
 def main(argv: typing.Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
-    name = args.experiment.lower()
-    if name == "list":
-        for key, spec in EXPERIMENTS.items():
-            print(f"{key}  {spec['title']}")
-        return 0
-    if name == "bench":
-        return run_bench(args)
-    if name == "trace":
-        return run_trace(args)
-    if name == "metrics":
-        return run_metrics(args)
-    if name == "audit":
-        return run_audit(args)
-    if name == "latency":
-        return run_latency(args)
-    if name == "profile":
-        return run_profile(args)
-    if name == "schedfuzz":
-        return run_schedfuzz(args)
-    if name == "lint":
-        from repro.lint.cli import run_lint
-
-        return run_lint(args)
-    if name == "all":
-        run_all(args.seed, args.scale, args.jobs, args.bench_out)
-        return 0
-    if name not in EXPERIMENTS:
-        print(f"unknown experiment {name!r}; try 'list'", file=sys.stderr)
-        return 2
-    run_one(name, args.seed, args.scale, jobs=args.jobs,
-            bench_out=args.bench_out)
-    return 0
+    return SUBCOMMANDS.get(args.experiment, run_experiments)(args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via __main__

@@ -1,20 +1,14 @@
-"""Experiment harness: metrics, tables, and the E1–E8 experiments.
+"""Experiment harness: metrics, tables, and the E1–E11 experiments.
 
 The paper (ICDCS 1986) contains no measured tables or figures — its
-evaluation is a set of qualitative claims. Each experiment module
-regenerates one claim as a table (see DESIGN.md §3 for the index):
+evaluation is a set of qualitative claims. Each module under
+:mod:`repro.harness.experiments` regenerates one claim as a table (see
+DESIGN.md §3 for the index); :data:`repro.harness.runner.EXPERIMENTS`
+is the registry of them (module, title, CLI scales, traced scenarios).
 
-* :mod:`~repro.harness.experiments.e1_availability`
-* :mod:`~repro.harness.experiments.e2_resume`
-* :mod:`~repro.harness.experiments.e3_overhead`
-* :mod:`~repro.harness.experiments.e4_copiers`
-* :mod:`~repro.harness.experiments.e5_identification`
-* :mod:`~repro.harness.experiments.e6_multifailure`
-* :mod:`~repro.harness.experiments.e7_control_cost`
-* :mod:`~repro.harness.experiments.e8_serializability`
-
-Every experiment exposes ``run(seed=0, **params) -> Table``; benchmarks
-call them with scaled-down parameters and print the table.
+Every experiment exposes ``run(jobs=None, **params) -> Table`` with the
+parameters of its ``plan``; benchmarks call them with scaled-down
+parameters and print the table.
 """
 
 from repro.harness.tables import Table

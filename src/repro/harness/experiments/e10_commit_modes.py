@@ -25,17 +25,18 @@ in-doubt participants blocked across a *coordinator* outage (they hold
 X locks until the coordinator's stable decision log is reachable
 again), so individual unlucky schedules can favour the baseline. The
 latency win and the failure-free gap are the robust signals; the
-dedicated bench (``repro bench``) isolates them.
+reference benchmark's ``steady_rw`` / ``steady_rw_async`` workload pair
+(``BENCHMARK.json``) isolates them.
 """
 
 from __future__ import annotations
 
 from repro.core.nominal import db_item_filter
-from repro.harness.metrics import percentile
-from repro.harness.parallel import Cell, run_cells
-from repro.harness.runner import build_scheme, build_traced_scheme, quiesce
+from repro.harness.parallel import Cell, run_table
+from repro.harness.runner import build_scheme, quiesce
 from repro.harness.tables import Table
 from repro.histories import check_one_sr, check_theorem3
+from repro.obs.metrics import percentile
 from repro.sim.rng import RngRegistry
 from repro.txn.config import TxnConfig
 from repro.workload import ClientPool, FailureSchedule, WorkloadGenerator, WorkloadSpec
@@ -104,23 +105,9 @@ def assemble(
     return table
 
 
-def run(
-    seed: int = 0,
-    trials: int = 4,
-    n_sites: int = 4,
-    n_items: int = 48,
-    duration: float = 600.0,
-    modes: tuple[str, ...] = MODES,
-    jobs: int | None = None,
-) -> Table:
-    """Commit-mode comparison over (mode × random trials)."""
-    params = dict(
-        seed=seed, trials=trials, n_sites=n_sites, n_items=n_items,
-        duration=duration, modes=modes,
-    )
-    cells = plan(**params)
-    results, _timings = run_cells(cells, jobs=jobs)
-    return assemble(cells, results, **params)
+def run(jobs: int | None = None, **params) -> Table:
+    """Commit-mode comparison over (mode × random trials); ``params`` are :func:`plan`'s."""
+    return run_table(__name__, params, jobs)
 
 
 def _spec(n_items: int) -> WorkloadSpec:
@@ -171,18 +158,16 @@ def _one_trial(mode, seed, n_sites, n_items, duration):
     }
 
 
-def _traced(
-    seed: int, mode: str, audit: bool,
-    sample_period: float | None = None, profile: bool = False,
-    schedule: object = None, races: bool = False,
-):
-    """One traced run of ``mode`` for ``repro trace/metrics/audit/latency``."""
+def traced_scenario(build, seed: int = 0, mode: str = "async_quorum"):
+    """One traced run of ``mode`` for ``repro trace/metrics/audit/latency``.
+
+    The registry exposes it twice on the identical failure plan:
+    ``e10`` is the async fast path, ``e10sync`` the sync 2PC baseline.
+    """
     n_sites, n_items, duration = 4, 48, 400.0
     spec = _spec(n_items)
-    kernel, system, obs = build_traced_scheme(
-        "rowaa", seed, n_sites, spec.initial_items(), audit=audit,
-        sample_period=sample_period, profile=profile,
-        schedule=schedule, races=races,
+    kernel, system, obs = build(
+        "rowaa", seed, n_sites, spec.initial_items(),
         txn_config=TxnConfig(rpc_timeout=10.0, commit_mode=mode),
     )
     rngs = RngRegistry(seed)
@@ -211,23 +196,3 @@ def _traced(
         ).ok,
         "theorem3": check_theorem3(system.recorder).ok,
     }
-
-
-def traced_scenario(
-    seed: int = 0, audit: bool = False,
-    sample_period: float | None = None, profile: bool = False,
-    schedule: object = None, races: bool = False,
-):
-    """The async fast path under outages (``repro audit e10``)."""
-    return _traced(seed, "async_quorum", audit, sample_period, profile,
-                   schedule=schedule, races=races)
-
-
-def traced_scenario_sync(
-    seed: int = 0, audit: bool = False,
-    sample_period: float | None = None, profile: bool = False,
-    schedule: object = None, races: bool = False,
-):
-    """The sync baseline on the identical schedule (``e10sync``)."""
-    return _traced(seed, "sync_2pc", audit, sample_period, profile,
-                   schedule=schedule, races=races)

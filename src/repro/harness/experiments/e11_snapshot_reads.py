@@ -29,11 +29,11 @@ traced variants additionally run the ``mvcc.snapshot_consistency`` /
 from __future__ import annotations
 
 from repro.core.nominal import db_item_filter
-from repro.harness.metrics import percentile
-from repro.harness.parallel import Cell, run_cells
-from repro.harness.runner import build_scheme, build_traced_scheme, quiesce
+from repro.harness.parallel import Cell, run_table
+from repro.harness.runner import build_scheme, quiesce
 from repro.harness.tables import Table
 from repro.histories import check_one_sr, check_theorem3
+from repro.obs.metrics import percentile
 from repro.sim.rng import RngRegistry
 from repro.txn.config import TxnConfig
 from repro.workload import ClientPool, FailureSchedule, WorkloadGenerator, WorkloadSpec
@@ -101,23 +101,9 @@ def assemble(
     return table
 
 
-def run(
-    seed: int = 0,
-    trials: int = 4,
-    n_sites: int = 4,
-    n_items: int = 32,
-    duration: float = 600.0,
-    variants: tuple[str, ...] = VARIANTS,
-    jobs: int | None = None,
-) -> Table:
-    """Read-path comparison over (variant × random trials)."""
-    params = dict(
-        seed=seed, trials=trials, n_sites=n_sites, n_items=n_items,
-        duration=duration, variants=variants,
-    )
-    cells = plan(**params)
-    results, _timings = run_cells(cells, jobs=jobs)
-    return assemble(cells, results, **params)
+def run(jobs: int | None = None, **params) -> Table:
+    """Read-path comparison over (variant × random trials); ``params`` are :func:`plan`'s."""
+    return run_table(__name__, params, jobs)
 
 
 def _spec(n_items: int) -> WorkloadSpec:
@@ -178,18 +164,17 @@ def _verdict(variant, system, pool):
     }
 
 
-def _traced(
-    seed: int, variant: str, audit: bool,
-    sample_period: float | None = None, profile: bool = False,
-    schedule: object = None, races: bool = False,
-):
-    """One traced run of ``variant`` for ``repro trace/metrics/audit/latency``."""
+def traced_scenario(build, seed: int = 0, variant: str = "mvcc"):
+    """One traced run of ``variant`` for ``repro trace/metrics/audit/latency``.
+
+    The registry exposes it twice on the identical failure plan:
+    ``e11`` is the snapshot-read path, ``e11sync`` the lock-based
+    baseline.
+    """
     n_sites, n_items, duration = 4, 32, 400.0
     spec = _spec(n_items)
-    kernel, system, obs = build_traced_scheme(
-        "rowaa", seed, n_sites, spec.initial_items(), audit=audit,
-        sample_period=sample_period, profile=profile,
-        schedule=schedule, races=races,
+    kernel, system, obs = build(
+        "rowaa", seed, n_sites, spec.initial_items(),
         txn_config=TxnConfig(rpc_timeout=10.0),
     )
     rngs = RngRegistry(seed)
@@ -212,23 +197,3 @@ def _traced(
     verdict["ro_p50"] = percentile(ro_latencies, 50)
     verdict["ro_p99"] = percentile(ro_latencies, 99)
     return kernel, system, obs, verdict
-
-
-def traced_scenario(
-    seed: int = 0, audit: bool = False,
-    sample_period: float | None = None, profile: bool = False,
-    schedule: object = None, races: bool = False,
-):
-    """The snapshot-read path under outages (``repro audit e11``)."""
-    return _traced(seed, "mvcc", audit, sample_period, profile,
-                   schedule=schedule, races=races)
-
-
-def traced_scenario_sync(
-    seed: int = 0, audit: bool = False,
-    sample_period: float | None = None, profile: bool = False,
-    schedule: object = None, races: bool = False,
-):
-    """The lock-based baseline on the identical schedule (``e11sync``)."""
-    return _traced(seed, "locking", audit, sample_period, profile,
-                   schedule=schedule, races=races)

@@ -19,10 +19,9 @@ from __future__ import annotations
 
 import random
 
-from repro.harness.parallel import Cell, run_cells
+from repro.harness.parallel import Cell, run_table
 from repro.harness.runner import (
     build_scheme,
-    build_traced_scheme,
     cell_seed,
     replicated_catalog,
     settle,
@@ -85,24 +84,9 @@ def assemble(
     return table
 
 
-def run(
-    seed: int = 0,
-    n_sites: int = 5,
-    replication: int = 3,
-    n_items: int = 20,
-    max_failed: int | None = None,
-    load_duration: float = 400.0,
-    schemes: tuple[str, ...] = SCHEMES,
-    jobs: int | None = None,
-) -> Table:
-    """Availability table over (scheme × failed-site count)."""
-    params = dict(
-        seed=seed, n_sites=n_sites, replication=replication, n_items=n_items,
-        max_failed=max_failed, load_duration=load_duration, schemes=schemes,
-    )
-    cells = plan(**params)
-    results, _timings = run_cells(cells, jobs=jobs)
-    return assemble(cells, results, **params)
+def run(jobs: int | None = None, **params) -> Table:
+    """Availability table over (scheme × failed-site count); ``params`` are :func:`plan`'s."""
+    return run_table(__name__, params, jobs)
 
 
 def _one_cell(scheme, seed, n_sites, replication, spec, failed, load_duration):
@@ -141,11 +125,7 @@ def _one_cell(scheme, seed, n_sites, replication, spec, failed, load_duration):
     return readers.stats.availability, writers.stats.availability, refused
 
 
-def traced_scenario(
-    seed: int = 0, audit: bool = False,
-    sample_period: float | None = None, profile: bool = False,
-    schedule: object = None, races: bool = False,
-):
+def traced_scenario(build, seed: int = 0):
     """One traced cell for ``repro trace``: one crashed site, mixed load.
 
     Mirrors the one-failed-site cell of the grid on a small
@@ -156,11 +136,9 @@ def traced_scenario(
     catalog = replicated_catalog(
         n_sites, spec.item_names(), replication, cell_seed("e1-trace", seed)
     )
-    kernel, system, obs = build_traced_scheme(
+    kernel, system, obs = build(
         "rowaa", cell_seed("e1-trace", seed), n_sites, spec.initial_items(),
         catalog=catalog,
-        audit=audit, sample_period=sample_period, profile=profile,
-        schedule=schedule, races=races,
     )
     system.crash(n_sites)
     settle(kernel, system, 80.0)

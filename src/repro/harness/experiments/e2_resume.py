@@ -23,8 +23,8 @@ sits at the per-item INCLUDE cost ∝ #items.
 
 from __future__ import annotations
 
-from repro.harness.parallel import Cell, run_cells
-from repro.harness.runner import build_scheme, build_traced_scheme, settle
+from repro.harness.parallel import Cell, run_table
+from repro.harness.runner import build_scheme, settle
 from repro.harness.tables import Table
 from repro.workload import WorkloadSpec
 
@@ -73,23 +73,9 @@ def assemble(
     return table
 
 
-def run(
-    seed: int = 0,
-    n_sites: int = 3,
-    n_items: int = 24,
-    missed_updates: tuple[int, ...] = (0, 8, 24, 48),
-    schemes: tuple[str, ...] = SCHEMES,
-    replay_cost: float = 0.5,
-    jobs: int | None = None,
-) -> Table:
-    """Resume/caught-up latency over (scheme × missed updates)."""
-    params = dict(
-        seed=seed, n_sites=n_sites, n_items=n_items,
-        missed_updates=missed_updates, schemes=schemes, replay_cost=replay_cost,
-    )
-    cells = plan(**params)
-    results, _timings = run_cells(cells, jobs=jobs)
-    return assemble(cells, results, **params)
+def run(jobs: int | None = None, **params) -> Table:
+    """Resume/caught-up latency over (scheme × missed updates); ``params`` are :func:`plan`'s."""
+    return run_table(__name__, params, jobs)
 
 
 def _write_program(item, value):
@@ -134,11 +120,7 @@ def _caught_up_time(kernel, system, scheme, victim, power_at):
     return kernel.now - power_at
 
 
-def traced_scenario(
-    seed: int = 0, audit: bool = False,
-    sample_period: float | None = None, profile: bool = False,
-    schedule: object = None, races: bool = False,
-):
+def traced_scenario(build, seed: int = 0):
     """One traced rowaa cell for ``repro trace``: crash, miss, reboot, drain.
 
     The canonical observability scenario: its span tree contains user
@@ -148,10 +130,8 @@ def traced_scenario(
     """
     n_sites, n_items, missed = 3, 8, 6
     spec = WorkloadSpec(n_items=n_items)
-    kernel, system, obs = build_traced_scheme(
+    kernel, system, obs = build(
         "rowaa", seed * 37 + missed, n_sites, spec.initial_items(),
-        audit=audit, sample_period=sample_period, profile=profile,
-        schedule=schedule, races=races,
     )
     victim = n_sites
     system.crash(victim)

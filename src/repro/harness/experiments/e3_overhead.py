@@ -20,8 +20,8 @@ from __future__ import annotations
 import random
 
 from repro.harness.metrics import mean, network_totals, tm_totals
-from repro.harness.parallel import Cell, run_cells
-from repro.harness.runner import build_scheme, build_traced_scheme
+from repro.harness.parallel import Cell, run_table
+from repro.harness.runner import build_scheme
 from repro.harness.tables import Table
 from repro.workload import ClientPool, WorkloadGenerator, WorkloadSpec
 
@@ -84,31 +84,15 @@ def assemble(cells: list[Cell], results: list, **_params) -> Table:
     return table
 
 
-def run(
-    seed: int = 0,
-    site_counts: tuple[int, ...] = (3, 5, 7),
-    n_items: int = 24,
-    load_duration: float = 600.0,
-    n_clients: int = 6,
-    repeats: int = 3,
-    schemes: tuple[str, ...] = SCHEMES,
-    jobs: int | None = None,
-) -> Table:
-    """Overhead table over (scheme × site count), no failures.
+def run(jobs: int | None = None, **params) -> Table:
+    """Overhead table over (scheme × site count), no failures; ``params`` are :func:`plan`'s.
 
     Each row averages ``repeats`` seeds: under contention, scheduling
     noise (a few extra zero-latency local events shift lock-grant
     interleavings) swings single runs by ~10%, drowning the effect being
     measured.
     """
-    params = dict(
-        seed=seed, site_counts=site_counts, n_items=n_items,
-        load_duration=load_duration, n_clients=n_clients, repeats=repeats,
-        schemes=schemes,
-    )
-    cells = plan(**params)
-    results, _timings = run_cells(cells, jobs=jobs)
-    return assemble(cells, results, **params)
+    return run_table(__name__, params, jobs)
 
 
 def _one_cell(scheme, seed, n_sites, n_items, load_duration, n_clients):
@@ -135,11 +119,7 @@ def _one_cell(scheme, seed, n_sites, n_items, load_duration, n_clients):
     }
 
 
-def traced_scenario(
-    seed: int = 0, audit: bool = False,
-    sample_period: float | None = None, profile: bool = False,
-    schedule: object = None, races: bool = False,
-):
+def traced_scenario(build, seed: int = 0):
     """One traced failure-free cell for ``repro trace``.
 
     No crashes: the trace shows the steady-state shape of the protocol —
@@ -148,10 +128,8 @@ def traced_scenario(
     """
     n_sites, n_items = 3, 12
     spec = WorkloadSpec(n_items=n_items, ops_per_txn=3, write_fraction=0.3)
-    kernel, system, obs = build_traced_scheme(
+    kernel, system, obs = build(
         "rowaa", seed * 13 + n_sites, n_sites, spec.initial_items(),
-        audit=audit, sample_period=sample_period, profile=profile,
-        schedule=schedule, races=races,
     )
     rng = random.Random(seed + n_sites)
     pool = ClientPool(

@@ -22,8 +22,8 @@ from __future__ import annotations
 import random
 
 from repro.core.config import RowaaConfig
-from repro.harness.parallel import Cell, run_cells
-from repro.harness.runner import build_scheme, build_traced_scheme, cell_seed, settle
+from repro.harness.parallel import Cell, run_table
+from repro.harness.runner import build_scheme, cell_seed, settle
 from repro.harness.tables import Table
 from repro.workload import ClientPool, WorkloadGenerator, WorkloadSpec
 
@@ -73,23 +73,9 @@ def assemble(
     return table
 
 
-def run(
-    seed: int = 0,
-    n_sites: int = 3,
-    n_items: int = 24,
-    stale_fraction: float = 0.5,
-    read_duration: float = 600.0,
-    modes: tuple[str, ...] = MODES,
-    jobs: int | None = None,
-) -> Table:
-    """Copier-strategy table."""
-    params = dict(
-        seed=seed, n_sites=n_sites, n_items=n_items,
-        stale_fraction=stale_fraction, read_duration=read_duration, modes=modes,
-    )
-    cells = plan(**params)
-    results, _timings = run_cells(cells, jobs=jobs)
-    return assemble(cells, results, **params)
+def run(jobs: int | None = None, **params) -> Table:
+    """Copier-strategy table; ``params`` are :func:`plan`'s."""
+    return run_table(__name__, params, jobs)
 
 
 def _write_program(item, value):
@@ -141,11 +127,7 @@ def _one_cell(seed, n_sites, n_items, stale_fraction, read_duration, mode):
     }
 
 
-def traced_scenario(
-    seed: int = 0, audit: bool = False,
-    sample_period: float | None = None, profile: bool = False,
-    schedule: object = None, races: bool = False,
-):
+def traced_scenario(build, seed: int = 0):
     """One traced eager-copier cell for ``repro trace``.
 
     Half the items go stale during the outage; read load lands on the
@@ -154,11 +136,9 @@ def traced_scenario(
     """
     n_sites, n_items = 3, 8
     spec = WorkloadSpec(n_items=n_items, ops_per_txn=2, write_fraction=0.0)
-    kernel, system, obs = build_traced_scheme(
+    kernel, system, obs = build(
         "rowaa", cell_seed("e4-trace", seed), n_sites, spec.initial_items(),
         rowaa_config=RowaaConfig(copier_mode="eager", unreadable_policy="redirect"),
-        audit=audit, sample_period=sample_period, profile=profile,
-        schedule=schedule, races=races,
     )
     victim = n_sites
     system.crash(victim)

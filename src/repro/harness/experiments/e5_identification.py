@@ -19,8 +19,8 @@ the gap closes as the update fraction approaches 1.
 from __future__ import annotations
 
 from repro.core.config import RowaaConfig
-from repro.harness.parallel import Cell, run_cells
-from repro.harness.runner import build_scheme, build_traced_scheme, cell_seed, settle
+from repro.harness.parallel import Cell, run_table
+from repro.harness.runner import build_scheme, cell_seed, settle
 from repro.harness.tables import Table
 from repro.workload import WorkloadSpec
 
@@ -66,22 +66,9 @@ def assemble(
     return table
 
 
-def run(
-    seed: int = 0,
-    n_sites: int = 3,
-    n_items: int = 24,
-    update_fractions: tuple[float, ...] = (0.125, 0.5, 1.0),
-    policies: tuple[str, ...] = POLICIES,
-    jobs: int | None = None,
-) -> Table:
-    """Recovery work table over (policy × update fraction)."""
-    params = dict(
-        seed=seed, n_sites=n_sites, n_items=n_items,
-        update_fractions=update_fractions, policies=policies,
-    )
-    cells = plan(**params)
-    results, _timings = run_cells(cells, jobs=jobs)
-    return assemble(cells, results, **params)
+def run(jobs: int | None = None, **params) -> Table:
+    """Recovery work table over (policy × update fraction); ``params`` are :func:`plan`'s."""
+    return run_table(__name__, params, jobs)
 
 
 def _write_program(item, value):
@@ -123,11 +110,7 @@ def _one_cell(seed, n_sites, n_items, fraction, policy):
     }
 
 
-def traced_scenario(
-    seed: int = 0, audit: bool = False,
-    sample_period: float | None = None, profile: bool = False,
-    schedule: object = None, races: bool = False,
-):
+def traced_scenario(build, seed: int = 0):
     """One traced mark-all identification cell for ``repro trace``.
 
     Half the items were updated during the outage; the recovery marks
@@ -137,11 +120,9 @@ def traced_scenario(
     """
     n_sites, n_items = 3, 8
     spec = WorkloadSpec(n_items=n_items)
-    kernel, system, obs = build_traced_scheme(
+    kernel, system, obs = build(
         "rowaa", cell_seed("e5-trace", seed), n_sites, spec.initial_items(),
         rowaa_config=RowaaConfig(copier_mode="eager", identify_mode="mark-all"),
-        audit=audit, sample_period=sample_period, profile=profile,
-        schedule=schedule, races=races,
     )
     victim = n_sites
     system.crash(victim)

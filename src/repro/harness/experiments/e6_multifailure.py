@@ -27,8 +27,8 @@ from __future__ import annotations
 import random
 
 from repro.harness.metrics import mean
-from repro.harness.parallel import Cell, run_cells
-from repro.harness.runner import build_scheme, build_traced_scheme, settle
+from repro.harness.parallel import Cell, run_table
+from repro.harness.runner import build_scheme, settle
 from repro.harness.tables import Table
 from repro.workload import WorkloadSpec
 
@@ -87,22 +87,9 @@ def assemble(
     return table
 
 
-def run(
-    seed: int = 0,
-    trials: int = 5,
-    n_sites: int = 4,
-    n_items: int = 8,
-    scenarios: tuple[str, ...] = SCENARIOS,
-    jobs: int | None = None,
-) -> Table:
-    """Resilience table over scenarios."""
-    params = dict(
-        seed=seed, trials=trials, n_sites=n_sites, n_items=n_items,
-        scenarios=scenarios,
-    )
-    cells = plan(**params)
-    results, _timings = run_cells(cells, jobs=jobs)
-    return assemble(cells, results, **params)
+def run(jobs: int | None = None, **params) -> Table:
+    """Resilience table over scenarios; ``params`` are :func:`plan`'s."""
+    return run_table(__name__, params, jobs)
 
 
 def _one_trial(scenario, seed, n_sites, n_items):
@@ -156,11 +143,7 @@ def _one_trial(scenario, seed, n_sites, n_items):
     return system.recovery_records()
 
 
-def traced_scenario(
-    seed: int = 0, audit: bool = False,
-    sample_period: float | None = None, profile: bool = False,
-    schedule: object = None, races: bool = False,
-):
+def traced_scenario(build, seed: int = 0):
     """One traced crash-during-t1 trial for ``repro trace``.
 
     A second site crashes inside the recovery window, forcing the §3.4
@@ -169,11 +152,7 @@ def traced_scenario(
     """
     n_sites, n_items = 4, 8
     spec = WorkloadSpec(n_items=n_items)
-    kernel, system, obs = build_traced_scheme(
-        "rowaa", seed, n_sites, spec.initial_items(),
-        audit=audit, sample_period=sample_period, profile=profile,
-        schedule=schedule, races=races,
-    )
+    kernel, system, obs = build("rowaa", seed, n_sites, spec.initial_items())
     rng = random.Random(seed)
     system.crash(n_sites)
     settle(kernel, system, 60.0)

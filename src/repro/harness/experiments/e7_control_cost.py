@@ -17,8 +17,8 @@ and one INCLUDE per item).
 
 from __future__ import annotations
 
-from repro.harness.parallel import Cell, run_cells
-from repro.harness.runner import build_scheme, build_traced_scheme, settle
+from repro.harness.parallel import Cell, run_table
+from repro.harness.runner import build_scheme, settle
 from repro.harness.tables import Table
 from repro.workload import WorkloadSpec
 
@@ -54,20 +54,9 @@ def assemble(cells: list[Cell], results: list, **_params) -> Table:
     return table
 
 
-def run(
-    seed: int = 0,
-    n_sites: int = 3,
-    item_counts: tuple[int, ...] = (4, 16, 48),
-    schemes: tuple[str, ...] = SCHEMES,
-    jobs: int | None = None,
-) -> Table:
-    """Status-maintenance cost over (scheme × database size)."""
-    params = dict(
-        seed=seed, n_sites=n_sites, item_counts=item_counts, schemes=schemes,
-    )
-    cells = plan(**params)
-    results, _timings = run_cells(cells, jobs=jobs)
-    return assemble(cells, results, **params)
+def run(jobs: int | None = None, **params) -> Table:
+    """Status-maintenance cost over (scheme × database size); ``params`` are :func:`plan`'s."""
+    return run_table(__name__, params, jobs)
 
 
 def _one_cell(scheme, seed, n_sites, n_items):
@@ -108,11 +97,7 @@ def _one_cell(scheme, seed, n_sites, n_items):
     return {"status_txns": status_txns, "remote_messages": messages}
 
 
-def traced_scenario(
-    seed: int = 0, audit: bool = False,
-    sample_period: float | None = None, profile: bool = False,
-    schedule: object = None, races: bool = False,
-):
+def traced_scenario(build, seed: int = 0):
     """One traced quiet crash/reboot cycle for ``repro trace``.
 
     Nothing is updated during the outage, so the trace isolates the pure
@@ -121,10 +106,8 @@ def traced_scenario(
     """
     n_sites, n_items = 3, 8
     spec = WorkloadSpec(n_items=n_items)
-    kernel, system, obs = build_traced_scheme(
+    kernel, system, obs = build(
         "rowaa", seed * 53 + n_items, n_sites, spec.initial_items(),
-        audit=audit, sample_period=sample_period, profile=profile,
-        schedule=schedule, races=races,
     )
     baseline_msgs = system.cluster.network.stats.sent
     victim = n_sites

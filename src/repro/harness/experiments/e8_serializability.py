@@ -19,8 +19,8 @@ consistency violation a user could observe).
 from __future__ import annotations
 
 from repro.core.nominal import db_item_filter
-from repro.harness.parallel import Cell, run_cells
-from repro.harness.runner import build_scheme, build_traced_scheme, quiesce
+from repro.harness.parallel import Cell, run_table
+from repro.harness.runner import build_scheme, quiesce
 from repro.harness.tables import Table
 from repro.histories import check_one_sr, check_theorem3
 from repro.sim.rng import RngRegistry
@@ -78,23 +78,9 @@ def assemble(
     return table
 
 
-def run(
-    seed: int = 0,
-    trials: int = 4,
-    n_sites: int = 3,
-    n_items: int = 8,
-    duration: float = 800.0,
-    schemes: tuple[str, ...] = SCHEMES,
-    jobs: int | None = None,
-) -> Table:
-    """Serializability verdicts over (scheme × random trials)."""
-    params = dict(
-        seed=seed, trials=trials, n_sites=n_sites, n_items=n_items,
-        duration=duration, schemes=schemes,
-    )
-    cells = plan(**params)
-    results, _timings = run_cells(cells, jobs=jobs)
-    return assemble(cells, results, **params)
+def run(jobs: int | None = None, **params) -> Table:
+    """Serializability verdicts over (scheme × random trials); ``params`` are :func:`plan`'s."""
+    return run_table(__name__, params, jobs)
 
 
 def _one_trial(scheme, seed, n_sites, n_items, duration):
@@ -119,11 +105,11 @@ def _one_run(scheme, seed, n_sites, n_items, duration):
     # Dedicated registry streams: crash times and workload draws are
     # independent — changing one never perturbs the other at equal seed.
     rngs = RngRegistry(seed)
-    schedule = FailureSchedule.random_failures(
+    failures = FailureSchedule.random_failures(
         system.cluster.site_ids, rngs.stream(FailureSchedule.RNG_STREAM),
         horizon=duration * 0.8, mtbf=250, mttr=80,
     )
-    schedule.apply(system)
+    failures.apply(system)
     # Home clients on every site; reads may thus hit rejoined stale
     # copies under the naive scheme — exactly its failure mode.
     pool = ClientPool(
@@ -136,11 +122,7 @@ def _one_run(scheme, seed, n_sites, n_items, duration):
     return system.recorder, pool.stats.committed
 
 
-def traced_scenario(
-    seed: int = 0, audit: bool = False,
-    sample_period: float | None = None, profile: bool = False,
-    schedule: object = None, races: bool = False,
-):
+def traced_scenario(build, seed: int = 0):
     """One traced randomized crash/recovery run for ``repro trace``.
 
     The full Theorem-3 setting in miniature: clients on every site,
@@ -151,11 +133,7 @@ def traced_scenario(
     spec = WorkloadSpec(
         n_items=n_items, ops_per_txn=3, write_fraction=0.5, zipf_s=0.5
     )
-    kernel, system, obs = build_traced_scheme(
-        "rowaa", seed, n_sites, spec.initial_items(),
-        audit=audit, sample_period=sample_period, profile=profile,
-        schedule=schedule, races=races,
-    )
+    kernel, system, obs = build("rowaa", seed, n_sites, spec.initial_items())
     rngs = RngRegistry(seed)
     failures = FailureSchedule.random_failures(
         system.cluster.site_ids, rngs.stream(FailureSchedule.RNG_STREAM),

@@ -21,8 +21,8 @@ end fully current with identical values.
 from __future__ import annotations
 
 from repro.core.config import RowaaConfig
-from repro.harness.parallel import Cell, run_cells
-from repro.harness.runner import build_scheme, build_traced_scheme, cell_seed, settle
+from repro.harness.parallel import Cell, run_table
+from repro.harness.runner import build_scheme, cell_seed, settle
 from repro.harness.tables import Table
 from repro.wal import WalConfig
 
@@ -97,24 +97,9 @@ def assemble(
     return table
 
 
-def run(
-    seed: int = 0,
-    n_sites: int = 3,
-    n_items: int = 24,
-    missed_updates: tuple[int, ...] = (4, 16),
-    modes: tuple[str, ...] = MODES,
-    truncated_cell: bool = True,
-    jobs: int | None = None,
-) -> Table:
-    """Catch-up transport comparison table."""
-    params = dict(
-        seed=seed, n_sites=n_sites, n_items=n_items,
-        missed_updates=missed_updates, modes=modes,
-        truncated_cell=truncated_cell,
-    )
-    cells = plan(**params)
-    results, _timings = run_cells(cells, jobs=jobs)
-    return assemble(cells, results, **params)
+def run(jobs: int | None = None, **params) -> Table:
+    """Catch-up transport comparison table; ``params`` are :func:`plan`'s."""
+    return run_table(__name__, params, jobs)
 
 
 def _write_program(item, value):
@@ -191,11 +176,7 @@ def _one_cell(seed, n_sites, n_items, missed, mode, truncate):
     return _summarise(kernel, system, victim, power_at, net_bytes, n_items)
 
 
-def traced_scenario(
-    seed: int = 0, audit: bool = False,
-    sample_period: float | None = None, profile: bool = False,
-    schedule: object = None, races: bool = False,
-):
+def traced_scenario(build, seed: int = 0):
     """One traced log-shipping recovery for ``repro trace``.
 
     The trace shows the wal.ship RPC pages, the copier-kind apply
@@ -203,13 +184,11 @@ def traced_scenario(
     """
     n_sites, n_items, missed = 3, 12, 6
     items = {f"X{i}": 0 for i in range(n_items)}
-    kernel, system, obs = build_traced_scheme(
+    kernel, system, obs = build(
         "rowaa", cell_seed("e9-trace", seed), n_sites, items,
         rowaa_config=RowaaConfig(
             copier_mode="eager", catchup_mode="log_ship", log_ship_batch=4
         ),
-        audit=audit, sample_period=sample_period, profile=profile,
-        schedule=schedule, races=races,
     )
     victim = n_sites
     system.crash(victim)

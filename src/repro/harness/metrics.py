@@ -7,13 +7,7 @@ import typing
 from repro.obs.metrics import percentile
 from repro.system import DatabaseSystem
 
-__all__ = [
-    "mean",
-    "network_totals",
-    "obs_snapshot",
-    "percentile",  # canonical half-up helper, re-exported from repro.obs.metrics
-    "tm_totals",
-]
+__all__ = ["mean", "network_totals", "tm_totals"]
 
 
 def mean(values: typing.Sequence[float]) -> float:
@@ -57,8 +51,3 @@ def tm_totals(system: DatabaseSystem) -> dict:
 def network_totals(system: DatabaseSystem) -> dict:
     """Remote-message counters (local TM↔DM calls excluded)."""
     return system.cluster.network.stats.snapshot()
-
-
-def obs_snapshot(system: DatabaseSystem) -> dict:
-    """The system's full metrics-registry snapshot (see repro.obs)."""
-    return system.obs.registry.snapshot()

@@ -3,12 +3,14 @@
 Every experiment module describes its work as a flat list of
 :class:`Cell` objects via ``plan()`` and folds the results back into
 its table via ``assemble()``; ``run()`` is just plan → execute →
-assemble. A cell is a *pure function of its arguments*: it builds its
-own kernel and system from scratch, and ``DatabaseSystem.__init__``
-resets the global message/transaction counters. Serial and pooled
-execution therefore produce identical tables — a property the test
-suite asserts — and the (scheme × seed × parameter) grid can fan out
-across a process pool with no coordination beyond the final merge.
+assemble (:func:`run_table`), so ``plan`` is the one place an
+experiment's parameter list is written. A cell is a *pure function of
+its arguments*: it builds its own kernel and system from scratch, and
+``DatabaseSystem.__init__`` resets the global message/transaction
+counters. Serial and pooled execution therefore produce identical
+tables — a property the test suite asserts — and the (scheme × seed ×
+parameter) grid can fan out across a process pool with no coordination
+beyond the final merge.
 
 Cells are dispatched with ``chunksize=1`` and merged in plan order, so
 result order never depends on worker scheduling. Per-cell wall times
@@ -22,6 +24,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import multiprocessing
+import sys
 import typing
 
 from repro.obs import hostclock
@@ -92,6 +95,12 @@ def run_experiment(
     cells = module.plan(**params)
     results, timings = run_cells(cells, jobs=jobs)
     return module.assemble(cells, results, **params), timings
+
+
+def run_table(module_name: str, params: dict, jobs: int | None = None) -> typing.Any:
+    """The body of every experiment module's ``run``: its table alone."""
+    table, _timings = run_experiment(sys.modules[module_name], params, jobs=jobs)
+    return table
 
 
 def run_grid(

@@ -1,8 +1,34 @@
-"""Shared plumbing for the experiment modules."""
+"""Shared plumbing for the experiment modules, and the one path a run takes.
+
+Three things live here and nowhere else:
+
+* :data:`EXPERIMENTS` — the registry: every experiment's module, title,
+  CLI scales and traced scenarios. ``repro list``/``eN``/``all`` and
+  every scenario-running subcommand read this one table.
+* scheme construction — :func:`build_scheme` for grid cells,
+  :func:`build_traced_scheme` for traced runs; the latter is the only
+  code that knows which probes exist and how they attach.
+* :func:`run_traced` — runs a traced scenario with the probe keywords
+  bound into the builder it hands over, and owns the teardown.
+
+The experiment grids are no good for ``repro trace`` and friends: their
+cells run inside worker processes, where the
+:class:`~repro.obs.Observability` bundle (and its span stream) would be
+lost at the pickle boundary. Each experiment module therefore exposes a
+``traced_scenario(build, seed, ...)`` that mirrors one representative
+cell of its grid on a small configuration, calls ``build`` exactly like
+:func:`build_traced_scheme` (minus the probe keywords) and returns
+``(kernel, system, obs, summary)`` — ``summary`` being a small dict of
+the numbers the mirrored cell would have reported.
+"""
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
+import importlib
+import types
 import typing
 
 from repro.baselines import (
@@ -15,11 +41,113 @@ from repro.baselines import (
 )
 from repro.net.latency import ConstantLatency
 from repro.obs import Observability
+from repro.sanitize import hooks as sanitize_hooks
 from repro.sim.kernel import Kernel
 from repro.sim.rng import RngRegistry
 from repro.storage.catalog import Catalog
 from repro.system import DatabaseSystem
 from repro.txn.config import TxnConfig
+
+#: id -> ``module`` (under :mod:`repro.harness.experiments`), ``title``,
+#: the ``full``/``small`` parameter scales of the CLI, and ``scenarios``:
+#: traced-scenario name -> extra keywords of the module's
+#: ``traced_scenario``, baseline first — the order ``repro latency``
+#: runs an experiment's scenarios in.
+EXPERIMENTS: dict[str, dict] = {
+    "e1": {
+        "module": "e1_availability",
+        "title": "availability vs failed sites",
+        "full": dict(n_sites=5, replication=3, n_items=12, max_failed=4,
+                     load_duration=300.0),
+        "small": dict(n_sites=4, replication=2, n_items=8, max_failed=2,
+                      load_duration=150.0),
+        "scenarios": {"e1": {}},
+    },
+    "e2": {
+        "module": "e2_resume",
+        "title": "recovery latency vs missed updates",
+        "full": dict(n_items=24, missed_updates=(0, 8, 24, 48)),
+        "small": dict(n_items=12, missed_updates=(0, 6, 12)),
+        "scenarios": {"e2": {}},
+    },
+    "e3": {
+        "module": "e3_overhead",
+        "title": "failure-free overhead",
+        "full": dict(site_counts=(3, 5, 7), load_duration=400.0, repeats=3),
+        "small": dict(site_counts=(3,), load_duration=200.0, repeats=1),
+        "scenarios": {"e3": {}},
+    },
+    "e4": {
+        "module": "e4_copiers",
+        "title": "copier scheduling strategies",
+        "full": dict(n_items=24, stale_fraction=0.5, read_duration=500.0),
+        "small": dict(n_items=12, stale_fraction=0.5, read_duration=250.0),
+        "scenarios": {"e4": {}},
+    },
+    "e5": {
+        "module": "e5_identification",
+        "title": "out-of-date identification policies",
+        "full": dict(n_items=24, update_fractions=(0.125, 0.5, 1.0)),
+        "small": dict(n_items=12, update_fractions=(0.25, 1.0)),
+        "scenarios": {"e5": {}},
+    },
+    "e6": {
+        "module": "e6_multifailure",
+        "title": "multiple/cascading failures",
+        "full": dict(trials=6),
+        "small": dict(trials=2),
+        "scenarios": {"e6": {}},
+    },
+    "e7": {
+        "module": "e7_control_cost",
+        "title": "control/status maintenance cost",
+        "full": dict(item_counts=(4, 16, 48)),
+        "small": dict(item_counts=(4, 16)),
+        "scenarios": {"e7": {}},
+    },
+    "e8": {
+        "module": "e8_serializability",
+        "title": "one-serializability under failures",
+        "full": dict(trials=5, duration=800.0),
+        "small": dict(trials=2, duration=400.0),
+        "scenarios": {"e8": {}},
+    },
+    "e9": {
+        "module": "e9_catchup",
+        "title": "catch-up transport: log-shipping vs item copy",
+        "full": dict(n_items=24, missed_updates=(4, 16, 48)),
+        "small": dict(n_items=12, missed_updates=(4, 12)),
+        "scenarios": {"e9": {}},
+    },
+    "e10": {
+        "module": "e10_commit_modes",
+        "title": "commit modes: sync 2PC vs async quorum",
+        "full": dict(trials=4, duration=600.0),
+        "small": dict(trials=2, duration=300.0),
+        "scenarios": {
+            "e10sync": {"mode": "sync_2pc"},
+            "e10": {"mode": "async_quorum"},
+        },
+    },
+    "e11": {
+        "module": "e11_snapshot_reads",
+        "title": "snapshot reads vs lock-based reads under failures",
+        "full": dict(trials=4, duration=600.0),
+        "small": dict(trials=2, duration=300.0),
+        "scenarios": {
+            "e11sync": {"variant": "locking"},
+            "e11": {"variant": "mvcc"},
+        },
+    },
+}
+
+
+def experiment_module(eid: str) -> types.ModuleType:
+    """The experiment's module (``plan``/``assemble``/``run``/``traced_scenario``)."""
+    return importlib.import_module(
+        f"repro.harness.experiments.{EXPERIMENTS[eid]['module']}"
+    )
+
 
 SCHEME_BUILDERS: dict[str, typing.Callable[..., DatabaseSystem]] = {
     "rowaa": build_rowaa_system,
@@ -34,6 +162,28 @@ DEFAULT_LATENCY = 1.0
 DEFAULT_DETECTION = 5.0
 
 
+def _build_system(
+    kernel: Kernel,
+    scheme: str,
+    n_sites: int,
+    items: dict[str, object],
+    catalog: Catalog | None,
+    txn_config: TxnConfig | None,
+    **kwargs: typing.Any,
+) -> DatabaseSystem:
+    """The one scheme-construction call: harness defaults on ``kernel``."""
+    return SCHEME_BUILDERS[scheme](
+        kernel,
+        n_sites,
+        items,
+        catalog=catalog,
+        latency=ConstantLatency(DEFAULT_LATENCY),
+        detection_delay=DEFAULT_DETECTION,
+        config=txn_config if txn_config is not None else TxnConfig(rpc_timeout=25.0),
+        **kwargs,
+    )
+
+
 def build_scheme(
     scheme: str,
     seed: int,
@@ -45,18 +195,9 @@ def build_scheme(
 ) -> tuple[Kernel, DatabaseSystem]:
     """One booted system of the named scheme on a fresh kernel."""
     kernel = Kernel(seed=seed)
-    builder = SCHEME_BUILDERS[scheme]
-    system = builder(
-        kernel,
-        n_sites,
-        items,
-        catalog=catalog,
-        latency=ConstantLatency(DEFAULT_LATENCY),
-        detection_delay=DEFAULT_DETECTION,
-        config=txn_config if txn_config is not None else TxnConfig(rpc_timeout=25.0),
-        **kwargs,
+    return kernel, _build_system(
+        kernel, scheme, n_sites, items, catalog, txn_config, **kwargs
     )
-    return kernel, system
 
 
 def build_traced_scheme(
@@ -75,9 +216,12 @@ def build_traced_scheme(
 ) -> tuple[Kernel, DatabaseSystem, Observability]:
     """Like :func:`build_scheme`, but with spans + timeline recording on.
 
-    Used by ``repro trace`` / ``repro metrics``: the returned
-    :class:`~repro.obs.Observability` carries the span tree, timeline
-    instants, and metrics registry for export after the scenario runs.
+    The returned :class:`~repro.obs.Observability` carries the span
+    tree, timeline instants, and metrics registry for export after the
+    scenario runs. This is the one place that knows which probes exist
+    and how they attach; traced scenarios receive it from
+    :func:`run_traced` with the probe keywords already bound.
+
     With ``audit=True`` (``repro audit``) a
     :class:`~repro.audit.ProtocolAuditor` is attached before any load
     runs; its alert log rides on ``obs.audit``. With ``sample_period``
@@ -95,8 +239,8 @@ def build_traced_scheme(
     built so boot-time ties are perturbed too. With ``races=True`` a
     happens-before race detector
     (:func:`repro.sanitize.hb.attach_detector`) rides on
-    ``obs.sanitizer`` — the caller owns tearing the global access seam
-    down (:func:`repro.sanitize.hooks.clear`) when the run finishes.
+    ``obs.sanitizer``; :func:`run_traced` tears the global access seam
+    down when the run finishes, a direct caller owns that itself.
     """
     kernel = Kernel(seed=seed)
     if schedule is not None:
@@ -108,17 +252,8 @@ def build_traced_scheme(
         from repro.sanitize.hb import attach_detector
 
         obs.sanitizer = attach_detector(kernel)
-    builder = SCHEME_BUILDERS[scheme]
-    system = builder(
-        kernel,
-        n_sites,
-        items,
-        catalog=catalog,
-        latency=ConstantLatency(DEFAULT_LATENCY),
-        detection_delay=DEFAULT_DETECTION,
-        config=txn_config if txn_config is not None else TxnConfig(rpc_timeout=25.0),
-        obs=obs,
-        **kwargs,
+    system = _build_system(
+        kernel, scheme, n_sites, items, catalog, txn_config, obs=obs, **kwargs
     )
     if audit:
         from repro.audit import attach_auditor
@@ -133,6 +268,74 @@ def build_traced_scheme(
 
         attach_profiler(system)
     return kernel, system, obs
+
+
+@dataclasses.dataclass
+class TracedRun:
+    """A finished scenario run plus its observability bundle."""
+
+    experiment: str
+    seed: int
+    kernel: Kernel
+    system: DatabaseSystem
+    obs: Observability
+    summary: dict
+
+    @property
+    def label(self) -> str:
+        """How exports and artifacts name this run."""
+        return f"{self.experiment}@seed={self.seed}"
+
+
+def scenario_names() -> list[str]:
+    """Every traced-scenario name of :data:`EXPERIMENTS`."""
+    return sorted(name for spec in EXPERIMENTS.values() for name in spec["scenarios"])
+
+
+def traced_scenario(name: str) -> typing.Callable[..., tuple]:
+    """The named traced scenario as a ``(build, seed)`` callable."""
+    for eid, spec in EXPERIMENTS.items():
+        if name in spec["scenarios"]:
+            return functools.partial(
+                experiment_module(eid).traced_scenario, **spec["scenarios"][name]
+            )
+    raise ValueError(
+        f"unknown experiment {name!r}; choose from {', '.join(scenario_names())}"
+    )
+
+
+def run_traced(
+    experiment: str | typing.Callable[..., tuple], seed: int = 0, **probes: typing.Any
+) -> TracedRun:
+    """Run one traced scenario to completion, under the given probes.
+
+    ``experiment`` names a scenario of :data:`EXPERIMENTS`, or is itself
+    a callable of the scenario shape ``(build, seed) -> (kernel, system,
+    obs, summary)``. ``probes`` are :func:`build_traced_scheme`'s probe
+    keywords (``audit``, ``sample_period``, ``profile``, ``schedule``,
+    ``races``); they are bound into the ``build`` the scenario receives,
+    so a scenario never names a probe. The returned run's ``obs``
+    carries whatever was attached (``obs.audit``, ``obs.sampler``,
+    ``obs.profiler``, ``obs.sanitizer``).
+
+    Every caller's teardown happens here: the race detector's global
+    access seam is cleared even when the scenario raises, and spans
+    still open at the horizon are closed with ``truncated=True`` so
+    exports and critpath see them (idempotent after :func:`quiesce`).
+    """
+    if callable(experiment):
+        scenario, name = experiment, getattr(experiment, "__name__", "custom")
+    else:
+        scenario, name = traced_scenario(experiment), experiment
+    try:
+        kernel, system, obs, summary = scenario(
+            functools.partial(build_traced_scheme, **probes), seed
+        )
+    finally:
+        if probes.get("races"):
+            sanitize_hooks.clear()
+    obs.spans.finish_open()
+    return TracedRun(name, seed, kernel, system, obs, summary)
 
 
 def replicated_catalog(

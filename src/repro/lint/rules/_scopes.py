@@ -16,7 +16,8 @@ DESIGN.md §4:
   StableStorage/WAL API (direct file I/O would dodge crash semantics
   and the byte-accounting model).
 * ``HOT_PATH_FILES`` — kernel-inner-loop modules where per-instance
-  ``__dict__`` costs measurable throughput (see BENCH_kernel.json).
+  ``__dict__`` costs measurable throughput (``sim.ns_per_event`` in
+  ``BENCHMARK.json``).
 
 The harness/obs/cli layers are deliberately outside SIM_TIME/DURABLE:
 they run in real time around the simulation (timing walls, exporting

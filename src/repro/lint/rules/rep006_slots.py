@@ -2,10 +2,11 @@
 
 The kernel's inner loop allocates futures, timeouts, and callbacks by
 the hundred-thousand per run; PR 1's fast path slotted them and the
-perf trajectory (BENCH_kernel.json) banks on it. A new class in the
+reference benchmark's ``sim.ns_per_event`` / ``sim.ns_per_switch``
+micro-drivers (``BENCHMARK.json``) bank on it. A new class in the
 hot-path modules without ``__slots__`` quietly reintroduces a
 per-instance ``__dict__`` — correct, but a measurable throughput
-regression the microbench may take a while to localize.
+regression the benchmark may take a while to localize.
 
 Advisory severity: ``__slots__`` is a performance convention, not a
 correctness invariant, so this never fails the gate by itself.

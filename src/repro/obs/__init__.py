@@ -9,7 +9,7 @@ passed in). It bundles:
   scrape counters they keep anyway) plus rare push updates;
 * a :class:`~repro.obs.spans.SpanRecorder` — spans and timeline instants
   are **off by default** and enabled per run (``repro trace``,
-  :class:`~repro.harness.trace.SystemTracer`), so the hot paths pay a
+  :meth:`Observability.enable_timeline`), so the hot paths pay a
   single branch when disabled.
 
 Exporters (`repro.obs.export`) turn a recorder into JSONL or a Chrome

@@ -3,8 +3,9 @@
 Everything in the repository runs on *simulated* time (``kernel.now``);
 replint's REP001 rule bans wall clocks inside SIM_TIME scope so no
 protocol decision can ever depend on host timing. The two legitimate
-consumers of real time — the microbench harness (wall-clock throughput)
-and the host-CPU profiler behind ``repro profile`` — take their clock
+consumers of real time — the experiment grid's per-cell wall timing
+(``repro eN`` / ``repro all``, :mod:`repro.harness.parallel`) and the
+host-CPU profiler behind ``repro profile`` — take their clock
 from here instead of reaching for ``time.perf_counter`` themselves.
 One module means one obvious place to audit, and the profiler can hand
 the kernel a clock callable without the kernel ever importing ``time``.

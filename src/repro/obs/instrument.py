@@ -6,7 +6,7 @@
 already maintain (``TmStats``, ``NetworkStats``, lock-manager and DM
 counters, detector down-events, the kernel's processed-event count) —
 plus the timeline hooks (site lifecycle, transaction finish) that feed
-:class:`~repro.harness.trace.SystemTracer` and the exporters.
+the instant timeline and the exporters.
 
 ``instrument_rowaa`` adds the protocol-layer sources a plain
 ``DatabaseSystem`` does not have: copier work accounting and recovery

@@ -11,8 +11,9 @@ at *run boundaries*: a run is a maximal stretch of consecutive events
 sharing one dispatch signature (a Future's waiter-list identity, a
 Callback's function). The common storms — thousands of bare timeouts,
 one process resumed again and again — therefore cost two clock reads
-total rather than two per event, which is what keeps the profiled twin
-bench under the <5% ``--max-overhead`` gate. Charging whole runs keeps
+total rather than two per event, which is what keeps the profiler
+cheap (its cost is part of the reference benchmark's
+``obs.trace_overhead_pct``). Charging whole runs keeps
 the headline invariant exact: the per-subsystem exclusive ``cpu_s``
 sum to the wall time spent inside the dispatch loop.
 

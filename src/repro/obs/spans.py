@@ -8,9 +8,8 @@ and the serving site opens a child span under it — that is how remote DM
 work is attributed to the originating transaction.
 
 An :class:`Instant` is a zero-duration timeline event (site crash,
-power-on, operational announcement, transaction finish); the
-:class:`~repro.harness.trace.SystemTracer` compatibility shim is a view
-over the instant stream.
+power-on, operational announcement, transaction finish), read from
+:attr:`SpanRecorder.instants`.
 
 Cost model: recording is opt-in twice over. ``enabled`` gates spans,
 ``timeline_on`` gates instants, and every instrumentation hook checks its

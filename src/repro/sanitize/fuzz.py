@@ -27,7 +27,6 @@ import dataclasses
 import json
 import typing
 
-from repro.sanitize import hooks
 from repro.sanitize.fingerprint import (
     alert_signature,
     diff_alerts,
@@ -38,9 +37,10 @@ from repro.sanitize.fingerprint import (
 from repro.sanitize.policy import ScheduleSpec, directed_spec, sparse_decisions
 from repro.sanitize.shrink import ddmin
 
-#: A traced scenario: the string name of an experiment (dispatched via
-#: :mod:`repro.obs.scenarios`) or a callable with the same signature as
-#: an experiment module's ``traced_scenario``.
+#: A traced scenario, as :func:`repro.harness.runner.run_traced` takes
+#: it: a scenario name of the experiment registry, or a callable with
+#: the ``(build, seed)`` shape of an experiment module's
+#: ``traced_scenario``.
 Scenario = typing.Union[str, typing.Callable[..., tuple]]
 
 
@@ -175,24 +175,12 @@ def run_schedule(
     races: bool = False,
 ) -> ScheduleRun:
     """Run one schedule of ``experiment`` and capture its artifacts."""
-    from repro.obs.scenarios import run_traced
+    from repro.harness.runner import run_traced
 
-    try:
-        if callable(experiment):
-            kernel, system, obs, summary = experiment(
-                seed, audit=audit, schedule=schedule, races=races
-            )
-            obs.spans.finish_open()
-        else:
-            traced = run_traced(
-                experiment, seed=seed, audit=audit,
-                schedule=schedule, races=races,
-            )
-            kernel, system, obs = traced.kernel, traced.system, traced.obs
-            summary = traced.summary
-    finally:
-        if races:
-            hooks.clear()
+    traced = run_traced(
+        experiment, seed=seed, audit=audit, schedule=schedule, races=races
+    )
+    kernel, system, obs = traced.kernel, traced.system, traced.obs
     state = system_state(system)
     policy = kernel._tiebreak
     detector = getattr(obs, "sanitizer", None)
@@ -202,7 +190,7 @@ def run_schedule(
         state=state,
         alerts=alert_signature(obs),
         decisions=list(policy.decisions) if policy is not None else [],
-        summary=dict(summary),
+        summary=dict(traced.summary),
         races=list(detector.races) if detector is not None else [],
     )
 

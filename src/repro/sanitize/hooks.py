@@ -13,7 +13,7 @@ storage and protocol layers), and the package ``__init__`` stays free of
 harness imports for the same reason.
 
 Exactly one detector can be active per process at a time; the traced
-harness (:func:`repro.obs.scenarios.run_traced`) clears it in a
+harness (:func:`repro.harness.runner.run_traced`) clears it in a
 ``finally`` so a crashed scenario cannot leak tracking into the next
 run.
 """

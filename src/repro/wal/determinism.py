@@ -69,9 +69,10 @@ def site_durable_state(site: typing.Any) -> dict:
 
 def run_digest(seed: int) -> tuple[str, dict]:
     """One scenario run -> (hex digest, per-site summary for diagnostics)."""
-    from repro.harness.experiments.e9_catchup import traced_scenario
+    from repro.harness.runner import run_traced
 
-    _kernel, system, _obs, summary = traced_scenario(seed)
+    run = run_traced("e9", seed=seed)
+    system, summary = run.system, run.summary
     state = {
         site_id: site_durable_state(system.cluster.site(site_id))
         for site_id in system.cluster.site_ids
@@ -102,7 +103,7 @@ def cross_schedule_digest(seed: int, salt: int) -> tuple[str, int]:
     Salt 0 runs the canonical (FIFO) schedule with the tie-break seam
     engaged, so the comparison also covers the seam itself.
     """
-    from repro.obs.scenarios import run_traced
+    from repro.harness.runner import run_traced
     from repro.sanitize.fingerprint import fingerprint, system_state
     from repro.sanitize.policy import ScheduleSpec
 

@@ -7,7 +7,7 @@ CI runs the same sweep through ``repro audit`` as the audit gate.
 
 import pytest
 
-from repro.obs.scenarios import run_traced, scenario_names
+from repro.harness.runner import run_traced, scenario_names
 
 
 @pytest.mark.parametrize("experiment", scenario_names())

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.harness import Table
-from repro.harness.metrics import mean, percentile
+from repro.harness.metrics import mean
+from repro.obs.metrics import percentile
 
 
 class TestTable:

@@ -14,7 +14,7 @@ import re
 
 import pytest
 
-from repro.obs.scenarios import run_traced
+from repro.harness.runner import run_traced
 
 DOC = pathlib.Path(__file__).resolve().parents[2] / "docs" / "OBSERVABILITY.md"
 

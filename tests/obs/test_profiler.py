@@ -41,7 +41,7 @@ class TestSubsystemMap:
         assert subsystem_of_module("repro.wal") == "wal"
         assert subsystem_of_module("repro.mvcc.store") == "mvcc"
         assert subsystem_of_module("repro.obs.timeseries") == "obs"
-        assert subsystem_of_module("repro.harness.bench") == "workload"
+        assert subsystem_of_module("repro.harness.runner") == "workload"
         assert subsystem_of_module("repro.workload") == "workload"
         assert subsystem_of_module("some.third.party") == "other"
 
@@ -94,13 +94,13 @@ class TestHostProfiler:
         assert profiler.total_events == kernel.events_processed
 
     def test_callback_labelled_by_function_module(self):
-        from repro.harness.bench import _noop
+        from repro.harness.runner import scenario_names
 
         kernel = Kernel(seed=0)
         profiler = HostProfiler()
         profiler.attach(kernel)
         for index in range(4):
-            kernel.schedule_callback(float(index), _noop)
+            kernel.schedule_callback(float(index), scenario_names)
         kernel.run()
         assert profiler.events.get("workload") == 4
 

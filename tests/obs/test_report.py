@@ -2,14 +2,14 @@
 
 import pytest
 
-from repro.harness.experiments import e2_resume
+from repro.harness.runner import run_traced
 from repro.obs.report import recovery_timeline, render_recovery_timeline
 
 
 @pytest.fixture(scope="module")
 def e2_run():
-    kernel, system, obs, summary = e2_resume.traced_scenario(seed=1)
-    return system, summary, recovery_timeline(system)
+    run = run_traced("e2", seed=1)
+    return run.system, run.summary, recovery_timeline(run.system)
 
 
 class TestRecoveryTimeline:

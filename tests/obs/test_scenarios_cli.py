@@ -9,8 +9,8 @@ import json
 
 import pytest
 
-from repro.cli import main
-from repro.obs.scenarios import run_traced, scenario_names
+from repro.cli import SUBCOMMANDS, main
+from repro.harness.runner import run_traced, scenario_names
 
 
 class TestScenarios:
@@ -77,8 +77,18 @@ class TestTraceCli:
         assert "txn.committed" in printed
         assert "recovery timeline" in printed
 
+    def test_experiment_id_is_case_insensitive(self, tmp_path, capsys):
+        # `repro E7` always ran; `--experiment E2` used to exit 2.
+        out = tmp_path / "trace.json"
+        assert main(["trace", "--experiment", "E2", "--seed", "1",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["traceEvents"]
+        assert "unknown experiment" not in capsys.readouterr().err
+
     @pytest.mark.parametrize(
-        "subcommand", ["trace", "metrics", "audit", "latency", "profile"]
+        "subcommand",
+        # Every subcommand that takes --experiment: all but these three.
+        [name for name in SUBCOMMANDS if name not in ("list", "all", "lint")],
     )
     def test_unknown_experiment_fails_cleanly(
         self, subcommand, tmp_path, capsys

@@ -21,17 +21,9 @@ from repro.sanitize.policy import ScheduleSpec
 from repro.storage.copies import Version
 
 
-def _racy_scenario(
-    seed=0, audit=False, sample_period=None, profile=False,
-    schedule=None, races=False,
-):
+def _racy_scenario(build, seed=0):
     """Two sites; a session install racing a session-dependent commit."""
-    from repro.harness.runner import build_traced_scheme
-
-    kernel, system, obs = build_traced_scheme(
-        "rowaa", seed, 2, {"X0": 0},
-        audit=audit, schedule=schedule, races=races,
-    )
+    kernel, system, obs = build("rowaa", seed, 2, {"X0": 0})
     site1 = system.cluster.site(1)
     site2 = system.cluster.site(2)
     sessions = system.sessions[1]
@@ -101,14 +93,8 @@ class TestDirectedAcceptance:
         )
 
     def test_divergence_free_without_the_racy_handler(self):
-        def quiet_scenario(seed=0, audit=False, sample_period=None,
-                           profile=False, schedule=None, races=False):
-            from repro.harness.runner import build_traced_scheme
-
-            kernel, system, obs = build_traced_scheme(
-                "rowaa", seed, 2, {"X0": 0},
-                audit=audit, schedule=schedule, races=races,
-            )
+        def quiet_scenario(build, seed=0):
+            kernel, system, obs = build("rowaa", seed, 2, {"X0": 0})
             kernel.run(until=20.0)
             return kernel, system, obs, {}
 
