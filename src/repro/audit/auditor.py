@@ -1,12 +1,12 @@
 """The online protocol auditor.
 
 :class:`ProtocolAuditor` subscribes to the existing observability
-streams (spans, metrics collectors) plus the narrow read-only taps the
-TM/DM/WAL expose (``finish_hooks``, ``access_audit_hooks``,
-``read_audit_hooks``, ``commit_apply_hooks``, ``flush_hooks``,
-``checkpoint_hooks``, site crash/power-on hooks and the cluster's
-recovered hook) and continuously evaluates the paper's invariants while
-a simulation runs:
+streams (spans, metrics collectors) plus the protocol moments of the
+kernel's probe bus (:mod:`repro.sim.probes`: ``admit``, ``read``,
+``snapshot_read``, ``apply``, ``logical_write``, ``txn_finish``,
+``drain_done``, ``wal_flush``, ``wal_checkpoint``, ``gc``, ``crash``,
+``power_on``, ``recovered``) and continuously evaluates the paper's
+invariants while a simulation runs:
 
 1. **online 1SR** — an incremental serialization-graph (candidate
    1-STG over DB items, §4) grown per committed transaction; the first
@@ -62,9 +62,11 @@ configurable sim-time budget (``liveness.twopc_overrun``), and an
 async-drain span open past its own budget
 (``liveness.drain_overrun``).
 
-All hooks are read-only: the auditor never mutates protocol state, and
-every hook list it populates is empty (one falsy test) when no auditor
-is attached.
+All probes are read-only: the auditor never mutates protocol state, and
+the bus slots it subscribes to are empty (one falsy test each) when no
+auditor is attached. Every probe carries the emitting ``site_id``, so
+the handlers are plain methods subscribed once, and both schedulers
+(2PL and timestamp ordering) feed them through the same DM tails.
 """
 
 from __future__ import annotations
@@ -137,6 +139,9 @@ class ProtocolAuditor:
         #: surviving GC — the reference the snapshot-consistency rule
         #: resolves cuts against.
         self._site_versions: dict[tuple[int, str], list[tuple[tuple, "Version"]]] = {}
+        #: ``(item, fanned-out sites)`` per logical write-all of each
+        #: unfinished transaction (input to the ROWAA coverage check).
+        self._logical_writes: dict[str, list[tuple[str, tuple[int, ...]]]] = {}
         #: NS freshness: site -> (last nonzero announcement, announcing txn).
         self._ns_announced: dict[int, tuple[int, str]] = {}
         rowaa_config = getattr(system, "rowaa_config", None)
@@ -160,27 +165,22 @@ class ProtocolAuditor:
     # -- wiring ---------------------------------------------------------------
 
     def _wire(self) -> None:
-        system = self.system
         self.obs.audit = self
-        for tm in system.tms.values():
-            tm.finish_hooks.append(self._on_txn_finish)
-            tm.drain_hooks.append(self._on_drain_done)
-        for site_id, dm in system.dms.items():
-            dm.access_audit_hooks.append(self._access_hook(site_id))
-            dm.read_audit_hooks.append(self._read_hook(site_id))
-            dm.commit_apply_hooks.append(self._apply_hook(site_id))
-            ro_hooks = getattr(dm, "ro_read_audit_hooks", None)
-            if ro_hooks is not None:
-                ro_hooks.append(self._ro_read_hook(site_id))
-        for site_id, store in getattr(system, "mvcc", {}).items():
-            store.gc_hooks.append(self._gc_hook(site_id))
-        for site in system.cluster.sites.values():
-            site.crash_hooks.append(self._crash_hook(site))
-            site.power_on_hooks.append(self._power_on_hook(site))
-            if site.wal is not None:
-                site.wal.flush_hooks.append(self._wal_hook(site))
-                site.wal.checkpoint_hooks.append(self._wal_hook(site))
-        system.cluster.recovered_hooks.append(self._on_recovered)
+        self.kernel.probes.subscribe(
+            admit=self._on_admit,
+            read=self._on_read,
+            snapshot_read=self._on_snapshot_read,
+            apply=self._on_apply,
+            logical_write=self._on_logical_write,
+            txn_finish=self._on_txn_finish,
+            drain_done=self._on_drain_done,
+            wal_flush=self._on_wal,
+            wal_checkpoint=self._on_wal,
+            gc=self._on_gc,
+            crash=self._on_crash,
+            power_on=self._on_power_on,
+            recovered=self._on_recovered,
+        )
         self.obs.registry.add_collector(self._collect)
         self._watchdog_proc = self.kernel.process(
             self._watchdog(), name="protocol-auditor"
@@ -215,21 +215,20 @@ class ProtocolAuditor:
 
     # -- (2) session coherence ------------------------------------------------
 
-    def _access_hook(self, site_id: int):
-        def hook(expected: int | None, privileged: bool, actual: int) -> None:
-            self.checks += 1
-            if not privileged and expected is not None and expected != actual:
-                self._alert(
-                    "session.check",
-                    "critical",
-                    "physical operation served with a stale session tag: "
-                    f"expected={expected} but as[{site_id}]={actual} (§3.1)",
-                    site=site_id,
-                    details={"expected": expected, "actual": actual},
-                    dedupe_key=(site_id, expected, actual),
-                )
-
-        return hook
+    def _on_admit(
+        self, site_id: int, expected: int | None, privileged: bool, actual: int
+    ) -> None:
+        self.checks += 1
+        if not privileged and expected is not None and expected != actual:
+            self._alert(
+                "session.check",
+                "critical",
+                "physical operation served with a stale session tag: "
+                f"expected={expected} but as[{site_id}]={actual} (§3.1)",
+                site=site_id,
+                details={"expected": expected, "actual": actual},
+                dedupe_key=(site_id, expected, actual),
+            )
 
     def _ns_check(
         self, site_id: int, txn_id: str, item: str, value: object
@@ -258,49 +257,45 @@ class ProtocolAuditor:
 
     # -- (3) oracle / missing-list conservatism -------------------------------
 
-    def _read_hook(self, site_id: int):
-        def hook(item: str, version: "Version") -> None:
-            self.checks += 1
-            latest = self._oracle.get(item)
-            if latest is not None and _vkey(version) < _vkey(latest):
-                self._alert(
-                    "oracle.stale_read",
-                    "critical",
-                    f"read of {item} served a stale unmarked copy "
-                    f"(version commit {version.commit} < oracle "
-                    f"{latest.commit}): unreadable marks do not cover the "
-                    "truly-stale copies (§5)",
-                    site=site_id,
-                    details={
-                        "item": item,
-                        "served_commit": version.commit,
-                        "latest_commit": latest.commit,
-                    },
-                    dedupe_key=(site_id, item, version.commit),
-                )
+    def _on_read(self, site_id: int, item: str, version: "Version") -> None:
+        self.checks += 1
+        latest = self._oracle.get(item)
+        if latest is not None and _vkey(version) < _vkey(latest):
+            self._alert(
+                "oracle.stale_read",
+                "critical",
+                f"read of {item} served a stale unmarked copy "
+                f"(version commit {version.commit} < oracle "
+                f"{latest.commit}): unreadable marks do not cover the "
+                "truly-stale copies (§5)",
+                site=site_id,
+                details={
+                    "item": item,
+                    "served_commit": version.commit,
+                    "latest_commit": latest.commit,
+                },
+                dedupe_key=(site_id, item, version.commit),
+            )
 
-        return hook
-
-    def _apply_hook(self, site_id: int):
-        def hook(
-            txn_id: str,
-            kind: str,
-            txn_seq: int,
-            item: str,
-            value: object,
-            version: "Version",
-            overridden: bool,
-        ) -> None:
-            self.checks += 1
-            latest = self._oracle.get(item)
-            if latest is None or _vkey(version) > _vkey(latest):
-                self._oracle[item] = version
-            self._record_site_version(site_id, item, version)
-            if kind == "control" and not overridden and is_ns_item(item):
-                self._ns_check(site_id, txn_id, item, value)
-            self._pump()
-
-        return hook
+    def _on_apply(
+        self,
+        site_id: int,
+        txn_id: str,
+        kind: str,
+        txn_seq: int,
+        item: str,
+        value: object,
+        version: "Version",
+        overridden: bool,
+    ) -> None:
+        self.checks += 1
+        latest = self._oracle.get(item)
+        if latest is None or _vkey(version) > _vkey(latest):
+            self._oracle[item] = version
+        self._record_site_version(site_id, item, version)
+        if kind == "control" and not overridden and is_ns_item(item):
+            self._ns_check(site_id, txn_id, item, value)
+        self._pump()
 
     # -- (6) multiversion snapshot reads --------------------------------------
 
@@ -327,97 +322,95 @@ class ProtocolAuditor:
             floor = history[index - 1][0]
         return floor
 
-    def _ro_read_hook(self, site_id: int):
-        def hook(item: str, version: "Version", cut: tuple) -> None:
-            """Every snapshot read must serve exactly the site's newest
-            committed version at-or-below the transaction's pinned cut.
+    def _on_snapshot_read(
+        self, site_id: int, item: str, version: "Version", cut: tuple
+    ) -> None:
+        """Every snapshot read must serve exactly the site's newest
+        committed version at-or-below the transaction's pinned cut.
 
-            Site-local on purpose: local commits apply instantly while
-            remote COMMITs ride the network, so the *global* latest at
-            the cut may not have reached this site yet — that is the
-            staleness the cut's ``D`` floor accounts for, not a bug.
-            """
-            self.checks += 1
-            served = _vkey(version)
-            if served > cut:
-                self._alert(
-                    "mvcc.snapshot_consistency",
-                    "critical",
-                    f"snapshot read of {item} served commit "
-                    f"{version.commit} above the transaction's pinned cut "
-                    f"(ts {cut[0]:g}): the snapshot is not a committed "
-                    "prefix",
-                    site=site_id,
-                    details={
-                        "item": item,
-                        "served": list(served),
-                        "cut": list(cut),
-                    },
-                    dedupe_key=(site_id, item, served, "above-cut"),
-                )
-                return
-            expected = self._site_floor(site_id, item, cut)
-            if served != expected:
-                self._alert(
-                    "mvcc.snapshot_consistency",
-                    "critical",
-                    f"snapshot read of {item} served commit "
-                    f"{version.commit}, not the site's newest committed "
-                    f"version at-or-below the cut (expected commit "
-                    f"{expected[1]}): reads at one cut are not a single "
-                    "committed prefix",
-                    site=site_id,
-                    details={
-                        "item": item,
-                        "served": list(served),
-                        "expected": list(expected),
-                        "cut": list(cut),
-                    },
-                    dedupe_key=(site_id, item, served, expected),
-                )
+        Site-local on purpose: local commits apply instantly while
+        remote COMMITs ride the network, so the *global* latest at
+        the cut may not have reached this site yet — that is the
+        staleness the cut's ``D`` floor accounts for, not a bug.
+        """
+        self.checks += 1
+        served = _vkey(version)
+        if served > cut:
+            self._alert(
+                "mvcc.snapshot_consistency",
+                "critical",
+                f"snapshot read of {item} served commit "
+                f"{version.commit} above the transaction's pinned cut "
+                f"(ts {cut[0]:g}): the snapshot is not a committed "
+                "prefix",
+                site=site_id,
+                details={
+                    "item": item,
+                    "served": list(served),
+                    "cut": list(cut),
+                },
+                dedupe_key=(site_id, item, served, "above-cut"),
+            )
+            return
+        expected = self._site_floor(site_id, item, cut)
+        if served != expected:
+            self._alert(
+                "mvcc.snapshot_consistency",
+                "critical",
+                f"snapshot read of {item} served commit "
+                f"{version.commit}, not the site's newest committed "
+                f"version at-or-below the cut (expected commit "
+                f"{expected[1]}): reads at one cut are not a single "
+                "committed prefix",
+                site=site_id,
+                details={
+                    "item": item,
+                    "served": list(served),
+                    "expected": list(expected),
+                    "cut": list(cut),
+                },
+                dedupe_key=(site_id, item, served, expected),
+            )
 
-        return hook
-
-    def _gc_hook(self, site_id: int):
-        def hook(item, removed, pins, chain_before) -> None:
-            """GC must never reclaim a pinned cut's floor version, nor a
-            chain's newest version (the floor of every future cut)."""
-            self.checks += 1
-            removed_keys = {_vkey(v) for v in removed}
-            keys_before = [_vkey(v) for v in chain_before]
-            if keys_before and keys_before[-1] in removed_keys:
+    def _on_gc(
+        self, site_id: int, item: str, removed: list, pins: tuple, chain_before: list
+    ) -> None:
+        """GC must never reclaim a pinned cut's floor version, nor a
+        chain's newest version (the floor of every future cut)."""
+        self.checks += 1
+        removed_keys = {_vkey(v) for v in removed}
+        keys_before = [_vkey(v) for v in chain_before]
+        if keys_before and keys_before[-1] in removed_keys:
+            self._alert(
+                "mvcc.gc_pinned",
+                "critical",
+                f"GC reclaimed the newest version of {item} "
+                f"(commit {chain_before[-1].commit}): even an empty "
+                "pin set must keep the chain head",
+                site=site_id,
+                details={"item": item, "removed": len(removed)},
+                dedupe_key=(site_id, item, keys_before[-1]),
+            )
+        for pin in pins:
+            index = bisect.bisect_right(keys_before, tuple(pin))
+            if index == 0:
+                continue
+            floor = keys_before[index - 1]
+            if floor in removed_keys:
                 self._alert(
                     "mvcc.gc_pinned",
                     "critical",
-                    f"GC reclaimed the newest version of {item} "
-                    f"(commit {chain_before[-1].commit}): even an empty "
-                    "pin set must keep the chain head",
+                    f"GC reclaimed the floor version of {item} for an "
+                    f"active pinned snapshot (cut ts {pin[0]:g}): the "
+                    "pinned reader would now miss its version",
                     site=site_id,
-                    details={"item": item, "removed": len(removed)},
-                    dedupe_key=(site_id, item, keys_before[-1]),
+                    details={
+                        "item": item,
+                        "pin": list(pin),
+                        "floor": list(floor),
+                    },
+                    dedupe_key=(site_id, item, tuple(pin), floor),
                 )
-            for pin in pins:
-                index = bisect.bisect_right(keys_before, tuple(pin))
-                if index == 0:
-                    continue
-                floor = keys_before[index - 1]
-                if floor in removed_keys:
-                    self._alert(
-                        "mvcc.gc_pinned",
-                        "critical",
-                        f"GC reclaimed the floor version of {item} for an "
-                        f"active pinned snapshot (cut ts {pin[0]:g}): the "
-                        "pinned reader would now miss its version",
-                        site=site_id,
-                        details={
-                            "item": item,
-                            "pin": list(pin),
-                            "floor": list(floor),
-                        },
-                        dedupe_key=(site_id, item, tuple(pin), floor),
-                    )
-
-        return hook
 
     def _on_recovered(self, site_id: int) -> None:
         """Operational instant: unreadable marks must cover stale copies."""
@@ -449,15 +442,21 @@ class ProtocolAuditor:
 
     # -- (4) ROWAA write coverage ---------------------------------------------
 
-    def _on_txn_finish(self, txn: Transaction) -> None:
+    def _on_logical_write(
+        self, _home: int, txn_id: str, item: str, targets: tuple[int, ...]
+    ) -> None:
+        """One write-all fan-out: remembered until the transaction ends."""
+        self._logical_writes.setdefault(txn_id, []).append((item, targets))
+
+    def _on_txn_finish(self, _home: int, txn: Transaction) -> None:
+        logical_writes = self._logical_writes.pop(txn.txn_id, ())
         if (
             self._check_coverage
             and txn.kind is TxnKind.USER
             and txn.status is TxnStatus.COMMITTED
-            and txn.logical_writes
         ):
             catalog = self.system.catalog
-            for item, targets in txn.logical_writes:
+            for item, targets in logical_writes:
                 self.checks += 1
                 required = {
                     s
@@ -532,7 +531,11 @@ class ProtocolAuditor:
         }
 
     def _on_drain_done(
-        self, txn: Transaction, acked: tuple[int, ...], lost: tuple[int, ...]
+        self,
+        _home: int,
+        txn: Transaction,
+        acked: tuple[int, ...],
+        lost: tuple[int, ...],
     ) -> None:
         """A drain gave up on ``lost`` — sound only under crash cover.
 
@@ -567,69 +570,62 @@ class ProtocolAuditor:
 
     # -- (5) WAL / durable coherence ------------------------------------------
 
-    def _wal_hook(self, site: "Site"):
-        def hook() -> None:
-            self.checks += 1
-            wal = site.wal
-            lsn = wal.log.durable_lsn
-            seen = self._durable_lsn_seen.get(site.site_id, 0)
-            if lsn < seen:
-                self._alert(
-                    "wal.durable_monotonic",
-                    "critical",
-                    f"durable LSN regressed from {seen} to {lsn}",
-                    site=site.site_id,
-                    details={"seen": seen, "lsn": lsn},
-                    dedupe_key=(site.site_id, lsn),
-                )
-            else:
-                self._durable_lsn_seen[site.site_id] = lsn
-            if wal.last_checkpoint_lsn > lsn:
-                self._alert(
-                    "wal.checkpoint_bound",
-                    "critical",
-                    f"checkpoint LSN {wal.last_checkpoint_lsn} exceeds "
-                    f"durable LSN {lsn}",
-                    site=site.site_id,
-                    details={
-                        "checkpoint_lsn": wal.last_checkpoint_lsn,
-                        "durable_lsn": lsn,
-                    },
-                    dedupe_key=(site.site_id, wal.last_checkpoint_lsn),
-                )
+    def _on_wal(self, site_id: int) -> None:
+        """After every group commit and every checkpoint of a site's WAL."""
+        self.checks += 1
+        wal = self.system.cluster.sites[site_id].wal
+        lsn = wal.log.durable_lsn
+        seen = self._durable_lsn_seen.get(site_id, 0)
+        if lsn < seen:
+            self._alert(
+                "wal.durable_monotonic",
+                "critical",
+                f"durable LSN regressed from {seen} to {lsn}",
+                site=site_id,
+                details={"seen": seen, "lsn": lsn},
+                dedupe_key=(site_id, lsn),
+            )
+        else:
+            self._durable_lsn_seen[site_id] = lsn
+        if wal.last_checkpoint_lsn > lsn:
+            self._alert(
+                "wal.checkpoint_bound",
+                "critical",
+                f"checkpoint LSN {wal.last_checkpoint_lsn} exceeds "
+                f"durable LSN {lsn}",
+                site=site_id,
+                details={
+                    "checkpoint_lsn": wal.last_checkpoint_lsn,
+                    "durable_lsn": lsn,
+                },
+                dedupe_key=(site_id, wal.last_checkpoint_lsn),
+            )
 
-        return hook
+    def _on_crash(self, site_id: int) -> None:
+        # The ``crash`` probe fires after the site's own crash hooks
+        # (the WAL's among them), so the volatile tail is already
+        # discarded: this hashes exactly the durable image restore
+        # must rebuild.
+        fingerprint = self._durable_fingerprint(self.system.cluster.sites[site_id])
+        if fingerprint is not None:
+            self._pre_crash_fp[site_id] = fingerprint
 
-    def _crash_hook(self, site: "Site"):
-        def hook() -> None:
-            # Registered after the WAL's own crash hook, so the volatile
-            # tail is already discarded: this hashes exactly the durable
-            # image restore must rebuild.
-            fingerprint = self._durable_fingerprint(site)
-            if fingerprint is not None:
-                self._pre_crash_fp[site.site_id] = fingerprint
-
-        return hook
-
-    def _power_on_hook(self, site: "Site"):
-        def hook() -> None:
-            # Site.power_on runs wal.restore() before these hooks fire.
-            expected = self._pre_crash_fp.pop(site.site_id, None)
-            if expected is None:
-                return
-            self.checks += 1
-            actual = self._state_fingerprint(site)
-            if actual != expected:
-                self._alert(
-                    "wal.replay_fingerprint",
-                    "critical",
-                    "restored state diverges from the pre-crash durable "
-                    "image (checkpoint + log replay is not faithful)",
-                    site=site.site_id,
-                    details={"expected": expected, "actual": actual},
-                )
-
-        return hook
+    def _on_power_on(self, site_id: int) -> None:
+        # Site.power_on runs wal.restore() before the probe fires.
+        expected = self._pre_crash_fp.pop(site_id, None)
+        if expected is None:
+            return
+        self.checks += 1
+        actual = self._state_fingerprint(self.system.cluster.sites[site_id])
+        if actual != expected:
+            self._alert(
+                "wal.replay_fingerprint",
+                "critical",
+                "restored state diverges from the pre-crash durable "
+                "image (checkpoint + log replay is not faithful)",
+                site=site_id,
+                details={"expected": expected, "actual": actual},
+            )
 
     def _durable_fingerprint(self, site: "Site") -> str | None:
         """Hash of the state reconstructible from checkpoint + log.

@@ -11,7 +11,6 @@ lifetime (the paper permits recycling; we do not need it).
 
 from __future__ import annotations
 
-from repro.sanitize import hooks as _san
 from repro.site.site import Site
 from repro.txn.data_manager import DataManager
 
@@ -50,11 +49,9 @@ class SessionManager:
     def current(self) -> int:
         """The actual session number ``as[k]`` (0 when not operational)."""
         value = self.dm.actual_session
-        if _san.ACTIVE is not None:
-            _san.ACTIVE.on_access(
-                self.site.site_id, ("session",), "read",
-                "SessionManager.current", token=value,
-            )
+        for fn in self.site.kernel.probes.access:
+            fn(self.site.site_id, ("session",), "read",
+               "SessionManager.current", value)
         return value
 
     @property
@@ -91,11 +88,9 @@ class SessionManager:
 
     def activate(self, session_number: int, now: float) -> None:
         """Load ``as[k]`` with the new number (recovery step 4, §3.4)."""
-        if _san.ACTIVE is not None:
-            _san.ACTIVE.on_access(
-                self.site.site_id, ("session",), "write",
-                "SessionManager.activate", token=session_number,
-            )
+        for fn in self.site.kernel.probes.access:
+            fn(self.site.site_id, ("session",), "write",
+               "SessionManager.activate", session_number)
         self.dm.actual_session = session_number
         self.site.stable.put(_STABLE_STARTED, now)
         if self.site.wal is not None:

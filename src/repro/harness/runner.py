@@ -9,7 +9,7 @@ Three things live here and nowhere else:
   :func:`build_traced_scheme` for traced runs; the latter is the only
   code that knows which probes exist and how they attach.
 * :func:`run_traced` — runs a traced scenario with the probe keywords
-  bound into the builder it hands over, and owns the teardown.
+  bound into the builder it hands over, and closes the open spans.
 
 The experiment grids are no good for ``repro trace`` and friends: their
 cells run inside worker processes, where the
@@ -41,7 +41,6 @@ from repro.baselines import (
 )
 from repro.net.latency import ConstantLatency
 from repro.obs import Observability
-from repro.sanitize import hooks as sanitize_hooks
 from repro.sim.kernel import Kernel
 from repro.sim.rng import RngRegistry
 from repro.storage.catalog import Catalog
@@ -222,32 +221,31 @@ def build_traced_scheme(
     and how they attach; traced scenarios receive it from
     :func:`run_traced` with the probe keywords already bound.
 
-    With ``audit=True`` (``repro audit``) a
-    :class:`~repro.audit.ProtocolAuditor` is attached before any load
-    runs; its alert log rides on ``obs.audit``. With ``sample_period``
-    set, a windowed time-series sampler
-    (:func:`repro.obs.timeseries.attach_sampler`) ticks at that period
-    from boot; it rides on ``obs.sampler``. With ``profile=True``
-    (``repro profile``) a host-CPU profiler
-    (:func:`repro.obs.profiler.attach_profiler`) instruments the kernel
-    dispatch loop from here on; it rides on ``obs.profiler``.
-
-    With ``schedule`` set to a
-    :class:`~repro.sanitize.policy.ScheduleSpec`, the kernel's
-    same-timestamp tie-breaks are resolved by the spec's policy
-    (``repro schedfuzz``); the policy is attached *before* the system is
-    built so boot-time ties are perturbed too. With ``races=True`` a
-    happens-before race detector
-    (:func:`repro.sanitize.hb.attach_detector`) rides on
-    ``obs.sanitizer``; :func:`run_traced` tears the global access seam
-    down when the run finishes, a direct caller owns that itself.
+    Every probe attaches through ``kernel.probes`` (its ``attach_*``
+    function subscribes it), so any combination rides one run through
+    the kernel's one probed drain loop, and each leaves a handle on the
+    bundle. ``audit=True`` (``repro audit``): a
+    :class:`~repro.audit.ProtocolAuditor`, attached before any load
+    runs, on ``obs.audit``. ``sample_period``: a windowed time-series
+    sampler (:func:`repro.obs.timeseries.attach_sampler`) ticking at
+    that period from boot, on ``obs.sampler``. ``profile=True``
+    (``repro profile``): a host-CPU profiler
+    (:func:`repro.obs.profiler.attach_profiler`), on ``obs.profiler``.
+    ``schedule`` (a :class:`~repro.sanitize.policy.ScheduleSpec`,
+    ``repro schedfuzz``): the kernel's same-timestamp tie-breaks are
+    resolved by the spec's policy, attached *before* the system is
+    built so boot-time ties are perturbed too, on ``obs.policy``.
+    ``races=True``: a happens-before race detector
+    (:func:`repro.sanitize.hb.attach_detector`), on ``obs.sanitizer``.
+    All of it is per kernel: nothing outlives the run, so there is
+    nothing to tear down.
     """
     kernel = Kernel(seed=seed)
+    obs = Observability(kernel, spans=True, timeline=True)
     if schedule is not None:
         from repro.sanitize.policy import attach_policy
 
-        attach_policy(kernel, schedule)
-    obs = Observability(kernel, spans=True, timeline=True)
+        obs.policy = attach_policy(kernel, schedule)
     if races:
         from repro.sanitize.hb import attach_detector
 
@@ -316,24 +314,20 @@ def run_traced(
     ``races``); they are bound into the ``build`` the scenario receives,
     so a scenario never names a probe. The returned run's ``obs``
     carries whatever was attached (``obs.audit``, ``obs.sampler``,
-    ``obs.profiler``, ``obs.sanitizer``).
+    ``obs.profiler``, ``obs.policy``, ``obs.sanitizer``).
 
-    Every caller's teardown happens here: the race detector's global
-    access seam is cleared even when the scenario raises, and spans
-    still open at the horizon are closed with ``truncated=True`` so
-    exports and critpath see them (idempotent after :func:`quiesce`).
+    Spans still open at the horizon are closed here with
+    ``truncated=True`` so exports and critpath see them (idempotent
+    after :func:`quiesce`). There is no probe teardown: every probe
+    lives on the run's own kernel.
     """
     if callable(experiment):
         scenario, name = experiment, getattr(experiment, "__name__", "custom")
     else:
         scenario, name = traced_scenario(experiment), experiment
-    try:
-        kernel, system, obs, summary = scenario(
-            functools.partial(build_traced_scheme, **probes), seed
-        )
-    finally:
-        if probes.get("races"):
-            sanitize_hooks.clear()
+    kernel, system, obs, summary = scenario(
+        functools.partial(build_traced_scheme, **probes), seed
+    )
     obs.spans.finish_open()
     return TracedRun(name, seed, kernel, system, obs, summary)
 

@@ -102,7 +102,7 @@ class VersionChain:
         return self.records[index - 1]
 
     def versions(self) -> list[Version]:
-        """The chain's versions, oldest first (audit hooks, tests)."""
+        """The chain's versions, oldest first (the ``gc`` probe, tests)."""
         return [record.version for record in self.records]
 
 
@@ -145,10 +145,6 @@ class MultiVersionStore:
         #: a sweep can reclaim a pinned snapshot's floor version, which
         #: the auditor's ``mvcc.gc_pinned`` rule must catch.
         self.gc_respect_pins = True
-        #: Observers called as ``hook(item, removed, pins, chain_before)``
-        #: per chain a sweep truncated: the removed Versions, the pinned
-        #: cuts active at sweep time, and the pre-sweep version list.
-        self.gc_hooks: list[typing.Callable] = []
         self._gc_proc: typing.Any = None
         self.stats = MvccStats()
         # Seed chains from the copies already installed (CopyStore.create
@@ -251,8 +247,10 @@ class MultiVersionStore:
             del chain.records[: index - 1]
             del chain.keys[: index - 1]
             reclaimed += len(removed)
-            for hook in self.gc_hooks:
-                hook(item, removed, pins, chain_before)
+            # Per truncated chain: the removed Versions, the pinned cuts
+            # active at sweep time, and the pre-sweep version list.
+            for fn in self.kernel.probes.gc:
+                fn(self.site.site_id, item, removed, pins, chain_before)
         self.stats.gc_reclaimed += reclaimed
         self.stats.gc_sweeps += 1
         return reclaimed

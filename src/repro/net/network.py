@@ -185,11 +185,12 @@ class Network:
 
     def send(self, msg: Message) -> None:
         """Send ``msg``; delivery (or drop) happens after a sampled latency."""
-        san = self.kernel._sanitize
-        if san is not None:
-            # Happens-before message edge: stamp the sender's vector
-            # clock by msg_id, joined when the rpc layer picks it up.
-            san.on_send(msg.msg_id)
+        # Happens-before message edge: a race detector stamps the
+        # sender's vector clock by msg_id, joined (``join`` probe) when
+        # the rpc layer picks the message up.
+        if self.kernel.probes.send:
+            for fn in self.kernel.probes.send:
+                fn(msg.msg_id)
         dst = self.endpoint(msg.dst)
         src = self.endpoint(msg.src)
         if msg.src == msg.dst:

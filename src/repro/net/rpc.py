@@ -289,9 +289,16 @@ class RpcNode:
         # their callers before any caller's follow-up flush fires, so the
         # follow-up calls coalesce.
         inbox = self.endpoint.inbox
+        join = self.kernel.probes.join
         while True:
             msg = yield inbox.get()
             while True:
+                # Happens-before message edge, joined per message even
+                # though the wake-up event may predate it: the greedy
+                # drain handles messages whose sender clocks the
+                # dispatch's scheduling edge did not carry.
+                for fn in join:
+                    fn(msg.msg_id)
                 if msg.is_reply():
                     self._complete_call(msg)
                 else:
@@ -301,9 +308,6 @@ class RpcNode:
                 msg = inbox.get_nowait()
 
     def _complete_call(self, msg: Message) -> None:
-        san = self.kernel._sanitize
-        if san is not None:
-            san.join_message(msg.msg_id)
         if msg.kind == "rpc.batch.reply":
             batch_results = msg.payload
             assert isinstance(batch_results, BatchResults)
@@ -329,12 +333,6 @@ class RpcNode:
             future.fail(value)
 
     def _spawn_server(self, msg: Message) -> None:
-        san = self.kernel._sanitize
-        if san is not None:
-            # Join even though the wake-up event may predate this message:
-            # the greedy inbox drain handles messages whose sender clocks
-            # the dispatch's scheduling edge did not carry.
-            san.join_message(msg.msg_id)
         if msg.kind == "rpc.batch":
             self._spawn_batch_server(msg)
             return

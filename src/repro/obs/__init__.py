@@ -9,8 +9,9 @@ passed in). It bundles:
   scrape counters they keep anyway) plus rare push updates;
 * a :class:`~repro.obs.spans.SpanRecorder` — spans and timeline instants
   are **off by default** and enabled per run (``repro trace``,
-  :meth:`Observability.enable_timeline`), so the hot paths pay a
-  single branch when disabled.
+  :meth:`Observability.enable_timeline`): span sites pay a single
+  branch when disabled, and the timeline subscribes to the kernel's
+  probe bus only once it is enabled.
 
 Exporters (`repro.obs.export`) turn a recorder into JSONL or a Chrome
 ``chrome://tracing`` file; `repro.obs.report` computes the
@@ -58,24 +59,24 @@ class Observability:
         self.kernel = kernel
         self.registry = MetricsRegistry()
         self.spans = SpanRecorder(kernel, enabled=spans, timeline=timeline)
-        #: The attached protocol auditor (repro.audit), or None. Hot
-        #: paths only ever test this for None-ness.
+        # Handles to whatever is attached, for reports and the CLI to
+        # find after the run; each is None until its ``attach_*`` sets
+        # it. None of them is tested on a hot path: every observer does
+        # its watching through ``kernel.probes`` (repro.sim.probes).
+        #: The protocol auditor (:func:`repro.audit.attach_auditor`).
         self.audit: typing.Any = None
-        #: The attached windowed time-series sampler
-        #: (:func:`repro.obs.timeseries.attach_sampler`), or None. Off by
-        #: default; exporters and the recovery-timeline report pick it up
-        #: when present.
+        #: The windowed time-series sampler
+        #: (:func:`repro.obs.timeseries.attach_sampler`).
         self.sampler: typing.Any = None
-        #: The attached host-CPU profiler
-        #: (:func:`repro.obs.profiler.attach_profiler`), or None. The
-        #: kernel dispatch loop tests its *own* handle for None-ness;
-        #: this one is for reports and the ``repro profile`` CLI.
+        #: The host-CPU profiler
+        #: (:func:`repro.obs.profiler.attach_profiler`).
         self.profiler: typing.Any = None
-        #: The attached happens-before race detector
-        #: (:func:`repro.sanitize.hb.attach_detector`), or None. The
-        #: kernel and the hooked protocol modules test their own handles
-        #: for None-ness; this one is for ``repro schedfuzz`` reports.
+        #: The happens-before race detector
+        #: (:func:`repro.sanitize.hb.attach_detector`).
         self.sanitizer: typing.Any = None
+        #: The tie-break policy (:func:`repro.sanitize.policy.attach_policy`);
+        #: its ``decisions`` are the run's recorded schedule.
+        self.policy: typing.Any = None
 
     @property
     def spans_on(self) -> bool:
@@ -91,4 +92,4 @@ class Observability:
         self.spans.enabled = True
 
     def enable_timeline(self) -> None:
-        self.spans.timeline_on = True
+        self.spans.enable_timeline()

@@ -4,9 +4,9 @@
 :class:`~repro.system.DatabaseSystem` construction and registers
 *collectors* — pull-time scrapers over the counters the subsystems
 already maintain (``TmStats``, ``NetworkStats``, lock-manager and DM
-counters, detector down-events, the kernel's processed-event count) —
-plus the timeline hooks (site lifecycle, transaction finish) that feed
-the instant timeline and the exporters.
+counters, detector down-events, the kernel's processed-event count).
+(The instant timeline is not wired here: the span recorder subscribes
+to the kernel's probe bus itself when the timeline is enabled.)
 
 ``instrument_rowaa`` adds the protocol-layer sources a plain
 ``DatabaseSystem`` does not have: copier work accounting and recovery
@@ -24,7 +24,7 @@ from repro.obs.metrics import percentile
 
 
 def instrument_system(system: typing.Any) -> None:
-    """Register base-layer collectors and timeline hooks on ``system``."""
+    """Register base-layer collectors on ``system``."""
     obs = system.obs
     registry = obs.registry
     kernel = system.kernel
@@ -135,39 +135,6 @@ def instrument_system(system: typing.Any) -> None:
     registry.add_collector(collect_sites)
     registry.add_collector(collect_wal)
     registry.add_collector(collect_mvcc)
-
-    # Timeline instants: site lifecycle + transaction finish. The hooks
-    # are always attached (cheap: one call per lifecycle event / txn
-    # finish, not per kernel event) and drop everything until
-    # obs.enable_timeline() flips the gate.
-    recorder = obs.spans
-
-    def site_instant(site_id: int, what: str) -> None:
-        if recorder.timeline_on:
-            recorder.instant(what, "site", site_id)
-
-    for site_id in system.cluster.site_ids:
-        site = system.cluster.site(site_id)
-        site.crash_hooks.append(lambda sid=site_id: site_instant(sid, "crash"))
-        site.power_on_hooks.append(lambda sid=site_id: site_instant(sid, "power-on"))
-    system.cluster.recovered_hooks.append(
-        lambda sid: site_instant(sid, "operational")
-    )
-
-    def txn_instant(txn: typing.Any) -> None:
-        if not recorder.timeline_on:
-            return
-        kind = txn.kind.value
-        detail = txn.txn_id + (f" ({txn.abort_reason})" if txn.abort_reason else "")
-        recorder.instant(
-            "commit" if txn.status.value == "committed" else "abort",
-            "txn" if kind == "user" else kind,
-            txn.home_site,
-            detail,
-        )
-
-    for tm in system.tms.values():
-        tm.finish_hooks.append(txn_instant)
 
 
 def instrument_rowaa(system: typing.Any) -> None:

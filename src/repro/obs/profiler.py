@@ -4,18 +4,18 @@ Two views over where time goes, one per time domain:
 
 **View 1 — host CPU** (:class:`HostProfiler`). The kernel's dispatch
 loop is the only place host cycles are ever spent during a simulation,
-so attaching there covers everything. The profiler hands the kernel a
-host clock (from :mod:`repro.obs.hostclock` — the sanctioned REP001
-seam; the kernel itself never imports ``time``) and the kernel reads it
-at *run boundaries*: a run is a maximal stretch of consecutive events
-sharing one dispatch signature (a Future's waiter-list identity, a
-Callback's function). The common storms — thousands of bare timeouts,
-one process resumed again and again — therefore cost two clock reads
-total rather than two per event, which is what keeps the profiler
-cheap (its cost is part of the reference benchmark's
-``obs.trace_overhead_pct``). Charging whole runs keeps
-the headline invariant exact: the per-subsystem exclusive ``cpu_s``
-sum to the wall time spent inside the dispatch loop.
+so attaching there covers everything. The profiler subscribes to the
+kernel's drain-loop probes (``kernel.probes``) and reads its own host
+clock (from :mod:`repro.obs.hostclock` — the sanctioned REP001 seam;
+the kernel itself never imports ``time``) at *run boundaries*: a run is
+a maximal stretch of consecutive events sharing one dispatch signature
+(a Future's waiter-list identity, a Callback's function). The common
+storms — thousands of bare timeouts, one process resumed again and
+again — therefore cost two clock reads total rather than two per event,
+which is what keeps the profiler cheap (its cost is part of the
+reference benchmark's ``obs.trace_overhead_pct``). Charging whole runs
+keeps the headline invariant exact: the per-subsystem exclusive
+``cpu_s`` sum to the wall time spent inside the dispatch loop.
 
 Each run is attributed to a *subsystem label* derived from the owning
 module of the code the events dispatch into: a resumed process is
@@ -112,52 +112,99 @@ class HostProfiler:
     """Attributes the kernel dispatch loop's host CPU to subsystems.
 
     Attach with :meth:`attach` (or ``build_traced_scheme(...,
-    profile=True)`` / ``repro profile``); the kernel then routes its
-    drain loop through the profiled path, calling :meth:`charge` once
-    per signature run. All bookkeeping here is O(1) per *run*, not per
-    event — the resolve caches make repeat signatures a dict hit.
+    profile=True)`` / ``repro profile``): the profiler subscribes to the
+    kernel's ``loop_enter`` / ``dispatch_begin`` / ``loop_exit`` probes
+    and reads its host clock at *run boundaries* only. A run is a
+    maximal stretch of consecutive events sharing one dispatch
+    signature — ``entry._callbacks`` (the waiter-list identity of a
+    Future; the class sentinel redirects a Callback to its ``fn``) — so
+    a storm of bare timeouts or repeated resumes of one process costs
+    two clock reads total, not two per event. Each boundary's clock
+    read both closes one run and opens the next, so the charges tile
+    the loop's wall time exactly: the per-subsystem ``cpu_s`` sum to
+    ``dispatch_wall_s`` up to float rounding, under any combination of
+    other probes. Bookkeeping is O(1) per *run*, not per event — the
+    resolve caches make repeat signatures a dict hit.
     """
 
     def __init__(self, clock: typing.Callable[[], float] | None = None) -> None:
-        #: The host clock the kernel reads; the injection point that
-        #: keeps ``time`` imports out of SIM_TIME scope.
+        #: The host clock, read at run boundaries; the injection point
+        #: that keeps ``time`` imports out of SIM_TIME scope.
         self.clock = clock if clock is not None else hostclock.now
         #: Exclusive host CPU per subsystem label, seconds.
         self.cpu_s: dict[str, float] = {}
         #: Events dispatched per subsystem label.
         self.events: dict[str, int] = {}
-        #: Wall time spent inside the profiled dispatch loop(s),
-        #: accumulated by the kernel with the same clock reads that
-        #: bound the charges — so ``sum(cpu_s.values())`` equals this
-        #: up to float rounding.
+        #: Wall time spent inside the kernel's drain loop(s) while
+        #: attached, taken from the same clock reads that bound the
+        #: charges — so ``sum(cpu_s.values())`` equals this up to float
+        #: rounding.
         self.dispatch_wall_s = 0.0
         self._code_labels: dict[object, str] = {}
         self._target_labels: dict[object, str] = {}
         self._kernel: typing.Any = None
+        # The open run: its signature, events so far, and the clock
+        # reads that opened it and the enclosing loop.
+        self._sig: typing.Any = None
+        self._run_events = 0
+        self._run_start = 0.0
+        self._loop_start = 0.0
 
     # -- kernel wiring --------------------------------------------------------
 
     def attach(self, kernel: "Kernel") -> None:
-        """Route ``kernel``'s dispatch through the profiled loop."""
-        kernel._prof = self
+        """Subscribe to ``kernel``'s drain-loop probes."""
+        kernel.probes.subscribe(
+            loop_enter=self._on_loop_enter,
+            dispatch_begin=self._on_dispatch,
+            loop_exit=self._on_loop_exit,
+        )
         self._kernel = kernel
 
     def detach(self) -> None:
-        """Restore the kernel's unprofiled dispatch loop."""
+        """Unsubscribe; the kernel's bus is as it was before attach."""
         if self._kernel is not None:
-            self._kernel._prof = None
+            self._kernel.probes.detach(self)
             self._kernel = None
 
     # -- accumulation ---------------------------------------------------------
 
-    def charge(
-        self, sig: typing.Any, entry: typing.Any, dt: float, n_events: int
-    ) -> None:
+    def _on_loop_enter(self) -> None:
+        self._sig = None
+        self._run_events = 0
+        self._loop_start = self._run_start = self.clock()
+
+    def _on_dispatch(self, seq: int, entry: typing.Any) -> None:
+        sig = entry._callbacks
+        if sig is None:
+            sig = entry.fn
+        if sig is not self._sig:
+            if self._run_events:
+                now = self.clock()
+                self._charge(self._sig, now - self._run_start, self._run_events)
+                self._run_start = now
+                self._run_events = 0
+            # The first live event opens its run without a clock read,
+            # so the pre-loop sliver lands in it and the charges still
+            # tile the whole loop.
+            self._sig = sig
+        self._run_events += 1
+
+    def _on_loop_exit(self) -> None:
+        now = self.clock()
+        # With no live events the loop still cost a sliver of wall
+        # time; it is booked against the kernel (``sig=None``) so the
+        # charges keep summing to dispatch_wall_s exactly.
+        self._charge(self._sig, now - self._run_start, self._run_events)
+        self._sig = None
+        self.dispatch_wall_s += now - self._loop_start
+
+    def _charge(self, sig: typing.Any, dt: float, n_events: int) -> None:
         """Credit one signature run: ``dt`` host seconds, ``n_events`` events.
 
-        Called by the kernel at run boundaries; ``sig`` is the run's
-        dispatch signature (a callable for a Callback, the waiter list
-        for a Future) and ``entry`` the first heap entry of the run.
+        ``sig`` is the run's dispatch signature (a callable for a
+        Callback, the waiter list for a Future, ``None`` for an idle
+        loop).
         """
         label = self._resolve(sig)
         self.cpu_s[label] = self.cpu_s.get(label, 0.0) + dt

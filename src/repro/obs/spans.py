@@ -11,11 +11,13 @@ An :class:`Instant` is a zero-duration timeline event (site crash,
 power-on, operational announcement, transaction finish), read from
 :attr:`SpanRecorder.instants`.
 
-Cost model: recording is opt-in twice over. ``enabled`` gates spans,
-``timeline_on`` gates instants, and every instrumentation hook checks its
-gate before allocating anything — with both off (the default) a traced
-code path pays one attribute read and one branch, and the kernel event
-loop pays nothing at all.
+Cost model: recording is opt-in twice over. ``enabled`` gates spans:
+every span site checks it before allocating anything, so with it off
+(the default) a traced code path pays one attribute read and one
+branch. Instants cost nothing until :meth:`SpanRecorder.enable_timeline`
+subscribes the recorder to the kernel's probe bus (``crash``,
+``power_on``, ``recovered``, ``txn_finish``); until then those slots are
+empty and the kernel event loop pays nothing at all.
 """
 
 from __future__ import annotations
@@ -109,11 +111,13 @@ class SpanRecorder:
     ) -> None:
         self.kernel = kernel
         self.enabled = enabled
-        self.timeline_on = timeline
+        self.timeline_on = False
         self.spans: list[Span] = []
         self.instants: list[Instant] = []
         self._next_id = 1
         self._txn_roots: dict[str, int] = {}
+        if timeline:
+            self.enable_timeline()
 
     # -- spans ----------------------------------------------------------------
 
@@ -211,6 +215,38 @@ class SpanRecorder:
     ) -> None:
         self.instants.append(
             Instant(name, category, site_id, self.kernel.now, detail)
+        )
+
+    def enable_timeline(self) -> None:
+        """Record site-lifecycle and transaction-finish instants from now
+        on, by subscribing to the kernel's probe bus (once)."""
+        if self.timeline_on:
+            return
+        self.timeline_on = True
+        self.kernel.probes.subscribe(
+            crash=self._site_crashed,
+            power_on=self._site_powered_on,
+            recovered=self._site_operational,
+            txn_finish=self._txn_finished,
+        )
+
+    def _site_crashed(self, site_id: int) -> None:
+        self.instant("crash", "site", site_id)
+
+    def _site_powered_on(self, site_id: int) -> None:
+        self.instant("power-on", "site", site_id)
+
+    def _site_operational(self, site_id: int) -> None:
+        self.instant("operational", "site", site_id)
+
+    def _txn_finished(self, site_id: int, txn: typing.Any) -> None:
+        kind = txn.kind.value
+        detail = txn.txn_id + (f" ({txn.abort_reason})" if txn.abort_reason else "")
+        self.instant(
+            "commit" if txn.status.value == "committed" else "abort",
+            "txn" if kind == "user" else kind,
+            txn.home_site,
+            detail,
         )
 
     # -- queries --------------------------------------------------------------

@@ -14,14 +14,13 @@ Three layers (see docs/STATIC_ANALYSIS.md, "Dynamic sanitizers"):
    state fingerprint + audit-alert signature), ddmin shrinking of
    failing decision lists, replayable JSON artifacts.
 
-This package ``__init__`` deliberately imports only the leaf modules:
-:mod:`repro.storage.copies` (and other hooked modules) import
-``repro.sanitize.hooks`` at module load, so pulling :mod:`.fuzz` (which
-imports the scenario registry) here would create an import cycle.
+Both probes attach through ``kernel.probes`` (:mod:`repro.sim.probes`)
+and nowhere else, so their state is per kernel. This package
+``__init__`` imports only the leaf modules; :mod:`.fuzz` pulls in the
+scenario registry and is imported where it is used.
 """
 
-from repro.sanitize import hooks
-from repro.sanitize.hb import RaceDetector, RaceReport, attach_detector, detach_detector
+from repro.sanitize.hb import RaceDetector, RaceReport, attach_detector
 from repro.sanitize.policy import (
     STREAM_NAME,
     DirectedPolicy,
@@ -34,11 +33,9 @@ from repro.sanitize.policy import (
 )
 
 __all__ = [
-    "hooks",
     "RaceDetector",
     "RaceReport",
     "attach_detector",
-    "detach_detector",
     "STREAM_NAME",
     "DirectedPolicy",
     "ScheduleSpec",

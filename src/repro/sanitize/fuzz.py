@@ -180,10 +180,9 @@ def run_schedule(
     traced = run_traced(
         experiment, seed=seed, audit=audit, schedule=schedule, races=races
     )
-    kernel, system, obs = traced.kernel, traced.system, traced.obs
-    state = system_state(system)
-    policy = kernel._tiebreak
-    detector = getattr(obs, "sanitizer", None)
+    obs = traced.obs
+    state = system_state(traced.system)
+    policy, detector = obs.policy, obs.sanitizer
     return ScheduleRun(
         label=label,
         fingerprint=fingerprint(state),

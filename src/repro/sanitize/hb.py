@@ -46,8 +46,6 @@ import collections
 import dataclasses
 import typing
 
-from repro.sanitize import hooks
-
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Kernel
     from repro.sim.process import Process
@@ -108,7 +106,10 @@ class RaceDetector:
         self.notes: collections.deque = collections.deque(maxlen=256)
         self.accesses_checked = 0
         self._next_sid = 1
-        self._strands: dict[int, _Strand] = {}  # id(process) -> strand
+        #: Keyed by the process itself, not ``id(process)``: the entry
+        #: pins the process, so a dead one's address can never be reused
+        #: by a new process that would then inherit its clock.
+        self._strands: dict["Process", _Strand] = {}
         self._current: _Strand | None = None
         #: Clock inherited by the dispatch currently running (the entry's
         #: scheduler clock); accesses outside any strand use it, gaining
@@ -152,7 +153,7 @@ class RaceDetector:
         """A heap entry ``seq`` was pushed by the running context."""
         self._entry_vc[seq] = self._snap()
 
-    def begin_dispatch(self, seq: int) -> None:
+    def begin_dispatch(self, seq: int, entry: object) -> None:
         """Entry ``seq`` is about to be processed."""
         self._ambient = self._entry_vc.pop(seq, {})
         self._ambient_sid = None
@@ -167,11 +168,11 @@ class RaceDetector:
 
     def enter_step(self, process: "Process") -> None:
         """``process`` resumes inside the current dispatch."""
-        strand = self._strands.get(id(process))
+        strand = self._strands.get(process)
         if strand is None:
             strand = _Strand(self._next_sid, process.name)
             self._next_sid += 1
-            self._strands[id(process)] = strand
+            self._strands[process] = strand
         vc = strand.vc
         for sid, count in self._ambient.items():
             if count > vc.get(sid, 0):
@@ -309,15 +310,23 @@ class RaceDetector:
 
 
 def attach_detector(kernel: "Kernel") -> RaceDetector:
-    """Create a detector, wire it into ``kernel`` and the global seam."""
+    """Create a detector and subscribe it to ``kernel``'s probe bus.
+
+    Detector state is per kernel: the scheduling, message and
+    state-access edges it threads all arrive through ``kernel.probes``,
+    so two kernels in one process never see each other's traffic and
+    nothing outlives the kernel (``kernel.probes.detach(detector)``
+    removes it early).
+    """
     detector = RaceDetector(kernel)
-    kernel.set_sanitizer(detector)
-    hooks.set_active(detector)
+    kernel.probes.subscribe(
+        scheduled=detector.on_scheduled,
+        dispatch_begin=detector.begin_dispatch,
+        dispatch_end=detector.end_dispatch,
+        step_enter=detector.enter_step,
+        step_exit=detector.exit_step,
+        send=detector.on_send,
+        join=detector.join_message,
+        access=detector.on_access,
+    )
     return detector
-
-
-def detach_detector(kernel: "Kernel | None" = None) -> None:
-    """Tear the global seam down (and the kernel's, when given)."""
-    hooks.clear()
-    if kernel is not None:
-        kernel.set_sanitizer(None)

@@ -172,7 +172,11 @@ def sparse_decisions(decisions: typing.Sequence[int]) -> dict[int, int]:
 
 
 def attach_policy(kernel: "Kernel", spec: ScheduleSpec) -> TieBreakPolicy:
-    """Build ``spec``'s policy and attach it to ``kernel``."""
+    """Build ``spec``'s policy and subscribe it as ``kernel``'s tie-break.
+
+    The returned policy is the handle to its recorded ``decisions``
+    (traced runs keep it as ``obs.policy``).
+    """
     policy = spec.build(kernel)
-    kernel.set_tiebreak(policy)
+    kernel.probes.subscribe(tiebreak=policy.choose)
     return policy

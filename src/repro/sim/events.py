@@ -221,8 +221,9 @@ class Timeout(Future):
         self.delay = delay
         _heappush(kernel._heap, (kernel._now + delay, kernel._seq, self))
         kernel._seq += 1
-        if kernel._sanitize is not None:
-            kernel._sanitize.on_scheduled(kernel._seq - 1)
+        if kernel.probes.scheduled:
+            for probe in kernel.probes.scheduled:
+                probe(kernel._seq - 1)
 
     def cancel(self) -> None:
         """Lazily cancel the timeout: it never fires, callbacks never run.

@@ -6,7 +6,8 @@ import heapq
 import typing
 
 from repro.errors import SimError, UnhandledFailure
-from repro.sim.events import F_CANCELLED, Future, Timeout
+from repro.sim.events import F_CANCELLED, F_PROCESSED, Future, Timeout
+from repro.sim.probes import Probes
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
 
@@ -28,12 +29,12 @@ class Callback:
 
     __slots__ = ("fn", "args", "_flags")
 
-    #: Class-level sentinel: the profiled drain loop reads
-    #: ``entry._callbacks`` on every heap entry with a single attribute
-    #: load to form the run signature. ``None`` here means "a Callback —
-    #: use ``entry.fn`` instead" (a Future's ``_callbacks`` is never
-    #: ``None`` while it sits in the heap; ``_process`` only clears it
-    #: after the entry is popped).
+    #: Class-level sentinel: the host profiler's ``dispatch_begin``
+    #: probe reads ``entry._callbacks`` on every heap entry with a
+    #: single attribute load to form the run signature. ``None`` here
+    #: means "a Callback — use ``entry.fn`` instead" (a Future's
+    #: ``_callbacks`` is never ``None`` while it sits in the heap;
+    #: ``_process`` only clears it after the entry is popped).
     _callbacks: typing.Any = None
 
     def __init__(
@@ -76,7 +77,7 @@ class Kernel:
 
     __slots__ = (
         "_now", "_heap", "_seq", "rng", "_unhandled", "events_processed",
-        "_prof", "_tiebreak", "_sanitize",
+        "probes",
     )
 
     def __init__(self, seed: int = 0) -> None:
@@ -88,23 +89,11 @@ class Kernel:
         #: Count of entries processed by :meth:`step` (skipped cancelled
         #: entries excluded); the events/sec basis of the perf trajectory.
         self.events_processed = 0
-        #: The attached host-CPU profiler
-        #: (:class:`repro.obs.profiler.HostProfiler`), or None. When set,
-        #: :meth:`run`/:meth:`step` dispatch through the profiled path,
-        #: reading the profiler's host clock at run boundaries — the
-        #: kernel itself never imports a wall clock (REP001).
-        self._prof: typing.Any = None
-        #: Attached tie-break policy
-        #: (:class:`repro.sanitize.policy.TieBreakPolicy`), or None. When
-        #: set, same-timestamp heap batches are resolved by the policy
-        #: instead of insertion order; the default ``None`` path is
-        #: byte-identical to the unperturbed kernel.
-        self._tiebreak: typing.Any = None
-        #: Attached schedule sanitizer
-        #: (:class:`repro.sanitize.hb.RaceDetector`), or None. When set,
-        #: every heap push and every dispatch is reported so the detector
-        #: can thread vector clocks along scheduling edges.
-        self._sanitize: typing.Any = None
+        #: The probe bus (:mod:`repro.sim.probes`): the one attach point
+        #: for every observer and for the tie-break policy. While it is
+        #: empty :meth:`run` takes the bare drain loop; the kernel itself
+        #: never imports a wall clock (REP001) — a profiler brings its own.
+        self.probes = Probes()
 
     # -- clock ---------------------------------------------------------------
 
@@ -120,8 +109,9 @@ class Kernel:
             raise SimError(f"cannot schedule into the past (delay={delay})")
         heapq.heappush(self._heap, (self._now + delay, self._seq, event))
         self._seq += 1
-        if self._sanitize is not None:
-            self._sanitize.on_scheduled(self._seq - 1)
+        if self.probes.scheduled:
+            for probe in self.probes.scheduled:
+                probe(self._seq - 1)
 
     def schedule_callback(
         self, delay: float, fn: typing.Callable[..., None], *args: object
@@ -137,8 +127,9 @@ class Kernel:
         entry = Callback(fn, args)
         heapq.heappush(self._heap, (self._now + delay, self._seq, entry))
         self._seq += 1
-        if self._sanitize is not None:
-            self._sanitize.on_scheduled(self._seq - 1)
+        if self.probes.scheduled:
+            for probe in self.probes.scheduled:
+                probe(self._seq - 1)
         return entry
 
     def call_soon(
@@ -146,29 +137,6 @@ class Kernel:
     ) -> Callback:
         """Run ``fn(*args)`` at the current time (or after ``delay``)."""
         return self.schedule_callback(delay, fn, *args)
-
-    # -- sanitizer seams -----------------------------------------------------
-
-    def set_tiebreak(self, policy: typing.Any) -> None:
-        """Attach (or with ``None`` detach) a same-timestamp tie-break policy.
-
-        The policy (:mod:`repro.sanitize.policy`) decides which member of
-        a batch of live entries ready at the same instant runs next.
-        Entries scheduled at distinct times, and entries scheduled *by*
-        a running dispatch (they did not exist when the batch formed),
-        are never reordered — only genuinely concurrent ties are.
-        """
-        self._tiebreak = policy
-
-    def set_sanitizer(self, sanitizer: typing.Any) -> None:
-        """Attach (or with ``None`` detach) a schedule sanitizer.
-
-        The sanitizer (:class:`repro.sanitize.hb.RaceDetector`) is told
-        about every heap push (:meth:`~RaceDetector.on_scheduled`) and
-        bracketed around every dispatch, which is how happens-before
-        scheduling edges are threaded.
-        """
-        self._sanitize = sanitizer
 
     # -- factories ---------------------------------------------------------------
 
@@ -206,37 +174,9 @@ class Kernel:
         advancing the clock; if only cancelled entries remained, the call
         returns having processed nothing.
         """
-        if self._tiebreak is not None or self._sanitize is not None:
-            self._step_sanitized()
-            return
-        heap = self._heap
-        if not heap:
+        if not self._heap:
             raise SimError("step() on an empty event queue")
-        pop = heapq.heappop
-        while True:
-            when, _seq, entry = pop(heap)
-            if not entry._flags & F_CANCELLED:
-                break
-            if not heap:
-                return  # drained nothing but dead timers
-        self._now = when
-        self.events_processed += 1
-        prof = self._prof
-        if prof is None:
-            entry._process()
-        else:
-            sig = entry._callbacks
-            if sig is None:
-                sig = entry.fn  # type: ignore[union-attr]
-            start = prof.clock()
-            try:
-                entry._process()
-            finally:
-                elapsed = prof.clock() - start
-                prof.charge(sig, entry, elapsed, 1)
-                prof.dispatch_wall_s += elapsed
-        if self._unhandled:
-            self._raise_unhandled()
+        self._drain(None, single=True)
 
     def run(self, until: float | Future | None = None) -> object:
         """Run the event loop.
@@ -250,206 +190,118 @@ class Kernel:
           (or raising its exception).
         """
         if isinstance(until, Future):
-            return self._run_until_event(until)
-        if self._tiebreak is not None or self._sanitize is not None:
-            # Sanitized runs take precedence over profiling: the two
-            # drain loops do not compose, and perturbed schedules would
-            # skew host-CPU attribution anyway.
-            return self._run_sanitized(until)
-        if self._prof is not None:
-            return self._run_profiled(until)
-        # Inlined drain loop: this is the innermost loop of every
-        # simulation, so the per-event cost of calling step() (attribute
-        # lookups, the empty-heap recheck) is paid millions of times.
-        heap = self._heap
-        pop = heapq.heappop
-        while heap:
-            if until is not None and heap[0][0] > until:
-                break
-            when, _seq, entry = pop(heap)
-            if entry._flags & F_CANCELLED:
-                continue
-            self._now = when
-            self.events_processed += 1
-            entry._process()
-            if self._unhandled:
-                self._raise_unhandled()
-        if until is not None and self._now < until:
-            self._now = float(until)
-        return None
-
-    def _run_profiled(self, until: float | None) -> object:
-        """The drain loop with a host-CPU profiler attached.
-
-        Identical event semantics to :meth:`run`; the additions are
-        host-clock reads at *run boundaries*. A run is a maximal
-        stretch of consecutive events sharing one dispatch signature —
-        ``entry._callbacks`` (the waiter-list identity of a Future;
-        the class sentinel redirects a Callback to its ``fn``) — so a
-        storm of bare timeouts or repeated resumes of one process costs
-        two clock reads total, not two per event. That batching is what
-        keeps the profiled bench twin under the <5% overhead gate, and
-        because charges tile the loop's wall time exactly (each
-        boundary's clock read both closes one run and opens the next),
-        the per-subsystem ``cpu_s`` sum to ``dispatch_wall_s`` up to
-        float rounding.
-        """
-        prof = self._prof
-        heap = self._heap
-        pop = heapq.heappop
-        clock = prof.clock
-        charge = prof.charge
-        cur_sig: typing.Any = None
-        cur_entry: typing.Any = None
-        run_start = self.events_processed
-        loop_start = prev = clock()
-        try:
+            # The caller observes success/failure through ``until.value``
+            # below, so a failure of the target is not "unhandled".
+            until.defuse()
+            if not until.processed:
+                self._drain(None, target=until)
+            if not until.processed:
+                raise SimError(f"event queue exhausted before {until!r} was processed")
+            return until.value
+        if self.probes:
+            self._drain(until)
+        else:
+            # Inlined bare loop, selected because nothing is attached:
+            # this is the innermost loop of every measured simulation,
+            # so it carries no probe walk, no stop test and no call
+            # beyond the dispatch itself.
+            heap = self._heap
+            pop = heapq.heappop
             while heap:
                 if until is not None and heap[0][0] > until:
                     break
                 when, _seq, entry = pop(heap)
                 if entry._flags & F_CANCELLED:
                     continue
-                sig = entry._callbacks
-                if sig is None:
-                    sig = entry.fn  # type: ignore[union-attr]
-                if sig is not cur_sig:
-                    if cur_entry is None:
-                        # First live event: open the run without a clock
-                        # read so the pre-loop sliver lands in it and
-                        # the charges still tile the whole loop.
-                        cur_sig = sig
-                        cur_entry = entry
-                    else:
-                        now = clock()
-                        charge(cur_sig, cur_entry, now - prev,
-                               self.events_processed - run_start)
-                        prev = now
-                        cur_sig = sig
-                        cur_entry = entry
-                        run_start = self.events_processed
                 self._now = when
                 self.events_processed += 1
                 entry._process()
                 if self._unhandled:
                     self._raise_unhandled()
-        finally:
-            now = clock()
-            if cur_entry is not None:
-                charge(cur_sig, cur_entry, now - prev,
-                       self.events_processed - run_start)
-            else:
-                # No live events: the loop still cost a sliver of wall
-                # time; book it against the kernel so the charges keep
-                # summing to dispatch_wall_s exactly.
-                charge(None, None, now - prev, 0)
-            prof.dispatch_wall_s += now - loop_start
         if until is not None and self._now < until:
             self._now = float(until)
         return None
 
-    def _pop_perturbed(
-        self, until: float | None = None
-    ) -> tuple[float, int, "Future | Callback"] | None:
-        """Pop the next live entry, honoring the tie-break policy.
+    def _drain(
+        self,
+        until: float | None,
+        target: Future | None = None,
+        single: bool = False,
+    ) -> None:
+        """The general drain loop: same event semantics as the bare one
+        in :meth:`run`, plus whatever is on the probe bus — in any
+        combination — and the two stop conditions the bare loop does
+        not carry (``target`` processed; ``single``: one live event).
 
-        Returns ``(when, seq, entry)``, or ``None`` when the heap is
-        drained (or holds only events past ``until``). The ``until``
-        bound is re-checked here — not just by the caller — because the
-        canonical drain loop re-checks ``heap[0]`` before every pop and
-        this path must never process events the canonical one would not.
-
-        Only entries *simultaneously live at the same instant* form a
-        batch: the first live pop anchors the timestamp, every further
-        live entry at that exact time joins, and the policy picks one.
-        The rest go back under their original ``(time, seq)`` keys, so a
-        canonical (index-0) choice reproduces FIFO order exactly.
+        The probe lists are bound here, once per call. ``loop_enter`` /
+        ``loop_exit`` bracket the whole loop (a profiler's charges tile
+        exactly that wall time), ``dispatch_begin(seq, entry)`` /
+        ``dispatch_end()`` bracket each event, and a ``tiebreak`` policy
+        picks among entries ready at the same instant.
         """
+        probes = self.probes
+        choose = probes.tiebreak[-1] if probes.tiebreak else None
+        begin, end = probes.dispatch_begin, probes.dispatch_end
         heap = self._heap
         pop = heapq.heappop
-        while True:
-            if not heap or (until is not None and heap[0][0] > until):
-                return None
-            when, seq, entry = pop(heap)
-            if not entry._flags & F_CANCELLED:
-                break
-        policy = self._tiebreak
-        if policy is None or not heap or heap[0][0] != when:
-            return when, seq, entry
-        batch = [(seq, entry)]
-        while heap and heap[0][0] == when:
-            _when2, seq2, entry2 = pop(heap)
-            if not entry2._flags & F_CANCELLED:
-                batch.append((seq2, entry2))
-        if len(batch) == 1:
-            return when, seq, entry
-        index = policy.choose(len(batch))
-        chosen_seq, chosen = batch.pop(index)
-        push = heapq.heappush
-        for seq2, entry2 in batch:
-            push(heap, (when, seq2, entry2))
-        return when, chosen_seq, chosen
-
-    def _step_sanitized(self) -> None:
-        """One :meth:`step` with the tie-break policy / sanitizer engaged."""
-        if not self._heap:
-            raise SimError("step() on an empty event queue")
-        popped = self._pop_perturbed()
-        if popped is None:
-            return  # drained nothing but dead timers
-        when, seq, entry = popped
-        self._now = when
-        self.events_processed += 1
-        san = self._sanitize
-        if san is None:
-            entry._process()
-        else:
-            san.begin_dispatch(seq)
-            try:
-                entry._process()
-            finally:
-                san.end_dispatch()
-        if self._unhandled:
-            self._raise_unhandled()
-
-    def _run_sanitized(self, until: float | None) -> object:
-        """The drain loop with the tie-break policy / sanitizer engaged.
-
-        Same event semantics as :meth:`run` modulo the policy's choice
-        among same-instant ties; not speed-tuned — sanitized runs are a
-        diagnostic mode, never the measured path.
-        """
-        san = self._sanitize
-        while True:
-            popped = self._pop_perturbed(until)
-            if popped is None:
-                break
-            when, seq, entry = popped
-            self._now = when
-            self.events_processed += 1
-            if san is None:
-                entry._process()
-            else:
-                san.begin_dispatch(seq)
+        for probe in probes.loop_enter:
+            probe()
+        try:
+            while heap:
+                if until is not None and heap[0][0] > until:
+                    break
+                when, seq, entry = pop(heap)
+                if entry._flags & F_CANCELLED:
+                    continue
+                if choose is not None and heap and heap[0][0] == when:
+                    seq, entry = self._break_tie(when, seq, entry, choose)
+                self._now = when
+                self.events_processed += 1
+                for probe in begin:
+                    probe(seq, entry)
                 try:
                     entry._process()
                 finally:
-                    san.end_dispatch()
-            if self._unhandled:
-                self._raise_unhandled()
-        if until is not None and self._now < until:
-            self._now = float(until)
-        return None
+                    for probe in end:
+                        probe()
+                if self._unhandled:
+                    self._raise_unhandled()
+                if single or (target is not None and target._flags & F_PROCESSED):
+                    break
+        finally:
+            for probe in probes.loop_exit:
+                probe()
 
-    def _run_until_event(self, until: Future) -> object:
-        # The caller observes success/failure through ``until.value`` below,
-        # so a failure of the target is not "unhandled".
-        until.defuse()
-        while not until.processed:
-            if not self._heap:
-                raise SimError(f"event queue exhausted before {until!r} was processed")
-            self.step()
-        return until.value
+    def _break_tie(
+        self,
+        when: float,
+        seq: int,
+        entry: "Future | Callback",
+        choose: typing.Callable[[int], int],
+    ) -> tuple[int, "Future | Callback"]:
+        """Let the tie-break policy pick among entries ready at ``when``.
+
+        ``(seq, entry)`` is the live entry just popped; every further
+        live entry at that exact time joins the batch and ``choose``
+        (:mod:`repro.sanitize.policy`) picks one by index. Only entries
+        *simultaneously live at the same instant* are ever reordered:
+        entries at distinct times, and entries scheduled *by* a running
+        dispatch (they did not exist when the batch formed), are not.
+        The rest go back under their original ``(time, seq)`` keys, so
+        a canonical (index-0) choice reproduces FIFO order exactly.
+        """
+        heap = self._heap
+        batch = [(seq, entry)]
+        while heap and heap[0][0] == when:
+            _when, seq2, entry2 = heapq.heappop(heap)
+            if not entry2._flags & F_CANCELLED:
+                batch.append((seq2, entry2))
+        if len(batch) == 1:
+            return seq, entry
+        chosen = batch.pop(choose(len(batch)))
+        for seq2, entry2 in batch:
+            heapq.heappush(heap, (when, seq2, entry2))
+        return chosen
 
     def _report_unhandled(self, event: Future) -> None:
         self._unhandled.append(event)

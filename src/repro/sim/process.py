@@ -97,17 +97,19 @@ class Process(Future):
             self._step(lambda: self._generator.throw(exc))
 
     def _step(self, advance: typing.Callable[[], object]) -> None:
-        san = self.kernel._sanitize
-        if san is None:
+        probes = self.kernel.probes
+        if not probes.step_enter:
             self._advance(advance)
             return
-        # Bracket the resume so the sanitizer can attribute every state
-        # access inside it to this strand (and tick its vector clock).
-        san.enter_step(self)
+        # Bracket the resume so a race detector can attribute every
+        # state access inside it to this strand (and tick its clock).
+        for fn in probes.step_enter:
+            fn(self)
         try:
             self._advance(advance)
         finally:
-            san.exit_step(self)
+            for fn in probes.step_exit:
+                fn(self)
 
     def _advance(self, advance: typing.Callable[[], object]) -> None:
         try:

@@ -60,7 +60,8 @@ class Cluster:
             site_id: FailureDetector(site_id, self.site_ids) for site_id in self.sites
         }
         #: Called with the recovered site id after each recovery
-        #: announcement (used e.g. to re-kick stalled copiers).
+        #: announcement (wiring: re-kicks stalled copiers); observers use
+        #: the kernel's ``recovered`` probe, which fires after these.
         self.recovered_hooks: list[typing.Callable[[int], None]] = []
 
     # -- queries -------------------------------------------------------------
@@ -144,6 +145,8 @@ class Cluster:
                 detector.mark_up(site_id)
         for hook in list(self.recovered_hooks):
             hook(site_id)
+        for fn in self.kernel.probes.recovered:
+            fn(site_id)
 
     def __repr__(self) -> str:
         states = ", ".join(f"{sid}:{site.status.value}" for sid, site in sorted(self.sites.items()))

@@ -51,13 +51,17 @@ class Site:
         self.obs = obs if obs is not None else Observability(kernel)
         self.rpc = RpcNode(kernel, network, site_id, obs=self.obs)
         self.stable = StableStorage()
-        self.copies = CopyStore(site_id)
+        self.copies = CopyStore(site_id, probes=kernel.probes)
         self.status = SiteStatus.DOWN
         #: Partition-mode gate (see repro.core.partition_merge): an
         #: operational site that cannot reach a majority refuses user
         #: transactions without giving up its session. Always False in
         #: the paper's crash-only model.
         self.user_frozen = False
+        #: Wiring, not probes: the components that must reset or re-arm
+        #: with the site (WAL, DM, TM, copier, ...). Observers subscribe
+        #: to the kernel's ``crash`` / ``power_on`` probes instead, which
+        #: fire after every one of these ran.
         self.crash_hooks: list[typing.Callable[[], None]] = []
         self.power_on_hooks: list[typing.Callable[[], None]] = []
         #: Durability layer: journals committed copy mutations and, at
@@ -119,6 +123,8 @@ class Site:
         self.rpc.start()
         for hook in list(self.power_on_hooks):
             hook()
+        for fn in self.kernel.probes.power_on:
+            fn(self.site_id)
 
     def become_operational(self) -> None:
         """RECOVERING → UP (recovery step 4, after type-1 commit)."""
@@ -147,6 +153,8 @@ class Site:
         self._procs.clear()
         for hook in list(self.crash_hooks):
             hook()
+        for fn in self.kernel.probes.crash:
+            fn(self.site_id)
 
     def __repr__(self) -> str:
         return f"<Site {self.site_id} {self.status.value}>"

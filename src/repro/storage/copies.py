@@ -5,7 +5,8 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.sanitize import hooks as _san
+if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.sim.probes import Probes
 
 
 class Version(typing.NamedTuple):
@@ -64,8 +65,13 @@ class CopyStore:
     copier refresh) is a set-size read rather than a walk over all copies.
     """
 
-    def __init__(self, site_id: int) -> None:
+    def __init__(self, site_id: int, probes: "Probes | None" = None) -> None:
         self.site_id = site_id
+        #: Subscribers of the owning kernel's ``access`` probe (a race
+        #: detector); a bare store outside any site has no bus.
+        self._access: typing.Sequence[typing.Callable[..., None]] = (
+            probes.access if probes is not None else ()
+        )
         self._copies: dict[str, DataCopy] = {}
         self._unreadable: set[str] = set()
         self.bytes_copied = 0  # crude copier work counter (E5)
@@ -107,11 +113,10 @@ class CopyStore:
 
     def apply_write(self, item: str, value: object, version: Version) -> None:
         """Install a committed write; clears the unreadable mark (§3.2)."""
-        if _san.ACTIVE is not None:
-            _san.ACTIVE.on_access(
-                self.site_id, ("copy", item), "write",
-                "CopyStore.apply_write", token=version,
-            )
+        if self._access:
+            for fn in self._access:
+                fn(self.site_id, ("copy", item), "write",
+                   "CopyStore.apply_write", version)
         copy = self._copies[item]
         copy.value = value
         copy.version = version
@@ -124,8 +129,13 @@ class CopyStore:
 
     def mark_unreadable(self, item: str) -> None:
         """Flag the copy as possibly stale (recovery step 2, §3.4)."""
-        if _san.ACTIVE is not None:
-            self._track_mark(item, "CopyStore.mark_unreadable")
+        # A mark flip is a write to the same ``("copy", item)`` key as a
+        # value install: a copier validating a copy races a user write
+        # to it exactly like two value writes would.
+        if self._access:
+            for fn in self._access:
+                fn(self.site_id, ("copy", item), "write",
+                   "CopyStore.mark_unreadable")
         self._copies[item].unreadable = True
         self._unreadable.add(item)
         if self.journal is not None:
@@ -133,8 +143,10 @@ class CopyStore:
 
     def clear_unreadable(self, item: str) -> None:
         """Validate the copy without changing it (equal-version copier)."""
-        if _san.ACTIVE is not None:
-            self._track_mark(item, "CopyStore.clear_unreadable")
+        if self._access:
+            for fn in self._access:
+                fn(self.site_id, ("copy", item), "write",
+                   "CopyStore.clear_unreadable")
         self._copies[item].unreadable = False
         self._unreadable.discard(item)
         if self.journal is not None:
@@ -147,15 +159,6 @@ class CopyStore:
             copy.unreadable = True
             if self.journal is not None:
                 self.journal("mark", item)
-
-    def _track_mark(self, item: str, where: str) -> None:
-        """Report an unreadable-mark flip to the attached sanitizer.
-
-        Mark flips are writes to the same ``("copy", item)`` key as value
-        installs: a copier validating a copy races a user write to it
-        exactly like two value writes would.
-        """
-        _san.ACTIVE.on_access(self.site_id, ("copy", item), "write", where)
 
     def unreadable_items(self) -> list[str]:
         """Items whose local copy is currently marked unreadable, in
@@ -186,11 +189,10 @@ class CopyStore:
         """Install/overwrite a copy with explicit full state (replay only:
         unlike :meth:`apply_write`, this sets the mark rather than
         clearing it and is never journaled by the caller)."""
-        if _san.ACTIVE is not None:
-            _san.ACTIVE.on_access(
-                self.site_id, ("copy", item), "write",
-                "CopyStore.install", token=version,
-            )
+        if self._access:
+            for fn in self._access:
+                fn(self.site_id, ("copy", item), "write",
+                   "CopyStore.install", version)
         copy = self._copies.get(item)
         if copy is None:
             copy = self._copies[item] = DataCopy(item=item, value=value)

@@ -178,8 +178,8 @@ class TxnContext:
         semantics: "OP fails if any one of the op's fails", §2).
         """
         applied_sites = tuple(site_id for site_id, _expected in targets)
-        if self.tm.site.obs.audit is not None:
-            self.txn.logical_writes.append((item, applied_sites))
+        for fn in self.tm.kernel.probes.logical_write:
+            fn(self.tm.site_id, self.txn.txn_id, item, applied_sites)
         prepare = self._prepare_on_write()
         self.txn.written_items.add(item)
         futures = []

@@ -33,10 +33,9 @@ from repro.errors import (
     TransactionError,
 )
 from repro.histories.recorder import HistoryRecorder
-from repro.sanitize import hooks as _san
 from repro.sim.kernel import Kernel
 from repro.site.site import Site
-from repro.storage.copies import Version
+from repro.storage.copies import DataCopy, Version
 from repro.txn.config import TxnConfig
 from repro.txn.locks import LockManager, LockMode
 from repro.txn.payloads import (
@@ -104,23 +103,16 @@ class DataManager:
         self.actual_session = 0  # as[k]; volatile, set by the session manager
         self._participations: dict[str, _Participation] = {}
         self._decided: dict[str, tuple[str, Version | None]] = {}
+        #: Wiring, not a probe: the on-demand copier trigger, called with
+        #: the item of every read refused for an unreadable copy.
+        #: Observers never subscribe here — the DM's moments they watch
+        #: (``access``, ``admit``, ``read``, ``snapshot_read``, ``apply``)
+        #: are emitted on ``kernel.probes``.
         self.unreadable_read_hooks: list[typing.Callable[[str], None]] = []
         #: Fault-injection switch for the audit suite: disabling it makes
         #: the DM serve stale-view requests, which the protocol auditor's
         #: session-coherence monitor must then catch.
         self.session_check_enabled = True
-        #: Read-only auditor taps; empty (and skipped) unless an auditor
-        #: is attached. Signatures:
-        #: ``access(expected, privileged, actual_session)`` after the
-        #: admission checks pass; ``read(item, version)`` per served
-        #: database read; ``apply(txn_id, kind, txn_seq, item, value,
-        #: version, overridden)`` per committed physical write.
-        self.access_audit_hooks: list[typing.Callable] = []
-        self.read_audit_hooks: list[typing.Callable] = []
-        self.commit_apply_hooks: list[typing.Callable] = []
-        #: Auditor tap for the snapshot-read path: ``hook(item, version,
-        #: cut)`` per served snapshot read (``mvcc.snapshot_consistency``).
-        self.ro_read_audit_hooks: list[typing.Callable] = []
         #: Optional §5 stale-tracking refinement (fail-locks / missing
         #: lists); called as ``on_commit_write(item, applied, missed)``
         #: for every committed physical write at this site.
@@ -167,15 +159,15 @@ class DataManager:
     # -- access checks -----------------------------------------------------------
 
     def _check_access(self, expected: int | None, privileged: bool) -> None:
-        if _san.ACTIVE is not None:
+        probes = self.kernel.probes
+        if probes.access:
             # The session check is the protocol's load-bearing read of
             # as[k]: a request validated against a session number that a
             # concurrent activate() is replacing is exactly the
             # interleaving the schedule sanitizer exists to surface.
-            _san.ACTIVE.on_access(
-                self.site_id, ("session",), "read",
-                "DataManager._check_access", token=self.actual_session,
-            )
+            for fn in probes.access:
+                fn(self.site_id, ("session",), "read",
+                   "DataManager._check_access", self.actual_session)
         if not privileged:
             # §3.1: the request carries the session number the requester
             # believes this site is in; inequality with as[k] rejects it.
@@ -195,8 +187,8 @@ class DataManager:
                 # stale copy to a peer with an old view would leak the
                 # pre-partition world.
                 raise NotOperational(self.site_id)
-        for hook in self.access_audit_hooks:
-            hook(expected, privileged, self.actual_session)
+        for fn in probes.admit:
+            fn(self.site_id, expected, privileged, self.actual_session)
 
     def _participation(
         self, request: ReadRequest | BatchReadRequest | WriteRequest, src: int
@@ -247,20 +239,28 @@ class DataManager:
             for hook in list(self.unreadable_read_hooks):
                 hook(request.item)
             raise CopyUnreadable(request.item, self.site_id)
+        return self._serve_read(request, request.item, copy)
+
+    def _serve_read(
+        self, request: ReadRequest | BatchReadRequest, item: str, copy: DataCopy
+    ) -> tuple[object, Version]:
+        """A database read was served: the one tail every scheduler's
+        read handler ends in (history record, then the ``read`` probe)."""
+        version = copy.version
         self.recorder.record_read(
             time=self.kernel.now,
             txn_id=request.txn_id,
             txn_seq=request.txn_seq,
             kind=request.kind,
-            item=request.item,
+            item=item,
             site=self.site_id,
-            version_seq=copy.version.seq,
-            version_ts=copy.version.ts,
-            version_commit=copy.version.commit,
+            version_seq=version.seq,
+            version_ts=version.ts,
+            version_commit=version.commit,
         )
-        for hook in self.read_audit_hooks:
-            hook(request.item, copy.version)
-        return copy.value, copy.version
+        for fn in self.kernel.probes.read:
+            fn(self.site_id, item, version)
+        return copy.value, version
 
     def _handle_read_batch(
         self, request: BatchReadRequest, src: int
@@ -299,20 +299,7 @@ class DataManager:
                 for hook in list(self.unreadable_read_hooks):
                     hook(item)
                 raise CopyUnreadable(item, self.site_id)
-            self.recorder.record_read(
-                time=self.kernel.now,
-                txn_id=request.txn_id,
-                txn_seq=request.txn_seq,
-                kind=request.kind,
-                item=item,
-                site=self.site_id,
-                version_seq=copy.version.seq,
-                version_ts=copy.version.ts,
-                version_commit=copy.version.commit,
-            )
-            for hook in self.read_audit_hooks:
-                hook(item, copy.version)
-            results.append((copy.value, copy.version))
+            results.append(self._serve_read(request, item, copy))
         return results
 
     def _handle_read_snapshot(
@@ -341,8 +328,8 @@ class DataManager:
         results: list[tuple[object, Version]] = []
         for item in request.items:
             value, version = store.read_at(item, cut)
-            for hook in self.ro_read_audit_hooks:
-                hook(item, version, cut)
+            for fn in self.kernel.probes.snapshot_read:
+                fn(self.site_id, item, version, cut)
             results.append((value, version))
         store.stats.ro_served += len(results)
         if stale:
@@ -471,35 +458,7 @@ class DataManager:
                     self.site.copies.mark_unreadable(item)
             else:
                 self.site.copies.apply_write(item, intent.value, applied)
-            self.recorder.record_write(
-                time=self.kernel.now,
-                txn_id=txn_id,
-                txn_seq=part.txn_seq,
-                kind=part.kind,
-                item=item,
-                site=self.site_id,
-                version_seq=applied.seq,
-                version_ts=applied.ts,
-                version_commit=applied.commit,
-            )
-            if self.stale_tracker is not None:
-                self.stale_tracker.on_commit_write(
-                    item,
-                    intent.applied_sites,
-                    intent.missed_sites,
-                    value=intent.value,
-                    version=applied,
-                )
-            for hook in self.commit_apply_hooks:
-                hook(
-                    txn_id,
-                    part.kind,
-                    part.txn_seq,
-                    item,
-                    intent.value,
-                    applied,
-                    intent.version_override is not None,
-                )
+            self._write_applied(part, item, intent, applied)
         self._decided[txn_id] = ("committed", version)
         if self.site.wal is not None:
             if part.durable:
@@ -511,6 +470,43 @@ class DataManager:
                 # transaction's writes becomes durable in one segment write.
                 self.site.wal.on_commit()
         self.lock_manager.cancel(txn_id)
+
+    def _write_applied(
+        self, part: _Participation, item: str, intent: WriteIntent, applied: Version
+    ) -> None:
+        """A committed write reached the copy store: the one tail every
+        scheduler's apply ends in (history record, §5 stale tracking,
+        then the ``apply`` probe)."""
+        self.recorder.record_write(
+            time=self.kernel.now,
+            txn_id=part.txn_id,
+            txn_seq=part.txn_seq,
+            kind=part.kind,
+            item=item,
+            site=self.site_id,
+            version_seq=applied.seq,
+            version_ts=applied.ts,
+            version_commit=applied.commit,
+        )
+        if self.stale_tracker is not None:
+            self.stale_tracker.on_commit_write(
+                item,
+                intent.applied_sites,
+                intent.missed_sites,
+                value=intent.value,
+                version=applied,
+            )
+        for fn in self.kernel.probes.apply:
+            fn(
+                self.site_id,
+                part.txn_id,
+                part.kind,
+                part.txn_seq,
+                item,
+                intent.value,
+                applied,
+                intent.version_override is not None,
+            )
 
     def _apply_abort(self, txn_id: str) -> None:
         part = self._participations.pop(txn_id, None)

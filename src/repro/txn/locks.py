@@ -37,7 +37,6 @@ import enum
 import typing
 
 from repro.errors import DeadlockDetected
-from repro.sanitize import hooks as _san
 from repro.sim.events import Future
 from repro.sim.kernel import Callback, Kernel
 
@@ -124,14 +123,14 @@ class LockManager:
         Fails with :class:`DeadlockDetected` if the request is chosen as a
         deadlock victim or outlives ``wait_timeout``.
         """
-        if _san.ACTIVE is not None:
+        access = self.kernel.probes.access
+        if access:
             # Lock-table traffic is protocol-normal concurrency, so it is
             # recorded as an ordering note (report context), never
             # race-checked.
-            _san.ACTIVE.on_access(
-                self.site_id, ("lock", item), "note",
-                f"LockManager.acquire[{mode.value}:{txn_id}]",
-            )
+            where = f"LockManager.acquire[{mode.value}:{txn_id}]"
+            for fn in access:
+                fn(self.site_id, ("lock", item), "note", where)
         state = self._table.get(item)
         if state is None:
             state = self._table[item] = _LockState(item, len(self._table))
@@ -177,11 +176,11 @@ class LockManager:
 
     def release_all(self, txn_id: str) -> None:
         """Strict 2PL release point: drop every lock held by ``txn_id``."""
-        if _san.ACTIVE is not None:
-            _san.ACTIVE.on_access(
-                self.site_id, ("lock",), "note",
-                f"LockManager.release_all[{txn_id}]",
-            )
+        access = self.kernel.probes.access
+        if access:
+            where = f"LockManager.release_all[{txn_id}]"
+            for fn in access:
+                fn(self.site_id, ("lock",), "note", where)
         items = self._held_by_txn.pop(txn_id, set())
         for item in items:
             state = self._table.get(item)

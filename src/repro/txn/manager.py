@@ -111,12 +111,6 @@ class TransactionManager:
         #: serialization order of the TO scheduler
         #: (:mod:`repro.txn.timestamp`).
         self.version_policy: str = "commit"
-        #: Observers called with the finished Transaction after every
-        #: commit or abort (tracing, experiment instrumentation).
-        self.finish_hooks: list[typing.Callable[[Transaction], None]] = []
-        #: Observers called as ``hook(txn, acked_sites, lost_sites)``
-        #: when an async drain finishes (auditor coverage check).
-        self.drain_hooks: list[typing.Callable] = []
         if config.commit_mode not in COMMIT_MODES:
             raise ValueError(
                 f"unknown commit_mode {config.commit_mode!r}; one of {COMMIT_MODES}"
@@ -262,8 +256,8 @@ class TransactionManager:
             self.stats.ro_latencies.append(txn.end_time - txn.start_time)
         else:
             self.stats.ro_aborted += 1
-        for hook in list(self.finish_hooks):
-            hook(txn)
+        for fn in self.kernel.probes.txn_finish:
+            fn(self.site_id, txn)
 
     def run(
         self,
@@ -456,8 +450,8 @@ class TransactionManager:
             if remaining:
                 self.mark_missed(txn, remaining, acked)
             self.stats.drains_completed += 1
-            for hook in list(self.drain_hooks):
-                hook(txn, tuple(acked), tuple(remaining))
+            for fn in self.kernel.probes.drain_done:
+                fn(self.site_id, txn, tuple(acked), tuple(remaining))
         finally:
             # Also runs when the coordinator crashes mid-drain: the span
             # closes, and the participants finish via in-doubt
@@ -523,8 +517,8 @@ class TransactionManager:
             self.recorder.mark_aborted(txn.txn_id)
             self.stats.aborted += 1
             self.stats.aborts_by_reason[reason or "unknown"] += 1
-        for hook in list(self.finish_hooks):
-            hook(txn)
+        for fn in self.kernel.probes.txn_finish:
+            fn(self.site_id, txn)
 
 
 def _reason_of(exc: BaseException) -> str:

@@ -97,18 +97,7 @@ class TimestampDataManager(DataManager):
                 hook(request.item)
             raise CopyUnreadable(request.item, self.site_id)
         self._rts[request.item] = max(self._rts.get(request.item, 0), ts)
-        self.recorder.record_read(
-            time=self.kernel.now,
-            txn_id=request.txn_id,
-            txn_seq=request.txn_seq,
-            kind=request.kind,
-            item=request.item,
-            site=self.site_id,
-            version_seq=copy.version.seq,
-            version_ts=copy.version.ts,
-            version_commit=copy.version.commit,
-        )
-        return copy.value, copy.version
+        return self._serve_read(request, request.item, copy)
 
     def _handle_write(self, request: WriteRequest, src: int) -> typing.Generator:
         yield from ()
@@ -152,25 +141,7 @@ class TimestampDataManager(DataManager):
                 continue
             self.site.copies.apply_write(item, intent.value, applied)
             self._wts[item] = max(self._wts.get(item, 0), applied.seq)
-            self.recorder.record_write(
-                time=self.kernel.now,
-                txn_id=txn_id,
-                txn_seq=part.txn_seq,
-                kind=part.kind,
-                item=item,
-                site=self.site_id,
-                version_seq=applied.seq,
-                version_ts=applied.ts,
-                version_commit=applied.commit,
-            )
-            if self.stale_tracker is not None:
-                self.stale_tracker.on_commit_write(
-                    item,
-                    intent.applied_sites,
-                    intent.missed_sites,
-                    value=intent.value,
-                    version=applied,
-                )
+            self._write_applied(part, item, intent, applied)
         self._decided[txn_id] = ("committed", version)
         if part.writes and self.site.wal is not None:
             self.site.wal.on_commit()  # group commit, as in the 2PL DM

@@ -80,11 +80,6 @@ class Transaction:
     view: dict[int, int] = dataclasses.field(default_factory=dict)
     touched_sites: set[int] = dataclasses.field(default_factory=set)
     wrote_sites: set[int] = dataclasses.field(default_factory=set)
-    #: ``(item, fanned-out sites)`` per logical write-all; recorded only
-    #: while a protocol auditor is attached (ROWAA coverage check).
-    logical_writes: list[tuple[str, tuple[int, ...]]] = dataclasses.field(
-        default_factory=list, repr=False
-    )
     #: Logical items this transaction wrote (input to the quorum rule).
     written_items: set[str] = dataclasses.field(default_factory=set)
     #: Sites whose DM holds a prepared participation for this txn. Under

@@ -115,7 +115,7 @@ def cross_schedule_digest(seed: int, salt: int) -> tuple[str, int]:
     # workloads.
     return (
         fingerprint(system_state(run.system, strict_values=True)),
-        len(run.kernel._tiebreak.decisions),
+        len(run.obs.policy.decisions),
     )
 
 

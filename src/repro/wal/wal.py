@@ -27,7 +27,6 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.sanitize import hooks as _san
 from repro.sim.events import Future
 from repro.wal.config import WalConfig
 from repro.wal.log import CHECKPOINT_KEY, RedoLog
@@ -87,11 +86,6 @@ class SiteWal:
         #: not the current high commit, which post-recovery writes keep
         #: advancing — anchors log-shipping catch-up requests.
         self.restore_high_commit = 0
-        #: Read-only auditor taps, called (with no arguments) after every
-        #: group commit / checkpoint; empty and skipped unless a protocol
-        #: auditor is attached.
-        self.flush_hooks: list[typing.Callable[[], None]] = []
-        self.checkpoint_hooks: list[typing.Callable[[], None]] = []
         #: Durable-but-undecided prepare records, by transaction. Mirrors
         #: the durable log (kept exact at checkpoint time, when the
         #: buffer is flushed first) so checkpoints can carry in-doubt
@@ -106,23 +100,21 @@ class SiteWal:
     def _journal(self, op: str, item: str, value: object = None, version=None) -> None:
         if self._restoring:
             return  # replay must not re-journal what it applies
-        if _san.ACTIVE is not None:
+        access = self.site.kernel.probes.access
+        if access:
             # WAL appends are serialized by the log itself; record them
             # as ordering notes (report context), never race-checked.
-            _san.ACTIVE.on_access(
-                self.site.site_id, ("wal", item), "note",
-                f"SiteWal._journal[{op}]",
-            )
+            for fn in access:
+                fn(self.site.site_id, ("wal", item), "note",
+                   f"SiteWal._journal[{op}]")
         self.log.append(op, item=item, value=value, version=version)
         self.stats.records_appended += 1
 
     def log_session(self, session: int, started_at: float | None = None) -> None:
         """Journal a session reservation/activation and make it durable."""
-        if _san.ACTIVE is not None:
-            _san.ACTIVE.on_access(
-                self.site.site_id, ("wal", "session"), "note",
-                f"SiteWal.log_session[{session}]",
-            )
+        for fn in self.site.kernel.probes.access:
+            fn(self.site.site_id, ("wal", "session"), "note",
+               f"SiteWal.log_session[{session}]")
         self.log.append("session", session=session, session_started_at=started_at)
         self.stats.records_appended += 1
         self.flush()
@@ -221,8 +213,8 @@ class SiteWal:
         self._records_since_checkpoint += flushed
         if self._records_since_checkpoint >= self.config.checkpoint_every:
             self.checkpoint()
-        for hook in self.flush_hooks:
-            hook()
+        for fn in self.site.kernel.probes.wal_flush:
+            fn(self.site.site_id)
         return flushed
 
     # -- checkpoints -----------------------------------------------------------
@@ -278,8 +270,8 @@ class SiteWal:
         self._records_since_checkpoint = 0
         if span is not None:
             obs.spans.finish(span)
-        for hook in self.checkpoint_hooks:
-            hook()
+        for fn in self.site.kernel.probes.wal_checkpoint:
+            fn(self.site.site_id)
         return checkpoint_lsn
 
     @property

@@ -40,6 +40,21 @@ def _build(config=None, **kwargs):
     return kernel, system, auditor
 
 
+#: Both schedulers feed the auditor through the same DM tails
+#: (``_serve_read`` / ``_write_applied``). Under timestamp ordering the
+#: apply tap used to be missing, so the oracle stayed empty and the
+#: three rules it feeds could never fire.
+SCHEDULERS = ("2pl", "to")
+
+
+def _assert_oracle_current(system, auditor, *items):
+    """The oracle holds the latest committed version of every written
+    item (as an up site's copy store has it)."""
+    copies = system.cluster.sites[1].copies
+    for item in items:
+        assert auditor._oracle[item] == copies.get(item).version, item
+
+
 class TestSessionCoherence:
     def test_skipped_session_check_fires(self):
         kernel, system, auditor = _build()
@@ -54,8 +69,6 @@ class TestSessionCoherence:
         assert alert.details["actual"] == 99
 
     def test_non_monotonic_ns_announcement_fires(self):
-        kernel, system, auditor = _build()
-
         def announce(value):
             def program(ctx):
                 yield from ctx.dm_write(
@@ -64,10 +77,13 @@ class TestSessionCoherence:
 
             return program
 
-        kernel.run(system.submit(1, announce(5), kind=TxnKind.CONTROL))
-        assert auditor.alerts.count(rule="session.ns_monotonic") == 0
-        kernel.run(system.submit(1, announce(3), kind=TxnKind.CONTROL))
-        assert auditor.alerts.count(rule="session.ns_monotonic") == 1
+        for concurrency in SCHEDULERS:
+            kernel, system, auditor = _build(concurrency=concurrency)
+            kernel.run(system.submit(1, announce(5), kind=TxnKind.CONTROL))
+            assert auditor.alerts.count(rule="session.ns_monotonic") == 0
+            kernel.run(system.submit(1, announce(3), kind=TxnKind.CONTROL))
+            assert auditor.alerts.count(rule="session.ns_monotonic") == 1, concurrency
+            _assert_oracle_current(system, auditor, ns_item(2))
 
     def test_recycled_sessions_exempt(self):
         kernel, system, auditor = _build(
@@ -89,40 +105,45 @@ class TestSessionCoherence:
 
 class TestOracleStaleness:
     def test_silently_regressed_copy_fires_on_read(self):
-        kernel, system, auditor = _build()
-        site3 = system.cluster.sites[3]
-        old = site3.copies.get("X")
-        old_value, old_version = old.value, old.version
-        kernel.run(system.submit(1, _write("X", 7)))
-        # Regress site 3's copy behind the DM's back (no unreadable mark).
-        copy = site3.copies.get("X")
-        copy.value, copy.version = old_value, old_version
-        kernel.run(system.submit(3, _read("X")))  # local read preference
-        assert auditor.alerts.count(rule="oracle.stale_read") == 1
-        assert auditor.alerts.alerts[0].site == 3
+        for concurrency in SCHEDULERS:
+            kernel, system, auditor = _build(concurrency=concurrency)
+            site3 = system.cluster.sites[3]
+            old = site3.copies.get("X")
+            old_value, old_version = old.value, old.version
+            kernel.run(system.submit(1, _write("X", 7)))
+            _assert_oracle_current(system, auditor, "X")
+            # Regress site 3's copy behind the DM's back (no unreadable mark).
+            copy = site3.copies.get("X")
+            copy.value, copy.version = old_value, old_version
+            kernel.run(system.submit(3, _read("X")))  # local read preference
+            assert auditor.alerts.count(rule="oracle.stale_read") == 1, concurrency
+            assert auditor.alerts.alerts[0].site == 3
 
     def test_under_populated_missing_list_fires(self):
-        kernel, system, auditor = _build(
-            rowaa_config=RowaaConfig(identify_mode="missing-lists")
-        )
-        system.crash(3)
-        kernel.run(until=kernel.now + 40)  # detection + type-2 exclusion
-        kernel.run(system.submit_with_retry(1, _write("X", 42)))
+        for concurrency in SCHEDULERS:
+            kernel, system, auditor = _build(
+                rowaa_config=RowaaConfig(identify_mode="missing-lists"),
+                concurrency=concurrency,
+            )
+            system.crash(3)
+            kernel.run(until=kernel.now + 40)  # detection + type-2 exclusion
+            kernel.run(system.submit_with_retry(1, _write("X", 42)))
+            _assert_oracle_current(system, auditor, "X")
 
-        policy = system.policies[3]
-        original = policy.collect_stale
+            policy = system.policies[3]
+            original = policy.collect_stale
 
-        def lossy(manager):
-            stale = yield from original(manager)
-            return [item for item in stale if item != "X"]  # drop one entry
+            def lossy(manager, original=original):
+                stale = yield from original(manager)
+                return [item for item in stale if item != "X"]  # drop one entry
 
-        policy.collect_stale = lossy
-        system.power_on(3)
-        kernel.run(until=kernel.now + 120)
-        assert auditor.alerts.count(rule="missinglist.conservatism") >= 1
-        alert = auditor.alerts.by_rule()["missinglist.conservatism"][0]
-        assert alert.site == 3
-        assert alert.details["item"] == "X"
+            policy.collect_stale = lossy
+            system.power_on(3)
+            kernel.run(until=kernel.now + 120)
+            assert auditor.alerts.count(rule="missinglist.conservatism") >= 1, concurrency
+            alert = auditor.alerts.by_rule()["missinglist.conservatism"][0]
+            assert alert.site == 3
+            assert alert.details["item"] == "X"
 
     def test_faithful_missing_list_stays_silent(self):
         kernel, system, auditor = _build(
@@ -211,19 +232,19 @@ class TestAttachment:
         assert system.obs.audit is auditor
 
     def test_no_auditor_means_empty_hooks(self):
+        """A freshly built un-probed system has every ``kernel.probes``
+        slot empty — so its kernel takes the bare drain loop."""
         from repro.harness.runner import build_scheme
+        from repro.sim.probes import EVENTS
 
         kernel, system = build_scheme("rowaa", 7, 3, {"X": 0})
         assert system.obs.audit is None
-        assert all(not dm.access_audit_hooks for dm in system.dms.values())
-        assert all(not dm.read_audit_hooks for dm in system.dms.values())
-        assert all(not dm.commit_apply_hooks for dm in system.dms.values())
-        finished = []
-        system.tms[1].finish_hooks.append(finished.append)
+        assert all(getattr(kernel.probes, event) == [] for event in EVENTS)
+        assert not kernel.probes
         kernel.run(system.submit(1, _write("X", 1)))
-        # The per-txn logical-write record is auditor-only bookkeeping.
-        assert finished
-        assert all(not txn.logical_writes for txn in finished)
+        assert not kernel.probes  # running load attaches nothing
+        attach_auditor(system)
+        assert kernel.probes and kernel.probes.apply and not kernel.probes.access
 
     def test_summary_shape(self):
         kernel, system, auditor = _build()

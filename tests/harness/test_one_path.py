@@ -1,5 +1,6 @@
 """The harness is one path: scenarios are probe-blind, probes compose
-through the one builder, and ``run_traced`` owns the teardown."""
+through the one builder and the kernel's one probe bus, and nothing is
+left to tear down."""
 
 import ast
 import inspect
@@ -7,6 +8,7 @@ import pathlib
 
 import pytest
 
+from repro.baselines import build_rowaa_system
 from repro.harness import experiments
 from repro.harness.runner import (
     EXPERIMENTS,
@@ -16,8 +18,11 @@ from repro.harness.runner import (
     scenario_names,
     traced_scenario,
 )
-from repro.sanitize import hooks
-from repro.sanitize.fingerprint import alert_signature
+from repro.sanitize.fingerprint import alert_signature, fingerprint, system_state
+from repro.sanitize.hb import attach_detector
+from repro.sanitize.policy import ScheduleSpec
+from repro.sim import Kernel
+from repro.sim.probes import EVENTS, Probes
 
 #: The probe keywords: what ``build_traced_scheme`` takes beyond
 #: ``build_scheme``. Derived, so a new probe is guarded the day it lands.
@@ -72,19 +77,153 @@ class TestProbesCompose:
         assert run.summary == audited.summary
         assert run.label == "e2@seed=1"
 
+    def test_every_probe_rides_one_run(self):
+        """Profiler + detector + policy + auditor on one kernel. At the
+        parent ``profile`` with ``races`` or any ``schedule`` left the
+        profiler with 0 events, silently. The auditor's watchdog adds
+        kernel events of its own (so it shifts which ties exist); the
+        profiler and the detector only observe, so taking either away
+        must change nothing the others see."""
+        schedule = ScheduleSpec("shuffle", salt=1)
+        probes = dict(audit=True, profile=True, races=True, schedule=schedule)
+        run = run_traced("e2", seed=1, **probes)
+        profiler = run.obs.profiler
+        assert profiler.total_events == run.kernel.events_processed > 0
+        assert sum(profiler.cpu_s.values()) == pytest.approx(
+            profiler.dispatch_wall_s, rel=1e-9
+        )
+        state = fingerprint(system_state(run.system))
+        for dropped in ("profile", "races"):
+            fewer = run_traced("e2", seed=1, **{**probes, dropped: False})
+            assert fewer.obs.policy.decisions == run.obs.policy.decisions, dropped
+            assert fingerprint(system_state(fewer.system)) == state, dropped
+            assert alert_signature(fewer.obs) == alert_signature(run.obs), dropped
+            if dropped == "profile":
+                assert fewer.obs.sanitizer.summary() == run.obs.sanitizer.summary()
+        # The committed state is the schedule-only run's too (and its
+        # decisions are the un-audited composed run's).
+        perturbed = run_traced("e2", seed=1, schedule=schedule)
+        assert fingerprint(system_state(perturbed.system)) == state
+        unaudited = run_traced("e2", seed=1, **{**probes, "audit": False})
+        assert unaudited.obs.policy.decisions == perturbed.obs.policy.decisions
+        assert unaudited.obs.profiler.total_events == unaudited.kernel.events_processed
 
-class TestRaceDetectorTeardown:
-    def test_cleared_after_a_finished_run(self):
-        run = run_traced("e2", seed=1, races=True)
-        assert run.obs.sanitizer is not None
-        assert hooks.ACTIVE is None
 
-    def test_cleared_when_the_scenario_raises(self):
+class TestProbesArePerKernel:
+    """Detector state lives on its kernel's bus: no process-wide seam."""
+
+    def test_a_detector_sees_only_its_own_kernel(self):
+        def write(ctx):
+            yield from ctx.write("X0", 1)
+
+        watched, other = Kernel(seed=0), Kernel(seed=0)
+        detector = attach_detector(watched)
+        systems = [build_rowaa_system(kernel, 2, {"X0": 0}) for kernel in (watched, other)]
+        # Attached last: under a process-wide seam this one would have
+        # received every store's accesses, on both kernels.
+        bystander = attach_detector(Kernel(seed=0))
+        for system in systems:
+            system.kernel.run(system.submit_with_retry(1, write, attempts=4))
+            assert system.copy_value(2, "X0") == 1
+        assert detector.accesses_checked > 0 and detector.notes
+        assert not other.probes
+        assert bystander.accesses_checked == 0 and not bystander.notes
+
+    def test_a_raising_scenario_leaves_nothing_behind(self):
+        seen = []
+
         def exploding(build, seed):
-            build("rowaa", seed, 2, {"X0": 0})
-            assert hooks.ACTIVE is not None  # the detector was live
+            kernel, _system, obs = build("rowaa", seed, 2, {"X0": 0})
+            seen.append((kernel, obs.sanitizer))
             raise RuntimeError("boom")
 
         with pytest.raises(RuntimeError, match="boom"):
             run_traced(exploding, seed=0, races=True)
-        assert hooks.ACTIVE is None
+        (kernel, detector), = seen
+        assert detector.on_access in kernel.probes.access
+        # The next kernel starts with an empty bus: there is no global
+        # to clear.
+        assert not Kernel(seed=0).probes
+
+
+class TestOneMechanism:
+    """A new observer touches its own module and (for a new event) the
+    emitter — never a hook list, a kernel private or a global seam."""
+
+    SRC = pathlib.Path(experiments.__file__).parents[2]
+
+    def _trees(self, *packages):
+        for package in packages or ("",):
+            for path in sorted((self.SRC / package).rglob("*.py")):
+                yield path, ast.parse(path.read_text())
+
+    def test_no_observer_hook_list_attribute_remains(self):
+        gone = {
+            "commit_apply_hooks", "finish_hooks", "drain_hooks", "flush_hooks",
+            "checkpoint_hooks", "gc_hooks",
+        }
+        for path, tree in self._trees():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute):
+                    assert node.attr not in gone, (path, node.lineno)
+                    assert not node.attr.endswith("_audit_hooks"), (path, node.lineno)
+
+    def test_no_global_sanitizer_seam(self):
+        assert not (self.SRC / "sanitize" / "hooks.py").exists()
+        for path, tree in self._trees():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.ImportFrom):
+                    names = {alias.name for alias in node.names}
+                    assert node.module != "repro.sanitize.hooks", path
+                    assert not (node.module == "repro.sanitize" and "hooks" in names), path
+                    assert not names & {"ACTIVE", "set_active"}, path
+
+    def test_kernel_privates_stay_inside_sim(self):
+        private = {name for name in Kernel.__slots__ if name.startswith("_")}
+        private |= {"_prof", "_sanitize", "_tiebreak"}
+        for path, tree in self._trees():
+            if path.parent.name == "sim":
+                continue
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute) and node.attr in private:
+                    owner = node.value  # ``kernel._x`` or ``<expr>.kernel._x``
+                    name = getattr(owner, "attr", None) or getattr(owner, "id", "")
+                    assert name != "kernel", (path, node.lineno, node.attr)
+
+    def test_observers_append_to_no_hook_list(self):
+        for path, tree in self._trees("audit", "obs", "sanitize"):
+            for node in ast.walk(tree):
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "append"
+                    and isinstance(node.func.value, ast.Attribute)
+                ):
+                    assert not node.func.value.attr.endswith("_hooks"), (path, node.lineno)
+
+    def test_event_set_is_closed(self):
+        assert Probes.__slots__ is EVENTS and len(set(EVENTS)) == len(EVENTS)
+        probes = Probes()
+        with pytest.raises(AttributeError):
+            probes.subscribe(no_such_event=print)
+        with pytest.raises(AttributeError):
+            probes.no_such_event
+        with pytest.raises(AttributeError):
+            probes.no_such_event = []
+
+    def test_kernel_has_two_dispatch_loops(self):
+        import repro.sim.kernel as kernel_module
+
+        tree = ast.parse(pathlib.Path(kernel_module.__file__).read_text())
+        methods = {
+            node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+        }
+        assert not methods & {
+            "_run_profiled", "_run_sanitized", "_step_sanitized", "_run_until_event",
+            "set_sanitizer", "set_tiebreak",
+        }
+        dispatching = [
+            loop for loop in ast.walk(tree)
+            if isinstance(loop, ast.While) and "_process" in ast.dump(loop)
+        ]
+        assert len(dispatching) == 2  # bare (in run) and probed (_drain)

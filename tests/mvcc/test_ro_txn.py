@@ -185,7 +185,7 @@ class TestReadOnlyContract:
     def test_ro_transaction_is_user_kind_and_flagged(self):
         kernel, system = _build()
         seen = []
-        system.tms[1].finish_hooks.append(lambda txn: seen.append(txn))
+        kernel.probes.txn_finish.append(lambda site_id, txn: seen.append(txn))
         views: list = []
         kernel.run(_collect_ro(system, 1, ("X",), views))
         (txn,) = seen

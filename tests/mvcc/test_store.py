@@ -142,15 +142,15 @@ class TestGc:
         kernel, system = _build()
         store = system.mvcc[1]
         seen = []
-        store.gc_hooks.append(
-            lambda item, removed, pins, before: seen.append(
-                (item, len(removed), len(before))
+        kernel.probes.gc.append(
+            lambda site_id, item, removed, pins, before: seen.append(
+                (site_id, item, len(removed), len(before))
             )
         )
         self._grow_chain(kernel, system)
         kernel.run(until=kernel.now + 50.0)
         store.sweep()
-        assert ("X", 4, 5) in seen
+        assert (1, "X", 4, 5) in seen
 
 
 class TestCheckpointPayload:

@@ -91,3 +91,19 @@ class TestMetricCatalogDrift:
             f"undocumented: {sorted(live - documented)}; "
             f"stale rows: {sorted(documented - live)}"
         )
+
+
+def test_probe_event_table_is_the_bus_closed_set():
+    """The "Probe events" table documents exactly ``Probes.__slots__``,
+    one row per event, in the bus's own order."""
+    from repro.sim.probes import EVENTS
+
+    text = DOC.read_text()
+    start = text.index("## Probe events")
+    section = text[start:text.index("\n## ", start + 1)]
+    rows = [
+        re.findall(r"`([a-z_]+)`", line.split("|")[1])
+        for line in section.splitlines()
+        if line.startswith("| `")
+    ]
+    assert [name for row in rows for name in row] == list(EVENTS)

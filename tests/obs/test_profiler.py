@@ -185,7 +185,7 @@ class TestSystemIntegration:
         assert obs.profiler is None
         profiler = attach_profiler(system)
         assert obs.profiler is profiler
-        assert kernel._prof is profiler
+        assert profiler._on_dispatch in kernel.probes.dispatch_begin
 
 
 class TestSimTimeFold:

@@ -2,17 +2,14 @@
 
 import pytest
 
-from repro.sanitize import hooks
-from repro.sanitize.hb import attach_detector, clock_leq, detach_detector
+from repro.sanitize.hb import attach_detector, clock_leq
 from repro.sim.kernel import Kernel
 
 
 @pytest.fixture
 def detector():
     kernel = Kernel(seed=0)
-    det = attach_detector(kernel)
-    yield kernel, det
-    detach_detector(kernel)
+    return kernel, attach_detector(kernel)
 
 
 class TestClockOrder:
@@ -195,14 +192,30 @@ class TestSeams:
         assert det.races == []
         assert len(det.notes) == 1
 
-    def test_attach_detach_manage_global_seam(self):
+    def test_attach_detach_manage_the_kernels_bus(self):
         kernel = Kernel(seed=0)
         det = attach_detector(kernel)
-        assert hooks.ACTIVE is det
-        assert kernel._sanitize is det
-        detach_detector(kernel)
-        assert hooks.ACTIVE is None
-        assert kernel._sanitize is None
+        assert det.on_access in kernel.probes.access
+        assert det.begin_dispatch in kernel.probes.dispatch_begin
+        kernel.probes.detach(det)
+        assert not kernel.probes
+
+    def test_recycled_process_address_does_not_inherit_a_clock(self, detector):
+        """A process started after another died may land on its address;
+        keyed by ``id(process)`` it inherited the dead strand's clock and
+        the race below went unreported."""
+        kernel, det = detector
+
+        def writer(where):
+            yield kernel.timeout(1.0)
+            det.on_access(1, ("copy", "x"), "write", where)
+
+        kernel.run(kernel.process(writer("A.write")))
+        # No causal edge from A: B is started from outside any dispatch.
+        kernel.run(kernel.process(writer("B.write")))
+        assert [(r.first_where, r.second_where) for r in det.races] == [
+            ("A.write", "B.write")
+        ]
 
     def test_summary_and_render(self, detector):
         kernel, det = detector

@@ -123,7 +123,7 @@ class TestDefaultPathUntouched:
     def test_detaching_restores_plain_run(self):
         kernel = Kernel(seed=0)
         attach_policy(kernel, ScheduleSpec(mode="shuffle", salt=1))
-        kernel.set_tiebreak(None)
+        kernel.probes.tiebreak.clear()
         order: list[str] = []
         for index in range(5):
             kernel.schedule_callback(1.0, order.append, f"cb{index}")

@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import SimError, UnhandledFailure
 from repro.sim import AllOf, AnyOf, Kernel
+from tests.sim.test_kernel import loop_variants
 
 
 @pytest.fixture
@@ -86,14 +87,19 @@ class TestFuture:
         with pytest.raises(UnhandledFailure):
             kernel.run()
 
-    def test_unhandled_failure_carries_failures_tuple(self, kernel):
-        fut = kernel.event()
-        boom = RuntimeError("nobody listens")
-        fut.fail(boom)
-        with pytest.raises(UnhandledFailure) as info:
-            kernel.run()
-        assert info.value.failures == (boom,)
-        assert info.value.__cause__ is boom
+    def test_unhandled_failure_carries_failures_tuple(self):
+        for kernel in loop_variants():  # bare and probed drain loops alike
+            fut = kernel.event()
+            boom = RuntimeError("nobody listens")
+            fut.fail(boom)
+            kernel.timeout(1)
+            with pytest.raises(UnhandledFailure) as info:
+                kernel.run()
+            assert info.value.failures == (boom,)
+            assert info.value.__cause__ is boom
+            assert (kernel.events_processed, kernel.now) == (1, 0.0)
+            kernel.step()  # raised once: the kernel stays usable
+            assert (kernel.events_processed, kernel.now) == (2, 1.0)
 
     def test_multiple_unhandled_failures_aggregate(self, kernel):
         # Regression: when several failures are reported while one event

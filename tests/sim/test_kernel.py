@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SimError
+from repro.sanitize.policy import ScheduleSpec, attach_policy
 from repro.sim import Kernel
 
 
@@ -11,32 +12,52 @@ def kernel():
     return Kernel(seed=7)
 
 
+def loop_variants(seed=7):
+    """One fresh kernel per drain-loop selection: nothing attached (the
+    bare loop), a canonical tie-break policy, a no-op dispatch probe
+    (both the probed loop). Event order, ``events_processed``, ``now``
+    and raised exceptions must not depend on which one runs."""
+    bare, policed, probed = Kernel(seed=seed), Kernel(seed=seed), Kernel(seed=seed)
+    attach_policy(policed, ScheduleSpec(mode="canonical"))
+    probed.probes.subscribe(dispatch_begin=lambda seq, entry: None)
+    assert not bare.probes and policed.probes and probed.probes
+    return bare, policed, probed
+
+
+@pytest.fixture
+def kernels():
+    return loop_variants()
+
+
 class TestClock:
     def test_starts_at_zero(self, kernel):
         assert kernel.now == 0.0
 
-    def test_run_until_time_advances_clock(self, kernel):
-        kernel.timeout(3)
-        kernel.run(until=10)
-        assert kernel.now == 10
+    def test_run_until_time_advances_clock(self, kernels):
+        for kernel in kernels:
+            kernel.timeout(3)
+            kernel.run(until=10)
+            assert kernel.now == 10
 
-    def test_run_until_does_not_process_later_events(self, kernel):
-        seen = []
-        kernel.timeout(5).add_callback(lambda f: seen.append("early"))
-        kernel.timeout(50).add_callback(lambda f: seen.append("late"))
-        kernel.run(until=10)
-        assert seen == ["early"]
-        kernel.run()
-        assert seen == ["early", "late"]
+    def test_run_until_does_not_process_later_events(self, kernels):
+        for kernel in kernels:
+            seen = []
+            kernel.timeout(5).add_callback(lambda f: seen.append("early"))
+            kernel.timeout(50).add_callback(lambda f: seen.append("late"))
+            kernel.run(until=10)
+            assert seen == ["early"]
+            kernel.run()
+            assert seen == ["early", "late"]
 
     def test_peek(self, kernel):
         assert kernel.peek() == float("inf")
         kernel.timeout(4)
         assert kernel.peek() == 4
 
-    def test_step_empty_raises(self, kernel):
-        with pytest.raises(SimError):
-            kernel.step()
+    def test_step_empty_raises(self, kernels):
+        for kernel in kernels:
+            with pytest.raises(SimError):
+                kernel.step()
 
     def test_cannot_schedule_into_past(self, kernel):
         fut = kernel.event()
@@ -45,22 +66,25 @@ class TestClock:
 
 
 class TestRunUntilEvent:
-    def test_returns_value(self, kernel):
-        t = kernel.timeout(2, value="done")
-        assert kernel.run(t) == "done"
-        assert kernel.now == 2
+    def test_returns_value(self, kernels):
+        for kernel in kernels:
+            t = kernel.timeout(2, value="done")
+            assert kernel.run(t) == "done"
+            assert kernel.now == 2
 
-    def test_raises_on_failure(self, kernel):
-        fut = kernel.event()
-        fut.fail(ValueError("x"), delay=1)
-        with pytest.raises(ValueError):
-            kernel.run(fut)
+    def test_raises_on_failure(self, kernels):
+        for kernel in kernels:
+            fut = kernel.event()
+            fut.fail(ValueError("x"), delay=1)
+            with pytest.raises(ValueError):
+                kernel.run(fut)
 
-    def test_exhausted_queue_raises(self, kernel):
-        fut = kernel.event()  # never triggered
-        kernel.timeout(1)
-        with pytest.raises(SimError):
-            kernel.run(fut)
+    def test_exhausted_queue_raises(self, kernels):
+        for kernel in kernels:
+            fut = kernel.event()  # never triggered
+            kernel.timeout(1)
+            with pytest.raises(SimError):
+                kernel.run(fut)
 
 
 class TestCallSoon:
@@ -79,28 +103,30 @@ class TestScheduleCallback:
         kernel.run()
         assert seen == [4.0]
 
-    def test_cancel_prevents_fire(self, kernel):
-        seen = []
-        timer = kernel.schedule_callback(4.0, seen.append, "x")
-        timer.cancel()
-        assert timer.cancelled
-        kernel.run()
-        assert seen == []
+    def test_cancel_prevents_fire(self, kernels):
+        for kernel in kernels:
+            seen = []
+            timer = kernel.schedule_callback(4.0, seen.append, "x")
+            timer.cancel()
+            assert timer.cancelled
+            kernel.run()
+            assert seen == []
 
-    def test_cancelled_entries_are_skipped_lazily(self, kernel):
-        # Cancelling must not disturb the heap; the dead entry is
-        # dropped at pop time and never counted as a processed event.
-        live = []
-        timers = [
-            kernel.schedule_callback(float(index), live.append, index)
-            for index in range(10)
-        ]
-        for index, timer in enumerate(timers):
-            if index % 2:
-                timer.cancel()
-        kernel.run()
-        assert live == [0, 2, 4, 6, 8]
-        assert kernel.events_processed == 5
+    def test_cancelled_entries_are_skipped_lazily(self, kernels):
+        for kernel in kernels:
+            # Cancelling must not disturb the heap; the dead entry is
+            # dropped at pop time and never counted as a processed event.
+            live = []
+            timers = [
+                kernel.schedule_callback(float(index), live.append, index)
+                for index in range(10)
+            ]
+            for index, timer in enumerate(timers):
+                if index % 2:
+                    timer.cancel()
+            kernel.run()
+            assert live == [0, 2, 4, 6, 8]
+            assert kernel.events_processed == 5
 
     def test_peek_skips_cancelled_heads(self, kernel):
         early = kernel.schedule_callback(1.0, lambda: None)
@@ -108,12 +134,13 @@ class TestScheduleCallback:
         early.cancel()
         assert kernel.peek() == 5.0
 
-    def test_step_over_cancelled_head_is_silent(self, kernel):
-        timer = kernel.schedule_callback(1.0, lambda: None)
-        timer.cancel()
-        kernel.step()  # drains the dead timer without raising
-        with pytest.raises(SimError):
-            kernel.step()  # heap truly empty now
+    def test_step_over_cancelled_head_is_silent(self, kernels):
+        for kernel in kernels:
+            timer = kernel.schedule_callback(1.0, lambda: None)
+            timer.cancel()
+            kernel.step()  # drains the dead timer without raising
+            with pytest.raises(SimError):
+                kernel.step()  # heap truly empty now
 
 
 class TestDeterminism:
@@ -143,8 +170,8 @@ class TestDeterminism:
         # A mixed workload (processes, timeouts, rng-driven delays,
         # cancelled timers) must replay identically for the same seed:
         # equal (time, tag) traces and equal processed-event counts.
-        def trace(seed):
-            kernel = Kernel(seed=seed)
+        def trace(seed, kernel=None):
+            kernel = kernel if kernel is not None else Kernel(seed=seed)
             rng = kernel.rng.stream("workload")
             events = []
 
@@ -168,3 +195,6 @@ class TestDeterminism:
 
         assert trace(11) == trace(11)
         assert trace(11) != trace(12)
+        # ... whichever drain loop runs it.
+        for kernel in loop_variants(seed=11):
+            assert trace(11, kernel) == trace(11)
