@@ -635,7 +635,7 @@ class ProtocolAuditor:
         implementation.
         """
         checkpoint = typing.cast("dict | None", site.stable.get(CHECKPOINT_KEY))
-        if checkpoint is None or site.wal is None:
+        if checkpoint is None:
             return None
         items = {
             name: (value, version, unreadable)

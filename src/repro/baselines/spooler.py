@@ -118,8 +118,7 @@ class SpoolerRecoveryManager(RecoveryManager):
             copy = self.site.copies.get(item)
             if copy.version < version:
                 self.site.copies.apply_write(item, value, version)
-        if self.site.wal is not None:
-            self.site.wal.flush()  # replayed updates become durable together
+        self.site.wal.flush()  # replayed updates become durable together
         record.marked_items = len(merged)  # here: #updates replayed
         record.identified_at = self.kernel.now
         for peer in reached:

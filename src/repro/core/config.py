@@ -77,13 +77,6 @@ class RowaaConfig:
     version_skip: bool = True
     read_preference: ReadPreference = "local"
     session_modulus: int | None = None
-    batch_ns_read: bool = True
-    """Materialise the implicit-begin ``NS[*]`` snapshot with one batched
-    local request instead of one physical read per site. Semantically
-    identical (same S locks in the same order, same session/unreadable
-    checks, same history records) but O(1) round trips per transaction
-    instead of O(n). Disable to reproduce the per-item read sequence of
-    the unbatched protocol."""
     type2_verify_ping: float = 8.0
     """Timeout of the in-transaction liveness re-check a type-2 performs
     before each claim (abandons the claim if the target answers)."""

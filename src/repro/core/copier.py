@@ -122,7 +122,7 @@ class CopierService:
         """
         if self.config.copier_mode not in ("eager", "both"):
             return
-        if self.config.catchup_mode == "log_ship" and self.site.wal is not None:
+        if self.config.catchup_mode == "log_ship":
             if self._ship_running:
                 return
             self._ship_running = True
@@ -303,7 +303,7 @@ class CopierService:
         """
         del src  # the request names the requester explicitly
         wal = self.site.wal
-        if wal is None or not self.site.is_operational or self.site.user_frozen:
+        if not self.site.is_operational or self.site.user_frozen:
             return ShipReply(serving=False, truncated=False)
         catalog = self.tm.catalog
         for item, commit in wal.log.truncated_commit_by_item.items():
@@ -385,12 +385,10 @@ class CopierService:
         if not self._pending_items():
             self._check_drained()
             return
-        wal = self.site.wal
-        assert wal is not None
         # Anchor at what was durably reconstructible at restore — NOT the
         # current high commit, which writes seen since becoming
         # operational keep advancing past updates we still miss.
-        after_commit = wal.restore_high_commit
+        after_commit = self.site.wal.restore_high_commit
         peer = yield from self._find_ship_peer()
         if peer is None:
             self._start_item_copy(self._pending_items())

@@ -204,8 +204,7 @@ class RecoveryManager:
                         newly_marked += 1
                     self.site.copies.mark_unreadable(item)
                 record.marked_items += newly_marked
-                if self.site.wal is not None:
-                    self.site.wal.flush()
+                self.site.wal.flush()
                 yield from self.identify.after_marked(self, delta_items)
             self.session.activate(new_session, self.kernel.now)
             self.site.become_operational()
@@ -234,10 +233,9 @@ class RecoveryManager:
         stale_items = list((yield from self.identify.collect_stale(self)))
         for item in stale_items:
             self.site.copies.mark_unreadable(item)
-        if self.site.wal is not None:
-            # The marks must be durable before after_marked() destroys
-            # the remote staleness knowledge (fail-locks/missing lists).
-            self.site.wal.flush()
+        # The marks must be durable before after_marked() destroys
+        # the remote staleness knowledge (fail-locks/missing lists).
+        self.site.wal.flush()
         record.marked_items = len(stale_items)
         record.identified_at = self.kernel.now
         yield from self.identify.after_marked(self, stale_items)

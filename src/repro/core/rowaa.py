@@ -44,31 +44,24 @@ class RowaaStrategy:
     def begin(self, ctx: "TxnContext") -> typing.Generator:
         """Read the local nominal session vector into ``ctx.view``.
 
-        These are ordinary S-locked reads of the NS copies at the home
-        site (so they conflict with control transactions, which is what
-        Theorem 3's proof leans on), but they are local: no network
-        round trips, which is why the paper calls the overhead
-        negligible (§6).
+        These are ordinary scheduled reads of the NS copies at the home
+        site — S-locked under 2PL, timestamp-checked under TO — so they
+        conflict with control transactions, which is what Theorem 3's
+        proof leans on; but they are local: no network round trips,
+        which is why the paper calls the overhead negligible (§6).
 
-        With ``batch_ns_read`` (the default) the whole vector is
-        materialised by one batched request — one snapshot per
-        transaction rather than one physical operation per site. The
-        locks taken and the history recorded are identical to the
-        per-site sequence below.
+        The whole vector is materialised by one batched request — one
+        snapshot per transaction rather than one physical operation per
+        site. The DM walks the batch exactly as it would the per-site
+        read sequence (same scheduling decisions, same history), under
+        whichever scheduler it runs.
         """
-        home = ctx.tm.site_id
         site_ids = ctx.tm.catalog.site_ids
-        if self.config.batch_ns_read:
-            pairs = yield from ctx.dm_read_batch(
-                home, [ns_item(site_id) for site_id in site_ids]
-            )
-            for site_id, (value, _version) in zip(site_ids, pairs):
-                ctx.view[site_id] = int(value)
-            return None
-        for site_id in site_ids:
-            value, _version = yield from ctx.dm_read(home, ns_item(site_id))
-            ctx.view[site_id] = int(value)  # type: ignore[call-overload]
-        return None
+        pairs = yield from ctx.dm_read_batch(
+            ctx.tm.site_id, [ns_item(site_id) for site_id in site_ids]
+        )
+        for site_id, (value, _version) in zip(site_ids, pairs):
+            ctx.view[site_id] = int(value)
 
     # -- logical operations ----------------------------------------------------
 

@@ -80,10 +80,9 @@ class SessionManager:
         if self.modulus is not None and next_number > self.modulus:
             next_number = 1
         self.site.stable.put(_STABLE_KEY, next_number)
-        if self.site.wal is not None:
-            # Session state must be reconstructible from checkpoint +
-            # log alone: journal the reservation durably before use.
-            self.site.wal.log_session(next_number)
+        # Session state must be reconstructible from checkpoint +
+        # log alone: journal the reservation durably before use.
+        self.site.wal.log_session(next_number)
         return next_number
 
     def activate(self, session_number: int, now: float) -> None:
@@ -93,5 +92,4 @@ class SessionManager:
                "SessionManager.activate", session_number)
         self.dm.actual_session = session_number
         self.site.stable.put(_STABLE_STARTED, now)
-        if self.site.wal is not None:
-            self.site.wal.log_session(session_number, started_at=now)
+        self.site.wal.log_session(session_number, started_at=now)

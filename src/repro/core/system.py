@@ -230,8 +230,7 @@ class RowaaSystem(DatabaseSystem):
             site.copies.apply_write(ns_item(other), value, stamp)
         for item in list(site.copies.items()):
             site.copies.clear_unreadable(item)
-        if site.wal is not None:
-            site.wal.flush()
+        site.wal.flush()
         session.activate(new_session, self.kernel.now)
         site.become_operational()
         self.cluster.notify_recovered(site_id)

@@ -4,8 +4,8 @@ The subsystem behind ``beginRO`` (see DESIGN.md "Snapshot reads"):
 
 * :class:`~repro.mvcc.store.MultiVersionStore` — per-site committed
   version chains layered over :class:`~repro.storage.copies.CopyStore`
-  via its ``version_hooks`` (writers and the WAL replay path are
-  untouched), with snapshot-bounded garbage collection.
+  as one more subscriber of its mutation stream (writers and the WAL
+  replay path are untouched), with snapshot-bounded garbage collection.
 * :class:`~repro.mvcc.snapshot.SnapshotManager` — assigns each
   read-only transaction a consistent committed cut, pins it against GC,
   and surfaces the staleness bound.

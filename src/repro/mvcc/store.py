@@ -1,7 +1,7 @@
 """Per-site committed version chains with snapshot-bounded GC.
 
-The store observes its site's :class:`~repro.storage.copies.CopyStore`
-through the ``version_hooks`` seam: every committed apply ("write") and
+The store subscribes to its site's :class:`~repro.storage.copies.CopyStore`
+mutation stream (after the WAL): every committed apply ("write") and
 every replay install ("install") appends to the item's chain, so live
 commits and WAL restarts feed the same structure without the writer or
 the replay path knowing multiversioning exists. Chains are ordered by
@@ -152,21 +152,22 @@ class MultiVersionStore:
         for item in site.copies.items():
             copy = site.copies.get(item)
             self._observe(item, copy.value, copy.version)
-        site.copies.version_hooks.append(self._on_copy_event)
+        site.copies.subscribers.append(self._on_copy_event)
 
     # -- chain maintenance ----------------------------------------------------
 
     def _on_copy_event(
         self, op: str, item: str | None, value: object, version: Version | None
     ) -> None:
-        if op == "reset":
+        if op in ("write", "install"):
+            assert item is not None and version is not None
+            self._observe(item, value, version)
+        elif op == "reset":
             # Restore path: chains rebuild from the checkpoint installs +
             # replay that follow, then :meth:`on_restore` merges the
             # checkpointed chain tails back in.
             self._chains.clear()
-            return
-        assert item is not None and version is not None
-        self._observe(item, value, version)
+        # "mark" / "clear" move no version.
 
     def _observe(self, item: str, value: object, version: Version) -> None:
         chain = self._chains.get(item)

@@ -26,6 +26,7 @@ protocol only changes when there is something to coalesce.
 
 from __future__ import annotations
 
+import functools
 import inspect
 import typing
 
@@ -72,7 +73,6 @@ class RpcNode:
         "site_id",
         "obs",
         "endpoint",
-        "batch_kinds",
         "stats_batches",
         "stats_batched_calls",
         "stats_decisions_piggybacked",
@@ -95,9 +95,6 @@ class RpcNode:
         self.site_id = site_id
         self.obs = obs
         self.endpoint: Endpoint = network.attach(site_id)
-        #: Kinds this node coalesces (per-instance so tests and
-        #: experiments can disable batching with ``()``).
-        self.batch_kinds: frozenset[str] = BATCH_KINDS
         self.stats_batches = 0  # envelopes sent with >= 2 calls
         self.stats_batched_calls = 0  # calls that rode those envelopes
         self.stats_decisions_piggybacked = 0  # commit/abort among them
@@ -246,7 +243,7 @@ class RpcNode:
         zero-latency same-timestep deliveries, so batching them would
         only add framing.
         """
-        if msg.kind not in self.batch_kinds or msg.dst == self.site_id:
+        if msg.kind not in BATCH_KINDS or msg.dst == self.site_id:
             self._send_now(msg)
             return
         queue = self._outbatch.setdefault(msg.dst, [])
@@ -301,8 +298,13 @@ class RpcNode:
                     fn(msg.msg_id)
                 if msg.is_reply():
                     self._complete_call(msg)
+                elif msg.kind == "rpc.batch":
+                    self._spawn_batch(msg)
                 else:
-                    self._spawn_server(msg)
+                    self._spawn_server(
+                        msg.kind, msg.payload, msg.src, msg.span_id,
+                        functools.partial(self._reply, msg),
+                    )
                 if not len(inbox):
                     break
                 msg = inbox.get_nowait()
@@ -332,17 +334,24 @@ class RpcNode:
         else:
             future.fail(value)
 
-    def _spawn_server(self, msg: Message) -> None:
-        if msg.kind == "rpc.batch":
-            self._spawn_batch_server(msg)
-            return
-        handler = self._handlers.get(msg.kind)
+    def _spawn_server(
+        self,
+        kind: str,
+        payload: object,
+        src: int,
+        span_id: int | None,
+        deliver: typing.Callable[[bool, object], None],
+    ) -> Process | None:
+        """Serve one call in its own process; its outcome goes to
+        ``deliver(ok, value)`` — a ``.reply`` message, or a batch's result
+        slot. Returns None (outcome already delivered) without a handler."""
+        handler = self._handlers.get(kind)
         if handler is None:
-            exc = NetworkError(f"no handler for {msg.kind!r} at site {self.site_id}")
-            self._reply(msg, ok=False, value=exc)
-            return
+            deliver(False, NetworkError(f"no handler for {kind!r} at site {self.site_id}"))
+            return None
         server = self.kernel.process(
-            self._serve(handler, msg), name=f"rpc-serve[{self.site_id}]:{msg.kind}"
+            self._serve(handler, kind, payload, src, deliver),
+            name=f"rpc-serve[{self.site_id}]:{kind}",
         )
         self._servers[server] = None
         server.defuse()
@@ -351,79 +360,19 @@ class RpcNode:
         # handlers may be generators whose bodies run later; the span is
         # closed when the serving process dies, whatever the outcome.
         obs = self.obs
-        if obs is not None and obs.spans_on and msg.span_id is not None:
+        if obs is not None and obs.spans_on and span_id is not None:
             recorder = obs.spans
-            span = recorder.start(
-                f"serve:{msg.kind}", "serve", self.site_id, parent=msg.span_id
-            )
+            span = recorder.start(f"serve:{kind}", "serve", self.site_id, parent=span_id)
             server.add_callback(lambda ev: recorder.finish(span, ok=ev.ok))
+        return server
 
-    def _serve(self, handler: Handler, msg: Message) -> typing.Generator:
-        try:
-            result = handler(msg.payload, msg.src)
-            if inspect.isgenerator(result):
-                result = yield from result
-        except Interrupt:
-            raise  # site crash tearing this server down
-        except ReproError as exc:
-            self._reply(msg, ok=False, value=exc)
-            return
-        except Exception as exc:  # noqa: BLE001 - handler bug, not protocol
-            self._reply(msg, ok=False, value=RemoteError(self.site_id, msg.kind, exc))
-            return
-        self._reply(msg, ok=True, value=result)
-
-    def _spawn_batch_server(self, envelope: Message) -> None:
-        """Unpack an ``rpc.batch``: serve every sub-call in its own process
-        (identical semantics to unbatched delivery), answer all of them
-        with one ``rpc.batch.reply`` once the last server finishes."""
-        batch = envelope.payload
-        assert isinstance(batch, BatchCalls)
-        results: dict[int, tuple[bool, object]] = {}
-        remaining = [len(batch.calls)]
-
-        def finish_one(_ev: object = None) -> None:
-            remaining[0] -= 1
-            if remaining[0] == 0 and self.running:
-                self._reply_batch(envelope, batch, results)
-
-        for msg_id, kind, payload, span_id in batch.calls:
-            handler = self._handlers.get(kind)
-            if handler is None:
-                results[msg_id] = (
-                    False,
-                    NetworkError(f"no handler for {kind!r} at site {self.site_id}"),
-                )
-                finish_one()
-                continue
-            server = self.kernel.process(
-                self._serve_sub(handler, msg_id, kind, payload, envelope.src, results),
-                name=f"rpc-serve[{self.site_id}]:{kind}",
-            )
-            self._servers[server] = None
-            server.defuse()
-            server.add_callback(
-                lambda _ev, server=server: self._servers.pop(server, None)
-            )
-            obs = self.obs
-            if obs is not None and obs.spans_on and span_id is not None:
-                recorder = obs.spans
-                span = recorder.start(
-                    f"serve:{kind}", "serve", self.site_id, parent=span_id
-                )
-                server.add_callback(
-                    lambda ev, span=span: recorder.finish(span, ok=ev.ok)
-                )
-            server.add_callback(finish_one)
-
-    def _serve_sub(
+    def _serve(
         self,
         handler: Handler,
-        msg_id: int,
         kind: str,
         payload: object,
         src: int,
-        results: dict[int, tuple[bool, object]],
+        deliver: typing.Callable[[bool, object], None],
     ) -> typing.Generator:
         try:
             result = handler(payload, src)
@@ -432,12 +381,40 @@ class RpcNode:
         except Interrupt:
             raise  # site crash tearing this server down
         except ReproError as exc:
-            results[msg_id] = (False, exc)
+            deliver(False, exc)
             return
         except Exception as exc:  # noqa: BLE001 - handler bug, not protocol
-            results[msg_id] = (False, RemoteError(self.site_id, kind, exc))
+            deliver(False, RemoteError(self.site_id, kind, exc))
             return
-        results[msg_id] = (True, result)
+        deliver(True, result)
+
+    def _spawn_batch(self, envelope: Message) -> None:
+        """Unpack an ``rpc.batch``: serve every sub-call in its own process
+        (identical semantics to unbatched delivery), answer all of them
+        with one ``rpc.batch.reply`` once the last server finishes."""
+        batch = envelope.payload
+        assert isinstance(batch, BatchCalls)
+        results: dict[int, tuple[bool, object]] = {}
+        remaining = [len(batch.calls)]
+
+        def record(msg_id: int, ok: bool, value: object) -> None:
+            results[msg_id] = (ok, value)
+
+        def finish_one(_ev: object = None) -> None:
+            remaining[0] -= 1
+            if remaining[0] == 0 and self.running:
+                self._reply_batch(envelope, batch, results)
+
+        for msg_id, kind, payload, span_id in batch.calls:
+            server = self._spawn_server(
+                kind, payload, envelope.src, span_id, functools.partial(record, msg_id)
+            )
+            if server is None:
+                finish_one()
+            else:
+                # Last callback on the process: by then the server has
+                # left ``_servers`` and its span is closed.
+                server.add_callback(finish_one)
 
     def _reply_batch(
         self,

@@ -92,8 +92,6 @@ def instrument_system(system: typing.Any) -> None:
         values: dict = {}
         for site_id in system.cluster.site_ids:
             wal = system.cluster.site(site_id).wal
-            if wal is None:
-                continue
             stats = wal.stats
             values[("wal.records_appended", site_id)] = float(stats.records_appended)
             values[("wal.flushes", site_id)] = float(stats.flushes)

@@ -59,24 +59,23 @@ def recovery_timeline(system: typing.Any) -> dict:
             "type1_attempts": sum(r.type1_attempts for r in records),
             "type2_runs": sum(r.type2_runs for r in records),
         }
-        if site.wal is not None:
-            wal = site.wal
-            service = copiers.get(site_id)
-            entry["wal"] = {
-                "durable_lsn": wal.log.durable_lsn,
-                "checkpoint_lag": wal.checkpoint_lag,
-                "checkpoints": wal.stats.checkpoints,
-                "truncated_records": wal.log.truncated_records,
-                "replays": wal.stats.replays,
-                "records_replayed": wal.stats.records_replayed,
-                "records_lost_unflushed": wal.stats.records_lost_unflushed,
-                "records_shipped": (
-                    service.stats.records_shipped if service is not None else 0
-                ),
-                "copies_performed": (
-                    service.stats.copies_performed if service is not None else 0
-                ),
-            }
+        wal = site.wal
+        service = copiers.get(site_id)
+        entry["wal"] = {
+            "durable_lsn": wal.log.durable_lsn,
+            "checkpoint_lag": wal.checkpoint_lag,
+            "checkpoints": wal.stats.checkpoints,
+            "truncated_records": wal.log.truncated_records,
+            "replays": wal.stats.replays,
+            "records_replayed": wal.stats.records_replayed,
+            "records_lost_unflushed": wal.stats.records_lost_unflushed,
+            "records_shipped": (
+                service.stats.records_shipped if service is not None else 0
+            ),
+            "copies_performed": (
+                service.stats.copies_performed if service is not None else 0
+            ),
+        }
         if site_id in copiers and entry["recoveries"]:
             # Only meaningful for sites that actually came back: a site
             # that never crashed "drains" trivially when its (empty)
@@ -178,23 +177,20 @@ def render_recovery_timeline(report: dict) -> str:
             points = "  ".join(f"t={t:.0f}:{int(v)}" for t, v in curve[:12])
             suffix = " ..." if len(curve) > 12 else ""
             lines.append(f"drain site {site_id}: {points}{suffix}")
-    if any("wal" in entry for entry in report["sites"].values()):
+    lines.append(
+        f"{'site':>4}  {'dur-lsn':>7}  {'ckpt-lag':>8}  {'ckpts':>5}  "
+        f"{'truncated':>9}  {'replays':>7}  {'replayed':>8}  {'lost':>4}  "
+        f"{'shipped':>7}  {'copied':>6}"
+    )
+    for site_id, entry in sorted(report["sites"].items()):
+        wal = entry["wal"]
         lines.append(
-            f"{'site':>4}  {'dur-lsn':>7}  {'ckpt-lag':>8}  {'ckpts':>5}  "
-            f"{'truncated':>9}  {'replays':>7}  {'replayed':>8}  {'lost':>4}  "
-            f"{'shipped':>7}  {'copied':>6}"
+            f"{site_id:>4}  {wal['durable_lsn']:>7}  {wal['checkpoint_lag']:>8}  "
+            f"{wal['checkpoints']:>5}  {wal['truncated_records']:>9}  "
+            f"{wal['replays']:>7}  {wal['records_replayed']:>8}  "
+            f"{wal['records_lost_unflushed']:>4}  {wal['records_shipped']:>7}  "
+            f"{wal['copies_performed']:>6}"
         )
-        for site_id, entry in sorted(report["sites"].items()):
-            wal = entry.get("wal")
-            if wal is None:
-                continue
-            lines.append(
-                f"{site_id:>4}  {wal['durable_lsn']:>7}  {wal['checkpoint_lag']:>8}  "
-                f"{wal['checkpoints']:>5}  {wal['truncated_records']:>9}  "
-                f"{wal['replays']:>7}  {wal['records_replayed']:>8}  "
-                f"{wal['records_lost_unflushed']:>4}  {wal['records_shipped']:>7}  "
-                f"{wal['copies_performed']:>6}"
-            )
     throughput = report.get("throughput")
     if throughput is not None:
         from repro.obs.timeseries import render_outage_stats

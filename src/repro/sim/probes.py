@@ -12,11 +12,11 @@ the payload is an f-string label, one truthiness test in front of it).
 The event table — emitter, payload, subscribers — is in
 docs/OBSERVABILITY.md ("Probe events"); the rule for what may ride the
 bus is DESIGN.md §5 "Probes vs wiring": only *observers*. A subscriber
-the protocol is incorrect without (the WAL journal, mvcc version
-chains, the on-demand copier trigger, a DM resetting on crash) stays a
-direct per-site call, so the bus is empty whenever nothing is looking
-— which is what lets the kernel select its bare drain loop from
-``not kernel.probes``.
+the protocol is incorrect without (the WAL journal and mvcc version
+chains on their copy store's mutation stream, the on-demand copier
+trigger, a DM resetting on crash) stays a direct per-site call, so the
+bus is empty whenever nothing is looking — which is what lets the
+kernel select its bare drain loop from ``not kernel.probes``.
 
 ``tiebreak`` is the one slot whose subscriber returns a value: the
 kernel asks the most recently attached policy which member of a

@@ -15,6 +15,9 @@ from repro.storage.copies import CopyStore
 from repro.storage.stable import StableStorage
 from repro.wal import SiteWal, WalConfig
 
+if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.mvcc import MultiVersionStore
+
 
 class SiteStatus(enum.Enum):
     """The three distinguishable states of §3.1.
@@ -66,11 +69,11 @@ class Site:
         self.power_on_hooks: list[typing.Callable[[], None]] = []
         #: Durability layer: journals committed copy mutations and, at
         #: power-on, rebuilds copies/session state from checkpoint + log
-        #: replay (None when disabled — legacy crash semantics).
-        wal_config = wal_config if wal_config is not None else WalConfig()
-        self.wal: SiteWal | None = (
-            SiteWal(self, wal_config) if wal_config.enabled else None
-        )
+        #: replay.
+        self.wal = SiteWal(self, wal_config)
+        #: Version chains for snapshot reads; set by the DatabaseSystem
+        #: when the multiversion subsystem is on.
+        self.mvcc: "MultiVersionStore | None" = None
         # Insertion-ordered dict-as-set: a plain set would interrupt the
         # procs in id-hash order on crash(), which varies across
         # interpreter runs (REP002).
@@ -115,7 +118,7 @@ class Site:
             )
         self.status = SiteStatus.RECOVERING
         self.last_power_on_time = self.kernel.now
-        if self.wal is not None and self.crash_count > 0:
+        if self.crash_count > 0:
             # Restart-by-replay happens before any component (RPC
             # handlers, power-on hooks) can observe the site's state.
             # Installation boot (never crashed) has nothing to replay.

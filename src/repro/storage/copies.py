@@ -75,18 +75,14 @@ class CopyStore:
         self._copies: dict[str, DataCopy] = {}
         self._unreadable: set[str] = set()
         self.bytes_copied = 0  # crude copier work counter (E5)
-        #: Optional redo-journal hook (set by the site's SiteWal): called
-        #: as ``journal(op, item, value, version)`` for every committed
-        #: mutation, with op in {"write", "mark", "clear"}. Duck-typed so
-        #: the storage layer needs no dependency on repro.wal.
-        self.journal: typing.Callable[..., None] | None = None
-        #: Version observers (set by the site's multiversion store):
-        #: called as ``hook(op, item, value, version)`` with op in
-        #: {"write", "install", "reset"}. Unlike ``journal`` these fire
-        #: on the restore path too (``install``), which is how version
-        #: chains are rebuilt from checkpoint + replay without the WAL
-        #: knowing anything about repro.mvcc.
-        self.version_hooks: list[typing.Callable[..., None]] = []
+        #: The store's one mutation stream (wiring, not probes): each
+        #: subscriber is called in subscription order as ``fn(op, item,
+        #: value, version)``, op in {"write", "mark", "clear"} for a
+        #: committed mutation or {"install", "reset"} for the restore
+        #: path. The site's SiteWal subscribes first and redo-journals
+        #: the former; a multiversion store follows "write" / "install" /
+        #: "reset". Duck-typed: storage imports neither wal nor mvcc.
+        self.subscribers: list[typing.Callable[..., None]] = []
 
     # -- schema -------------------------------------------------------------
 
@@ -122,10 +118,8 @@ class CopyStore:
         copy.version = version
         copy.unreadable = False
         self._unreadable.discard(item)
-        if self.journal is not None:
-            self.journal("write", item, value, version)
-        for hook in self.version_hooks:
-            hook("write", item, value, version)
+        for fn in self.subscribers:
+            fn("write", item, value, version)
 
     def mark_unreadable(self, item: str) -> None:
         """Flag the copy as possibly stale (recovery step 2, §3.4)."""
@@ -138,8 +132,8 @@ class CopyStore:
                    "CopyStore.mark_unreadable")
         self._copies[item].unreadable = True
         self._unreadable.add(item)
-        if self.journal is not None:
-            self.journal("mark", item)
+        for fn in self.subscribers:
+            fn("mark", item, None, None)
 
     def clear_unreadable(self, item: str) -> None:
         """Validate the copy without changing it (equal-version copier)."""
@@ -149,16 +143,16 @@ class CopyStore:
                    "CopyStore.clear_unreadable")
         self._copies[item].unreadable = False
         self._unreadable.discard(item)
-        if self.journal is not None:
-            self.journal("clear", item)
+        for fn in self.subscribers:
+            fn("clear", item, None, None)
 
     def mark_all_unreadable(self) -> None:
         """The basic algorithm's conservative step 2: mark every copy."""
         self._unreadable.update(self._copies)
         for item, copy in self._copies.items():
             copy.unreadable = True
-            if self.journal is not None:
-                self.journal("mark", item)
+            for fn in self.subscribers:
+                fn("mark", item, None, None)
 
     def unreadable_items(self) -> list[str]:
         """Items whose local copy is currently marked unreadable, in
@@ -180,8 +174,8 @@ class CopyStore:
         """Drop every copy: the restore path rebuilds from checkpoint+log."""
         self._copies.clear()
         self._unreadable.clear()
-        for hook in self.version_hooks:
-            hook("reset", None, None, None)
+        for fn in self.subscribers:
+            fn("reset", None, None, None)
 
     def install(
         self, item: str, value: object, version: Version, unreadable: bool = False
@@ -203,6 +197,6 @@ class CopyStore:
             self._unreadable.add(item)
         else:
             self._unreadable.discard(item)
-        for hook in self.version_hooks:
-            hook("install", item, value, version)
+        for fn in self.subscribers:
+            fn("install", item, value, version)
         return copy

@@ -114,9 +114,7 @@ class DatabaseSystem:
         # the start, so every later power-on can rebuild purely from
         # checkpoint + log replay.
         for site_id in self.cluster.site_ids:
-            site = self.cluster.site(site_id)
-            if site.wal is not None:
-                site.wal.checkpoint()
+            self.cluster.site(site_id).wal.checkpoint()
 
         if concurrency == "2pl":
             dm_class = DataManager
@@ -164,7 +162,7 @@ class DatabaseSystem:
                     floor_delay=self.config.ro_staleness_floor,
                     gc_period=self.config.mvcc_gc_period,
                 )
-                site.mvcc = store  # type: ignore[attr-defined]
+                site.mvcc = store
                 site.power_on_hooks.append(store.on_power_on)
                 manager = SnapshotManager(kernel, site, store)
                 self.mvcc[site_id] = store

@@ -5,6 +5,7 @@ from __future__ import annotations
 import typing
 
 from repro.errors import TransactionError
+from repro.sim.events import Future
 from repro.storage.copies import Version
 from repro.txn.payloads import (
     BatchReadRequest,
@@ -37,11 +38,6 @@ class TxnContext:
         self.txn = txn
         self.view: dict[int, int] = txn.view  # site -> nominal session seen
 
-    @property
-    def _span(self) -> int | None:
-        """Span parent for DM calls: the transaction's root span id."""
-        return self.txn.span_id
-
     # -- logical operations (user programs) ------------------------------------
 
     def read(self, item: str) -> typing.Generator:
@@ -67,6 +63,15 @@ class TxnContext:
 
     # -- physical operations -------------------------------------------------
 
+    def _call(self, site_id: int, kind: str, request: object) -> Future:
+        """Send one physical operation to the DM at ``site_id`` (which the
+        transaction has then touched), parented to its root span."""
+        self.txn.touched_sites.add(site_id)
+        return self.tm.rpc.call(
+            site_id, kind, request, timeout=self.tm.config.rpc_timeout,
+            span_parent=self.txn.span_id,
+        )
+
     def dm_read(
         self,
         site_id: int,
@@ -85,11 +90,7 @@ class TxnContext:
             privileged=privileged,
             peek_unreadable=peek_unreadable,
         )
-        self.txn.touched_sites.add(site_id)
-        reply = yield self.tm.rpc.call(
-            site_id, "dm.read", request, timeout=self.tm.config.rpc_timeout,
-            span_parent=self._span,
-        )
+        reply = yield self._call(site_id, "dm.read", request)
         return reply
 
     def dm_read_batch(
@@ -113,17 +114,8 @@ class TxnContext:
             expected=expected,
             privileged=privileged,
         )
-        self.txn.touched_sites.add(site_id)
-        reply = yield self.tm.rpc.call(
-            site_id, "dm.read_batch", request, timeout=self.tm.config.rpc_timeout,
-            span_parent=self._span,
-        )
+        reply = yield self._call(site_id, "dm.read_batch", request)
         return reply
-
-    def _prepare_on_write(self) -> bool:
-        """Pipelined 2PC: under ``async_quorum``, every user-transaction
-        write carries a prepare vote (the ack doubles as phase one)."""
-        return self.tm.prepare_on_write and self.txn.kind is TxnKind.USER
 
     def dm_write(
         self,
@@ -137,30 +129,10 @@ class TxnContext:
         missed_sites: tuple[int, ...] = (),
     ) -> typing.Generator:
         """Buffer a write of ``item`` at ``site_id`` (applied at commit)."""
-        prepare = self._prepare_on_write()
-        request = WriteRequest(
-            txn_id=self.txn.txn_id,
-            txn_seq=self.txn.seq,
-            kind=self.txn.kind.value,
-            item=item,
-            value=value,
-            expected=expected,
-            privileged=privileged,
-            version_override=version_override,
-            applied_sites=applied_sites,
-            missed_sites=missed_sites,
-            prepare=prepare,
+        yield from self._write_to(
+            ((site_id, expected),), item, value, privileged,
+            version_override, applied_sites, missed_sites,
         )
-        self.txn.touched_sites.add(site_id)
-        self.txn.written_items.add(item)
-        yield self.tm.rpc.call(
-            site_id, "dm.write", request, timeout=self.tm.config.rpc_timeout,
-            span_parent=self._span,
-        )
-        self.txn.wrote_sites.add(site_id)
-        if prepare:
-            self.txn.prepared_sites.add(site_id)
-        return None
 
     def dm_write_all(
         self,
@@ -180,7 +152,25 @@ class TxnContext:
         applied_sites = tuple(site_id for site_id, _expected in targets)
         for fn in self.tm.kernel.probes.logical_write:
             fn(self.tm.site_id, self.txn.txn_id, item, applied_sites)
-        prepare = self._prepare_on_write()
+        yield from self._write_to(
+            targets, item, value, privileged,
+            version_override, applied_sites, missed_sites,
+        )
+
+    def _write_to(
+        self,
+        targets: typing.Sequence[tuple[int, int | None]],
+        item: str,
+        value: object,
+        privileged: bool,
+        version_override: Version | None,
+        applied_sites: tuple[int, ...],
+        missed_sites: tuple[int, ...],
+    ) -> typing.Generator:
+        """Issue one ``dm.write`` per target, then await every ack."""
+        # Pipelined 2PC: under ``async_quorum``, every user-transaction
+        # write carries a prepare vote (the ack doubles as phase one).
+        prepare = self.tm.prepare_on_write and self.txn.kind is TxnKind.USER
         self.txn.written_items.add(item)
         futures = []
         for site_id, expected in targets:
@@ -197,25 +187,19 @@ class TxnContext:
                 missed_sites=missed_sites,
                 prepare=prepare,
             )
-            self.txn.touched_sites.add(site_id)
-            futures.append(
-                (site_id, self.tm.rpc.call(site_id, "dm.write", request,
-                                           timeout=self.tm.config.rpc_timeout,
-                                           span_parent=self._span))
-            )
+            futures.append((site_id, self._call(site_id, "dm.write", request)))
         for site_id, future in futures:
             yield future
             self.txn.wrote_sites.add(site_id)
             if prepare:
                 # Pipelined 2PC: this ack was also the prepare vote.
                 self.txn.prepared_sites.add(site_id)
-        return None
 
     def release_site(self, site_id: int) -> None:
         """Fire-and-forget lock release at one site (no reply awaited)."""
         self.tm.rpc.call(
             site_id, "dm.release", FinishRequest(self.txn.txn_id),
-            span_parent=self._span,
+            span_parent=self.txn.span_id,
         )
 
 
@@ -235,10 +219,6 @@ class ReadOnlyTxnContext:
         self.tm = tm
         self.txn = txn
         self.snapshot = snapshot
-
-    @property
-    def _span(self) -> int | None:
-        return self.txn.span_id
 
     @property
     def staleness_bound(self) -> float:
@@ -263,18 +243,7 @@ class ReadOnlyTxnContext:
         Returns values in ``items`` order. The whole batch is served in
         one synchronous step at the DM, so it is trivially fracture-free.
         """
-        request = SnapshotReadRequest(
-            txn_id=self.txn.txn_id,
-            txn_seq=self.txn.seq,
-            items=tuple(items),
-            cut_ts=self.snapshot.cut[0],
-            cut_commit=self.snapshot.cut[1],
-        )
-        self.txn.touched_sites.add(self.tm.site_id)
-        reply = yield self.tm.rpc.call(
-            self.tm.site_id, "dm.read_snapshot", request,
-            timeout=self.tm.config.rpc_timeout, span_parent=self._span,
-        )
+        reply = yield from self.read_versioned(items)
         return [value for value, _version in reply]
 
     def read_versioned(self, items: typing.Sequence[str]) -> typing.Generator:
@@ -290,7 +259,7 @@ class ReadOnlyTxnContext:
         self.txn.touched_sites.add(self.tm.site_id)
         reply = yield self.tm.rpc.call(
             self.tm.site_id, "dm.read_snapshot", request,
-            timeout=self.tm.config.rpc_timeout, span_parent=self._span,
+            timeout=self.tm.config.rpc_timeout, span_parent=self.txn.span_id,
         )
         return list(reply)
 

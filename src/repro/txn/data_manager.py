@@ -214,38 +214,96 @@ class DataManager:
         return part
 
     # -- operation handlers ---------------------------------------------------------
+    # One admission pipeline per operation type; the scheduler (strict 2PL
+    # here, timestamp ordering in repro.txn.timestamp) contributes only its
+    # per-item decisions ``_read_copy``, ``_admit_write``, ``_install_write``.
 
     def _handle_read(self, request: ReadRequest, src: int) -> typing.Generator:
+        """One read: the one-item case of :meth:`_read_items`. With
+        ``peek_unreadable`` it is a metadata peek (§5 version comparison),
+        not a database read: no unreadable check, no history record."""
+        results = yield from self._read_items(
+            request, src, (request.item,), request.peek_unreadable
+        )
+        return results[0]
+
+    def _handle_read_batch(self, request: BatchReadRequest, src: int) -> typing.Generator:
+        """Serve several reads of one transaction in a single request.
+
+        The same walk as the :class:`ReadRequest` sequence, under every
+        scheduler — identical scheduling decisions, rejections and
+        history records — but one round trip. The ROWAA begin uses this
+        to snapshot ``NS[*]`` once per transaction.
+        """
+        return (yield from self._read_items(request, src, request.items))
+
+    def _read_items(
+        self,
+        request: ReadRequest | BatchReadRequest,
+        src: int,
+        items: typing.Sequence[str],
+        peek: bool = False,
+    ) -> typing.Generator:
+        """The read pipeline: admission once, then per item the
+        already-decided re-check, read-your-own-write, the scheduler's
+        decision and the served-read tail."""
         self._check_access(request.expected, request.privileged)
         part = self._participation(request, src)
-        if request.item in part.writes:
-            # Read-your-own-write: serve the buffered intent.
-            intent = part.writes[request.item]
-            return intent.value, Version(self.kernel.now, 0, request.txn_seq)
-        yield self.lock_manager.acquire(request.txn_id, request.item, LockMode.S)
-        if not self.site.copies.has(request.item):
-            raise TransactionError(f"site {self.site_id} holds no copy of {request.item}")
-        copy = self.site.copies.get(request.item)
-        if request.peek_unreadable:
-            # Metadata peek (§5 version comparison): not a database read,
-            # so no unreadable check and no history record.
-            return copy.value, copy.version
-        if copy.unreadable:
-            self.stats_unreadable_rejections += 1
+        results: list[tuple[object, Version]] = []
+        for item in items:
+            if request.txn_id in self._decided:
+                # The transaction finished (aborted) while an earlier
+                # scheduling decision in this request was waiting: its
+                # locks are gone, and acquiring more here would hand locks
+                # to a dead transaction and leak them forever. A per-item
+                # request sequence hits the same check in `_participation`.
+                raise TransactionError(
+                    f"site {self.site_id}: {request.txn_id} already decided"
+                )
+            if item in part.writes:
+                # Read-your-own-write: serve the buffered intent.
+                intent = part.writes[item]
+                results.append((intent.value, Version(self.kernel.now, 0, request.txn_seq)))
+                continue
+            copy = yield from self._read_copy(request.txn_id, request.txn_seq, item, peek)
+            if peek:
+                results.append((copy.value, copy.version))
+            else:
+                results.append(self._serve_read(request, item, copy))
+        return results
+
+    def _copy(self, item: str) -> DataCopy:
+        if not self.site.copies.has(item):
+            raise TransactionError(f"site {self.site_id} holds no copy of {item}")
+        return self.site.copies.get(item)
+
+    def _refuse_unreadable(self, item: str) -> typing.NoReturn:
+        """A read hit an unreadable copy: count it, tell the recovery
+        layer (which may trigger an on-demand copier), reject."""
+        self.stats_unreadable_rejections += 1
+        for hook in list(self.unreadable_read_hooks):
+            hook(item)
+        raise CopyUnreadable(item, self.site_id)
+
+    def _read_copy(
+        self, txn_id: str, txn_seq: int, item: str, peek: bool
+    ) -> typing.Generator:
+        """Scheduler decision 1 — read one committed copy (2PL: S lock)."""
+        yield self.lock_manager.acquire(txn_id, item, LockMode.S)
+        copy = self._copy(item)
+        if copy.unreadable and not peek:
             # Drop the S lock just granted: the transaction observed no
             # data, and keeping it would block the copier this rejection
             # is about to trigger.
-            self.lock_manager.release_one(request.txn_id, request.item)
-            for hook in list(self.unreadable_read_hooks):
-                hook(request.item)
-            raise CopyUnreadable(request.item, self.site_id)
-        return self._serve_read(request, request.item, copy)
+            self.lock_manager.release_one(txn_id, item)
+            self._refuse_unreadable(item)
+        return copy
 
     def _serve_read(
         self, request: ReadRequest | BatchReadRequest, item: str, copy: DataCopy
     ) -> tuple[object, Version]:
-        """A database read was served: the one tail every scheduler's
-        read handler ends in (history record, then the ``read`` probe)."""
+        """A database read was served: the one tail every read ends in
+        (history record, then the ``read`` probe)."""
         version = copy.version
         self.recorder.record_read(
             time=self.kernel.now,
@@ -261,46 +319,6 @@ class DataManager:
         for fn in self.kernel.probes.read:
             fn(self.site_id, item, version)
         return copy.value, version
-
-    def _handle_read_batch(
-        self, request: BatchReadRequest, src: int
-    ) -> typing.Generator:
-        """Serve several reads of one transaction in a single request.
-
-        Equivalent to the same :class:`ReadRequest` sequence — identical
-        locks, rejections, and history records — but one round trip. The
-        ROWAA begin uses this to snapshot ``NS[*]`` once per transaction.
-        """
-        self._check_access(request.expected, request.privileged)
-        part = self._participation(request, src)
-        results: list[tuple[object, Version]] = []
-        for item in request.items:
-            if request.txn_id in self._decided:
-                # The transaction finished (aborted) while an earlier
-                # acquire in this batch was waiting: its locks are gone,
-                # and acquiring more here would hand locks to a dead
-                # transaction and leak them forever. The unbatched path
-                # hits the same condition in `_participation` on each
-                # per-item request.
-                raise TransactionError(
-                    f"site {self.site_id}: {request.txn_id} already decided"
-                )
-            if item in part.writes:
-                intent = part.writes[item]
-                results.append((intent.value, Version(self.kernel.now, 0, request.txn_seq)))
-                continue
-            yield self.lock_manager.acquire(request.txn_id, item, LockMode.S)
-            if not self.site.copies.has(item):
-                raise TransactionError(f"site {self.site_id} holds no copy of {item}")
-            copy = self.site.copies.get(item)
-            if copy.unreadable:
-                self.stats_unreadable_rejections += 1
-                self.lock_manager.release_one(request.txn_id, item)
-                for hook in list(self.unreadable_read_hooks):
-                    hook(item)
-                raise CopyUnreadable(item, self.site_id)
-            results.append(self._serve_read(request, item, copy))
-        return results
 
     def _handle_read_snapshot(
         self, request: SnapshotReadRequest, src: int
@@ -318,7 +336,7 @@ class DataManager:
             # Partition mode fences snapshot reads too: the frozen side
             # must not leak the pre-partition world to clients.
             raise NotOperational(self.site_id)
-        store = getattr(self.site, "mvcc", None)
+        store = self.site.mvcc
         if store is None:
             raise TransactionError(
                 f"site {self.site_id} has no multiversion store"
@@ -337,11 +355,11 @@ class DataManager:
         return results
 
     def _handle_write(self, request: WriteRequest, src: int) -> typing.Generator:
+        """The write pipeline: admission, the scheduler's decision, the
+        buffered intent, and (pipelined 2PC) the durable prepare vote."""
         self._check_access(request.expected, request.privileged)
         part = self._participation(request, src)
-        yield self.lock_manager.acquire(request.txn_id, request.item, LockMode.X)
-        if not self.site.copies.has(request.item):
-            raise TransactionError(f"site {self.site_id} holds no copy of {request.item}")
+        yield from self._admit_write(request.txn_id, request.txn_seq, request.item)
         part.writes[request.item] = WriteIntent(
             value=request.value,
             version_override=request.version_override,
@@ -359,43 +377,46 @@ class DataManager:
             part.prepared = True
             part.participants = tuple(request.applied_sites) or (self.site_id,)
             wal = self.site.wal
-            if wal is not None:
-                wal.log_prepare(
-                    request.txn_id,
-                    request.txn_seq,
-                    part.coordinator,
-                    part.participants,
-                    request.item,
-                    request.value,
-                    version_override=request.version_override,
-                    applied_sites=request.applied_sites,
-                    missed_sites=request.missed_sites,
-                )
-                part.durable = True
-                # Group commit: every prepare landing this timestep
-                # shares one stable segment write; the ack is gated on
-                # durability but costs no simulated time today — the
-                # wal-stall span marks the boundary so critpath charges
-                # any future flush latency to wal_stall, not execution.
-                obs = self.site.obs
-                stall = None
-                if obs.spans_on:
-                    # Parented to the transaction root (same recorder
-                    # across sites); skipped if the root was never
-                    # recorded — a parentless txn_id span would usurp
-                    # the root registry.
-                    root = obs.spans.root_of(request.txn_id)
-                    if root is not None:
-                        stall = obs.spans.start(
-                            "wal-stall", "wal_stall", self.site_id,
-                            parent=root, txn_id=request.txn_id,
-                        )
-                try:
-                    yield wal.flush_soon()
-                finally:
-                    if stall is not None:
-                        obs.spans.finish(stall)
+            wal.log_prepare(
+                request.txn_id,
+                request.txn_seq,
+                part.coordinator,
+                part.participants,
+                request.item,
+                request.value,
+                version_override=request.version_override,
+                applied_sites=request.applied_sites,
+                missed_sites=request.missed_sites,
+            )
+            part.durable = True
+            # Group commit: every prepare landing this timestep shares
+            # one stable segment write; the ack is gated on durability
+            # but costs no simulated time today — the wal-stall span
+            # marks the boundary so critpath charges any future flush
+            # latency to wal_stall, not execution.
+            obs = self.site.obs
+            stall = None
+            if obs.spans_on:
+                # Parented to the transaction root (same recorder across
+                # sites); skipped if the root was never recorded — a
+                # parentless txn_id span would usurp the root registry.
+                root = obs.spans.root_of(request.txn_id)
+                if root is not None:
+                    stall = obs.spans.start(
+                        "wal-stall", "wal_stall", self.site_id,
+                        parent=root, txn_id=request.txn_id,
+                    )
+            try:
+                yield wal.flush_soon()
+            finally:
+                if stall is not None:
+                    obs.spans.finish(stall)
         return True
+
+    def _admit_write(self, txn_id: str, txn_seq: int, item: str) -> typing.Generator:
+        """Scheduler decision 2 — admit one write intent (2PL: X lock)."""
+        yield self.lock_manager.acquire(txn_id, item, LockMode.X)
+        self._copy(item)
 
     # -- 2PC participant ------------------------------------------------------------
 
@@ -441,42 +462,50 @@ class DataManager:
             return  # idempotent (duplicate decision or post-crash)
         for item, intent in part.writes.items():
             applied = intent.version_override if intent.version_override is not None else version
-            if part.restored:
-                # In-doubt apply after a restart: a copier may already
-                # have refreshed this copy past the prepared write, and
-                # the copy's unreadable mark (recovery step 2) must
-                # survive the apply — this one committed write does not
-                # prove the copy is current.
-                if not self.site.copies.has(item):
-                    continue
-                current = self.site.copies.get(item)
-                if current.version >= applied:
-                    continue  # superseded while we were down
-                was_unreadable = current.unreadable
-                self.site.copies.apply_write(item, intent.value, applied)
-                if was_unreadable:
-                    self.site.copies.mark_unreadable(item)
-            else:
-                self.site.copies.apply_write(item, intent.value, applied)
-            self._write_applied(part, item, intent, applied)
+            if self._install_write(part, item, intent.value, applied):
+                self._write_applied(part, item, intent, applied)
         self._decided[txn_id] = ("committed", version)
-        if self.site.wal is not None:
-            if part.durable:
-                # The resolve record rides the same group commit as the
-                # applied writes; it retires the in-doubt prepare.
-                self.site.wal.log_resolve(txn_id, "committed")
-            if part.writes or part.durable:
-                # Group commit: every record journaled while applying this
-                # transaction's writes becomes durable in one segment write.
-                self.site.wal.on_commit()
+        if part.durable:
+            # The resolve record rides the same group commit as the
+            # applied writes; it retires the in-doubt prepare.
+            self.site.wal.log_resolve(txn_id, "committed")
+        if part.writes or part.durable:
+            # Group commit: every record journaled while applying this
+            # transaction's writes becomes durable in one segment write.
+            self.site.wal.on_commit()
         self.lock_manager.cancel(txn_id)
+
+    def _install_write(
+        self, part: _Participation, item: str, value: object, applied: Version
+    ) -> bool:
+        """Scheduler decision 3 — install one committed write; False
+        when the write is skipped (and so must not be recorded). Under
+        2PL only a restored in-doubt apply can be."""
+        if part.restored:
+            # In-doubt apply after a restart: a copier may already
+            # have refreshed this copy past the prepared write, and
+            # the copy's unreadable mark (recovery step 2) must
+            # survive the apply — this one committed write does not
+            # prove the copy is current.
+            if not self.site.copies.has(item):
+                return False
+            current = self.site.copies.get(item)
+            if current.version >= applied:
+                return False  # superseded while we were down
+            was_unreadable = current.unreadable
+            self.site.copies.apply_write(item, value, applied)
+            if was_unreadable:
+                self.site.copies.mark_unreadable(item)
+        else:
+            self.site.copies.apply_write(item, value, applied)
+        return True
 
     def _write_applied(
         self, part: _Participation, item: str, intent: WriteIntent, applied: Version
     ) -> None:
         """A committed write reached the copy store: the one tail every
-        scheduler's apply ends in (history record, §5 stale tracking,
-        then the ``apply`` probe)."""
+        installed write ends in (history record, §5 stale tracking, then
+        the ``apply`` probe)."""
         self.recorder.record_write(
             time=self.kernel.now,
             txn_id=part.txn_id,
@@ -512,7 +541,7 @@ class DataManager:
         part = self._participations.pop(txn_id, None)
         if part is not None:
             self._decided[txn_id] = ("aborted", None)
-            if part.durable and self.site.wal is not None:
+            if part.durable:
                 # Lazy durability: losing this record only re-arms the
                 # transaction as in-doubt, and resolution re-aborts.
                 self.site.wal.log_resolve(txn_id, "aborted")
@@ -530,10 +559,7 @@ class DataManager:
         and a resolver process that queries the coordinator immediately
         instead of waiting out ``decision_timeout``.
         """
-        wal = self.site.wal
-        if wal is None:
-            return
-        for txn_id, records in wal.unresolved_prepares().items():
+        for txn_id, records in self.site.wal.unresolved_prepares().items():
             if txn_id in self._participations or txn_id in self._decided:
                 continue
             writes: dict[str, WriteIntent] = {}

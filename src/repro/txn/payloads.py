@@ -51,12 +51,14 @@ class BatchReadRequest:
     """Read several physical copies at one site in a single request.
 
     Semantically identical to issuing one :class:`ReadRequest` per item
-    in order (same locks, same session check, same history records), but
-    it costs one RPC round trip and one serving process instead of
-    ``len(items)`` of each. Used by the ROWAA implicit begin to
-    materialise the whole nominal session vector ``NS[*]`` once per
-    transaction (§3.2 makes these local reads, so batching them keeps
-    the paper's "negligible overhead" claim true even at scale).
+    in order — the DM has one read pipeline, of which a single read is
+    the one-item case, so scheduling decisions, session check and
+    history records agree under every scheduler — but it costs one RPC
+    round trip and one serving process instead of ``len(items)`` of
+    each. Used by the ROWAA implicit begin to materialise the whole
+    nominal session vector ``NS[*]`` once per transaction (§3.2 makes
+    these local reads, so batching them keeps the paper's "negligible
+    overhead" claim true even at scale).
     """
 
     txn_id: str

@@ -37,18 +37,20 @@ from __future__ import annotations
 
 import typing
 
-from repro.errors import CopyUnreadable, TimestampOrderViolation, TransactionError
+from repro.errors import TimestampOrderViolation
 from repro.storage.copies import Version
-from repro.txn.data_manager import DataManager, WriteIntent
-from repro.txn.payloads import ReadRequest, WriteRequest
+from repro.txn.data_manager import DataManager, _Participation
 
 
 class TimestampDataManager(DataManager):
     """A DM whose scheduler is timestamp ordering instead of 2PL.
 
-    The lock manager inherited from the base class stays empty (its
-    cancel/release calls are harmless no-ops), so the global deadlock
-    detector sees no edges — TO cannot deadlock.
+    Only the scheduler's three per-item decisions are overridden; every
+    operation — single, batched, privileged — walks the base class's one
+    admission pipeline to reach them. None of the three touches the lock
+    manager, so it stays empty (the base class's cancel calls are
+    harmless no-ops) and the global deadlock detector sees no edges — TO
+    cannot deadlock.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -70,82 +72,49 @@ class TimestampDataManager(DataManager):
         self.stats_to_rejections += 1
         raise TimestampOrderViolation(txn_id, item, detail)
 
-    def _handle_read(self, request: ReadRequest, src: int) -> typing.Generator:
+    def _read_copy(
+        self, txn_id: str, txn_seq: int, item: str, peek: bool
+    ) -> typing.Generator:
         yield from ()
-        self._check_access(request.expected, request.privileged)
-        part = self._participation(request, src)
-        if request.item in part.writes:
-            intent = part.writes[request.item]
-            return intent.value, Version(self.kernel.now, 0, request.txn_seq)
-        if not self.site.copies.has(request.item):
-            raise TransactionError(f"site {self.site_id} holds no copy of {request.item}")
-        copy = self.site.copies.get(request.item)
-        if request.peek_unreadable:
-            return copy.value, copy.version
-        ts = request.txn_seq
-        if self._wts.get(request.item, 0) > ts:
-            self._reject(request.txn_id, request.item, "read after younger write")
-        pending = self._pending_writes.get(request.item, set())
-        if any(writer < ts for writer in pending if writer != ts):
+        copy = self._copy(item)
+        if peek:
+            return copy
+        if self._wts.get(item, 0) > txn_seq:
+            self._reject(txn_id, item, "read after younger write")
+        pending = self._pending_writes.get(item, set())
+        if any(writer < txn_seq for writer in pending if writer != txn_seq):
             # An older write intent is still in flight; reading the
             # committed value would miss it. Conservative: abort (a
             # waiting variant would be TO with commit dependencies).
-            self._reject(request.txn_id, request.item, "older write pending")
+            self._reject(txn_id, item, "older write pending")
         if copy.unreadable:
-            self.stats_unreadable_rejections += 1
-            for hook in list(self.unreadable_read_hooks):
-                hook(request.item)
-            raise CopyUnreadable(request.item, self.site_id)
-        self._rts[request.item] = max(self._rts.get(request.item, 0), ts)
-        return self._serve_read(request, request.item, copy)
+            self._refuse_unreadable(item)
+        self._rts[item] = max(self._rts.get(item, 0), txn_seq)
+        return copy
 
-    def _handle_write(self, request: WriteRequest, src: int) -> typing.Generator:
+    def _admit_write(self, txn_id: str, txn_seq: int, item: str) -> typing.Generator:
         yield from ()
-        self._check_access(request.expected, request.privileged)
-        part = self._participation(request, src)
-        if not self.site.copies.has(request.item):
-            raise TransactionError(f"site {self.site_id} holds no copy of {request.item}")
-        ts = request.txn_seq
-        if self._rts.get(request.item, 0) > ts:
-            self._reject(request.txn_id, request.item, "write after younger read")
-        part.writes[request.item] = WriteIntent(
-            value=request.value,
-            version_override=request.version_override,
-            applied_sites=request.applied_sites,
-            missed_sites=request.missed_sites,
-        )
-        self._pending_writes.setdefault(request.item, set()).add(ts)
+        self._copy(item)
+        if self._rts.get(item, 0) > txn_seq:
+            self._reject(txn_id, item, "write after younger read")
+        self._pending_writes.setdefault(item, set()).add(txn_seq)
+
+    def _install_write(
+        self, part: _Participation, item: str, value: object, applied: Version
+    ) -> bool:
+        self._forget_pending(item, part.txn_seq)
+        copy = self.site.copies.get(item)
+        if applied <= copy.version:
+            # Thomas write rule: an older write is skipped. An
+            # *equal*-version write (a copier that found the copy
+            # already current) still validates it — the mark must
+            # clear exactly as a 2PL apply would have.
+            if applied == copy.version and copy.unreadable:
+                self.site.copies.clear_unreadable(item)
+            return False
+        self.site.copies.apply_write(item, value, applied)
+        self._wts[item] = max(self._wts.get(item, 0), applied.seq)
         return True
-
-    # -- decisions ---------------------------------------------------------------
-
-    def _apply_commit(self, txn_id: str, version: Version) -> None:
-        part = self._participations.pop(txn_id, None)
-        if part is None:
-            return
-        for item, intent in part.writes.items():
-            self._forget_pending(item, part.txn_seq)
-            applied = (
-                intent.version_override
-                if intent.version_override is not None
-                else version
-            )
-            copy = self.site.copies.get(item)
-            if applied <= copy.version:
-                # Thomas write rule: an older write is skipped. An
-                # *equal*-version write (a copier that found the copy
-                # already current) still validates it — the mark must
-                # clear exactly as a 2PL apply would have.
-                if applied == copy.version and copy.unreadable:
-                    self.site.copies.clear_unreadable(item)
-                continue
-            self.site.copies.apply_write(item, intent.value, applied)
-            self._wts[item] = max(self._wts.get(item, 0), applied.seq)
-            self._write_applied(part, item, intent, applied)
-        self._decided[txn_id] = ("committed", version)
-        if part.writes and self.site.wal is not None:
-            self.site.wal.on_commit()  # group commit, as in the 2PL DM
-        self.lock_manager.cancel(txn_id)  # no-op safety
 
     def _apply_abort(self, txn_id: str) -> None:
         part = self._participations.get(txn_id)

@@ -9,12 +9,11 @@ import dataclasses
 class WalConfig:
     """Knobs of the redo log / checkpoint subsystem.
 
+    The log itself is not one of them: every site journals its committed
+    mutations, so a restart is always checkpoint + REDO.
+
     Attributes
     ----------
-    enabled:
-        Turn the WAL off entirely (the site keeps the legacy
-        "stable-by-construction copy store" semantics). Used by
-        ablations and by the obs-overhead bench.
     checkpoint_every:
         Take a fuzzy checkpoint after this many records have been
         group-committed since the last one. Smaller values shorten
@@ -28,6 +27,5 @@ class WalConfig:
         crashed before it).
     """
 
-    enabled: bool = True
     checkpoint_every: int = 64
     retain_records: int = 512

@@ -39,16 +39,14 @@ def site_durable_state(site: typing.Any) -> dict:
     """Everything that must be reproducible about one site's durability."""
     wal = site.wal
     return {
-        "durable_lsn": wal.log.durable_lsn if wal is not None else None,
-        "next_lsn": wal.log.next_lsn if wal is not None else None,
-        "truncated_through": (
-            wal.log.truncated_through_lsn if wal is not None else None
-        ),
+        "durable_lsn": wal.log.durable_lsn,
+        "next_lsn": wal.log.next_lsn,
+        "truncated_through": wal.log.truncated_through_lsn,
         "meta_blob": site.stable._blobs.get(META_KEY),
         "directory_blob": site.stable._blobs.get(DIRECTORY_KEY),
         # ``wal.dir`` stops at the last truncation; the directory a
         # restart would reassemble from stable storage covers the rest.
-        "segments": RedoLog(site.stable).segments if wal is not None else None,
+        "segments": RedoLog(site.stable).segments,
         "checkpoint_blob": site.stable._blobs.get(CHECKPOINT_KEY),
         "session_last": site.stable.get("session.last"),
         "copies": sorted(
@@ -59,11 +57,7 @@ def site_durable_state(site: typing.Any) -> dict:
         ),
         # Multiversion chain image (repro.mvcc): the rebuilt version
         # chains and the durable snapshot cut must replay identically too.
-        "mvcc": (
-            site.mvcc.digest_state()
-            if getattr(site, "mvcc", None) is not None
-            else None
-        ),
+        "mvcc": site.mvcc.digest_state() if site.mvcc is not None else None,
     }
 
 

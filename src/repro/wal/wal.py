@@ -4,7 +4,8 @@
 and its :class:`~repro.storage.stable.StableStorage`:
 
 * every committed copy mutation (write / mark / clear) is journaled as a
-  redo record through the copy store's ``journal`` hook;
+  redo record: the WAL is the first subscriber of the copy store's
+  mutation stream (and ignores the restore path's install / reset);
 * the DM calls :meth:`on_commit` once per applied commit — the whole
   transaction's records become durable in **one** stable segment write
   (group commit);
@@ -19,7 +20,7 @@ and its :class:`~repro.storage.stable.StableStorage`:
 
 A site whose stable storage holds no checkpoint (never initialised by a
 :class:`~repro.system.DatabaseSystem`, e.g. a bare ``Site`` in a unit
-test) keeps the legacy crash semantics: restore is a no-op.
+test) has nothing to rebuild from: restore is a no-op.
 """
 
 from __future__ import annotations
@@ -92,13 +93,13 @@ class SiteWal:
         #: state across log truncation.
         self._unresolved: dict[str, list[LogRecord]] = {}
         self._flush_soon: Future | None = None
-        site.copies.journal = self._journal
+        site.copies.subscribers.append(self._journal)
         site.crash_hooks.append(self._on_crash)
 
-    # -- journaling (CopyStore hook) -------------------------------------------
+    # -- journaling (CopyStore subscriber) -------------------------------------
 
-    def _journal(self, op: str, item: str, value: object = None, version=None) -> None:
-        if self._restoring:
+    def _journal(self, op: str, item: str, value: object, version) -> None:
+        if self._restoring or op not in ("write", "mark", "clear"):
             return  # replay must not re-journal what it applies
         access = self.site.kernel.probes.access
         if access:
@@ -255,11 +256,10 @@ class SiteWal:
                     for txn, records in self._unresolved.items()
                 },
                 # Multiversion chain tails + the durable snapshot cut
-                # (repro.mvcc); None when the subsystem is off. Duck-typed
-                # so the WAL has no dependency on repro.mvcc.
+                # (repro.mvcc); None when the subsystem is off.
                 "mvcc": (
-                    self.site.mvcc.checkpoint_payload()  # type: ignore[attr-defined]
-                    if getattr(self.site, "mvcc", None) is not None
+                    self.site.mvcc.checkpoint_payload()
+                    if self.site.mvcc is not None
                     else None
                 ),
             },
@@ -286,7 +286,7 @@ class SiteWal:
 
         Returns None (and touches nothing) when stable storage holds no
         checkpoint — the site was never initialised through a
-        DatabaseSystem and keeps legacy crash semantics.
+        DatabaseSystem, so there is no image to rebuild from.
         """
         stable = self.site.stable
         checkpoint = typing.cast("dict | None", stable.get(CHECKPOINT_KEY))
@@ -342,7 +342,7 @@ class SiteWal:
         self.last_checkpoint_lsn = checkpoint["lsn"]
         self._records_since_checkpoint = self.checkpoint_lag
         self.restore_high_commit = high_commit
-        mvcc = getattr(self.site, "mvcc", None)
+        mvcc = self.site.mvcc
         if mvcc is not None:
             # The reset/install hooks rebuilt single-version chains during
             # the replay above; hand over the checkpointed chain tails and

@@ -119,18 +119,3 @@ class TestRestartByReplay:
         # Replay touched only the post-checkpoint suffix, not the epoch.
         assert site.wal.stats.records_replayed <= site.wal.config.checkpoint_every + 16
         assert system.copy_value(1, "X") == 29
-
-    def test_wal_disabled_keeps_legacy_semantics(self):
-        kernel, system = build_wal_system(
-            seed=16, wal_config=WalConfig(enabled=False)
-        )
-        assert all(
-            system.cluster.site(s).wal is None for s in system.cluster.site_ids
-        )
-        kernel.run(system.submit(1, write_program("X", 5)))
-        system.crash(3)
-        kernel.run(until=kernel.now + 40)
-        kernel.run(system.power_on(3))
-        kernel.run(until=kernel.now + 200)
-        system.stop()
-        assert system.copy_value(3, "X") == 5

@@ -227,3 +227,109 @@ class TestOneMechanism:
             if isinstance(loop, ast.While) and "_process" in ast.dump(loop)
         ]
         assert len(dispatching) == 2  # bare (in run) and probed (_drain)
+
+
+class TestOneDataPath:
+    """The data path is written once: one DM admission pipeline (a
+    scheduler is three per-item decisions), one RPC serve path, one
+    request-construction site per payload, one store mutation stream —
+    and no knob or absence test that would let a twin grow back."""
+
+    SRC = TestOneMechanism.SRC
+    _trees = TestOneMechanism._trees
+
+    def _tree(self, relative):
+        return ast.parse((self.SRC / relative).read_text())
+
+    @staticmethod
+    def _calls(tree, name):
+        """Call nodes whose callee, unparsed, ends with ``name``."""
+        return [
+            node for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(name)
+        ]
+
+    @staticmethod
+    def _functions(tree):
+        return [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+
+    def test_a_scheduler_is_three_decisions(self):
+        tree = self._tree("txn/timestamp.py")
+        defined = {function.name for function in self._functions(tree)}
+        assert {"_read_copy", "_admit_write", "_install_write"} <= defined
+        assert not {name for name in defined if name.startswith("_handle_")}
+        assert "_apply_commit" not in defined
+        for pipeline_step in (
+            "_check_access", "_participation", "record_read", "record_write",
+            "rpc.register",
+        ):
+            assert not self._calls(tree, pipeline_step), pipeline_step
+
+    def test_dm_admission_is_walked_in_two_bodies(self):
+        tree = self._tree("txn/data_manager.py")
+        admitting = [
+            function.name for function in self._functions(tree)
+            if self._calls(function, "._check_access")
+        ]
+        assert admitting == ["_read_items", "_handle_write"]
+        assert len(self._calls(tree, "lock_manager.acquire")) == 2  # S and X
+        assert sum(f.name == "_apply_commit" for f in self._functions(tree)) == 1
+
+    def test_rpc_has_one_serve_path(self):
+        tree = self._tree("net/rpc.py")
+        serving = [
+            function.name for function in self._functions(tree)
+            if self._calls(function, "inspect.isgenerator")
+        ]
+        assert serving == ["_serve"]
+        spawning = [
+            function.name for function in self._functions(tree)
+            if self._calls(function, "kernel.process")
+        ]
+        assert spawning == ["start", "_spawn_server"]  # the dispatcher, and every server
+
+    def test_each_request_is_constructed_once(self):
+        tree = self._tree("txn/context.py")
+        for payload in ("WriteRequest", "SnapshotReadRequest", "ReadRequest",
+                        "BatchReadRequest"):
+            constructed = [
+                call for call in self._calls(tree, payload)
+                if ast.unparse(call.func) == payload
+            ]
+            assert len(constructed) == 1, payload
+
+    def test_the_wal_is_never_tested_for_absence(self):
+        for path, tree in self._trees():
+            for node in ast.walk(tree):
+                if not (isinstance(node, ast.Compare) and len(node.ops) == 1):
+                    continue
+                if not isinstance(node.ops[0], (ast.Is, ast.IsNot)):
+                    continue
+                if ast.unparse(node.comparators[0]) != "None":
+                    continue
+                subject = ast.unparse(node.left)
+                assert subject != "wal" and not subject.endswith(".wal"), (
+                    path, node.lineno,
+                )
+
+    def test_deleted_knobs_and_seams_stay_deleted(self):
+        import dataclasses
+
+        from repro.core.config import RowaaConfig
+        from repro.net.rpc import RpcNode
+        from repro.storage.copies import CopyStore
+        from repro.wal import WalConfig
+
+        assert "enabled" not in {f.name for f in dataclasses.fields(WalConfig)}
+        assert "batch_ns_read" not in {f.name for f in dataclasses.fields(RowaaConfig)}
+        assert "batch_kinds" not in RpcNode.__slots__
+        assert {"journal", "version_hooks"}.isdisjoint(vars(CopyStore(1)))
+        gone = {"batch_ns_read", "batch_kinds", "journal", "version_hooks"}
+        for path, tree in self._trees():
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Attribute):
+                    assert node.attr not in gone, (path, node.lineno)
+                elif isinstance(node, (ast.arg, ast.keyword)):
+                    assert node.arg not in gone, (path, node.lineno)
+                elif isinstance(node, ast.Name):
+                    assert node.id not in gone, (path, node.lineno)

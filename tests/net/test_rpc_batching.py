@@ -97,17 +97,6 @@ class TestCoalescing:
         assert a.stats_batched_calls == 3
         assert a.stats_decisions_piggybacked == 2
 
-    def test_batching_can_be_disabled_per_node(self, kernel, net):
-        a = make_node(kernel, net, 1)
-        b = make_node(kernel, net, 2)
-        a.batch_kinds = frozenset()
-        b.register("dm.prepare", lambda payload, src: True)
-
-        futures = [a.call(2, "dm.prepare", n, timeout=30) for n in (1, 2)]
-        assert gather(kernel, futures) == [True, True]
-        assert a.stats_batches == 0
-        assert net.stats.by_kind["dm.prepare"] == 2
-
 
 class TestBatchSemantics:
     def test_per_subcall_errors_propagate_independently(self, kernel, net):

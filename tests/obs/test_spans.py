@@ -75,9 +75,9 @@ class TestUserTxnPropagation:
         assert all(s.parent_id == two_pc[0].span_id for s in prepare_rpcs)
 
     def test_batched_ns_read_fast_path_in_tree(self, traced):
-        # The PR-1 fast path (config.batch_ns_read, on by default)
-        # materialises the NS vector with one dm.read_batch call; its
-        # serve span must still land in the transaction's tree.
+        # The implicit begin materialises the NS vector with one
+        # dm.read_batch call; its serve span must land in the
+        # transaction's tree.
         kernel, system, obs = traced
         kernel.run(system.submit(1, _write_program("X", 1)))
         recorder = obs.spans

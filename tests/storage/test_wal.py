@@ -177,10 +177,15 @@ def make_site(wal_config=None):
 class TestSiteWal:
     def test_journal_hooked_into_copy_store(self):
         site = make_site()
+        # The WAL is the first subscriber of the store's mutation stream.
+        assert site.copies.subscribers == [site.wal._journal]
         site.copies.create("X", 0)
         site.copies.apply_write("X", 5, v(1))
         site.copies.mark_unreadable("X")
         site.copies.clear_unreadable("X")
+        # The restore path's ops ride the same stream and are not redo.
+        site.copies.install("Y", 7, v(2))
+        site.copies.reset()
         assert site.wal.stats.records_appended == 3
         kinds = [r.kind for r in site.wal.log._buffer]
         assert kinds == ["write", "mark", "clear"]
@@ -270,12 +275,6 @@ class TestSiteWal:
         site.power_on()
         assert site.wal.stats.replays == 1
         assert site.copies.get("X").value == 2
-
-    def test_disabled_wal(self):
-        site = make_site(WalConfig(enabled=False))
-        assert site.wal is None
-        site.copies.create("X", 0)
-        site.copies.apply_write("X", 1, v(1))  # no journal hook, no error
 
     def test_checkpoint_key_layout(self):
         site = make_site()

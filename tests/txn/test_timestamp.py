@@ -5,12 +5,12 @@ algorithms")."""
 import pytest
 
 from repro.core import RowaaSystem
-from repro.core.nominal import db_item_filter
+from repro.core.nominal import db_item_filter, ns_item
 from repro.errors import TransactionAborted
 from repro.histories import check_one_sr, check_sr, check_theorem3
 from repro.net import ConstantLatency
 from repro.sim import Kernel
-from repro.txn import TxnConfig
+from repro.txn import TxnConfig, TxnKind
 
 
 def make_system(kernel, n_sites=3, items=None, **kwargs):
@@ -67,20 +67,33 @@ class TestBasicTO:
             kernel.run(system.submit(site, increment))
         assert system.copy_value(1, "X") == 3
 
-    def test_old_reader_rejected_after_younger_write(self, kernel, system):
-        """A reader whose timestamp predates a committed write aborts."""
+    def test_old_reader_rejected_after_younger_write(self):
+        """A reader whose timestamp predates a committed write aborts —
+        whichever request type carries the read."""
 
-        def slow_reader(ctx):
-            yield kernel.timeout(20)  # a younger writer commits meanwhile
+        def single(ctx):
             value = yield from ctx.read("X")
             return value
 
-        proc = system.submit(1, slow_reader)
-        kernel.run(until=5)
-        kernel.run(system.submit(2, write_program("X", 9)))
-        with pytest.raises(TransactionAborted) as excinfo:
-            kernel.run(proc)
-        assert excinfo.value.reason == "timestamp-order-violation"
+        def batched(ctx):
+            pairs = yield from ctx.dm_read_batch(1, ["X"], expected=ctx.view[1])
+            return pairs[0][0]
+
+        for read in (single, batched):
+            kernel = Kernel(seed=77)
+            system = make_system(kernel)
+
+            def slow_reader(ctx):
+                yield kernel.timeout(20)  # a younger writer commits meanwhile
+                value = yield from read(ctx)
+                return value
+
+            proc = system.submit(1, slow_reader)
+            kernel.run(until=5)
+            kernel.run(system.submit(2, write_program("X", 9)))
+            with pytest.raises(TransactionAborted) as excinfo:
+                kernel.run(proc)
+            assert excinfo.value.reason == "timestamp-order-violation", read
 
     def test_old_writer_rejected_after_younger_read(self, kernel, system):
         def slow_writer(ctx):
@@ -142,6 +155,54 @@ class TestBasicTO:
         kernel.run(until=kernel.now + 20)
         for site in (1, 2, 3):
             assert system.copy_value(site, "Y") == "young"
+
+
+class TestNsReadsAreScheduled:
+    """§3.2: every user transaction's implicit read of NS[*] is an
+    ordinary scheduled read — under TO that means timestamp-checked, not
+    S-locked by the 2PL handler it used to fall through to."""
+
+    def test_begin_read_records_rts_and_takes_no_lock(self, kernel, system):
+        samples = []
+
+        def sample():
+            active = bool(system.tms[1]._active)
+            held = [dict(dm.lock_manager._held_by_txn) for dm in system.dms.values()]
+            samples.append((active, held))
+
+        def increment(ctx):
+            value = yield from ctx.read("X")
+            yield kernel.timeout(3)
+            yield from ctx.write("X", value + 1)
+
+        for tick in range(12):
+            kernel.schedule_callback(0.5 * tick + 0.25, sample)
+        kernel.run(system.submit(1, increment))
+        kernel.run(until=10)
+        assert any(active for active, _held in samples)
+        assert all(held == [{}, {}, {}] for _active, held in samples)
+        assert {ns_item(site) for site in (1, 2, 3)} <= set(system.dms[1]._rts)
+        assert system.copy_value(2, "X") == 1
+
+    def test_old_control_write_rejected_after_younger_ns_read(self, kernel, system):
+        """The directed violation: an older control transaction must not
+        change NS[3] under a younger user transaction that has read it."""
+
+        def control(ctx):
+            yield kernel.timeout(10)
+            yield from ctx.dm_write(1, ns_item(3), 0, privileged=True)
+
+        def open_user(ctx):
+            yield kernel.timeout(15)  # stays open (NS[*] read) until t=20
+
+        control_proc = system.submit(1, control, kind=TxnKind.CONTROL)
+        kernel.run(until=5)
+        user_proc = system.submit(1, open_user)
+        with pytest.raises(TransactionAborted) as excinfo:
+            kernel.run(control_proc)
+        assert excinfo.value.reason == "timestamp-order-violation"
+        kernel.run(user_proc)
+        assert system.copy_value(1, ns_item(3)) != 0
 
 
 class TestTOWithRecovery:
