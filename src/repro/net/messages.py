@@ -14,9 +14,15 @@ def reset_msg_counter() -> None:
     _msg_counter = itertools.count(1)
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
 class Message:
-    """An immutable network message.
+    """A network message, immutable by contract.
+
+    One is built per send (37 k per ``steady_rw`` benchmark rep), so this
+    is a plain ``__slots__`` class: a frozen dataclass pays one
+    ``object.__setattr__`` call per field at construction. Nothing
+    enforces immutability — no code assigns to a message after
+    construction, and none may: the object sent is the object delivered,
+    so sender and receiver share it.
 
     Attributes
     ----------
@@ -36,17 +42,31 @@ class Message:
         (:mod:`repro.obs.spans`). ``None`` when tracing is off.
     """
 
-    src: int
-    dst: int
-    kind: str
-    payload: object = None
-    msg_id: int = dataclasses.field(default_factory=lambda: next(_msg_counter))
-    reply_to: int | None = None
-    span_id: int | None = None
+    __slots__ = ("src", "dst", "kind", "payload", "msg_id", "reply_to", "span_id")
 
-    def is_reply(self) -> bool:
-        """True when this message answers an earlier request."""
-        return self.reply_to is not None
+    def __init__(
+        self,
+        src: int,
+        dst: int,
+        kind: str,
+        payload: object = None,
+        reply_to: int | None = None,
+        span_id: int | None = None,
+    ) -> None:
+        self.src = src
+        self.dst = dst
+        self.kind = kind
+        self.payload = payload
+        self.msg_id: int = next(_msg_counter)
+        self.reply_to = reply_to
+        self.span_id = span_id
+
+    def __repr__(self) -> str:
+        return (
+            f"Message(src={self.src!r}, dst={self.dst!r}, kind={self.kind!r}, "
+            f"payload={self.payload!r}, msg_id={self.msg_id!r}, "
+            f"reply_to={self.reply_to!r}, span_id={self.span_id!r})"
+        )
 
 
 #: Per-sub-call framing cost inside a batch envelope (msg_id + kind tag
@@ -61,8 +81,8 @@ class BatchCalls:
 
     Each entry is ``(msg_id, kind, payload, span_id)`` of a request that
     would otherwise have been its own message; the receiver serves each
-    in its own process (identical semantics to unbatched delivery) and
-    answers all of them with one :class:`BatchResults` envelope.
+    in its own kernel event (identical semantics to unbatched delivery)
+    and answers all of them with one :class:`BatchResults` envelope.
     """
 
     calls: tuple[tuple[int, str, object, int | None], ...]

@@ -23,10 +23,6 @@ from repro.sim.queue import Queue
 ENVELOPE_BYTES = 64
 
 
-def _wire_size(msg: Message) -> int:
-    return ENVELOPE_BYTES + getattr(msg.payload, "wire_size", 0)
-
-
 @dataclasses.dataclass
 class NetworkStats:
     """Counters used by the overhead experiments (E3, E7).
@@ -185,53 +181,61 @@ class Network:
 
     def send(self, msg: Message) -> None:
         """Send ``msg``; delivery (or drop) happens after a sampled latency."""
+        kernel = self.kernel
         # Happens-before message edge: a race detector stamps the
         # sender's vector clock by msg_id, joined (``join`` probe) when
         # the rpc layer picks the message up.
-        if self.kernel.probes.send:
-            for fn in self.kernel.probes.send:
+        if kernel.probes.send:
+            for fn in kernel.probes.send:
                 fn(msg.msg_id)
-        dst = self.endpoint(msg.dst)
-        src = self.endpoint(msg.src)
-        if msg.src == msg.dst:
+        try:
+            dst = self._endpoints[msg.dst]
+            src = self._endpoints[msg.src]
+        except KeyError as missing:
+            raise NetworkError(f"site {missing.args[0]} is not attached") from None
+        stats = self.stats
+        if src is dst:
             # Intra-site "messages" (a TM talking to its co-located DM) are
             # procedure calls: instantaneous, lossless, and not network
             # traffic for the message-count metrics (E3/E7).
-            self.stats.local_sent += 1
+            stats.local_sent += 1
             if src.receiving:
-                self.kernel.call_soon(self._deliver, dst, msg)
+                kernel.schedule_callback(0.0, self._deliver_local, dst, msg)
             else:
-                self.stats.dropped_local_down += 1
+                stats.dropped_local_down += 1
             return
-        self.stats.sent += 1
-        self.stats.by_kind[msg.kind] += 1
-        self.stats.bytes_sent += _wire_size(msg)
+        size = ENVELOPE_BYTES + getattr(msg.payload, "wire_size", 0)
+        stats.sent += 1
+        stats.by_kind[msg.kind] += 1
+        stats.bytes_sent += size
         if not src.receiving:
             # A down site cannot transmit; this only happens in narrow
             # crash windows where a process is being torn down.
-            self.stats.dropped_src_down += 1
+            stats.dropped_src_down += 1
             return
         if self.loss_probability and self._rng.random() < self.loss_probability:
-            self.stats.dropped_loss += 1
+            stats.dropped_loss += 1
             return
-        delay = self.latency.sample(self._rng)
-        self.kernel.call_soon(self._deliver, dst, msg, delay=delay)
+        kernel.schedule_callback(
+            self.latency.sample(self._rng), self._deliver, dst, msg, size
+        )
 
-    def _deliver(self, dst: Endpoint, msg: Message) -> None:
-        if msg.src == msg.dst:
-            if dst.receiving:
-                self.stats.local_delivered += 1
-                dst.inbox.put(msg)
-            else:
-                self.stats.dropped_local_down += 1
-            return
-        if self._partitioned(msg.src, msg.dst):
+    def _deliver_local(self, dst: Endpoint, msg: Message) -> None:
+        if dst.receiving:
+            self.stats.local_delivered += 1
+            dst.inbox.put(msg)
+        else:
+            self.stats.dropped_local_down += 1
+
+    def _deliver(self, dst: Endpoint, msg: Message, size: int) -> None:
+        if self._partition is not None and self._partitioned(msg.src, msg.dst):
             self.stats.dropped_partition += 1
             return
         if dst.receiving:
-            self.stats.delivered += 1
-            self.stats.delivered_by_kind[msg.kind] += 1
-            self.stats.bytes_delivered += _wire_size(msg)
+            stats = self.stats
+            stats.delivered += 1
+            stats.delivered_by_kind[msg.kind] += 1
+            stats.bytes_delivered += size
             dst.inbox.put(msg)
         else:
             self.stats.dropped_dst_down += 1

@@ -1,12 +1,21 @@
 """Request/reply messaging on top of :class:`~repro.net.network.Network`.
 
 Each site runs one :class:`RpcNode`. Incoming requests are dispatched to
-registered handlers, each served by its own simulated process so that a
-handler blocked on a lock does not stall the site. Handler exceptions
-derived from :class:`~repro.errors.ReproError` propagate to the caller
-as-is (this is how :class:`~repro.errors.SessionMismatch` reaches the
-requesting TM, per §3.1 of the paper); any other exception is a bug and is
-wrapped in :class:`RemoteError`.
+registered handlers, each in its own kernel event (so dispatch order, not
+call depth, decides who runs first): the handler is called from a plain
+callback, and only one that returns a generator gets a simulated process —
+which adopts the generator inside that same event — so that a handler
+blocked on a lock does not stall the site. Every serve ends in
+:meth:`RpcNode._served`. Handler exceptions derived from
+:class:`~repro.errors.ReproError` propagate to the caller as-is (this is
+how :class:`~repro.errors.SessionMismatch` reaches the requesting TM, per
+§3.1 of the paper); any other exception is a bug and is wrapped in
+:class:`RemoteError`.
+
+Kernel events per served request: one (the start callback), plus one per
+resume of a handler that yields, plus — for a batch sub-call only — one
+completion callback, which is where the ``rpc.batch.reply`` is sent. A
+serve's own completion schedules and sends nothing, so it is not an event.
 
 Call futures are created *defused*: when a caller dies in a site crash,
 the late reply or timeout that would have woken it must not be reported as
@@ -39,6 +48,7 @@ from repro.sim.process import Process
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs import Observability
+    from repro.obs.spans import Span
 
 Handler = typing.Callable[[object, int], object]
 
@@ -80,6 +90,9 @@ class RpcNode:
         "_pending",
         "_dispatcher",
         "_servers",
+        "_serve_seq",
+        "_serve_names",
+        "_reply_kinds",
         "_outbatch",
     )
 
@@ -106,10 +119,16 @@ class RpcNode:
         #: dead ``_pending`` entry.
         self._pending: dict[int, tuple[Future, Callback | None]] = {}
         self._dispatcher: Process | None = None
-        # Insertion-ordered dict-as-set: a plain set would interrupt the
-        # servers in id-hash order on stop(), which varies across
-        # interpreter runs (REP002).
-        self._servers: dict[Process, None] = {}
+        #: Serves in flight, in dispatch order (the order stop() tears
+        #: them down in): serve number -> the process driving a handler
+        #: that yielded, or None while the serve is dispatched but not
+        #: started (or is a plain handler running right now).
+        self._servers: dict[int, Process | None] = {}
+        self._serve_seq = 0
+        # Per-kind strings built once, not per call: the serving-process
+        # label and the reply's message kind.
+        self._serve_names: dict[str, str] = {}
+        self._reply_kinds: dict[str, str] = {}
         #: Per-destination outgoing batch, flushed on a kernel microtask.
         self._outbatch: dict[int, list[Message]] = {}
 
@@ -136,10 +155,17 @@ class RpcNode:
         if self._dispatcher is not None and self._dispatcher.is_alive:
             self._dispatcher.interrupt("stop")
         self._dispatcher = None
-        for server in list(self._servers):
-            if server.is_alive:
+        servers, self._servers = self._servers, {}
+        for number, server in servers.items():
+            if server is None:
+                # Dispatched, not started: its first step still runs at
+                # its heap position, after this; whatever process that
+                # leaves behind is interrupted where a started server's
+                # interrupt would be delivered.
+                self._servers[number] = None
+                self.kernel.schedule_callback(0.0, self._stop_late_starter, number)
+            elif server.is_alive:
                 server.interrupt("stop")
-        self._servers.clear()
         for _future, timer in self._pending.values():
             if timer is not None:
                 timer.cancel()
@@ -152,8 +178,9 @@ class RpcNode:
         """Route requests of ``kind`` to ``handler(payload, src_site)``.
 
         The handler may return a plain value, or a generator which is then
-        driven as part of the serving process (it may block on locks,
-        timeouts, nested RPCs, ...).
+        driven by a serving process (it may block on locks, timeouts,
+        nested RPCs, ...). Which one is decided per call from what the
+        handler returned, never at registration.
         """
         if kind in self._handlers:
             raise NetworkError(f"duplicate handler for {kind!r} at site {self.site_id}")
@@ -186,23 +213,27 @@ class RpcNode:
             recorder = obs.spans
             span = recorder.start(f"rpc:{kind}", "rpc", self.site_id, parent=span_parent)
             span_id = span.span_id
-            msg = Message(
-                src=self.site_id, dst=dst, kind=kind, payload=payload, span_id=span_id
-            )
-            future = Future(self.kernel, name=f"rpc:{kind}->{dst}").defuse()
+            msg = Message(self.site_id, dst, kind, payload, span_id=span_id)
+            future = Future(self.kernel, name=("rpc:%s->%s", kind, dst)).defuse()
             future.add_callback(
                 lambda ev: recorder.finish(span, dst=dst, ok=ev.ok)
             )
         else:
-            msg = Message(src=self.site_id, dst=dst, kind=kind, payload=payload)
-            future = Future(self.kernel, name=f"rpc:{kind}->{dst}").defuse()
+            msg = Message(self.site_id, dst, kind, payload)
+            future = Future(self.kernel, name=("rpc:%s->%s", kind, dst)).defuse()
         timer = (
             self.kernel.schedule_callback(timeout, self._expire, msg.msg_id, dst, kind)
             if timeout is not None
             else None
         )
         self._pending[msg.msg_id] = (future, timer)
-        self._send_or_batch(msg)
+        # Only remote 2PC traffic is coalesced: local sends are already
+        # zero-latency same-timestep deliveries, so batching them would
+        # only add framing.
+        if kind in BATCH_KINDS and dst != self.site_id:
+            self._batch(msg)
+        else:
+            self._send_now(msg)
         return future
 
     def call_many(
@@ -236,23 +267,15 @@ class RpcNode:
             self._flush_batch(msg.dst)
         self.network.send(msg)
 
-    def _send_or_batch(self, msg: Message) -> None:
-        """Send now, or park in the per-destination batch.
-
-        Only remote 2PC traffic is coalesced: local sends are already
-        zero-latency same-timestep deliveries, so batching them would
-        only add framing.
-        """
-        if msg.kind not in BATCH_KINDS or msg.dst == self.site_id:
-            self._send_now(msg)
-            return
+    def _batch(self, msg: Message) -> None:
+        """Park ``msg`` in its destination's batch."""
         queue = self._outbatch.setdefault(msg.dst, [])
         queue.append(msg)
         if len(queue) == 1:
             # First call this timestep for this destination: arm the
             # flush microtask. Everything queued before it runs — all
             # same-timestep calls — rides the same envelope.
-            self.kernel.call_soon(self._flush_batch, msg.dst)
+            self.kernel.schedule_callback(0.0, self._flush_batch, msg.dst)
 
     def _flush_batch(self, dst: int) -> None:
         msgs = self._outbatch.pop(dst, None)
@@ -296,7 +319,7 @@ class RpcNode:
                 # dispatch's scheduling edge did not carry.
                 for fn in join:
                     fn(msg.msg_id)
-                if msg.is_reply():
+                if msg.reply_to is not None:
                     self._complete_call(msg)
                 elif msg.kind == "rpc.batch":
                     self._spawn_batch(msg)
@@ -341,57 +364,113 @@ class RpcNode:
         src: int,
         span_id: int | None,
         deliver: typing.Callable[[bool, object], None],
-    ) -> Process | None:
-        """Serve one call in its own process; its outcome goes to
-        ``deliver(ok, value)`` — a ``.reply`` message, or a batch's result
-        slot. Returns None (outcome already delivered) without a handler."""
+        then: typing.Callable[[], None] | None = None,
+    ) -> bool:
+        """Dispatch one call to its handler, in its own kernel event; its
+        outcome goes to ``deliver(ok, value)`` — a ``.reply`` message, or a
+        batch's result slot — and ``then()`` (a batch's bookkeeping) runs
+        one event after the serve ends. Returns False (outcome already
+        delivered, ``then`` not scheduled) without a handler."""
         handler = self._handlers.get(kind)
         if handler is None:
             deliver(False, NetworkError(f"no handler for {kind!r} at site {self.site_id}"))
-            return None
-        server = self.kernel.process(
-            self._serve(handler, kind, payload, src, deliver),
-            name=f"rpc-serve[{self.site_id}]:{kind}",
-        )
-        self._servers[server] = None
-        server.defuse()
-        server.add_callback(lambda _ev: self._servers.pop(server, None))
-        # Serve-side span: opened here (not inside the handler) because
-        # handlers may be generators whose bodies run later; the span is
-        # closed when the serving process dies, whatever the outcome.
+            return False
+        # Serve-side span: opened at dispatch (not when the handler
+        # runs) and closed when the serve ends, whatever the outcome.
+        span = None
         obs = self.obs
         if obs is not None and obs.spans_on and span_id is not None:
-            recorder = obs.spans
-            span = recorder.start(f"serve:{kind}", "serve", self.site_id, parent=span_id)
-            server.add_callback(lambda ev: recorder.finish(span, ok=ev.ok))
-        return server
+            span = obs.spans.start(f"serve:{kind}", "serve", self.site_id, parent=span_id)
+        self._serve_seq = number = self._serve_seq + 1
+        self._servers[number] = None
+        self.kernel.schedule_callback(
+            0.0, self._start_server, handler, payload, src, number, kind, deliver, then, span
+        )
+        return True
 
-    def _serve(
+    def _start_server(
         self,
         handler: Handler,
-        kind: str,
         payload: object,
         src: int,
+        number: int,
+        kind: str,
         deliver: typing.Callable[[bool, object], None],
-    ) -> typing.Generator:
+        then: typing.Callable[[], None] | None,
+        span: "Span | None",
+    ) -> None:
+        """The serve's event: call the handler. A plain result ends the
+        serve at once; a generator is adopted by a process in place (so
+        it may block on locks, timeouts, nested RPCs, ...)."""
         try:
             result = handler(payload, src)
-            if inspect.isgenerator(result):
-                result = yield from result
-        except Interrupt:
-            raise  # site crash tearing this server down
-        except ReproError as exc:
+        except Exception as exc:  # noqa: BLE001 - sorted out by _served
+            self._served(None, exc, number, kind, deliver, then, span)
+            return
+        if not inspect.isgenerator(result):
+            self._served(result, None, number, kind, deliver, then, span)
+            return
+        name = self._serve_names.get(kind)
+        if name is None:
+            name = self._serve_names[kind] = f"rpc-serve[{self.site_id}]:{kind}"
+        server = self.kernel.adopt(
+            result,
+            functools.partial(self._server_exited, number, kind, deliver, then, span),
+            name,
+        )
+        if server.is_alive:
+            self._servers[number] = server
+
+    def _server_exited(
+        self,
+        number: int,
+        kind: str,
+        deliver: typing.Callable[[bool, object], None],
+        then: typing.Callable[[], None] | None,
+        span: "Span | None",
+        server: Process,
+    ) -> None:
+        exc = server.exception
+        result = server.value if exc is None else None
+        self._served(result, exc, number, kind, deliver, then, span)
+
+    def _served(
+        self,
+        result: object,
+        exc: BaseException | None,
+        number: int,
+        kind: str,
+        deliver: typing.Callable[[bool, object], None],
+        then: typing.Callable[[], None] | None,
+        span: "Span | None",
+    ) -> None:
+        """The one end of every serve: bookkeeping, span, outcome."""
+        self._servers.pop(number, None)
+        if span is not None:
+            assert self.obs is not None
+            self.obs.spans.finish(span, ok=not isinstance(exc, Interrupt))
+        if exc is None:
+            deliver(True, result)
+        elif isinstance(exc, Interrupt):
+            pass  # site crash tore this server down: nothing is replied
+        elif isinstance(exc, ReproError):
             deliver(False, exc)
-            return
-        except Exception as exc:  # noqa: BLE001 - handler bug, not protocol
+        else:  # handler bug, not protocol
             deliver(False, RemoteError(self.site_id, kind, exc))
-            return
-        deliver(True, result)
+        if then is not None:
+            # Not inert (it may send the batch reply), so it keeps the
+            # heap position a serving process's completion event had.
+            self.kernel.schedule_callback(0.0, then)
+
+    def _stop_late_starter(self, number: int) -> None:
+        server = self._servers.pop(number, None)
+        if server is not None:
+            server.throw_interrupt("stop")
 
     def _spawn_batch(self, envelope: Message) -> None:
-        """Unpack an ``rpc.batch``: serve every sub-call in its own process
+        """Unpack an ``rpc.batch``: serve every sub-call in its own event
         (identical semantics to unbatched delivery), answer all of them
-        with one ``rpc.batch.reply`` once the last server finishes."""
+        with one ``rpc.batch.reply`` once the last serve has ended."""
         batch = envelope.payload
         assert isinstance(batch, BatchCalls)
         results: dict[int, tuple[bool, object]] = {}
@@ -400,21 +479,17 @@ class RpcNode:
         def record(msg_id: int, ok: bool, value: object) -> None:
             results[msg_id] = (ok, value)
 
-        def finish_one(_ev: object = None) -> None:
+        def finish_one() -> None:
             remaining[0] -= 1
             if remaining[0] == 0 and self.running:
                 self._reply_batch(envelope, batch, results)
 
         for msg_id, kind, payload, span_id in batch.calls:
-            server = self._spawn_server(
-                kind, payload, envelope.src, span_id, functools.partial(record, msg_id)
-            )
-            if server is None:
+            if not self._spawn_server(
+                kind, payload, envelope.src, span_id,
+                functools.partial(record, msg_id), finish_one,
+            ):
                 finish_one()
-            else:
-                # Last callback on the process: by then the server has
-                # left ``_servers`` and its span is closed.
-                server.add_callback(finish_one)
 
     def _reply_batch(
         self,
@@ -440,12 +515,9 @@ class RpcNode:
         )
 
     def _reply(self, request: Message, ok: bool, value: object) -> None:
+        kind = self._reply_kinds.get(request.kind)
+        if kind is None:
+            kind = self._reply_kinds[request.kind] = f"{request.kind}.reply"
         self._send_now(
-            Message(
-                src=self.site_id,
-                dst=request.src,
-                kind=f"{request.kind}.reply",
-                payload=(ok, value),
-                reply_to=request.msg_id,
-            )
+            Message(self.site_id, request.src, kind, (ok, value), request.msg_id)
         )

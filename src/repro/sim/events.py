@@ -44,12 +44,15 @@ class Future:
     kernel:
         The kernel whose event loop processes this future.
     name:
-        Optional label used in ``repr`` for debugging.
+        Optional label used in ``repr`` for debugging: a string, or a
+        ``(format, *args)`` tuple that is ``%``-formatted only when the
+        label is read — hot paths (one future per RPC, per lock request)
+        name their futures without paying for the string.
     """
 
     __slots__ = (
         "kernel",
-        "name",
+        "_name",
         "_value",
         "_exc",
         "_callbacks",
@@ -57,9 +60,9 @@ class Future:
         "_abandon_hook",
     )
 
-    def __init__(self, kernel: "Kernel", name: str = "") -> None:
+    def __init__(self, kernel: "Kernel", name: str | tuple = "") -> None:
         self.kernel = kernel
-        self.name = name
+        self._name = name
         self._value: object = _PENDING
         self._exc: BaseException | None = None
         self._callbacks: typing.Sequence[typing.Callable[[Future], None]] | None = _NO_CALLBACKS
@@ -67,6 +70,14 @@ class Future:
         self._abandon_hook: typing.Callable[[Future], None] | None = None
 
     # -- state ------------------------------------------------------------
+
+    @property
+    def name(self) -> str:
+        """The debugging label (formatted on first use if given lazily)."""
+        label = self._name
+        if not isinstance(label, str):
+            label = self._name = label[0] % label[1:]
+        return label
 
     @property
     def triggered(self) -> bool:
@@ -113,8 +124,15 @@ class Future:
         """Trigger the future with ``value``; callbacks run after ``delay``."""
         if self._callbacks is None or self._value is not _PENDING or self._exc is not None:
             raise SimError(f"{self!r} has already been triggered")
+        if delay < 0:
+            raise SimError(f"cannot schedule into the past (delay={delay})")
         self._value = value
-        self.kernel._schedule(self, delay)
+        kernel = self.kernel
+        _heappush(kernel._heap, (kernel._now + delay, kernel._seq, self))
+        kernel._seq += 1
+        if kernel.probes.scheduled:
+            for probe in kernel.probes.scheduled:
+                probe(kernel._seq - 1)
         return self
 
     def fail(self, exc: BaseException, delay: float = 0.0) -> "Future":
@@ -212,7 +230,7 @@ class Timeout(Future):
         if delay < 0:
             raise ValueError(f"negative timeout delay: {delay}")
         self.kernel = kernel
-        self.name = ""
+        self._name = ""
         self._value = value
         self._exc = None
         self._callbacks = _NO_CALLBACKS

@@ -6,7 +6,7 @@ import heapq
 import typing
 
 from repro.errors import SimError, UnhandledFailure
-from repro.sim.events import F_CANCELLED, F_PROCESSED, Future, Timeout
+from repro.sim.events import F_CANCELLED, F_DEFUSED, F_PROCESSED, Future, Timeout
 from repro.sim.probes import Probes
 from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
@@ -135,7 +135,11 @@ class Kernel:
     def call_soon(
         self, fn: typing.Callable[..., None], *args: object, delay: float = 0.0
     ) -> Callback:
-        """Run ``fn(*args)`` at the current time (or after ``delay``)."""
+        """Run ``fn(*args)`` at the current time (or after ``delay``).
+
+        The convenience spelling; per-message paths call
+        :meth:`schedule_callback` directly and skip this hop.
+        """
         return self.schedule_callback(delay, fn, *args)
 
     # -- factories ---------------------------------------------------------------
@@ -153,6 +157,22 @@ class Kernel:
     ) -> Process:
         """Start a new simulated process running ``generator``."""
         return Process(self, generator, name=name)
+
+    def adopt(
+        self,
+        generator: typing.Generator[Future, object, object],
+        on_exit: typing.Callable[[Process], None],
+        name: str = "",
+    ) -> Process:
+        """Run ``generator`` as a process whose first step is *this* event.
+
+        For a caller that already occupies the heap position at which the
+        generator is due to start: the first step is taken in place, the
+        outcome is reported by one ``on_exit(process)`` call (possibly
+        before this returns), and the process cannot be waited on — so it
+        costs no start and no completion event.
+        """
+        return Process(self, generator, name=name, on_exit=on_exit)
 
     # -- execution -----------------------------------------------------------
 
@@ -204,18 +224,32 @@ class Kernel:
             # Inlined bare loop, selected because nothing is attached:
             # this is the innermost loop of every measured simulation,
             # so it carries no probe walk, no stop test and no call
-            # beyond the dispatch itself.
+            # beyond the callbacks themselves — ``Callback._process``
+            # (class sentinel ``_callbacks is None``) and
+            # ``Future._process`` are written out here; ``_drain`` keeps
+            # ``entry._process()`` behind its ``dispatch_begin`` probes.
             heap = self._heap
             pop = heapq.heappop
+            limit = float("inf") if until is None else until
             while heap:
-                if until is not None and heap[0][0] > until:
+                if heap[0][0] > limit:
                     break
                 when, _seq, entry = pop(heap)
                 if entry._flags & F_CANCELLED:
                     continue
                 self._now = when
                 self.events_processed += 1
-                entry._process()
+                callbacks = entry._callbacks
+                if callbacks is None:
+                    entry.fn(*entry.args)
+                else:
+                    entry._callbacks = None
+                    entry._flags |= F_PROCESSED
+                    if callbacks:
+                        for fn in callbacks:
+                            fn(entry)
+                    elif entry._exc is not None and not entry._flags & F_DEFUSED:
+                        self._unhandled.append(entry)
                 if self._unhandled:
                     self._raise_unhandled()
         if until is not None and self._now < until:

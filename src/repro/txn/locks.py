@@ -48,6 +48,9 @@ class LockMode(enum.Enum):
     S = "S"
     X = "X"
 
+    def __str__(self) -> str:
+        return self._value_
+
     def covers(self, other: "LockMode") -> bool:
         """True if holding ``self`` satisfies a request for ``other``."""
         return self is LockMode.X or other is LockMode.S
@@ -134,7 +137,7 @@ class LockManager:
         state = self._table.get(item)
         if state is None:
             state = self._table[item] = _LockState(item, len(self._table))
-        future = Future(self.kernel, name=f"lock:{item}:{mode.value}:{txn_id}")
+        future = Future(self.kernel, name=("lock:%s:%s:%s", item, mode, txn_id))
 
         held = state.holders.get(txn_id)
         if held is not None and held.covers(mode):

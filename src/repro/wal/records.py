@@ -57,6 +57,23 @@ class LogRecord:
     missed_sites: tuple[int, ...] = ()
     outcome: str | None = None  # "committed" | "aborted" on "resolve"
 
+    # Every group commit pickles its records. The state a frozen slots
+    # dataclass pickles by default is this same list, but found by
+    # walking ``dataclasses.fields()`` per record; written out (in
+    # declaration order — the stable blobs must stay byte-identical) it
+    # costs a tenth as much.
+    def __getstate__(self) -> list:
+        return [
+            self.lsn, self.kind, self.item, self.value, self.version,
+            self.session, self.session_started_at, self.txn_id, self.txn_seq,
+            self.coordinator, self.participants, self.applied_sites,
+            self.missed_sites, self.outcome,
+        ]
+
+    def __setstate__(self, state: list) -> None:
+        for name, value in zip(self.__slots__, state):
+            object.__setattr__(self, name, value)
+
     @property
     def wire_size(self) -> int:
         """Nominal serialized size (one word per number, 1 B/char names)."""

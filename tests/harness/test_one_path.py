@@ -281,12 +281,27 @@ class TestOneDataPath:
             function.name for function in self._functions(tree)
             if self._calls(function, "inspect.isgenerator")
         ]
-        assert serving == ["_serve"]
+        assert serving == ["_start_server"]  # one place decides "is this a generator"
         spawning = [
             function.name for function in self._functions(tree)
             if self._calls(function, "kernel.process")
+            or self._calls(function, "kernel.adopt")
+            or self._calls(function, "Process")
         ]
-        assert spawning == ["start", "_spawn_server"]  # the dispatcher, and every server
+        assert spawning == ["start", "_start_server"]  # the dispatcher, and every server
+        # ... which adopts the handler's own generator: no wrapper
+        # generator rides every resume, and every serve ends in _served.
+        generators = [
+            function.name for function in self._functions(tree)
+            if any(isinstance(node, (ast.Yield, ast.YieldFrom))
+                   for node in ast.walk(function))
+        ]
+        assert generators == ["_dispatch"]
+        ladders = [
+            function.name for function in self._functions(tree)
+            if self._calls(function, "RemoteError")
+        ]
+        assert ladders == ["_served"]
 
     def test_each_request_is_constructed_once(self):
         tree = self._tree("txn/context.py")

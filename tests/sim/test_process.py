@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import Interrupt, SimError
 from repro.sim import Kernel, Queue
+from tests.sim.test_kernel import loop_variants
 
 
 @pytest.fixture
@@ -164,6 +165,129 @@ class TestInterrupt:
         kernel.process(self._interrupter(kernel, proc, delay=1, cause=None))
         assert kernel.run(proc) == "other"
         assert resumes == ["other"]
+
+
+class TestAdopted:
+    """``kernel.adopt``: the caller's event is the process's first turn,
+    the outcome goes to one ``on_exit`` call, and neither the start nor
+    the completion is a kernel event. Same under every drain loop."""
+
+    def test_first_step_runs_inside_the_constructor(self):
+        for kernel in loop_variants():
+            trace, exits = [], []
+
+            def body(kernel=kernel, trace=trace):
+                trace.append("first step")
+                yield kernel.timeout(3)
+                trace.append("resumed")
+                return "done"
+
+            def adopt(kernel=kernel, trace=trace, exits=exits):
+                proc = kernel.adopt(body(), exits.append, name="adopted")
+                trace.append("constructor returned")
+                assert proc.is_alive and not exits
+
+            kernel.call_soon(adopt)
+            kernel.run()
+            assert trace == ["first step", "constructor returned", "resumed"]
+            # The adopting callback, and the timeout that resumes the
+            # body: no start event, no completion event.
+            assert kernel.events_processed == 2
+            (proc,) = exits
+            assert not proc.is_alive and proc.value == "done" and proc.name == "adopted"
+
+    def test_a_body_that_never_yields_exits_before_adopt_returns(self):
+        for kernel in loop_variants():
+            exits = []
+
+            def body():
+                return 7
+                yield  # pragma: no cover - makes this a generator
+
+            proc = kernel.adopt(body(), exits.append)
+            assert exits == [proc] and proc.value == 7
+            kernel.run()
+            assert kernel.events_processed == 0
+
+    def test_on_exit_once_for_a_raised_exception_and_nothing_unhandled(self):
+        for kernel in loop_variants():
+            exits = []
+
+            def body(kernel=kernel):
+                yield kernel.timeout(1)
+                raise RuntimeError("inside")
+
+            kernel.adopt(body(), exits.append)
+            kernel.run()  # an awaitable process would raise UnhandledFailure here
+            (proc,) = exits
+            assert isinstance(proc.exception, RuntimeError)
+            assert not proc.is_alive
+            assert kernel.events_processed == 1  # the timeout
+
+    def test_on_exit_once_for_interrupt(self):
+        for kernel in loop_variants():
+            exits = []
+
+            def body(kernel=kernel):
+                yield kernel.timeout(100)
+
+            proc = kernel.adopt(body(), exits.append)
+            kernel.call_soon(proc.interrupt, "stop", delay=4)
+            kernel.run()
+            assert exits == [proc]
+            assert isinstance(proc.exception, Interrupt) and proc.exception.cause == "stop"
+            assert kernel.now == 100  # the abandoned timeout still drains
+            with pytest.raises(SimError):
+                proc.interrupt()
+
+    def test_an_adopted_process_cannot_be_waited_on(self):
+        for kernel in loop_variants():
+            def sleeper(kernel=kernel):
+                yield kernel.timeout(5)
+
+            adopted = kernel.adopt(sleeper(), lambda proc: None)
+            with pytest.raises(SimError, match="adopted"):
+                adopted.add_callback(lambda event: None)
+
+            def waiter():
+                yield adopted
+
+            with pytest.raises(SimError, match="adopted"):
+                kernel.run(kernel.process(waiter()))
+            kernel.run()
+            with pytest.raises(SimError, match="adopted"):  # finished: still refused
+                adopted.add_callback(lambda event: None)
+
+    def test_a_plain_process_still_starts_deferred_and_completes_by_event(self):
+        """Two processes and a callback created in one instant run in
+        creation order, each process's start and completion being an
+        event of its own; the second can wait on the first."""
+        for kernel in loop_variants():
+            trace = []
+
+            def first(kernel=kernel, trace=trace):
+                trace.append("first starts")
+                yield kernel.timeout(0)
+                trace.append("first resumes")
+                return "value"
+
+            def second(proc, trace=trace):
+                trace.append("second starts")
+                got = yield proc
+                trace.append(f"second got {got}")
+
+            proc = kernel.process(first())
+            kernel.call_soon(trace.append, "callback")
+            kernel.process(second(proc))
+            trace.append("created")
+            kernel.run()
+            assert trace == [
+                "created", "first starts", "callback", "second starts",
+                "first resumes", "second got value",
+            ]
+            # 2 starts + the callback + the timeout + 2 completions.
+            assert kernel.events_processed == 6
+            assert kernel.now == 0
 
 
 class TestQueue:

@@ -1,5 +1,10 @@
 """Unit tests for the durability subsystem: RedoLog, SiteWal, StableStorage."""
 
+import copyreg
+import dataclasses
+import io
+import pickle
+
 from repro.net import ConstantLatency, Network
 from repro.sim import Kernel
 from repro.site import Site
@@ -7,6 +12,7 @@ from repro.storage.copies import Version
 from repro.storage.stable import StableStorage
 from repro.wal import RedoLog, SiteWal, WalConfig
 from repro.wal.log import CHECKPOINT_KEY, DIRECTORY_KEY, META_KEY, SEGMENT_PREFIX
+from repro.wal.records import LogRecord
 
 
 def v(commit, ts=None):
@@ -47,6 +53,50 @@ class TestStableStorageIsolation:
         stable.delete("k")
         assert stable.size_of("k") == 0
         assert "k" not in stable
+
+
+class TestLogRecordPickle:
+    """``LogRecord`` spells out the pickle state a frozen slots dataclass
+    derives by walking ``dataclasses.fields()``: same list, same bytes."""
+
+    RECORDS = (
+        LogRecord(1, "write", "X", 5, v(3)),
+        LogRecord(2, "mark", "Y"),
+        LogRecord(3, "session", session=4, session_started_at=12.5),
+        LogRecord(
+            4, "prepare", "X", {"nested": [1, 2]}, v(7), txn_id="T9", txn_seq=9,
+            coordinator=1, participants=(1, 2, 3), applied_sites=(1, 2),
+            missed_sites=(3,),
+        ),
+        LogRecord(5, "resolve", txn_id="T9", outcome="committed"),
+    )
+
+    def test_state_is_the_generic_dataclass_state(self):
+        for record in self.RECORDS:
+            generic = [getattr(record, f.name) for f in dataclasses.fields(record)]
+            assert record.__getstate__() == generic
+            assert generic == dataclasses._dataclass_getstate(record)  # type: ignore[attr-defined]
+
+    def test_blob_equals_the_generic_blob_and_round_trips(self):
+        def generic_reduce(record):
+            return (
+                copyreg.__newobj__,
+                (LogRecord,),
+                [getattr(record, f.name) for f in dataclasses.fields(record)],
+            )
+
+        class GenericPickler(pickle.Pickler):
+            dispatch_table = {LogRecord: generic_reduce}
+
+        for protocol in (2, pickle.HIGHEST_PROTOCOL):
+            segment = list(self.RECORDS)
+            blob = pickle.dumps(segment, protocol=protocol)
+            buffer = io.BytesIO()
+            GenericPickler(buffer, protocol=protocol).dump(segment)
+            assert blob == buffer.getvalue()
+            restored = pickle.loads(blob)
+            assert restored == segment
+            assert [r.wire_size for r in restored] == [r.wire_size for r in segment]
 
 
 class TestRedoLog:

@@ -1,0 +1,50 @@
+#!/usr/bin/env bash
+# Capture every seed-determined CLI artifact of this checkout into OUTDIR,
+# for a byte-identity comparison against another checkout's capture
+# (tools/diff_artifacts.py A B). Run from the repo root of the tree to
+# capture; takes ~2 min. Exit codes of the gates are recorded in
+# OUTDIR/exit_codes.txt, not propagated (an audit alert is an artifact).
+set -u
+
+if [ $# -ne 1 ]; then
+    echo "usage: tools/capture_artifacts.sh OUTDIR" >&2
+    exit 2
+fi
+mkdir -p "$1"
+OUT=$(cd "$1" && pwd)
+ROOT=$(cd "$(dirname "$0")/.." && pwd)
+export PYTHONPATH="$ROOT/src" PYTHONHASHSEED=0
+SCENARIOS="e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e10sync e11 e11sync"
+
+# The scenario subcommands default their outputs into the cwd.
+cd "$OUT" || exit 2
+: > exit_codes.txt
+
+run() {  # run NAME CMD... : stdout+stderr to NAME.txt, exit code recorded
+    local name=$1
+    shift
+    "$@" > "$name.txt" 2>&1
+    echo "$name $?" >> exit_codes.txt
+}
+
+for e in $SCENARIOS; do
+    run "trace_$e" python -m repro trace --experiment "$e" --seed 1 \
+        --out "trace_$e.json" --jsonl "trace_$e.jsonl"
+    run "audit_$e" python -m repro audit --experiment "$e" --seed 1 \
+        --out "audit_$e.jsonl"
+    run "metrics_$e" python -m repro metrics --experiment "$e" --seed 1 \
+        --out "metrics_$e.json"
+done
+for e in e10 e11; do
+    run "latency_$e" python -m repro latency --experiment "$e" --seed 1 \
+        --out "latency_$e.json" --series "latency_$e.series.jsonl"
+done
+for e in e2 e10 e10sync; do
+    run "schedfuzz_$e" python -m repro schedfuzz --experiment "$e" --seed 1 \
+        --schedules 8 --out "schedfuzz_$e.json"
+done
+run all_small python -m repro all --scale small --seed 3
+run determinism python -m repro.wal.determinism --seed 3
+run determinism_cross python -m repro.wal.determinism --cross-schedule --seed 3
+
+echo "captured $(ls | wc -l) files into $OUT"
