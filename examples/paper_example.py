@@ -17,7 +17,7 @@ name the crashed site), and consistency is preserved.
 Run:  python examples/paper_example.py
 """
 
-from repro.baselines import build_naive_system
+from repro.baselines import build_system
 from repro.core import RowaaSystem
 from repro.errors import TransactionAborted
 from repro.histories import check_one_sr, check_sr
@@ -72,8 +72,8 @@ def drive(system, kernel):
 def main():
     print("=== naive write-all-available (the scheme of the example) ===")
     kernel = Kernel(seed=42)
-    naive = build_naive_system(
-        kernel, 3, {"X": 0, "Y": 0}, catalog=two_copy_catalog(),
+    naive = build_system(
+        "naive", kernel, 3, {"X": 0, "Y": 0}, catalog=two_copy_catalog(),
         latency=ConstantLatency(1.0), detection_delay=5.0,
         config=TxnConfig(rpc_timeout=20.0),
     )

@@ -22,7 +22,7 @@ recovery work: no copy ever diverged.
 Run:  python examples/partition_demo.py
 """
 
-from repro.baselines import build_quorum_system
+from repro.baselines import build_system
 from repro.core import RowaaSystem
 from repro.errors import TransactionAborted
 from repro.net import ConstantLatency
@@ -81,8 +81,8 @@ def main():
 
     print("=== majority quorum under the same partition ===")
     kernel2 = Kernel(seed=5)
-    quorum = build_quorum_system(
-        kernel2, 3, {"X": 0},
+    quorum = build_system(
+        "quorum", kernel2, 3, {"X": 0},
         latency=ConstantLatency(1.0), detection_delay=5.0,
         config=TxnConfig(rpc_timeout=15.0),
     )

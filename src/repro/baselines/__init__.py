@@ -18,20 +18,16 @@
   before the recovering site resumes (experiment E2).
 """
 
-from repro.baselines.directories import DirectoryAvailableCopies, DirectoryService
+from repro.baselines.directories import (
+    DirectoryAvailableCopies,
+    DirectoryService,
+    DirectorySystem,
+)
 from repro.baselines.naive import NaiveAvailableCopies
 from repro.baselines.quorum import QuorumConsensus
 from repro.baselines.rowa import StrictROWA
 from repro.baselines.spooler import SpoolerSystem, SpoolTracker
-from repro.baselines.systems import (
-    DirectorySystem,
-    build_directory_system,
-    build_naive_system,
-    build_quorum_system,
-    build_rowa_system,
-    build_rowaa_system,
-    build_spooler_system,
-)
+from repro.baselines.systems import SCHEMES, build_rowaa_system, build_system
 
 __all__ = [
     "DirectoryAvailableCopies",
@@ -39,13 +35,10 @@ __all__ = [
     "DirectorySystem",
     "NaiveAvailableCopies",
     "QuorumConsensus",
+    "SCHEMES",
     "SpoolTracker",
     "SpoolerSystem",
     "StrictROWA",
-    "build_directory_system",
-    "build_naive_system",
-    "build_quorum_system",
-    "build_rowa_system",
     "build_rowaa_system",
-    "build_spooler_system",
+    "build_system",
 ]

@@ -37,10 +37,12 @@ import dataclasses
 import typing
 
 from repro.errors import NetworkError, TotalFailure, TransactionAborted, TransactionError
+from repro.sim.kernel import Kernel
+from repro.storage.catalog import Catalog
+from repro.system import DatabaseSystem
 from repro.txn.transaction import TxnKind
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.system import DatabaseSystem
     from repro.txn.context import TxnContext
 
 
@@ -72,15 +74,7 @@ class DirectoryAvailableCopies:
             raise TotalFailure(item)
         home = ctx.tm.site_id
         ordered = sorted(members, key=lambda site: (site != home, site))
-        last_error: Exception | None = None
-        for site in ordered[: ctx.tm.config.max_read_attempts]:
-            try:
-                value, _version = yield from ctx.dm_read(site, item, expected=None)
-                return value
-            except (NetworkError, TransactionError) as exc:
-                last_error = exc
-        assert last_error is not None
-        raise last_error
+        return (yield from ctx.read_first(ordered, item))
 
     def write(self, ctx: "TxnContext", item: str, value: object) -> typing.Generator:
         members = yield from self._members(ctx, item)
@@ -281,3 +275,39 @@ def build_directory_items(
 ) -> dict[str, object]:
     """Initial values for DIR items: every copy available at boot."""
     return {dir_item(name): tuple(catalog_sites[name]) for name in items}
+
+
+class DirectorySystem(DatabaseSystem):
+    """Available copies with per-item directories (+ status service)."""
+
+    def __init__(
+        self,
+        kernel: Kernel,
+        n_sites: int,
+        items: dict[str, object],
+        catalog: Catalog | None = None,
+        **kwargs: typing.Any,
+    ) -> None:
+        site_ids = list(range(1, n_sites + 1))
+        if catalog is None:
+            catalog = Catalog(site_ids)
+            for item in items:
+                catalog.add_item(item, site_ids)
+        placement = {item: catalog.sites_of(item) for item in items}
+        all_items = dict(items)
+        all_items.update(build_directory_items(items, placement))
+        for item in items:
+            catalog.add_item(dir_item(item), site_ids)  # directories everywhere
+        super().__init__(
+            kernel,
+            n_sites,
+            all_items,
+            strategy_factory=lambda _system: DirectoryAvailableCopies(),
+            catalog=catalog,
+            **kwargs,
+        )
+        self.directory_service = DirectoryService(self)
+
+    def power_on(self, site_id: int):
+        """Recover via the per-item INCLUDE pass."""
+        return self.directory_service.recover(site_id)

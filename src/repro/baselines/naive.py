@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.errors import NetworkError, TotalFailure, TransactionError
+from repro.errors import TotalFailure
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.site.cluster import Cluster
@@ -45,15 +45,7 @@ class NaiveAvailableCopies:
         return sorted(sites, key=lambda site: (site != home, site))
 
     def read(self, ctx: "TxnContext", item: str) -> typing.Generator:
-        last_error: Exception | None = None
-        candidates = self._believed_up(ctx, item)
-        for site in candidates[: ctx.tm.config.max_read_attempts]:
-            try:
-                value, _version = yield from ctx.dm_read(site, item, expected=None)
-                return value
-            except (NetworkError, TransactionError) as exc:
-                last_error = exc
-        raise last_error if last_error is not None else TotalFailure(item)
+        return ctx.read_first(self._believed_up(ctx, item), item)
 
     def write(self, ctx: "TxnContext", item: str, value: object) -> typing.Generator:
         targets = self._believed_up(ctx, item)

@@ -27,35 +27,18 @@ def majority(n: int) -> int:
 
 
 class QuorumConsensus:
-    """Read-quorum/write-quorum interpretation of logical operations.
-
-    Parameters
-    ----------
-    read_quorum_of, write_quorum_of:
-        Optional functions from replication degree to quorum size;
-        default simple majority for both (r + w > n and w + w > n).
-    """
+    """Read-quorum/write-quorum interpretation of logical operations:
+    simple majority for both (r + w > n and w + w > n)."""
 
     name = "quorum"
-
-    def __init__(
-        self,
-        read_quorum_of: typing.Callable[[int], int] = majority,
-        write_quorum_of: typing.Callable[[int], int] = majority,
-    ) -> None:
-        self.read_quorum_of = read_quorum_of
-        self.write_quorum_of = write_quorum_of
 
     def begin(self, ctx: "TxnContext") -> typing.Generator:
         yield from ()
 
     def read(self, ctx: "TxnContext", item: str) -> typing.Generator:
         """Collect a read quorum; return the highest-version value."""
-        home = ctx.tm.site_id
-        resident = sorted(
-            ctx.tm.catalog.sites_of(item), key=lambda site: (site != home, site)
-        )
-        needed = self.read_quorum_of(len(resident))
+        resident = _home_first(ctx, item)
+        needed = majority(len(resident))
         votes: list[tuple[object, object]] = []
         for site in resident:
             try:
@@ -71,26 +54,19 @@ class QuorumConsensus:
         return best_value
 
     def write(self, ctx: "TxnContext", item: str, value: object) -> typing.Generator:
-        """Buffer the write at a write quorum of copies."""
-        home = ctx.tm.site_id
-        resident = sorted(
-            ctx.tm.catalog.sites_of(item), key=lambda site: (site != home, site)
-        )
-        needed = self.write_quorum_of(len(resident))
+        """Buffer the write at a write quorum of copies.
+
+        The requests are the context's (one ``WriteRequest`` construction
+        site, so the pipelined prepare vote and ``written_items`` are set
+        like any other write); awaiting only a majority of the acks is
+        this scheme's own algorithm.
+        """
+        resident = _home_first(ctx, item)
+        needed = majority(len(resident))
         acked = 0
-        futures = [
-            (site, ctx.tm.rpc.call(
-                site,
-                "dm.write",
-                self._write_request(ctx, site, item, value),
-                timeout=ctx.tm.config.rpc_timeout,
-            ))
-            for site in resident
-        ]
-        for site, future in futures:
-            ctx.txn.touched_sites.add(site)
         failures = 0
-        for site, future in futures:
+        targets = [(site, None) for site in resident]
+        for site, future in ctx.send_writes(targets, item, value):
             try:
                 yield future
             except (NetworkError, TransactionError):
@@ -98,21 +74,15 @@ class QuorumConsensus:
                 if failures > len(resident) - needed:
                     raise TotalFailure(item)
                 continue
-            ctx.txn.wrote_sites.add(site)
+            ctx.write_acked(site)
             acked += 1
         if acked < needed:
             raise TotalFailure(item)
         return None
 
-    @staticmethod
-    def _write_request(ctx: "TxnContext", site: int, item: str, value: object):
-        from repro.txn.payloads import WriteRequest
 
-        return WriteRequest(
-            txn_id=ctx.txn.txn_id,
-            txn_seq=ctx.txn.seq,
-            kind=ctx.txn.kind.value,
-            item=item,
-            value=value,
-            expected=None,
-        )
+def _home_first(ctx: "TxnContext", item: str) -> list[int]:
+    home = ctx.tm.site_id
+    return sorted(
+        ctx.tm.catalog.sites_of(item), key=lambda site: (site != home, site)
+    )

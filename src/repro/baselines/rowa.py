@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import typing
 
-from repro.errors import NetworkError, TotalFailure, TransactionError
-
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.txn.context import TxnContext
 
@@ -30,14 +28,7 @@ class StrictROWA:
         sites = sorted(
             ctx.tm.catalog.sites_of(item), key=lambda site: (site != home, site)
         )
-        last_error: Exception | None = None
-        for site in sites[: ctx.tm.config.max_read_attempts]:
-            try:
-                value, _version = yield from ctx.dm_read(site, item, expected=None)
-                return value
-            except (NetworkError, TransactionError) as exc:
-                last_error = exc
-        raise last_error if last_error is not None else TotalFailure(item)
+        return ctx.read_first(sites, item)
 
     def write(self, ctx: "TxnContext", item: str, value: object) -> typing.Generator:
         targets = [(site, None) for site in ctx.tm.catalog.sites_of(item)]

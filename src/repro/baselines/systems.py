@@ -1,173 +1,63 @@
-"""Uniform constructors for every system variant under comparison.
+"""The one table of system variants under comparison.
 
-Each builder returns a booted system with the same knobs, so
-experiments sweep *schemes* as data::
-
-    SCHEMES = {"rowaa": build_rowaa_system, "rowa": build_rowa_system, ...}
+:data:`SCHEMES` maps a scheme name to the class (or strategy-bound
+:class:`~repro.system.DatabaseSystem`) that assembles it; every entry
+takes ``(kernel, n_sites, items, **kwargs)`` with the same knobs, so
+experiments sweep *schemes* as data and :func:`build_system` is the one
+construction call.
 """
 
 from __future__ import annotations
 
+import functools
 import typing
 
-from repro.baselines.directories import (
-    DirectoryAvailableCopies,
-    DirectoryService,
-    build_directory_items,
-    dir_item,
-)
+from repro.baselines.directories import DirectorySystem
 from repro.baselines.naive import NaiveAvailableCopies
 from repro.baselines.quorum import QuorumConsensus
 from repro.baselines.rowa import StrictROWA
 from repro.baselines.spooler import SpoolerSystem
-from repro.core.config import RowaaConfig
 from repro.core.system import RowaaSystem
 from repro.sim.kernel import Kernel
-from repro.storage.catalog import Catalog
 from repro.system import DatabaseSystem
 
-
-class DirectorySystem(DatabaseSystem):
-    """Available copies with per-item directories (+ status service)."""
-
-    def __init__(
-        self,
-        kernel: Kernel,
-        n_sites: int,
-        items: dict[str, object],
-        catalog: Catalog | None = None,
-        **kwargs: typing.Any,
-    ) -> None:
-        site_ids = list(range(1, n_sites + 1))
-        if catalog is None:
-            catalog = Catalog(site_ids)
-            for item in items:
-                catalog.add_item(item, site_ids)
-        placement = {item: catalog.sites_of(item) for item in items}
-        all_items = dict(items)
-        all_items.update(build_directory_items(items, placement))
-        for item in items:
-            catalog.add_item(dir_item(item), site_ids)  # directories everywhere
-        super().__init__(
-            kernel,
-            n_sites,
-            all_items,
-            strategy_factory=lambda _system: DirectoryAvailableCopies(),
-            catalog=catalog,
-            **kwargs,
-        )
-        self.directory_service = DirectoryService(self)
-
-    def power_on(self, site_id: int):
-        """Recover via the per-item INCLUDE pass."""
-        return self.directory_service.recover(site_id)
-
-
-def build_rowaa_system(
-    kernel: Kernel,
-    n_sites: int,
-    items: dict[str, object],
-    catalog: Catalog | None = None,
-    rowaa_config: RowaaConfig | None = None,
-    **kwargs: typing.Any,
-) -> RowaaSystem:
-    """The paper's protocol."""
-    system = RowaaSystem(
-        kernel, n_sites, items, catalog=catalog, rowaa_config=rowaa_config, **kwargs
-    )
-    system.boot()
-    return system
-
-
-def build_spooler_system(
-    kernel: Kernel,
-    n_sites: int,
-    items: dict[str, object],
-    catalog: Catalog | None = None,
-    replay_cost_per_update: float = 0.5,
-    **kwargs: typing.Any,
-) -> SpoolerSystem:
-    """Session machinery + spooled-redo recovery (approach 1 of §1)."""
-    system = SpoolerSystem(
-        kernel,
-        n_sites,
-        items,
-        catalog=catalog,
-        replay_cost_per_update=replay_cost_per_update,
-        **kwargs,
-    )
-    system.boot()
-    return system
-
-
-def build_rowa_system(
-    kernel: Kernel,
-    n_sites: int,
-    items: dict[str, object],
-    catalog: Catalog | None = None,
-    **kwargs: typing.Any,
-) -> DatabaseSystem:
-    """Strict read-one/write-all (§2)."""
-    system = DatabaseSystem(
-        kernel,
-        n_sites,
-        items,
-        strategy_factory=lambda _system: StrictROWA(),
-        catalog=catalog,
-        **kwargs,
-    )
-    system.boot()
-    return system
-
-
-def build_quorum_system(
-    kernel: Kernel,
-    n_sites: int,
-    items: dict[str, object],
-    catalog: Catalog | None = None,
-    **kwargs: typing.Any,
-) -> DatabaseSystem:
-    """Majority quorum consensus."""
-    system = DatabaseSystem(
-        kernel,
-        n_sites,
-        items,
-        strategy_factory=lambda _system: QuorumConsensus(),
-        catalog=catalog,
-        **kwargs,
-    )
-    system.boot()
-    return system
-
-
-def build_naive_system(
-    kernel: Kernel,
-    n_sites: int,
-    items: dict[str, object],
-    catalog: Catalog | None = None,
-    **kwargs: typing.Any,
-) -> DatabaseSystem:
-    """The unsound §1 scheme (correctness foil, overhead floor)."""
-    system = DatabaseSystem(
-        kernel,
-        n_sites,
-        items,
+SCHEMES: dict[str, typing.Callable[..., DatabaseSystem]] = {
+    # The paper's protocol.
+    "rowaa": RowaaSystem,
+    # Strict read-one/write-all (§2).
+    "rowa": functools.partial(
+        DatabaseSystem, strategy_factory=lambda _system: StrictROWA()
+    ),
+    # Majority quorum consensus.
+    "quorum": functools.partial(
+        DatabaseSystem, strategy_factory=lambda _system: QuorumConsensus()
+    ),
+    # The unsound §1 scheme (correctness foil, overhead floor).
+    "naive": functools.partial(
+        DatabaseSystem,
         strategy_factory=lambda system: NaiveAvailableCopies(system.cluster),
-        catalog=catalog,
-        **kwargs,
-    )
-    system.boot()
-    return system
+    ),
+    # Directory-oriented available copies (Bernstein–Goodman [2]).
+    "directories": DirectorySystem,
+    # Session machinery + spooled-redo recovery (approach 1 of §1).
+    "spooler": SpoolerSystem,
+}
 
 
-def build_directory_system(
+def build_system(
+    scheme: str,
     kernel: Kernel,
     n_sites: int,
     items: dict[str, object],
-    catalog: Catalog | None = None,
     **kwargs: typing.Any,
-) -> DirectorySystem:
-    """Directory-oriented available copies (Bernstein–Goodman [2])."""
-    system = DirectorySystem(kernel, n_sites, items, catalog=catalog, **kwargs)
+) -> DatabaseSystem:
+    """A booted system of the named scheme; ``kwargs`` go to its class
+    (``catalog``, ``config``, ``latency``, ``rowaa_config``, …)."""
+    system = SCHEMES[scheme](kernel, n_sites, items, **kwargs)
     system.boot()
     return system
+
+
+#: The one scheme-specific spelling kept: the reference benchmark
+#: (``benchmarks/perf``) imports it.
+build_rowaa_system = functools.partial(build_system, "rowaa")

@@ -4,7 +4,7 @@ Usage::
 
     python -m repro list
     python -m repro e1 [--seed 3] [--scale small|full] [--jobs 4]
-    python -m repro all --scale small --jobs 4 --bench-out BENCH_grid.json
+    python -m repro all --scale small --jobs 4
     python -m repro trace --experiment e2 --out trace.json [--jsonl spans.jsonl]
     python -m repro metrics --experiment e2 [--out metrics.json]
     python -m repro audit --experiment e2 [--out alerts.jsonl]
@@ -110,10 +110,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--jobs", type=int, default=None, metavar="N",
         help="fan experiment cells across N worker processes",
-    )
-    parser.add_argument(
-        "--bench-out", default=None, metavar="PATH",
-        help="append per-cell wall times to this grid trajectory file",
     )
     parser.add_argument(
         "--out", default=None, metavar="PATH",
@@ -236,7 +232,7 @@ def run_experiments(args: argparse.Namespace) -> int:
         for key in ([name] if single else EXPERIMENTS)
     ]
     start = hostclock.now()
-    tables, timings = parallel.run_grid(specs, jobs=args.jobs)
+    tables = parallel.run_grid(specs, jobs=args.jobs)
     wall = hostclock.now() - start
     # Blank lines as CI tees them: `all` separates its tables, a single
     # experiment trails its footer.
@@ -244,11 +240,6 @@ def run_experiments(args: argparse.Namespace) -> int:
         print(table.render(), end="\n" if single else "\n\n")
     print(f"({name} at scale={args.scale}, seed={args.seed}, "
           f"jobs={args.jobs or 1}, {wall:.1f}s wall)", end="\n\n" if single else "\n")
-    if args.bench_out:
-        parallel.write_grid_trajectory(
-            args.bench_out, timings, label=f"{name}@{args.scale}", jobs=args.jobs,
-            extra={"wall_s": round(wall, 4), "seed": args.seed},
-        )
     return 0
 
 

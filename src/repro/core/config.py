@@ -9,7 +9,6 @@ CopierMode = typing.Literal["eager", "demand", "both", "none"]
 CatchupMode = typing.Literal["item_copy", "log_ship"]
 IdentifyMode = typing.Literal["mark-all", "fail-locks", "missing-lists"]
 UnreadablePolicy = typing.Literal["redirect", "wait"]
-ReadPreference = typing.Literal["local", "primary", "random"]
 
 
 @dataclasses.dataclass
@@ -46,11 +45,6 @@ class RowaaConfig:
     version_skip:
         Enable the §5 optimisation: a copier first compares versions and
         skips the data transfer when the local copy is already current.
-    read_preference:
-        Which nominally-up copy READ(X) tries first: ``"local"`` (home
-        site if resident — the paper's implied choice, zero network
-        cost), ``"primary"`` (lowest site id — concentrates read locks),
-        or ``"random"`` (load balancing across replicas).
     session_modulus:
         Optional session-number recycling bound (§3.1); None disables.
     """
@@ -75,7 +69,6 @@ class RowaaConfig:
     recovery_retry_delay: float = 10.0
     recovery_max_attempts: int = 25
     version_skip: bool = True
-    read_preference: ReadPreference = "local"
     session_modulus: int | None = None
     type2_verify_ping: float = 8.0
     """Timeout of the in-transaction liveness re-check a type-2 performs

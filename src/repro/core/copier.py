@@ -479,17 +479,20 @@ class CopierService:
         todo = [best[item] for item in sorted(best)]
         if not todo:
             return
+        applied = yield from self._run_copier(self._ship_apply_program(todo))
+        self.stats.ship_applied += applied
+
+    def _run_copier(self, program) -> typing.Generator:
+        """Run ``program`` (returning a count) as a copier-kind
+        transaction, retrying aborts after ``copier_retry_delay``; 0 when
+        every attempt aborted (per-item copy picks the leftovers up)."""
         for _attempt in range(self.max_attempts):
             try:
-                applied = yield from self.tm.run(
-                    self._ship_apply_program(todo), kind=TxnKind.COPIER
-                )
+                return (yield from self.tm.run(program, kind=TxnKind.COPIER))
             except TransactionAborted:
                 self.stats.copier_aborts += 1
                 yield self.kernel.timeout(self.config.copier_retry_delay)
-                continue
-            self.stats.ship_applied += applied
-            return
+        return 0
 
     def _ship_apply_program(self, records: list[ShipRecord]):
         service = self
@@ -529,18 +532,10 @@ class CopierService:
         batch = max(1, self.config.log_ship_batch)
         for start in range(0, len(marked), batch):
             chunk = marked[start : start + batch]
-            for _attempt in range(self.max_attempts):
-                try:
-                    cleared = yield from self.tm.run(
-                        self._ship_validate_program(chunk, versions),
-                        kind=TxnKind.COPIER,
-                    )
-                except TransactionAborted:
-                    self.stats.copier_aborts += 1
-                    yield self.kernel.timeout(self.config.copier_retry_delay)
-                    continue
-                self.stats.ship_validated += cleared
-                break
+            cleared = yield from self._run_copier(
+                self._ship_validate_program(chunk, versions)
+            )
+            self.stats.ship_validated += cleared
 
     def _ship_validate_program(self, items: list[str], versions: dict):
         service = self

@@ -70,16 +70,9 @@ class RowaaStrategy:
         sites = [
             site for site in ctx.tm.catalog.sites_of(item) if ctx.view.get(site, 0) != 0
         ]
-        preference = self.config.read_preference
-        if preference == "local":
-            return sorted(sites, key=lambda site: (site != home, site))
-        if preference == "primary":
-            return sorted(sites)
-        if preference == "random":
-            rng = ctx.tm.kernel.rng.stream("rowaa.read")
-            rng.shuffle(sites)
-            return sites
-        raise ValueError(f"unknown read_preference {preference!r}")
+        # The home copy first if resident (the paper's implied choice:
+        # zero network cost), then lowest site id.
+        return sorted(sites, key=lambda site: (site != home, site))
 
     def read(self, ctx: "TxnContext", item: str) -> typing.Generator:
         candidates = self._read_candidates(ctx, item)

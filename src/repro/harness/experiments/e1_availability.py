@@ -25,6 +25,7 @@ from repro.harness.runner import (
     cell_seed,
     replicated_catalog,
     settle,
+    wind_down,
 )
 from repro.harness.tables import Table
 from repro.workload import ClientPool, WorkloadGenerator, WorkloadSpec
@@ -119,8 +120,7 @@ def _one_cell(scheme, seed, n_sites, replication, spec, failed, load_duration):
     readers.start(load_duration)
     writers.start(load_duration)
     kernel.run(until=kernel.now + load_duration + 50)
-    system.stop()
-    kernel.run(until=kernel.now + 10)
+    wind_down(kernel, system)
     refused = readers.stats.refused + writers.stats.refused
     return readers.stats.availability, writers.stats.availability, refused
 
@@ -151,8 +151,7 @@ def traced_scenario(build, seed: int = 0):
     pool.start(120.0)
     kernel.run(until=kernel.now + 150)
     kernel.run(system.power_on(n_sites))
-    system.stop()
-    kernel.run(until=kernel.now + 10)
+    wind_down(kernel, system)
     return kernel, system, obs, {
         "committed": pool.stats.committed,
         "refused": pool.stats.refused,

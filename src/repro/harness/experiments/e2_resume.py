@@ -24,7 +24,7 @@ sits at the per-item INCLUDE cost ∝ #items.
 from __future__ import annotations
 
 from repro.harness.parallel import Cell, run_table
-from repro.harness.runner import build_scheme, settle
+from repro.harness.runner import build_scheme, outage, wind_down
 from repro.harness.tables import Table
 from repro.workload import WorkloadSpec
 
@@ -78,13 +78,6 @@ def run(jobs: int | None = None, **params) -> Table:
     return run_table(__name__, params, jobs)
 
 
-def _write_program(item, value):
-    def program(ctx):
-        yield from ctx.write(item, value)
-
-    return program
-
-
 def _one_cell(scheme, seed, n_sites, n_items, missed, replay_cost):
     spec = WorkloadSpec(n_items=n_items)
     kwargs = {}
@@ -94,16 +87,8 @@ def _one_cell(scheme, seed, n_sites, n_items, missed, replay_cost):
         scheme, seed * 37 + missed, n_sites, spec.initial_items(), **kwargs
     )
     victim = n_sites
-    system.crash(victim)
-    settle(kernel, system, 80.0)
-    for index in range(missed):
-        item = f"X{index % n_items}"
-        proc = system.submit_with_retry(1, _write_program(item, index), attempts=4)
-        kernel.run(proc)
-
-    power_at = kernel.now
-    recovery = system.power_on(victim)
-    kernel.run(recovery)
+    writes = [(f"X{index % n_items}", index) for index in range(missed)]
+    power_at = outage(kernel, system, victim, writes).power_at
     t_operational = kernel.now - power_at
     t_caught_up = _caught_up_time(kernel, system, scheme, victim, power_at)
     system.stop()
@@ -134,18 +119,11 @@ def traced_scenario(build, seed: int = 0):
         "rowaa", seed * 37 + missed, n_sites, spec.initial_items(),
     )
     victim = n_sites
-    system.crash(victim)
-    settle(kernel, system, 80.0)
-    for index in range(missed):
-        item = f"X{index % n_items}"
-        kernel.run(system.submit_with_retry(1, _write_program(item, index), attempts=4))
-
-    power_at = kernel.now
-    kernel.run(system.power_on(victim))
+    writes = [(f"X{index % n_items}", index) for index in range(missed)]
+    power_at = outage(kernel, system, victim, writes).power_at
     t_operational = kernel.now - power_at
     kernel.run(until=kernel.now + 1500)  # let copiers drain
-    system.stop()
-    kernel.run(until=kernel.now + 10)
+    wind_down(kernel, system)
     drained = system.copiers[victim].drained_at
     return kernel, system, obs, {
         "missed_updates": missed,

@@ -21,7 +21,7 @@ import random
 
 from repro.harness.metrics import mean, network_totals, tm_totals
 from repro.harness.parallel import Cell, run_table
-from repro.harness.runner import build_scheme
+from repro.harness.runner import build_scheme, wind_down
 from repro.harness.tables import Table
 from repro.workload import ClientPool, WorkloadGenerator, WorkloadSpec
 
@@ -106,8 +106,7 @@ def _one_cell(scheme, seed, n_sites, n_items, load_duration, n_clients):
     )
     pool.start(load_duration)
     kernel.run(until=load_duration + 50)
-    system.stop()
-    kernel.run(until=kernel.now + 10)
+    wind_down(kernel, system)
     totals = tm_totals(system)
     network = network_totals(system)
     committed = totals["committed"]
@@ -138,8 +137,7 @@ def traced_scenario(build, seed: int = 0):
     )
     pool.start(150.0)
     kernel.run(until=kernel.now + 200)
-    system.stop()
-    kernel.run(until=kernel.now + 10)
+    wind_down(kernel, system)
     committed = pool.stats.committed
     return kernel, system, obs, {
         "committed": committed,

@@ -23,7 +23,7 @@ import random
 
 from repro.core.config import RowaaConfig
 from repro.harness.parallel import Cell, run_table
-from repro.harness.runner import build_scheme, cell_seed, settle
+from repro.harness.runner import build_scheme, cell_seed, outage, wind_down
 from repro.harness.tables import Table
 from repro.workload import ClientPool, WorkloadGenerator, WorkloadSpec
 
@@ -78,13 +78,6 @@ def run(jobs: int | None = None, **params) -> Table:
     return run_table(__name__, params, jobs)
 
 
-def _write_program(item, value):
-    def program(ctx):
-        yield from ctx.write(item, value)
-
-    return program
-
-
 def _one_cell(seed, n_sites, n_items, stale_fraction, read_duration, mode):
     spec = WorkloadSpec(n_items=n_items, ops_per_txn=2, write_fraction=0.0)
     rowaa_config = RowaaConfig(copier_mode=mode, unreadable_policy="redirect")
@@ -93,15 +86,9 @@ def _one_cell(seed, n_sites, n_items, stale_fraction, read_duration, mode):
         rowaa_config=rowaa_config,
     )
     victim = n_sites
-    system.crash(victim)
-    settle(kernel, system, 80.0)
     n_stale = int(n_items * stale_fraction)
-    for index in range(n_stale):
-        kernel.run(
-            system.submit_with_retry(1, _write_program(f"X{index}", index), attempts=4)
-        )
-    power_at = kernel.now
-    kernel.run(system.power_on(victim))
+    writes = [(f"X{index}", index) for index in range(n_stale)]
+    power_at = outage(kernel, system, victim, writes).power_at
 
     rng = random.Random(seed)
     pool = ClientPool(
@@ -113,8 +100,7 @@ def _one_cell(seed, n_sites, n_items, stale_fraction, read_duration, mode):
     )
     pool.start(read_duration)
     kernel.run(until=kernel.now + read_duration + 100)
-    system.stop()
-    kernel.run(until=kernel.now + 10)
+    wind_down(kernel, system)
 
     copiers = system.copiers[victim]
     drained = copiers.drained_at
@@ -141,14 +127,8 @@ def traced_scenario(build, seed: int = 0):
         rowaa_config=RowaaConfig(copier_mode="eager", unreadable_policy="redirect"),
     )
     victim = n_sites
-    system.crash(victim)
-    settle(kernel, system, 80.0)
-    for index in range(n_items // 2):
-        kernel.run(
-            system.submit_with_retry(1, _write_program(f"X{index}", index), attempts=4)
-        )
-    power_at = kernel.now
-    kernel.run(system.power_on(victim))
+    writes = [(f"X{index}", index) for index in range(n_items // 2)]
+    power_at = outage(kernel, system, victim, writes).power_at
 
     rng = random.Random(seed)
     pool = ClientPool(
@@ -158,8 +138,7 @@ def traced_scenario(build, seed: int = 0):
     )
     pool.start(120.0)
     kernel.run(until=kernel.now + 200)
-    system.stop()
-    kernel.run(until=kernel.now + 10)
+    wind_down(kernel, system)
     copiers = system.copiers[victim]
     drained = copiers.drained_at
     return kernel, system, obs, {

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from repro.core.config import RowaaConfig
 from repro.harness.parallel import Cell, run_table
-from repro.harness.runner import build_scheme, cell_seed, settle
+from repro.harness.runner import build_scheme, cell_seed, outage, wind_down
 from repro.harness.tables import Table
 from repro.workload import WorkloadSpec
 
@@ -71,13 +71,6 @@ def run(jobs: int | None = None, **params) -> Table:
     return run_table(__name__, params, jobs)
 
 
-def _write_program(item, value):
-    def program(ctx):
-        yield from ctx.write(item, value)
-
-    return program
-
-
 def _one_cell(seed, n_sites, n_items, fraction, policy):
     identify = "mark-all" if policy == "mark-all-no-skip" else policy
     rowaa_config = RowaaConfig(
@@ -91,17 +84,11 @@ def _one_cell(seed, n_sites, n_items, fraction, policy):
         rowaa_config=rowaa_config,
     )
     victim = n_sites
-    system.crash(victim)
-    settle(kernel, system, 80.0)
     n_updated = round(n_items * fraction)
-    for index in range(n_updated):
-        kernel.run(
-            system.submit_with_retry(1, _write_program(f"X{index}", index), attempts=4)
-        )
-    record = kernel.run(system.power_on(victim))
+    writes = [(f"X{index}", index) for index in range(n_updated)]
+    record = outage(kernel, system, victim, writes).record
     kernel.run(until=kernel.now + 2000)  # let copiers finish
-    system.stop()
-    kernel.run(until=kernel.now + 10)
+    wind_down(kernel, system)
     stats = system.copiers[victim].stats
     return {
         "marked": record.marked_items,
@@ -125,16 +112,10 @@ def traced_scenario(build, seed: int = 0):
         rowaa_config=RowaaConfig(copier_mode="eager", identify_mode="mark-all"),
     )
     victim = n_sites
-    system.crash(victim)
-    settle(kernel, system, 80.0)
-    for index in range(n_items // 2):
-        kernel.run(
-            system.submit_with_retry(1, _write_program(f"X{index}", index), attempts=4)
-        )
-    record = kernel.run(system.power_on(victim))
+    writes = [(f"X{index}", index) for index in range(n_items // 2)]
+    record = outage(kernel, system, victim, writes).record
     kernel.run(until=kernel.now + 1500)
-    system.stop()
-    kernel.run(until=kernel.now + 10)
+    wind_down(kernel, system)
     stats = system.copiers[victim].stats
     return kernel, system, obs, {
         "marked": record.marked_items,

@@ -28,7 +28,7 @@ import random
 
 from repro.harness.metrics import mean
 from repro.harness.parallel import Cell, run_table
-from repro.harness.runner import build_scheme, settle
+from repro.harness.runner import build_scheme, settle, wind_down
 from repro.harness.tables import Table
 from repro.workload import WorkloadSpec
 
@@ -170,8 +170,7 @@ def traced_scenario(build, seed: int = 0):
     if system.cluster.site(saboteur_site).is_down:
         kernel.run(system.power_on(saboteur_site))
     settle(kernel, system, 200.0)
-    system.stop()
-    kernel.run(until=kernel.now + 10)
+    wind_down(kernel, system)
     records = system.recovery_records()
     return kernel, system, obs, {
         "recoveries": len(records),

@@ -18,7 +18,7 @@ and one INCLUDE per item).
 from __future__ import annotations
 
 from repro.harness.parallel import Cell, run_table
-from repro.harness.runner import build_scheme, settle
+from repro.harness.runner import build_scheme, settle, wind_down
 from repro.harness.tables import Table
 from repro.workload import WorkloadSpec
 
@@ -80,8 +80,7 @@ def _one_cell(scheme, seed, n_sites, n_items):
     settle(kernel, system, 120.0)
     kernel.run(system.power_on(victim))
     settle(kernel, system, 2500.0)  # drain copiers/includes fully
-    system.stop()
-    kernel.run(until=kernel.now + 10)
+    wind_down(kernel, system)
 
     messages = system.cluster.network.stats.sent - baseline_msgs
     if scheme in ("rowaa", "rowaa-faillocks"):
@@ -115,8 +114,7 @@ def traced_scenario(build, seed: int = 0):
     settle(kernel, system, 120.0)
     kernel.run(system.power_on(victim))
     settle(kernel, system, 500.0)
-    system.stop()
-    kernel.run(until=kernel.now + 10)
+    wind_down(kernel, system)
     status_txns = (
         sum(service.type2_committed for service in system.controls.values())
         + sum(1 for record in system.recovery_records() if record.succeeded)

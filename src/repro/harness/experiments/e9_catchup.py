@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from repro.core.config import RowaaConfig
 from repro.harness.parallel import Cell, run_table
-from repro.harness.runner import build_scheme, cell_seed, settle
+from repro.harness.runner import build_scheme, cell_seed, outage, wind_down
 from repro.harness.tables import Table
 from repro.wal import WalConfig
 
@@ -102,13 +102,6 @@ def run(jobs: int | None = None, **params) -> Table:
     return run_table(__name__, params, jobs)
 
 
-def _write_program(item, value):
-    def program(ctx):
-        yield from ctx.write(item, value)
-
-    return program
-
-
 def _state_fingerprint(system, site_id, n_items):
     """Order-independent digest of the site's user-item values."""
     import hashlib
@@ -132,22 +125,12 @@ def _run_outage(seed, n_sites, n_items, missed, mode, truncate):
         rowaa_config=rowaa_config, wal_config=wal_config,
     )
     victim = n_sites
-    system.crash(victim)
-    settle(kernel, system, 80.0)
-    for index in range(missed):
-        kernel.run(
-            system.submit_with_retry(
-                1, _write_program(f"X{index % n_items}", 100 + index), attempts=4
-            )
-        )
-    bytes_before = system.cluster.network.stats.bytes_sent
-    power_at = kernel.now
-    kernel.run(system.power_on(victim))
+    writes = [(f"X{index % n_items}", 100 + index) for index in range(missed)]
+    drill = outage(kernel, system, victim, writes)
     kernel.run(until=kernel.now + 600.0)
-    system.stop()
-    kernel.run(until=kernel.now + 10)
-    net_bytes = system.cluster.network.stats.bytes_sent - bytes_before
-    return kernel, system, victim, power_at, net_bytes
+    wind_down(kernel, system)
+    net_bytes = system.cluster.network.stats.bytes_sent - drill.bytes_before
+    return kernel, system, victim, drill.power_at, net_bytes
 
 
 def _summarise(kernel, system, victim, power_at, net_bytes, n_items):
@@ -191,20 +174,10 @@ def traced_scenario(build, seed: int = 0):
         ),
     )
     victim = n_sites
-    system.crash(victim)
-    settle(kernel, system, 80.0)
-    for index in range(missed):
-        kernel.run(
-            system.submit_with_retry(
-                1, _write_program(f"X{index}", 100 + index), attempts=4
-            )
-        )
-    bytes_before = system.cluster.network.stats.bytes_sent
-    power_at = kernel.now
-    kernel.run(system.power_on(victim))
+    writes = [(f"X{index}", 100 + index) for index in range(missed)]
+    drill = outage(kernel, system, victim, writes)
     kernel.run(until=kernel.now + 400.0)
-    system.stop()
-    kernel.run(until=kernel.now + 10)
-    net_bytes = system.cluster.network.stats.bytes_sent - bytes_before
-    summary = _summarise(kernel, system, victim, power_at, net_bytes, n_items)
+    wind_down(kernel, system)
+    net_bytes = system.cluster.network.stats.bytes_sent - drill.bytes_before
+    summary = _summarise(kernel, system, victim, drill.power_at, net_bytes, n_items)
     return kernel, system, obs, summary

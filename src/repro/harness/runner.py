@@ -6,8 +6,10 @@ Three things live here and nowhere else:
   CLI scales and traced scenarios. ``repro list``/``eN``/``all`` and
   every scenario-running subcommand read this one table.
 * scheme construction — :func:`build_scheme` for grid cells,
-  :func:`build_traced_scheme` for traced runs; the latter is the only
-  code that knows which probes exist and how they attach.
+  :func:`build_traced_scheme` for traced runs (both through
+  :func:`repro.baselines.build_system`, the one scheme table); the
+  latter is the only code that knows which probes exist and how they
+  attach.
 * :func:`run_traced` — runs a traced scenario with the probe keywords
   bound into the builder it hands over, and closes the open spans.
 
@@ -31,14 +33,7 @@ import importlib
 import types
 import typing
 
-from repro.baselines import (
-    build_directory_system,
-    build_naive_system,
-    build_quorum_system,
-    build_rowa_system,
-    build_rowaa_system,
-    build_spooler_system,
-)
+from repro.baselines import build_system
 from repro.net.latency import ConstantLatency
 from repro.obs import Observability
 from repro.sim.kernel import Kernel
@@ -148,15 +143,6 @@ def experiment_module(eid: str) -> types.ModuleType:
     )
 
 
-SCHEME_BUILDERS: dict[str, typing.Callable[..., DatabaseSystem]] = {
-    "rowaa": build_rowaa_system,
-    "rowa": build_rowa_system,
-    "quorum": build_quorum_system,
-    "naive": build_naive_system,
-    "directories": build_directory_system,
-    "spooler": build_spooler_system,
-}
-
 DEFAULT_LATENCY = 1.0
 DEFAULT_DETECTION = 5.0
 
@@ -170,8 +156,10 @@ def _build_system(
     txn_config: TxnConfig | None,
     **kwargs: typing.Any,
 ) -> DatabaseSystem:
-    """The one scheme-construction call: harness defaults on ``kernel``."""
-    return SCHEME_BUILDERS[scheme](
+    """The harness's one construction call: :func:`build_system` with
+    the harness defaults, on ``kernel``."""
+    return build_system(
+        scheme,
         kernel,
         n_sites,
         items,
@@ -366,14 +354,56 @@ def settle(kernel: Kernel, system: DatabaseSystem, duration: float) -> None:
     kernel.run(until=kernel.now + duration)
 
 
+def write_program(item: str, value: object) -> typing.Callable:
+    """The user program of one logical write."""
+
+    def program(ctx):
+        yield from ctx.write(item, value)
+
+    return program
+
+
+class Outage(typing.NamedTuple):
+    """What :func:`outage` read off at the moment of power-on, and the
+    recovery's result."""
+
+    power_at: float
+    bytes_before: int  # network bytes sent before the recovery began
+    record: typing.Any  # what the system's recovery process returned
+
+
+def outage(
+    kernel: Kernel,
+    system: DatabaseSystem,
+    victim: int,
+    writes: typing.Iterable[tuple[str, object]],
+) -> Outage:
+    """The outage drill of E2/E4/E5/E9: crash ``victim``, let detection
+    and the type-2s settle, commit ``writes`` (``(item, value)`` pairs,
+    each a retried user transaction at site 1) that the victim misses,
+    then power it on and run its recovery to operational."""
+    system.crash(victim)
+    settle(kernel, system, 80.0)
+    for item, value in writes:
+        kernel.run(system.submit_with_retry(1, write_program(item, value), attempts=4))
+    bytes_before = system.cluster.network.stats.bytes_sent
+    power_at = kernel.now
+    return Outage(power_at, bytes_before, kernel.run(system.power_on(victim)))
+
+
+def wind_down(kernel: Kernel, system: DatabaseSystem) -> None:
+    """Stop the housekeeping processes and let the last events land."""
+    system.stop()
+    kernel.run(until=kernel.now + 10)
+
+
 def quiesce(kernel: Kernel, system: DatabaseSystem, grace: float = 500.0) -> None:
     """Power every down site back on and let everything drain."""
     for site_id in system.cluster.site_ids:
         if system.cluster.site(site_id).is_down:
             system.power_on(site_id)
     kernel.run(until=kernel.now + grace)
-    system.stop()
-    kernel.run(until=kernel.now + 10)
+    wind_down(kernel, system)
     # Span hygiene: anything still open at the horizon (an in-flight
     # drain, a 2PC blocked past the grace window) is closed and tagged
     # truncated=True rather than dropped from the exports.

@@ -161,6 +161,3 @@ class HistoryRecorder:
         The implicit initial transaction is always considered committed.
         """
         return [op for op in self.ops if op.txn_id in self.committed]
-
-    def committed_txns(self) -> set[str]:
-        return set(self.committed)

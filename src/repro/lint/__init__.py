@@ -21,7 +21,7 @@ Pieces:
 See ``docs/STATIC_ANALYSIS.md`` for the rule catalog and workflow.
 """
 
-from repro.lint.engine import LintEngine, lint_paths
+from repro.lint.engine import LintEngine
 from repro.lint.findings import Finding, Severity
 from repro.lint.registry import Rule, all_rules, get_rule, rule_ids
 
@@ -32,6 +32,5 @@ __all__ = [
     "Severity",
     "all_rules",
     "get_rule",
-    "lint_paths",
     "rule_ids",
 ]

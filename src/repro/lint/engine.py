@@ -137,14 +137,3 @@ class LintEngine:
             "unknown_suppressions": unknown,
         }
         return findings, stats
-
-
-def lint_paths(
-    root: pathlib.Path,
-    paths: typing.Sequence[pathlib.Path],
-    rules: typing.Sequence[Rule] | None = None,
-) -> list[Finding]:
-    """Convenience wrapper used by tests and the baseline gate."""
-    engine = LintEngine(root, rules=rules)
-    findings, _stats = engine.lint(paths)
-    return findings

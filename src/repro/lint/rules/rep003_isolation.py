@@ -57,7 +57,7 @@ class CrossSiteReachThroughRule(Rule):
                     node,
                     "access to the cluster site map from protocol code; "
                     "remote state may only be reached via the net RPC "
-                    "layer (rpc.call/broadcast)",
+                    "layer (rpc.call/call_many)",
                 )
             elif (
                 isinstance(node, ast.Call)

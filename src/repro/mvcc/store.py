@@ -216,10 +216,6 @@ class MultiVersionStore:
     def active_pins(self) -> int:
         return len(self._pins)
 
-    def oldest_pin(self) -> Cut | None:
-        pins = list(self._pins.values())
-        return min(pins) if pins else None
-
     # -- garbage collection ---------------------------------------------------
 
     def gc_horizon(self) -> Cut:

@@ -146,11 +146,6 @@ class Network:
         except KeyError:
             raise NetworkError(f"site {site_id} is not attached") from None
 
-    @property
-    def site_ids(self) -> list[int]:
-        """All attached site ids, sorted."""
-        return sorted(self._endpoints)
-
     def set_partition(self, groups: typing.Sequence[typing.Collection[int]]) -> None:
         """Split the network: messages between groups are dropped.
 

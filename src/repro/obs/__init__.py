@@ -25,8 +25,6 @@ import typing
 
 from repro.obs.metrics import (
     BUCKET_BOUNDS,
-    Counter,
-    Gauge,
     Histogram,
     MetricsRegistry,
     TimeSeries,
@@ -38,8 +36,6 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = [
     "BUCKET_BOUNDS",
-    "Counter",
-    "Gauge",
     "Histogram",
     "Instant",
     "MetricsRegistry",

@@ -15,8 +15,7 @@ wins. The categories, most specific first:
 ==================  =========================================================
 ``lock_wait``       waiting in a lock queue (``lock`` spans, any site)
 ``wal_stall``       blocked on a WAL group-commit flush (``wal_stall`` spans)
-``prepare_wait``    the 2PC prepare round / explicit quorum fallback
-                    (``rpc:dm.prepare`` and ``quorum`` spans)
+``prepare_wait``    the 2PC prepare round (``rpc:dm.prepare`` spans)
 ``decision_broadcast``  the commit/abort round on the client path
                     (``rpc:dm.commit`` / ``rpc:dm.abort`` spans)
 ``ro_serve``        snapshot-read rounds of read-only transactions
@@ -86,8 +85,6 @@ def _bucket_of(span: "Span") -> int | None:
         return 0
     if category == "wal_stall":
         return 1
-    if category == "quorum":
-        return 2
     if category == "rpc":
         if span.name == "rpc:dm.prepare":
             return 2

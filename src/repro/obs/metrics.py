@@ -1,4 +1,4 @@
-"""The metrics registry: counters, gauges, histograms, time series.
+"""The metrics registry: collectors, histograms, time series.
 
 Every instrument is keyed by ``(name, site_id)`` — ``site_id`` is ``None``
 for system-global instruments — so :meth:`MetricsRegistry.snapshot` can
@@ -9,14 +9,14 @@ full catalog lives in ``docs/OBSERVABILITY.md``.
 
 Two cost regimes:
 
-* **Push instruments** (``counter``/``gauge``/``histogram``/``series``)
-  are updated inline by the instrumented component. They are reserved
-  for *rare* events (lock waits, commits, refreshes) — never the kernel
-  event loop.
-* **Collectors** are zero-cost until read: a callable registered with
-  :meth:`add_collector` that scrapes counters a component already keeps
-  (``TmStats``, ``NetworkStats``, ``CopierStats`` …) at snapshot time.
-  The hot paths those counters live on are not touched at all.
+* **Push instruments** (``histogram``/``series``) are updated inline by
+  the instrumented component. They are reserved for *rare* events (lock
+  waits, commits, refreshes) — never the kernel event loop.
+* **Collectors** carry every scalar, zero-cost until read: a callable
+  registered with :meth:`add_collector` that scrapes counters a
+  component already keeps (``TmStats``, ``NetworkStats``,
+  ``CopierStats`` …) at snapshot time. The hot paths those counters
+  live on are not touched at all.
 """
 
 from __future__ import annotations
@@ -53,34 +53,6 @@ def percentile(values: typing.Sequence[float], p: float) -> float:
         return ordered[-1]
     rank = int(math.floor(p / 100 * (len(ordered) - 1) + 0.5))
     return ordered[max(0, min(len(ordered) - 1, rank))]
-
-
-class Counter:
-    """A monotonically increasing count."""
-
-    __slots__ = ("name", "site_id", "value")
-
-    def __init__(self, name: str, site_id: int | None) -> None:
-        self.name = name
-        self.site_id = site_id
-        self.value = 0.0
-
-    def inc(self, amount: float = 1.0) -> None:
-        self.value += amount
-
-
-class Gauge:
-    """A point-in-time value (last write wins)."""
-
-    __slots__ = ("name", "site_id", "value")
-
-    def __init__(self, name: str, site_id: int | None) -> None:
-        self.name = name
-        self.site_id = site_id
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
 
 
 class Histogram:
@@ -159,27 +131,11 @@ class MetricsRegistry:
     """All instruments of one system, plus pull-time collectors."""
 
     def __init__(self) -> None:
-        self._counters: dict[Key, Counter] = {}
-        self._gauges: dict[Key, Gauge] = {}
         self._histograms: dict[Key, Histogram] = {}
         self._series: dict[Key, TimeSeries] = {}
         self._collectors: list[typing.Callable[[], dict[Key, float]]] = []
 
     # -- instrument factories (idempotent per key) ----------------------------
-
-    def counter(self, name: str, site: int | None = None) -> Counter:
-        key = (name, site)
-        instrument = self._counters.get(key)
-        if instrument is None:
-            instrument = self._counters[key] = Counter(name, site)
-        return instrument
-
-    def gauge(self, name: str, site: int | None = None) -> Gauge:
-        key = (name, site)
-        instrument = self._gauges.get(key)
-        if instrument is None:
-            instrument = self._gauges[key] = Gauge(name, site)
-        return instrument
 
     def histogram(self, name: str, site: int | None = None) -> Histogram:
         key = (name, site)
@@ -205,10 +161,6 @@ class MetricsRegistry:
 
     def _scalar_values(self) -> dict[Key, float]:
         values: dict[Key, float] = {}
-        for key, counter in self._counters.items():
-            values[key] = counter.value
-        for key, gauge in self._gauges.items():
-            values[key] = gauge.value
         for collector in self._collectors:
             for key, value in collector().items():
                 values[key] = values.get(key, 0.0) + value
@@ -224,7 +176,7 @@ class MetricsRegistry:
     def snapshot(self) -> dict:
         """Plain-dict view: global totals plus per-site breakdowns.
 
-        Scalars (counters, gauges, collector output) appear under
+        Scalars (collector output) appear under
         ``"global"`` (summed over sites) and ``"per_site"``; histograms
         under ``"histograms"`` with a merged ``None``-site entry per
         name; series under ``"series"`` keyed ``name@site``.

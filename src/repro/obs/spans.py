@@ -249,10 +249,3 @@ class SpanRecorder:
             detail,
         )
 
-    # -- queries --------------------------------------------------------------
-
-    def spans_of_category(self, category: str) -> list[Span]:
-        return [span for span in self.spans if span.category == category]
-
-    def children_of(self, span_id: int) -> list[Span]:
-        return [span for span in self.spans if span.parent_id == span_id]

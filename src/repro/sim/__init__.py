@@ -17,15 +17,13 @@ Determinism: given a seed, every run produces the identical event order.
 Ties in time are broken by scheduling sequence number.
 """
 
-from repro.sim.events import AllOf, AnyOf, Future, Timeout
+from repro.sim.events import Future, Timeout
 from repro.sim.kernel import Callback, Kernel
 from repro.sim.process import Process
 from repro.sim.queue import Queue
 from repro.sim.rng import RngRegistry
 
 __all__ = [
-    "AllOf",
-    "AnyOf",
     "Callback",
     "Future",
     "Kernel",

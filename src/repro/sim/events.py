@@ -5,8 +5,7 @@ either a value (:meth:`Future.succeed`) or an exception
 (:meth:`Future.fail`), and then *processed* by the kernel: its callbacks run
 at the virtual time the trigger was scheduled for.
 
-Processes wait on futures by yielding them; composite futures
-(:class:`AllOf`, :class:`AnyOf`) let a process wait for several at once.
+Processes wait on futures by yielding them, one at a time.
 """
 
 from __future__ import annotations
@@ -243,86 +242,9 @@ class Timeout(Future):
             for probe in kernel.probes.scheduled:
                 probe(kernel._seq - 1)
 
-    def cancel(self) -> None:
-        """Lazily cancel the timeout: it never fires, callbacks never run.
-
-        The heap entry is skipped when popped instead of being removed
-        eagerly, so cancellation is O(1). Only meaningful before the
-        timeout fires, and only when no process is waiting on it (a
-        waiter would never be resumed).
-        """
-        if not self._flags & F_PROCESSED:
-            self._flags |= F_CANCELLED
-
-    @property
-    def cancelled(self) -> bool:
-        """True once :meth:`cancel` has been called."""
-        return (self._flags & F_CANCELLED) != 0
-
     def __repr__(self) -> str:
-        if self._flags & F_CANCELLED:
-            state = "cancelled"
-        elif not self._flags & F_PROCESSED:
+        if not self._flags & F_PROCESSED:
             state = "pending"
         else:
             state = f"ok({self._value!r})"
         return f"<Timeout({self.delay}) {state}>"
-
-
-class AllOf(Future):
-    """Succeeds when all child futures have been processed.
-
-    The value is a list of the children's values, in the order given. If any
-    child fails, :class:`AllOf` fails with that child's exception (the first
-    failure to be processed wins).
-    """
-
-    __slots__ = ("_children", "_remaining")
-
-    def __init__(self, kernel: "Kernel", children: typing.Sequence[Future]) -> None:
-        super().__init__(kernel, name=f"AllOf[{len(children)}]")
-        self._children = list(children)
-        self._remaining = len(self._children)
-        if self._remaining == 0:
-            self.succeed([])
-            return
-        for child in self._children:
-            child.add_callback(self._on_child)
-
-    def _on_child(self, child: Future) -> None:
-        if self.triggered:
-            return
-        if not child.ok:
-            assert child.exception is not None
-            self.fail(child.exception)
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed([c.value for c in self._children])
-
-
-class AnyOf(Future):
-    """Succeeds when the first child future is processed.
-
-    The value is the pair ``(index, value)`` of the winning child. Fails if
-    the first processed child failed.
-    """
-
-    __slots__ = ("_children",)
-
-    def __init__(self, kernel: "Kernel", children: typing.Sequence[Future]) -> None:
-        if not children:
-            raise ValueError("AnyOf requires at least one child")
-        super().__init__(kernel, name=f"AnyOf[{len(children)}]")
-        self._children = list(children)
-        for index, child in enumerate(self._children):
-            child.add_callback(lambda c, i=index: self._on_child(i, c))
-
-    def _on_child(self, index: int, child: Future) -> None:
-        if self.triggered:
-            return
-        if child.ok:
-            self.succeed((index, child.value))
-        else:
-            assert child.exception is not None
-            self.fail(child.exception)

@@ -151,7 +151,7 @@ class DatabaseSystem:
         # argument, so the subsystem stays off there.
         self.mvcc: dict[int, "MultiVersionStore"] = {}
         self.snapshots: dict[int, "SnapshotManager"] = {}
-        if self.config.mvcc and concurrency == "2pl":
+        if concurrency == "2pl":
             from repro.mvcc import MultiVersionStore, SnapshotManager
 
             for site_id in self.cluster.site_ids:
@@ -240,11 +240,6 @@ class DatabaseSystem:
     ) -> Process:
         """Run ``program`` as a single transaction attempt at ``site_id``."""
         return self.tms[site_id].submit(program, kind)
-
-    def submit_ro(self, site_id: int, program: typing.Callable) -> Process:
-        """Run ``program`` as a read-only snapshot transaction at
-        ``site_id`` (``beginRO``; requires the mvcc subsystem)."""
-        return self.tms[site_id].submit_ro(program)
 
     def submit_with_retry(
         self,

@@ -142,53 +142,16 @@ class AsyncQuorumCommit:
         txn = ctx.txn
         txn.commit_mode = self.name
         txn.quorum_needed = quorum_needed(tm.catalog, txn, write_sites)
+        # Every user write goes through ``TxnContext.send_writes``, so
+        # each write site's ack was also its durable prepare vote and
+        # the quorum wait was absorbed by the write round; a short count
+        # can only be a corrupted transaction record, and aborts.
         prepared = txn.prepared_sites & set(write_sites)
-        obs = tm.site.obs
         if len(prepared) < txn.quorum_needed:
-            # Fallback explicit prepare round: some write path did not
-            # pipeline its prepare (e.g. a baseline strategy writing
-            # through plain dm_write). Votes here are volatile — the
-            # normal pipelined path is the durable one. The quorum-wait
-            # span marks this round as the client-visible stall critpath
-            # charges to prepare_wait.
-            span_parent = span.span_id if span is not None else None
-            wait_span = None
-            if obs.spans_on and span is not None:
-                wait_span = obs.spans.start(
-                    "quorum-wait", "quorum", tm.site_id,
-                    parent=span_parent, txn_id=txn.txn_id,
-                )
-            rest = [s for s in write_sites if s not in prepared]
-            request = PrepareRequest(
-                txn_id=txn.txn_id, participants=tuple(write_sites)
-            )
-            votes = tm.rpc.call_many(
-                rest, "dm.prepare", request, timeout=tm.config.rpc_timeout,
-                span_parent=span_parent,
-            )
-            try:
-                for site_id, future in votes:
-                    try:
-                        if bool((yield future)):
-                            prepared.add(site_id)
-                    except (NetworkError, TransactionError):
-                        pass
-            finally:
-                if wait_span is not None:
-                    obs.spans.finish(
-                        wait_span, prepared=len(prepared),
-                        needed=txn.quorum_needed,
-                    )
-            if len(prepared) < txn.quorum_needed:
-                yield from tm._abort(
-                    ctx, TransactionError("quorum prepare failed")
-                )
-                raise TransactionAborted(txn.txn_id, "prepare-failed")
-        elif span is not None:
-            # The fast path: the quorum was already satisfied by the
-            # pipelined prepares, so the wait was absorbed by the
-            # write-all round. Record the counts on the 2pc span.
-            obs.spans.annotate(
+            yield from tm._abort(ctx, TransactionError("quorum prepare failed"))
+            raise TransactionAborted(txn.txn_id, "prepare-failed")
+        if span is not None:
+            tm.site.obs.spans.annotate(
                 span, prepared=len(prepared), needed=txn.quorum_needed,
                 quorum_pipelined=True,
             )

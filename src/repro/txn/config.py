@@ -18,9 +18,6 @@ class TxnConfig:
         How long a TM waits for any single DM reply before treating the
         target as failed. Must exceed the worst round trip between live
         sites or the detector's soundness assumption breaks.
-    lock_wait_timeout:
-        Per-request backstop in the lock manager (None: rely solely on
-        the global deadlock detector).
     deadlock_interval:
         Sweep period of the global deadlock detector.
     decision_timeout:
@@ -50,12 +47,6 @@ class TxnConfig:
         site before giving the site up to recovery marks.
     drain_retry_delay:
         Pause between drain retry rounds.
-    mvcc:
-        Enable multiversion snapshot reads (``beginRO`` via
-        ``TransactionManager.submit_ro``). Only takes effect under 2PL
-        concurrency, where version order equals 2PC-decision order; the
-        TO scheduler's timestamp versions break the time-cut argument
-        (see DESIGN.md "Snapshot reads") and disable the subsystem.
     ro_staleness_floor:
         ``D``, the snapshot staleness floor: a fully-current site serves
         read-only transactions at the cut ``now - D``. Must upper-bound
@@ -68,7 +59,6 @@ class TxnConfig:
     """
 
     rpc_timeout: float = 50.0
-    lock_wait_timeout: float | None = None
     deadlock_interval: float = 25.0
     decision_timeout: float = 200.0
     indoubt_retry: float = 25.0
@@ -76,7 +66,6 @@ class TxnConfig:
     commit_mode: str = "sync_2pc"
     drain_retries: int = 1
     drain_retry_delay: float = 10.0
-    mvcc: bool = True
     ro_staleness_floor: float = 2.0
     mvcc_gc_period: float = 50.0
 

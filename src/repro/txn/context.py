@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.errors import TransactionError
+from repro.errors import NetworkError, TotalFailure, TransactionError
 from repro.sim.events import Future
 from repro.storage.copies import Version
 from repro.txn.payloads import (
@@ -37,6 +37,9 @@ class TxnContext:
         self.tm = tm
         self.txn = txn
         self.view: dict[int, int] = txn.view  # site -> nominal session seen
+        #: Pipelined 2PC: under ``async_quorum``, every user-transaction
+        #: write carries a prepare vote (the ack doubles as phase one).
+        self.prepare_on_write = tm.prepare_on_write and txn.kind is TxnKind.USER
 
     # -- logical operations (user programs) ------------------------------------
 
@@ -60,6 +63,23 @@ class TxnContext:
             value = yield from self.read(item)
             values.append(value)
         return values
+
+    def read_first(self, sites: typing.Sequence[int], item: str) -> typing.Generator:
+        """Read-one with failover: try the copy of ``item`` at each of
+        ``sites`` in order (at most ``max_read_attempts`` of them) and
+        return the first value served; the last refusal propagates.
+
+        The session-less read of the baselines — ROWAA's read owns its
+        own loop (it carries ``ns_i[k]`` and the wait-for-copier fork).
+        """
+        last_error: Exception | None = None
+        for site in sites[: self.tm.config.max_read_attempts]:
+            try:
+                value, _version = yield from self.dm_read(site, item, expected=None)
+                return value
+            except (NetworkError, TransactionError) as exc:
+                last_error = exc
+        raise last_error if last_error is not None else TotalFailure(item)
 
     # -- physical operations -------------------------------------------------
 
@@ -129,10 +149,10 @@ class TxnContext:
         missed_sites: tuple[int, ...] = (),
     ) -> typing.Generator:
         """Buffer a write of ``item`` at ``site_id`` (applied at commit)."""
-        yield from self._write_to(
+        yield from self._await_all(self.send_writes(
             ((site_id, expected),), item, value, privileged,
             version_override, applied_sites, missed_sites,
-        )
+        ))
 
     def dm_write_all(
         self,
@@ -152,25 +172,28 @@ class TxnContext:
         applied_sites = tuple(site_id for site_id, _expected in targets)
         for fn in self.tm.kernel.probes.logical_write:
             fn(self.tm.site_id, self.txn.txn_id, item, applied_sites)
-        yield from self._write_to(
+        yield from self._await_all(self.send_writes(
             targets, item, value, privileged,
             version_override, applied_sites, missed_sites,
-        )
+        ))
 
-    def _write_to(
+    def send_writes(
         self,
         targets: typing.Sequence[tuple[int, int | None]],
         item: str,
         value: object,
-        privileged: bool,
-        version_override: Version | None,
-        applied_sites: tuple[int, ...],
-        missed_sites: tuple[int, ...],
-    ) -> typing.Generator:
-        """Issue one ``dm.write`` per target, then await every ack."""
-        # Pipelined 2PC: under ``async_quorum``, every user-transaction
-        # write carries a prepare vote (the ack doubles as phase one).
-        prepare = self.tm.prepare_on_write and self.txn.kind is TxnKind.USER
+        privileged: bool = False,
+        version_override: Version | None = None,
+        applied_sites: tuple[int, ...] = (),
+        missed_sites: tuple[int, ...] = (),
+    ) -> list[tuple[int, Future]]:
+        """Issue one ``dm.write`` per target — the one construction site
+        of :class:`WriteRequest` — and return the ``(site, ack)`` pairs.
+
+        How the acks are awaited is the caller's algorithm (all of them:
+        :meth:`_await_all`; a majority: the quorum baseline); each ack
+        that arrives is reported through :meth:`write_acked`.
+        """
         self.txn.written_items.add(item)
         futures = []
         for site_id, expected in targets:
@@ -185,15 +208,22 @@ class TxnContext:
                 version_override=version_override,
                 applied_sites=applied_sites,
                 missed_sites=missed_sites,
-                prepare=prepare,
+                prepare=self.prepare_on_write,
             )
             futures.append((site_id, self._call(site_id, "dm.write", request)))
+        return futures
+
+    def write_acked(self, site_id: int) -> None:
+        """A ``dm.write`` was acked by ``site_id``: it is a write site,
+        and under pipelined 2PC the ack was also its prepare vote."""
+        self.txn.wrote_sites.add(site_id)
+        if self.prepare_on_write:
+            self.txn.prepared_sites.add(site_id)
+
+    def _await_all(self, futures: list[tuple[int, Future]]) -> typing.Generator:
         for site_id, future in futures:
             yield future
-            self.txn.wrote_sites.add(site_id)
-            if prepare:
-                # Pipelined 2PC: this ack was also the prepare vote.
-                self.txn.prepared_sites.add(site_id)
+            self.write_acked(site_id)
 
     def release_site(self, site_id: int) -> None:
         """Fire-and-forget lock release at one site (no reply awaited)."""

@@ -97,9 +97,7 @@ class DataManager:
         self.site = site
         self.recorder = recorder
         self.config = config
-        self.lock_manager = LockManager(
-            kernel, site.site_id, config.lock_wait_timeout, obs=site.obs
-        )
+        self.lock_manager = LockManager(kernel, site.site_id, obs=site.obs)
         self.actual_session = 0  # as[k]; volatile, set by the session manager
         self._participations: dict[str, _Participation] = {}
         self._decided: dict[str, tuple[str, Version | None]] = {}
@@ -147,10 +145,7 @@ class DataManager:
     # -- crash semantics ------------------------------------------------------
 
     def _on_crash(self) -> None:
-        self.lock_manager = LockManager(
-            self.kernel, self.site_id, self.config.lock_wait_timeout,
-            obs=self.site.obs,
-        )
+        self.lock_manager = LockManager(self.kernel, self.site_id, obs=self.site.obs)
         self._participations.clear()
         self._decided.clear()
         self._fast_resolving.clear()
@@ -208,8 +203,11 @@ class DataManager:
                 coordinator=src,
             )
             self._participations[request.txn_id] = part
+            # The backstop for a coordinator that stops talking to us:
+            # first look after ``decision_timeout``.
             self.site.spawn(
-                self._orphan_watch(request.txn_id), name=f"orphan-watch:{request.txn_id}"
+                self._terminate(request.txn_id, self.config.decision_timeout),
+                name=f"orphan-watch:{request.txn_id}",
             )
         return part
 
@@ -589,19 +587,9 @@ class DataManager:
                 durable=True,
                 restored=True,
             )
-            self.site.spawn(self._indoubt_watch(txn_id), name=f"in-doubt:{txn_id}")
-
-    def _indoubt_watch(self, txn_id: str) -> typing.Generator:
-        """Resolve a restored in-doubt participation, starting right away."""
-        while True:
-            part = self._participations.get(txn_id)
-            if part is None:
-                return
-            done = yield from self._resolve(part)
-            if done:
-                yield from self._announce_outcome(part)
-                return
-            yield self.kernel.timeout(self.config.indoubt_retry)
+            self.site.spawn(
+                self._terminate(txn_id, None, announce=True), name=f"in-doubt:{txn_id}"
+            )
 
     def _announce_outcome(self, part: _Participation) -> typing.Generator:
         """Cooperative-termination push after resolving a restored in-doubt
@@ -662,64 +650,70 @@ class DataManager:
                 part.txn_id not in self._fast_resolving
             ):
                 self._fast_resolving.add(part.txn_id)
+                # Resolve now; while blocked in doubt, re-poll at
+                # ``indoubt_retry`` — the coordinator answers
+                # ``tm.outcome`` from stable storage the moment it is
+                # powered back on, which turns "X locks held until its
+                # recovery procedure completes" into "held until it has
+                # power". A never-prepared orphan whose coordinator is
+                # alive and working is left to the orphan watch.
                 self.site.spawn(
-                    self._resolve_fast(part.txn_id),
+                    self._terminate(part.txn_id, None, give_up_unprepared=True),
                     name=f"orphan-now:{part.txn_id}",
                 )
 
-    def _resolve_fast(self, txn_id: str) -> typing.Generator:
-        """Resolve now; while blocked in doubt, re-poll at ``indoubt_retry``.
+    def _terminate(
+        self,
+        txn_id: str,
+        first_wait: float | None,
+        give_up_unprepared: bool = False,
+        announce: bool = False,
+    ) -> typing.Generator:
+        """The one 2PC termination loop: resolve, wait, resolve again.
 
-        A single blocked attempt is not enough: the coordinator answers
-        ``tm.outcome`` from stable storage the moment it is powered back
-        on — polling fast turns "X locks held until the coordinator's
-        recovery procedure completes" into "held until it has power".
+        Covers in-doubt prepared participants (classic 2PC termination)
+        and plain orphans (coordinator crashed before prepare, leaving
+        locks held here); its three callers differ in three things.
+        ``first_wait``: the orphan watch looks only after
+        ``decision_timeout``, the detector-driven and restored in-doubt
+        resolvers start right away (None). ``give_up_unprepared``: an
+        unresolved participation that never prepared ends the
+        detector-driven loop (the orphan watch stays as its backstop).
+        ``announce``: a restored in-doubt participation pushes the
+        outcome it learned to its peers. Once a prepared participant has
+        *tried* termination and come up empty (blocked in doubt, X locks
+        held), every loop re-polls at the much shorter ``indoubt_retry``.
         """
+        wait = first_wait
         try:
             while True:
+                if wait is not None:
+                    yield self.kernel.timeout(wait)
                 part = self._participations.get(txn_id)
                 if part is None:
-                    return
+                    return  # decided through the normal path
                 done = yield from self._resolve(part)
-                if done or not part.prepared:
+                if done:
+                    if announce:
+                        yield from self._announce_outcome(part)
                     return
-                yield self.kernel.timeout(self.config.indoubt_retry)
+                if part.prepared:
+                    wait = self.config.indoubt_retry
+                elif give_up_unprepared:
+                    return
+                else:
+                    wait = self.config.decision_timeout
         finally:
+            # Re-arms resolve_coordinated_by for this transaction (a
+            # no-op for the two loops it did not spawn: their exit means
+            # the participation is gone).
             self._fast_resolving.discard(txn_id)
-
-    def _orphan_watch(self, txn_id: str) -> typing.Generator:
-        """Resolve transactions whose coordinator stopped talking to us.
-
-        Covers both in-doubt prepared participants (classic 2PC
-        termination) and plain orphans (coordinator crashed before
-        prepare, leaving locks held here). Presumed abort: when neither
-        the coordinator nor any peer knows a commit, abort. Once a
-        prepared participant has *tried* termination and come up empty
-        (blocked in doubt, X locks held), it drops to the much shorter
-        ``indoubt_retry`` period.
-        """
-        interval = self.config.decision_timeout
-        while True:
-            yield self.kernel.timeout(interval)
-            part = self._participations.get(txn_id)
-            if part is None:
-                return  # decided through the normal path
-            done = yield from self._resolve(part)
-            if done:
-                return
-            if part.prepared:
-                interval = self.config.indoubt_retry
 
     def _resolve(self, part: _Participation) -> typing.Generator:
         status, version = yield from self._query(
             part.coordinator, "tm.outcome", part.txn_id
         )
-        if status == "committed":
-            assert version is not None
-            self._apply_commit(part.txn_id, version)
-            return True
-        if status == "aborted":
-            self._apply_abort(part.txn_id)
+        if self._settle(part.txn_id, status, version):
             return True
         if status == "active":
             return False  # coordinator alive and still working; keep waiting
@@ -729,12 +723,7 @@ class DataManager:
             if peer == self.site_id:
                 continue
             status, version = yield from self._query(peer, "dm.outcome", part.txn_id)
-            if status == "committed":
-                assert version is not None
-                self._apply_commit(part.txn_id, version)
-                return True
-            if status == "aborted":
-                self._apply_abort(part.txn_id)
+            if self._settle(part.txn_id, status, version):
                 return True
         if part.prepared:
             # In doubt with no decisive evidence: BLOCK (keep polling).
@@ -747,6 +736,18 @@ class DataManager:
         # presumed abort is safe for a plain orphan.
         self._apply_abort(part.txn_id)
         return True
+
+    def _settle(self, txn_id: str, status: str, version: Version | None) -> bool:
+        """Act on a decisive answer to an outcome query; False if the
+        answer decides nothing (active, prepared, unknown, unreachable)."""
+        if status == "committed":
+            assert version is not None
+            self._apply_commit(txn_id, version)
+            return True
+        if status == "aborted":
+            self._apply_abort(txn_id)
+            return True
+        return False
 
     def _query(self, site_id: int, kind: str, txn_id: str) -> typing.Generator:
         try:

@@ -25,7 +25,7 @@ Cost model
 Commit and abort call :meth:`LockManager.cancel` at every site, so it must
 not look at the whole table. ``_queued_by_txn`` indexes each transaction's
 *queued* requests by lock state, next to ``_held_by_txn`` for its holds;
-every route out of a queue (grant, abandon, timeout, victim kill) goes
+every route out of a queue (grant, abandon, victim kill) goes
 through :meth:`LockManager._left_queue`, which keeps the index exact.
 """
 
@@ -38,7 +38,7 @@ import typing
 
 from repro.errors import DeadlockDetected
 from repro.sim.events import Future
-from repro.sim.kernel import Callback, Kernel
+from repro.sim.kernel import Kernel
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs import Observability
@@ -66,9 +66,6 @@ class _Request:
     mode: LockMode
     future: Future
     upgrade: bool = False
-    #: The wait-timeout backstop timer, cancelled lazily when the request
-    #: leaves the queue by any other route (grant, abandon, victim kill).
-    timer: Callback | None = None
     #: Sim-time the request joined the queue (wait-time instrumentation).
     enqueued_at: float = 0.0
 
@@ -93,22 +90,16 @@ class LockManager:
         Simulation kernel (for futures and timeouts).
     site_id:
         Owning site, for diagnostics.
-    wait_timeout:
-        Optional backstop: a request waiting longer than this fails with
-        :class:`~repro.errors.DeadlockDetected` even if the global
-        detector has not run (None disables).
     """
 
     def __init__(
         self,
         kernel: Kernel,
         site_id: int,
-        wait_timeout: float | None = None,
         obs: "Observability | None" = None,
     ) -> None:
         self.kernel = kernel
         self.site_id = site_id
-        self.wait_timeout = wait_timeout
         self.obs = obs
         self._table: dict[str, _LockState] = {}
         self._held_by_txn: dict[str, set[str]] = {}
@@ -124,7 +115,7 @@ class LockManager:
         """Request a lock; the future succeeds when granted.
 
         Fails with :class:`DeadlockDetected` if the request is chosen as a
-        deadlock victim or outlives ``wait_timeout``.
+        deadlock victim.
         """
         access = self.kernel.probes.access
         if access:
@@ -160,10 +151,6 @@ class LockManager:
             state.queue.append(request)
         self._queued_by_txn.setdefault(txn_id, []).append(state)
         future.on_abandoned(lambda _fut, it=item, req=request: self._abandon(it, req))
-        if self.wait_timeout is not None:
-            request.timer = self.kernel.schedule_callback(
-                self.wait_timeout, self._expire, item, request
-            )
         return future
 
     def cancel(self, txn_id: str) -> None:
@@ -269,11 +256,7 @@ class LockManager:
     # -- internals ------------------------------------------------------------
 
     def _can_grant(self, state: _LockState, request: _Request) -> bool:
-        compatible_with_holders = all(
-            holder == request.txn_id or request.mode.compatible(mode)
-            for holder, mode in state.holders.items()
-        )
-        if not compatible_with_holders:
+        if not self._compatible_with_holders(state, request):
             return False
         if request.upgrade:
             # Upgrades jump the queue; only the holders matter.
@@ -342,23 +325,9 @@ class LockManager:
         self._left_queue(state, request)
         self._promote_waiters(item, state)
 
-    def _expire(self, item: str, request: _Request) -> None:
-        state = self._table.get(item)
-        if state is None or request not in state.queue:
-            return
-        request.timer = None  # this is that timer firing: nothing left to cancel
-        state.queue.remove(request)
-        self._left_queue(state, request)
-        if not request.future.triggered:
-            request.future.fail(DeadlockDetected(request.txn_id))
-        self._promote_waiters(item, state)
-
     def _left_queue(self, state: _LockState, request: _Request) -> None:
         """Bookkeeping for a request that just left ``state.queue``, by any
-        route: drop its backstop timer and its per-transaction index entry."""
-        if request.timer is not None:
-            request.timer.cancel()
-            request.timer = None
+        route: drop its per-transaction index entry."""
         waiting = self._queued_by_txn[request.txn_id]
         waiting.remove(state)
         if not waiting:

@@ -123,9 +123,8 @@ class TransactionManager:
             AsyncQuorumCommit.name: AsyncQuorumCommit(self),
         }
         #: The site's :class:`~repro.mvcc.snapshot.SnapshotManager`; wired
-        #: by the system when multiversion snapshot reads are enabled
-        #: (``config.mvcc`` and 2PL concurrency), else None and
-        #: :meth:`submit_ro` refuses.
+        #: by the system under 2PL concurrency (multiversion snapshot
+        #: reads), else None and :meth:`submit_ro` refuses.
         self.snapshots: typing.Any = None
         self._active: set[str] = set()
         self._outcomes: dict[str, tuple[str, Version | None]] = {}

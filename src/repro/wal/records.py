@@ -30,10 +30,6 @@ import dataclasses
 
 from repro.storage.copies import Version
 
-#: Fixed cost of lsn + kind tag + flags in the wire/stable size model
-#: (same style as repro.txn.payloads).
-_RECORD_HEADER_BYTES = 16
-
 
 @dataclasses.dataclass(frozen=True, slots=True)
 class LogRecord:
@@ -73,26 +69,3 @@ class LogRecord:
     def __setstate__(self, state: list) -> None:
         for name, value in zip(self.__slots__, state):
             object.__setattr__(self, name, value)
-
-    @property
-    def wire_size(self) -> int:
-        """Nominal serialized size (one word per number, 1 B/char names)."""
-        size = _RECORD_HEADER_BYTES + len(self.item or "")
-        if self.kind in ("write", "prepare"):
-            size += 8  # the value, modeled as one word
-        if self.version is not None:
-            size += 16
-        if self.session is not None:
-            size += 8
-        if self.session_started_at is not None:
-            size += 8
-        if self.txn_id is not None:
-            size += len(self.txn_id) + 8
-        size += 8 * (
-            len(self.participants)
-            + len(self.applied_sites)
-            + len(self.missed_sites)
-        )
-        if self.outcome is not None:
-            size += 1
-        return size

@@ -3,14 +3,14 @@
 * :class:`~repro.workload.generator.WorkloadSpec` /
   :class:`~repro.workload.generator.WorkloadGenerator` — random
   transaction programs (read/write mixes, uniform or zipfian access,
-  per-site clients, Poisson arrivals).
+  per-site clients).
 * :class:`~repro.workload.failures.FailureSchedule` — scripted or random
   crash/recover sequences, applied to a running system.
-* :class:`~repro.workload.client.ClientPool` — open-loop and closed-loop
-  client drivers collecting commit/abort/latency outcomes.
+* :class:`~repro.workload.client.ClientPool` — closed-loop client
+  driver collecting commit/abort/latency outcomes.
 """
 
-from repro.workload.client import ClientPool, ClientStats, OpenLoopClient
+from repro.workload.client import ClientPool, ClientStats
 from repro.workload.failures import FailureEvent, FailureSchedule
 from repro.workload.generator import WorkloadGenerator, WorkloadSpec
 
@@ -19,7 +19,6 @@ __all__ = [
     "ClientStats",
     "FailureEvent",
     "FailureSchedule",
-    "OpenLoopClient",
     "WorkloadGenerator",
     "WorkloadSpec",
 ]

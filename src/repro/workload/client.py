@@ -37,25 +37,6 @@ class ClientStats:
             return 1.0
         return self.committed / self.attempted
 
-    @property
-    def ro_availability(self) -> float:
-        """Fraction of read-only attempts that committed."""
-        if self.ro_attempted == 0:
-            return 1.0
-        return self.ro_committed / self.ro_attempted
-
-    def merge(self, other: "ClientStats") -> None:
-        self.attempted += other.attempted
-        self.committed += other.committed
-        self.aborted += other.aborted
-        self.refused += other.refused
-        self.latencies.extend(other.latencies)
-        self.ro_attempted += other.ro_attempted
-        self.ro_committed += other.ro_committed
-        self.ro_aborted += other.ro_aborted
-        self.ro_refused += other.ro_refused
-        self.ro_latencies.extend(other.ro_latencies)
-
 
 class ClientPool:
     """Closed-loop clients: each runs one transaction at a time.
@@ -197,70 +178,3 @@ class ClientPool:
                 if attempt < self.retries:
                     yield kernel.timeout(self.retry_delay)
         return "aborted"
-
-
-class OpenLoopClient:
-    """Open-loop driver: Poisson arrivals, independent of completions.
-
-    Unlike :class:`ClientPool` (closed loop: each client waits for its
-    transaction before thinking), an open-loop source keeps injecting at
-    the offered rate even when the system is slow — the right model for
-    measuring behaviour *under* overload or during outages, where a
-    closed loop would self-throttle and hide the backlog.
-    """
-
-    def __init__(
-        self,
-        system: "DatabaseSystem",
-        generator: WorkloadGenerator,
-        rate: float,
-        home_sites: typing.Sequence[int] | None = None,
-    ) -> None:
-        if rate <= 0:
-            raise ValueError(f"arrival rate must be positive, got {rate}")
-        self.system = system
-        self.generator = generator
-        self.rate = rate
-        self.home_sites = list(home_sites) if home_sites is not None else list(
-            system.cluster.site_ids
-        )
-        self.stats = ClientStats()
-        self._rng = system.kernel.rng.stream("openloop")
-
-    def start(self, duration: float) -> Process:
-        """Inject transactions until ``duration`` elapses."""
-        proc = self.system.kernel.process(self._arrivals(duration), name="open-loop")
-        proc.defuse()
-        return proc
-
-    def _arrivals(self, duration: float) -> typing.Generator:
-        kernel = self.system.kernel
-        deadline = kernel.now + duration
-        index = 0
-        while True:
-            gap = self._rng.expovariate(self.rate)
-            if kernel.now + gap > deadline:
-                return
-            yield kernel.timeout(gap)
-            home = self.home_sites[index % len(self.home_sites)]
-            index += 1
-            self.stats.attempted += 1
-            # Local attach at the arrival's home site (same as ClientPool).
-            site = self.system.cluster.site(home)  # replint: disable=REP003
-            if not site.is_operational:
-                self.stats.refused += 1
-                continue
-            start = kernel.now
-            proc = self.system.tms[home].submit(self.generator.next_program())
-            proc.add_callback(lambda ev, s=start: self._finished(ev, s))
-
-    def _finished(self, event, start: float) -> None:
-        if event.ok:
-            self.stats.committed += 1
-            self.stats.latencies.append(self.system.kernel.now - start)
-        else:
-            exc = event.exception
-            if isinstance(exc, (NotOperational, Interrupt)):
-                self.stats.refused += 1
-            else:
-                self.stats.aborted += 1

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.baselines import build_directory_system
+from repro.baselines import build_system
 from repro.baselines.directories import dir_item
 from repro.net import ConstantLatency
 from repro.sim import Kernel
@@ -10,7 +10,8 @@ from repro.txn import TxnConfig
 
 
 def make(kernel, n_sites=3, items=None):
-    return build_directory_system(
+    return build_system(
+        "directories",
         kernel,
         n_sites,
         items if items is not None else {"X": 0, "Y": 0},

@@ -2,14 +2,15 @@
 
 import pytest
 
-from repro.baselines import build_spooler_system
+from repro.baselines import build_system
 from repro.net import ConstantLatency
 from repro.sim import Kernel
 from repro.txn import TxnConfig
 
 
 def make(kernel, items=None, replay_cost=0.5):
-    return build_spooler_system(
+    return build_system(
+        "spooler",
         kernel,
         3,
         items if items is not None else {f"X{i}": 0 for i in range(6)},

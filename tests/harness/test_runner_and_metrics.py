@@ -2,9 +2,9 @@
 
 import pytest
 
+from repro.baselines import SCHEMES
 from repro.harness.metrics import network_totals, tm_totals
 from repro.harness.runner import (
-    SCHEME_BUILDERS,
     build_scheme,
     quiesce,
     replicated_catalog,
@@ -13,7 +13,7 @@ from tests.core.conftest import write_program
 
 
 class TestBuildScheme:
-    @pytest.mark.parametrize("scheme", sorted(SCHEME_BUILDERS))
+    @pytest.mark.parametrize("scheme", sorted(SCHEMES))
     def test_every_scheme_boots_and_serves(self, scheme):
         kernel, system = build_scheme(scheme, seed=5, n_sites=3,
                                       items={"X": 0})

@@ -193,11 +193,8 @@ class TestReadOnlyContract:
         assert txn.read_only
 
     def test_mvcc_off_refuses_begin_ro(self):
-        from repro.txn.config import TxnConfig
-
-        kernel, system = build_scheme(
-            "rowaa", 5, 3, {"X": 0}, txn_config=TxnConfig(mvcc=False)
-        )
+        # The multiversion subsystem is 2PL-only: under TO it is off.
+        kernel, system = build_scheme("rowaa", 5, 3, {"X": 0}, concurrency="to")
         assert system.mvcc == {}
 
         def body():

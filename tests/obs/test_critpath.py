@@ -121,7 +121,7 @@ class TestAttributeTxn:
     def test_decision_broadcast_and_quorum_buckets(self):
         spans = [
             _root(0.0, 6.0, ack=6.0),
-            _span(2, 1, "quorum-wait", "quorum", 0.0, 2.0),
+            _span(2, 1, "rpc:dm.prepare", "rpc", 0.0, 2.0),
             _span(3, 1, "rpc:dm.commit", "rpc", 2.0, 5.0),
             _span(4, 1, "rpc:dm.abort", "rpc", 5.0, 6.0),
         ]

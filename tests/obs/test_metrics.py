@@ -11,12 +11,10 @@ from repro.sim import Kernel
 
 
 class TestInstruments:
-    def test_counter_and_gauge(self):
+    def test_scalar_values_sum_over_sites(self):
         registry = MetricsRegistry()
-        registry.counter("c", site=1).inc()
-        registry.counter("c", site=1).inc(2.0)
-        registry.counter("c", site=2).inc()
-        registry.gauge("g").set(7.5)
+        registry.add_collector(lambda: {("c", 1): 1.0, ("g", None): 7.5})
+        registry.add_collector(lambda: {("c", 1): 2.0, ("c", 2): 1.0})
         assert registry.value("c", site=1) == 3.0
         assert registry.value("c", site=2) == 1.0
         assert registry.value("c") == 4.0  # global = sum over sites
@@ -24,7 +22,6 @@ class TestInstruments:
 
     def test_instruments_are_idempotent(self):
         registry = MetricsRegistry()
-        assert registry.counter("c", site=1) is registry.counter("c", site=1)
         assert registry.histogram("h") is registry.histogram("h")
         assert registry.series("s", site=2) is registry.series("s", site=2)
 
@@ -67,7 +64,7 @@ class TestSnapshot:
 
     def test_snapshot_shape(self):
         registry = MetricsRegistry()
-        registry.counter("c", site=1).inc()
+        registry.add_collector(lambda: {("c", 1): 1.0})
         registry.histogram("h", site=1).observe(2.0)
         registry.histogram("h", site=2).observe(4.0)
         registry.series("s", site=1).append(0.0, 1.0)

@@ -5,7 +5,7 @@
 below is the same manager with the three walks put back (victim kill,
 waiter set, and the quadratic wait-edge build); both are driven through
 identical random ``acquire / release_one / release_all / cancel /
-kill_waiter / abandon / expire`` sequences on their own kernels. After
+kill_waiter / abandon`` sequences on their own kernels. After
 every step they must agree on
 
 * the order in which waiters were granted, failed or interrupted,
@@ -26,7 +26,6 @@ from repro.txn import LockManager, LockMode
 
 TXNS = [f"T{i}@1" for i in range(1, 6)]
 ITEMS = ["A", "B", "C", "D"]
-WAIT_TIMEOUT = 3.0
 
 txns = st.sampled_from(TXNS)
 items = st.sampled_from(ITEMS)
@@ -82,7 +81,7 @@ class _Side:
 
     def __init__(self, manager_class):
         self.kernel = Kernel(seed=0)
-        self.manager = manager_class(self.kernel, site_id=1, wait_timeout=WAIT_TIMEOUT)
+        self.manager = manager_class(self.kernel, site_id=1)
         self.log = []
         self.waiters = []  # processes in acquire order, finished ones included
 
@@ -128,8 +127,8 @@ class LockIndexMachine(RuleBasedStateMachine):
         self.sides = (self.real, self.oracle)
 
     # Several rules may fire within one simulated instant (nothing runs
-    # the kernels but ``settle`` and ``expire``), so same-instant grant
-    # and failure order is exercised too.
+    # the kernels but ``settle``), so same-instant grant and failure
+    # order is exercised too.
 
     @rule(txn=txns, item=items, mode=modes)
     def acquire(self, txn, item, mode):
@@ -167,12 +166,6 @@ class LockIndexMachine(RuleBasedStateMachine):
         for side in self.sides:
             side.settle(0.25)
 
-    @rule()
-    def expire(self):
-        """Let every backstop timer armed so far fire (or find it cancelled)."""
-        for side in self.sides:
-            side.settle(WAIT_TIMEOUT)
-
     @invariant()
     def agree_with_the_scan(self):
         real, oracle = self.real.manager, self.oracle.manager
@@ -195,12 +188,11 @@ class LockIndexMachine(RuleBasedStateMachine):
         assert indexed == scanned_index(manager)
 
     def teardown(self):
-        """Ending every transaction leaves no holder, waiter or index entry,
-        and no timer that still fails somebody."""
+        """Ending every transaction leaves no holder, waiter or index entry."""
         for side in self.sides:
             for txn in TXNS:
                 side.manager.cancel(txn)
-            side.settle(2 * WAIT_TIMEOUT)
+            side.settle(1.0)
             assert not side.manager._queued_by_txn
             assert not side.manager._held_by_txn
             for state in side.manager._table.values():

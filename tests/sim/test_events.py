@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import SimError, UnhandledFailure
-from repro.sim import AllOf, AnyOf, Kernel
+from repro.sim import Kernel
 from tests.sim.test_kernel import loop_variants
 
 
@@ -163,56 +163,3 @@ class TestTimeout:
             kernel.timeout(5).add_callback(lambda f, lbl=label: order.append(lbl))
         kernel.run()
         assert order == ["x", "y", "z"]
-
-
-class TestAllOf:
-    def test_collects_values_in_order(self, kernel):
-        futures = [kernel.timeout(d, value=d) for d in (3, 1, 2)]
-        combined = AllOf(kernel, futures)
-        assert kernel.run(combined) == [3, 1, 2]
-        assert kernel.now == 3
-
-    def test_empty_succeeds_immediately(self, kernel):
-        combined = AllOf(kernel, [])
-        assert kernel.run(combined) == []
-
-    def test_fails_on_first_child_failure(self, kernel):
-        good = kernel.timeout(1)
-        bad = kernel.event()
-        bad.add_callback(lambda f: None)
-        combined = AllOf(kernel, [good, bad])
-        bad.fail(ValueError("child"), delay=0.5)
-        with pytest.raises(ValueError):
-            kernel.run(combined)
-
-    def test_already_processed_children(self, kernel):
-        futures = [kernel.timeout(0, value=i) for i in range(3)]
-        kernel.run()
-        combined = AllOf(kernel, futures)
-        assert kernel.run(combined) == [0, 1, 2]
-
-
-class TestAnyOf:
-    def test_first_wins(self, kernel):
-        futures = [kernel.timeout(5, "slow"), kernel.timeout(1, "fast")]
-        combined = AnyOf(kernel, futures)
-        assert kernel.run(combined) == (1, "fast")
-        assert kernel.now == 1
-
-    def test_requires_children(self, kernel):
-        with pytest.raises(ValueError):
-            AnyOf(kernel, [])
-
-    def test_failure_of_winner_propagates(self, kernel):
-        bad = kernel.event()
-        bad.add_callback(lambda f: None)
-        bad.fail(RuntimeError("first"), delay=1)
-        combined = AnyOf(kernel, [bad, kernel.timeout(5)])
-        with pytest.raises(RuntimeError):
-            kernel.run(combined)
-
-    def test_loser_completion_ignored(self, kernel):
-        futures = [kernel.timeout(1, "a"), kernel.timeout(2, "b")]
-        combined = AnyOf(kernel, futures)
-        kernel.run()
-        assert combined.value == (0, "a")

@@ -168,23 +168,6 @@ class TestVictimsAndTimeouts:
         locks.acquire("T1@1", "X", LockMode.X)
         assert not locks.kill_waiter("T1@1")
 
-    def test_wait_timeout_backstop(self, kernel):
-        locks = LockManager(kernel, site_id=1, wait_timeout=10)
-        locks.acquire("T1@1", "X", LockMode.X)
-        waiter = locks.acquire("T2@1", "X", LockMode.X)
-        waiter.add_callback(lambda f: None)
-        kernel.run()
-        assert isinstance(waiter.exception, DeadlockDetected)
-        assert kernel.now == 10
-
-    def test_timeout_does_not_fire_after_grant(self, kernel):
-        locks = LockManager(kernel, site_id=1, wait_timeout=10)
-        locks.acquire("T1@1", "X", LockMode.X)
-        waiter = locks.acquire("T2@1", "X", LockMode.X)
-        locks.release_all("T1@1")
-        kernel.run()
-        assert waiter.ok  # timeout event later is a no-op
-
 
 class TestAbandonment:
     def test_interrupted_waiter_leaves_queue(self, kernel, locks):

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.workload import ClientPool, OpenLoopClient, WorkloadGenerator, WorkloadSpec
+from repro.workload import ClientPool, WorkloadGenerator, WorkloadSpec
 from tests.core.conftest import build_system
 
 
@@ -41,49 +41,7 @@ class TestClientPool:
         assert pool.stats.refused > 0
         assert pool.stats.committed == 0
 
-    def test_stats_merge(self):
-        from repro.workload import ClientStats
-
-        a = ClientStats(attempted=4, committed=3, aborted=1, latencies=[1.0])
-        b = ClientStats(attempted=2, committed=2, latencies=[2.0, 3.0])
-        a.merge(b)
-        assert a.attempted == 6
-        assert a.committed == 5
-        assert a.latencies == [1.0, 2.0, 3.0]
-
     def test_empty_stats_availability_is_one(self):
         from repro.workload import ClientStats
 
         assert ClientStats().availability == 1.0
-
-
-class TestOpenLoopClient:
-    def test_rate_controls_arrivals(self, rig):
-        kernel, system = rig
-        fast = OpenLoopClient(system, make_generator(), rate=0.5)
-        fast.start(200.0)
-        kernel.run(until=250.0)
-        system.stop()
-        kernel.run(until=300.0)
-        # Poisson(0.5/unit × 200 units) ≈ 100 arrivals.
-        assert 50 <= fast.stats.attempted <= 160
-        assert fast.stats.committed > 0
-
-    def test_keeps_injecting_during_outage(self, rig):
-        kernel, system = rig
-        client = OpenLoopClient(system, make_generator(), rate=0.5,
-                                home_sites=[3])
-        client.start(120.0)
-        kernel.run(until=30.0)
-        system.crash(3)
-        kernel.run(until=200.0)
-        system.stop()
-        kernel.run(until=260.0)
-        # Arrivals continued and were refused rather than silently dropped.
-        assert client.stats.refused > 0
-        assert client.stats.attempted > client.stats.committed
-
-    def test_rejects_bad_rate(self, rig):
-        _kernel, system = rig
-        with pytest.raises(ValueError):
-            OpenLoopClient(system, make_generator(), rate=0.0)

@@ -46,5 +46,8 @@ done
 run all_small python -m repro all --scale small --seed 3
 run determinism python -m repro.wal.determinism --seed 3
 run determinism_cross python -m repro.wal.determinism --cross-schedule --seed 3
+for example in "$ROOT"/examples/*.py; do
+    run "example_$(basename "$example" .py)" python "$example"
+done
 
 echo "captured $(ls | wc -l) files into $OUT"
