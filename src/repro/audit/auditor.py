@@ -85,7 +85,7 @@ from repro.core.nominal import (
     unreadable_db_count,
 )
 from repro.txn.transaction import Transaction, TxnKind, TxnStatus
-from repro.wal.log import CHECKPOINT_KEY
+from repro.wal.log import CHECKPOINT_ITEM_PREFIX, CHECKPOINT_KEY
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.site.site import Site
@@ -632,15 +632,22 @@ class ProtocolAuditor:
 
         An independent mirror of :meth:`SiteWal.restore` (same record
         semantics, no shared code) so replay bugs can't hide in a shared
-        implementation.
+        implementation. The image is assembled here from the checkpoint
+        header and the per-item blobs; chain tails are not fingerprinted.
         """
-        checkpoint = typing.cast("dict | None", site.stable.get(CHECKPOINT_KEY))
+        stable = site.stable
+        checkpoint = typing.cast("dict | None", stable.get(CHECKPOINT_KEY))
         if checkpoint is None:
             return None
-        items = {
-            name: (value, version, unreadable)
-            for name, (value, version, unreadable) in checkpoint["items"].items()
-        }
+        items = {}
+        for key in stable.keys():
+            if key.startswith(CHECKPOINT_ITEM_PREFIX):
+                value, version, unreadable, _tail = typing.cast(
+                    tuple, stable.get(key)
+                )
+                items[key[len(CHECKPOINT_ITEM_PREFIX):]] = (
+                    value, version, unreadable
+                )
         session_last = checkpoint["session_last"]
         session_started = checkpoint["session_started_at"]
         for record in site.wal.log.records_after(checkpoint["lsn"]):

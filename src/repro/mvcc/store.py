@@ -139,6 +139,9 @@ class MultiVersionStore:
         #: WAL checkpoints.
         self.stale_cut = 0.0
         self._chains: dict[str, VersionChain] = {}
+        #: The chains holding >= 2 versions — the only ones a sweep can
+        #: reclaim from — in the order they got there (dict-as-set).
+        self._multi: dict[str, None] = {}
         self._pins: dict[int, Cut] = {}
         self._pin_counter = 0
         #: Fault-injection switch for the audit suite: with pins ignored,
@@ -167,13 +170,17 @@ class MultiVersionStore:
             # replay that follow, then :meth:`on_restore` merges the
             # checkpointed chain tails back in.
             self._chains.clear()
-        # "mark" / "clear" move no version.
+            self._multi.clear()
+        # "mark" / "clear" move no version; a copy "create"d after this
+        # store gets its chain with its first write.
 
     def _observe(self, item: str, value: object, version: Version) -> None:
         chain = self._chains.get(item)
         if chain is None:
             chain = self._chains[item] = VersionChain(item)
         chain.insert(version, value)
+        if len(chain) == 2:
+            self._multi[item] = None
 
     def chain(self, item: str) -> VersionChain | None:
         return self._chains.get(item)
@@ -234,7 +241,7 @@ class MultiVersionStore:
         horizon = self.gc_horizon()
         pins = tuple(sorted(self._pins.values()))
         reclaimed = 0
-        for item in sorted(self._chains):
+        for item in sorted(self._multi):
             chain = self._chains[item]
             index = bisect.bisect_right(chain.keys, horizon)
             if index <= 1:
@@ -244,6 +251,10 @@ class MultiVersionStore:
             del chain.records[: index - 1]
             del chain.keys[: index - 1]
             reclaimed += len(removed)
+            if len(chain) == 1:
+                del self._multi[item]
+            # The chain's durable image is stale until the next checkpoint.
+            self.site.wal.mark_dirty(item)
             # Per truncated chain: the removed Versions, the pinned cuts
             # active at sweep time, and the pre-sweep version list.
             for fn in self.kernel.probes.gc:
@@ -274,45 +285,43 @@ class MultiVersionStore:
 
     # -- WAL integration ------------------------------------------------------
 
-    def checkpoint_payload(self) -> dict:
-        """Chain tails + the durable cut, persisted inside the site's
-        fuzzy checkpoint (the GC horizon survives restarts with it)."""
-        return {
-            "cut": self.stale_cut,
-            "chains": [
-                (
-                    item,
-                    [
-                        (rec.version.ts, rec.version.commit, rec.version.seq,
-                         rec.value)
-                        for rec in self._chains[item].records
-                    ],
-                )
-                for item in sorted(self._chains)
-            ],
-        }
+    def chain_tail(self, item: str, version: Version) -> tuple:
+        """The versions of ``item``'s chain other than ``version`` (the
+        copy's own, which a restore re-seeds by installing the copy), as
+        plain tuples — the mvcc part of the item's checkpoint image."""
+        chain = self._chains.get(item)
+        if chain is None:
+            return ()
+        own = (version.ts, version.commit)
+        if chain.keys == [own]:
+            return ()  # the common case, and most of a checkpoint's items
+        return tuple(
+            (rec.version.ts, rec.version.commit, rec.version.seq, rec.value)
+            for rec, key in zip(chain.records, chain.keys)
+            if key != own
+        )
 
-    def on_restore(self, payload: dict | None) -> None:
+    def on_restore(
+        self, cut: float, tails: typing.Iterable[tuple[str, tuple]]
+    ) -> None:
         """Post-replay handoff from ``SiteWal.restore``.
 
         The reset/install hooks already rebuilt one-version chains from
-        the checkpoint image plus replayed writes; this merges the
+        the item images plus replayed writes; this merges the
         checkpointed chain *tails* back in (interior inserts, idempotent)
-        and re-derives the durable stale cut: advanced to
-        ``last_crash_time - D`` only when no unreadable mark survived in
-        the durable state — a crash mid-recovery keeps the older cut,
-        which is conservative (more stale) but never inconsistent.
+        and re-derives the durable stale cut from the checkpointed
+        ``cut``: advanced to ``last_crash_time - D`` only when no
+        unreadable mark survived in the durable state — a crash
+        mid-recovery keeps the older cut, which is conservative (more
+        stale) but never inconsistent.
         """
-        base = 0.0
-        if payload is not None:
-            base = float(payload.get("cut", 0.0))
-            for item, records in payload.get("chains", []):
-                for ts, commit, seq, value in records:
-                    self._observe(item, value, Version(ts, commit, seq))
-        self.stale_cut = base
+        for item, records in tails:
+            for ts, commit, seq, value in records:
+                self._observe(item, value, Version(ts, commit, seq))
+        self.stale_cut = cut
         if not self.site.copies.unreadable_count():
             crash_time = self.site.last_crash_time or 0.0
-            self.stale_cut = max(base, crash_time - self.floor_delay, 0.0)
+            self.stale_cut = max(cut, crash_time - self.floor_delay, 0.0)
 
     # -- determinism digest ---------------------------------------------------
 

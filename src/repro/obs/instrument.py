@@ -98,6 +98,7 @@ def instrument_system(system: typing.Any) -> None:
             values[("wal.records_flushed", site_id)] = float(stats.records_flushed)
             values[("wal.bytes_flushed", site_id)] = float(stats.bytes_flushed)
             values[("wal.checkpoints", site_id)] = float(stats.checkpoints)
+            values[("wal.checkpoint_items", site_id)] = float(stats.checkpoint_items)
             values[("wal.replays", site_id)] = float(stats.replays)
             values[("wal.records_replayed", site_id)] = float(stats.records_replayed)
             values[("wal.records_lost_unflushed", site_id)] = float(

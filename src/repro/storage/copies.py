@@ -78,10 +78,12 @@ class CopyStore:
         #: The store's one mutation stream (wiring, not probes): each
         #: subscriber is called in subscription order as ``fn(op, item,
         #: value, version)``, op in {"write", "mark", "clear"} for a
-        #: committed mutation or {"install", "reset"} for the restore
-        #: path. The site's SiteWal subscribes first and redo-journals
-        #: the former; a multiversion store follows "write" / "install" /
-        #: "reset". Duck-typed: storage imports neither wal nor mvcc.
+        #: committed mutation, "create" for a new copy, or {"install",
+        #: "reset"} for the restore path. The site's SiteWal subscribes
+        #: first: it redo-journals the mutations and images a created
+        #: copy at its next checkpoint; a multiversion store follows
+        #: "write" / "install" / "reset". Duck-typed: storage imports
+        #: neither wal nor mvcc.
         self.subscribers: list[typing.Callable[..., None]] = []
 
     # -- schema -------------------------------------------------------------
@@ -92,6 +94,8 @@ class CopyStore:
             raise KeyError(f"copy of {item} already exists at site {self.site_id}")
         copy = DataCopy(item=item, value=value)
         self._copies[item] = copy
+        for fn in self.subscribers:
+            fn("create", item, value, copy.version)
         return copy
 
     def has(self, item: str) -> bool:

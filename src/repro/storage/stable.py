@@ -56,4 +56,7 @@ class StableStorage:
         return key in self._blobs
 
     def keys(self) -> typing.KeysView[str]:
+        """Every persisted key, in first-put order (a re-put keeps its
+        place): the WAL restore's prefix scan reinstalls item images in
+        the order their copies were created."""
         return self._blobs.keys()

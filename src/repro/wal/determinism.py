@@ -3,9 +3,9 @@
 Runs the traced log-shipping recovery scenario twice with the same seed
 and asserts the durable outcome is **byte-identical**: per-site final
 LSNs, the serialized log metadata, segment-directory and checkpoint
-blobs (``wal.meta`` / ``wal.dir`` / ``wal.ckpt``), the
-reconstructed copies (value, version, unreadable mark), and the stable
-session state. Any nondeterminism in the journal/replay path — record
+blobs (``wal.meta`` / ``wal.dir`` / ``wal.ckpt`` and every
+``wal.ckpt.item.*``), the reconstructed copies (value, version,
+unreadable mark), and the stable session state. Any nondeterminism in the journal/replay path — record
 ordering, fuzzy-checkpoint contents, truncation watermarks — shows up
 as a digest mismatch here long before it shows up as a flaky recovery.
 
@@ -32,7 +32,24 @@ import hashlib
 import pickle
 import typing
 
-from repro.wal.log import CHECKPOINT_KEY, DIRECTORY_KEY, META_KEY, RedoLog
+from repro.wal.log import (
+    CHECKPOINT_ITEM_PREFIX,
+    CHECKPOINT_KEY,
+    DIRECTORY_KEY,
+    META_KEY,
+    RedoLog,
+)
+
+
+def checkpoint_digest(stable: typing.Any) -> str:
+    """Hash of the checkpoint header blob and every item blob, in key order."""
+    blobs = stable._blobs
+    digest = hashlib.sha256(blobs.get(CHECKPOINT_KEY, b""))
+    for key in sorted(blobs):
+        if key.startswith(CHECKPOINT_ITEM_PREFIX):
+            digest.update(key.encode())
+            digest.update(blobs[key])
+    return digest.hexdigest()
 
 
 def site_durable_state(site: typing.Any) -> dict:
@@ -47,7 +64,7 @@ def site_durable_state(site: typing.Any) -> dict:
         # ``wal.dir`` stops at the last truncation; the directory a
         # restart would reassemble from stable storage covers the rest.
         "segments": RedoLog(site.stable).segments,
-        "checkpoint_blob": site.stable._blobs.get(CHECKPOINT_KEY),
+        "checkpoint_digest": checkpoint_digest(site.stable),
         "session_last": site.stable.get("session.last"),
         "copies": sorted(
             (name, copy.value, tuple(copy.version), copy.unreadable)

@@ -13,15 +13,25 @@ Layout in the site's :class:`~repro.storage.stable.StableStorage`:
   segment flushed after it, the truncation watermarks and the per-item
   truncated-commit map. Rewritten by :meth:`RedoLog.truncate` (i.e. at
   checkpoints), never by a flush;
-* ``wal.ckpt`` — the last fuzzy checkpoint (written by
-  :class:`~repro.wal.wal.SiteWal`, not here).
+* ``wal.ckpt`` — the header of the last fuzzy checkpoint: its LSN, the
+  high-commit watermark, the session state, the in-doubt prepares and
+  the mvcc stale cut. Fixed size but for the in-doubt prepares (written
+  by :class:`~repro.wal.wal.SiteWal`, not here);
+* ``wal.ckpt.item.<name>`` — the durable image of one copy, as plain
+  tuples: ``(value, (ts, commit, seq), unreadable, chain tail)``.
+  Rewritten by a checkpoint only when the image moved since the last
+  one; never deleted (copies are not).
 
 Cost model: every :meth:`RedoLog.flush` is exactly one stable segment
 put plus one O(1) ``wal.meta`` put — independent of how many items the
-site holds and of how much log it retains. :meth:`RedoLog.load_meta`
-(restart only) pays instead: it rebuilds the directory as the
-``wal.dir`` prefix followed by the segments ``[tail_from, next_segment)``,
-whose LSN bounds follow from contiguity and from the segments themselves.
+site holds and of how much log it retains. A checkpoint is one small put
+per item whose image moved since the last checkpoint plus the header
+put, then a truncation — independent of how many items the site holds.
+Restart pays instead: :meth:`RedoLog.load_meta` rebuilds the directory
+as the ``wal.dir`` prefix followed by the segments ``[tail_from,
+next_segment)``, whose LSN bounds follow from contiguity and from the
+segments themselves, and ``SiteWal.restore`` scans the stable keys for
+the ``wal.ckpt.item.`` prefix and reads every item image back.
 
 Invariants:
 
@@ -48,6 +58,7 @@ META_KEY = "wal.meta"
 DIRECTORY_KEY = "wal.dir"
 SEGMENT_PREFIX = "wal.seg."
 CHECKPOINT_KEY = "wal.ckpt"
+CHECKPOINT_ITEM_PREFIX = "wal.ckpt.item."
 
 #: What ``wal.dir`` stands for until the first truncation writes it.
 _NEVER_TRUNCATED: dict = {
@@ -229,10 +240,14 @@ class RedoLog:
         Returns the number of records dropped. Tracks the highest commit
         sequence number ever truncated so catch-up requests anchored
         behind it can be refused (they would silently miss updates).
+        The directory is persisted before any segment is deleted: a
+        crash in between leaves unreferenced segments, never a
+        directory naming a missing one.
         """
         if through_lsn <= self.truncated_through_lsn:
             return 0
         dropped = 0
+        drop_ids: list[int] = []
         keep: list[tuple[int, int, int]] = []
         for segment_id, first, last in self.segments:
             if last > through_lsn:
@@ -252,12 +267,14 @@ class RedoLog:
                             record.version.commit,
                         )
             dropped += len(records)
-            self.stable.delete(f"{SEGMENT_PREFIX}{segment_id}")
+            drop_ids.append(segment_id)
             self.truncated_through_lsn = max(self.truncated_through_lsn, last)
         if dropped:
             self.segments = keep
             self.truncated_records += dropped
             self._store_directory()
+            for segment_id in drop_ids:
+                self.stable.delete(f"{SEGMENT_PREFIX}{segment_id}")
         return dropped
 
     @property

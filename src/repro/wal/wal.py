@@ -10,9 +10,11 @@ and its :class:`~repro.storage.stable.StableStorage`:
   transaction's records become durable in **one** stable segment write
   (group commit);
 * after ``checkpoint_every`` durable records a *fuzzy checkpoint* is
-  taken: the full ``{item → (value, version, unreadable)}`` image plus
-  the stable session state, after which the log is truncated down to
-  the configured retention tail;
+  taken: the image ``(value, version, unreadable, chain tail)`` of every
+  item whose image moved since the last checkpoint, each under its own
+  stable key, then a fixed-size header with the stable session state,
+  after which the log is truncated down to the configured retention
+  tail — a checkpoint costs O(items dirtied), not O(database);
 * on power-on, :meth:`restore` rebuilds copies, versions, unreadable
   marks and session state **purely** from checkpoint + log replay
   (the in-memory copy store is explicitly reset first — nothing that
@@ -29,8 +31,9 @@ import dataclasses
 import typing
 
 from repro.sim.events import Future
+from repro.storage.copies import Version
 from repro.wal.config import WalConfig
-from repro.wal.log import CHECKPOINT_KEY, RedoLog
+from repro.wal.log import CHECKPOINT_ITEM_PREFIX, CHECKPOINT_KEY, RedoLog
 from repro.wal.records import LogRecord
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -51,6 +54,7 @@ class WalStats:
     records_flushed: int = 0
     bytes_flushed: int = 0  # serialized bytes of segments + metadata
     checkpoints: int = 0
+    checkpoint_items: int = 0  # item images written across all checkpoints
     replays: int = 0  # restarts that went through checkpoint + replay
     records_replayed: int = 0
     records_lost_unflushed: int = 0  # volatile tail dropped by crashes
@@ -92,6 +96,13 @@ class SiteWal:
         #: buffer is flushed first) so checkpoints can carry in-doubt
         #: state across log truncation.
         self._unresolved: dict[str, list[LogRecord]] = {}
+        #: Items whose live image may differ from their stable
+        #: ``wal.ckpt.item.<name>`` blob, in first-dirtied order (a dict,
+        #: never a set: REP002). Fed by :meth:`_journal` (write / mark /
+        #: clear / create), by the records :meth:`restore` replays, and
+        #: by :meth:`mark_dirty`; emptied by every checkpoint. Invariant:
+        #: restoring a clean item's blob yields its live image.
+        self._dirty: dict[str, None] = {}
         self._flush_soon: Future | None = None
         site.copies.subscribers.append(self._journal)
         site.crash_hooks.append(self._on_crash)
@@ -99,8 +110,11 @@ class SiteWal:
     # -- journaling (CopyStore subscriber) -------------------------------------
 
     def _journal(self, op: str, item: str, value: object, version) -> None:
-        if self._restoring or op not in ("write", "mark", "clear"):
+        if self._restoring or op not in ("write", "mark", "clear", "create"):
             return  # replay must not re-journal what it applies
+        self._dirty[item] = None
+        if op == "create":
+            return  # schema, not a mutation: imaged at the next checkpoint
         access = self.site.kernel.probes.access
         if access:
             # WAL appends are serialized by the log itself; record them
@@ -110,6 +124,11 @@ class SiteWal:
                    f"SiteWal._journal[{op}]")
         self.log.append(op, item=item, value=value, version=version)
         self.stats.records_appended += 1
+
+    def mark_dirty(self, item: str) -> None:
+        """Declare that ``item``'s image moved outside the journal (the
+        mvcc sweep truncated its chain): the next checkpoint rewrites it."""
+        self._dirty[item] = None
 
     def log_session(self, session: int, started_at: float | None = None) -> None:
         """Journal a session reservation/activation and make it durable."""
@@ -223,10 +242,15 @@ class SiteWal:
     def checkpoint(self) -> int:
         """Write a fuzzy checkpoint and truncate the log behind it.
 
-        Returns the checkpoint LSN. The image covers every copy (value,
-        version, unreadable mark) plus the stable session state; replay
-        therefore only needs records *after* this LSN. The log keeps a
-        ``retain_records`` tail behind the checkpoint for log-shipping.
+        Returns the checkpoint LSN. Only the items dirtied since the last
+        checkpoint are imaged (the genesis checkpoint is the same code
+        with every item dirty); every other item's stable image is still
+        exact, so replay only needs records *after* this LSN. Write
+        order: item images, then the header, then the truncation — a
+        checkpoint torn anywhere leaves the old header over images that
+        are at worst newer than it, and REDO over a newer image is
+        idempotent. The log keeps a ``retain_records`` tail behind the
+        checkpoint for log-shipping.
         """
         self.log.flush()  # the image must not predate buffered records
         stable = self.site.stable
@@ -234,39 +258,41 @@ class SiteWal:
         obs = self.site.obs
         if obs.spans_on:
             span = obs.spans.start("wal.checkpoint", "wal", self.site.site_id)
-        items = {
-            name: (copy.value, copy.version, copy.unreadable)
-            for name, copy in (
-                (name, self.site.copies.get(name)) for name in self.site.copies.items()
+        copies = self.site.copies
+        mvcc = self.site.mvcc
+        for name in self._dirty:
+            copy = copies.get(name)
+            version = copy.version
+            # The chain's other versions (repro.mvcc); restore re-seeds
+            # the copy's own.
+            tail = mvcc.chain_tail(name, version) if mvcc is not None else ()
+            stable.put(
+                CHECKPOINT_ITEM_PREFIX + name,
+                (copy.value, tuple(version), copy.unreadable, tail),
             )
-        }
         checkpoint_lsn = self.log.durable_lsn
         stable.put(
             CHECKPOINT_KEY,
             {
                 "lsn": checkpoint_lsn,
                 "high_commit": self.log.high_commit,
-                "items": items,
                 "session_last": stable.get(_SESSION_KEY, 0),
                 "session_started_at": stable.get(_SESSION_STARTED),
                 # In-doubt prepares survive log truncation through the
-                # image (the flush above made _unresolved exact).
+                # header (the flush above made _unresolved exact).
                 "in_doubt": {
                     txn: tuple(records)
                     for txn, records in self._unresolved.items()
                 },
-                # Multiversion chain tails + the durable snapshot cut
-                # (repro.mvcc); None when the subsystem is off.
-                "mvcc": (
-                    self.site.mvcc.checkpoint_payload()
-                    if self.site.mvcc is not None
-                    else None
-                ),
+                # The durable snapshot cut (repro.mvcc); 0.0 when off.
+                "stale_cut": mvcc.stale_cut if mvcc is not None else 0.0,
             },
         )
         self.last_checkpoint_lsn = checkpoint_lsn
         self.log.truncate(checkpoint_lsn - self.config.retain_records)
         self.stats.checkpoints += 1
+        self.stats.checkpoint_items += len(self._dirty)
+        self._dirty.clear()
         self._records_since_checkpoint = 0
         if span is not None:
             obs.spans.finish(span)
@@ -301,28 +327,44 @@ class SiteWal:
         try:
             copies = self.site.copies
             copies.reset()
-            for name, (value, version, unreadable) in checkpoint["items"].items():
-                copies.install(name, value, version, unreadable)
+            # Prefix scan; stable keys iterate in first-put order, which
+            # for item images is the copies' creation order.
+            tails: list[tuple[str, tuple]] = []
+            for key in stable.keys():
+                if not key.startswith(CHECKPOINT_ITEM_PREFIX):
+                    continue
+                name = key[len(CHECKPOINT_ITEM_PREFIX):]
+                value, version, unreadable, tail = typing.cast(
+                    tuple, stable.get(key)
+                )
+                copies.install(name, value, Version(*version), unreadable)
+                if tail:
+                    tails.append((name, tail))
+            # Every replayed record moves its item past its stable image.
+            dirty: dict[str, None] = {}
             session_last = checkpoint["session_last"]
             session_started = checkpoint["session_started_at"]
             high_commit = checkpoint["high_commit"]
             unresolved: dict[str, list[LogRecord]] = {
                 txn: list(records)
-                for txn, records in checkpoint.get("in_doubt", {}).items()
+                for txn, records in checkpoint["in_doubt"].items()
             }
             replayed = 0
             for record in self.log.records_after(checkpoint["lsn"]):
                 replayed += 1
                 if record.kind == "write":
                     copies.install(record.item, record.value, record.version, False)
+                    dirty[record.item] = None
                     if record.version is not None:
                         high_commit = max(high_commit, record.version.commit)
                 elif record.kind == "mark":
                     if copies.has(record.item):
                         copies.mark_unreadable(record.item)
+                        dirty[record.item] = None
                 elif record.kind == "clear":
                     if copies.has(record.item):
                         copies.clear_unreadable(record.item)
+                        dirty[record.item] = None
                 elif record.kind == "session":
                     session_last = record.session
                     if record.session_started_at is not None:
@@ -332,6 +374,7 @@ class SiteWal:
                 elif record.kind == "resolve":
                     unresolved.pop(record.txn_id, None)
             self._unresolved = unresolved
+            self._dirty = dirty
             self.stats.in_doubt_restored += len(unresolved)
             stable.put(_SESSION_KEY, session_last)
             stable.put(_SESSION_STARTED, session_started)
@@ -347,7 +390,7 @@ class SiteWal:
             # The reset/install hooks rebuilt single-version chains during
             # the replay above; hand over the checkpointed chain tails and
             # let the store re-derive its durable snapshot cut.
-            mvcc.on_restore(checkpoint.get("mvcc"))
+            mvcc.on_restore(checkpoint["stale_cut"], tails)
         self.stats.replays += 1
         self.stats.records_replayed += replayed
         return RestoreResult(

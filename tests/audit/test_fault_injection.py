@@ -14,7 +14,7 @@ from repro.core.nominal import ns_item
 from repro.core.rowaa import RowaaStrategy
 from repro.harness.runner import build_traced_scheme
 from repro.txn.transaction import TxnKind
-from repro.wal.log import CHECKPOINT_KEY
+from repro.wal.log import CHECKPOINT_ITEM_PREFIX
 
 
 def _write(item, value):
@@ -205,10 +205,9 @@ class TestWalCoherence:
         site = system.cluster.sites[3]
         site.wal.checkpoint()
         system.crash(3)
-        checkpoint = site.stable.get(CHECKPOINT_KEY)
-        value, version, unreadable = checkpoint["items"]["X"]
-        checkpoint["items"]["X"] = (999999, version, unreadable)
-        site.stable.put(CHECKPOINT_KEY, checkpoint)  # gets never alias
+        key = CHECKPOINT_ITEM_PREFIX + "X"
+        value, version, unreadable, tail = site.stable.get(key)
+        site.stable.put(key, (999999, version, unreadable, tail))
         system.power_on(3)
         assert auditor.alerts.count(rule="wal.replay_fingerprint") == 1
         kernel.run(until=kernel.now + 60)  # let the recovery drain

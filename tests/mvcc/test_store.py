@@ -159,11 +159,18 @@ class TestCheckpointPayload:
         store = system.mvcc[1]
         kernel.run(system.submit(1, _write("X", 1)))
         kernel.run(system.submit(1, _write("X", 2)))
-        payload = store.checkpoint_payload()
+        copies = system.cluster.site(1).copies
+        own = {item: copies.get(item).version for item in copies.items()}
+        tails = [(item, store.chain_tail(item, own[item])) for item in own]
+        assert dict(tails)["Y"] == ()  # the copy's own version is not tail
+        assert len(dict(tails)["X"]) == 2
         before = store.digest_state()
-        # A fresh store image: reset clears chains (the restore path),
-        # then the payload merge rebuilds them.
+        # A fresh store image: reset clears chains, the copy installs
+        # re-seed each chain with its own version (the restore path),
+        # then the tail merge rebuilds the rest.
         store._on_copy_event("reset", None, None, None)
+        for item, version in own.items():
+            store._on_copy_event("install", item, copies.get(item).value, version)
         system.cluster.site(1).last_crash_time = None
-        store.on_restore(payload)
+        store.on_restore(store.stale_cut, tails)
         assert store.digest_state() == before

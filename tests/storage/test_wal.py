@@ -11,7 +11,13 @@ from repro.site import Site
 from repro.storage.copies import Version
 from repro.storage.stable import StableStorage
 from repro.wal import RedoLog, SiteWal, WalConfig
-from repro.wal.log import CHECKPOINT_KEY, DIRECTORY_KEY, META_KEY, SEGMENT_PREFIX
+from repro.wal.log import (
+    CHECKPOINT_ITEM_PREFIX,
+    CHECKPOINT_KEY,
+    DIRECTORY_KEY,
+    META_KEY,
+    SEGMENT_PREFIX,
+)
 from repro.wal.records import LogRecord
 
 
@@ -332,8 +338,17 @@ class TestSiteWal:
         site.wal.on_commit()
         site.wal.checkpoint()
         checkpoint = site.stable.get(CHECKPOINT_KEY)
-        assert checkpoint["lsn"] == site.wal.log.durable_lsn
-        assert checkpoint["items"]["X"] == (1, v(1), False)
+        assert checkpoint == {
+            "lsn": site.wal.log.durable_lsn,
+            "high_commit": 1,
+            "session_last": 0,
+            "session_started_at": None,
+            "in_doubt": {},
+            "stale_cut": 0.0,
+        }
+        image = site.stable.get(CHECKPOINT_ITEM_PREFIX + "X")
+        assert image == (1, (1.0, 1, 0), False, ())
+        assert type(image[1]) is tuple  # plain tuples, not a Version
         assert site.stable.get(META_KEY) is not None
 
 
