@@ -20,10 +20,10 @@ committed ones contribute:
 
 Every edge added for transaction T is incident to T, so any new cycle
 passes through a transaction processed in the current pump; one
-``networkx.find_cycle`` per such transaction keeps detection exact and
-incremental. Acyclicity certifies 1-SR (§4 Corollary); the first cycle
-fires ``on_cycle`` once and freezes further checking (the graph is
-already uncertifiable).
+:func:`repro.digraph.find_cycle` rooted at each such transaction keeps
+detection exact and incremental. Acyclicity certifies 1-SR (§4
+Corollary); the first cycle fires ``on_cycle`` once and freezes further
+checking (the graph is already uncertifiable).
 """
 
 from __future__ import annotations
@@ -31,8 +31,7 @@ from __future__ import annotations
 import bisect
 import typing
 
-import networkx
-
+from repro.digraph import DiGraph, NoCycle, find_cycle
 from repro.histories.recorder import INITIAL_TXN, HistoryRecorder, Op, OpType
 
 #: Sort key placing the implicit initial transaction before every real
@@ -55,7 +54,7 @@ class OnlineOneStg:
         self.recorder = recorder
         self.item_filter = item_filter
         self.on_cycle = on_cycle
-        self.graph = networkx.DiGraph()
+        self.graph = DiGraph()
         self.graph.add_node(INITIAL_TXN)
         self.cycle_found = False
         self._cursor = 0
@@ -163,8 +162,8 @@ class OnlineOneStg:
         # how txn-id hashes land across interpreter runs.
         for txn_id in sorted(touched):
             try:
-                cycle = networkx.find_cycle(self.graph, source=txn_id)
-            except networkx.NetworkXNoCycle:
+                cycle = find_cycle(self.graph, source=txn_id)
+            except NoCycle:
                 continue
             self.cycle_found = True
             if self.on_cycle is not None:

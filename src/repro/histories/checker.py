@@ -20,8 +20,7 @@ from __future__ import annotations
 
 import dataclasses
 
-import networkx
-
+from repro.digraph import NoCycle, find_cycle
 from repro.histories.graphs import (
     ItemFilter,
     build_conflict_graph,
@@ -53,8 +52,8 @@ def check_sr(
     """Serializability of the physical history via CG acyclicity."""
     graph = build_conflict_graph(recorder, item_filter)
     try:
-        cycle = networkx.find_cycle(graph)
-    except networkx.NetworkXNoCycle:
+        cycle = find_cycle(graph)
+    except NoCycle:
         return CheckResult(ok=True, method="cg-acyclic")
     return CheckResult(ok=False, method="cg-cycle", detail=str(cycle))
 
@@ -78,8 +77,8 @@ def check_one_sr(
     """One-serializability of the logical history."""
     candidate = build_one_stg(recorder, item_filter)
     try:
-        cycle = networkx.find_cycle(candidate)
-    except networkx.NetworkXNoCycle:
+        cycle = find_cycle(candidate)
+    except NoCycle:
         return CheckResult(ok=True, method="1stg-acyclic")
 
     txns = _one_copy_txns(recorder, item_filter)

@@ -11,15 +11,16 @@
   by version (commit) order, and the induced read-before edges. By the
   §4 Corollary, acyclicity of this graph certifies one-serializability.
 
-Both return :class:`networkx.DiGraph` whose nodes are transaction ids.
+Both return a :class:`repro.digraph.DiGraph` whose nodes are transaction
+ids, in first-mention order — the order :func:`repro.digraph.find_cycle`
+searches in, so the cycle a failed check prints is seed-determined.
 """
 
 from __future__ import annotations
 
 import typing
 
-import networkx
-
+from repro.digraph import DiGraph
 from repro.histories.recorder import INITIAL_TXN, HistoryRecorder, Op, OpType
 
 ItemFilter = typing.Callable[[str], bool]
@@ -36,7 +37,7 @@ def _committed_ops(
 
 def build_conflict_graph(
     recorder: HistoryRecorder, item_filter: ItemFilter | None = None
-) -> networkx.DiGraph:
+) -> DiGraph:
     """The conflict graph over committed transactions.
 
     Record order is conflict order: reads are logged at execution and
@@ -45,7 +46,7 @@ def build_conflict_graph(
     the log order reflects.
     """
     ops = _committed_ops(recorder, item_filter)
-    graph = networkx.DiGraph()
+    graph = DiGraph()
     for op in ops:
         graph.add_node(op.txn_id)
     per_copy: dict[tuple[str, int], list[Op]] = {}
@@ -105,7 +106,7 @@ def logical_write_order(
 
 def build_one_stg(
     recorder: HistoryRecorder, item_filter: ItemFilter | None = None
-) -> networkx.DiGraph:
+) -> DiGraph:
     """Candidate 1-STG with write order oriented by version order.
 
     Edges (§4, revised definitions):
@@ -119,7 +120,7 @@ def build_one_stg(
     Acyclicity certifies 1-SR (Corollary); cyclicity is inconclusive in
     general — use the exhaustive checker for a verdict.
     """
-    graph = networkx.DiGraph()
+    graph = DiGraph()
     order = logical_write_order(recorder, item_filter)
     reads = read_from_pairs(recorder, item_filter)
     position: dict[tuple[str, str], int] = {}

@@ -5,7 +5,10 @@ inversion, S→X upgrade races), and write-all replication adds distributed
 cycles spanning sites. We run a periodic global detector: it unions the
 wait-for edges of every live site's lock table, finds a cycle, and kills
 the *youngest* transaction in it (highest sequence number — the cheapest
-to redo).
+to redo). Which cycle is found when several exist follows from the order
+the edges were inserted in (live sites in order, each table's
+``wait_edges()`` in order; see :mod:`repro.digraph`), so the victim — and
+with it the rest of the schedule — is a function of the seed alone.
 
 The detector is a simulation-level process with direct access to the lock
 tables. A production system would run edge-chasing or a probe protocol;
@@ -18,8 +21,7 @@ from __future__ import annotations
 
 import typing
 
-import networkx
-
+from repro.digraph import DiGraph, NoCycle, find_cycle
 from repro.sim.kernel import Kernel
 from repro.txn.locks import LockManager
 
@@ -82,12 +84,12 @@ class GlobalDeadlockDetector:
 
     def _break_one_cycle(self) -> str | None:
         managers = list(self._lock_managers())
-        graph = networkx.DiGraph()
+        graph = DiGraph()
         for manager in managers:
             graph.add_edges_from(manager.wait_edges())
         try:
-            cycle = networkx.find_cycle(graph)
-        except networkx.NetworkXNoCycle:
+            cycle = find_cycle(graph)
+        except NoCycle:
             return None
         cycle_txns = {edge[0] for edge in cycle}
         victim = max(cycle_txns, key=txn_seq)
