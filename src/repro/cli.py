@@ -74,8 +74,8 @@ the perturbed runs.
 ``lint`` runs replint (:mod:`repro.lint`), the AST-based static
 analysis enforcing the same invariants the auditor checks dynamically
 (determinism, protocol isolation, durable-write discipline) over *all*
-code paths. Exit 0 clean or baseline-only, 1 on new findings, 2 on
-usage errors — see ``docs/STATIC_ANALYSIS.md``.
+code paths. Exit 0 clean, 1 on error findings, 2 on usage errors —
+see ``docs/STATIC_ANALYSIS.md``.
 """
 
 from __future__ import annotations
@@ -193,15 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="lint: comma-separated rule ids to run (default: all)",
     )
     parser.add_argument(
-        "--baseline", default=None, metavar="PATH",
-        help="lint: grandfathering baseline file "
-        "(default: replint_baseline.json)",
-    )
-    parser.add_argument(
-        "--update-baseline", action="store_true",
-        help="lint: rewrite the baseline from the current findings",
-    )
-    parser.add_argument(
         "--changed", nargs="?", const="HEAD", default=None, metavar="REF",
         help="lint: only analyse files that differ from the given git ref "
         "(default ref: HEAD); untracked files are included",
@@ -210,9 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run_list(args: argparse.Namespace) -> int:
-    """The ``list`` subcommand: every experiment id and its title."""
+    """The ``list`` subcommand: every experiment id, its title, and the
+    names ``--experiment`` takes for its traced scenarios, baseline first."""
     for key, spec in EXPERIMENTS.items():
-        print(f"{key}  {spec['title']}")
+        print(f"{key}  {spec['title']}  [traced: {', '.join(spec['scenarios'])}]")
     return 0
 
 

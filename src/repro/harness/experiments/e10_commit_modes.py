@@ -62,6 +62,11 @@ def plan(
             dict(
                 mode=mode, seed=seed * 7919 + trial,
                 n_sites=n_sites, n_items=n_items, duration=duration,
+                # Sparse outages: recovery (type-1 commits + missing-list
+                # marking) takes 50-120 sim units, so mtbf must dwarf
+                # mttr + recovery or the grid measures recovery churn,
+                # not the commit path.
+                mtbf=900, n_clients=6,
             ),
             dict(mode=mode, trial=trial),
         )
@@ -122,73 +127,54 @@ def _spec(n_items: int) -> WorkloadSpec:
     )
 
 
-def _one_trial(mode, seed, n_sites, n_items, duration):
-    spec = _spec(n_items)
-    kernel, system = build_scheme(
-        "rowaa", seed, n_sites, spec.initial_items(),
-        txn_config=TxnConfig(rpc_timeout=10.0, commit_mode=mode),
-    )
-    rngs = RngRegistry(seed)
-    # Sparse outages: recovery (type-1 commits + missing-list marking)
-    # takes 50-120 sim units, so mtbf must dwarf mttr + recovery or the
-    # grid measures recovery churn, not the commit path.
-    failures = FailureSchedule.random_failures(
-        system.cluster.site_ids, rngs.stream(FailureSchedule.RNG_STREAM),
-        horizon=duration * 0.8, mtbf=900, mttr=40,
-    )
-    failures.apply(system)
-    pool = ClientPool(
-        system, WorkloadGenerator(spec, rngs.stream("workload.generator")),
-        n_clients=6, think_time=0.5, retries=2,
-    )
-    pool.start(duration)
-    kernel.run(until=duration)
-    quiesce(kernel, system, grace=800.0)
+def _one_trial(duration, **params):
+    """The grid's cell: the world under the plain builder, plus the
+    table's goodput and RPC-batching columns."""
+    _kernel, system, result = scenario(build_scheme, duration=duration, **params)
     tms = list(system.tms.values())
     return {
-        "committed": pool.stats.committed,
-        "throughput": pool.stats.committed / duration,
-        "latencies": [x for tm in tms for x in tm.stats.ack_latencies],
+        **result,
+        "throughput": result["committed"] / duration,
         "batches": sum(tm.rpc.stats_batches for tm in tms),
         "piggybacked": sum(tm.rpc.stats_decisions_piggybacked for tm in tms),
-        "one_sr": check_one_sr(
-            system.recorder, item_filter=db_item_filter
-        ).ok,
-        "theorem3": check_theorem3(system.recorder).ok,
     }
 
 
-def traced_scenario(build, seed: int = 0, mode: str = "async_quorum"):
-    """One traced run of ``mode`` for ``repro trace/metrics/audit/latency``.
+def scenario(
+    build, seed, mode, n_sites, n_items, duration, mtbf, n_clients,
+    per_client_streams=False,
+):
+    """One write-heavy run of commit mode ``mode`` under random outages
+    (one per site every ``mtbf`` units on average), quiesced and checked.
 
-    The registry exposes it twice on the identical failure plan:
-    ``e10`` is the async fast path, ``e10sync`` the sync 2PC baseline.
+    The registry exposes the traced run twice on the identical failure
+    plan: ``e10`` is the async fast path, ``e10sync`` the sync 2PC
+    baseline.
     """
-    n_sites, n_items, duration = 4, 48, 400.0
     spec = _spec(n_items)
-    kernel, system, obs = build(
+    kernel, system = build(
         "rowaa", seed, n_sites, spec.initial_items(),
         txn_config=TxnConfig(rpc_timeout=10.0, commit_mode=mode),
     )
     rngs = RngRegistry(seed)
     failures = FailureSchedule.random_failures(
         system.cluster.site_ids, rngs.stream(FailureSchedule.RNG_STREAM),
-        horizon=duration * 0.8, mtbf=600, mttr=40,
+        horizon=duration * 0.8, mtbf=mtbf, mttr=40,
     )
     failures.apply(system)
     pool = ClientPool(
         system, WorkloadGenerator(spec, rngs.stream("workload.generator")),
-        n_clients=4, think_time=0.5, retries=2,
-        per_client_streams=True,
+        n_clients=n_clients, think_time=0.5, retries=2,
+        per_client_streams=per_client_streams,
     )
     pool.start(duration)
     kernel.run(until=duration)
     quiesce(kernel, system, grace=800.0)
-    tms = list(system.tms.values())
-    latencies = [x for tm in tms for x in tm.stats.ack_latencies]
-    return kernel, system, obs, {
+    latencies = [x for tm in system.tms.values() for x in tm.stats.ack_latencies]
+    return kernel, system, {
         "commit_mode": mode,
         "committed": pool.stats.committed,
+        "latencies": latencies,
         "ack_p50": percentile(latencies, 50),
         "ack_p99": percentile(latencies, 99),
         "one_sr": check_one_sr(

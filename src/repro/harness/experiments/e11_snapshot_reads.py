@@ -59,6 +59,10 @@ def plan(
             dict(
                 variant=variant, seed=seed * 6971 + trial,
                 n_sites=n_sites, n_items=n_items, duration=duration,
+                # Denser outages than E10: the headline is reads served
+                # *during* recovery windows, so the schedule must
+                # actually open them.
+                mtbf=500, n_clients=6,
             ),
             dict(variant=variant, trial=trial),
         )
@@ -117,38 +121,49 @@ def _spec(n_items: int) -> WorkloadSpec:
     )
 
 
-def _one_trial(variant, seed, n_sites, n_items, duration):
+def _one_trial(**params):
+    """The grid's cell: the world under the plain builder, result only."""
+    return scenario(build_scheme, **params)[2]
+
+
+def scenario(
+    build, seed, variant, n_sites, n_items, duration, mtbf, n_clients,
+    per_client_streams=False,
+):
+    """One read-heavy run of read path ``variant`` under random outages
+    (one per site every ``mtbf`` units on average), quiesced and checked.
+
+    The registry exposes the traced run twice on the identical failure
+    plan: ``e11`` is the snapshot-read path, ``e11sync`` the lock-based
+    baseline.
+    """
     spec = _spec(n_items)
-    kernel, system = build_scheme(
+    kernel, system = build(
         "rowaa", seed, n_sites, spec.initial_items(),
         txn_config=TxnConfig(rpc_timeout=10.0),
     )
     rngs = RngRegistry(seed)
-    # Denser outages than E10: the headline is reads served *during*
-    # recovery windows, so the schedule must actually open them.
     failures = FailureSchedule.random_failures(
         system.cluster.site_ids, rngs.stream(FailureSchedule.RNG_STREAM),
-        horizon=duration * 0.8, mtbf=500, mttr=60,
+        horizon=duration * 0.8, mtbf=mtbf, mttr=60,
     )
     failures.apply(system)
     pool = ClientPool(
         system, WorkloadGenerator(spec, rngs.stream("workload.generator")),
-        n_clients=6, think_time=0.5, retries=2,
+        n_clients=n_clients, think_time=0.5, retries=2,
         force_locking=(variant == "locking"),
+        per_client_streams=per_client_streams,
     )
     pool.start(duration)
     kernel.run(until=duration)
     quiesce(kernel, system, grace=800.0)
-    return _verdict(variant, system, pool)
-
-
-def _verdict(variant, system, pool):
     dms = list(system.dms.values())
-    return {
+    ro_latencies = pool.stats.ro_latencies
+    return kernel, system, {
         "variant": variant,
         "ro_committed": pool.stats.ro_committed,
         "ro_refused": pool.stats.ro_refused,
-        "ro_latencies": pool.stats.ro_latencies,
+        "ro_latencies": ro_latencies,
         # Item reads answered while the serving site was provably behind
         # (RECOVERING or holding unreadable copies) — zero by
         # construction for the locking baseline, which refuses instead.
@@ -161,39 +176,6 @@ def _verdict(variant, system, pool):
             system.recorder, item_filter=db_item_filter
         ).ok,
         "theorem3": check_theorem3(system.recorder).ok,
+        "ro_p50": percentile(ro_latencies, 50),
+        "ro_p99": percentile(ro_latencies, 99),
     }
-
-
-def traced_scenario(build, seed: int = 0, variant: str = "mvcc"):
-    """One traced run of ``variant`` for ``repro trace/metrics/audit/latency``.
-
-    The registry exposes it twice on the identical failure plan:
-    ``e11`` is the snapshot-read path, ``e11sync`` the lock-based
-    baseline.
-    """
-    n_sites, n_items, duration = 4, 32, 400.0
-    spec = _spec(n_items)
-    kernel, system, obs = build(
-        "rowaa", seed, n_sites, spec.initial_items(),
-        txn_config=TxnConfig(rpc_timeout=10.0),
-    )
-    rngs = RngRegistry(seed)
-    failures = FailureSchedule.random_failures(
-        system.cluster.site_ids, rngs.stream(FailureSchedule.RNG_STREAM),
-        horizon=duration * 0.8, mtbf=400, mttr=60,
-    )
-    failures.apply(system)
-    pool = ClientPool(
-        system, WorkloadGenerator(spec, rngs.stream("workload.generator")),
-        n_clients=4, think_time=0.5, retries=2,
-        force_locking=(variant == "locking"),
-        per_client_streams=True,
-    )
-    pool.start(duration)
-    kernel.run(until=duration)
-    quiesce(kernel, system, grace=800.0)
-    verdict = _verdict(variant, system, pool)
-    ro_latencies = verdict.pop("ro_latencies")
-    verdict["ro_p50"] = percentile(ro_latencies, 50)
-    verdict["ro_p99"] = percentile(ro_latencies, 99)
-    return kernel, system, obs, verdict

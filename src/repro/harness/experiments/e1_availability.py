@@ -22,9 +22,9 @@ import random
 from repro.harness.parallel import Cell, run_table
 from repro.harness.runner import (
     build_scheme,
-    cell_seed,
     replicated_catalog,
     settle,
+    tagged_seed,
     wind_down,
 )
 from repro.harness.tables import Table
@@ -90,9 +90,18 @@ def run(jobs: int | None = None, **params) -> Table:
     return run_table(__name__, params, jobs)
 
 
-def _one_cell(scheme, seed, n_sites, replication, spec, failed, load_duration):
+def _one_cell(**params):
+    """The grid's cell: its world under the plain builder, result only."""
+    return grid_scenario(build_scheme, **params)[2]
+
+
+def grid_scenario(
+    build, seed, scheme, n_sites, replication, spec, failed, load_duration
+):
+    """The table's world: ``failed`` sites stay down while separate
+    pure-read and pure-write pools run on the survivors."""
     catalog = replicated_catalog(n_sites, spec.item_names(), replication, seed)
-    kernel, system = build_scheme(
+    kernel, system = build(
         scheme, seed * 101 + failed, n_sites, spec.initial_items(), catalog=catalog
     )
     # Crash the highest-numbered sites; clients live on survivors.
@@ -122,37 +131,43 @@ def _one_cell(scheme, seed, n_sites, replication, spec, failed, load_duration):
     kernel.run(until=kernel.now + load_duration + 50)
     wind_down(kernel, system)
     refused = readers.stats.refused + writers.stats.refused
-    return readers.stats.availability, writers.stats.availability, refused
-
-
-def traced_scenario(build, seed: int = 0):
-    """One traced cell for ``repro trace``: one crashed site, mixed load.
-
-    Mirrors the one-failed-site cell of the grid on a small
-    configuration, with spans and the timeline enabled.
-    """
-    n_sites, replication, n_items = 4, 2, 8
-    spec = WorkloadSpec(n_items=n_items, ops_per_txn=2, write_fraction=0.3)
-    catalog = replicated_catalog(
-        n_sites, spec.item_names(), replication, cell_seed("e1-trace", seed)
+    return kernel, system, (
+        readers.stats.availability, writers.stats.availability, refused
     )
-    kernel, system, obs = build(
-        "rowaa", cell_seed("e1-trace", seed), n_sites, spec.initial_items(),
-        catalog=catalog,
+
+
+def scenario(
+    build, seed, seed_tag, n_sites, replication, n_items, n_clients,
+    load_duration, horizon, per_client_streams=False,
+):
+    """The traced world: one crashed site under one mixed pool, then its
+    recovery at ``horizon``.
+
+    E1 alone keeps two worlds. The table needs read and write
+    availability apart and no recovery; the trace is worth reading
+    because reads and writes interleave in one pool and the crashed
+    site comes back at the end. Neither is the other at any parameter
+    set, so one body would branch on its caller.
+    """
+    spec = WorkloadSpec(n_items=n_items, ops_per_txn=2, write_fraction=0.3)
+    world_seed = tagged_seed(seed_tag, seed)
+    catalog = replicated_catalog(n_sites, spec.item_names(), replication, world_seed)
+    kernel, system = build(
+        "rowaa", world_seed, n_sites, spec.initial_items(), catalog=catalog
     )
     system.crash(n_sites)
     settle(kernel, system, 80.0)
     rng = random.Random(seed)
     pool = ClientPool(
-        system, WorkloadGenerator(spec, rng), n_clients=3,
+        system, WorkloadGenerator(spec, rng), n_clients=n_clients,
         think_time=3.0, retries=1, home_sites=list(range(1, n_sites)),
-        per_client_streams=True,
+        per_client_streams=per_client_streams,
     )
-    pool.start(120.0)
-    kernel.run(until=kernel.now + 150)
+    pool.start(load_duration)
+    kernel.run(until=kernel.now + horizon)
     kernel.run(system.power_on(n_sites))
     wind_down(kernel, system)
-    return kernel, system, obs, {
+    return kernel, system, {
         "committed": pool.stats.committed,
         "refused": pool.stats.refused,
         "availability": pool.stats.availability,

@@ -46,7 +46,7 @@ def plan(
             _one_cell,
             dict(
                 scheme=scheme, seed=seed, n_sites=n_sites, n_items=n_items,
-                missed=missed, replay_cost=replay_cost,
+                missed=missed, replay_cost=replay_cost, drain=2000.0,
             ),
             dict(scheme=scheme, missed_updates=missed),
         )
@@ -78,55 +78,43 @@ def run(jobs: int | None = None, **params) -> Table:
     return run_table(__name__, params, jobs)
 
 
-def _one_cell(scheme, seed, n_sites, n_items, missed, replay_cost):
+def _one_cell(**params):
+    """The grid's cell: the world under the plain builder, its two times."""
+    result = scenario(build_scheme, **params)[2]
+    return result["t_operational"], result["t_caught_up"]
+
+
+def scenario(build, seed, scheme, n_sites, n_items, missed, drain, replay_cost=0.5):
+    """Crash the last site, miss ``missed`` updates, reboot, catch up.
+
+    Under ``rowaa`` this is the canonical observability scenario: its
+    span tree contains user transactions with remote RPC children (the
+    missed updates), the type-1 control transaction of the §3.4
+    recovery, and the copier refreshes that drain the missing list
+    over the ``drain`` units that follow.
+    """
     spec = WorkloadSpec(n_items=n_items)
     kwargs = {}
     if scheme == "spooler":
         kwargs["replay_cost_per_update"] = replay_cost
-    kernel, system = build_scheme(
+    kernel, system = build(
         scheme, seed * 37 + missed, n_sites, spec.initial_items(), **kwargs
     )
     victim = n_sites
     writes = [(f"X{index % n_items}", index) for index in range(missed)]
     power_at = outage(kernel, system, victim, writes).power_at
     t_operational = kernel.now - power_at
-    t_caught_up = _caught_up_time(kernel, system, scheme, victim, power_at)
-    system.stop()
-    return t_operational, t_caught_up
-
-
-def _caught_up_time(kernel, system, scheme, victim, power_at):
     if scheme == "rowaa":
-        kernel.run(until=kernel.now + 2000)
+        kernel.run(until=kernel.now + drain)  # let copiers drain
         drained = system.copiers[victim].drained_at
-        return (drained - power_at) if drained is not None else None
-    # Spooler replays before rejoining; directories refresh during the
-    # INCLUDE pass: caught-up coincides with operational.
-    return kernel.now - power_at
-
-
-def traced_scenario(build, seed: int = 0):
-    """One traced rowaa cell for ``repro trace``: crash, miss, reboot, drain.
-
-    The canonical observability scenario: its span tree contains user
-    transactions with remote RPC children (the missed updates), the
-    type-1 control transaction of the §3.4 recovery, and the copier
-    refreshes that drain the missing list afterwards.
-    """
-    n_sites, n_items, missed = 3, 8, 6
-    spec = WorkloadSpec(n_items=n_items)
-    kernel, system, obs = build(
-        "rowaa", seed * 37 + missed, n_sites, spec.initial_items(),
-    )
-    victim = n_sites
-    writes = [(f"X{index % n_items}", index) for index in range(missed)]
-    power_at = outage(kernel, system, victim, writes).power_at
-    t_operational = kernel.now - power_at
-    kernel.run(until=kernel.now + 1500)  # let copiers drain
+        t_caught_up = (drained - power_at) if drained is not None else None
+    else:
+        # Spooler replays before rejoining; directories refresh during
+        # the INCLUDE pass: caught-up coincides with operational.
+        t_caught_up = t_operational
     wind_down(kernel, system)
-    drained = system.copiers[victim].drained_at
-    return kernel, system, obs, {
+    return kernel, system, {
         "missed_updates": missed,
         "t_operational": t_operational,
-        "t_caught_up": (drained - power_at) if drained is not None else None,
+        "t_caught_up": t_caught_up,
     }

@@ -95,52 +95,48 @@ def run(jobs: int | None = None, **params) -> Table:
     return run_table(__name__, params, jobs)
 
 
-def _one_cell(scheme, seed, n_sites, n_items, load_duration, n_clients):
-    spec = WorkloadSpec(n_items=n_items, ops_per_txn=3, write_fraction=0.3)
-    kernel, system = build_scheme(
-        scheme, seed * 13 + n_sites, n_sites, spec.initial_items()
+def _one_cell(load_duration, **params):
+    """The grid's cell: the world under the plain builder. The table
+    counts commits and messages system-wide (TM and network totals),
+    not at the clients."""
+    _kernel, system, result = scenario(
+        build_scheme, load_duration=load_duration, **params
     )
-    rng = random.Random(seed + n_sites)
-    pool = ClientPool(
-        system, WorkloadGenerator(spec, rng), n_clients=n_clients, think_time=2.0
-    )
-    pool.start(load_duration)
-    kernel.run(until=load_duration + 50)
-    wind_down(kernel, system)
-    totals = tm_totals(system)
-    network = network_totals(system)
-    committed = totals["committed"]
+    committed = tm_totals(system)["committed"]
+    sent = network_totals(system)["sent"]
     return {
         "throughput": committed / load_duration,
-        "mean_latency": mean(pool.stats.latencies),
-        "msgs_per_commit": (network["sent"] / committed) if committed else None,
+        "mean_latency": result["mean_latency"],
+        "msgs_per_commit": (sent / committed) if committed else None,
         "committed": committed,
     }
 
 
-def traced_scenario(build, seed: int = 0):
-    """One traced failure-free cell for ``repro trace``.
+def scenario(
+    build, seed, scheme, n_sites, n_items, load_duration, n_clients,
+    per_client_streams=False,
+):
+    """A failure-free closed-loop run of ``load_duration`` units.
 
-    No crashes: the trace shows the steady-state shape of the protocol —
+    No crashes: a trace shows the steady-state shape of the protocol —
     user transaction spans whose RPC children carry the read-one /
     write-all fan-out and the 2PC rounds.
     """
-    n_sites, n_items = 3, 12
     spec = WorkloadSpec(n_items=n_items, ops_per_txn=3, write_fraction=0.3)
-    kernel, system, obs = build(
-        "rowaa", seed * 13 + n_sites, n_sites, spec.initial_items(),
+    kernel, system = build(
+        scheme, seed * 13 + n_sites, n_sites, spec.initial_items()
     )
     rng = random.Random(seed + n_sites)
     pool = ClientPool(
-        system, WorkloadGenerator(spec, rng), n_clients=4, think_time=2.0,
-        per_client_streams=True,
+        system, WorkloadGenerator(spec, rng), n_clients=n_clients, think_time=2.0,
+        per_client_streams=per_client_streams,
     )
-    pool.start(150.0)
-    kernel.run(until=kernel.now + 200)
+    pool.start(load_duration)
+    kernel.run(until=load_duration + 50)
     wind_down(kernel, system)
     committed = pool.stats.committed
-    return kernel, system, obs, {
+    return kernel, system, {
         "committed": committed,
-        "throughput": committed / 150.0,
+        "throughput": committed / load_duration,
         "mean_latency": mean(pool.stats.latencies),
     }

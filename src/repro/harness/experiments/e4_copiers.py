@@ -23,7 +23,7 @@ import random
 
 from repro.core.config import RowaaConfig
 from repro.harness.parallel import Cell, run_table
-from repro.harness.runner import build_scheme, cell_seed, outage, wind_down
+from repro.harness.runner import build_scheme, outage, tagged_seed, wind_down
 from repro.harness.tables import Table
 from repro.workload import ClientPool, WorkloadGenerator, WorkloadSpec
 
@@ -44,8 +44,9 @@ def plan(
             "e4",
             _one_cell,
             dict(
-                seed=seed, n_sites=n_sites, n_items=n_items,
-                stale_fraction=stale_fraction, read_duration=read_duration,
+                seed=seed, seed_tag=("e4", mode), n_sites=n_sites,
+                n_items=n_items, stale_fraction=stale_fraction, n_clients=3,
+                read_duration=read_duration, horizon=read_duration + 100,
                 mode=mode,
             ),
             dict(mode=mode),
@@ -78,11 +79,28 @@ def run(jobs: int | None = None, **params) -> Table:
     return run_table(__name__, params, jobs)
 
 
-def _one_cell(seed, n_sites, n_items, stale_fraction, read_duration, mode):
+def _one_cell(n_sites, **params):
+    """The grid's cell: the world under the plain builder, plus the
+    table's version-skip column."""
+    _kernel, system, result = scenario(build_scheme, n_sites=n_sites, **params)
+    stats = system.copiers[n_sites].stats
+    return {**result, "version_skips": stats.copies_skipped_version}
+
+
+def scenario(
+    build, seed, seed_tag, mode, n_sites, n_items, stale_fraction, n_clients,
+    read_duration, horizon, per_client_streams=False,
+):
+    """A fraction of the last site's copies go stale during its outage;
+    read load lands on it from the moment it is back.
+
+    Under ``eager`` a trace shows copier-refresh spans interleaved with
+    redirected user reads while the copiers drain.
+    """
     spec = WorkloadSpec(n_items=n_items, ops_per_txn=2, write_fraction=0.0)
     rowaa_config = RowaaConfig(copier_mode=mode, unreadable_policy="redirect")
-    kernel, system = build_scheme(
-        "rowaa", cell_seed("e4", seed, mode), n_sites, spec.initial_items(),
+    kernel, system = build(
+        "rowaa", tagged_seed(seed_tag, seed), n_sites, spec.initial_items(),
         rowaa_config=rowaa_config,
     )
     victim = n_sites
@@ -94,54 +112,18 @@ def _one_cell(seed, n_sites, n_items, stale_fraction, read_duration, mode):
     pool = ClientPool(
         system,
         WorkloadGenerator(spec, rng),
-        n_clients=3,
+        n_clients=n_clients,
         think_time=2.0,
         home_sites=[victim],  # read load lands on the recovered site
+        per_client_streams=per_client_streams,
     )
     pool.start(read_duration)
-    kernel.run(until=kernel.now + read_duration + 100)
+    kernel.run(until=kernel.now + horizon)
     wind_down(kernel, system)
 
     copiers = system.copiers[victim]
     drained = copiers.drained_at
-    redirected = system.dms[victim].stats_unreadable_rejections
-    return {
-        "drain_time": (drained - power_at) if drained is not None else None,
-        "redirected_reads": redirected,
-        "copies_performed": copiers.stats.copies_performed,
-        "version_skips": copiers.stats.copies_skipped_version,
-    }
-
-
-def traced_scenario(build, seed: int = 0):
-    """One traced eager-copier cell for ``repro trace``.
-
-    Half the items go stale during the outage; read load lands on the
-    recovered site while the eager copiers drain, so the trace shows
-    copier-refresh spans interleaved with redirected user reads.
-    """
-    n_sites, n_items = 3, 8
-    spec = WorkloadSpec(n_items=n_items, ops_per_txn=2, write_fraction=0.0)
-    kernel, system, obs = build(
-        "rowaa", cell_seed("e4-trace", seed), n_sites, spec.initial_items(),
-        rowaa_config=RowaaConfig(copier_mode="eager", unreadable_policy="redirect"),
-    )
-    victim = n_sites
-    writes = [(f"X{index}", index) for index in range(n_items // 2)]
-    power_at = outage(kernel, system, victim, writes).power_at
-
-    rng = random.Random(seed)
-    pool = ClientPool(
-        system, WorkloadGenerator(spec, rng), n_clients=2, think_time=2.0,
-        home_sites=[victim],
-        per_client_streams=True,
-    )
-    pool.start(120.0)
-    kernel.run(until=kernel.now + 200)
-    wind_down(kernel, system)
-    copiers = system.copiers[victim]
-    drained = copiers.drained_at
-    return kernel, system, obs, {
+    return kernel, system, {
         "drain_time": (drained - power_at) if drained is not None else None,
         "redirected_reads": system.dms[victim].stats_unreadable_rejections,
         "copies_performed": copiers.stats.copies_performed,

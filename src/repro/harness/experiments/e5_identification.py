@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from repro.core.config import RowaaConfig
 from repro.harness.parallel import Cell, run_table
-from repro.harness.runner import build_scheme, cell_seed, outage, wind_down
+from repro.harness.runner import build_scheme, outage, tagged_seed, wind_down
 from repro.harness.tables import Table
 from repro.workload import WorkloadSpec
 
@@ -40,8 +40,8 @@ def plan(
             "e5",
             _one_cell,
             dict(
-                seed=seed, n_sites=n_sites, n_items=n_items,
-                fraction=fraction, policy=policy,
+                seed=seed, seed_tag=("e5", policy), n_sites=n_sites,
+                n_items=n_items, fraction=fraction, policy=policy, drain=2000.0,
             ),
             dict(policy=policy, updated_fraction=fraction),
         )
@@ -71,7 +71,20 @@ def run(jobs: int | None = None, **params) -> Table:
     return run_table(__name__, params, jobs)
 
 
-def _one_cell(seed, n_sites, n_items, fraction, policy):
+def _one_cell(**params):
+    """The grid's cell: the world under the plain builder, result only."""
+    return scenario(build_scheme, **params)[2]
+
+
+def scenario(build, seed, seed_tag, policy, n_sites, n_items, fraction, drain):
+    """``fraction`` of the items are updated during the last site's
+    outage; it recovers under ``policy`` and its copiers get ``drain``
+    units to finish.
+
+    Under ``mark-all`` the recovery marks every resident copy and the
+    copiers sort current from stale via the version check, so a trace
+    shows version-skip refreshes alongside real transfers.
+    """
     identify = "mark-all" if policy == "mark-all-no-skip" else policy
     rowaa_config = RowaaConfig(
         copier_mode="eager",
@@ -79,45 +92,18 @@ def _one_cell(seed, n_sites, n_items, fraction, policy):
         version_skip=(policy != "mark-all-no-skip"),
     )
     spec = WorkloadSpec(n_items=n_items)
-    kernel, system = build_scheme(
-        "rowaa", cell_seed("e5", seed, policy), n_sites, spec.initial_items(),
+    kernel, system = build(
+        "rowaa", tagged_seed(seed_tag, seed), n_sites, spec.initial_items(),
         rowaa_config=rowaa_config,
     )
     victim = n_sites
     n_updated = round(n_items * fraction)
     writes = [(f"X{index}", index) for index in range(n_updated)]
     record = outage(kernel, system, victim, writes).record
-    kernel.run(until=kernel.now + 2000)  # let copiers finish
+    kernel.run(until=kernel.now + drain)  # let copiers finish
     wind_down(kernel, system)
     stats = system.copiers[victim].stats
-    return {
-        "marked": record.marked_items,
-        "data_transfers": stats.copies_performed,
-        "version_skips": stats.copies_skipped_version,
-    }
-
-
-def traced_scenario(build, seed: int = 0):
-    """One traced mark-all identification cell for ``repro trace``.
-
-    Half the items were updated during the outage; the recovery marks
-    every resident copy and the copiers sort current from stale via the
-    version check, so the trace shows version-skip refreshes alongside
-    real transfers.
-    """
-    n_sites, n_items = 3, 8
-    spec = WorkloadSpec(n_items=n_items)
-    kernel, system, obs = build(
-        "rowaa", cell_seed("e5-trace", seed), n_sites, spec.initial_items(),
-        rowaa_config=RowaaConfig(copier_mode="eager", identify_mode="mark-all"),
-    )
-    victim = n_sites
-    writes = [(f"X{index}", index) for index in range(n_items // 2)]
-    record = outage(kernel, system, victim, writes).record
-    kernel.run(until=kernel.now + 1500)
-    wind_down(kernel, system)
-    stats = system.copiers[victim].stats
-    return kernel, system, obs, {
+    return kernel, system, {
         "marked": record.marked_items,
         "data_transfers": stats.copies_performed,
         "version_skips": stats.copies_skipped_version,

@@ -48,12 +48,12 @@ def plan(
             "e6",
             _one_trial,
             dict(
-                scenario=scenario, seed=seed * 1000 + trial,
+                drill=drill, seed=seed * 1000 + trial,
                 n_sites=n_sites, n_items=n_items,
             ),
-            dict(scenario=scenario, trial=trial),
+            dict(scenario=drill, trial=trial),
         )
-        for scenario in scenarios
+        for drill in scenarios
         for trial in range(trials)
     ]
 
@@ -75,9 +75,9 @@ def assemble(
     groups: dict[str, list] = {}
     for cell, trial_records in zip(cells, results):
         groups.setdefault(cell.tag["scenario"], []).extend(trial_records)
-    for scenario, records in groups.items():
+    for drill, records in groups.items():
         table.add_row(
-            scenario=scenario,
+            scenario=drill,
             trials=trials,
             recoveries=len(records),
             succeeded=sum(1 for record in records if record.succeeded),
@@ -92,17 +92,30 @@ def run(jobs: int | None = None, **params) -> Table:
     return run_table(__name__, params, jobs)
 
 
-def _one_trial(scenario, seed, n_sites, n_items):
+def _one_trial(**params):
+    """The grid's cell: the world under the plain builder; the table
+    averages over the recovery records themselves."""
+    return scenario(build_scheme, **params)[1].recovery_records()
+
+
+def scenario(build, seed, drill, n_sites, n_items):
+    """One randomized trial of the named failure drill (``SCENARIOS``).
+
+    Under ``crash-during-t1`` a second site crashes inside the recovery
+    window, forcing the §3.4 step-4 path: a trace shows the recovery
+    span containing a failed type-1 attempt, the type-2 exclusion, and
+    the retry.
+    """
     spec = WorkloadSpec(n_items=n_items)
-    kernel, system = build_scheme("rowaa", seed, n_sites, spec.initial_items())
+    kernel, system = build("rowaa", seed, n_sites, spec.initial_items())
     rng = random.Random(seed)
 
-    if scenario == "single":
+    if drill == "single":
         system.crash(n_sites)
         settle(kernel, system, 60.0)
         kernel.run(system.power_on(n_sites))
 
-    elif scenario == "crash-during-t1":
+    elif drill == "crash-during-t1":
         system.crash(n_sites)
         settle(kernel, system, 60.0)
         recovery = system.power_on(n_sites)
@@ -119,7 +132,7 @@ def _one_trial(scenario, seed, n_sites, n_items):
         if system.cluster.site(saboteur_site).is_down:
             kernel.run(system.power_on(saboteur_site))
 
-    elif scenario == "last-survivor":
+    elif drill == "last-survivor":
         for site_id in range(2, n_sites + 1):
             system.crash(site_id)
             settle(kernel, system, 40.0)
@@ -127,7 +140,7 @@ def _one_trial(scenario, seed, n_sites, n_items):
         for site_id in range(2, n_sites):
             kernel.run(system.power_on(site_id))
 
-    elif scenario == "cascade":
+    elif drill == "cascade":
         for wave in range(3):
             victim = 1 + (wave % n_sites)
             system.crash(victim)
@@ -136,43 +149,12 @@ def _one_trial(scenario, seed, n_sites, n_items):
             settle(kernel, system, 20.0)
 
     else:  # pragma: no cover - guarded by SCENARIOS
-        raise ValueError(scenario)
+        raise ValueError(drill)
 
-    settle(kernel, system, 200.0)
-    system.stop()
-    return system.recovery_records()
-
-
-def traced_scenario(build, seed: int = 0):
-    """One traced crash-during-t1 trial for ``repro trace``.
-
-    A second site crashes inside the recovery window, forcing the §3.4
-    step-4 path: the trace shows the recovery span containing a failed
-    type-1 attempt, the type-2 exclusion, and the retry.
-    """
-    n_sites, n_items = 4, 8
-    spec = WorkloadSpec(n_items=n_items)
-    kernel, system, obs = build("rowaa", seed, n_sites, spec.initial_items())
-    rng = random.Random(seed)
-    system.crash(n_sites)
-    settle(kernel, system, 60.0)
-    recovery = system.power_on(n_sites)
-    saboteur_site = 1 + rng.randrange(n_sites - 1)
-
-    def saboteur():
-        yield kernel.timeout(0.5 + rng.random() * 4.0)
-        if not system.cluster.site(saboteur_site).is_down:
-            system.crash(saboteur_site)
-
-    kernel.process(saboteur())
-    kernel.run(recovery)
-    settle(kernel, system, 100.0)
-    if system.cluster.site(saboteur_site).is_down:
-        kernel.run(system.power_on(saboteur_site))
     settle(kernel, system, 200.0)
     wind_down(kernel, system)
     records = system.recovery_records()
-    return kernel, system, obs, {
+    return kernel, system, {
         "recoveries": len(records),
         "succeeded": sum(1 for record in records if record.succeeded),
         "type1_attempts": sum(record.type1_attempts for record in records),

@@ -36,7 +36,10 @@ def plan(
         Cell(
             "e7",
             _one_cell,
-            dict(scheme=scheme, seed=seed, n_sites=n_sites, n_items=n_items),
+            dict(
+                scheme=scheme, seed=seed, n_sites=n_sites, n_items=n_items,
+                drain=2500.0,  # drain copiers/includes fully
+            ),
             dict(scheme=scheme, items=n_items),
         )
         for scheme in schemes
@@ -59,7 +62,19 @@ def run(jobs: int | None = None, **params) -> Table:
     return run_table(__name__, params, jobs)
 
 
-def _one_cell(scheme, seed, n_sites, n_items):
+def _one_cell(**params):
+    """The grid's cell: the world under the plain builder, result only."""
+    return scenario(build_scheme, **params)[2]
+
+
+def scenario(build, seed, scheme, n_sites, n_items, drain):
+    """One quiet crash/reboot cycle of the last site, then ``drain``
+    units for whatever the scheme still has to move.
+
+    Nothing is updated during the outage, so a trace isolates the pure
+    control cost: the type-2 exclusion after detection and the type-1
+    inclusion at recovery, with no copier data transfers riding along.
+    """
     spec = WorkloadSpec(n_items=n_items)
     kwargs = {}
     build_as = scheme
@@ -71,7 +86,7 @@ def _one_cell(scheme, seed, n_sites, n_items):
 
         build_as = "rowaa"
         kwargs["rowaa_config"] = RowaaConfig(identify_mode="fail-locks")
-    kernel, system = build_scheme(
+    kernel, system = build(
         build_as, seed * 53 + n_items, n_sites, spec.initial_items(), **kwargs
     )
     baseline_msgs = system.cluster.network.stats.sent
@@ -79,7 +94,7 @@ def _one_cell(scheme, seed, n_sites, n_items):
     system.crash(victim)
     settle(kernel, system, 120.0)
     kernel.run(system.power_on(victim))
-    settle(kernel, system, 2500.0)  # drain copiers/includes fully
+    settle(kernel, system, drain)
     wind_down(kernel, system)
 
     messages = system.cluster.network.stats.sent - baseline_msgs
@@ -93,33 +108,4 @@ def _one_cell(scheme, seed, n_sites, n_items):
         status_txns = service.exclude_committed + sum(
             record.includes_committed for record in service.records
         )
-    return {"status_txns": status_txns, "remote_messages": messages}
-
-
-def traced_scenario(build, seed: int = 0):
-    """One traced quiet crash/reboot cycle for ``repro trace``.
-
-    Nothing is updated during the outage, so the trace isolates the pure
-    control cost: the type-2 exclusion after detection and the type-1
-    inclusion at recovery, with no copier data transfers riding along.
-    """
-    n_sites, n_items = 3, 8
-    spec = WorkloadSpec(n_items=n_items)
-    kernel, system, obs = build(
-        "rowaa", seed * 53 + n_items, n_sites, spec.initial_items(),
-    )
-    baseline_msgs = system.cluster.network.stats.sent
-    victim = n_sites
-    system.crash(victim)
-    settle(kernel, system, 120.0)
-    kernel.run(system.power_on(victim))
-    settle(kernel, system, 500.0)
-    wind_down(kernel, system)
-    status_txns = (
-        sum(service.type2_committed for service in system.controls.values())
-        + sum(1 for record in system.recovery_records() if record.succeeded)
-    )
-    return kernel, system, obs, {
-        "status_txns": status_txns,
-        "remote_messages": system.cluster.network.stats.sent - baseline_msgs,
-    }
+    return kernel, system, {"status_txns": status_txns, "remote_messages": messages}

@@ -49,6 +49,7 @@ def plan(
             dict(
                 scheme=scheme, seed=seed * 7919 + trial,
                 n_sites=n_sites, n_items=n_items, duration=duration,
+                mtbf=250, mttr=80, n_clients=5, grace=800.0,
             ),
             dict(scheme=scheme, trial=trial),
         )
@@ -83,16 +84,21 @@ def run(jobs: int | None = None, **params) -> Table:
     return run_table(__name__, params, jobs)
 
 
-def _one_trial(scheme, seed, n_sites, n_items, duration):
-    recorder, committed = _one_run(scheme, seed, n_sites, n_items, duration)
-    return {
-        "committed": committed,
-        "one_sr": check_one_sr(recorder, item_filter=db_item_filter).ok,
-        "theorem3": check_theorem3(recorder).ok,
-    }
+def _one_trial(**params):
+    """The grid's cell: the world under the plain builder, result only."""
+    return scenario(build_scheme, **params)[2]
 
 
-def _one_run(scheme, seed, n_sites, n_items, duration):
+def scenario(
+    build, seed, scheme, n_sites, n_items, duration, mtbf, mttr, n_clients, grace,
+    per_client_streams=False,
+):
+    """One randomized crash/recovery run, quiesced, then both history checks.
+
+    The full Theorem-3 setting: clients on every site, random outages —
+    a trace shows user, control, and copier spans interleaving across
+    failures.
+    """
     spec = WorkloadSpec(
         n_items=n_items, ops_per_txn=3, write_fraction=0.5, zipf_s=0.5
     )
@@ -100,55 +106,26 @@ def _one_run(scheme, seed, n_sites, n_items, duration):
     if scheme == "rowaa-to":
         scheme = "rowaa"
         kwargs["concurrency"] = "to"
-    kernel, system = build_scheme(scheme, seed, n_sites, spec.initial_items(),
-                                  **kwargs)
+    kernel, system = build(scheme, seed, n_sites, spec.initial_items(), **kwargs)
     # Dedicated registry streams: crash times and workload draws are
     # independent — changing one never perturbs the other at equal seed.
     rngs = RngRegistry(seed)
     failures = FailureSchedule.random_failures(
         system.cluster.site_ids, rngs.stream(FailureSchedule.RNG_STREAM),
-        horizon=duration * 0.8, mtbf=250, mttr=80,
+        horizon=duration * 0.8, mtbf=mtbf, mttr=mttr,
     )
     failures.apply(system)
     # Home clients on every site; reads may thus hit rejoined stale
     # copies under the naive scheme — exactly its failure mode.
     pool = ClientPool(
         system, WorkloadGenerator(spec, rngs.stream("workload.generator")),
-        n_clients=5, think_time=4.0, retries=2,
+        n_clients=n_clients, think_time=4.0, retries=2,
+        per_client_streams=per_client_streams,
     )
     pool.start(duration)
     kernel.run(until=duration)
-    quiesce(kernel, system, grace=800.0)
-    return system.recorder, pool.stats.committed
-
-
-def traced_scenario(build, seed: int = 0):
-    """One traced randomized crash/recovery run for ``repro trace``.
-
-    The full Theorem-3 setting in miniature: clients on every site,
-    random outages, then quiesce and run both history checks — the trace
-    shows user, control, and copier spans interleaving across failures.
-    """
-    n_sites, n_items, duration = 3, 8, 300.0
-    spec = WorkloadSpec(
-        n_items=n_items, ops_per_txn=3, write_fraction=0.5, zipf_s=0.5
-    )
-    kernel, system, obs = build("rowaa", seed, n_sites, spec.initial_items())
-    rngs = RngRegistry(seed)
-    failures = FailureSchedule.random_failures(
-        system.cluster.site_ids, rngs.stream(FailureSchedule.RNG_STREAM),
-        horizon=duration * 0.8, mtbf=150, mttr=60,
-    )
-    failures.apply(system)
-    pool = ClientPool(
-        system, WorkloadGenerator(spec, rngs.stream("workload.generator")),
-        n_clients=4, think_time=4.0, retries=2,
-        per_client_streams=True,
-    )
-    pool.start(duration)
-    kernel.run(until=duration)
-    quiesce(kernel, system, grace=600.0)
-    return kernel, system, obs, {
+    quiesce(kernel, system, grace=grace)
+    return kernel, system, {
         "committed": pool.stats.committed,
         "one_sr": check_one_sr(system.recorder, item_filter=db_item_filter).ok,
         "theorem3": check_theorem3(system.recorder).ok,

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from repro.core.config import RowaaConfig
 from repro.harness.parallel import Cell, run_table
-from repro.harness.runner import build_scheme, cell_seed, outage, wind_down
+from repro.harness.runner import build_scheme, outage, tagged_seed, wind_down
 from repro.harness.tables import Table
 from repro.wal import WalConfig
 
@@ -38,32 +38,22 @@ def plan(
     truncated_cell: bool = True,
 ) -> list[Cell]:
     """mode x missed grid, plus one truncated-peer cell per mode."""
-    cells = [
-        Cell(
+
+    def cell(mode: str, missed: int, truncate: bool) -> Cell:
+        return Cell(
             "e9",
             _one_cell,
             dict(
-                seed=seed, n_sites=n_sites, n_items=n_items,
-                missed=missed, mode=mode, truncate=False,
+                seed=seed, seed_tag=("e9", mode, missed, truncate),
+                n_sites=n_sites, n_items=n_items, missed=missed, mode=mode,
+                truncate=truncate, log_ship_batch=8, drain=600.0,
             ),
-            dict(mode=mode, missed=missed, truncated=False),
+            dict(mode=mode, missed=missed, truncated=truncate),
         )
-        for mode in modes
-        for missed in missed_updates
-    ]
+
+    cells = [cell(mode, missed, False) for mode in modes for missed in missed_updates]
     if truncated_cell:
-        for mode in modes:
-            cells.append(
-                Cell(
-                    "e9",
-                    _one_cell,
-                    dict(
-                        seed=seed, n_sites=n_sites, n_items=n_items,
-                        missed=max(missed_updates), mode=mode, truncate=True,
-                    ),
-                    dict(mode=mode, missed=max(missed_updates), truncated=True),
-                )
-            )
+        cells += [cell(mode, max(missed_updates), True) for mode in modes]
     return cells
 
 
@@ -112,33 +102,43 @@ def _state_fingerprint(system, site_id, n_items):
     return hashlib.sha256(text.encode()).hexdigest()[:12]
 
 
-def _run_outage(seed, n_sites, n_items, missed, mode, truncate):
+def _one_cell(**params):
+    """The grid's cell: the world under the plain builder, result only."""
+    return scenario(build_scheme, **params)[2]
+
+
+def scenario(
+    build, seed, seed_tag, mode, truncate, n_sites, n_items, missed,
+    log_ship_batch, drain,
+):
+    """The last site misses ``missed`` updates, reboots, and gets
+    ``drain`` units to catch up over the ``mode`` transport.
+
+    Under ``log_ship`` a trace shows the wal.ship RPC pages, the
+    copier-kind apply transactions, and the wal.checkpoint/restore
+    spans around them.
+    """
     items = {f"X{i}": 0 for i in range(n_items)}
     rowaa_config = RowaaConfig(
-        copier_mode="eager", catchup_mode=mode, log_ship_batch=8
+        copier_mode="eager", catchup_mode=mode, log_ship_batch=log_ship_batch
     )
     wal_config = (
         WalConfig(checkpoint_every=4, retain_records=0) if truncate else WalConfig()
     )
-    kernel, system = build_scheme(
-        "rowaa", cell_seed("e9", seed, mode, missed, truncate), n_sites, items,
+    kernel, system = build(
+        "rowaa", tagged_seed(seed_tag, seed), n_sites, items,
         rowaa_config=rowaa_config, wal_config=wal_config,
     )
     victim = n_sites
     writes = [(f"X{index % n_items}", 100 + index) for index in range(missed)]
     drill = outage(kernel, system, victim, writes)
-    kernel.run(until=kernel.now + 600.0)
+    kernel.run(until=kernel.now + drain)
     wind_down(kernel, system)
-    net_bytes = system.cluster.network.stats.bytes_sent - drill.bytes_before
-    return kernel, system, victim, drill.power_at, net_bytes
-
-
-def _summarise(kernel, system, victim, power_at, net_bytes, n_items):
     copiers = system.copiers[victim]
     stats = copiers.stats
     drained = copiers.drained_at
-    return {
-        "net_bytes": net_bytes,
+    return kernel, system, {
+        "net_bytes": system.cluster.network.stats.bytes_sent - drill.bytes_before,
         "shipped": stats.records_shipped,
         "applied": stats.ship_applied,
         "validated": stats.ship_validated,
@@ -147,37 +147,6 @@ def _summarise(kernel, system, victim, power_at, net_bytes, n_items):
         "fell_back": int(
             stats.ship_fallback_truncated > 0 or stats.ship_fallback_items > 0
         ),
-        "t_fully_current": (drained - power_at) if drained is not None else None,
+        "t_fully_current": (drained - drill.power_at) if drained is not None else None,
         "state": _state_fingerprint(system, victim, n_items),
     }
-
-
-def _one_cell(seed, n_sites, n_items, missed, mode, truncate):
-    kernel, system, victim, power_at, net_bytes = _run_outage(
-        seed, n_sites, n_items, missed, mode, truncate
-    )
-    return _summarise(kernel, system, victim, power_at, net_bytes, n_items)
-
-
-def traced_scenario(build, seed: int = 0):
-    """One traced log-shipping recovery for ``repro trace``.
-
-    The trace shows the wal.ship RPC pages, the copier-kind apply
-    transactions, and the wal.checkpoint/restore spans around them.
-    """
-    n_sites, n_items, missed = 3, 12, 6
-    items = {f"X{i}": 0 for i in range(n_items)}
-    kernel, system, obs = build(
-        "rowaa", cell_seed("e9-trace", seed), n_sites, items,
-        rowaa_config=RowaaConfig(
-            copier_mode="eager", catchup_mode="log_ship", log_ship_batch=4
-        ),
-    )
-    victim = n_sites
-    writes = [(f"X{index}", 100 + index) for index in range(missed)]
-    drill = outage(kernel, system, victim, writes)
-    kernel.run(until=kernel.now + 400.0)
-    wind_down(kernel, system)
-    net_bytes = system.cluster.network.stats.bytes_sent - drill.bytes_before
-    summary = _summarise(kernel, system, victim, drill.power_at, net_bytes, n_items)
-    return kernel, system, obs, summary

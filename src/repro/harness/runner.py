@@ -2,26 +2,31 @@
 
 Three things live here and nowhere else:
 
-* :data:`EXPERIMENTS` — the registry: every experiment's module, title,
-  CLI scales and traced scenarios. ``repro list``/``eN``/``all`` and
-  every scenario-running subcommand read this one table.
+* :data:`EXPERIMENTS` — the registry: every experiment's module, title
+  and *parameter sets*: the ``full``/``small`` scales of its grid and,
+  under ``scenarios``, the set each traced scenario runs its world at.
+  ``repro list``/``eN``/``all`` and every scenario-running subcommand
+  read this one table, so it says what every CLI run of an experiment is.
 * scheme construction — :func:`build_scheme` for grid cells,
   :func:`build_traced_scheme` for traced runs (both through
-  :func:`repro.baselines.build_system`, the one scheme table); the
-  latter is the only code that knows which probes exist and how they
-  attach.
-* :func:`run_traced` — runs a traced scenario with the probe keywords
-  bound into the builder it hands over, and closes the open spans.
+  :func:`repro.baselines.build_system`, the one scheme table, both
+  returning ``(kernel, system)``); the latter is the only code that
+  knows which probes exist and how they attach.
+* :func:`run_traced` — runs a scenario with the probe keywords bound
+  into the builder it hands over, and closes the open spans.
 
-The experiment grids are no good for ``repro trace`` and friends: their
-cells run inside worker processes, where the
-:class:`~repro.obs.Observability` bundle (and its span stream) would be
-lost at the pickle boundary. Each experiment module therefore exposes a
-``traced_scenario(build, seed, ...)`` that mirrors one representative
-cell of its grid on a small configuration, calls ``build`` exactly like
-:func:`build_traced_scheme` (minus the probe keywords) and returns
-``(kernel, system, obs, summary)`` — ``summary`` being a small dict of
-the numbers the mirrored cell would have reported.
+An experiment's world is written once: its module's ``scenario(build,
+seed, **params) -> (kernel, system, result)`` builds the system with
+``build`` (called like :func:`build_scheme`), drives it, and reads
+``result`` off — a dict of the numbers it measured. The grid and the
+traced run are that one function at two parameter sets, so ``repro
+trace/audit/metrics/latency/profile/schedfuzz`` look at the world the
+table measured. A grid cell still needs a module-level adapter around
+it: cells run inside worker processes and are pickled by reference, and
+a kernel and a system do not cross back — the adapter binds
+:func:`build_scheme` and returns what the table needs of ``result``
+and the finished system. The pickle boundary is about *where* a world
+runs, never *what* runs.
 """
 
 from __future__ import annotations
@@ -42,11 +47,25 @@ from repro.storage.catalog import Catalog
 from repro.system import DatabaseSystem
 from repro.txn.config import TxnConfig
 
+#: The traced runs of E10 and E11: one parameter set per experiment, its
+#: two scenarios differ in the compared path alone.
+_E10_TRACE = dict(
+    n_sites=4, n_items=48, duration=400.0, mtbf=600, n_clients=4,
+    per_client_streams=True,
+)
+_E11_TRACE = dict(
+    n_sites=4, n_items=32, duration=400.0, mtbf=400, n_clients=4,
+    per_client_streams=True,
+)
+
 #: id -> ``module`` (under :mod:`repro.harness.experiments`), ``title``,
-#: the ``full``/``small`` parameter scales of the CLI, and ``scenarios``:
-#: traced-scenario name -> extra keywords of the module's
-#: ``traced_scenario``, baseline first — the order ``repro latency``
-#: runs an experiment's scenarios in.
+#: the ``full``/``small`` parameter scales of the CLI's grid (keywords
+#: of the module's ``plan``), and ``scenarios``: traced-scenario name ->
+#: the keywords its run binds on the module's ``scenario``, baseline
+#: first — the order ``repro latency`` runs an experiment's scenarios
+#: in. ``per_client_streams`` is what lets ``repro schedfuzz`` reorder
+#: clients without changing their programs; a ``seed_tag`` names the
+#: kernel-seed derivation (:func:`tagged_seed`).
 EXPERIMENTS: dict[str, dict] = {
     "e1": {
         "module": "e1_availability",
@@ -55,63 +74,85 @@ EXPERIMENTS: dict[str, dict] = {
                      load_duration=300.0),
         "small": dict(n_sites=4, replication=2, n_items=8, max_failed=2,
                       load_duration=150.0),
-        "scenarios": {"e1": {}},
+        "scenarios": {"e1": dict(
+            seed_tag=("e1-trace",), n_sites=4, replication=2, n_items=8,
+            n_clients=3, load_duration=120.0, horizon=150.0,
+            per_client_streams=True,
+        )},
     },
     "e2": {
         "module": "e2_resume",
         "title": "recovery latency vs missed updates",
         "full": dict(n_items=24, missed_updates=(0, 8, 24, 48)),
         "small": dict(n_items=12, missed_updates=(0, 6, 12)),
-        "scenarios": {"e2": {}},
+        "scenarios": {"e2": dict(
+            scheme="rowaa", n_sites=3, n_items=8, missed=6, drain=1500.0,
+        )},
     },
     "e3": {
         "module": "e3_overhead",
         "title": "failure-free overhead",
         "full": dict(site_counts=(3, 5, 7), load_duration=400.0, repeats=3),
         "small": dict(site_counts=(3,), load_duration=200.0, repeats=1),
-        "scenarios": {"e3": {}},
+        "scenarios": {"e3": dict(
+            scheme="rowaa", n_sites=3, n_items=12, load_duration=150.0,
+            n_clients=4, per_client_streams=True,
+        )},
     },
     "e4": {
         "module": "e4_copiers",
         "title": "copier scheduling strategies",
         "full": dict(n_items=24, stale_fraction=0.5, read_duration=500.0),
         "small": dict(n_items=12, stale_fraction=0.5, read_duration=250.0),
-        "scenarios": {"e4": {}},
+        "scenarios": {"e4": dict(
+            seed_tag=("e4-trace",), mode="eager", n_sites=3, n_items=8,
+            stale_fraction=0.5, n_clients=2, read_duration=120.0, horizon=200.0,
+            per_client_streams=True,
+        )},
     },
     "e5": {
         "module": "e5_identification",
         "title": "out-of-date identification policies",
         "full": dict(n_items=24, update_fractions=(0.125, 0.5, 1.0)),
         "small": dict(n_items=12, update_fractions=(0.25, 1.0)),
-        "scenarios": {"e5": {}},
+        "scenarios": {"e5": dict(
+            seed_tag=("e5-trace",), policy="mark-all", n_sites=3, n_items=8,
+            fraction=0.5, drain=1500.0,
+        )},
     },
     "e6": {
         "module": "e6_multifailure",
         "title": "multiple/cascading failures",
         "full": dict(trials=6),
         "small": dict(trials=2),
-        "scenarios": {"e6": {}},
+        "scenarios": {"e6": dict(drill="crash-during-t1", n_sites=4, n_items=8)},
     },
     "e7": {
         "module": "e7_control_cost",
         "title": "control/status maintenance cost",
         "full": dict(item_counts=(4, 16, 48)),
         "small": dict(item_counts=(4, 16)),
-        "scenarios": {"e7": {}},
+        "scenarios": {"e7": dict(scheme="rowaa", n_sites=3, n_items=8, drain=500.0)},
     },
     "e8": {
         "module": "e8_serializability",
         "title": "one-serializability under failures",
         "full": dict(trials=5, duration=800.0),
         "small": dict(trials=2, duration=400.0),
-        "scenarios": {"e8": {}},
+        "scenarios": {"e8": dict(
+            scheme="rowaa", n_sites=3, n_items=8, duration=300.0, mtbf=150,
+            mttr=60, n_clients=4, grace=600.0, per_client_streams=True,
+        )},
     },
     "e9": {
         "module": "e9_catchup",
         "title": "catch-up transport: log-shipping vs item copy",
         "full": dict(n_items=24, missed_updates=(4, 16, 48)),
         "small": dict(n_items=12, missed_updates=(4, 12)),
-        "scenarios": {"e9": {}},
+        "scenarios": {"e9": dict(
+            seed_tag=("e9-trace",), mode="log_ship", truncate=False, n_sites=3,
+            n_items=12, missed=6, log_ship_batch=4, drain=400.0,
+        )},
     },
     "e10": {
         "module": "e10_commit_modes",
@@ -119,8 +160,8 @@ EXPERIMENTS: dict[str, dict] = {
         "full": dict(trials=4, duration=600.0),
         "small": dict(trials=2, duration=300.0),
         "scenarios": {
-            "e10sync": {"mode": "sync_2pc"},
-            "e10": {"mode": "async_quorum"},
+            "e10sync": {"mode": "sync_2pc", **_E10_TRACE},
+            "e10": {"mode": "async_quorum", **_E10_TRACE},
         },
     },
     "e11": {
@@ -129,15 +170,17 @@ EXPERIMENTS: dict[str, dict] = {
         "full": dict(trials=4, duration=600.0),
         "small": dict(trials=2, duration=300.0),
         "scenarios": {
-            "e11sync": {"variant": "locking"},
-            "e11": {"variant": "mvcc"},
+            "e11sync": {"variant": "locking", **_E11_TRACE},
+            "e11": {"variant": "mvcc", **_E11_TRACE},
         },
     },
 }
 
 
 def experiment_module(eid: str) -> types.ModuleType:
-    """The experiment's module (``plan``/``assemble``/``run``/``traced_scenario``)."""
+    """The experiment's module: ``plan``/``assemble``/``run`` (its grid and
+    table) and ``scenario`` (its world, which every cell and every
+    traced run of it drives)."""
     return importlib.import_module(
         f"repro.harness.experiments.{EXPERIMENTS[eid]['module']}"
     )
@@ -200,13 +243,13 @@ def build_traced_scheme(
     schedule: typing.Any = None,
     races: bool = False,
     **kwargs: typing.Any,
-) -> tuple[Kernel, DatabaseSystem, Observability]:
+) -> tuple[Kernel, DatabaseSystem]:
     """Like :func:`build_scheme`, but with spans + timeline recording on.
 
-    The returned :class:`~repro.obs.Observability` carries the span
-    tree, timeline instants, and metrics registry for export after the
-    scenario runs. This is the one place that knows which probes exist
-    and how they attach; traced scenarios receive it from
+    The system's :class:`~repro.obs.Observability` (``system.obs``)
+    carries the span tree, timeline instants, and metrics registry for
+    export after the scenario runs. This is the one place that knows
+    which probes exist and how they attach; a scenario receives it from
     :func:`run_traced` with the probe keywords already bound.
 
     Every probe attaches through ``kernel.probes`` (its ``attach_*``
@@ -253,7 +296,7 @@ def build_traced_scheme(
         from repro.obs.profiler import attach_profiler
 
         attach_profiler(system)
-    return kernel, system, obs
+    return kernel, system
 
 
 @dataclasses.dataclass
@@ -274,16 +317,17 @@ class TracedRun:
 
 
 def scenario_names() -> list[str]:
-    """Every traced-scenario name of :data:`EXPERIMENTS`."""
-    return sorted(name for spec in EXPERIMENTS.values() for name in spec["scenarios"])
+    """Every traced-scenario name of :data:`EXPERIMENTS`, in its order."""
+    return [name for spec in EXPERIMENTS.values() for name in spec["scenarios"]]
 
 
 def traced_scenario(name: str) -> typing.Callable[..., tuple]:
-    """The named traced scenario as a ``(build, seed)`` callable."""
+    """The experiment's ``scenario`` at the named traced parameter set,
+    as a ``(build, seed)`` callable."""
     for eid, spec in EXPERIMENTS.items():
         if name in spec["scenarios"]:
             return functools.partial(
-                experiment_module(eid).traced_scenario, **spec["scenarios"][name]
+                experiment_module(eid).scenario, **spec["scenarios"][name]
             )
     raise ValueError(
         f"unknown experiment {name!r}; choose from {', '.join(scenario_names())}"
@@ -297,7 +341,8 @@ def run_traced(
 
     ``experiment`` names a scenario of :data:`EXPERIMENTS`, or is itself
     a callable of the scenario shape ``(build, seed) -> (kernel, system,
-    obs, summary)``. ``probes`` are :func:`build_traced_scheme`'s probe
+    result)``; the run's ``summary`` is ``result`` without its lists.
+    ``probes`` are :func:`build_traced_scheme`'s probe
     keywords (``audit``, ``sample_period``, ``profile``, ``schedule``,
     ``races``); they are bound into the ``build`` the scenario receives,
     so a scenario never names a probe. The returned run's ``obs``
@@ -313,11 +358,16 @@ def run_traced(
         scenario, name = experiment, getattr(experiment, "__name__", "custom")
     else:
         scenario, name = traced_scenario(experiment), experiment
-    kernel, system, obs, summary = scenario(
+    kernel, system, result = scenario(
         functools.partial(build_traced_scheme, **probes), seed
     )
-    obs.spans.finish_open()
-    return TracedRun(name, seed, kernel, system, obs, summary)
+    system.obs.spans.finish_open()
+    # A list in ``result`` is raw samples for the grid to pool across
+    # trials (E10/E11's latencies), not a summary line.
+    summary = {
+        key: value for key, value in result.items() if not isinstance(value, list)
+    }
+    return TracedRun(name, seed, kernel, system, system.obs, summary)
 
 
 def replicated_catalog(
@@ -347,6 +397,14 @@ def cell_seed(*parts: object) -> int:
     text = ":".join(str(part) for part in parts)
     digest = hashlib.sha256(text.encode()).digest()
     return int.from_bytes(digest[:4], "big")
+
+
+def tagged_seed(seed_tag: tuple, seed: int) -> int:
+    """The kernel seed of a world whose cells are told apart by more
+    than the master seed: :func:`cell_seed` of the tag's experiment
+    label, ``seed``, then the rest of the tag (``("e4", mode)`` for a
+    grid cell, ``("e4-trace",)`` for the traced run)."""
+    return cell_seed(seed_tag[0], seed, *seed_tag[1:])
 
 
 def settle(kernel: Kernel, system: DatabaseSystem, duration: float) -> None:

@@ -14,7 +14,6 @@ Pieces:
 * :mod:`repro.lint.registry` — the rule base class and rule registry.
 * :mod:`repro.lint.rules` — the REP001–REP006 rule implementations.
 * :mod:`repro.lint.suppress` — ``# replint: disable=RULE`` comments.
-* :mod:`repro.lint.baseline` — grandfathering of pre-existing findings.
 * :mod:`repro.lint.report` — human-readable and JSON reporters.
 * :mod:`repro.lint.cli` — the ``repro lint`` subcommand.
 

@@ -5,14 +5,13 @@ Usage (mirrors the trace/metrics/audit exit-code contract)::
     python -m repro lint                      # lint src/repro, human report
     python -m repro lint --json [--out f.json]
     python -m repro lint --path src/repro/core --rules REP001,REP002
-    python -m repro lint --update-baseline    # grandfather current findings
     python -m repro lint --changed            # only files differing from HEAD
     python -m repro lint --changed=origin/main
 
-Exit status: 0 clean (or baseline-only), 1 on any new error-severity
-finding, 2 on a usage error (unknown rule id — including inside a
-suppression directive — bad path, malformed baseline file, git failure
-under ``--changed``).
+Exit status: 0 clean, 1 on any error-severity finding, 2 on a usage
+error (unknown rule id — including inside a suppression directive — bad
+path, git failure under ``--changed``). A finding is fixed or
+suppressed in line (``# replint: disable=RULE``), or it fails.
 
 ``--changed [REF]`` intersects the lint targets with the files that
 differ from the git ref (default ``HEAD``), plus untracked files — the
@@ -27,7 +26,6 @@ import pathlib
 import subprocess
 import sys
 
-from repro.lint import baseline as baseline_mod
 from repro.lint.engine import LintEngine, LintUsageError
 from repro.lint.findings import Severity
 from repro.lint.registry import get_rule, rule_ids
@@ -35,7 +33,6 @@ from repro.lint.report import render_human, render_json
 
 #: Default lint root and target: the package sources.
 _DEFAULT_ROOT = pathlib.Path(__file__).resolve().parents[2]  # .../src
-_DEFAULT_BASELINE = "replint_baseline.json"
 
 
 class ChangedFilesError(Exception):
@@ -115,7 +112,6 @@ def run_lint(args: argparse.Namespace) -> int:
         )
         return 2
 
-    baseline_path = pathlib.Path(args.baseline or _DEFAULT_BASELINE)
     engine = LintEngine(root, rules=rules)
     try:
         findings, stats = engine.lint(paths)
@@ -129,38 +125,15 @@ def run_lint(args: argparse.Namespace) -> int:
             print(f"lint: {problem}", file=sys.stderr)
         return 2
 
-    if args.update_baseline:
-        count = baseline_mod.save(baseline_path, findings)
-        print(
-            f"lint: baselined {len(findings)} finding(s) "
-            f"({count} distinct entries) into {baseline_path}"
-        )
-        return 0
-
-    try:
-        known = baseline_mod.load(baseline_path)
-    except baseline_mod.BaselineError as exc:
-        print(f"lint: {exc}", file=sys.stderr)
-        return 2
-    new, grandfathered = baseline_mod.partition(findings, known)
-
-    report = (
-        render_json(new, grandfathered, stats)
-        if args.json
-        else render_human(new, grandfathered, stats)
-    )
+    report = (render_json if args.json else render_human)(findings, stats)
     if args.out:
         pathlib.Path(args.out).write_text(report + "\n", encoding="utf-8")
         print(f"lint: wrote report to {args.out}")
     else:
         print(report)
 
-    has_new_errors = any(f.severity is Severity.ERROR for f in new)
-    if has_new_errors:
-        n_errors = sum(1 for f in new if f.severity is Severity.ERROR)
-        print(
-            f"lint: {n_errors} new error finding(s)  << VIOLATION",
-            file=sys.stderr,
-        )
+    n_errors = sum(1 for f in findings if f.severity is Severity.ERROR)
+    if n_errors:
+        print(f"lint: {n_errors} error finding(s)  << VIOLATION", file=sys.stderr)
         return 1
     return 0

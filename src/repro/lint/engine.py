@@ -2,9 +2,7 @@
 
 Walks the requested paths, parses each ``.py`` file once, runs every
 in-scope rule over the shared :class:`~repro.lint.context.FileContext`,
-then filters the raw findings through suppression comments. Baseline
-filtering is the caller's business (:mod:`repro.lint.cli`), so library
-users (tests, the baseline gate) always see the full picture.
+then filters the raw findings through suppression comments.
 """
 
 from __future__ import annotations
@@ -71,9 +69,9 @@ def _header_end(tree: ast.Module) -> int:
 class LintEngine:
     """Run a rule set over files rooted at ``root``.
 
-    ``root`` anchors the relative paths that rule scopes, reports, and
-    baseline keys use — for this repository it is ``src/`` (so paths
-    read ``repro/core/rowaa.py``).
+    ``root`` anchors the relative paths that rule scopes and reports
+    use — for this repository it is ``src/`` (so paths read
+    ``repro/core/rowaa.py``).
     """
 
     def __init__(

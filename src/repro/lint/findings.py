@@ -4,15 +4,14 @@ from __future__ import annotations
 
 import dataclasses
 import enum
-import hashlib
 
 
 class Severity(enum.Enum):
     """How a finding affects the exit code.
 
-    ``ERROR`` findings fail the gate (exit 1) unless baselined or
-    suppressed; ``ADVICE`` findings are reported and baselineable but
-    never fail the gate on their own (REP006 is advisory: ``__slots__``
+    ``ERROR`` findings fail the gate (exit 1) unless suppressed;
+    ``ADVICE`` findings are reported but never fail the gate on their
+    own (REP006 is advisory: ``__slots__``
     is a perf nicety, not a correctness invariant).
     """
 
@@ -25,8 +24,8 @@ class Finding:
     """One rule violation at one source location.
 
     ``path`` is the file's path relative to the lint root, in POSIX
-    form, so findings (and the baseline file) are stable across
-    machines and operating systems.
+    form, so findings are stable across machines and operating
+    systems.
     """
 
     rule: str
@@ -36,18 +35,6 @@ class Finding:
     col: int
     message: str
     snippet: str = ""
-
-    @property
-    def baseline_key(self) -> str:
-        """Identity used for grandfathering.
-
-        Keyed on the *content* of the offending line (hashed), not its
-        number, so unrelated edits that shift lines do not un-baseline
-        old findings — but any change to the flagged line itself makes
-        the finding count as new.
-        """
-        digest = hashlib.sha256(self.snippet.strip().encode()).hexdigest()[:12]
-        return f"{self.path}::{self.rule}::{digest}"
 
     def render(self) -> str:
         """One-line human-readable form (path:line:col style)."""

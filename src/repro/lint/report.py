@@ -9,52 +9,37 @@ from repro.lint.findings import Finding, Severity
 from repro.lint.registry import all_rules
 
 
-def render_human(
-    new: list[Finding],
-    baselined: list[Finding],
-    stats: dict[str, object],
-) -> str:
+def render_human(findings: list[Finding], stats: dict[str, object]) -> str:
     """The terminal report: findings, then a one-paragraph summary."""
     lines: list[str] = []
-    for finding in new:
+    for finding in findings:
         lines.append(finding.render())
-    if new:
+    if findings:
         lines.append("")
-    by_rule = collections.Counter(f.rule for f in new)
+    by_rule = collections.Counter(f.rule for f in findings)
     rule_part = ", ".join(f"{rule}×{count}" for rule, count in sorted(by_rule.items()))
-    errors = sum(1 for f in new if f.severity is Severity.ERROR)
-    advice = len(new) - errors
+    errors = sum(1 for f in findings if f.severity is Severity.ERROR)
+    advice = len(findings) - errors
     lines.append(
         f"replint: {stats['files']} files, {errors} error(s), "
-        f"{advice} advisory, {len(baselined)} baselined, "
-        f"{stats['suppressed']} suppressed"
+        f"{advice} advisory, {stats['suppressed']} suppressed"
         + (f"  [{rule_part}]" if rule_part else "")
     )
     return "\n".join(lines)
 
 
-def render_json(
-    new: list[Finding],
-    baselined: list[Finding],
-    stats: dict[str, object],
-) -> str:
-    """The ``--json`` report (schema documented in STATIC_ANALYSIS.md).
-
-    ``findings`` holds only non-baselined findings — the ones that
-    drive the exit code; grandfathered ones appear as a count, keeping
-    CI output focused on what a PR introduced.
-    """
-    errors = sum(1 for f in new if f.severity is Severity.ERROR)
+def render_json(findings: list[Finding], stats: dict[str, object]) -> str:
+    """The ``--json`` report (schema documented in STATIC_ANALYSIS.md)."""
+    errors = sum(1 for f in findings if f.severity is Severity.ERROR)
     payload = {
         "version": 1,
         "rules": {rule.id: rule.title for rule in all_rules()},
         "counts": {
             "files": stats["files"],
             "errors": errors,
-            "advice": len(new) - errors,
-            "baselined": len(baselined),
+            "advice": len(findings) - errors,
             "suppressed": stats["suppressed"],
         },
-        "findings": [finding.to_json() for finding in new],
+        "findings": [finding.to_json() for finding in findings],
     }
     return json.dumps(payload, indent=2)

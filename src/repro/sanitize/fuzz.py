@@ -39,8 +39,8 @@ from repro.sanitize.shrink import ddmin
 
 #: A traced scenario, as :func:`repro.harness.runner.run_traced` takes
 #: it: a scenario name of the experiment registry, or a callable with
-#: the ``(build, seed)`` shape of an experiment module's
-#: ``traced_scenario``.
+#: the ``(build, seed) -> (kernel, system, result)`` shape of an
+#: experiment module's ``scenario`` with its parameters bound.
 Scenario = typing.Union[str, typing.Callable[..., tuple]]
 
 

@@ -33,7 +33,7 @@ def _read(item):
 
 
 def _build(config=None, **kwargs):
-    kernel, system, _obs = build_traced_scheme(
+    kernel, system = build_traced_scheme(
         "rowaa", 11, 3, {"X": 0, "Y": 0}, **kwargs
     )
     auditor = attach_auditor(system, config)

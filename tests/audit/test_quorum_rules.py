@@ -27,7 +27,7 @@ def _build(config=None, **kwargs):
     kwargs.setdefault(
         "txn_config", TxnConfig(rpc_timeout=20.0, commit_mode="async_quorum")
     )
-    kernel, system, _obs = build_traced_scheme(
+    kernel, system = build_traced_scheme(
         "rowaa", 11, 3, {"X": 0, "Y": 0}, **kwargs
     )
     auditor = attach_auditor(system, config)

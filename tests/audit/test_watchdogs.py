@@ -5,7 +5,7 @@ from repro.harness.runner import build_traced_scheme
 
 
 def _build(config, **kwargs):
-    kernel, system, _obs = build_traced_scheme(
+    kernel, system = build_traced_scheme(
         "rowaa", 13, 3, {"X": 0, "Y": 0}, **kwargs
     )
     return kernel, system, attach_auditor(system, config)

@@ -111,10 +111,11 @@ class TestOneWritePath:
         from repro.audit import attach_auditor
         from repro.harness.runner import build_traced_scheme
 
-        kernel, system, obs = build_traced_scheme(
+        kernel, system = build_traced_scheme(
             "quorum", seed, 3, {"X": 0, "Y": 0},
             txn_config=TxnConfig(rpc_timeout=20.0, commit_mode="async_quorum"),
         )
+        obs = system.obs
         return kernel, system, obs, attach_auditor(system)
 
     def test_async_quorum_commits_on_the_pipelined_path(self):

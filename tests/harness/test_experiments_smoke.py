@@ -14,6 +14,8 @@ from repro.harness.experiments import (
     e7_control_cost,
     e8_serializability,
     e9_catchup,
+    e10_commit_modes,
+    e11_snapshot_reads,
 )
 
 
@@ -95,3 +97,25 @@ def test_e9_smoke():
     (trunc,) = table.where(mode="log_ship", truncated=True)
     assert trunc["fell_back"] == 1
     assert trunc["state"] == table.where(mode="item_copy", truncated=True)[0]["state"]
+
+
+def test_e10_smoke():
+    table = e10_commit_modes.run(seed=1, trials=1, n_items=16, duration=200.0)
+    sync, quorum = table.rows  # sync baseline first
+    assert (sync["mode"], quorum["mode"]) == ("sync_2pc", "async_quorum")
+    for row in table.rows:
+        assert row["committed"] > 0
+        assert row["one_sr_ok"] == row["theorem3_ok"] == row["runs"] == 1
+    # The fast path acks after one network round, the baseline after two.
+    assert quorum["ack_p50"] < sync["ack_p50"]
+
+
+def test_e11_smoke():
+    table = e11_snapshot_reads.run(seed=1, trials=1, n_items=16, duration=200.0)
+    locking, mvcc = table.rows  # locking baseline first
+    assert (locking["variant"], mvcc["variant"]) == ("locking", "mvcc")
+    for row in table.rows:
+        assert row["ro_committed"] > 0 and row["rw_committed"] > 0
+        assert row["one_sr_ok"] == row["theorem3_ok"] == row["runs"] == 1
+    # Only the snapshot path serves reads from a provably stale site.
+    assert locking["ro_recovering"] == 0

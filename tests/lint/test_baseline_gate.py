@@ -1,55 +1,21 @@
-"""The ratchet: ``src/`` stays replint-clean and the baseline never grows.
+"""The gate: ``src/`` stays replint-clean.
 
-Two invariants:
-
-* Linting the real package tree with every rule produces **zero**
-  unbaselined error findings — the same gate CI applies via
-  ``repro lint``.
-* The checked-in baseline file has exactly ``MAX_BASELINE_ENTRIES``
-  entries. A PR that fixes grandfathered findings should lower the
-  constant; a PR that *adds* entries to dodge the gate fails here.
+Linting the real package tree with every rule produces **zero** error
+findings — the same gate CI applies via ``repro lint``. Nothing is
+grandfathered: a finding is fixed or suppressed in line (``# replint:
+disable=RULE``), or it fails here.
 """
 
-import json
 import pathlib
 
-from repro.lint import baseline
 from repro.lint.engine import LintEngine
 from repro.lint.findings import Severity
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
-SRC_ROOT = REPO_ROOT / "src"
-BASELINE = REPO_ROOT / "replint_baseline.json"
-
-#: Ratchet: may only decrease. The tree was linted clean at introduction.
-MAX_BASELINE_ENTRIES = 0
+SRC_ROOT = pathlib.Path(__file__).resolve().parents[2] / "src"
 
 
 def test_source_tree_is_replint_clean():
     engine = LintEngine(SRC_ROOT)
     findings, _stats = engine.lint([SRC_ROOT / "repro"])
-    known = baseline.load(BASELINE)
-    new, _grandfathered = baseline.partition(findings, known)
-    new_errors = [f for f in new if f.severity is Severity.ERROR]
-    assert new_errors == [], "\n" + "\n".join(f.render() for f in new_errors)
-
-
-def test_baseline_never_grows():
-    raw = json.loads(BASELINE.read_text())
-    assert len(raw["entries"]) <= MAX_BASELINE_ENTRIES, (
-        "the replint baseline may only shrink; fix new findings instead "
-        "of baselining them"
-    )
-
-
-def test_baseline_entries_are_still_live():
-    """Every baseline entry still matches a real finding.
-
-    When a grandfathered violation is fixed, its entry must be removed
-    (``repro lint --update-baseline``) so the ratchet constant can drop.
-    """
-    engine = LintEngine(SRC_ROOT)
-    findings, _stats = engine.lint([SRC_ROOT / "repro"])
-    live_keys = {f.baseline_key for f in findings}
-    stale = set(baseline.load(BASELINE)) - live_keys
-    assert stale == set(), f"stale baseline entries: {sorted(stale)}"
+    errors = [f for f in findings if f.severity is Severity.ERROR]
+    assert errors == [], "\n" + "\n".join(f.render() for f in errors)

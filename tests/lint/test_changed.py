@@ -103,12 +103,7 @@ class TestChangedCli:
         monkeypatch.chdir(repo)
 
         def run(*extra):
-            return main([
-                "lint",
-                "--path", str(repo / "repro"),
-                "--baseline", str(repo / "baseline.json"),
-                *extra,
-            ])
+            return main(["lint", "--path", str(repo / "repro"), *extra])
 
         return run
 

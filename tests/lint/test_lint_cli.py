@@ -1,7 +1,7 @@
-"""The ``repro lint`` subcommand: exit codes, --json schema, baseline flow.
+"""The ``repro lint`` subcommand: exit codes and the --json schema.
 
-Exit-code contract (shared with trace/metrics/audit): 0 clean or
-baseline-only, 1 on new error findings, 2 on usage errors.
+Exit-code contract (shared with trace/metrics/audit): 0 clean, 1 on
+error findings, 2 on usage errors.
 """
 
 import json
@@ -28,22 +28,14 @@ def double(n: int) -> int:
 
 @pytest.fixture
 def sandbox(tmp_path, monkeypatch):
-    """A throwaway lint root with one target file and its own baseline."""
+    """A throwaway lint root with one target file."""
     monkeypatch.setattr(lint_cli, "_DEFAULT_ROOT", tmp_path)
     target = tmp_path / "repro" / "core" / "x.py"
     target.parent.mkdir(parents=True)
 
     def run(source, *extra):
         target.write_text(textwrap.dedent(source))
-        argv = [
-            "lint",
-            "--path",
-            str(target),
-            "--baseline",
-            str(tmp_path / "baseline.json"),
-            *extra,
-        ]
-        return main(argv)
+        return main(["lint", "--path", str(target), *extra])
 
     return run
 
@@ -79,22 +71,6 @@ class TestExitCodes:
         assert sandbox(BAD_SOURCE, "--rules", "REP005") == 0
 
 
-class TestBaselineFlow:
-    def test_update_then_lint_is_clean(self, sandbox):
-        assert sandbox(BAD_SOURCE, "--update-baseline") == 0
-        assert sandbox(BAD_SOURCE) == 0  # grandfathered, not clean
-
-    def test_new_violation_on_top_of_baseline_fails(self, sandbox):
-        assert sandbox(BAD_SOURCE, "--update-baseline") == 0
-        grown = BAD_SOURCE + "\ntoken = random.getrandbits(32)\n"
-        assert sandbox(grown) == 1
-
-    def test_malformed_baseline_exits_two(self, sandbox, tmp_path, capsys):
-        (tmp_path / "baseline.json").write_text("{broken")
-        assert sandbox(CLEAN_SOURCE) == 2
-        assert "malformed baseline" in capsys.readouterr().err
-
-
 class TestJsonReport:
     def test_schema_and_counts(self, sandbox, capsys):
         assert sandbox(BAD_SOURCE, "--json") == 1
@@ -104,6 +80,7 @@ class TestJsonReport:
         assert payload["counts"]["files"] == 1
         assert payload["counts"]["errors"] == 1
         assert payload["counts"]["advice"] == 0
+        assert set(payload["counts"]) == {"files", "errors", "advice", "suppressed"}
         (finding,) = payload["findings"]
         assert finding["rule"] == "REP001"
         assert finding["severity"] == "error"
@@ -116,11 +93,3 @@ class TestJsonReport:
         assert sandbox(BAD_SOURCE, "--json", "--out", str(report)) == 1
         payload = json.loads(report.read_text())
         assert payload["counts"]["errors"] == 1
-
-    def test_baselined_findings_counted_not_listed(self, sandbox, capsys):
-        sandbox(BAD_SOURCE, "--update-baseline")
-        capsys.readouterr()
-        assert sandbox(BAD_SOURCE, "--json") == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["counts"]["baselined"] == 1
-        assert payload["findings"] == []

@@ -30,7 +30,7 @@ def _ro(system, site_id, items, out=None):
 
 
 def _build():
-    kernel, system, _obs = build_traced_scheme("rowaa", 11, 3, {"X": 0, "Y": 0})
+    kernel, system = build_traced_scheme("rowaa", 11, 3, {"X": 0, "Y": 0})
     auditor = attach_auditor(system, None)
     return kernel, system, auditor
 

@@ -225,10 +225,11 @@ class TestEndToEnd:
     def test_budget_sums_to_measured_ack_latency(self, mode):
         from repro.txn.config import TxnConfig
 
-        kernel, system, obs = build_traced_scheme(
+        kernel, system = build_traced_scheme(
             "rowaa", 7, 3, {"X": 0, "Y": 0},
             txn_config=TxnConfig(commit_mode=mode),
         )
+        obs = system.obs
         kernel.run(system.submit(1, _write_program("X", 1)))
         kernel.run(system.submit(1, _write_program("Y", 2)))
         kernel.run(until=kernel.now + 200.0)  # let async drains finish

@@ -73,9 +73,10 @@ class TestMetricCatalogDrift:
         from repro.harness.runner import build_traced_scheme
 
         documented = _catalog_tables()[3]
-        _kernel, _system, obs = build_traced_scheme(
+        _kernel, system = build_traced_scheme(
             "rowaa", 1, 3, {"X": 0}, sample_period=10.0
         )
+        obs = system.obs
         live = set(obs.sampler.series_names())
         assert documented == live, (
             f"undocumented: {sorted(live - documented)}; "

@@ -20,7 +20,8 @@ def _write_program(item, value):
 
 
 def _small_run():
-    kernel, system, obs = build_traced_scheme("rowaa", 3, 3, {"X": 0})
+    kernel, system = build_traced_scheme("rowaa", 3, 3, {"X": 0})
+    obs = system.obs
     kernel.run(system.submit(1, _write_program("X", 1)))
     system.stop()
     kernel.run(until=kernel.now + 5)

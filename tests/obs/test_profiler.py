@@ -149,9 +149,10 @@ class TestSystemIntegration:
     def test_traced_scheme_attributes_protocol_work(self):
         from repro.harness.runner import build_traced_scheme
 
-        kernel, system, obs = build_traced_scheme(
+        kernel, system = build_traced_scheme(
             "rowaa", 1, 3, {"X": 0}, profile=True
         )
+        obs = system.obs
         assert obs.profiler is not None
         kernel.run(system.submit(1, _write_x))
         kernel.run(until=kernel.now + 50)
@@ -169,9 +170,10 @@ class TestSystemIntegration:
         from repro.harness.runner import build_traced_scheme
         from repro.obs.report import recovery_timeline, render_recovery_timeline
 
-        kernel, system, obs = build_traced_scheme(
+        kernel, system = build_traced_scheme(
             "rowaa", 1, 3, {"X": 0}, profile=True
         )
+        obs = system.obs
         kernel.run(system.submit(1, _write_x))
         system.stop()
         report = recovery_timeline(system)
@@ -181,7 +183,8 @@ class TestSystemIntegration:
     def test_attach_profiler_helper(self):
         from repro.harness.runner import build_traced_scheme
 
-        kernel, system, obs = build_traced_scheme("rowaa", 1, 3, {"X": 0})
+        kernel, system = build_traced_scheme("rowaa", 1, 3, {"X": 0})
+        obs = system.obs
         assert obs.profiler is None
         profiler = attach_profiler(system)
         assert obs.profiler is profiler

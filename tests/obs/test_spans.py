@@ -22,9 +22,10 @@ def _write_program(item, value):
 
 @pytest.fixture
 def traced():
-    kernel, system, obs = build_traced_scheme(
+    kernel, system = build_traced_scheme(
         "rowaa", 7, 3, {"X": 0, "Y": 0}
     )
+    obs = system.obs
     return kernel, system, obs
 
 

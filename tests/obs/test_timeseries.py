@@ -200,9 +200,10 @@ class TestAttachSampler:
     def test_standard_probe_set_on_live_system(self):
         from repro.harness.runner import build_traced_scheme
 
-        kernel, system, obs = build_traced_scheme(
+        kernel, system = build_traced_scheme(
             "rowaa", 7, 3, {"X": 0}, sample_period=10.0
         )
+        obs = system.obs
         assert obs.sampler is not None
         assert obs.sampler.series_names() == [
             "ts.aborted", "ts.committed", "ts.inflight_drains",
@@ -224,5 +225,6 @@ class TestAttachSampler:
     def test_default_off(self):
         from repro.harness.runner import build_traced_scheme
 
-        _kernel, _system, obs = build_traced_scheme("rowaa", 7, 3, {"X": 0})
+        _kernel, system = build_traced_scheme("rowaa", 7, 3, {"X": 0})
+        obs = system.obs
         assert obs.sampler is None

@@ -23,7 +23,7 @@ from repro.storage.copies import Version
 
 def _racy_scenario(build, seed=0):
     """Two sites; a session install racing a session-dependent commit."""
-    kernel, system, obs = build("rowaa", seed, 2, {"X0": 0})
+    kernel, system = build("rowaa", seed, 2, {"X0": 0})
     site1 = system.cluster.site(1)
     site2 = system.cluster.site(2)
     sessions = system.sessions[1]
@@ -46,7 +46,7 @@ def _racy_scenario(build, seed=0):
     kernel.process(installer()).defuse()
     kernel.process(decider()).defuse()
     kernel.run(until=20.0)
-    return kernel, system, obs, {"x0": site1.copies.get("X0").value}
+    return kernel, system, {"x0": site1.copies.get("X0").value}
 
 
 class TestDirectedAcceptance:
@@ -94,9 +94,9 @@ class TestDirectedAcceptance:
 
     def test_divergence_free_without_the_racy_handler(self):
         def quiet_scenario(build, seed=0):
-            kernel, system, obs = build("rowaa", seed, 2, {"X0": 0})
+            kernel, system = build("rowaa", seed, 2, {"X0": 0})
             kernel.run(until=20.0)
-            return kernel, system, obs, {}
+            return kernel, system, {}
 
         result = schedfuzz(quiet_scenario, seed=0, schedules=3, audit=False)
         assert not result.diverged

@@ -128,11 +128,11 @@ class TestDifferentialAgainstTheFullImage:
             def probed_build(*args, **kwargs):
                 if every is not None:
                     kwargs["wal_config"] = WalConfig(every, retain_records=4)
-                kernel, system, obs = build(*args, **kwargs)
+                kernel, system = build(*args, **kwargs)
                 kernel.probes.wal_checkpoint.append(
                     functools.partial(probe, system)
                 )
-                return kernel, system, obs
+                return kernel, system
 
             return traced_scenario(name)(probed_build, seed)
 
@@ -251,7 +251,7 @@ def _run_to_checkpoint(tear_after=None):
     items over a log the checkpoint will truncate; the checkpoint's
     stable puts raise after ``tear_after`` of them. Returns the puts the
     checkpoint made (or got through) and what the restart needs."""
-    kernel, system, _obs = build_traced_scheme(
+    kernel, system = build_traced_scheme(
         "rowaa", 11, 3, {name: 0 for name in "ABCD"},
         wal_config=WalConfig(checkpoint_every=10**9, retain_records=0),
     )

@@ -11,6 +11,28 @@ def test_list(capsys):
         assert key in out
 
 
+def test_list_names_every_traced_scenario(capsys):
+    """``e10sync``/``e11sync`` were discoverable only from the
+    unknown-experiment message; each experiment's line carries its
+    scenario names, baseline first."""
+    assert main(["list"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(EXPERIMENTS)
+    for line, spec in zip(lines, EXPERIMENTS.values()):
+        assert line.endswith(f"[traced: {', '.join(spec['scenarios'])}]")
+    assert lines[9].endswith("[traced: e10sync, e10]")
+    assert lines[10].endswith("[traced: e11sync, e11]")
+
+
+def test_unknown_scenario_lists_names_in_registry_order(capsys):
+    """Sorted lexicographically the message read ``e1, e10, e10sync,
+    e11, e11sync, e2, …``."""
+    assert main(["trace", "--experiment", "nope"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("trace: unknown experiment 'nope'; choose from e1, e2, e3, ")
+    assert err.rstrip().endswith("e9, e10sync, e10, e11sync, e11")
+
+
 def test_unknown_experiment(capsys):
     assert main(["e99"]) == 2
     assert "unknown experiment" in capsys.readouterr().err

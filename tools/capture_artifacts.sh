@@ -2,7 +2,7 @@
 # Capture every seed-determined CLI artifact of this checkout into OUTDIR,
 # for a byte-identity comparison against another checkout's capture
 # (tools/diff_artifacts.py A B). Run from the repo root of the tree to
-# capture; takes ~2 min. Exit codes of the gates are recorded in
+# capture; takes ~2.5 min. Exit codes of the gates are recorded in
 # OUTDIR/exit_codes.txt, not propagated (an audit alert is an artifact).
 set -u
 
@@ -34,6 +34,12 @@ for e in $SCENARIOS; do
         --out "audit_$e.jsonl"
     run "metrics_$e" python -m repro metrics --experiment "$e" --seed 1 \
         --out "metrics_$e.json"
+    # The sim-time flamegraphs are seed-determined (the span tree's
+    # shape); profile's stdout is host CPU seconds, so it is dropped.
+    python -m repro profile --experiment "$e" --seed 1 \
+        --folded "profile_$e.folded.txt" \
+        --speedscope "profile_$e.speedscope.json" > /dev/null 2>&1
+    echo "profile_$e $?" >> exit_codes.txt
 done
 for e in e10 e11; do
     run "latency_$e" python -m repro latency --experiment "$e" --seed 1 \
