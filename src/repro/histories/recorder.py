@@ -17,8 +17,8 @@ as physical write records for the 1-STG construction.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
+import typing
 
 INITIAL_TXN = "T0@0"
 """Name of the implicit initial transaction that wrote every copy (§4)."""
@@ -29,9 +29,9 @@ class OpType(enum.Enum):
     WRITE = "w"
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class Op:
-    """One physical operation in the history.
+class Op(typing.NamedTuple):
+    """One physical operation in the history (an immutable named tuple:
+    one is recorded per read and per applied write).
 
     ``version_seq`` is the original writer's sequence number: for a READ,
     the provenance of the value observed; for a WRITE, the writer itself
@@ -132,17 +132,8 @@ class HistoryRecorder:
         self.kinds[txn_id] = kind
         self.ops.append(
             Op(
-                index=len(self.ops),
-                time=time,
-                txn_id=txn_id,
-                txn_seq=txn_seq,
-                kind=kind,
-                op=op,
-                item=item,
-                site=site,
-                version_seq=version_seq,
-                version_ts=version_ts,
-                version_commit=version_commit,
+                len(self.ops), time, txn_id, txn_seq, kind, op, item, site,
+                version_seq, version_ts, version_commit,
             )
         )
 

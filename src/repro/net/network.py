@@ -16,7 +16,6 @@ from repro.errors import NetworkError
 from repro.net.latency import ConstantLatency, LatencyModel
 from repro.net.messages import Message
 from repro.sim.kernel import Kernel
-from repro.sim.queue import Queue
 
 #: Fixed per-message envelope size (headers, ids) used by the byte
 #: accounting; payloads add their own ``wire_size`` when they define one.
@@ -83,18 +82,42 @@ class NetworkStats:
 
 
 class Endpoint:
-    """A site's attachment point: an inbox plus an up/down flag."""
+    """A site's attachment point: an inbox, an up/down flag, and at most
+    one parked receiver, which a delivery wakes in an event of its own."""
+
+    __slots__ = ("kernel", "site_id", "inbox", "receiving", "_receiver")
 
     def __init__(self, kernel: Kernel, site_id: int) -> None:
+        self.kernel = kernel
         self.site_id = site_id
-        self.inbox: Queue = Queue(kernel, name=f"inbox[{site_id}]")
+        self.inbox: collections.deque[Message] = collections.deque()
         self.receiving = True
+        self._receiver: tuple[typing.Callable[..., None], tuple] | None = None
+
+    def put(self, msg: Message) -> None:
+        """Hand ``msg`` to the parked receiver, else queue it."""
+        receiver = self._receiver
+        if receiver is None:
+            self.inbox.append(msg)
+        else:
+            self._receiver = None
+            fn, args = receiver
+            self.kernel.schedule_callback(0.0, fn, *args, msg)
+
+    def receive(self, fn: typing.Callable[..., None], *args: object) -> None:
+        """Take the next message, once: ``fn(*args, msg)`` runs in a
+        kernel event of its own — scheduled now if one is queued, else
+        by the delivery that brings it. :meth:`go_down` forgets it."""
+        if self.inbox:
+            self.kernel.schedule_callback(0.0, fn, *args, self.inbox.popleft())
+        else:
+            self._receiver = (fn, args)
 
     def go_down(self) -> None:
         """Stop receiving and drop everything queued (volatile state)."""
         self.receiving = False
         self.inbox.clear()
-        self.inbox.cancel_waiters()
+        self._receiver = None
 
     def go_up(self) -> None:
         """Resume receiving messages."""
@@ -218,7 +241,7 @@ class Network:
     def _deliver_local(self, dst: Endpoint, msg: Message) -> None:
         if dst.receiving:
             self.stats.local_delivered += 1
-            dst.inbox.put(msg)
+            dst.put(msg)
         else:
             self.stats.dropped_local_down += 1
 
@@ -231,6 +254,6 @@ class Network:
             stats.delivered += 1
             stats.delivered_by_kind[msg.kind] += 1
             stats.bytes_delivered += size
-            dst.inbox.put(msg)
+            dst.put(msg)
         else:
             self.stats.dropped_dst_down += 1

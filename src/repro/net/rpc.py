@@ -1,21 +1,24 @@
 """Request/reply messaging on top of :class:`~repro.net.network.Network`.
 
-Each site runs one :class:`RpcNode`. Incoming requests are dispatched to
-registered handlers, each in its own kernel event (so dispatch order, not
-call depth, decides who runs first): the handler is called from a plain
-callback, and only one that returns a generator gets a simulated process —
-which adopts the generator inside that same event — so that a handler
-blocked on a lock does not stall the site. Every serve ends in
-:meth:`RpcNode._served`. Handler exceptions derived from
-:class:`~repro.errors.ReproError` propagate to the caller as-is (this is
-how :class:`~repro.errors.SessionMismatch` reaches the requesting TM, per
-§3.1 of the paper); any other exception is a bug and is wrapped in
-:class:`RemoteError`.
+Each site runs one :class:`RpcNode`, whose inbox is drained by a kernel
+callback parked on its endpoint (:meth:`RpcNode._receive`). Incoming
+requests are dispatched to registered handlers, each in its own kernel
+event (so dispatch order, not call depth, decides who runs first): the
+handler is called from a plain callback, and only one that returns a
+generator gets a simulated process — which adopts the generator inside
+that same event — so that a handler blocked on a lock does not stall the
+site. Every serve ends in :meth:`RpcNode._served`. Handler exceptions
+derived from :class:`~repro.errors.ReproError` propagate to the caller
+as-is (this is how :class:`~repro.errors.SessionMismatch` reaches the
+requesting TM, per §3.1 of the paper); any other exception is a bug and
+is wrapped in :class:`RemoteError`.
 
 Kernel events per served request: one (the start callback), plus one per
-resume of a handler that yields, plus — for a batch sub-call only — one
-completion callback, which is where the ``rpc.batch.reply`` is sent. A
-serve's own completion schedules and sends nothing, so it is not an event.
+resume of a handler that returns a generator, plus — for a batch sub-call
+only — one completion callback, which is where the ``rpc.batch.reply`` is
+sent. A serve's own completion schedules and sends nothing, so it is not
+an event. Receiving costs one event per inbox wake-up (messages queued
+behind the one in hand ride along) and one per start; a stop costs none.
 
 Call futures are created *defused*: when a caller dies in a site crash,
 the late reply or timeout that would have woken it must not be reported as
@@ -36,8 +39,8 @@ protocol only changes when there is something to coalesce.
 from __future__ import annotations
 
 import functools
-import inspect
 import typing
+from types import GeneratorType
 
 from repro.errors import Interrupt, NetworkError, ReproError, RpcTimeout
 from repro.net.messages import BatchCalls, BatchResults, Message
@@ -74,8 +77,19 @@ class RemoteError(NetworkError):
         self.original = original
 
 
+class DispatchStrand:
+    """One incarnation of a node's inbox drain (start to stop): what its
+    steps pass to the ``step_enter`` / ``step_exit`` probes, so a race
+    detector sees one strand with one clock, as for a process."""
+
+    __slots__ = ("name",)
+
+    def __init__(self, name: str) -> None:
+        self.name = name
+
+
 class RpcNode:
-    """Per-site RPC endpoint: handler registry, dispatcher, caller API."""
+    """Per-site RPC endpoint: handler registry, inbox drain, caller API."""
 
     __slots__ = (
         "kernel",
@@ -88,7 +102,7 @@ class RpcNode:
         "stats_decisions_piggybacked",
         "_handlers",
         "_pending",
-        "_dispatcher",
+        "_strand",
         "_servers",
         "_serve_seq",
         "_serve_names",
@@ -118,10 +132,11 @@ class RpcNode:
         #: skipped when its heap entry surfaces, instead of firing into a
         #: dead ``_pending`` entry.
         self._pending: dict[int, tuple[Future, Callback | None]] = {}
-        self._dispatcher: Process | None = None
+        #: The running incarnation of the inbox drain; None while stopped.
+        self._strand: DispatchStrand | None = None
         #: Serves in flight, in dispatch order (the order stop() tears
-        #: them down in): serve number -> the process driving a handler
-        #: that yielded, or None while the serve is dispatched but not
+        #: them down in): serve number -> the process driving a handler's
+        #: generator, or None while the serve is dispatched but not
         #: started (or is a plain handler running right now).
         self._servers: dict[int, Process | None] = {}
         self._serve_seq = 0
@@ -136,25 +151,21 @@ class RpcNode:
 
     @property
     def running(self) -> bool:
-        """True while the dispatcher process is alive."""
-        return self._dispatcher is not None and self._dispatcher.is_alive
+        """True from :meth:`start` to :meth:`stop`."""
+        return self._strand is not None
 
     def start(self) -> None:
         """Begin receiving: mark the endpoint up and start dispatching."""
         if self.running:
             return
         self.endpoint.go_up()
-        self._dispatcher = self.kernel.process(
-            self._dispatch(), name=f"rpc-dispatch[{self.site_id}]"
-        )
-        self._dispatcher.defuse()  # dies by Interrupt on stop(); that's expected
+        strand = self._strand = DispatchStrand(f"rpc-dispatch[{self.site_id}]")
+        self.kernel.schedule_callback(0.0, self._receive, strand, None)
 
     def stop(self) -> None:
-        """Crash-stop: kill dispatcher and servers, drop inbox and pending."""
+        """Crash-stop: drop inbox, drain, servers and pending calls."""
         self.endpoint.go_down()
-        if self._dispatcher is not None and self._dispatcher.is_alive:
-            self._dispatcher.interrupt("stop")
-        self._dispatcher = None
+        self._strand = None
         servers, self._servers = self._servers, {}
         for number, server in servers.items():
             if server is None:
@@ -196,7 +207,7 @@ class RpcNode:
         timeout: float | None = None,
         span_parent: int | None = None,
     ) -> Future:
-        """Send a request; the returned future yields the reply value.
+        """Send a request; the returned future resolves to the reply value.
 
         Fails with the remote :class:`~repro.errors.ReproError`, with
         :class:`RemoteError` for handler bugs, or with
@@ -302,22 +313,32 @@ class RpcNode:
 
     # -- server side -----------------------------------------------------------
 
-    def _dispatch(self) -> typing.Generator:
-        # Greedy drain: one wakeup handles every message already in the
-        # inbox. Beyond saving a kernel event per message, this is what
-        # lets outgoing batches form — all same-timestep replies complete
-        # their callers before any caller's follow-up flush fires, so the
-        # follow-up calls coalesce.
-        inbox = self.endpoint.inbox
-        join = self.kernel.probes.join
-        while True:
-            msg = yield inbox.get()
-            while True:
+    def _receive(self, strand: DispatchStrand, msg: Message | None) -> None:
+        """One step of the inbox drain ``strand``: dispatch ``msg`` (in
+        hand; None on a start) and every message queued behind it, then
+        park on the endpoint again — unless the node stopped since this
+        step was scheduled: the message in hand is still dispatched, as by
+        the dispatcher process this replaced, but nothing is parked.
+
+        Greedy drain: one wake-up handles every message already in the
+        inbox. Beyond saving a kernel event per message, this is what
+        lets outgoing batches form — all same-timestep replies complete
+        their callers before any caller's follow-up flush fires, so the
+        follow-up calls coalesce.
+        """
+        probes = self.kernel.probes
+        probed = probes.step_enter
+        if probed:
+            for fn in probed:
+                fn(strand)
+        try:
+            inbox = self.endpoint.inbox
+            while msg is not None:
                 # Happens-before message edge, joined per message even
                 # though the wake-up event may predate it: the greedy
                 # drain handles messages whose sender clocks the
-                # dispatch's scheduling edge did not carry.
-                for fn in join:
+                # wake-up's scheduling edge did not carry.
+                for fn in probes.join:
                     fn(msg.msg_id)
                 if msg.reply_to is not None:
                     self._complete_call(msg)
@@ -328,9 +349,13 @@ class RpcNode:
                         msg.kind, msg.payload, msg.src, msg.span_id,
                         functools.partial(self._reply, msg),
                     )
-                if not len(inbox):
-                    break
-                msg = inbox.get_nowait()
+                msg = inbox.popleft() if inbox else None
+            if strand is self._strand:
+                self.endpoint.receive(self._receive, strand)
+        finally:
+            if probed:
+                for fn in probes.step_exit:
+                    fn(strand)
 
     def _complete_call(self, msg: Message) -> None:
         if msg.kind == "rpc.batch.reply":
@@ -407,7 +432,7 @@ class RpcNode:
         except Exception as exc:  # noqa: BLE001 - sorted out by _served
             self._served(None, exc, number, kind, deliver, then, span)
             return
-        if not inspect.isgenerator(result):
+        if type(result) is not GeneratorType:
             self._served(result, None, number, kind, deliver, then, span)
             return
         name = self._serve_names.get(kind)

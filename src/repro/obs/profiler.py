@@ -116,8 +116,9 @@ class HostProfiler:
     kernel's ``loop_enter`` / ``dispatch_begin`` / ``loop_exit`` probes
     and reads its host clock at *run boundaries* only. A run is a
     maximal stretch of consecutive events sharing one dispatch
-    signature — ``entry._callbacks`` (the waiter-list identity of a
-    Future; the class sentinel redirects a Callback to its ``fn``) — so
+    signature — the ``fn`` of a zero-delay callback, else
+    ``entry._callbacks`` (the waiter-list identity of a Future; the
+    class sentinel redirects a Callback to its ``fn``) — so
     a storm of bare timeouts or repeated resumes of one process costs
     two clock reads total, not two per event. Each boundary's clock
     read both closes one run and opens the next, so the charges tile
@@ -174,10 +175,12 @@ class HostProfiler:
         self._run_events = 0
         self._loop_start = self._run_start = self.clock()
 
-    def _on_dispatch(self, seq: int, entry: typing.Any) -> None:
-        sig = entry._callbacks
+    def _on_dispatch(self, seq: int, fn: typing.Any, entry: typing.Any) -> None:
+        sig = fn
         if sig is None:
-            sig = entry.fn
+            sig = entry._callbacks
+            if sig is None:
+                sig = entry.fn
         if sig is not self._sig:
             if self._run_events:
                 now = self.clock()

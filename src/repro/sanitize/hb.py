@@ -1,13 +1,16 @@
 """Happens-before race detection over simulated strands (schedsan layer 2).
 
 A *strand* is one logical thread of control: a simulated
-:class:`~repro.sim.process.Process`. Each strand carries a vector clock
-(``{strand_id: count}``); clocks advance at every resume and every
-message send, and merge along the paths that actually order execution:
+:class:`~repro.sim.process.Process`, or one incarnation of an RPC node's
+inbox drain (:class:`~repro.net.rpc.DispatchStrand`, start to stop) —
+whatever the ``step_enter`` / ``step_exit`` probes bracket a step of.
+Each strand carries a vector clock (``{strand_id: count}``); clocks
+advance at every resume and every message send, and merge along the
+paths that actually order execution:
 
-* **scheduling edges** — every heap entry (callback, future trigger,
-  timeout) is stamped with the scheduler's clock when it enters the
-  heap; the dispatch that pops it inherits that clock, and any strand
+* **scheduling edges** — every scheduled entry (callback, future
+  trigger, timeout) is stamped with the scheduler's clock when it is
+  pushed; the dispatch that takes it inherits that clock, and any strand
   resumed inside the dispatch joins it. This single mechanism covers
   future triggers, lock grants, timer hand-offs and process forks
   (a process's kick-off callback carries its parent's clock).
@@ -150,10 +153,10 @@ class RaceDetector:
     # -- kernel seams --------------------------------------------------------
 
     def on_scheduled(self, seq: int) -> None:
-        """A heap entry ``seq`` was pushed by the running context."""
+        """Entry ``seq`` was pushed by the running context."""
         self._entry_vc[seq] = self._snap()
 
-    def begin_dispatch(self, seq: int, entry: object) -> None:
+    def begin_dispatch(self, seq: int, fn: object, entry: object) -> None:
         """Entry ``seq`` is about to be processed."""
         self._ambient = self._entry_vc.pop(seq, {})
         self._ambient_sid = None
@@ -167,7 +170,8 @@ class RaceDetector:
     # -- process seams -------------------------------------------------------
 
     def enter_step(self, process: "Process") -> None:
-        """``process`` resumes inside the current dispatch."""
+        """``process`` (or a dispatch strand) resumes inside the current
+        dispatch."""
         strand = self._strands.get(process)
         if strand is None:
             strand = _Strand(self._next_sid, process.name)

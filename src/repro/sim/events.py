@@ -3,7 +3,10 @@
 A :class:`Future` is created pending, later *triggered* exactly once with
 either a value (:meth:`Future.succeed`) or an exception
 (:meth:`Future.fail`), and then *processed* by the kernel: its callbacks run
-at the virtual time the trigger was scheduled for.
+at the virtual time the trigger was scheduled for. Every trigger and every
+:class:`Timeout` is pushed through the kernel's one tier decision
+(``Kernel._schedule``): due now, it joins the now-tier; later, the heap;
+a negative delay is a :class:`~repro.errors.SimError`.
 
 Processes wait on futures by yielding them, one at a time.
 """
@@ -11,7 +14,6 @@ Processes wait on futures by yielding them, one at a time.
 from __future__ import annotations
 
 import typing
-from heapq import heappush as _heappush
 
 from repro.errors import SimError
 
@@ -28,8 +30,8 @@ _NO_CALLBACKS: tuple = ()
 
 # Bit flags packed into the single ``_flags`` slot: one attribute store at
 # construction instead of three, on objects created hundreds of thousands
-# of times per run. The kernel's drain loop reads ``_flags & F_CANCELLED``
-# directly on every heap entry.
+# of times per run. The kernel's drain loops read ``_flags & F_CANCELLED``
+# directly on every Future or Callback entry.
 F_PROCESSED = 1
 F_DEFUSED = 2
 F_CANCELLED = 4
@@ -123,15 +125,8 @@ class Future:
         """Trigger the future with ``value``; callbacks run after ``delay``."""
         if self._callbacks is None or self._value is not _PENDING or self._exc is not None:
             raise SimError(f"{self!r} has already been triggered")
-        if delay < 0:
-            raise SimError(f"cannot schedule into the past (delay={delay})")
+        self.kernel._schedule(self, delay)
         self._value = value
-        kernel = self.kernel
-        _heappush(kernel._heap, (kernel._now + delay, kernel._seq, self))
-        kernel._seq += 1
-        if kernel.probes.scheduled:
-            for probe in kernel.probes.scheduled:
-                probe(kernel._seq - 1)
         return self
 
     def fail(self, exc: BaseException, delay: float = 0.0) -> "Future":
@@ -140,9 +135,9 @@ class Future:
             raise TypeError(f"fail() requires an exception, got {exc!r}")
         if self._callbacks is None or self._value is not _PENDING or self._exc is not None:
             raise SimError(f"{self!r} has already been triggered")
+        self.kernel._schedule(self, delay)
         self._exc = exc
         self._value = None
-        self.kernel._schedule(self, delay)
         return self
 
     # -- callbacks ---------------------------------------------------------
@@ -226,8 +221,6 @@ class Timeout(Future):
     __slots__ = ("delay",)
 
     def __init__(self, kernel: "Kernel", delay: float, value: object = None) -> None:
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
         self.kernel = kernel
         self._name = ""
         self._value = value
@@ -236,11 +229,7 @@ class Timeout(Future):
         self._flags = 0
         self._abandon_hook = None
         self.delay = delay
-        _heappush(kernel._heap, (kernel._now + delay, kernel._seq, self))
-        kernel._seq += 1
-        if kernel.probes.scheduled:
-            for probe in kernel.probes.scheduled:
-                probe(kernel._seq - 1)
+        kernel._schedule(self, delay)
 
     def __repr__(self) -> str:
         if not self._flags & F_PROCESSED:

@@ -1,7 +1,16 @@
-"""The simulation event loop and virtual clock."""
+"""The simulation event loop and virtual clock.
+
+Every entry runs in ``(time, seq)`` order from one of two tiers: the
+*now-tier*, a FIFO deque of what is due at the current instant, and the
+heap, which holds only what is due strictly later. The clock advances
+only when the tier is empty, moving every heap entry due at the new
+instant onto the tier first; why that is exactly the one-heap order is
+DESIGN.md §5 ("Two tiers").
+"""
 
 from __future__ import annotations
 
+import collections
 import heapq
 import typing
 
@@ -13,28 +22,29 @@ from repro.sim.rng import RngRegistry
 
 
 class Callback:
-    """A lightweight scheduled callback: a heap entry, not a future.
+    """A cancellable scheduled callback: what :meth:`Kernel.schedule_callback`
+    returns for a positive delay.
 
-    Hot paths (``call_soon``, RPC timeout expiry, lock wait backstops)
-    schedule thousands of these per simulated second; unlike a
-    :class:`~repro.sim.events.Future` there is no name, no value, no
-    callback list and no unhandled-failure bookkeeping — just a function
-    and its arguments.
+    RPC timeout expiry and the time-series sampler keep these handles;
+    unlike a :class:`~repro.sim.events.Future` there is no name, no value,
+    no callback list and no unhandled-failure bookkeeping — just a
+    function and its arguments. A zero-delay ``schedule_callback`` /
+    ``call_soon`` allocates none: its entry goes straight onto the
+    now-tier, returns ``None``, and cannot be cancelled.
 
-    ``cancel()`` is lazy: the entry stays in the heap and is skipped when
-    it reaches the top, which is O(1) instead of an O(n) re-heapify. This
-    is what makes per-call RPC timeouts affordable — the common case is a
-    reply arriving first and the timer dying untouched.
+    ``cancel()`` is lazy: the entry stays where it is and is skipped when
+    it comes up, which is O(1) instead of an O(n) re-heapify. This is what
+    makes per-call RPC timeouts affordable — the common case is a reply
+    arriving first and the timer dying untouched.
     """
 
     __slots__ = ("fn", "args", "_flags")
 
     #: Class-level sentinel: the host profiler's ``dispatch_begin``
-    #: probe reads ``entry._callbacks`` on every heap entry with a
-    #: single attribute load to form the run signature. ``None`` here
-    #: means "a Callback — use ``entry.fn`` instead" (a Future's
-    #: ``_callbacks`` is never ``None`` while it sits in the heap;
-    #: ``_process`` only clears it after the entry is popped).
+    #: probe reads ``entry._callbacks`` on every Future or Callback entry
+    #: with a single attribute load to form the run signature. ``None``
+    #: here means "a Callback — use ``entry.fn`` instead" (a Future's
+    #: ``_callbacks`` is never ``None`` while it is scheduled).
     _callbacks: typing.Any = None
 
     def __init__(
@@ -76,18 +86,26 @@ class Kernel:
     """
 
     __slots__ = (
-        "_now", "_heap", "_seq", "rng", "_unhandled", "events_processed",
-        "probes",
+        "_now", "_heap", "_tier", "_seq", "rng", "_unhandled",
+        "events_processed", "probes",
     )
 
     def __init__(self, seed: int = 0) -> None:
         self._now = 0.0
-        self._heap: list[tuple[float, int, Future | Callback]] = []
+        #: Both tiers hold ``(time, seq, fn, entry)``: ``fn`` and its args
+        #: for a zero-delay callback, ``None`` and the Future or Callback
+        #: otherwise (its cancel flag is read at dispatch). The heap holds
+        #: only entries due strictly after ``now``; the now-tier, every
+        #: entry due at ``now``, in seq order.
+        self._heap: list[tuple[float, int, None, Future | Callback]] = []
+        self._tier: collections.deque[tuple[float, int, typing.Any, typing.Any]] = (
+            collections.deque()
+        )
         self._seq = 0
         self.rng = RngRegistry(seed)
         self._unhandled: list[Future] = []
-        #: Count of entries processed by :meth:`step` (skipped cancelled
-        #: entries excluded); the events/sec basis of the perf trajectory.
+        #: Count of entries processed (skipped cancelled entries
+        #: excluded); the events/sec basis of the perf trajectory.
         self.events_processed = 0
         #: The probe bus (:mod:`repro.sim.probes`): the one attach point
         #: for every observer and for the tie-break policy. While it is
@@ -105,37 +123,53 @@ class Kernel:
     # -- scheduling ------------------------------------------------------------
 
     def _schedule(self, event: Future | Callback, delay: float = 0.0) -> None:
+        """Push ``event`` due ``delay`` from now: onto the now-tier if that
+        time is ``now`` in floats, else onto the heap. The one tier
+        decision; the zero-delay path of :meth:`schedule_callback` is its
+        ``delay == 0`` case, without a handle."""
         if delay < 0:
             raise SimError(f"cannot schedule into the past (delay={delay})")
-        heapq.heappush(self._heap, (self._now + delay, self._seq, event))
-        self._seq += 1
+        seq = self._seq
+        when = self._now + delay
+        if when == self._now:
+            self._tier.append((when, seq, None, event))
+        else:
+            heapq.heappush(self._heap, (when, seq, None, event))
+        self._seq = seq + 1
         if self.probes.scheduled:
             for probe in self.probes.scheduled:
-                probe(self._seq - 1)
+                probe(seq)
 
     def schedule_callback(
         self, delay: float, fn: typing.Callable[..., None], *args: object
-    ) -> Callback:
-        """Run ``fn(*args)`` after ``delay``; returns a cancellable handle.
+    ) -> Callback | None:
+        """Run ``fn(*args)`` after ``delay``.
 
-        This is the cheap path for internal machinery (timers that are
-        usually cancelled, zero-delay dispatch). Processes cannot wait on
-        the handle — use :meth:`timeout` for that.
+        A positive delay returns a cancellable :class:`Callback` handle
+        (RPC timers and the time-series sampler keep theirs). A zero delay
+        returns ``None``: the call goes onto the now-tier as a plain
+        ``(now, seq, fn, args)`` entry, allocating no handle, and cannot
+        be cancelled. This is the cheap path for internal machinery;
+        processes cannot wait on it — use :meth:`timeout` for that.
         """
-        if delay < 0:
-            raise SimError(f"cannot schedule into the past (delay={delay})")
-        entry = Callback(fn, args)
-        heapq.heappush(self._heap, (self._now + delay, self._seq, entry))
-        self._seq += 1
-        if self.probes.scheduled:
-            for probe in self.probes.scheduled:
-                probe(self._seq - 1)
-        return entry
+        if not delay:
+            seq = self._seq
+            self._tier.append((self._now, seq, fn, args))
+            self._seq = seq + 1
+            if self.probes.scheduled:
+                for probe in self.probes.scheduled:
+                    probe(seq)
+            return None
+        handle = Callback(fn, args)
+        self._schedule(handle, delay)
+        return handle
 
     def call_soon(
         self, fn: typing.Callable[..., None], *args: object, delay: float = 0.0
-    ) -> Callback:
-        """Run ``fn(*args)`` at the current time (or after ``delay``).
+    ) -> Callback | None:
+        """Run ``fn(*args)`` at the current time (or after ``delay``);
+        returns what :meth:`schedule_callback` does — ``None`` unless
+        ``delay`` is positive.
 
         The convenience spelling; per-message paths call
         :meth:`schedule_callback` directly and skip this hop.
@@ -166,7 +200,7 @@ class Kernel:
     ) -> Process:
         """Run ``generator`` as a process whose first step is *this* event.
 
-        For a caller that already occupies the heap position at which the
+        For a caller that already occupies the position at which the
         generator is due to start: the first step is taken in place, the
         outcome is reported by one ``on_exit(process)`` call (possibly
         before this returns), and the process cannot be waited on — so it
@@ -179,11 +213,16 @@ class Kernel:
     def peek(self) -> float:
         """Time of the next live scheduled event, or ``inf`` if none.
 
-        Cancelled entries at the top of the heap are discarded as a side
-        effect (they are invisible either way).
+        Cancelled entries at the head of the tier or the heap are
+        discarded as a side effect (they are invisible either way).
         """
+        tier = self._tier
+        while tier and tier[0][2] is None and tier[0][3]._flags & F_CANCELLED:
+            tier.popleft()
+        if tier:
+            return self._now
         heap = self._heap
-        while heap and heap[0][2]._flags & F_CANCELLED:
+        while heap and heap[0][3]._flags & F_CANCELLED:
             heapq.heappop(heap)
         return heap[0][0] if heap else float("inf")
 
@@ -194,7 +233,7 @@ class Kernel:
         advancing the clock; if only cancelled entries remained, the call
         returns having processed nothing.
         """
-        if not self._heap:
+        if not self._tier and not self._heap:
             raise SimError("step() on an empty event queue")
         self._drain(None, single=True)
 
@@ -220,41 +259,58 @@ class Kernel:
             return until.value
         if self.probes:
             self._drain(until)
-        else:
+        elif until is None or self._now <= until:
             # Inlined bare loop, selected because nothing is attached:
             # this is the innermost loop of every measured simulation,
             # so it carries no probe walk, no stop test and no call
-            # beyond the callbacks themselves — ``Callback._process``
-            # (class sentinel ``_callbacks is None``) and
-            # ``Future._process`` are written out here; ``_drain`` keeps
-            # ``entry._process()`` behind its ``dispatch_begin`` probes.
-            heap = self._heap
-            pop = heapq.heappop
+            # beyond the callbacks themselves and a clock advance —
+            # ``Callback._process`` (class sentinel ``_callbacks is
+            # None``) and ``Future._process`` are written out here;
+            # ``_drain`` keeps them behind its ``dispatch_begin`` probes.
+            tier = self._tier
+            popleft = tier.popleft
             limit = float("inf") if until is None else until
-            while heap:
-                if heap[0][0] > limit:
-                    break
-                when, _seq, entry = pop(heap)
-                if entry._flags & F_CANCELLED:
+            while tier or self._advance(limit):
+                _when, _seq, fn, entry = popleft()
+                if fn is not None:
+                    self.events_processed += 1
+                    fn(*entry)
+                elif entry._flags & F_CANCELLED:
                     continue
-                self._now = when
-                self.events_processed += 1
-                callbacks = entry._callbacks
-                if callbacks is None:
-                    entry.fn(*entry.args)
                 else:
-                    entry._callbacks = None
-                    entry._flags |= F_PROCESSED
-                    if callbacks:
-                        for fn in callbacks:
-                            fn(entry)
-                    elif entry._exc is not None and not entry._flags & F_DEFUSED:
-                        self._unhandled.append(entry)
+                    self.events_processed += 1
+                    callbacks = entry._callbacks
+                    if callbacks is None:
+                        entry.fn(*entry.args)
+                    else:
+                        entry._callbacks = None
+                        entry._flags |= F_PROCESSED
+                        if callbacks:
+                            for callback in callbacks:
+                                callback(entry)
+                        elif entry._exc is not None and not entry._flags & F_DEFUSED:
+                            self._unhandled.append(entry)
                 if self._unhandled:
                     self._raise_unhandled()
         if until is not None and self._now < until:
             self._now = float(until)
         return None
+
+    def _advance(self, limit: float) -> bool:
+        """With the tier empty: move the clock to the heap's next live
+        instant, if it is at most ``limit``, and move every heap entry due
+        then onto the tier in seq order. False (clock untouched) if
+        there is none."""
+        heap = self._heap
+        while heap and heap[0][3]._flags & F_CANCELLED:
+            heapq.heappop(heap)
+        if not heap or heap[0][0] > limit:
+            return False
+        when = self._now = heap[0][0]
+        promote = self._tier.append
+        while heap and heap[0][0] == when:
+            promote(heapq.heappop(heap))
+        return True
 
     def _drain(
         self,
@@ -269,32 +325,33 @@ class Kernel:
 
         The probe lists are bound here, once per call. ``loop_enter`` /
         ``loop_exit`` bracket the whole loop (a profiler's charges tile
-        exactly that wall time), ``dispatch_begin(seq, entry)`` /
+        exactly that wall time), ``dispatch_begin(seq, fn, entry)`` /
         ``dispatch_end()`` bracket each event, and a ``tiebreak`` policy
         picks among entries ready at the same instant.
         """
         probes = self.probes
         choose = probes.tiebreak[-1] if probes.tiebreak else None
         begin, end = probes.dispatch_begin, probes.dispatch_end
-        heap = self._heap
-        pop = heapq.heappop
+        tier = self._tier
+        limit = float("inf") if until is None else until
         for probe in probes.loop_enter:
             probe()
         try:
-            while heap:
-                if until is not None and heap[0][0] > until:
-                    break
-                when, seq, entry = pop(heap)
-                if entry._flags & F_CANCELLED:
+            while self._now <= limit and (tier or self._advance(limit)):
+                item = tier.popleft()
+                if item[2] is None and item[3]._flags & F_CANCELLED:
                     continue
-                if choose is not None and heap and heap[0][0] == when:
-                    seq, entry = self._break_tie(when, seq, entry, choose)
-                self._now = when
+                if choose is not None and tier:
+                    item = self._break_tie(item, choose)
+                _when, seq, fn, entry = item
                 self.events_processed += 1
                 for probe in begin:
-                    probe(seq, entry)
+                    probe(seq, fn, entry)
                 try:
-                    entry._process()
+                    if fn is None:
+                        entry._process()
+                    else:
+                        fn(*entry)
                 finally:
                     for probe in end:
                         probe()
@@ -307,34 +364,30 @@ class Kernel:
                 probe()
 
     def _break_tie(
-        self,
-        when: float,
-        seq: int,
-        entry: "Future | Callback",
-        choose: typing.Callable[[int], int],
-    ) -> tuple[int, "Future | Callback"]:
-        """Let the tie-break policy pick among entries ready at ``when``.
+        self, item: tuple, choose: typing.Callable[[int], int]
+    ) -> tuple:
+        """Let the tie-break policy pick among entries ready at ``now``.
 
-        ``(seq, entry)`` is the live entry just popped; every further
-        live entry at that exact time joins the batch and ``choose``
+        ``item`` is the live entry just taken; the tier's other live
+        entries join the batch and ``choose``
         (:mod:`repro.sanitize.policy`) picks one by index. Only entries
         *simultaneously live at the same instant* are ever reordered:
         entries at distinct times, and entries scheduled *by* a running
         dispatch (they did not exist when the batch formed), are not.
-        The rest go back under their original ``(time, seq)`` keys, so
-        a canonical (index-0) choice reproduces FIFO order exactly.
+        The rest stay on the tier in seq order, so a canonical (index-0)
+        choice reproduces FIFO order exactly.
         """
-        heap = self._heap
-        batch = [(seq, entry)]
-        while heap and heap[0][0] == when:
-            _when, seq2, entry2 = heapq.heappop(heap)
-            if not entry2._flags & F_CANCELLED:
-                batch.append((seq2, entry2))
+        tier = self._tier
+        batch = [item]
+        batch.extend(
+            other for other in tier
+            if other[2] is not None or not other[3]._flags & F_CANCELLED
+        )
+        tier.clear()
         if len(batch) == 1:
-            return seq, entry
+            return batch[0]
         chosen = batch.pop(choose(len(batch)))
-        for seq2, entry2 in batch:
-            heapq.heappush(heap, (when, seq2, entry2))
+        tier.extend(batch)
         return chosen
 
     def _report_unhandled(self, event: Future) -> None:

@@ -17,8 +17,9 @@ succeeds with the generator's return value, so processes can wait on each
 other by yielding them.
 
 A process costs the kernel one event to start (so creation order, not
-call depth, decides who runs first), one per resume, and one to complete
-(the future's own processing, which wakes whoever waits on it). A caller
+call depth, decides who runs first; a zero-delay entry on the now-tier,
+with no handle), one per resume, and one to complete (the future's own
+processing, which wakes whoever waits on it). A caller
 that *is* the event in which the generator's first step is due, and that
 only needs to hear the outcome once, can **adopt** the generator instead
 (``Kernel.adopt``): the first step runs before the constructor returns,

@@ -14,9 +14,10 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 class Queue:
     """FIFO of items with future-based ``get``.
 
-    ``put`` never blocks (the queue is unbounded, matching a network inbox);
-    ``get`` returns a future that succeeds with the next item, waking
-    waiters in FIFO order.
+    ``put`` never blocks (the queue is unbounded); ``get`` returns a
+    future that succeeds with the next item, waking waiters in FIFO
+    order. A site's network inbox is not one of these: it has a single
+    consumer, drained by a callback (:class:`repro.net.network.Endpoint`).
     """
 
     __slots__ = ("kernel", "name", "_get_name", "_items", "_getters")
@@ -55,14 +56,6 @@ class Queue:
             future.on_abandoned(self._forget_getter)
         return future
 
-    def get_nowait(self) -> object:
-        """Pop the next item without waiting; raises IndexError when empty.
-
-        Lets a consumer that just woke up drain everything already
-        delivered in one go instead of paying one kernel event per item.
-        """
-        return self._items.popleft()
-
     def _forget_getter(self, future: Future) -> None:
         try:
             self._getters.remove(future)
@@ -70,14 +63,5 @@ class Queue:
             pass
 
     def clear(self) -> None:
-        """Drop all queued items (e.g. when a site crashes)."""
+        """Drop all queued items."""
         self._items.clear()
-
-    def cancel_waiters(self) -> None:
-        """Forget all waiting getters; their futures never trigger.
-
-        Used when the consumer of this queue is being torn down (site
-        crash): a stale getter left behind would otherwise steal the first
-        item delivered after a restart.
-        """
-        self._getters.clear()

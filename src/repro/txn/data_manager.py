@@ -51,9 +51,9 @@ from repro.txn.payloads import (
 )
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class WriteIntent:
-    """A buffered write awaiting the 2PC decision."""
+class WriteIntent(typing.NamedTuple):
+    """A buffered write awaiting the 2PC decision (an immutable named
+    tuple: one per buffered write)."""
 
     value: object
     version_override: Version | None

@@ -1,5 +1,10 @@
 """Typed payloads of the TM↔DM protocol messages.
 
+The two built on every operation, :class:`ReadRequest` and
+:class:`WriteRequest`, are immutable ``typing.NamedTuple``s — a frozen
+dataclass pays one ``object.__setattr__`` per field in ``__init__``; the
+rest are frozen slots dataclasses.
+
 Each payload exposes a ``wire_size`` property — a coarse serialized-size
 model (identifier strings at one byte per character, numbers and flags at
 8 bytes each) used by the network layer's byte accounting
@@ -11,6 +16,7 @@ requests weigh proportionally to their item count.
 from __future__ import annotations
 
 import dataclasses
+import typing
 
 from repro.storage.copies import Version
 
@@ -18,8 +24,7 @@ from repro.storage.copies import Version
 _HEADER_BYTES = 24
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class ReadRequest:
+class ReadRequest(typing.NamedTuple):
     """Read one physical copy (§3.2).
 
     ``expected`` is the session number the requester believes the target
@@ -96,8 +101,7 @@ class SnapshotReadRequest:
         return _HEADER_BYTES + sum(len(item) for item in self.items) + 16
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class WriteRequest:
+class WriteRequest(typing.NamedTuple):
     """Buffer a write intent for one physical copy.
 
     ``version_override`` carries the source version for copier-style

@@ -172,21 +172,12 @@ class RedoLog:
         outcome: str | None = None,
     ) -> LogRecord:
         """Append one record to the volatile tail; durable at next flush."""
+        # Positional, in LogRecord's field order: once per journaled
+        # mutation, and fourteen keywords would cost a fifth again.
         record = LogRecord(
-            lsn=self.next_lsn,
-            kind=kind,
-            item=item,
-            value=value,
-            version=version,
-            session=session,
-            session_started_at=session_started_at,
-            txn_id=txn_id,
-            txn_seq=txn_seq,
-            coordinator=coordinator,
-            participants=participants,
-            applied_sites=applied_sites,
-            missed_sites=missed_sites,
-            outcome=outcome,
+            self.next_lsn, kind, item, value, version, session,
+            session_started_at, txn_id, txn_seq, coordinator, participants,
+            applied_sites, missed_sites, outcome,
         )
         self.next_lsn += 1
         if kind == "write" and version is not None:

@@ -350,7 +350,8 @@ class TestOneDataPath:
         tree = self._tree("net/rpc.py")
         serving = [
             function.name for function in self._functions(tree)
-            if self._calls(function, "inspect.isgenerator")
+            if any(isinstance(node, ast.Name) and node.id == "GeneratorType"
+                   for node in ast.walk(function))
         ]
         assert serving == ["_start_server"]  # one place decides "is this a generator"
         spawning = [
@@ -359,15 +360,28 @@ class TestOneDataPath:
             or self._calls(function, "kernel.adopt")
             or self._calls(function, "Process")
         ]
-        assert spawning == ["start", "_start_server"]  # the dispatcher, and every server
+        assert spawning == ["_start_server"]  # every server, and nothing else
         # ... which adopts the handler's own generator: no wrapper
         # generator rides every resume, and every serve ends in _served.
+        # The inbox is drained by a kernel callback, not a process over
+        # a queue: the module defines no generator at all.
         generators = [
             function.name for function in self._functions(tree)
             if any(isinstance(node, (ast.Yield, ast.YieldFrom))
                    for node in ast.walk(function))
         ]
-        assert generators == ["_dispatch"]
+        assert generators == []
+        for module in ("net/rpc.py", "net/network.py"):
+            names = {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(self._tree(module))
+                if isinstance(node, (ast.Name, ast.Attribute))
+            } | {
+                alias.name for node in ast.walk(self._tree(module))
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for alias in node.names
+            }
+            assert not {"Queue", "inspect", "repro.sim.queue"} & names, module
         ladders = [
             function.name for function in self._functions(tree)
             if self._calls(function, "RemoteError")
@@ -469,6 +483,9 @@ class TestOneDataPath:
             # lint baseline that grandfathered nothing.
             "_one_run", "_run_outage", "_caught_up_time", "_summarise", "_verdict",
             "baseline_key", "update_baseline", "BaselineError", "baseline_mod",
+            # The RPC inbox's dispatcher process and the queue calls only
+            # it made.
+            "_dispatcher", "get_nowait", "cancel_waiters",
         }
         assert not {"mvcc", "lock_wait_timeout"} & {
             f.name for f in dataclasses.fields(TxnConfig)

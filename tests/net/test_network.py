@@ -27,8 +27,12 @@ def net(kernel):
 
 
 def recv_one(kernel, net, site_id):
-    """Helper: run until one message arrives at ``site_id``."""
-    return kernel.run(net.endpoint(site_id).inbox.get())
+    """Helper: park a receiver on ``site_id``, run, return what it took."""
+    got = []
+    net.endpoint(site_id).receive(got.append)
+    kernel.run()
+    assert len(got) == 1
+    return got[0]
 
 
 class TestLatencyModels:
@@ -116,6 +120,16 @@ class TestDelivery:
         net.endpoint(2).go_down()
         assert len(net.endpoint(2).inbox) == 0
 
+    def test_go_down_forgets_the_parked_receiver(self, kernel, net):
+        got = []
+        endpoint = net.endpoint(2)
+        endpoint.receive(got.append)
+        endpoint.go_down()
+        endpoint.go_up()
+        net.send(Message(src=1, dst=2, kind="after"))
+        kernel.run()
+        assert got == [] and [m.kind for m in endpoint.inbox] == ["after"]
+
     def test_stats_by_kind(self, kernel, net):
         net.send(Message(src=1, dst=2, kind="read"))
         net.send(Message(src=1, dst=3, kind="read"))
@@ -141,17 +155,20 @@ class TestDelivery:
 
     def test_fifo_between_pair_with_constant_latency(self, kernel, net):
         order = []
+        endpoint = net.endpoint(2)
 
-        def consumer():
-            for _ in range(3):
-                msg = yield net.endpoint(2).inbox.get()
-                order.append(msg.payload)
+        def take(msg):
+            # A receiver is one-shot: the first delivery wakes it, the
+            # other two queue behind it and are taken by re-parking.
+            order.append((kernel.now, msg.payload))
+            if len(order) < 3:
+                endpoint.receive(take)
 
-        kernel.process(consumer())
+        endpoint.receive(take)
         for i in range(3):
             net.send(Message(src=1, dst=2, kind="seq", payload=i))
         kernel.run()
-        assert order == [0, 1, 2]
+        assert order == [(2.0, 0), (2.0, 1), (2.0, 2)]
 
 
 class TestStatsAccounting:

@@ -69,7 +69,7 @@ class TestEventSequence:
             kernel = Kernel(seed=5)
             _net, (a, b) = make_nodes(kernel)
             b.register("op", make_handler(kernel))
-            kernel.run()  # the dispatchers start and park on their inboxes
+            kernel.run()  # the inbox drains start and park on their endpoints
             before = kernel.events_processed
             assert kernel.run(a.call(2, "op", 7)) == 7
             return kernel.events_processed - before
@@ -82,8 +82,8 @@ class TestEventSequence:
             return handler
 
         plain = events_for(lambda kernel: lambda payload, src: payload)
-        # request delivery, dispatcher wake-up, the serve, reply delivery,
-        # dispatcher wake-up, the call future.
+        # request delivery, inbox wake-up, the serve, reply delivery,
+        # inbox wake-up, the call future.
         assert plain == 6
         # ... plus the timeout that resumes it: no start, no completion.
         assert events_for(yielding) == plain + 1
@@ -144,16 +144,16 @@ class TestBatchReplyPosition:
 
 
 class TestCrashWindow:
-    """A site crashed in the instant a request was dispatched (the
-    dispatcher has scheduled its serve) but not yet started."""
+    """A site crashed in the instant a request was dispatched (the inbox
+    drain has scheduled its serve) but not yet started."""
 
     @staticmethod
     def _crash_between_dispatch_and_start(kernel, crash):
         # Scheduled right behind the send's delivery callback: at the
-        # arrival instant the heap holds [deliver, this]; the delivery
-        # wakes the dispatcher (behind this), this schedules the crash
-        # (behind the wake-up), the dispatcher schedules the serve (behind
-        # the crash). So: deliver, wake-up + dispatch, crash, serve.
+        # arrival instant the queue holds [deliver, this]; the delivery
+        # wakes the inbox drain (behind this), this schedules the crash
+        # (behind the wake-up), the drain schedules the serve (behind the
+        # crash). So: deliver, wake-up + dispatch, crash, serve.
         kernel.call_soon(lambda: kernel.call_soon(crash), delay=1.0)
 
     def test_plain_handler_still_runs_and_nothing_is_replied(self):
@@ -235,3 +235,86 @@ EXPECTED_AFTER_CRASH_WINDOW = {
     "holds_x": True,
     "waiting": [],
 }
+
+
+def outcome(future):
+    if not future.triggered:
+        return "pending"
+    return ("ok", future.value) if future.ok else type(future.exception).__name__
+
+
+class TestReceiveCrashWindow:
+    """A stop in the instant between a delivery and the inbox wake-up it
+    scheduled. The expected outcomes were recorded at the parent commit
+    (a6c9c32), where the inbox was drained by a dispatcher process: its
+    getter future carried the message in hand and still dispatched it
+    after the stop."""
+
+    @staticmethod
+    def _echo_site(kernel):
+        net, (a, b) = make_nodes(kernel)
+        ran = []
+        b.register("op", lambda payload, src: ran.append((payload, kernel.now)) or payload)
+        return net, a, b, ran
+
+    def test_the_message_in_hand_is_dispatched_after_a_stop(self):
+        kernel = Kernel(seed=5)
+        net, a, b, ran = self._echo_site(kernel)
+        first = a.call(2, "op", 1, timeout=10)
+        # Behind the delivery, ahead of the wake-up it schedules.
+        kernel.call_soon(b.stop, delay=1.0)
+        kernel.run(until=20)
+        b.start()
+        second = a.call(2, "op", 2, timeout=10)
+        kernel.run(until=40)
+        assert {
+            "ran": ran, "first": outcome(first), "second": outcome(second),
+            "servers": dict(b._servers), "running": b.running,
+            "stats": {k: v for k, v in net.stats.snapshot().items() if v},
+        } == {
+            # Served at its wake-up although the site was down; the reply
+            # could not leave, so the caller timed out.
+            "ran": [(1, 1.0), (2, 21.0)], "first": "RpcTimeout", "second": ("ok", 2),
+            "servers": {}, "running": True,
+            "stats": {
+                "sent": 4, "delivered": 3, "dropped_src_down": 1,
+                "bytes_sent": 256, "bytes_delivered": 192,
+                "by_kind": {"op": 2, "op.reply": 2},
+                "delivered_by_kind": {"op": 2, "op.reply": 1},
+            },
+        }
+
+    def test_stop_and_start_in_one_instant_with_messages_queued(self):
+        kernel = Kernel(seed=5)
+        net, a, b, ran = self._echo_site(kernel)
+        # Three requests arrive at t=1: the first wakes the drain, the
+        # other two queue behind it; then the site restarts; then a
+        # fourth arrives, before either incarnation takes its next step.
+        calls = [a.call(2, "op", n, timeout=10) for n in (1, 2, 3)]
+
+        def restart():
+            b.stop()
+            b.start()
+
+        kernel.call_soon(restart, delay=1.0)
+        calls.append(a.call(2, "op", 4, timeout=10))
+        kernel.run(until=20)
+        calls.append(a.call(2, "op", 5, timeout=10))
+        kernel.run(until=40)
+        assert {
+            "ran": ran, "calls": [outcome(f) for f in calls],
+            "servers": dict(b._servers), "running": b.running,
+            "stats": {k: v for k, v in net.stats.snapshot().items() if v},
+        } == {
+            # The stop dropped the two queued requests; the old wake-up
+            # dispatched its own and the one delivered after the restart,
+            # and the new incarnation parked for the fifth.
+            "ran": [(1, 1.0), (4, 1.0), (5, 21.0)],
+            "calls": [("ok", 1), "RpcTimeout", "RpcTimeout", ("ok", 4), ("ok", 5)],
+            "servers": {}, "running": True,
+            "stats": {
+                "sent": 8, "delivered": 8, "bytes_sent": 512, "bytes_delivered": 512,
+                "by_kind": {"op": 5, "op.reply": 3},
+                "delivered_by_kind": {"op": 5, "op.reply": 3},
+            },
+        }

@@ -1,9 +1,14 @@
 """Property-based tests for the simulation substrate and versions."""
 
+import heapq
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.sim import Kernel
+from repro.errors import SimError, UnhandledFailure
+from repro.sanitize.policy import DirectedPolicy
+from repro.sim import Callback, Future, Kernel
+from repro.sim.events import F_CANCELLED, F_PROCESSED
 from repro.storage import Version
 
 
@@ -32,6 +37,202 @@ class TestEventOrdering:
             kernel.timeout(5.0).add_callback(lambda _ev, i=index: fired.append(i))
         kernel.run()
         assert fired == list(range(n))
+
+
+class SingleHeapKernel(Kernel):
+    """The reference: the kernel's scheduler as it was before the
+    now-tier. One heap holds every entry and pops in ``(time, seq)``
+    order; a tie batch is every live heap entry at the popped time.
+    Futures, timeouts and processes are the real ones."""
+
+    def _schedule(self, event, delay=0.0):
+        if delay < 0:
+            raise SimError(f"cannot schedule into the past (delay={delay})")
+        heapq.heappush(self._heap, (self._now + delay, self._seq, event))
+        self._seq += 1
+
+    def schedule_callback(self, delay, fn, *args):
+        handle = Callback(fn, args)
+        self._schedule(handle, delay)
+        return handle
+
+    def peek(self):
+        heap = self._heap
+        while heap and heap[0][2]._flags & F_CANCELLED:
+            heapq.heappop(heap)
+        return heap[0][0] if heap else float("inf")
+
+    def step(self):
+        if not self._heap:
+            raise SimError("step() on an empty event queue")
+        self._drain(None, single=True)
+
+    def run(self, until=None):
+        if isinstance(until, Future):
+            return super().run(until)
+        self._drain(until)
+        if until is not None and self._now < until:
+            self._now = float(until)
+
+    def _drain(self, until, target=None, single=False):
+        choose = self.probes.tiebreak[-1] if self.probes.tiebreak else None
+        heap = self._heap
+        while heap:
+            if until is not None and heap[0][0] > until:
+                break
+            when, seq, entry = heapq.heappop(heap)
+            if entry._flags & F_CANCELLED:
+                continue
+            if choose is not None and heap and heap[0][0] == when:
+                batch = [(seq, entry)]
+                while heap and heap[0][0] == when:
+                    _when, seq2, entry2 = heapq.heappop(heap)
+                    if not entry2._flags & F_CANCELLED:
+                        batch.append((seq2, entry2))
+                if len(batch) > 1:
+                    seq, entry = batch.pop(choose(len(batch)))
+                    for item in batch:
+                        heapq.heappush(heap, (when, *item))
+            self._now = when
+            self.events_processed += 1
+            for probe in self.probes.dispatch_begin:
+                probe(seq, None, entry)
+            entry._process()
+            if self._unhandled:
+                self._raise_unhandled()
+            if single or (target is not None and target._flags & F_PROCESSED):
+                break
+
+
+#: A program is a forest of scheduling nodes ``(kind, delay, children)``:
+#: each node schedules something; when it fires it logs and schedules its
+#: children from inside the dispatch.
+KINDS = ("call", "cancelled", "timeout", "succeed", "fail", "unhandled", "process")
+DELAYS = (0.0, 0.0, 0.5, 1.0, 2.0)
+nodes = st.recursive(
+    st.tuples(st.sampled_from(KINDS), st.sampled_from(DELAYS), st.just(())),
+    lambda children: st.tuples(
+        st.sampled_from(KINDS), st.sampled_from(DELAYS),
+        st.lists(children, max_size=3).map(tuple),
+    ),
+    max_leaves=20,
+)
+#: How the program is driven after it is planted: runs to a boundary
+#: (an offset from the base instant), single steps and peeks.
+drive_actions = st.lists(
+    st.one_of(
+        st.tuples(st.just("until"), st.sampled_from((0.0, 0.5, 1.0, 2.0, 3.0))),
+        st.tuples(st.just("step"), st.just(0.0)),
+        st.tuples(st.just("peek"), st.just(0.0)),
+    ),
+    max_size=8,
+)
+
+
+def plant(kernel, node, tag, log):
+    """Schedule ``node`` on ``kernel``; it logs ``(now, tag)`` when it fires."""
+    kind, delay, children = node
+
+    def fire(*_ignored):
+        log.append((kernel.now, tag))
+        for index, child in enumerate(children):
+            plant(kernel, child, f"{tag}.{index}", log)
+
+    if kind == "call":
+        kernel.schedule_callback(delay, fire)
+    elif kind == "cancelled":
+        # Cancelled at its own instant by an entry one seq ahead of it:
+        # after both were moved up from the heap, if they were.
+        delay = delay or 1.0
+        kernel.schedule_callback(delay, lambda: timer.cancel())
+        timer = kernel.schedule_callback(delay, fire)
+    elif kind == "timeout":
+        kernel.timeout(delay).add_callback(fire)
+    elif kind in ("succeed", "fail"):
+        future = kernel.event()
+        future.add_callback(fire)
+        if kind == "succeed":
+            future.succeed(tag, delay=delay)
+        else:
+            future.fail(ValueError(tag), delay=delay)
+    elif kind == "unhandled":
+        kernel.event().fail(ValueError(tag), delay=delay)
+        fire()
+    else:
+        def body():
+            yield kernel.timeout(delay)
+            fire()
+            yield kernel.timeout(0)
+            log.append((kernel.now, f"{tag}/end"))
+
+        kernel.process(body())
+
+
+def trace(kernel, program, far, drive, plan=None, record=True):
+    """Plant ``program`` and drive it; everything observable, in order."""
+    log, dispatched = [], []
+    if record:
+        kernel.probes.subscribe(
+            dispatch_begin=lambda seq, fn, entry: dispatched.append((kernel.now, seq))
+        )
+    policy = None
+    if plan is not None:
+        policy = DirectedPolicy(plan)
+        kernel.probes.subscribe(tiebreak=policy.choose)
+    # Far out, a delay of 0.5 or 1.0 does not move the clock in floats.
+    base = 1e16 if far else 0.0
+    kernel.run(until=base)
+    for index, node in enumerate(program):
+        plant(kernel, node, str(index), log)
+    for action, offset in [*drive, ("run", 0.0)]:
+        try:
+            if action == "until":
+                kernel.run(until=base + offset)
+            elif action == "step":
+                kernel.step()
+            elif action == "peek":
+                log.append(("peek", kernel.peek()))
+            else:
+                while True:
+                    try:
+                        kernel.run()
+                        break
+                    except UnhandledFailure:
+                        log.append(("raised", kernel.now))
+        except UnhandledFailure:
+            log.append(("raised", kernel.now))
+        except SimError:
+            log.append(("empty", kernel.now))
+        log.append((action, kernel.now, kernel.events_processed))
+    return {
+        "log": log, "dispatched": dispatched, "now": kernel.now,
+        "events": kernel.events_processed,
+        "decisions": policy.decisions if policy else None,
+    }
+
+
+class TestNowTierOrder:
+    """The now-tier reorders nothing: on random programs, both drain loops
+    dispatch exactly what one heap keyed ``(time, seq)`` dispatches."""
+
+    @given(
+        program=st.lists(nodes, min_size=1, max_size=4),
+        far=st.booleans(),
+        drive=drive_actions,
+        plan=st.lists(st.integers(min_value=0, max_value=3), max_size=12),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_dispatch_order_is_the_single_heap_order(self, program, far, drive, plan):
+        reference = trace(SingleHeapKernel(), program, far, drive)
+        probed = trace(Kernel(), program, far, drive)
+        bare = trace(Kernel(), program, far, drive, record=False)
+        assert probed == reference
+        assert bare == {**reference, "dispatched": []}
+        # A directed tie-break policy picks from the same batches: the
+        # now-tier's live entries are the heap's live entries at ``now``.
+        assert trace(Kernel(), program, far, drive, plan) == trace(
+            SingleHeapKernel(), program, far, drive, plan
+        )
 
 
 class TestVersionOrdering:

@@ -147,8 +147,19 @@ class TestTimeout:
         assert kernel.now == 0.0
 
     def test_negative_delay_rejected(self, kernel):
-        with pytest.raises(ValueError):
-            kernel.timeout(-1)
+        # Every push site makes the one tier decision, so every one
+        # refuses the past the same way, consuming no sequence number.
+        pushes = [
+            lambda: kernel.timeout(-1),
+            lambda: kernel.schedule_callback(-1, print),
+            lambda: kernel.call_soon(print, delay=-1),
+            lambda: kernel.event().succeed(delay=-1),
+            lambda: kernel.event().fail(ValueError(), delay=-1),
+        ]
+        for push in pushes:
+            with pytest.raises(SimError):
+                push()
+        assert kernel._seq == 0 and kernel.peek() == float("inf")
 
     def test_ordering_among_timeouts(self, kernel):
         order = []

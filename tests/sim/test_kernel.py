@@ -12,14 +12,27 @@ def kernel():
     return Kernel(seed=7)
 
 
+def assert_tiers_split(kernel):
+    """The two-tier invariant: the heap holds nothing due at ``now``, and
+    the now-tier is in seq order."""
+    assert all(when > kernel.now for when, _seq, _fn, _entry in kernel._heap)
+    assert all(when == kernel.now for when, _seq, _fn, _entry in kernel._tier)
+    seqs = [seq for _when, seq, _fn, _entry in kernel._tier]
+    assert seqs == sorted(seqs)
+
+
 def loop_variants(seed=7):
     """One fresh kernel per drain-loop selection: nothing attached (the
-    bare loop), a canonical tie-break policy, a no-op dispatch probe
-    (both the probed loop). Event order, ``events_processed``, ``now``
-    and raised exceptions must not depend on which one runs."""
+    bare loop), a canonical tie-break policy (its batches are the
+    now-tier), and a dispatch probe that checks the two-tier invariant
+    before every event (both the probed loop). Event order,
+    ``events_processed``, ``now`` and raised exceptions must not depend
+    on which one runs."""
     bare, policed, probed = Kernel(seed=seed), Kernel(seed=seed), Kernel(seed=seed)
     attach_policy(policed, ScheduleSpec(mode="canonical"))
-    probed.probes.subscribe(dispatch_begin=lambda seq, entry: None)
+    probed.probes.subscribe(
+        dispatch_begin=lambda seq, fn, entry: assert_tiers_split(probed)
+    )
     assert not bare.probes and policed.probes and probed.probes
     return bare, policed, probed
 
@@ -141,6 +154,65 @@ class TestScheduleCallback:
             kernel.step()  # drains the dead timer without raising
             with pytest.raises(SimError):
                 kernel.step()  # heap truly empty now
+
+
+class TestNowTier:
+    """Zero-delay pushes go onto a FIFO beside the heap; heap entries due
+    at a new instant are moved in front of them. Whichever loop drains,
+    the order is the one-heap ``(time, seq)`` order."""
+
+    def test_promoted_entries_run_before_what_their_instant_schedules(self, kernels):
+        for kernel in kernels:
+            order = []
+
+            def first():
+                order.append("first")
+                kernel.call_soon(order.append, "first's follow-up")
+
+            kernel.schedule_callback(1.0, first)
+            kernel.schedule_callback(1.0, order.append, "second")
+            kernel.run()
+            assert order == ["first", "second", "first's follow-up"]
+            assert kernel.events_processed == 3 and not kernel._tier
+
+    def test_a_run_until_before_now_leaves_the_tier_alone(self, kernels):
+        for kernel in kernels:
+            seen = []
+            kernel.schedule_callback(2.0, seen.append, "a")
+            kernel.schedule_callback(2.0, seen.append, "b")
+            kernel.step()  # clock at 2.0, "b" waits on the tier
+            kernel.run(until=1.0)
+            assert (seen, kernel.now, kernel.peek()) == (["a"], 2.0, 2.0)
+            kernel.run(until=2.0)
+            assert seen == ["a", "b"]
+
+    def test_a_delay_too_small_to_move_the_clock_is_due_now(self, kernels):
+        for kernel in kernels:
+            far = 2.0**60  # one unit is below the float spacing here
+            kernel.run(until=far)
+            order = []
+            tiny = kernel.schedule_callback(1.0, order.append, "tiny")
+            kernel.call_soon(order.append, "zero")
+            doomed = kernel.schedule_callback(1.0, order.append, "cancelled")
+            assert tiny is not None and not kernel._heap  # a handle, on the tier
+            doomed.cancel()
+            assert kernel.peek() == far
+            kernel.run()
+            assert order == ["tiny", "zero"] and kernel.now == far
+            assert kernel.events_processed == 2
+
+    def test_a_timer_cancelled_at_its_own_instant_is_skipped(self, kernels):
+        for kernel in kernels:
+            seen = []
+            kernel.schedule_callback(3.0, lambda: timer.cancel())
+            timer = kernel.schedule_callback(3.0, seen.append, "fired")
+            kernel.run()
+            assert seen == [] and kernel.events_processed == 1
+
+    def test_zero_delay_calls_return_no_handle(self, kernel):
+        assert kernel.call_soon(print) is None
+        assert kernel.schedule_callback(0.0, print) is None
+        assert kernel.call_soon(print, delay=2.0).cancelled is False
 
 
 class TestDeterminism:

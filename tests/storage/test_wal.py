@@ -5,6 +5,8 @@ import dataclasses
 import io
 import pickle
 
+import pytest
+
 from repro.net import ConstantLatency, Network
 from repro.sim import Kernel
 from repro.site import Site
@@ -61,9 +63,32 @@ class TestStableStorageIsolation:
         assert "k" not in stable
 
 
+@dataclasses.dataclass(frozen=True, slots=True)
+class _DataclassLogRecord:
+    """``LogRecord`` as the frozen slots dataclass it used to be: same
+    fields, same order, same defaults. The reference for its state and
+    its pickle blob."""
+
+    lsn: int
+    kind: str
+    item: object = None
+    value: object = None
+    version: object = None
+    session: object = None
+    session_started_at: object = None
+    txn_id: object = None
+    txn_seq: int = 0
+    coordinator: object = None
+    participants: tuple = ()
+    applied_sites: tuple = ()
+    missed_sites: tuple = ()
+    outcome: object = None
+
+
 class TestLogRecordPickle:
-    """``LogRecord`` spells out the pickle state a frozen slots dataclass
-    derives by walking ``dataclasses.fields()``: same list, same bytes."""
+    """``LogRecord`` is a hand-written immutable slots class whose pickle
+    state is what a frozen slots dataclass derives by walking
+    ``dataclasses.fields()``: same list, same bytes."""
 
     RECORDS = (
         LogRecord(1, "write", "X", 5, v(3)),
@@ -77,28 +102,46 @@ class TestLogRecordPickle:
         LogRecord(5, "resolve", txn_id="T9", outcome="committed"),
     )
 
+    @staticmethod
+    def mirror(record):
+        return _DataclassLogRecord(
+            **{name: getattr(record, name) for name in LogRecord.__slots__}
+        )
+
     def test_state_is_the_generic_dataclass_state(self):
+        names = [f.name for f in dataclasses.fields(_DataclassLogRecord)]
+        assert names == list(LogRecord.__slots__)
+        for name in names:  # same defaults, field by field
+            assert getattr(LogRecord(0, "k"), name) == getattr(
+                _DataclassLogRecord(0, "k"), name
+            )
         for record in self.RECORDS:
-            generic = [getattr(record, f.name) for f in dataclasses.fields(record)]
+            generic = dataclasses._dataclass_getstate(self.mirror(record))  # type: ignore[attr-defined]
             assert record.__getstate__() == generic
-            assert generic == dataclasses._dataclass_getstate(record)  # type: ignore[attr-defined]
+            with pytest.raises(AttributeError):
+                record.lsn = 99
+            with pytest.raises(AttributeError):
+                del record.kind
 
     def test_blob_equals_the_generic_blob_and_round_trips(self):
-        def generic_reduce(record):
-            return (
-                copyreg.__newobj__,
-                (LogRecord,),
-                [getattr(record, f.name) for f in dataclasses.fields(record)],
-            )
-
-        class GenericPickler(pickle.Pickler):
-            dispatch_table = {LogRecord: generic_reduce}
-
         for protocol in (2, pickle.HIGHEST_PROTOCOL):
+
+            def dataclass_reduce(record, protocol=protocol):
+                # The frozen dataclass's own reduction of the record's
+                # fields, naming LogRecord.
+                newobj, (_cls,), state, *_rest = self.mirror(record).__reduce_ex__(
+                    protocol
+                )
+                assert newobj is copyreg.__newobj__
+                return (newobj, (LogRecord,), state)
+
+            class DataclassPickler(pickle.Pickler):
+                dispatch_table = {LogRecord: dataclass_reduce}
+
             segment = list(self.RECORDS)
             blob = pickle.dumps(segment, protocol=protocol)
             buffer = io.BytesIO()
-            GenericPickler(buffer, protocol=protocol).dump(segment)
+            DataclassPickler(buffer, protocol=protocol).dump(segment)
             assert blob == buffer.getvalue()
             restored = pickle.loads(blob)
             assert restored == segment

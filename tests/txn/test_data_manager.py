@@ -73,6 +73,20 @@ def write_req(txn="T1@2", seq=1, value=99, **kwargs):
     return WriteRequest(**defaults)
 
 
+def test_per_operation_records_are_immutable():
+    """Built tens of times per commit, these are named tuples rather than
+    frozen dataclasses — and still refuse assignment."""
+    from repro.histories.recorder import Op, OpType
+    from repro.txn.data_manager import WriteIntent
+
+    op = Op(0, 1.0, "T1@2", 1, "user", OpType.READ, "X", 1, 0)
+    for record in (read_req(), write_req(), WriteIntent(99, None, (1,), ()), op):
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+    assert op.version_key == (0.0, 0, 0) and write_req().wire_size > read_req().wire_size
+
+
 class TestSessionCheck:
     def test_matching_session_passes(self, rig):
         kernel, _site, dm, _rec = rig

@@ -2,7 +2,7 @@
 # Capture every seed-determined CLI artifact of this checkout into OUTDIR,
 # for a byte-identity comparison against another checkout's capture
 # (tools/diff_artifacts.py A B). Run from the repo root of the tree to
-# capture; takes ~2.5 min. Exit codes of the gates are recorded in
+# capture; takes ~3 min. Exit codes of the gates are recorded in
 # OUTDIR/exit_codes.txt, not propagated (an audit alert is an artifact).
 set -u
 
@@ -48,6 +48,13 @@ done
 for e in e2 e10 e10sync; do
     run "schedfuzz_$e" python -m repro schedfuzz --experiment "$e" --seed 1 \
         --schedules 8 --out "schedfuzz_$e.json"
+done
+# The race detector's reports: what a change of carrier (a callback for a
+# process) can silently rewire — its happens-before edges run through
+# strands and scheduling edges, which no fingerprint above looks at.
+for e in e2 e10; do
+    run "races_$e" python -m repro schedfuzz --experiment "$e" --seed 1 \
+        --schedules 2 --races --out "races_$e.json"
 done
 run all_small python -m repro all --scale small --seed 3
 run determinism python -m repro.wal.determinism --seed 3
