@@ -15,9 +15,10 @@ Usage::
         [--out schedules.json | --replay schedules.json]
     python -m repro lint [--json] [--changed]
 
-Each experiment prints the table documented in EXPERIMENTS.md; ``small``
-scale finishes in a few seconds per experiment, ``full`` matches the
-recorded tables. ``--jobs N`` fans the (scheme × seed × config) cell
+Each experiment prints the table documented in EXPERIMENTS.md and one
+line per paper claim checked on it (exit 1 if any fails); ``small`` scale
+finishes in a few seconds per experiment, ``full`` matches the recorded
+tables. ``--jobs N`` fans the (scheme × seed × config) cell
 grid across a process pool — results are identical to a serial run
 (cells are pure functions of their arguments). Performance is measured
 by the reference benchmark, not from here: ``python -m benchmarks.perf``
@@ -210,10 +211,11 @@ def run_list(args: argparse.Namespace) -> int:
 
 def run_experiments(args: argparse.Namespace) -> int:
     """One experiment's table — or, for ``all``, the whole E1–E11 grid
-    with every cell of every experiment pooled together.
+    with every cell of every experiment pooled together — each followed
+    by one line per paper claim its module's ``claims`` checks on it.
 
-    The dispatch table's fallback: a name that is neither a subcommand
-    nor an experiment id exits 2.
+    Exits 1 if a claim fails. The dispatch table's fallback: a name that
+    is neither a subcommand nor an experiment id exits 2.
     """
     name, single = args.experiment, args.experiment != "all"
     if single and name not in EXPERIMENTS:
@@ -226,12 +228,19 @@ def run_experiments(args: argparse.Namespace) -> int:
     start = hostclock.now()
     tables = parallel.run_grid(specs, jobs=args.jobs)
     wall = hostclock.now() - start
+    failed = []
     # Blank lines as CI tees them: `all` separates its tables, a single
-    # experiment trails its footer.
-    for table in tables.values():
-        print(table.render(), end="\n" if single else "\n\n")
+    # experiment trails its footer. Each table's claims follow it.
+    for key, module, _params in specs:
+        checked = module.claims(tables[key])
+        failed += [claim.id for claim in checked if not claim.holds]
+        lines = [tables[key].render()] + [claim.render() for claim in checked]
+        print("\n".join(lines), end="\n" if single else "\n\n")
     print(f"({name} at scale={args.scale}, seed={args.seed}, "
           f"jobs={args.jobs or 1}, {wall:.1f}s wall)", end="\n\n" if single else "\n")
+    if failed:
+        print(f"{name}: {len(failed)} claim(s) failed: {', '.join(failed)}", file=sys.stderr)
+        return 1
     return 0
 
 

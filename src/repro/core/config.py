@@ -23,8 +23,6 @@ class RowaaConfig:
         — copiers are triggered by reads hitting unreadable copies;
         ``"both"`` — eager plus demand; ``"none"`` — rely on user writes
         only (legal but slow to converge; useful as an ablation).
-    copier_concurrency:
-        Max copiers in flight per recovering site (eager mode).
     copier_retry_delay:
         Backoff before retrying a failed copier transaction.
     identify_mode:
@@ -50,7 +48,6 @@ class RowaaConfig:
     """
 
     copier_mode: CopierMode = "both"
-    copier_concurrency: int = 4
     copier_retry_delay: float = 10.0
     catchup_mode: CatchupMode = "item_copy"
     """How eager catch-up brings unreadable copies current:

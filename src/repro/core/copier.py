@@ -40,6 +40,9 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.site.site import Site
     from repro.txn.context import TxnContext
 
+#: Per-item copier lanes in flight per recovering site (eager catch-up).
+COPIER_LANES = 4
+
 
 @dataclasses.dataclass
 class CopierStats:
@@ -141,7 +144,7 @@ class CopierService:
         if not pending:
             self._check_drained()
             return
-        for _lane in range(min(self.config.copier_concurrency, len(pending))):
+        for _lane in range(min(COPIER_LANES, len(pending))):
             self.site.spawn(self._eager_lane(pending), name="copier-lane")
 
     def _eager_lane(self, pending: collections.deque) -> typing.Generator:

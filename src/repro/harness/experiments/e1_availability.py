@@ -7,19 +7,13 @@ operational site and the transaction knows the site's session number".
 Design: n sites, k-way replication; crash f sites; after the failure
 handling settles, drive pure-read and pure-write clients from the
 surviving sites and report the committed fraction per scheme.
-
-Expected shape: write availability — ROWA collapses as soon as any
-replica of a touched item is down; quorum survives up to minority loss;
-ROWAA (and directories) stay high until an item loses its last copy.
-Read availability — everyone reads one copy, so all schemes degrade only
-with total item failure (quorum earlier: it needs a read majority).
 """
 
 from __future__ import annotations
 
 import random
 
-from repro.harness.parallel import Cell, run_table
+from repro.harness.parallel import Cell
 from repro.harness.runner import (
     build_scheme,
     replicated_catalog,
@@ -27,7 +21,7 @@ from repro.harness.runner import (
     tagged_seed,
     wind_down,
 )
-from repro.harness.tables import Table
+from repro.harness.tables import Claim, Table
 from repro.workload import ClientPool, WorkloadGenerator, WorkloadSpec
 
 SCHEMES = ("rowaa", "rowa", "quorum", "directories")
@@ -40,7 +34,6 @@ def plan(
     n_items: int = 20,
     max_failed: int | None = None,
     load_duration: float = 400.0,
-    schemes: tuple[str, ...] = SCHEMES,
 ) -> list[Cell]:
     """One cell per (scheme × failed-site count)."""
     if max_failed is None:
@@ -57,7 +50,7 @@ def plan(
             ),
             dict(scheme=scheme, failed=failed),
         )
-        for scheme in schemes
+        for scheme in SCHEMES
         for failed in range(0, max_failed + 1)
     ]
 
@@ -85,9 +78,32 @@ def assemble(
     return table
 
 
-def run(jobs: int | None = None, **params) -> Table:
-    """Availability table over (scheme × failed-site count); ``params`` are :func:`plan`'s."""
-    return run_table(__name__, params, jobs)
+def claims(table: Table) -> list[Claim]:
+    """Availability with no, one, and the most sites failed."""
+    cell = table.by("scheme", "failed")
+    most = max(table.column("failed"))
+    reads = {scheme: cell[scheme, 0]["read_availability"] for scheme in SCHEMES}
+    writes = {
+        scheme: cell[scheme, 1]["write_availability"]
+        for scheme in ("rowaa", "directories", "rowa")
+    }
+    worst = {
+        f"{scheme}.{kind}": cell[scheme, most][f"{kind}_availability"]
+        for scheme in ("rowaa", "quorum")
+        for kind in ("read", "write")
+    }
+    return [
+        Claim("e1.reads-at-0", "§1, §6", "with no site failed, every scheme reads >= 0.95",
+              min(reads.values()) >= 0.95, reads),
+        Claim("e1.rowa-collapses", "§1", "with one site failed, rowaa and directories "
+              "still write >= 0.9 while rowa writes <= 0.6",
+              min(writes["rowaa"], writes["directories"]) >= 0.9 and writes["rowa"] <= 0.6,
+              writes),
+        Claim("e1.outlasts-quorum", "§1, §6", "at the most failed sites, rowaa reads and "
+              "writes at least as often as quorum",
+              worst["rowaa.read"] >= worst["quorum.read"]
+              and worst["rowaa.write"] >= worst["quorum.write"], worst),
+    ]
 
 
 def _one_cell(**params):

@@ -15,17 +15,13 @@ measure (a) time from power-on to accepting user transactions and
   replay happens *before* rejoining;
 * ``directories`` — Bernstein–Goodman INCLUDE: (a) grows with the number
   of resident items (one status transaction each), independent of U.
-
-Expected shape: rowaa's time-to-operational is flat in U and the
-smallest; spooler's grows linearly with U; directories' is flat but
-sits at the per-item INCLUDE cost ∝ #items.
 """
 
 from __future__ import annotations
 
-from repro.harness.parallel import Cell, run_table
+from repro.harness.parallel import Cell
 from repro.harness.runner import build_scheme, outage, wind_down
-from repro.harness.tables import Table
+from repro.harness.tables import Claim, Table
 from repro.workload import WorkloadSpec
 
 SCHEMES = ("rowaa", "spooler", "directories")
@@ -36,8 +32,6 @@ def plan(
     n_sites: int = 3,
     n_items: int = 24,
     missed_updates: tuple[int, ...] = (0, 8, 24, 48),
-    schemes: tuple[str, ...] = SCHEMES,
-    replay_cost: float = 0.5,
 ) -> list[Cell]:
     """One cell per (scheme × missed-update count)."""
     return [
@@ -46,11 +40,11 @@ def plan(
             _one_cell,
             dict(
                 scheme=scheme, seed=seed, n_sites=n_sites, n_items=n_items,
-                missed=missed, replay_cost=replay_cost, drain=2000.0,
+                missed=missed, drain=2000.0,
             ),
             dict(scheme=scheme, missed_updates=missed),
         )
-        for scheme in schemes
+        for scheme in SCHEMES
         for missed in missed_updates
     ]
 
@@ -73,9 +67,29 @@ def assemble(
     return table
 
 
-def run(jobs: int | None = None, **params) -> Table:
-    """Resume/caught-up latency over (scheme × missed updates); ``params`` are :func:`plan`'s."""
-    return run_table(__name__, params, jobs)
+def claims(table: Table) -> list[Claim]:
+    """Time to operational against the number of updates missed."""
+    row = table.by("scheme", "missed_updates")
+    missed = list(dict.fromkeys(table.column("missed_updates")))
+
+    def t_op(*schemes: str) -> dict:
+        return {f"{s}@{n}": row[s, n]["t_operational"] for s in schemes for n in missed}
+
+    rowaa, spooler, directories = (list(t_op(scheme).values()) for scheme in SCHEMES)
+    return [
+        Claim("e2.rowaa-flat", "§3.4", "rowaa's time to operational stays within 2 units "
+              "across missed-update counts", max(rowaa) - min(rowaa) <= 2, t_op("rowaa")),
+        Claim("e2.spooler-grows", "§1", "the spooler's time to operational never falls and "
+              "grows from the fewest to the most missed updates",
+              spooler == sorted(spooler) and spooler[-1] > spooler[0], t_op("spooler")),
+        Claim("e2.rowaa-fastest", "§1, §3.4", "rowaa is operational soonest at every "
+              "missed-update count",
+              all(r < min(s, d) for r, s, d in zip(rowaa, spooler, directories)),
+              t_op(*SCHEMES)),
+        Claim("e2.directories-per-item", "§6", "directories takes more than 3x rowaa's time "
+              "to operational at every missed-update count",
+              all(d > 3 * r for r, d in zip(rowaa, directories)), t_op("rowaa", "directories")),
+    ]
 
 
 def _one_cell(**params):
@@ -84,7 +98,7 @@ def _one_cell(**params):
     return result["t_operational"], result["t_caught_up"]
 
 
-def scenario(build, seed, scheme, n_sites, n_items, missed, drain, replay_cost=0.5):
+def scenario(build, seed, scheme, n_sites, n_items, missed, drain):
     """Crash the last site, miss ``missed`` updates, reboot, catch up.
 
     Under ``rowaa`` this is the canonical observability scenario: its
@@ -94,12 +108,7 @@ def scenario(build, seed, scheme, n_sites, n_items, missed, drain, replay_cost=0
     over the ``drain`` units that follow.
     """
     spec = WorkloadSpec(n_items=n_items)
-    kwargs = {}
-    if scheme == "spooler":
-        kwargs["replay_cost_per_update"] = replay_cost
-    kernel, system = build(
-        scheme, seed * 37 + missed, n_sites, spec.initial_items(), **kwargs
-    )
+    kernel, system = build(scheme, seed * 37 + missed, n_sites, spec.initial_items())
     victim = n_sites
     writes = [(f"X{index % n_items}", index) for index in range(missed)]
     power_at = outage(kernel, system, victim, writes).power_at

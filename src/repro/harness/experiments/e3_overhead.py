@@ -9,20 +9,17 @@ Design: identical failure-free workloads on ``rowaa`` vs the
 machinery-free ``naive`` floor (same read-one/write-all fan-out, no NS
 reads, no session tags), sweeping the site count. Report throughput,
 mean commit latency, and remote messages per committed transaction.
-
-Expected shape: rowaa within a few percent of the floor on every metric
-(the NS reads are intra-site procedure calls; the session tag rides on
-messages that are sent anyway).
 """
 
 from __future__ import annotations
 
 import random
+import typing
 
 from repro.harness.metrics import mean, network_totals, tm_totals
-from repro.harness.parallel import Cell, run_table
+from repro.harness.parallel import Cell
 from repro.harness.runner import build_scheme, wind_down
-from repro.harness.tables import Table
+from repro.harness.tables import Claim, Table
 from repro.workload import ClientPool, WorkloadGenerator, WorkloadSpec
 
 SCHEMES = ("rowaa", "naive")
@@ -35,9 +32,11 @@ def plan(
     load_duration: float = 600.0,
     n_clients: int = 6,
     repeats: int = 3,
-    schemes: tuple[str, ...] = SCHEMES,
 ) -> list[Cell]:
-    """``repeats`` cells per (scheme × site count) row."""
+    """``repeats`` cells per (scheme × site count) row. Each row averages
+    ``repeats`` seeds: under contention, scheduling noise (a few extra
+    zero-latency local events shift lock-grant interleavings) swings
+    single runs by ~10%, drowning the effect being measured."""
     return [
         Cell(
             "e3",
@@ -49,7 +48,7 @@ def plan(
             ),
             dict(scheme=scheme, sites=n_sites, rep=rep),
         )
-        for scheme in schemes
+        for scheme in SCHEMES
         for n_sites in site_counts
         for rep in range(repeats)
     ]
@@ -84,15 +83,25 @@ def assemble(cells: list[Cell], results: list, **_params) -> Table:
     return table
 
 
-def run(jobs: int | None = None, **params) -> Table:
-    """Overhead table over (scheme × site count), no failures; ``params`` are :func:`plan`'s.
+def claims(table: Table) -> list[Claim]:
+    """The machinery against the machinery-free floor, per site count."""
+    row = table.by("scheme", "sites")
+    sites = dict.fromkeys(table.column("sites"))
 
-    Each row averages ``repeats`` seeds: under contention, scheduling
-    noise (a few extra zero-latency local events shift lock-grant
-    interleavings) swings single runs by ~10%, drowning the effect being
-    measured.
-    """
-    return run_table(__name__, params, jobs)
+    def compare(column: str, ok: typing.Callable) -> tuple[bool, dict]:
+        read = {f"{scheme}@{n}": row[scheme, n][column] for n in sites for scheme in SCHEMES}
+        return all(ok(row["rowaa", n][column], row["naive", n][column]) for n in sites), read
+
+    return [
+        Claim("e3.throughput", "§6", "at every site count, rowaa's throughput is >= 0.9x "
+              "naive's", *compare("throughput", lambda rowaa, naive: rowaa >= 0.9 * naive)),
+        Claim("e3.latency", "§6", "at every site count, rowaa's mean commit latency is "
+              "<= 1.1x naive's",
+              *compare("mean_latency", lambda rowaa, naive: rowaa <= 1.1 * naive)),
+        Claim("e3.messages", "§6", "at every site count, rowaa's remote messages per commit "
+              "are <= 1.1x naive's",
+              *compare("msgs_per_commit", lambda rowaa, naive: rowaa <= 1.1 * naive)),
+    ]
 
 
 def _one_cell(load_duration, **params):

@@ -9,19 +9,16 @@ Design: crash a site, update a fraction of the database, recover under
 each identification policy, and count: copies marked unreadable, data
 transfers performed, version-skip hits. Also report mark-all with the
 version-skip optimisation disabled (the true worst case).
-
-Expected shape: marked items — fail-locks = missing-lists = stale set,
-mark-all = everything; data transfers equal the stale set everywhere
-except mark-all-without-version-skip, which copies the whole database;
-the gap closes as the update fraction approaches 1.
 """
 
 from __future__ import annotations
 
+import typing
+
 from repro.core.config import RowaaConfig
-from repro.harness.parallel import Cell, run_table
+from repro.harness.parallel import Cell
 from repro.harness.runner import build_scheme, outage, tagged_seed, wind_down
-from repro.harness.tables import Table
+from repro.harness.tables import Claim, Table
 from repro.workload import WorkloadSpec
 
 POLICIES = ("mark-all", "mark-all-no-skip", "fail-locks", "missing-lists")
@@ -32,7 +29,6 @@ def plan(
     n_sites: int = 3,
     n_items: int = 24,
     update_fractions: tuple[float, ...] = (0.125, 0.5, 1.0),
-    policies: tuple[str, ...] = POLICIES,
 ) -> list[Cell]:
     """One cell per (policy × update fraction)."""
     return [
@@ -45,7 +41,7 @@ def plan(
             ),
             dict(policy=policy, updated_fraction=fraction),
         )
-        for policy in policies
+        for policy in POLICIES
         for fraction in update_fractions
     ]
 
@@ -56,6 +52,7 @@ def assemble(
     table = Table(
         f"E5: out-of-date identification (items={n_items})",
         ["policy", "updated_fraction", "marked", "data_transfers", "version_skips"],
+        facts={"n_items": n_items},
     )
     for cell, result in zip(cells, results):
         table.add_row(
@@ -66,9 +63,30 @@ def assemble(
     return table
 
 
-def run(jobs: int | None = None, **params) -> Table:
-    """Recovery work table over (policy × update fraction); ``params`` are :func:`plan`'s."""
-    return run_table(__name__, params, jobs)
+def claims(table: Table) -> list[Claim]:
+    """Marks and transfers against ``round(n * f)``, the items updated."""
+    n = table.facts["n_items"]
+
+    def check(column: str, policies: tuple, expected: typing.Callable) -> tuple:
+        rows = [row for row in table.rows if row["policy"] in policies]
+        read = {f"{row['policy']}@{row['updated_fraction']:g}": row[column] for row in rows}
+        return (
+            all(row[column] == expected(row["updated_fraction"]) for row in rows),
+            {"n": n, **read},
+        )
+
+    return [
+        Claim("e5.precise-marks", "§5", "fail-locks and missing-lists mark exactly the "
+              "round(n*f) updated copies",
+              *check("marked", ("fail-locks", "missing-lists"), lambda f: round(n * f))),
+        Claim("e5.mark-all", "§3.4", "mark-all marks all n copies at every update fraction",
+              *check("marked", ("mark-all",), lambda f: n)),
+        Claim("e5.version-skip", "§5", "the version check cuts mark-all's transfers to the "
+              "round(n*f) updated copies",
+              *check("data_transfers", ("mark-all",), lambda f: round(n * f))),
+        Claim("e5.no-skip", "§5", "without the version check, mark-all transfers all n "
+              "copies", *check("data_transfers", ("mark-all-no-skip",), lambda f: n)),
+    ]
 
 
 def _one_cell(**params):

@@ -17,9 +17,6 @@ Scenarios:
 * ``last-survivor``     — all sites but one are down; recover one against
                           the single survivor;
 * ``cascade``           — sites crash and recover in a rolling wave.
-
-Expected shape: 100% success everywhere; attempts > 1 only in the
-disturbed scenarios.
 """
 
 from __future__ import annotations
@@ -27,9 +24,9 @@ from __future__ import annotations
 import random
 
 from repro.harness.metrics import mean
-from repro.harness.parallel import Cell, run_table
+from repro.harness.parallel import Cell
 from repro.harness.runner import build_scheme, settle, wind_down
-from repro.harness.tables import Table
+from repro.harness.tables import Claim, Table
 from repro.workload import WorkloadSpec
 
 SCENARIOS = ("single", "crash-during-t1", "last-survivor", "cascade")
@@ -40,7 +37,6 @@ def plan(
     trials: int = 5,
     n_sites: int = 4,
     n_items: int = 8,
-    scenarios: tuple[str, ...] = SCENARIOS,
 ) -> list[Cell]:
     """``trials`` cells per scenario; a cell returns recovery records."""
     return [
@@ -53,7 +49,7 @@ def plan(
             ),
             dict(scenario=drill, trial=trial),
         )
-        for drill in scenarios
+        for drill in SCENARIOS
         for trial in range(trials)
     ]
 
@@ -87,9 +83,24 @@ def assemble(
     return table
 
 
-def run(jobs: int | None = None, **params) -> Table:
-    """Resilience table over scenarios; ``params`` are :func:`plan`'s."""
-    return run_table(__name__, params, jobs)
+def claims(table: Table) -> list[Claim]:
+    """Recovery outcomes and type-1 attempts per failure drill."""
+    row = table.by("scenario")
+    single, disturbed = row["single"], row["crash-during-t1"]
+    return [
+        Claim("e6.all-recover", "§1, §3.4", "every recovery in every scenario succeeds",
+              all(r["succeeded"] == r["recoveries"] for r in table.rows),
+              {r["scenario"]: f"{r['succeeded']}/{r['recoveries']}" for r in table.rows}),
+        Claim("e6.single-quiet", "§3.4", "a quiet recovery takes exactly 1 type-1 attempt "
+              "and runs no type-2",
+              single["mean_type1_attempts"] == 1 and single["type2_by_recoverer"] == 0,
+              {"attempts": single["mean_type1_attempts"],
+               "type2": single["type2_by_recoverer"]}),
+        Claim("e6.crash-retries", "§3.4", "a crash during the type-1 forces more than 1 "
+              "type-1 attempt on average", disturbed["mean_type1_attempts"] > 1,
+              {"attempts": disturbed["mean_type1_attempts"],
+               "type2": disturbed["type2_by_recoverer"]}),
+    ]
 
 
 def _one_trial(**params):

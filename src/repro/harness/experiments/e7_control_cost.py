@@ -9,17 +9,13 @@ Design: no user load at all; crash one site, let exclusion happen,
 recover it, and count status transactions and remote messages — all
 traffic in the run is failure-handling traffic. Sweep the database
 size.
-
-Expected shape: rowaa's costs are flat in the number of items (one
-type-2, one type-1); the directory scheme's grow linearly (one EXCLUDE
-and one INCLUDE per item).
 """
 
 from __future__ import annotations
 
-from repro.harness.parallel import Cell, run_table
+from repro.harness.parallel import Cell
 from repro.harness.runner import build_scheme, settle, wind_down
-from repro.harness.tables import Table
+from repro.harness.tables import Claim, Table
 from repro.workload import WorkloadSpec
 
 SCHEMES = ("rowaa", "rowaa-faillocks", "directories")
@@ -29,7 +25,6 @@ def plan(
     seed: int = 0,
     n_sites: int = 3,
     item_counts: tuple[int, ...] = (4, 16, 48),
-    schemes: tuple[str, ...] = SCHEMES,
 ) -> list[Cell]:
     """One cell per (scheme × database size)."""
     return [
@@ -42,7 +37,7 @@ def plan(
             ),
             dict(scheme=scheme, items=n_items),
         )
-        for scheme in schemes
+        for scheme in SCHEMES
         for n_items in item_counts
     ]
 
@@ -57,9 +52,31 @@ def assemble(cells: list[Cell], results: list, **_params) -> Table:
     return table
 
 
-def run(jobs: int | None = None, **params) -> Table:
-    """Status-maintenance cost over (scheme × database size); ``params`` are :func:`plan`'s."""
-    return run_table(__name__, params, jobs)
+def claims(table: Table) -> list[Claim]:
+    """Status transactions and messages against the database size."""
+    row = table.by("scheme", "items")
+    items = list(dict.fromkeys(table.column("items")))
+
+    def read(column: str, *schemes: str) -> dict:
+        return {f"{scheme}@{n}": row[scheme, n][column] for scheme in schemes for n in items}
+
+    rowaa = read("status_txns", "rowaa", "rowaa-faillocks")
+    flat = read("remote_messages", "rowaa-faillocks")
+    # Exact: equal ratios of integers divide to the same float.
+    sent = [row["directories", n]["remote_messages"] for n in items]
+    per_item = {(b - a) / (m - n) for a, b, n, m in zip(sent, sent[1:], items, items[1:])}
+    return [
+        Claim("e7.rowaa-two-txns", "§6", "both rowaa rows run exactly 2 status transactions "
+              "at every database size", all(v == 2 for v in rowaa.values()), rowaa),
+        Claim("e7.directories-per-item", "§6", "directories runs 2 status transactions per "
+              "item", all(row["directories", n]["status_txns"] == 2 * n for n in items),
+              read("status_txns", "directories")),
+        Claim("e7.faillocks-flat", "§6", "rowaa-faillocks sends the same number of remote "
+              "messages at every database size", len(set(flat.values())) == 1, flat),
+        Claim("e7.directories-linear", "§6", "directories' remote messages grow by the same "
+              "positive amount per item at every size step",
+              len(per_item) == 1 and min(per_item) > 0, read("remote_messages", "directories")),
+    ]
 
 
 def _one_cell(**params):

@@ -2,9 +2,9 @@
 
 Every experiment module describes its work as a flat list of
 :class:`Cell` objects via ``plan()`` and folds the results back into
-its table via ``assemble()``; ``run()`` is just plan → execute →
-assemble (:func:`run_table`), so ``plan`` is the one place an
-experiment's parameter list is written. A cell is a *pure function of
+its table via ``assemble()`` (:func:`run_experiment` is plan → execute
+→ assemble), so ``plan`` is the one place an experiment's parameter
+list is written. A cell is a *pure function of
 its arguments*: it builds its own kernel and system from scratch, and
 ``DatabaseSystem.__init__`` resets the global message/transaction
 counters. Serial and pooled execution therefore produce identical
@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import dataclasses
 import multiprocessing
-import sys
 import typing
 
 
@@ -68,10 +67,6 @@ def run_experiment(module, params: dict, jobs: int | None = None) -> typing.Any:
     cells = module.plan(**params)
     return module.assemble(cells, run_cells(cells, jobs=jobs), **params)
 
-
-def run_table(module_name: str, params: dict, jobs: int | None = None) -> typing.Any:
-    """The body of every experiment module's ``run``: its table."""
-    return run_experiment(sys.modules[module_name], params, jobs=jobs)
 
 
 def run_grid(

@@ -178,9 +178,10 @@ EXPERIMENTS: dict[str, dict] = {
 
 
 def experiment_module(eid: str) -> types.ModuleType:
-    """The experiment's module: ``plan``/``assemble``/``run`` (its grid and
-    table) and ``scenario`` (its world, which every cell and every
-    traced run of it drives)."""
+    """The experiment's module: ``plan``/``assemble`` (its grid and
+    table), ``claims`` (the paper's claims, checked on that table) and
+    ``scenario`` (its world, which every cell and every traced run of it
+    drives)."""
     return importlib.import_module(
         f"repro.harness.experiments.{EXPERIMENTS[eid]['module']}"
     )

@@ -58,7 +58,6 @@ class TimestampDataManager(DataManager):
         self._rts: dict[str, int] = {}
         self._wts: dict[str, int] = {}
         self._pending_writes: dict[str, set[int]] = {}
-        self.stats_to_rejections = 0
 
     def _on_crash(self) -> None:
         super()._on_crash()
@@ -69,7 +68,6 @@ class TimestampDataManager(DataManager):
     # -- scheduler ------------------------------------------------------------
 
     def _reject(self, txn_id: str, item: str, detail: str) -> typing.NoReturn:
-        self.stats_to_rejections += 1
         raise TimestampOrderViolation(txn_id, item, detail)
 
     def _read_copy(

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import RowaaConfig
 from repro.errors import TransactionAborted
+from repro.txn import TxnConfig
 from tests.core.conftest import build_system, read_program, write_program
 
 
@@ -108,6 +109,41 @@ class TestStaleViews:
         assert system.copy_value(1, "X") == 8
         stats = system.tms[1].stats
         assert stats.aborted >= 1  # the first attempt hit the rpc timeout
+
+    def test_write_disruption_window_grows_with_detection_delay(self):
+        """Time from a crash until the first write commits again: no write
+        commits while the nominal view still names the dead site (every
+        attempt times out), so the window is roughly detection delay +
+        type-2 commit + the in-flight timeout."""
+        window = {}
+        for delay in (2.0, 10.0, 40.0):
+            kernel, system = build_system(
+                seed=21, items={"X": 0}, detection_delay=delay,
+                # Tight (but > RTT) timeouts so the detection delay, not
+                # timeout machinery, is the binding term of the window.
+                txn_config=TxnConfig(rpc_timeout=8.0),
+                rowaa_config=RowaaConfig(type2_verify_ping=3.0),
+            )
+
+            def hammer():
+                while True:
+                    try:
+                        yield from system.tms[1].run(write_program("X", 1))
+                        return kernel.now - 20.0
+                    except TransactionAborted:
+                        yield kernel.timeout(1.0)
+
+            kernel.run(until=20.0)
+            system.crash(3)
+            first_write = kernel.process(hammer())
+            kernel.run(until=400.0)
+            system.stop()
+            kernel.run(until=410.0)
+            window[delay] = first_write.value if first_write.processed else None
+        assert all(value is not None for value in window.values())
+        assert window[2.0] < window[10.0] < window[40.0]
+        # The window tracks the detection delay roughly one-for-one.
+        assert window[40.0] - window[2.0] >= 0.5 * (40.0 - 2.0)
 
 
 class TestUnreadablePolicies:

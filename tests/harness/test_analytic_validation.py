@@ -15,6 +15,7 @@ to first-principles math.
 import math
 
 from repro.harness.experiments import e1_availability
+from repro.harness.parallel import run_experiment
 
 
 def analytic_availability(n: int, k: int, f: int) -> float:
@@ -25,15 +26,14 @@ def analytic_availability(n: int, k: int, f: int) -> float:
 
 def test_e1_matches_hypergeometric_model():
     n_sites, replication, n_items = 5, 3, 30
-    table = e1_availability.run(
+    table = run_experiment(e1_availability, dict(
         seed=9,
         n_sites=n_sites,
         replication=replication,
         n_items=n_items,
         max_failed=4,
         load_duration=400.0,
-        schemes=("rowaa",),
-    )
+    ))
     for failed in (0, 1, 2, 3, 4):
         (row,) = table.where(scheme="rowaa", failed=failed)
         # E1's clients issue 2 operations per transaction and a

@@ -15,6 +15,7 @@ from repro.harness.runner import (
     EXPERIMENTS,
     build_scheme,
     build_traced_scheme,
+    experiment_module,
     run_traced,
     scenario_names,
     traced_scenario,
@@ -66,6 +67,9 @@ class TestScenariosAreProbeBlind:
         directory = pathlib.Path(experiments.__file__).parent
         on_disk = {path.stem for path in directory.glob("e*.py")}
         assert on_disk == {spec["module"] for spec in EXPERIMENTS.values()}
+        for eid in EXPERIMENTS:  # a table is never printed without its claims
+            for name in ("plan", "assemble", "claims", "scenario"):
+                assert callable(getattr(experiment_module(eid), name, None)), (eid, name)
 
 
 class TestOneWorldPerExperiment:
@@ -486,6 +490,9 @@ class TestOneDataPath:
             # The RPC inbox's dispatcher process and the queue calls only
             # it made.
             "_dispatcher", "get_nowait", "cancel_waiters",
+            # Set only by the ablations and subset runs the claims replaced.
+            "copier_concurrency", "stats_to_rejections", "run_table", "replay_cost",
+            "truncated_cell",
         }
         assert not {"mvcc", "lock_wait_timeout"} & {
             f.name for f in dataclasses.fields(TxnConfig)
@@ -540,6 +547,8 @@ class TestEveryOptionHasACaller:
         ("RowaaConfig", "recovery_max_attempts"): "§3.4 (step 3 repeats until a type-1 commits)",
         ("RowaaConfig", "session_modulus"): "§3.1 (session numbers may be recycled)",
         ("RowaaConfig", "post_announce_settle"): "§5 (tracker access under concurrency control)",
+        ("RowaaConfig", "type2_verify_ping"): "timeout",
+        ("TxnConfig", "deadlock_interval"): "timeout",
     }
     TRAFFIC = ("src/repro/harness", "benchmarks", "examples")
 

@@ -16,15 +16,9 @@ from repro.harness.runner import cell_seed
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
-E5_PARAMS = dict(
-    seed=1,
-    n_sites=3,
-    n_items=6,
-    update_fractions=(0.5,),
-    policies=("mark-all", "fail-locks"),
-)
+E5_PARAMS = dict(seed=1, n_sites=3, n_items=6, update_fractions=(0.5,))
 
-E7_PARAMS = dict(seed=1, n_sites=3, item_counts=(4,), schemes=("rowaa",))
+E7_PARAMS = dict(seed=1, n_sites=3, item_counts=(4,))
 
 
 class TestSerialPoolIdentity:

@@ -8,8 +8,8 @@
 # The traffic set: the experiment grid, every traced scenario under
 # trace/audit/metrics, latency, profile, schedfuzz, both determinism
 # gates, lint, the six BENCHMARK.json workloads untraced and traced (the
-# traced run drives all 26 micro-drivers), the examples, and the
-# hand-run paper-claim tests under benchmarks/.
+# traced run drives all 26 micro-drivers), and the examples. The grid run
+# also checks every experiment's paper claims.
 set -u
 
 if [ $# -ne 1 ]; then
@@ -53,10 +53,6 @@ for w in $WORKLOADS; do
         traffic python3 benchmarks/perf/run.py --workload "$w" --seed 11 --seconds 0.5 --trace "$t"
     done
 done
-# --benchmark-disable: pytest-benchmark switches sys.settrace off around
-# the call it times, which is the whole experiment.
-traffic python -m pytest -q -p no:cacheprovider --benchmark-disable \
-    benchmarks/test_e*.py benchmarks/test_ablations.py
 
 python "$ROOT/tools/traffic_map.py" run "$OUT/tests" -- \
     python -m pytest -q -p no:cacheprovider tests > /dev/null 2>&1
