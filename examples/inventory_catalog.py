@@ -45,7 +45,6 @@ def main():
         detection_delay=5.0,
         rowaa_config=RowaaConfig(
             copier_mode="demand",            # renovate only what is read
-            unreadable_policy="redirect",    # never block a customer
             identify_mode="fail-locks",      # mark only what went stale
         ),
     )

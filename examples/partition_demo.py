@@ -101,37 +101,7 @@ def main():
     print()
     print("§6's future-work direction: treat each partition like a failed")
     print("site set and drive the merge with the session machinery. This")
-    print("repository implements that sketch (primary-partition rule in")
-    print("place of true-copy tokens [7]) — third act:\n")
-
-    print("=== ROWAA + partition mode (the §6 prototype) ===")
-    from repro.core import RowaaSystem as _RS
-    from repro.core.partition_merge import PartitionConfig
-
-    kernel3 = Kernel(seed=5)
-    merged = _RS(
-        kernel3, 5, {"X": 0},
-        latency=ConstantLatency(1.0), detection_delay=5.0,
-        config=TxnConfig(rpc_timeout=15.0),
-        partition_mode=True,
-        partition_config=PartitionConfig(probe_interval=10.0, ping_timeout=5.0),
-    )
-    merged.boot()
-    merged.cluster.network.set_partition([{1, 2}, {3, 4, 5}])
-    print("partitioned into {1, 2} | {3, 4, 5}")
-    kernel3.run(until=120)
-    print(f"  minority frozen: site1={merged.cluster.site(1).user_frozen}, "
-          f"site2={merged.cluster.site(2).user_frozen}")
-    print(f"  write at site 4 (majority): "
-          f"{attempt(kernel3, merged, 4, write_program('X', 77))}")
-    merged.cluster.network.heal_partition()
-    kernel3.run(until=kernel3.now + 400)
-    print("healed; ex-minority demoted itself and re-ran the §3.4 procedure:")
-    print(f"  demotions: site1={merged.partition_services[1].demotions}, "
-          f"site2={merged.partition_services[2].demotions}")
-    print(f"  read at site 1: {attempt(kernel3, merged, 1, read_program('X'))}")
-    print("  The merge needed no new protocol — one-directional integration,")
-    print("  exactly as §6 predicted.")
+    print("sketch is the paper's own; this repository does not build it.")
 
 
 if __name__ == "__main__":

@@ -14,9 +14,7 @@ invariants while a simulation runs:
 2. **session coherence** (§3.1/§3.3) — a served physical operation
    whose ``expected`` tag differs from ``as[k]`` fires
    ``session.check``; a committed original control write installing a
-   non-fresh ``NS[k]`` value fires ``session.ns_monotonic`` (skipped
-   when session numbers are deliberately recycled via
-   ``session_modulus``);
+   non-fresh ``NS[k]`` value fires ``session.ns_monotonic``;
 3. **missing-list conservatism** (§5) — the auditor maintains an
    omniscient oracle of the latest committed version per logical item
    (fed by commit applications); an *unmarked* stale copy at a site
@@ -144,9 +142,7 @@ class ProtocolAuditor:
         self._logical_writes: dict[str, list[tuple[str, tuple[int, ...]]]] = {}
         #: NS freshness: site -> (last nonzero announcement, announcing txn).
         self._ns_announced: dict[int, tuple[int, str]] = {}
-        rowaa_config = getattr(system, "rowaa_config", None)
-        self._session_modulus = getattr(rowaa_config, "session_modulus", None)
-        self._check_coverage = rowaa_config is not None
+        self._check_coverage = getattr(system, "rowaa_config", None) is not None
         # WAL coherence state.
         self._durable_lsn_seen: dict[int, int] = {}
         self._pre_crash_fp: dict[int, str] = {}
@@ -235,8 +231,6 @@ class ProtocolAuditor:
     ) -> None:
         if not isinstance(value, int) or value == 0:
             return  # type-2 exclusion writes (0) carry no freshness claim
-        if self._session_modulus is not None:
-            return  # deliberately recycled session numbers
         k = ns_site(item)
         last = self._ns_announced.get(k)
         if last is not None:

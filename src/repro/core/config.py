@@ -8,7 +8,6 @@ import typing
 CopierMode = typing.Literal["eager", "demand", "both", "none"]
 CatchupMode = typing.Literal["item_copy", "log_ship"]
 IdentifyMode = typing.Literal["mark-all", "fail-locks", "missing-lists"]
-UnreadablePolicy = typing.Literal["redirect", "wait"]
 
 
 @dataclasses.dataclass
@@ -28,12 +27,6 @@ class RowaaConfig:
     identify_mode:
         How recovery step 2 decides which copies are out of date:
         conservative ``"mark-all"`` (§3.4) or the §5 refinements.
-    unreadable_policy:
-        What a ROWAA read does when it hits an unreadable copy:
-        ``"redirect"`` to another copy or ``"wait"`` for the copier and
-        retry locally (§3.2 leaves this to the implementation).
-    unreadable_wait:
-        Retry delay for the ``"wait"`` policy.
     recovery_probe_timeout:
         RPC timeout when the recovering site probes for operational peers.
     recovery_retry_delay:
@@ -43,8 +36,6 @@ class RowaaConfig:
     version_skip:
         Enable the §5 optimisation: a copier first compares versions and
         skips the data transfer when the local copy is already current.
-    session_modulus:
-        Optional session-number recycling bound (§3.1); None disables.
     """
 
     copier_mode: CopierMode = "both"
@@ -59,14 +50,10 @@ class RowaaConfig:
     log_ship_batch: int = 16
     """Max log records (and validate items) per log-shipping page."""
     identify_mode: IdentifyMode = "mark-all"
-    unreadable_policy: UnreadablePolicy = "redirect"
-    unreadable_wait: float = 5.0
-    unreadable_wait_attempts: int = 10
     recovery_probe_timeout: float = 20.0
     recovery_retry_delay: float = 10.0
     recovery_max_attempts: int = 25
     version_skip: bool = True
-    session_modulus: int | None = None
     type2_verify_ping: float = 8.0
     """Timeout of the in-transaction liveness re-check a type-2 performs
     before each claim (abandons the claim if the target answers)."""

@@ -143,13 +143,10 @@ def make_type2_program(
 
     ``confirm_down``, if given, is a generator function
     ``(ctx, site) -> bool`` run *inside* the transaction right before
-    each claim; a False result (the site answered — it is alive) skips
-    that claim. This is the last line of defence for the partition-mode
-    extension: a partition that heals while an exclusion is in flight
-    must not delist the now-reachable site (the partition soak found
-    exactly that lost-update race). Under the paper's crash-only model
-    the callback merely costs one unanswered ping per genuinely dead
-    site.
+    each claim; a False result (the site answered: it has powered on
+    again since the crash) skips that claim. Under the crash-only model
+    the incarnation binding above already keeps a claim off a live
+    session; the ping costs one unanswered call per genuinely dead site.
 
     Returns the set of sites actually claimed down.
     """
@@ -178,7 +175,7 @@ def make_type2_program(
             if confirm_down is not None:
                 still_down = yield from confirm_down(ctx, down)
                 if not still_down:
-                    continue  # it answered: alive (e.g. partition healed)
+                    continue  # it answered: powered on again
             claimed.add(down)
             yield from _write_each_ordered(ctx, targets, ns_item(down), 0)
         return claimed
@@ -250,7 +247,7 @@ class ControlService:
             )
         except (NetworkError, TransactionError):
             return True  # still unreachable: the claim stands
-        return False  # it answered: alive (partition healed) — abandon
+        return False  # it answered: powered on again — abandon
 
     def _exclude(self, crashed: int, expected: int) -> typing.Generator:
         """Claim ``crashed``'s incarnation ``expected`` nominally down."""
@@ -260,7 +257,7 @@ class ControlService:
                 return
             if self.cluster.detector(self.site.site_id).believes_up(crashed):
                 self._suspected.pop(crashed, None)
-                return  # the suspicion was withdrawn (reconnection)
+                return  # the site announced its recovery meanwhile
             current = self._local_ns_value(crashed)
             if current == 0:
                 self._suspected.pop(crashed, None)

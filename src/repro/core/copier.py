@@ -306,7 +306,7 @@ class CopierService:
         """
         del src  # the request names the requester explicitly
         wal = self.site.wal
-        if not self.site.is_operational or self.site.user_frozen:
+        if not self.site.is_operational:
             return ShipReply(serving=False, truncated=False)
         catalog = self.tm.catalog
         for item, commit in wal.log.truncated_commit_by_item.items():

@@ -88,7 +88,6 @@ class RecoveryManager:
         self.identify = identify
         self.config = config
         self.records: list[RecoveryRecord] = []
-        self._running: Process | None = None
         if register_probe:
             site.rpc.register("recovery.probe", self._handle_probe)
 
@@ -97,12 +96,7 @@ class RecoveryManager:
         return self.site.rpc
 
     def _handle_probe(self, payload: object, src: int) -> tuple[bool, int]:
-        # A frozen site (partition mode) must not advertise itself as a
-        # recovery source: its nominal vector and data may be stale, and
-        # a recovering peer bootstrapping from it would resurrect the
-        # pre-partition world (found by the partition soak).
-        operational = self.site.is_operational and not self.site.user_frozen
-        return (operational, self.session.current)
+        return (self.site.is_operational, self.session.current)
 
     def operational_peers(self) -> list[int]:
         """Other sites believed up, most recently confirmed first.
@@ -123,15 +117,9 @@ class RecoveryManager:
     # -- entry point ------------------------------------------------------------
 
     def start(self) -> Process:
-        """Spawn the recovery procedure (site must be RECOVERING).
-
-        Idempotent while a recovery is already in flight: callers (the
-        power-on path and the partition-merge service) may both ask.
-        """
-        if self._running is not None and self._running.is_alive:
-            return self._running
-        self._running = self.site.spawn(self._recover(), name="recovery")
-        return self._running
+        """Spawn the recovery procedure (site must be RECOVERING); the
+        power-on path calls it once per restart."""
+        return self.site.spawn(self._recover(), name="recovery")
 
     def _recover(self) -> typing.Generator:
         obs = self.site.obs

@@ -10,22 +10,17 @@ throughout:
 Each physical request carries ``ns_i[k]``; the target DM rejects on
 mismatch with ``as[k]`` (implemented in
 :class:`~repro.txn.data_manager.DataManager`). A read that hits an
-unreadable copy either *redirects* to another copy or *waits* for the
-copier, per configuration — the paper leaves this choice open.
+unreadable copy redirects to the next candidate copy (§3.2 leaves
+redirect-or-wait to the implementation; a read never blocks on a
+copier).
 """
 
 from __future__ import annotations
 
 import typing
 
-from repro.core.config import RowaaConfig
 from repro.core.nominal import ns_item
-from repro.errors import (
-    CopyUnreadable,
-    NetworkError,
-    TotalFailure,
-    TransactionError,
-)
+from repro.errors import NetworkError, TotalFailure, TransactionError
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.txn.context import TxnContext
@@ -35,9 +30,6 @@ class RowaaStrategy:
     """Read-one/write-all-available with nominal session numbers."""
 
     name = "rowaa"
-
-    def __init__(self, config: RowaaConfig | None = None) -> None:
-        self.config = config if config is not None else RowaaConfig()
 
     # -- the implicit begin read (§3.2) ---------------------------------------
 
@@ -85,37 +77,10 @@ class RowaaStrategy:
                     site, item, expected=ctx.view[site]
                 )
                 return value
-            except CopyUnreadable as exc:
-                last_error = exc
-                if self.config.unreadable_policy == "wait":
-                    result = yield from self._wait_for_copier(ctx, site, item)
-                    if result is not None:
-                        return result[0]
-            except (NetworkError, TransactionError) as exc:
+            except (NetworkError, TransactionError) as exc:  # CopyUnreadable included
                 last_error = exc
         assert last_error is not None
         raise last_error
-
-    def _wait_for_copier(
-        self, ctx: "TxnContext", site: int, item: str
-    ) -> typing.Generator:
-        """Retry the same copy while the (triggered) copier renovates it.
-
-        Returns ``(value,)`` on success or ``None`` to fall through to
-        the next candidate copy.
-        """
-        for _attempt in range(self.config.unreadable_wait_attempts):
-            yield ctx.tm.kernel.timeout(self.config.unreadable_wait)
-            try:
-                value, _version = yield from ctx.dm_read(
-                    site, item, expected=ctx.view[site]
-                )
-                return (value,)
-            except CopyUnreadable:
-                continue
-            except (NetworkError, TransactionError):
-                return None
-        return None
 
     def write(self, ctx: "TxnContext", item: str, value: object) -> typing.Generator:
         resident = ctx.tm.catalog.sites_of(item)

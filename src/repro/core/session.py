@@ -6,7 +6,8 @@ TM reads it through this manager. The *last used* session number is kept
 in stable storage "so that the next time the site recovers, a new
 session number can be assigned correctly"; zero is reserved for
 not-operational, and numbers increase monotonically over a site's
-lifetime (the paper permits recycling; we do not need it).
+lifetime (the paper permits recycling; nothing here needs it, so a
+number is never reused).
 """
 
 from __future__ import annotations
@@ -19,30 +20,12 @@ _STABLE_STARTED = "session.started_at"
 
 
 class SessionManager:
-    """Owns session-number assignment for one site.
+    """Owns session-number assignment for one site (``dm`` holds
+    ``as[k]``)."""
 
-    Parameters
-    ----------
-    site, dm:
-        The owning site and its data manager (holder of ``as[k]``).
-    modulus:
-        Optional recycling bound (§3.1: "In practice, session numbers
-        can be recycled. Two different sessions can have the same
-        session number as long as no single transaction is alive in
-        both sessions."). With a modulus M, sessions cycle through
-        1..M; the caller is responsible for choosing M large enough
-        that no transaction can span M recoveries of one site — with
-        short transactions and non-trivial recovery times even M = 2
-        satisfies the paper's condition. ``None`` (default) never
-        recycles.
-    """
-
-    def __init__(self, site: Site, dm: DataManager, modulus: int | None = None) -> None:
-        if modulus is not None and modulus < 2:
-            raise ValueError(f"session modulus must be >= 2, got {modulus}")
+    def __init__(self, site: Site, dm: DataManager) -> None:
         self.site = site
         self.dm = dm
-        self.modulus = modulus
         # as[k] is volatile: the DM's crash hook resets it to 0.
 
     @property
@@ -72,13 +55,9 @@ class SessionManager:
         """Reserve the next session number (recovery step 3, §3.4).
 
         Persisted before use: even if the site crashes immediately
-        after, the number is never reused *within the recycling window*
-        (never at all when ``modulus`` is None). Zero is reserved for
-        not-operational and is skipped when wrapping.
+        after, the number is never reused.
         """
         next_number = self.last_used + 1
-        if self.modulus is not None and next_number > self.modulus:
-            next_number = 1
         self.site.stable.put(_STABLE_KEY, next_number)
         # Session state must be reconstructible from checkpoint +
         # log alone: journal the reservation durably before use.

@@ -28,16 +28,12 @@ from repro.core.nominal import ns_item, unreadable_db_count
 from repro.core.recovery import RecoveryManager, RecoveryRecord
 from repro.core.rowaa import RowaaStrategy
 from repro.core.session import SessionManager
-from repro.errors import InvalidStateTransition
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.partition_merge import MajorityPartitionService, PartitionConfig
     from repro.obs import Observability
     from repro.wal import WalConfig
 from repro.net.latency import LatencyModel
 from repro.obs.instrument import instrument_rowaa
-from repro.storage.copies import Version
-from repro.txn.transaction import next_commit_seq
 from repro.sim.kernel import Kernel
 from repro.sim.process import Process
 from repro.storage.catalog import Catalog
@@ -62,8 +58,6 @@ class RowaaSystem(DatabaseSystem):
         detection_delay: float = 5.0,
         loss_probability: float = 0.0,
         concurrency: str = "2pl",
-        partition_mode: bool = False,
-        partition_config: "PartitionConfig | None" = None,
         obs: "Observability | None" = None,
         wal_config: "WalConfig | None" = None,
     ) -> None:
@@ -91,7 +85,7 @@ class RowaaSystem(DatabaseSystem):
             kernel,
             n_sites,
             all_items,
-            strategy_factory=lambda _system: RowaaStrategy(self.rowaa_config),
+            strategy_factory=lambda _system: RowaaStrategy(),
             catalog=catalog,
             config=config,
             latency=latency,
@@ -112,9 +106,7 @@ class RowaaSystem(DatabaseSystem):
             site = self.cluster.site(site_id)
             dm = self.dms[site_id]
             tm = self.tms[site_id]
-            session = SessionManager(
-                site, dm, modulus=self.rowaa_config.session_modulus
-            )
+            session = SessionManager(site, dm)
             policy = self._make_policy(site)
             dm.stale_tracker = policy
             copiers = CopierService(kernel, site, dm, tm, self.rowaa_config)
@@ -140,23 +132,6 @@ class RowaaSystem(DatabaseSystem):
             self.recoveries[site_id] = recovery
 
         self.cluster.recovered_hooks.append(self._on_any_recovery)
-
-        # Optional §6 extension: partition tolerance + merge (see
-        # repro.core.partition_merge). Off by default — the paper's
-        # model is crash-only.
-        self.partition_services: dict[int, "MajorityPartitionService"] = {}
-        if partition_mode:
-            from repro.core.partition_merge import (
-                MajorityPartitionService,
-                PartitionConfig,
-            )
-
-            p_config = partition_config or PartitionConfig()
-            for site_id in self.cluster.site_ids:
-                self.partition_services[site_id] = MajorityPartitionService(
-                    self, self.cluster.site(site_id), p_config
-                )
-
         instrument_rowaa(self)
 
     def _on_any_recovery(self, recovered_site: int) -> None:
@@ -195,45 +170,6 @@ class RowaaSystem(DatabaseSystem):
         """
         self.cluster.power_on_site(site_id)
         return self.recoveries[site_id].start()
-
-    def cold_start(self, site_id: int) -> None:
-        """Out-of-band bootstrap from *total* failure (operator action).
-
-        The paper's procedure requires one operational site; when every
-        site is down or stuck recovering, an operator designates the
-        site holding the most recent committed state (normally the last
-        site to fail) and cold-starts it: the site trusts its own stable
-        copies (clearing any unreadable marks), unilaterally installs a
-        fresh session with every other site nominally down, and becomes
-        operational. The remaining sites then rejoin through the normal
-        §3.4 procedure.
-
-        **Data-loss warning:** committed updates present only at other
-        (still down) sites are silently lost — exactly like promoting a
-        stale replica in any primary-copy system. Choosing the right
-        site is the operator's responsibility. History checks across a
-        cold start treat the trusted state as a fresh initial state.
-        """
-        if self.cluster.operational_sites():
-            raise InvalidStateTransition(
-                "cold start is only legal under total failure "
-                f"(operational sites: {self.cluster.operational_sites()})"
-            )
-        site = self.cluster.site(site_id)
-        if site.is_down:
-            self.cluster.power_on_site(site_id)
-        session = self.sessions[site_id]
-        new_session = session.choose_next()
-        stamp = Version(self.kernel.now, next_commit_seq(), 0)
-        for other in self.cluster.site_ids:
-            value = new_session if other == site_id else 0
-            site.copies.apply_write(ns_item(other), value, stamp)
-        for item in list(site.copies.items()):
-            site.copies.clear_unreadable(item)
-        site.wal.flush()
-        session.activate(new_session, self.kernel.now)
-        site.become_operational()
-        self.cluster.notify_recovered(site_id)
 
     # -- introspection helpers (tests, experiments, examples) ---------------------
 

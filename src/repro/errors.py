@@ -186,8 +186,8 @@ class RecoveryError(ReproError):
 class NoOperationalSite(RecoveryError):
     """Recovery cannot proceed: no operational site exists in the system.
 
-    The paper's algorithm requires at least one operational site; total
-    failure needs the out-of-band cold-start path (see DESIGN.md §2).
+    The paper's algorithm requires at least one operational site; after
+    total failure recovery blocks by design (see DESIGN.md §5).
     """
 
 

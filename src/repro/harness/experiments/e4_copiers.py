@@ -112,7 +112,7 @@ def scenario(
     redirected user reads while the copiers drain.
     """
     spec = WorkloadSpec(n_items=n_items, ops_per_txn=2, write_fraction=0.0)
-    rowaa_config = RowaaConfig(copier_mode=mode, unreadable_policy="redirect")
+    rowaa_config = RowaaConfig(copier_mode=mode)
     kernel, system = build(
         "rowaa", tagged_seed(seed_tag, seed), n_sites, spec.initial_items(),
         rowaa_config=rowaa_config,

@@ -11,8 +11,8 @@ machines.
 
 Sanctioned exceptions, excluded by scope rather than flagged:
 
-* ``repro/core/system.py`` — the scenario/system driver (cold start,
-  crash/restart orchestration, whole-cluster fingerprints); it *is*
+* ``repro/core/system.py`` — the scenario/system driver
+  (crash/restart orchestration, whole-cluster fingerprints); it *is*
   the test harness's hand on the world, not protocol logic.
 * ``repro.site.cluster`` — owns the site map by definition.
 * ``repro.audit`` / ``repro.obs`` — declared read-only hooks, outside

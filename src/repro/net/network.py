@@ -174,9 +174,9 @@ class Network:
 
         The paper's algorithm explicitly does NOT handle partitions
         (§1); this switch exists to *demonstrate* that boundary (the
-        algorithm stays safe but cross-partition operations block) and
-        as the substrate for the §6 partition-merge direction. Sites not
-        listed in any group form an implicit final group together.
+        algorithm stays safe but cross-partition operations block).
+        Sites not listed in any group form an implicit final group
+        together.
         """
         mapping: dict[int, int] = {}
         for index, group in enumerate(groups):

@@ -46,10 +46,9 @@ class FailureDetector:
     def on_up(self, callback: typing.Callable[[int], None]) -> None:
         """Register ``callback(site_id)`` for future up transitions.
 
-        Fires when a site this detector believed down announces itself
-        back (recovery announcement or partition merge) — the moment an
-        in-doubt 2PC participant can get an authoritative answer from a
-        previously unreachable coordinator.
+        Fires when a site this detector believed down announces its
+        recovery — the moment an in-doubt 2PC participant can get an
+        authoritative answer from a previously unreachable coordinator.
         """
         self._up_callbacks.append(callback)
 

@@ -56,11 +56,6 @@ class Site:
         self.stable = StableStorage()
         self.copies = CopyStore(site_id, probes=kernel.probes)
         self.status = SiteStatus.DOWN
-        #: Partition-mode gate (see repro.core.partition_merge): an
-        #: operational site that cannot reach a majority refuses user
-        #: transactions without giving up its session. Always False in
-        #: the paper's crash-only model.
-        self.user_frozen = False
         #: Wiring, not probes: the components that must reset or re-arm
         #: with the site (WAL, DM, TM, copier, ...). Observers subscribe
         #: to the kernel's ``crash`` / ``power_on`` probes instead, which
@@ -146,7 +141,6 @@ class Site:
         if self.status is SiteStatus.DOWN:
             raise InvalidStateTransition(f"site {self.site_id} is already down")
         self.status = SiteStatus.DOWN
-        self.user_frozen = False
         self.last_crash_time = self.kernel.now
         self.crash_count += 1
         self.rpc.stop()

@@ -79,5 +79,3 @@ class Catalog:
         """All items with a copy at ``site_id``."""
         return [item for item, sites in self._placement.items() if site_id in sites]
 
-    def has_copy(self, item: str, site_id: int) -> bool:
-        return site_id in self._placement.get(item, ())

@@ -176,11 +176,7 @@ class DataManager:
             ):
                 self.stats_session_rejections += 1
                 raise SessionMismatch(self.site_id, expected, self.actual_session)
-            if not self.site.is_operational or self.site.user_frozen:
-                # The frozen state (partition mode) refuses unprivileged
-                # physical operations too: serving a read from a possibly
-                # stale copy to a peer with an old view would leak the
-                # pre-partition world.
+            if not self.site.is_operational:
                 raise NotOperational(self.site_id)
         for fn in probes.admit:
             fn(self.site_id, expected, privileged, self.actual_session)
@@ -330,10 +326,6 @@ class DataManager:
         participation record, no history entry: the snapshot path never
         touches the RW machinery.
         """
-        if self.site.user_frozen:
-            # Partition mode fences snapshot reads too: the frozen side
-            # must not leak the pre-partition world to clients.
-            raise NotOperational(self.site_id)
         store = self.site.mvcc
         if store is None:
             raise TransactionError(

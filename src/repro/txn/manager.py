@@ -82,7 +82,7 @@ class TmStats:
     #: them into ``committed`` would flatter every RW latency statistic.
     ro_committed: int = 0
     ro_aborted: int = 0
-    ro_refused: int = 0  # submitted while the site was down or frozen
+    ro_refused: int = 0  # submitted while the site was down
     ro_latencies: list[float] = dataclasses.field(default_factory=list)
 
 
@@ -195,7 +195,7 @@ class TransactionManager:
         self, program: typing.Callable, parent_span: int | None = None
     ) -> typing.Generator:
         """Read-only transaction body (see :meth:`submit_ro`)."""
-        if self.site.is_down or self.site.user_frozen or self.snapshots is None:
+        if self.site.is_down or self.snapshots is None:
             self.stats.ro_refused += 1
             raise NotOperational(self.site_id)
         txn = Transaction(
@@ -270,9 +270,7 @@ class TransactionManager:
         span when tracing is on (e.g. a copier refresh round or a
         recovery run spawning control transactions).
         """
-        if kind is TxnKind.USER and (
-            not self.site.is_operational or self.site.user_frozen
-        ):
+        if kind is TxnKind.USER and not self.site.is_operational:
             self.stats.refused += 1
             raise NotOperational(self.site_id)
         txn = Transaction(home_site=self.site_id, kind=kind, start_time=self.kernel.now)

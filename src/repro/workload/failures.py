@@ -93,8 +93,8 @@ class FailureSchedule:
 
         Guarantees (by construction, tracking scheduled state) that at
         least ``min_up_sites`` sites are up at any instant — the paper's
-        algorithm requires one operational site for recovery, and total
-        failure needs the out-of-band cold start.
+        algorithm requires one operational site for recovery, and after
+        total failure recovery blocks.
         """
         if isinstance(rng, int):
             rng = RngRegistry(rng).stream(cls.RNG_STREAM)
@@ -138,9 +138,9 @@ class FailureSchedule:
         fewer than this many *operational* sites is skipped. The static
         ``min_up_sites`` guarantee of :meth:`random_failures` counts
         powered sites, but a powered site may still be mid-recovery —
-        and total operational failure is unrecoverable without the
-        out-of-band cold start, which experiments don't want to trip by
-        accident. Skipped events are collected on ``self.last_skipped``.
+        and total operational failure blocks recovery for good, which
+        experiments don't want to trip by accident. Skipped events are
+        collected on ``self.last_skipped``.
         """
         skipped: list[FailureEvent] = []
         self.last_skipped = skipped

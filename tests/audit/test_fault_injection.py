@@ -85,23 +85,6 @@ class TestSessionCoherence:
             assert auditor.alerts.count(rule="session.ns_monotonic") == 1, concurrency
             _assert_oracle_current(system, auditor, ns_item(2))
 
-    def test_recycled_sessions_exempt(self):
-        kernel, system, auditor = _build(
-            rowaa_config=RowaaConfig(session_modulus=4)
-        )
-
-        def announce(value):
-            def program(ctx):
-                yield from ctx.dm_write(
-                    1, ns_item(2), value, expected=None, privileged=True
-                )
-
-            return program
-
-        kernel.run(system.submit(1, announce(3), kind=TxnKind.CONTROL))
-        kernel.run(system.submit(1, announce(1), kind=TxnKind.CONTROL))
-        assert auditor.alerts.count(rule="session.ns_monotonic") == 0
-
 
 class TestOracleStaleness:
     def test_silently_regressed_copy_fires_on_read(self):

@@ -54,7 +54,7 @@ class TestEagerCopiers:
 
 class TestDemandCopiers:
     def test_read_triggers_copier(self):
-        config = RowaaConfig(copier_mode="demand", unreadable_policy="redirect")
+        config = RowaaConfig(copier_mode="demand")
         kernel, system = build_system(rowaa_config=config)
         recovery = crash_write_recover(kernel, system, [("X", 33)])
         kernel.run(recovery)

@@ -14,7 +14,7 @@ def stale_site3(kernel, system, items=("X",)):
 
 class TestInflightDedup:
     def test_demand_trigger_dedupes_concurrent_reads(self):
-        config = RowaaConfig(copier_mode="demand", unreadable_policy="redirect")
+        config = RowaaConfig(copier_mode="demand")
         kernel, system = build_system(rowaa_config=config, seed=101)
         kernel.run(stale_site3(kernel, system))
         # Several concurrent reads at the recovered site all hit the

@@ -1,58 +1,8 @@
-"""Tests for the optional/extension features: session recycling (§3.1),
-read preferences, and safety under message loss."""
+"""Tests for read preferences and safety under message loss."""
 
-import pytest
-
-from repro.core import RowaaConfig
 from repro.core.nominal import db_item_filter
 from repro.histories import check_one_sr
 from tests.core.conftest import build_system, read_program, write_program
-
-
-class TestSessionRecycling:
-    def test_numbers_wrap_at_modulus(self):
-        config = RowaaConfig(session_modulus=3)
-        kernel, system = build_system(rowaa_config=config)
-        session = system.sessions[3]
-        assert session.current == 1
-        seen = []
-        for _round in range(4):
-            system.crash(3)
-            kernel.run(until=kernel.now + 20)
-            record = kernel.run(system.power_on(3))
-            assert record.succeeded
-            seen.append(record.session_number)
-            kernel.run(until=kernel.now + 60)
-        # Numbers cycle within 1..3, never 0.
-        assert all(1 <= number <= 3 for number in seen)
-        assert len(set(seen)) >= 2
-
-    def test_zero_never_assigned(self):
-        config = RowaaConfig(session_modulus=2)
-        kernel, system = build_system(rowaa_config=config)
-        for _round in range(5):
-            system.crash(2)
-            kernel.run(until=kernel.now + 20)
-            record = kernel.run(system.power_on(2))
-            assert record.session_number != 0
-            kernel.run(until=kernel.now + 60)
-
-    def test_recycled_sessions_still_reject_stale_views(self):
-        """Even with recycling, consecutive sessions differ, so a view
-        from the immediately preceding session always mismatches."""
-        config = RowaaConfig(session_modulus=4)
-        kernel, system = build_system(rowaa_config=config, detection_delay=2.0)
-        before = system.sessions[3].current
-        system.crash(3)
-        kernel.run(until=kernel.now + 20)
-        record = kernel.run(system.power_on(3))
-        assert record.session_number != before
-
-    def test_modulus_too_small_rejected(self):
-        from repro.core.session import SessionManager
-
-        with pytest.raises(ValueError):
-            SessionManager(None, None, modulus=1)  # type: ignore[arg-type]
 
 
 class TestReadPreference:

@@ -120,8 +120,8 @@ class TestRepeatedAndConcurrentFailures:
     def test_recovery_blocks_with_no_operational_site(self):
         """With every other site down, recovery cannot complete (it keeps
         retrying); it succeeds once a peer recovers... which also cannot
-        happen here — so both stay RECOVERING. Total failure needs the
-        documented cold-start path."""
+        happen here — so both stay RECOVERING. Total failure blocks by
+        design (the paper requires one operational site)."""
         kernel, system = build_system(detection_delay=2.0, seed=11)
         system.crash(1)
         system.crash(2)

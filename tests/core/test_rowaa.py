@@ -158,21 +158,11 @@ class TestUnreadablePolicies:
         return kernel, system
 
     def test_redirect_policy_reads_remote_copy(self):
-        config = RowaaConfig(copier_mode="none", unreadable_policy="redirect")
+        config = RowaaConfig(copier_mode="none")
         kernel, system = self._stale_setup(config)
         # Site 3 is operational but its X copy is unreadable; a read at
         # site 3 redirects to a peer copy and still succeeds.
         assert kernel.run(system.submit(3, read_program("X"))) == 55
-
-    def test_wait_policy_blocks_until_copier_renovates(self):
-        config = RowaaConfig(
-            copier_mode="demand", unreadable_policy="wait", unreadable_wait=3.0
-        )
-        kernel, system = self._stale_setup(config)
-        assert kernel.run(system.submit(3, read_program("X"))) == 55
-        # The demand-triggered copier renovated the local copy:
-        assert system.copy_value(3, "X") == 55
-        assert not system.cluster.site(3).copies.get("X").unreadable
 
     def test_user_write_clears_unreadable_mark(self):
         config = RowaaConfig(copier_mode="none")

@@ -52,11 +52,6 @@ class TestSessionManager:
         assert session.current == 0
         assert session.last_used == 1
 
-    def test_modulus_wraps_skipping_zero(self, rig):
-        _kernel, site, dm = rig
-        session = SessionManager(site, dm, modulus=3)
-        assert [session.choose_next() for _ in range(7)] == [1, 2, 3, 1, 2, 3, 1]
-
     def test_no_modulus_never_wraps(self, rig):
         _kernel, site, dm = rig
         session = SessionManager(site, dm)

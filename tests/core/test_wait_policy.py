@@ -1,4 +1,4 @@
-"""Edge cases of the ROWAA unreadable-copy 'wait' policy (§3.2)."""
+"""A read at a recovered site never waits on its unreadable copy (§3.2)."""
 
 import pytest
 
@@ -8,51 +8,14 @@ from repro.storage import Catalog
 from tests.core.conftest import build_system, read_program, write_program
 
 
-def stale_single_copy_system(**rowaa_kwargs):
-    """X resides only at sites 1 and 3; make X@3 stale and recover."""
-    catalog = Catalog([1, 2, 3])
-    catalog.add_item("X", [1, 3])
-    config = RowaaConfig(**rowaa_kwargs)
-    kernel, system = build_system(
-        items={"X": 0}, catalog=catalog, rowaa_config=config, seed=111
-    )
-    system.crash(3)
-    kernel.run(until=kernel.now + 40)
-    kernel.run(system.submit(1, write_program("X", 5)))
-    kernel.run(system.power_on(3))
-    return kernel, system
-
-
 class TestWaitPolicy:
-    def test_wait_succeeds_when_copier_finishes(self):
-        kernel, system = stale_single_copy_system(
-            copier_mode="both", unreadable_policy="wait",
-            unreadable_wait=2.0, unreadable_wait_attempts=10,
-        )
-        assert kernel.run(
-            system.submit_with_retry(3, read_program("X"), attempts=3)
-        ) == 5
-
-    def test_wait_exhaustion_falls_through_to_other_copies(self):
-        """Copiers disabled: waiting never helps, but after exhausting
-        the wait the read redirects to the remote current copy."""
-        kernel, system = stale_single_copy_system(
-            copier_mode="none", unreadable_policy="wait",
-            unreadable_wait=1.0, unreadable_wait_attempts=3,
-        )
-        assert kernel.run(
-            system.submit_with_retry(3, read_program("X"), attempts=3)
-        ) == 5
-
     def test_wait_exhaustion_with_no_alternative_aborts(self):
         """Copiers disabled AND the only other copy's site is down: the
-        read must eventually abort, not hang forever."""
+        read redirects, finds no readable copy, and aborts rather than
+        hangs."""
         catalog = Catalog([1, 2, 3])
         catalog.add_item("X", [1, 3])
-        config = RowaaConfig(
-            copier_mode="none", unreadable_policy="wait",
-            unreadable_wait=1.0, unreadable_wait_attempts=3,
-        )
+        config = RowaaConfig(copier_mode="none")
         kernel, system = build_system(
             items={"X": 0}, catalog=catalog, rowaa_config=config, seed=112
         )
@@ -62,5 +25,6 @@ class TestWaitPolicy:
         kernel.run(system.power_on(3))
         system.crash(1)  # the current copy's host goes away
         kernel.run(until=kernel.now + 40)
+        assert system.cluster.site(3).copies.get("X").unreadable
         with pytest.raises(TransactionAborted):
             kernel.run(system.submit(3, read_program("X")))

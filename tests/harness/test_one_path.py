@@ -4,6 +4,7 @@ left to tear down."""
 
 import ast
 import functools
+import importlib
 import inspect
 import pathlib
 
@@ -493,7 +494,16 @@ class TestOneDataPath:
             # Set only by the ablations and subset runs the claims replaced.
             "copier_concurrency", "stats_to_rejections", "run_table", "replay_cost",
             "truncated_cell",
+            # Reached by no claim, benchmark workload or example: the §6
+            # partition-merge prototype and its gate, the total-failure
+            # operator bootstrap, the wait-for-copier read and session
+            # number recycling.
+            "partition_mode", "partition_config", "partition_services", "user_frozen",
+            "cold_start", "session_modulus", "unreadable_policy", "unreadable_wait",
+            "unreadable_wait_attempts", "_wait_for_copier",
         }
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.core.partition_merge")
         assert not {"mvcc", "lock_wait_timeout"} & {
             f.name for f in dataclasses.fields(TxnConfig)
         }
@@ -540,12 +550,9 @@ class TestEveryOptionHasACaller:
         ("TxnConfig", "ro_staleness_floor"): "timeout",
         ("TxnConfig", "mvcc_gc_period"): "timeout",
         ("RowaaConfig", "copier_retry_delay"): "timeout",
-        ("RowaaConfig", "unreadable_wait"): "§3.2 (redirect or wait for the copier)",
-        ("RowaaConfig", "unreadable_wait_attempts"): "§3.2 (redirect or wait for the copier)",
         ("RowaaConfig", "recovery_probe_timeout"): "timeout",
         ("RowaaConfig", "recovery_retry_delay"): "timeout",
         ("RowaaConfig", "recovery_max_attempts"): "§3.4 (step 3 repeats until a type-1 commits)",
-        ("RowaaConfig", "session_modulus"): "§3.1 (session numbers may be recycled)",
         ("RowaaConfig", "post_announce_settle"): "§5 (tracker access under concurrency control)",
         ("RowaaConfig", "type2_verify_ping"): "timeout",
         ("TxnConfig", "deadlock_interval"): "timeout",

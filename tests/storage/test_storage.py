@@ -91,8 +91,6 @@ class TestCatalog:
         catalog = Catalog([1, 2, 3])
         catalog.add_item("X", [1, 3])
         assert catalog.sites_of("X") == (1, 3)
-        assert catalog.has_copy("X", 1)
-        assert not catalog.has_copy("X", 2)
         assert "X" in catalog
 
     def test_items_at(self):

@@ -1,15 +1,18 @@
 #!/usr/bin/env bash
 # Record which lines of src/repro the repository's real traffic reaches,
 # then which of the rest only the test suite reaches (tools/traffic_map.py).
-# Run from the repo root; OUTDIR gets traffic/ and tests/ dump directories
-# and report.txt. Everything runs serially (a pool worker dumps nothing)
-# and traced: about 4 min for the traffic and 4 min for tier-1.
+# Run from the repo root; OUTDIR gets claimed/, traffic/ and tests/ dump
+# directories and report.txt. Everything runs serially (a pool worker
+# dumps nothing) and traced: about 3 min for the claimed set, 4 min for
+# the rest of the traffic and 4 min for tier-1.
 #
-# The traffic set: the experiment grid, every traced scenario under
-# trace/audit/metrics, latency, profile, schedfuzz, both determinism
-# gates, lint, the six BENCHMARK.json workloads untraced and traced (the
-# traced run drives all 26 micro-drivers), and the examples. The grid run
-# also checks every experiment's paper claims.
+# The claimed set is what the paper's claims need: the experiment grid at
+# both scales (it checks every experiment's claims), the 13-scenario
+# audit gate and the reference benchmark's selftest. The rest of the
+# traffic: every traced scenario under trace/metrics, latency, profile,
+# schedfuzz, both determinism gates, lint, the six BENCHMARK.json
+# workloads untraced and traced (the traced run drives all 26
+# micro-drivers), and the examples.
 set -u
 
 if [ $# -ne 1 ]; then
@@ -25,14 +28,17 @@ WORKLOADS="steady_rw steady_rw_async hot_contention crash_churn long_outage_catc
 SCRATCH=$(mktemp -d)
 trap 'rm -rf "$SCRATCH"' EXIT
 
-traffic() { python "$ROOT/tools/traffic_map.py" run "$OUT/traffic" -- "$@" > /dev/null 2>&1; }
+record() { local dir=$1; shift; python "$ROOT/tools/traffic_map.py" run "$OUT/$dir" -- "$@" > /dev/null 2>&1; }
+claimed() { record claimed "$@"; }
+traffic() { record traffic "$@"; }
 
 # The scenario subcommands default their outputs into the cwd.
 cd "$SCRATCH" || exit 2
-traffic python -m repro all --scale small --seed 3
+claimed python -m repro all --scale small --seed 3
+claimed python -m repro all --scale full --seed 3
 for e in $SCENARIOS; do
+    claimed python -m repro audit --experiment "$e" --seed 1 --out a.jsonl
     traffic python -m repro trace --experiment "$e" --seed 1 --out t.json --jsonl t.jsonl
-    traffic python -m repro audit --experiment "$e" --seed 1 --out a.jsonl
     traffic python -m repro metrics --experiment "$e" --seed 1 --out m.json
 done
 for e in e10 e11; do
@@ -48,15 +54,15 @@ for example in "$ROOT"/examples/*.py; do
     traffic python "$example"
 done
 cd "$ROOT" || exit 2
+claimed python -m benchmarks.perf --selftest
 for w in $WORKLOADS; do
     for t in 0 1; do
         traffic python3 benchmarks/perf/run.py --workload "$w" --seed 11 --seconds 0.5 --trace "$t"
     done
 done
 
-python "$ROOT/tools/traffic_map.py" run "$OUT/tests" -- \
-    python -m pytest -q -p no:cacheprovider tests > /dev/null 2>&1
+record tests python -m pytest -q -p no:cacheprovider tests
 
-python "$ROOT/tools/traffic_map.py" report "$OUT/traffic" --tests "$OUT/tests" > "$OUT/report.txt"
-grep -n "executable lines" "$OUT/report.txt"
+python "$ROOT/tools/traffic_map.py" report "$OUT/claimed" "$OUT/traffic" --tests "$OUT/tests" > "$OUT/report.txt"
+grep -n -e "executable lines" -e "claimed traffic does not" "$OUT/report.txt"
 echo "full report: $OUT/report.txt"

@@ -2,7 +2,7 @@
 """Which lines of ``src/repro`` does real traffic reach? (stdlib only)
 
     python tools/traffic_map.py run OUTDIR -- CMD [ARG...]
-    python tools/traffic_map.py report TRAFFICDIR [--tests TESTSDIR]
+    python tools/traffic_map.py report CLAIMED [TRAFFIC] [--tests TESTSDIR]
 
 ``run`` executes CMD with a line recorder switched on in every Python
 process it starts: OUTDIR gets a ``sitecustomize.py`` that is put on
@@ -14,13 +14,16 @@ stops being traced, so hot fully-covered functions cost nothing after
 their first calls; a run costs about 2–3x its untraced time. Pool workers leave through
 ``os._exit`` and dump nothing: run grids serially (no ``--jobs``).
 
-``report`` merges the dumps of TRAFFICDIR and compares them with the
+``report`` merges the dumps of each directory and compares them with the
 executable lines of every module under ``src/repro`` (``co_lines()`` of
-the compiled module and every nested code object). It prints, per
-module, executable / unreached line counts, then the functions no
-traffic entered — and, given ``--tests`` (a second dump directory,
-recorded under the test suite), which of those no test enters either.
-``tools/traffic.sh`` names the traffic set.
+the compiled module and every nested code object). CLAIMED holds what
+the paper's claims need (the runs that check them), TRAFFIC the rest of
+the real traffic, TESTSDIR the test suite. Per module it prints
+executable lines and the lines unreached by the claimed traffic, by all
+traffic and by tests + traffic; then the functions no traffic entered,
+which of those no test enters either, and, per protocol package, the
+functions tests enter but the claimed traffic does not — code only its
+own tests keep alive. ``tools/traffic.sh`` names both traffic sets.
 """
 
 from __future__ import annotations
@@ -138,40 +141,67 @@ def _all_lines(code: types.CodeType) -> set[int]:
     return lines
 
 
-def report(traffic_dir: pathlib.Path, tests_dir: pathlib.Path | None) -> int:
-    traffic = _load(traffic_dir)
+#: The packages that implement the paper's protocol and its substrate,
+#: as opposed to the tooling around it (harness, obs, lint, audit, ...).
+PROTOCOL_PACKAGES = ("core", "txn", "wal", "mvcc", "net", "storage", "site", "baselines", "sim")
+
+
+def report(
+    claimed_dir: pathlib.Path,
+    traffic_dir: pathlib.Path | None,
+    tests_dir: pathlib.Path | None,
+) -> int:
+    claimed = _load(claimed_dir)
+    traffic = _load(traffic_dir) if traffic_dir is not None else {}
     tests = _load(tests_dir) if tests_dir is not None else None
-    total = unreached = unreached_by_both = 0
+    total = unclaimed = unreached = unreached_by_both = 0
     rows, dead, dead_both = [], [], []
+    tests_only: dict[str, list[str]] = {package: [] for package in PROTOCOL_PACKAGES}
     for path in sorted(PACKAGE.rglob("*.py")):
         relative = os.path.relpath(path, ROOT)
         module = compile(path.read_text(), str(path), "exec")
         executable = _all_lines(module)
-        hit = traffic.get(relative, set())
+        claim_hit = claimed.get(relative, set())
+        hit = claim_hit | traffic.get(relative, set())
+        test_hit = tests.get(relative, set()) if tests is not None else set()
         missed = executable - hit
         total += len(executable)
+        unclaimed += len(executable - claim_hit)
         unreached += len(missed)
-        line = f"{relative:58} {len(executable):6} {len(missed):6}"
+        line = f"{relative:58} {len(executable):6} {len(executable - claim_hit):7} {len(missed):6}"
         if tests is not None:
-            missed_both = missed - tests.get(relative, set())
+            missed_both = missed - test_hit
             unreached_by_both += len(missed_both)
             line += f" {len(missed_both):6}"
         rows.append(line)
+        package = path.relative_to(PACKAGE).parts[0]
         for name, lines in _functions(module):
-            if lines and not lines & hit:
+            if not lines:
+                continue
+            if not lines & hit:
                 dead.append(f"{relative}: {name}")
-                if tests is not None and not lines & tests.get(relative, set()):
+                if tests is not None and not lines & test_hit:
                     dead_both.append(f"{relative}: {name}")
-    header = f"{'module':58} {'lines':>6} {'unrch':>6}"
+            if package in tests_only and lines & test_hit and not lines & claim_hit:
+                tests_only[package].append(f"{relative}: {name}")
+    header = f"{'module':58} {'lines':>6} {'claimed':>7} {'unrch':>6}"
     print(header + (f" {'+tests':>6}" if tests is not None else ""))
     print("\n".join(rows))
-    print(f"\n{unreached} of {total} executable lines unreached by traffic"
-          + (f"; {unreached_by_both} by tests + traffic" if tests is not None else ""))
+    summary = (f"\n{unclaimed} of {total} executable lines unreached by claimed traffic"
+               f"; {unreached} by all traffic")
+    if tests is not None:
+        summary += f"; {unreached_by_both} by tests + traffic"
+    print(summary)
     print(f"\nfunctions entered by no traffic ({len(dead)}):")
     print("\n".join(f"  {name}" for name in dead))
     if tests is not None:
         print(f"\n... and by no test ({len(dead_both)}):")
         print("\n".join(f"  {name}" for name in dead_both))
+        counts = ", ".join(f"{p} {len(names)}" for p, names in tests_only.items())
+        print(f"\nfunctions tests enter but the claimed traffic does not ({counts}):")
+        for package, names in tests_only.items():
+            print(f"  {package} ({len(names)}):")
+            print("\n".join(f"    {name}" for name in names))
     return 0
 
 
@@ -182,7 +212,8 @@ def main(argv: list[str] | None = None) -> int:
     runner.add_argument("outdir", type=pathlib.Path)
     runner.add_argument("command", nargs=argparse.REMAINDER)
     reporter = sub.add_parser("report")
-    reporter.add_argument("traffic", type=pathlib.Path)
+    reporter.add_argument("claimed", type=pathlib.Path)
+    reporter.add_argument("traffic", type=pathlib.Path, nargs="?", default=None)
     reporter.add_argument("--tests", type=pathlib.Path, default=None)
     args = parser.parse_args(argv)
     if args.mode == "run":
@@ -190,7 +221,7 @@ def main(argv: list[str] | None = None) -> int:
         if not command:
             parser.error("run: no command given")
         return run(args.outdir, command)
-    return report(args.traffic, args.tests)
+    return report(args.claimed, args.traffic, args.tests)
 
 
 if __name__ == "__main__":
