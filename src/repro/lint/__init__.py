@@ -12,7 +12,8 @@ Pieces:
 
 * :mod:`repro.lint.engine` — file walker + per-file analysis driver.
 * :mod:`repro.lint.registry` — the rule base class and rule registry.
-* :mod:`repro.lint.rules` — the REP001–REP006 rule implementations.
+* :mod:`repro.lint.rules` — the rule implementations (REP001, REP003–REP005,
+  REP007).
 * :mod:`repro.lint.suppress` — ``# replint: disable=RULE`` comments.
 * :mod:`repro.lint.report` — human-readable and JSON reporters.
 * :mod:`repro.lint.cli` — the ``repro lint`` subcommand.
@@ -21,14 +22,13 @@ See ``docs/STATIC_ANALYSIS.md`` for the rule catalog and workflow.
 """
 
 from repro.lint.engine import LintEngine
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding
 from repro.lint.registry import Rule, all_rules, get_rule, rule_ids
 
 __all__ = [
     "Finding",
     "LintEngine",
     "Rule",
-    "Severity",
     "all_rules",
     "get_rule",
     "rule_ids",

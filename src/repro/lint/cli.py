@@ -4,11 +4,11 @@ Usage (mirrors the trace/metrics/audit exit-code contract)::
 
     python -m repro lint                      # lint src/repro, human report
     python -m repro lint --json [--out f.json]
-    python -m repro lint --path src/repro/core --rules REP001,REP002
+    python -m repro lint --path src/repro/core --rules REP001,REP003
     python -m repro lint --changed            # only files differing from HEAD
     python -m repro lint --changed=origin/main
 
-Exit status: 0 clean, 1 on any error-severity finding, 2 on a usage
+Exit status: 0 clean, 1 on any unsuppressed finding, 2 on a usage
 error (unknown rule id — including inside a suppression directive — bad
 path, git failure under ``--changed``). A finding is fixed or
 suppressed in line (``# replint: disable=RULE``), or it fails.
@@ -27,7 +27,6 @@ import subprocess
 import sys
 
 from repro.lint.engine import LintEngine, LintUsageError
-from repro.lint.findings import Severity
 from repro.lint.registry import get_rule, rule_ids
 from repro.lint.report import render_human, render_json
 
@@ -132,8 +131,7 @@ def run_lint(args: argparse.Namespace) -> int:
     else:
         print(report)
 
-    n_errors = sum(1 for f in findings if f.severity is Severity.ERROR)
-    if n_errors:
-        print(f"lint: {n_errors} error finding(s)  << VIOLATION", file=sys.stderr)
+    if findings:
+        print(f"lint: {len(findings)} error finding(s)  << VIOLATION", file=sys.stderr)
         return 1
     return 0

@@ -1,9 +1,8 @@
 """Per-file analysis context shared by all rules.
 
 One :class:`FileContext` is built per linted file: the parsed AST, the
-source lines, a child→parent node map (rules use it to ask "is this
-comprehension feeding ``sorted()``?"), and the root-relative POSIX path
-that rule scopes match against.
+source lines, and the root-relative POSIX path that rule scopes match
+against.
 """
 
 from __future__ import annotations
@@ -22,30 +21,21 @@ class FileContext:
     source: str
     tree: ast.Module
     lines: list[str]
-    _parents: dict[int, ast.AST] = dataclasses.field(default_factory=dict)
 
     @classmethod
     def build(cls, root: pathlib.Path, path: pathlib.Path) -> "FileContext":
         source = path.read_text(encoding="utf-8")
         tree = ast.parse(source, filename=str(path))
         rel = path.relative_to(root).as_posix()
-        ctx = cls(
+        return cls(
             path=path,
             rel=rel,
             source=source,
             tree=tree,
             lines=source.splitlines(),
         )
-        for parent in ast.walk(tree):
-            for child in ast.iter_child_nodes(parent):
-                ctx._parents[id(child)] = parent
-        return ctx
 
     # -- navigation ---------------------------------------------------------
-
-    def parent(self, node: ast.AST) -> ast.AST | None:
-        """The syntactic parent of ``node``, or None for the module."""
-        return self._parents.get(id(node))
 
     def line_text(self, lineno: int) -> str:
         """Source text of 1-based ``lineno`` (empty if out of range)."""

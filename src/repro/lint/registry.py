@@ -14,7 +14,7 @@ import re
 import typing
 
 from repro.lint.context import FileContext
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding
 
 _RULE_ID = re.compile(r"^REP\d{3}$")
 
@@ -26,8 +26,6 @@ class Rule:
     id: str = ""
     #: One-line summary shown in reports and the docs catalog.
     title: str = ""
-    #: Severity of every finding this rule emits.
-    severity: Severity = Severity.ERROR
     #: Root-relative path prefixes the rule applies to. ``()`` = everywhere.
     scope: tuple[str, ...] = ()
     #: Root-relative paths exempted from the rule (trusted implementations,
@@ -55,7 +53,6 @@ class Rule:
         col = getattr(node, "col_offset", 0)
         return Finding(
             rule=self.id,
-            severity=self.severity,
             path=ctx.rel,
             line=line,
             col=col + 1,  # 1-based columns, like every other linter

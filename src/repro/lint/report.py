@@ -5,7 +5,7 @@ from __future__ import annotations
 import collections
 import json
 
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding
 from repro.lint.registry import all_rules
 
 
@@ -18,11 +18,9 @@ def render_human(findings: list[Finding], stats: dict[str, object]) -> str:
         lines.append("")
     by_rule = collections.Counter(f.rule for f in findings)
     rule_part = ", ".join(f"{rule}×{count}" for rule, count in sorted(by_rule.items()))
-    errors = sum(1 for f in findings if f.severity is Severity.ERROR)
-    advice = len(findings) - errors
     lines.append(
-        f"replint: {stats['files']} files, {errors} error(s), "
-        f"{advice} advisory, {stats['suppressed']} suppressed"
+        f"replint: {stats['files']} files, {len(findings)} error(s), "
+        f"{stats['suppressed']} suppressed"
         + (f"  [{rule_part}]" if rule_part else "")
     )
     return "\n".join(lines)
@@ -30,14 +28,12 @@ def render_human(findings: list[Finding], stats: dict[str, object]) -> str:
 
 def render_json(findings: list[Finding], stats: dict[str, object]) -> str:
     """The ``--json`` report (schema documented in STATIC_ANALYSIS.md)."""
-    errors = sum(1 for f in findings if f.severity is Severity.ERROR)
     payload = {
-        "version": 1,
+        "version": 2,
         "rules": {rule.id: rule.title for rule in all_rules()},
         "counts": {
             "files": stats["files"],
-            "errors": errors,
-            "advice": len(findings) - errors,
+            "errors": len(findings),
             "suppressed": stats["suppressed"],
         },
         "findings": [finding.to_json() for finding in findings],

@@ -2,10 +2,8 @@
 
 from repro.lint.rules import (  # noqa: F401  (imported for registration)
     rep001_determinism,
-    rep002_ordering,
     rep003_isolation,
     rep004_durability,
     rep005_floateq,
-    rep006_slots,
     rep007_stale_yield,
 )

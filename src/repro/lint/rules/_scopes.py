@@ -6,18 +6,17 @@ DESIGN.md §4:
 
 * ``SIM_TIME`` — code that runs *inside* simulated time: everything a
   scenario executes between ``kernel.run()`` entering and returning.
-  Wall-clock reads or hash-order iteration here is run-to-run
-  nondeterminism, which breaks the ``repro.wal.determinism`` CI gate
-  and seed-reproducibility of every experiment table.
+  Wall-clock reads here are run-to-run nondeterminism, which breaks
+  the ``repro.wal.determinism`` CI gate and seed-reproducibility of
+  every experiment table. (Hash-order iteration is the same failure;
+  ``tests/test_hash_seed.py`` sees it by running child interpreters
+  under different hash seeds and comparing their bytes.)
 * ``PROTOCOL`` — the replication protocol proper (session/ROWAA/copier
   machinery, TM/DM, baselines, workload drivers). These may touch a
   remote site's state only through the net RPC layer.
 * ``DURABLE`` — layers where *all* durable state must flow through the
   StableStorage/WAL API (direct file I/O would dodge crash semantics
   and the byte-accounting model).
-* ``HOT_PATH_FILES`` — kernel-inner-loop modules where per-instance
-  ``__dict__`` costs measurable throughput (``sim.ns_per_event`` in
-  ``BENCHMARK.json``).
 
 The harness/obs/cli layers are deliberately outside SIM_TIME/DURABLE:
 they run in real time around the simulation (timing walls, exporting
@@ -58,12 +57,4 @@ DURABLE: tuple[str, ...] = (
     "repro/workload",
     "repro/baselines",
     "repro/histories",
-)
-
-HOT_PATH_FILES: tuple[str, ...] = (
-    "repro/net/rpc.py",
-    "repro/sim/events.py",
-    "repro/sim/kernel.py",
-    "repro/sim/process.py",
-    "repro/sim/queue.py",
 )

@@ -53,7 +53,7 @@ def version_key(version: Version) -> Cut:
 
 
 class VersionRecord:
-    """One committed version of one item (REP006: hot record, slotted)."""
+    """One committed version of one item (hot record, slotted: sim.ns_per_event)."""
 
     __slots__ = ("version", "value")
 

@@ -76,7 +76,7 @@ class WindowedSampler:
         self.running = False
         self._timer: typing.Any = None
         #: (name, site, kind, probe) in registration order — iteration
-        #: order is deterministic by construction (REP002).
+        #: order is deterministic by construction (tests/test_hash_seed.py).
         self._probes: list[tuple[str, int | None, str, Probe]] = []
         self._values: dict[tuple[str, int | None], list[float]] = {}
         self._last: dict[tuple[str, int | None], float] = {}

@@ -71,7 +71,7 @@ class Site:
         self.mvcc: "MultiVersionStore | None" = None
         # Insertion-ordered dict-as-set: a plain set would interrupt the
         # procs in id-hash order on crash(), which varies across
-        # interpreter runs (REP002).
+        # interpreter runs (tests/test_hash_seed.py).
         self._procs: dict[Process, None] = {}
         # Lifecycle bookkeeping for recovery-latency metrics (E2).
         self.last_crash_time: float | None = None

@@ -102,7 +102,9 @@ class LockManager:
         self.site_id = site_id
         self.obs = obs
         self._table: dict[str, _LockState] = {}
-        self._held_by_txn: dict[str, set[str]] = {}
+        #: Items each transaction holds, in acquisition order (a dict as an
+        #: ordered set: release order must not follow string hashes).
+        self._held_by_txn: dict[str, dict[str, None]] = {}
         #: Lock states each transaction has a *queued* request on, one
         #: entry per request (a state repeats if two requests queue on it).
         self._queued_by_txn: dict[str, list[_LockState]] = {}
@@ -171,7 +173,7 @@ class LockManager:
             where = f"LockManager.release_all[{txn_id}]"
             for fn in access:
                 fn(self.site_id, ("lock",), "note", where)
-        items = self._held_by_txn.pop(txn_id, set())
+        items = self._held_by_txn.pop(txn_id, {})
         for item in items:
             state = self._table.get(item)
             if state is None:
@@ -193,7 +195,7 @@ class LockManager:
         state.holders.pop(txn_id)
         held = self._held_by_txn.get(txn_id)
         if held is not None:
-            held.discard(item)
+            held.pop(item, None)
         self._promote_waiters(item, state)
 
     def holds(self, txn_id: str, item: str, mode: LockMode) -> bool:
@@ -265,7 +267,7 @@ class LockManager:
 
     def _grant(self, state: _LockState, request: _Request) -> None:
         state.holders[request.txn_id] = request.mode
-        self._held_by_txn.setdefault(request.txn_id, set()).add(state.item)
+        self._held_by_txn.setdefault(request.txn_id, {})[state.item] = None
         self.stats_grants += 1
         if not request.future.triggered:
             request.future.succeed()
@@ -280,7 +282,7 @@ class LockManager:
             state.queue.popleft()
             self._left_queue(state, head)
             state.holders[head.txn_id] = head.mode
-            self._held_by_txn.setdefault(head.txn_id, set()).add(item)
+            self._held_by_txn.setdefault(head.txn_id, {})[item] = None
             self.stats_grants += 1
             self._record_wait(item, head)
             if not head.future.triggered:

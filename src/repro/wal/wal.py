@@ -98,7 +98,7 @@ class SiteWal:
         self._unresolved: dict[str, list[LogRecord]] = {}
         #: Items whose live image may differ from their stable
         #: ``wal.ckpt.item.<name>`` blob, in first-dirtied order (a dict,
-        #: never a set: REP002). Fed by :meth:`_journal` (write / mark /
+        #: never a set: tests/test_hash_seed.py). Fed by :meth:`_journal` (write / mark /
         #: clear / create), by the records :meth:`restore` replays, and
         #: by :meth:`mark_dirty`; emptied by every checkpoint. Invariant:
         #: restoring a clean item's blob yields its live image.

@@ -501,9 +501,14 @@ class TestOneDataPath:
             "partition_mode", "partition_config", "partition_services", "user_frozen",
             "cold_start", "session_modulus", "unreadable_policy", "unreadable_wait",
             "unreadable_wait_attempts", "_wait_for_copier",
+            # replint rules a run sees better (the hash-seed gate,
+            # sim.ns_per_event), and the advisory tier only REP006 used.
+            "HOT_PATH_FILES", "Severity",
         }
-        with pytest.raises(ImportError):
-            importlib.import_module("repro.core.partition_merge")
+        for module in ("repro.core.partition_merge", "repro.lint.rules.rep002_ordering",
+                       "repro.lint.rules._setlike", "repro.lint.rules.rep006_slots"):
+            with pytest.raises(ImportError):
+                importlib.import_module(module)
         assert not {"mvcc", "lock_wait_timeout"} & {
             f.name for f in dataclasses.fields(TxnConfig)
         }

@@ -1,6 +1,6 @@
 """Doc-drift gate: docs/STATIC_ANALYSIS.md's rule catalog is exhaustive.
 
-Parses the catalog table and compares (id, severity, title) rows
+Parses the catalog table and compares (id, title) rows
 against the live rule registry. Adding a rule without cataloguing it —
 or letting a documented row rot after a rule change — fails here.
 Same idiom as tests/obs/test_doc_drift.py for the metric catalog.
@@ -13,7 +13,7 @@ from repro.lint.registry import all_rules
 
 DOC = pathlib.Path(__file__).resolve().parents[2] / "docs" / "STATIC_ANALYSIS.md"
 
-_ROW = re.compile(r"^\|\s*`(REP\d{3})`\s*\|\s*(\w+)\s*\|\s*(.+?)\s*\|\s*$")
+_ROW = re.compile(r"^\|\s*`(REP\d{3})`\s*\|\s*(.+?)\s*\|\s*$")
 
 
 def _catalog_rows():
@@ -24,13 +24,13 @@ def _catalog_rows():
     for line in text[start:end].splitlines():
         match = _ROW.match(line)
         if match:
-            rows[match.group(1)] = (match.group(2), match.group(3))
+            rows[match.group(1)] = match.group(2)
     return rows
 
 
 def test_catalog_matches_registry():
     rows = _catalog_rows()
-    live = {rule.id: (rule.severity.value, rule.title) for rule in all_rules()}
+    live = {rule.id: rule.title for rule in all_rules()}
     assert rows == live
 
 

@@ -54,6 +54,9 @@ class TestExitCodes:
     def test_unknown_suppression_id_exits_two(self, sandbox, capsys):
         assert sandbox("a = 1  # replint: disable=NOPE1\n") == 2
         assert "NOPE1" in capsys.readouterr().err
+        # A deleted rule's id is as unknown as a typo.
+        assert sandbox("a = 1  # replint: disable=REP002\n") == 2
+        assert "REP002" in capsys.readouterr().err
 
     def test_missing_path_exits_two(self, tmp_path, capsys):
         code = main(["lint", "--path", str(tmp_path / "nope.py")])
@@ -75,15 +78,13 @@ class TestJsonReport:
     def test_schema_and_counts(self, sandbox, capsys):
         assert sandbox(BAD_SOURCE, "--json") == 1
         payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == 1
+        assert payload["version"] == 2
         assert set(payload["rules"]) == set(rule_ids())
         assert payload["counts"]["files"] == 1
         assert payload["counts"]["errors"] == 1
-        assert payload["counts"]["advice"] == 0
-        assert set(payload["counts"]) == {"files", "errors", "advice", "suppressed"}
+        assert set(payload["counts"]) == {"files", "errors", "suppressed"}
         (finding,) = payload["findings"]
         assert finding["rule"] == "REP001"
-        assert finding["severity"] == "error"
         assert finding["path"] == "repro/core/x.py"
         assert finding["line"] == 4
         assert {"col", "message", "snippet"} <= set(finding)

@@ -109,13 +109,13 @@ class TestScan:
     def test_scan_parses_line_and_file_directives(self):
         lines = [
             "# replint: disable-file=REP004",
-            "x = 1  # replint: disable=REP001, REP002",
+            "x = 1  # replint: disable=REP001, REP003",
             "y = 2",
         ]
         directives = suppress.scan(lines)
         assert directives.file_wide == {"REP004"}
-        assert directives.by_line == {2: frozenset({"REP001", "REP002"})}
-        assert directives.referenced == {"REP001", "REP002", "REP004"}
+        assert directives.by_line == {2: frozenset({"REP001", "REP003"})}
+        assert directives.referenced == {"REP001", "REP003", "REP004"}
         assert directives.is_suppressed("REP004", 3)
         assert directives.is_suppressed("REP001", 2)
         assert not directives.is_suppressed("REP001", 3)

@@ -115,13 +115,24 @@ class TestReleaseAndFifo:
         assert late_reader.ok
 
     def test_release_all_releases_every_item(self, kernel, locks):
-        locks.acquire("T1@1", "X", LockMode.X)
-        locks.acquire("T1@1", "Y", LockMode.X)
-        w_x = locks.acquire("T2@1", "X", LockMode.S)
-        w_y = locks.acquire("T3@1", "Y", LockMode.S)
+        """Every waiter is granted, in the order the releaser acquired.
+
+        The grant order fixes the kernel's event order, so it must not
+        follow string hashes (which vary with ``PYTHONHASHSEED``).
+        """
+        items = ["X", "k7", "Y", "a", "item-3", "Z", "q", "b2"]
+        granted_order = []
+        waiters = []
+        for item in items:
+            locks.acquire("T1@1", item, LockMode.X)
+        for n, item in enumerate(items, start=2):
+            waiter = locks.acquire(f"T{n}@1", item, LockMode.S)
+            waiter.add_callback(lambda _f, it=item: granted_order.append(it))
+            waiters.append(waiter)
         locks.release_all("T1@1")
         kernel.run()
-        assert w_x.ok and w_y.ok
+        assert all(w.ok for w in waiters)
+        assert granted_order == items
 
     def test_release_unknown_txn_is_noop(self, locks):
         locks.release_all("T99@1")  # must not raise

@@ -22,7 +22,7 @@ fi
 mkdir -p "$1"
 OUT=$(cd "$1" && pwd)
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
-export PYTHONPATH="$ROOT/src" PYTHONHASHSEED=0
+export PYTHONPATH="$ROOT/src"
 SCENARIOS="e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e10sync e11 e11sync"
 WORKLOADS="steady_rw steady_rw_async hot_contention crash_churn long_outage_catchup snapshot_read_mostly"
 SCRATCH=$(mktemp -d)
