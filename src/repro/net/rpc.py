@@ -45,8 +45,9 @@ from types import GeneratorType
 from repro.errors import Interrupt, NetworkError, ReproError, RpcTimeout
 from repro.net.messages import BatchCalls, BatchResults, Message
 from repro.net.network import Endpoint, Network
+from repro.sim.deadlines import Deadline, DeadlineQueue
 from repro.sim.events import Future
-from repro.sim.kernel import Callback, Kernel
+from repro.sim.kernel import Kernel
 from repro.sim.process import Process
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -102,6 +103,7 @@ class RpcNode:
         "stats_decisions_piggybacked",
         "_handlers",
         "_pending",
+        "_deadlines",
         "_strand",
         "_servers",
         "_serve_seq",
@@ -126,12 +128,15 @@ class RpcNode:
         self.stats_batched_calls = 0  # calls that rode those envelopes
         self.stats_decisions_piggybacked = 0  # commit/abort among them
         self._handlers: dict[str, Handler] = {}
-        #: msg_id -> (reply future, expiry timer or None). The timer is a
-        #: lazily-cancelled kernel callback: when the reply wins the race
-        #: (the overwhelmingly common case) it is cancelled in O(1) and
-        #: skipped when its heap entry surfaces, instead of firing into a
-        #: dead ``_pending`` entry.
-        self._pending: dict[int, tuple[Future, Callback | None]] = {}
+        #: msg_id -> (reply future, its deadline or None). A reply that
+        #: wins the race (the overwhelmingly common case) cancels the
+        #: deadline in O(1).
+        self._pending: dict[int, tuple[Future, Deadline | None]] = {}
+        #: Call deadlines, one queue per timeout length: every caller of
+        #: a kind passes the same one (``rpc_timeout``, the recovery
+        #: probes' and the type-2 ping's), so each queue keeps a single
+        #: kernel entry armed however many calls are in flight.
+        self._deadlines: dict[float, DeadlineQueue] = {}
         #: The running incarnation of the inbox drain; None while stopped.
         self._strand: DispatchStrand | None = None
         #: Serves in flight, in dispatch order (the order stop() tears
@@ -177,9 +182,8 @@ class RpcNode:
                 self.kernel.schedule_callback(0.0, self._stop_late_starter, number)
             elif server.is_alive:
                 server.interrupt("stop")
-        for _future, timer in self._pending.values():
-            if timer is not None:
-                timer.cancel()
+        for queue in self._deadlines.values():
+            queue.clear()
         self._pending.clear()
         self._outbatch.clear()
 
@@ -232,12 +236,16 @@ class RpcNode:
         else:
             msg = Message(self.site_id, dst, kind, payload)
             future = Future(self.kernel, name=("rpc:%s->%s", kind, dst)).defuse()
-        timer = (
-            self.kernel.schedule_callback(timeout, self._expire, msg.msg_id, dst, kind)
-            if timeout is not None
-            else None
-        )
-        self._pending[msg.msg_id] = (future, timer)
+        if timeout is None:
+            deadline = None
+        else:
+            queue = self._deadlines.get(timeout)
+            if queue is None:
+                queue = self._deadlines[timeout] = DeadlineQueue(
+                    self.kernel, timeout, self._timed_out
+                )
+            deadline = queue.add(msg.msg_id, dst, kind)
+        self._pending[msg.msg_id] = (future, deadline)
         # Only remote 2PC traffic is coalesced: local sends are already
         # zero-latency same-timestep deliveries, so batching them would
         # only add framing.
@@ -261,10 +269,8 @@ class RpcNode:
             for dst in dsts
         ]
 
-    def _expire(self, msg_id: int, dst: int, kind: str) -> None:
-        entry = self._pending.pop(msg_id, None)
-        if entry is not None and not entry[0].triggered:
-            entry[0].fail(RpcTimeout(dst, kind))
+    def _timed_out(self, msg_id: int, dst: int, kind: str) -> None:
+        self._pending.pop(msg_id)[0].fail(RpcTimeout(dst, kind))
 
     # -- outgoing batcher ------------------------------------------------------
 
@@ -372,11 +378,9 @@ class RpcNode:
         entry = self._pending.pop(msg_id, None)
         if entry is None:
             return  # late reply for a timed-out or pre-crash request
-        future, timer = entry
-        if timer is not None:
-            timer.cancel()
-        if future.triggered:
-            return
+        future, deadline = entry
+        if deadline is not None:
+            deadline.cancel()
         if ok:
             future.succeed(value)
         else:

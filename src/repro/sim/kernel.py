@@ -10,8 +10,10 @@ DESIGN.md §5 ("Two tiers").
 
 from __future__ import annotations
 
+import bisect
 import collections
 import heapq
+import operator
 import typing
 
 from repro.errors import SimError, UnhandledFailure
@@ -21,21 +23,24 @@ from repro.sim.process import Process
 from repro.sim.rng import RngRegistry
 
 
+#: The seq of a tier or heap entry ``(time, seq, fn, entry)``.
+_SEQ = operator.itemgetter(1)
+
+
 class Callback:
     """A cancellable scheduled callback: what :meth:`Kernel.schedule_callback`
     returns for a positive delay.
 
-    RPC timeout expiry and the time-series sampler keep these handles;
-    unlike a :class:`~repro.sim.events.Future` there is no name, no value,
-    no callback list and no unhandled-failure bookkeeping — just a
-    function and its arguments. A zero-delay ``schedule_callback`` /
+    Deadline queues (:mod:`repro.sim.deadlines`, one armed entry per
+    queue) and the time-series sampler keep these handles; unlike a
+    :class:`~repro.sim.events.Future` there is no name, no value, no
+    callback list and no unhandled-failure bookkeeping — just a function
+    and its arguments. A zero-delay ``schedule_callback`` /
     ``call_soon`` allocates none: its entry goes straight onto the
     now-tier, returns ``None``, and cannot be cancelled.
 
     ``cancel()`` is lazy: the entry stays where it is and is skipped when
-    it comes up, which is O(1) instead of an O(n) re-heapify. This is what
-    makes per-call RPC timeouts affordable — the common case is a reply
-    arriving first and the timer dying untouched.
+    it comes up, which is O(1) instead of an O(n) re-heapify.
     """
 
     __slots__ = ("fn", "args", "_flags")
@@ -146,7 +151,7 @@ class Kernel:
         """Run ``fn(*args)`` after ``delay``.
 
         A positive delay returns a cancellable :class:`Callback` handle
-        (RPC timers and the time-series sampler keep theirs). A zero delay
+        (the time-series sampler keeps its own). A zero delay
         returns ``None``: the call goes onto the now-tier as a plain
         ``(now, seq, fn, args)`` entry, allocating no handle, and cannot
         be cancelled. This is the cheap path for internal machinery;
@@ -162,6 +167,38 @@ class Kernel:
             return None
         handle = Callback(fn, args)
         self._schedule(handle, delay)
+        return handle
+
+    def reserve_seq(self) -> int:
+        """Take the next scheduling seq without scheduling anything yet.
+
+        For a deadline queue (:mod:`repro.sim.deadlines`) whose entry
+        may later be armed with :meth:`schedule_at` at exactly the
+        position a timer scheduled now would have had. The ``scheduled``
+        probes see the seq here, from the context that reserved it.
+        """
+        seq = self._seq
+        self._seq = seq + 1
+        if self.probes.scheduled:
+            for probe in self.probes.scheduled:
+                probe(seq)
+        return seq
+
+    def schedule_at(
+        self, when: float, seq: int, fn: typing.Callable[..., None], *args: object
+    ) -> Callback:
+        """Arm ``fn(*args)`` at ``(when, seq)``: a seq taken earlier by
+        :meth:`reserve_seq`, and a time not before ``now``. Due now, the
+        entry joins the now-tier at its seq position (the tier is in seq
+        order); later, the heap. Returns a cancellable handle."""
+        if when < self._now:
+            raise SimError(f"cannot schedule into the past (at {when}, now {self._now})")
+        handle = Callback(fn, args)
+        if when == self._now:
+            tier = self._tier
+            tier.insert(bisect.bisect(tier, seq, key=_SEQ), (when, seq, None, handle))
+        else:
+            heapq.heappush(self._heap, (when, seq, None, handle))
         return handle
 
     def call_soon(

@@ -103,6 +103,19 @@ class Site:
         proc.add_callback(lambda _ev: self._procs.pop(proc, None))
         return proc
 
+    def adopt(self, generator: typing.Generator, name: str = "") -> Process:
+        """:meth:`spawn` for a caller that is itself the event in which
+        the process is due to start (:meth:`Kernel.adopt`): the first step
+        runs before this returns, and neither the start nor the
+        completion is a kernel event. Not awaitable."""
+        proc = self.kernel.adopt(generator, self._adopted_exited, f"site{self.site_id}:{name}")
+        if proc.is_alive:
+            self._procs[proc] = None
+        return proc
+
+    def _adopted_exited(self, proc: Process) -> None:
+        self._procs.pop(proc, None)
+
     # -- lifecycle ----------------------------------------------------------------
 
     def power_on(self) -> None:

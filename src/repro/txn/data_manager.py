@@ -33,6 +33,7 @@ from repro.errors import (
     TransactionError,
 )
 from repro.histories.recorder import HistoryRecorder
+from repro.sim.deadlines import Deadline, DeadlineQueue
 from repro.sim.kernel import Kernel
 from repro.site.site import Site
 from repro.storage.copies import DataCopy, Version
@@ -80,6 +81,9 @@ class _Participation:
     participants: tuple[int, ...] = ()
     durable: bool = False  # prepare records reached the WAL
     restored: bool = False  # re-armed from the WAL after a crash
+    #: The orphan watch's deadline (``decision_timeout`` after the first
+    #: operation); None for a participation restored from the WAL.
+    watch: Deadline | None = None
 
 
 class DataManager:
@@ -100,6 +104,10 @@ class DataManager:
         self.lock_manager = LockManager(kernel, site.site_id, obs=site.obs)
         self.actual_session = 0  # as[k]; volatile, set by the session manager
         self._participations: dict[str, _Participation] = {}
+        #: The orphan watch: one deadline per participation, the backstop
+        #: for a coordinator that stops talking to us (see
+        #: :meth:`_orphan_due`).
+        self._orphans = DeadlineQueue(kernel, config.decision_timeout, self._orphan_due)
         self._decided: dict[str, tuple[str, Version | None]] = {}
         #: Wiring, not a probe: the on-demand copier trigger, called with
         #: the item of every read refused for an unreadable copy.
@@ -147,6 +155,7 @@ class DataManager:
     def _on_crash(self) -> None:
         self.lock_manager = LockManager(self.kernel, self.site_id, obs=self.site.obs)
         self._participations.clear()
+        self._orphans.clear()
         self._decided.clear()
         self._fast_resolving.clear()
         self.actual_session = 0
@@ -199,13 +208,13 @@ class DataManager:
                 coordinator=src,
             )
             self._participations[request.txn_id] = part
-            # The backstop for a coordinator that stops talking to us:
-            # first look after ``decision_timeout``.
-            self.site.spawn(
-                self._terminate(request.txn_id, self.config.decision_timeout),
-                name=f"orphan-watch:{request.txn_id}",
-            )
+            part.watch = self._orphans.add(request.txn_id)
         return part
+
+    def _orphan_due(self, txn_id: str) -> None:
+        """The participation is still open ``decision_timeout`` after it
+        began: run the termination loop, from this event on."""
+        self.site.adopt(self._terminate(txn_id), name=f"orphan-watch:{txn_id}")
 
     # -- operation handlers ---------------------------------------------------------
     # One admission pipeline per operation type; the scheduler (strict 2PL
@@ -450,6 +459,8 @@ class DataManager:
         part = self._participations.pop(txn_id, None)
         if part is None:
             return  # idempotent (duplicate decision or post-crash)
+        if part.watch is not None:
+            part.watch.cancel()
         for item, intent in part.writes.items():
             applied = intent.version_override if intent.version_override is not None else version
             if self._install_write(part, item, intent.value, applied):
@@ -530,6 +541,8 @@ class DataManager:
     def _apply_abort(self, txn_id: str) -> None:
         part = self._participations.pop(txn_id, None)
         if part is not None:
+            if part.watch is not None:
+                part.watch.cancel()
             self._decided[txn_id] = ("aborted", None)
             if part.durable:
                 # Lazy durability: losing this record only re-arms the
@@ -580,7 +593,7 @@ class DataManager:
                 restored=True,
             )
             self.site.spawn(
-                self._terminate(txn_id, None, announce=True), name=f"in-doubt:{txn_id}"
+                self._terminate(txn_id, announce=True), name=f"in-doubt:{txn_id}"
             )
 
     def _announce_outcome(self, part: _Participation) -> typing.Generator:
@@ -650,14 +663,13 @@ class DataManager:
                 # power". A never-prepared orphan whose coordinator is
                 # alive and working is left to the orphan watch.
                 self.site.spawn(
-                    self._terminate(part.txn_id, None, give_up_unprepared=True),
+                    self._terminate(part.txn_id, give_up_unprepared=True),
                     name=f"orphan-now:{part.txn_id}",
                 )
 
     def _terminate(
         self,
         txn_id: str,
-        first_wait: float | None,
         give_up_unprepared: bool = False,
         announce: bool = False,
     ) -> typing.Generator:
@@ -665,18 +677,18 @@ class DataManager:
 
         Covers in-doubt prepared participants (classic 2PC termination)
         and plain orphans (coordinator crashed before prepare, leaving
-        locks held here); its three callers differ in three things.
-        ``first_wait``: the orphan watch looks only after
-        ``decision_timeout``, the detector-driven and restored in-doubt
-        resolvers start right away (None). ``give_up_unprepared``: an
-        unresolved participation that never prepared ends the
-        detector-driven loop (the orphan watch stays as its backstop).
-        ``announce``: a restored in-doubt participation pushes the
-        outcome it learned to its peers. Once a prepared participant has
-        *tried* termination and come up empty (blocked in doubt, X locks
-        held), every loop re-polls at the much shorter ``indoubt_retry``.
+        locks held here); its three callers — the orphan watch at its
+        deadline, the detector-driven resolver and the restored in-doubt
+        one — all resolve at once and differ in two things.
+        ``give_up_unprepared``: an unresolved participation that never
+        prepared ends the detector-driven loop (the orphan watch stays
+        as its backstop). ``announce``: a restored in-doubt participation
+        pushes the outcome it learned to its peers. Once a prepared
+        participant has *tried* termination and come up empty (blocked
+        in doubt, X locks held), every loop re-polls at the much shorter
+        ``indoubt_retry``.
         """
-        wait = first_wait
+        wait = None
         try:
             while True:
                 if wait is not None:

@@ -31,7 +31,6 @@ through :meth:`LockManager._left_queue`, which keeps the index exact.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import enum
 import typing
@@ -75,10 +74,12 @@ class _LockState:
 
     def __init__(self, item: str, order: int) -> None:
         self.item = item
-        #: Rank of the item in the table (entries are never removed).
+        #: The item's first-lock rank at this site (kept across eviction).
         self.order = order
         self.holders: dict[str, LockMode] = {}
-        self.queue: collections.deque[_Request] = collections.deque()
+        #: One request per waiting transaction, so short: a list, not a
+        #: deque that preallocates a block per item.
+        self.queue: list[_Request] = []
 
 
 class LockManager:
@@ -101,7 +102,12 @@ class LockManager:
         self.kernel = kernel
         self.site_id = site_id
         self.obs = obs
+        #: Live entries only: an item nobody holds or queues on is dropped
+        #: (:meth:`_promote_waiters`) and re-created by its next acquire.
         self._table: dict[str, _LockState] = {}
+        #: item -> first-lock rank, the table order the deadlock detector's
+        #: inputs follow; one int per item ever locked, unlike an entry.
+        self._rank: dict[str, int] = {}
         #: Items each transaction holds, in acquisition order (a dict as an
         #: ordered set: release order must not follow string hashes).
         self._held_by_txn: dict[str, dict[str, None]] = {}
@@ -129,7 +135,8 @@ class LockManager:
                 fn(self.site_id, ("lock", item), "note", where)
         state = self._table.get(item)
         if state is None:
-            state = self._table[item] = _LockState(item, len(self._table))
+            rank = self._rank.setdefault(item, len(self._rank))
+            state = self._table[item] = _LockState(item, rank)
         future = Future(self.kernel, name=("lock:%s:%s:%s", item, mode, txn_id))
 
         held = state.holders.get(txn_id)
@@ -148,7 +155,7 @@ class LockManager:
         self.stats_waits += 1
         request.enqueued_at = self.kernel.now
         if upgrade:
-            state.queue.appendleft(request)
+            state.queue.insert(0, request)
         else:
             state.queue.append(request)
         self._queued_by_txn.setdefault(txn_id, []).append(state)
@@ -273,13 +280,17 @@ class LockManager:
             request.future.succeed()
 
     def _promote_waiters(self, item: str, state: _LockState) -> None:
+        """Grant what the queue head now allows; drop the entry if that
+        leaves it with no holder and no queue (every release, abandon and
+        victim kill ends here)."""
         # Upgrades first (they sit at the front), then FIFO batches of
         # compatible requests.
-        while state.queue:
-            head = state.queue[0]
+        queue = state.queue
+        while queue:
+            head = queue[0]
             if not self._compatible_with_holders(state, head):
                 break
-            state.queue.popleft()
+            del queue[0]
             self._left_queue(state, head)
             state.holders[head.txn_id] = head.mode
             self._held_by_txn.setdefault(head.txn_id, {})[item] = None
@@ -289,6 +300,8 @@ class LockManager:
                 head.future.succeed()
             if head.mode is LockMode.X:
                 break
+        if not state.holders and not queue:
+            del self._table[item]
 
     def _record_wait(self, item: str, request: _Request) -> None:
         """Instrument a grant that had to queue: histogram + causal span.

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import bisect
+import copy
 import dataclasses
 import math
 import random
@@ -65,15 +67,9 @@ class ZipfSampler:
             self._cdf.append(acc)
 
     def sample(self, rng: random.Random) -> int:
-        u = rng.random()
-        lo, hi = 0, self.n - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if self._cdf[mid] < u:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+        # The first rank whose CDF reaches u; the last rank if rounding
+        # leaves the final CDF value short of u.
+        return bisect.bisect_left(self._cdf, rng.random(), 0, self.n - 1)
 
 
 class WorkloadGenerator:
@@ -87,6 +83,9 @@ class WorkloadGenerator:
         self.spec = spec
         self.rng = rng
         self._sampler = ZipfSampler(spec.n_items, spec.zipf_s)
+        #: ``spec.item_names()``, built once: every program of every fork
+        #: names its items with these strings.
+        self._names = spec.item_names()
         self.generated = 0
 
     def fork(self, index: int) -> "WorkloadGenerator":
@@ -101,9 +100,10 @@ class WorkloadGenerator:
         schedule may reorder execution but must never change the
         program being executed.
         """
-        return WorkloadGenerator(
-            self.spec, random.Random(self.rng.getrandbits(64) ^ index)
-        )
+        child = copy.copy(self)  # shares the spec, the sampler and the names
+        child.rng = random.Random(self.rng.getrandbits(64) ^ index)
+        child.generated = 0
+        return child
 
     def _pick_items(self, count: int) -> list[str]:
         chosen: list[int] = []
@@ -113,7 +113,7 @@ class WorkloadGenerator:
             index = self._sampler.sample(self.rng)
             if index not in chosen:
                 chosen.append(index)
-        return [f"X{i}" for i in sorted(chosen)]
+        return [self._names[i] for i in sorted(chosen)]
 
     def next_program(self) -> typing.Callable:
         """A fresh random transaction program.

@@ -13,7 +13,10 @@ every step they must agree on
 * holders and queues item by item,
 
 and the real manager's index must equal a scan of its own table — no
-stale entry, no empty leftover, for any route out of a queue.
+stale entry, no empty leftover, for any route out of a queue. The table
+itself keeps only live entries (an item someone holds or queues on), so
+the oracle walks it in first-lock rank (``order``), not dict order: an
+evicted and re-created entry sits at the dict's end but keeps its rank.
 """
 
 import hypothesis.strategies as st
@@ -35,9 +38,13 @@ modes = st.sampled_from([LockMode.S, LockMode.X])
 class ScanLockManager(LockManager):
     """The oracle: every lookup is a walk over the whole lock table."""
 
+    def _walk(self):
+        return sorted(self._table.values(), key=lambda state: state.order)
+
     def kill_waiter(self, txn_id):
         killed = False
-        for item, state in self._table.items():
+        for state in self._walk():
+            item = state.item
             victims = [r for r in state.queue if r.txn_id == txn_id]
             for request in victims:
                 state.queue.remove(request)
@@ -51,7 +58,7 @@ class ScanLockManager(LockManager):
 
     def wait_edges(self):
         edges = []
-        for state in self._table.values():
+        for state in self._walk():
             for index, request in enumerate(state.queue):
                 for holder, held_mode in state.holders.items():
                     if holder != request.txn_id and not request.mode.compatible(held_mode):
@@ -179,6 +186,13 @@ class LockIndexMachine(RuleBasedStateMachine):
         )
 
     @invariant()
+    def table_holds_only_live_entries(self):
+        for side in self.sides:
+            for item, state in side.manager._table.items():
+                assert state.item == item
+                assert state.holders or state.queue, item
+
+    @invariant()
     def index_equals_scan(self):
         manager = self.real.manager
         indexed = {
@@ -195,8 +209,7 @@ class LockIndexMachine(RuleBasedStateMachine):
             side.settle(1.0)
             assert not side.manager._queued_by_txn
             assert not side.manager._held_by_txn
-            for state in side.manager._table.values():
-                assert not state.holders and not state.queue
+            assert not side.manager._table
         assert self.real.log == self.oracle.log
 
 

@@ -3,11 +3,13 @@
 import heapq
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import given, settings
 
 from repro.errors import SimError, UnhandledFailure
 from repro.sanitize.policy import DirectedPolicy
 from repro.sim import Callback, Future, Kernel
+from repro.sim.deadlines import DeadlineQueue
 from repro.sim.events import F_CANCELLED, F_PROCESSED
 from repro.storage import Version
 
@@ -54,6 +56,13 @@ class SingleHeapKernel(Kernel):
     def schedule_callback(self, delay, fn, *args):
         handle = Callback(fn, args)
         self._schedule(handle, delay)
+        return handle
+
+    def schedule_at(self, when, seq, fn, *args):
+        if when < self._now:
+            raise SimError(f"cannot schedule into the past (at {when}, now {self._now})")
+        handle = Callback(fn, args)
+        heapq.heappush(self._heap, (when, seq, handle))
         return handle
 
     def peek(self):
@@ -106,8 +115,8 @@ class SingleHeapKernel(Kernel):
 
 #: A program is a forest of scheduling nodes ``(kind, delay, children)``:
 #: each node schedules something; when it fires it logs and schedules its
-#: children from inside the dispatch.
-KINDS = ("call", "cancelled", "timeout", "succeed", "fail", "unhandled", "process")
+#: children from inside the dispatch (an ``at`` node plants them at once).
+KINDS = ("call", "cancelled", "timeout", "succeed", "fail", "unhandled", "process", "at")
 DELAYS = (0.0, 0.0, 0.5, 1.0, 2.0)
 nodes = st.recursive(
     st.tuples(st.sampled_from(KINDS), st.sampled_from(DELAYS), st.just(())),
@@ -158,6 +167,18 @@ def plant(kernel, node, tag, log):
     elif kind == "unhandled":
         kernel.event().fail(ValueError(tag), delay=delay)
         fire()
+    elif kind == "at":
+        # A seq reserved now and armed by an entry scheduled *before* the
+        # reservation, as a deadline queue arms its next entry: the
+        # children take the seqs in between, so at a zero delay the armed
+        # entry joins the now-tier behind them, ahead of later siblings.
+        when = kernel.now + delay
+        kernel.schedule_callback(
+            0.0, lambda: kernel.schedule_at(when, seq, lambda: log.append((kernel.now, tag)))
+        )
+        for index, child in enumerate(children):
+            plant(kernel, child, f"{tag}.{index}", log)
+        seq = kernel.reserve_seq()
     else:
         def body():
             yield kernel.timeout(delay)
@@ -233,6 +254,125 @@ class TestNowTierOrder:
         assert trace(Kernel(), program, far, drive, plan) == trace(
             SingleHeapKernel(), program, far, drive, plan
         )
+
+
+class PerCallTimers:
+    """The reference for a :class:`DeadlineQueue`: one kernel timer per
+    deadline, cancelled one by one."""
+
+    def __init__(self, kernel, delay, expire):
+        self.kernel, self.delay, self.expire = kernel, delay, expire
+        self._timers = []
+
+    def add(self, *args):
+        timer = self.kernel.schedule_callback(self.delay, self.expire, *args)
+        self._timers.append(timer)
+        return timer
+
+    def clear(self):
+        for timer in self._timers:
+            timer.cancel()
+        self._timers.clear()
+
+
+#: Fixed delays of the three deadline streams; with integer and half
+#: steps, expiries of different streams, adds and ticks share instants.
+STREAM_DELAYS = (1.0, 2.0, 2.5)
+queue_programs = st.lists(
+    st.one_of(
+        st.tuples(st.just("add"), st.integers(0, 2)),
+        st.tuples(st.just("cancel"), st.integers(0, 63)),
+        st.tuples(st.just("clear"), st.integers(0, 2)),
+        # An add made from inside an event ``delay`` from now.
+        st.tuples(st.just("defer"), st.integers(0, 2), st.sampled_from((0.0, 0.5, 1.0))),
+        st.tuples(st.just("tick"), st.sampled_from((0.0, 0.5, 1.0, 2.0))),
+        st.tuples(st.just("run"), st.sampled_from((0.0, 0.5, 1.0, 2.0))),
+    ),
+    max_size=40,
+)
+
+
+class _Streams:
+    """Three deadline streams on one kernel, logging every expiry and
+    tick at the ``(time, seq)`` of the event that ran it."""
+
+    def __init__(self, stream_class):
+        self.kernel = Kernel(seed=0)
+        self.log = []
+        self.handles = []
+        self.current = None
+        self.kernel.probes.subscribe(dispatch_begin=self._dispatching)
+        self.streams = [
+            stream_class(self.kernel, delay, lambda label, q=q: self._expire(q, label))
+            for q, delay in enumerate(STREAM_DELAYS)
+        ]
+
+    def _dispatching(self, seq, _fn, _entry):
+        self.current = seq
+
+    def _expire(self, q, label):
+        self.log.append((self.kernel.now, self.current, "expire", q, label))
+        if label % 3 == 0:
+            # An expiry that adds to its own stream, as a timed-out call
+            # retried at once would.
+            self.add(q)
+
+    def _tick(self, label):
+        self.log.append((self.kernel.now, self.current, "tick", label))
+
+    def add(self, q):
+        self.handles.append(self.streams[q].add(len(self.handles)))
+
+    def step(self, action):
+        kernel = self.kernel
+        kind = action[0]
+        if kind == "add":
+            self.add(action[1])
+        elif kind == "cancel":
+            if self.handles:
+                self.handles[action[1] % len(self.handles)].cancel()
+        elif kind == "clear":
+            self.streams[action[1]].clear()
+        elif kind == "defer":
+            kernel.schedule_callback(action[2], self.add, action[1])
+        elif kind == "tick":
+            kernel.schedule_callback(action[1], self._tick, len(self.log))
+        else:
+            kernel.run(until=kernel.now + action[1])
+
+
+def armed_entries(kernel, queue):
+    """Live kernel entries that fire ``queue``, on both tiers."""
+    return [
+        entry
+        for _when, _seq, fn, entry in [*kernel._tier, *kernel._heap]
+        if fn is None and isinstance(entry, Callback) and not entry.cancelled
+        and getattr(entry.fn, "__self__", None) is queue
+    ]
+
+
+class TestDeadlineQueue:
+    """A deadline queue arms one kernel entry, yet every live deadline
+    expires in the very event (``(time, seq)``) its own timer would have
+    run in."""
+
+    @given(program=queue_programs)
+    @settings(max_examples=200, deadline=None)
+    def test_expiries_match_per_call_timers(self, program):
+        queued, timed = _Streams(DeadlineQueue), _Streams(PerCallTimers)
+        for action in [*program, ("run", 10.0)]:
+            for side in (queued, timed):
+                side.step(action)
+            assert queued.log == timed.log
+            for queue in queued.streams:
+                armed = armed_entries(queued.kernel, queue)
+                assert len(armed) == (1 if len(queue) else 0)
+        assert queued.log == timed.log
+        assert all(len(queue) == 0 for queue in queued.streams)
+
+    def test_rejects_a_non_positive_delay(self):
+        with pytest.raises(ValueError):
+            DeadlineQueue(Kernel(), 0.0, print)
 
 
 class TestVersionOrdering:

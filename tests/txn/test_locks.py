@@ -202,3 +202,58 @@ class TestAbandonment:
         kernel.run()
         assert reader.ok
         assert locks.waiting_txns() == set()
+
+
+class TestLiveEntriesOnly:
+    """The table keeps an entry only while someone holds or queues on
+    its item; the item's first-lock rank outlives the entry."""
+
+    @staticmethod
+    def live(locks):
+        return {item for item, state in locks._table.items() if state.holders or state.queue}
+
+    def test_every_route_out_drops_the_empty_entry(self, kernel, locks):
+        # release_all: the holder leaves, nothing is queued.
+        locks.acquire("T1@1", "A", LockMode.X)
+        locks.acquire("T1@1", "B", LockMode.S)
+        locks.release_all("T1@1")
+        assert locks._table == {}
+        # cancel: the waiter's request is failed, then its holds released.
+        locks.acquire("T1@1", "A", LockMode.X)
+        locks.acquire("T2@1", "B", LockMode.X)
+        locks.acquire("T2@1", "A", LockMode.S).defuse()
+        locks.cancel("T2@1")
+        assert set(locks._table) == self.live(locks) == {"A"}
+        # kill_waiter: the victim's request goes, the holder's entry stays.
+        locks.acquire("T3@1", "A", LockMode.S).defuse()
+        assert locks.kill_waiter("T3@1")
+        assert set(locks._table) == self.live(locks) == {"A"}
+        # abandon: an interrupted waiter leaves the queue.
+        def waiter_body():
+            yield locks.acquire("T4@1", "A", LockMode.X)
+
+        proc = kernel.process(waiter_body())
+        proc.defuse()
+        kernel.run()
+        assert self.live(locks) == {"A"} and locks.waiting_txns() == {"T4@1"}
+        proc.interrupt("crash")
+        kernel.run()
+        assert locks.waiting_txns() == set()
+        assert set(locks._table) == self.live(locks) == {"A"}
+        locks.release_all("T1@1")
+        assert locks._table == {}
+        kernel.run()
+        assert not locks._queued_by_txn
+
+    def test_relocked_item_keeps_its_first_rank(self, locks):
+        locks.acquire("T1@1", "A", LockMode.X)
+        locks.release_all("T1@1")
+        assert locks._table == {}
+        locks.acquire("T1@1", "B", LockMode.X)
+        locks.acquire("T1@1", "A", LockMode.X)  # A re-created after B
+        assert list(locks._table) == ["B", "A"]
+        assert [locks._table[item].order for item in "AB"] == [0, 1]
+        locks.acquire("T2@1", "B", LockMode.X)
+        locks.acquire("T3@1", "A", LockMode.X)
+        # Walked in rank order: A (locked first) before B.
+        assert locks.wait_edges() == [("T3@1", "T1@1"), ("T2@1", "T1@1")]

@@ -2,7 +2,9 @@
 
 import random
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 from repro.workload import WorkloadGenerator, WorkloadSpec
 from repro.workload.generator import ZipfSampler
@@ -33,6 +35,42 @@ class TestZipfSampler:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             ZipfSampler(0, 1.0)
+
+    @given(
+        n=st.integers(min_value=1, max_value=300),
+        s=st.sampled_from([0.0, 0.5, 0.9, 1.0, 1.2, 2.0]),
+        u=st.one_of(
+            st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+            st.sampled_from([0.0, 0.5, 1.0 - 2**-53]),
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_bisect_equals_the_search_loop(self, n, s, u):
+        """``sample`` returns the index the hand-written binary search
+        it replaced returned, for any draw -- CDF values themselves, and
+        draws past a last CDF value rounded below 1, included."""
+        sampler = ZipfSampler(n, s)
+        cdf = sampler._cdf
+
+        def loop(u):
+            lo, hi = 0, n - 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if cdf[mid] < u:
+                    lo = mid + 1
+                else:
+                    hi = mid
+            return lo
+
+        class Draw:
+            def __init__(self, value):
+                self.value = value
+
+            def random(self):
+                return self.value
+
+        for draw in (u, cdf[min(int(u * n), n - 1)], cdf[-1], 1.0 - 2**-53):
+            assert sampler.sample(Draw(draw)) == loop(draw)
 
 
 class TestWorkloadSpec:
@@ -108,3 +146,36 @@ class TestWorkloadGenerator:
             except StopIteration:
                 pass
             assert len(set(ctx.items)) == len(ctx.items)
+
+    def test_forks_share_the_sampler_and_the_names(self):
+        spec = WorkloadSpec(n_items=1024, ops_per_txn=4, write_fraction=0.0,
+                            zipf_s=0.9, read_modify_write=False)
+        parent = WorkloadGenerator(spec, random.Random(11))
+        forks = [parent.fork(i) for i in range(2)]
+
+        class FakeCtx:
+            def __init__(self):
+                self.items = []
+
+            def read(self, item):
+                self.items.append(item)
+                return iter(())
+
+        def items_of(program):
+            ctx = FakeCtx()
+            for _ in program(ctx):
+                pass
+            return ctx.items
+
+        picked = [[items_of(fork.next_program()) for _ in range(2)] for fork in forks]
+        # The streams of a fresh sampler per fork, recorded before forks
+        # shared one: sharing changes no draw.
+        assert picked == [
+            [["X0", "X1", "X34", "X270"], ["X2", "X6", "X240", "X1017"]],
+            [["X0", "X61", "X479", "X833"], ["X0", "X2", "X67", "X115"]],
+        ]
+        for fork in forks:
+            assert fork._sampler is parent._sampler
+            assert fork._names is parent._names
+        # One string per item, however many programs name it.
+        assert picked[0][0][0] is picked[1][0][0] is parent._names[0]
