@@ -9,7 +9,7 @@ Usage::
     python -m repro metrics --experiment e2 [--out metrics.json]
     python -m repro audit --experiment e2 [--out alerts.jsonl]
     python -m repro latency --experiment e10 [--out budget.json] [--series ts.jsonl]
-    python -m repro profile --experiment e11 [--sample] [--folded f.txt]
+    python -m repro profile --experiment e11 [--folded f.txt]
         [--speedscope s.json] [--out prof.json]
     python -m repro schedfuzz --experiment e2 [--schedules 8] [--races]
         [--out schedules.json | --replay schedules.json]
@@ -43,12 +43,12 @@ the sync baseline) so the budget tables line up side by side;
 time-series JSONL.
 
 ``profile`` runs a traced scenario with the **host-CPU profiler**
-attached to the kernel dispatch loop (:mod:`repro.obs.profiler`):
-exclusive host CPU attributed per subsystem (kernel/net/tm/dm/locks/
-wal/copier/mvcc/audit/obs/workload), printed as a table whose rows sum
-to the dispatch wall time. ``--folded``/``--speedscope`` export the
-*sim-time* flamegraph collapsed from the span tree; ``--sample`` adds
-``sys.setprofile`` host folded stacks; ``--out`` saves everything as
+(:mod:`repro.obs.profiler`): stdlib ``cProfile`` switched on for the
+kernel's drain loops, its exclusive time folded per subsystem
+(kernel/net/tm/dm/locks/wal/copier/mvcc/audit/obs/workload) into a
+table whose rows sum to cProfile's total ``tottime``, each with its
+hottest function. ``--folded``/``--speedscope`` export the *sim-time*
+flamegraph collapsed from the span tree; ``--out`` saves everything as
 JSON. What the probes cost is the reference benchmark's
 ``obs.trace_overhead_pct`` (its traced rep runs with spans, timeline and
 this profiler on).
@@ -141,11 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(both modes appended for e10)",
     )
     # profile-only options (ignored by the other subcommands).
-    parser.add_argument(
-        "--sample", action="store_true",
-        help="profile: also run the sys.setprofile host-stack sampler "
-        "over the scenario (slow; folded stacks land in --out)",
-    )
     parser.add_argument(
         "--folded", default=None, metavar="PATH",
         help="profile: write the sim-time flamegraph as flamegraph.pl "
@@ -372,33 +367,24 @@ def run_latency(args: argparse.Namespace) -> int:
 def run_profile(args: argparse.Namespace) -> int:
     """The ``profile`` subcommand: host-CPU attribution + flamegraphs.
 
-    Runs the traced scenario with the host-CPU profiler attached to
-    the kernel dispatch loop and prints the per-subsystem attribution
-    table (also folded into the recovery-timeline report for any
-    profiled run). ``--folded`` / ``--speedscope`` export the sim-time
-    flamegraph collapsed from the span tree; ``--sample`` additionally
-    traces host stacks via ``sys.setprofile``; ``--out`` saves the
-    machine-readable JSON. Exit status: 0 on success, 2 on an unknown
-    experiment name.
+    Runs the traced scenario under the host-CPU profiler (``cProfile``
+    over the kernel's drain loops) and prints the per-subsystem
+    attribution table (also folded into the recovery-timeline report
+    for any profiled run). ``--folded`` / ``--speedscope`` export the
+    sim-time flamegraph collapsed from the span tree; ``--out`` saves
+    the machine-readable JSON. Exit status: 0 on success, 2 on an
+    unknown experiment name.
     """
     import json
 
     from repro.obs.profiler import (
-        StackSampler,
         export_folded,
         export_speedscope,
         folded_stacks,
         render_profile,
     )
 
-    sampler = StackSampler() if args.sample else None
-    if sampler is not None:
-        sampler.start()
-    try:
-        run = _run_scenario(args, profile=True)
-    finally:
-        if sampler is not None:
-            sampler.stop()
+    run = _run_scenario(args, profile=True)
     if run is None:
         return 2
     report = run.obs.profiler.report()
@@ -412,9 +398,6 @@ def run_profile(args: argparse.Namespace) -> int:
         n_lines = export_folded(sim_folded, args.folded)
         print(f"{args.folded}: {n_lines} folded sim-time stacks "
               "(flamegraph.pl collapsed format)")
-    if sampler is not None:
-        for stack, seconds in sampler.top(5):
-            print(f"host {seconds:.4f}s  {';'.join(stack[-4:])}")
     if args.out:
         document: dict = {
             "experiment": run.experiment,
@@ -425,11 +408,6 @@ def run_profile(args: argparse.Namespace) -> int:
                 for stack, value in sorted(sim_folded.items())
             ],
         }
-        if sampler is not None:
-            document["host_folded"] = [
-                {"stack": list(stack), "cpu_s": value}
-                for stack, value in sorted(sampler.folded().items())
-            ]
         with open(args.out, "w") as handle:
             json.dump(document, handle, indent=2)
             handle.write("\n")

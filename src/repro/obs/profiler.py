@@ -2,33 +2,20 @@
 
 Two views over where time goes, one per time domain:
 
-**View 1 — host CPU** (:class:`HostProfiler`). The kernel's dispatch
-loop is the only place host cycles are ever spent during a simulation,
-so attaching there covers everything. The profiler subscribes to the
-kernel's drain-loop probes (``kernel.probes``) and reads its own host
-clock (from :mod:`repro.obs.hostclock` — the sanctioned REP001 seam;
-the kernel itself never imports ``time``) at *run boundaries*: a run is
-a maximal stretch of consecutive events sharing one dispatch signature
-(a Future's waiter-list identity, a Callback's function). The common
-storms — thousands of bare timeouts, one process resumed again and
-again — therefore cost two clock reads total rather than two per event,
-which is what keeps the profiler cheap (its cost is part of the
-reference benchmark's ``obs.trace_overhead_pct``). Charging whole runs
-keeps the headline invariant exact: the per-subsystem exclusive
-``cpu_s`` sum to the wall time spent inside the dispatch loop.
-
-Each run is attributed to a *subsystem label* derived from the owning
-module of the code the events dispatch into: a resumed process is
-labelled by its generator's defining file, a callback by its function's
-module, a bare future/timeout (no waiters) by the kernel itself. The
-:func:`subsystem_of_module` prefix map turns module paths into the
-stable label set (kernel/net/tm/dm/locks/wal/copier/recovery/mvcc/
-audit/obs/workload/site).
-
-An optional :class:`StackSampler` (``repro profile --sample``) rides on
-``sys.setprofile`` and folds exclusive host time per Python call stack
-— the drill-down view when a subsystem's share moved and the question
-becomes *which function*.
+**View 1 — host CPU** (:class:`HostProfiler`). A thin fold over stdlib
+:mod:`cProfile`. The profiler subscribes to the kernel's ``loop_enter``
+and ``loop_exit`` probes (``kernel.probes``) and switches one
+``cProfile.Profile`` on and off there, so it profiles exactly the
+probed drain loops and nothing that runs between them. The
+report folds pstats ``tottime`` (exclusive host time per function) by
+the :func:`subsystem_of_path` prefix map into the stable label set
+(kernel/net/tm/dm/locks/wal/copier/recovery/mvcc/audit/obs/workload/
+site): time is charged to the module that *spent* it, not to the
+module a dispatch entered. A C builtin has no source file, so its time
+goes to its callers' subsystems, each by the share cProfile recorded
+for that caller; a builtin with no recorded caller was called from the
+drain loop itself and is charged to ``kernel``. The per-subsystem
+``cpu_s`` therefore sum to cProfile's total ``tottime``.
 
 **View 2 — sim-time flamegraphs** (:func:`folded_stacks`). The span
 tree already records where *simulated* time goes; the fold collapses it
@@ -49,11 +36,7 @@ recovery-timeline report. See docs/OBSERVABILITY.md §Profiling.
 from __future__ import annotations
 
 import json
-import sys
 import typing
-
-from repro.obs import hostclock
-from repro.sim.process import Process
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.spans import Span, SpanRecorder
@@ -63,7 +46,8 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Module-prefix → subsystem label, longest prefix first. ``harness``
 #: folds into ``workload``: both are load generation and scenario
-#: driving, not protocol work.
+#: driving, not protocol work. ``sanitize`` (race detector, tie-break
+#: policy) is an observer like the rest of ``obs``.
 _MODULE_LABELS: tuple[tuple[str, str], ...] = (
     ("repro.txn.data_manager", "dm"),
     ("repro.txn.locks", "locks"),
@@ -80,6 +64,7 @@ _MODULE_LABELS: tuple[tuple[str, str], ...] = (
     ("repro.mvcc", "mvcc"),
     ("repro.audit", "audit"),
     ("repro.obs", "obs"),
+    ("repro.sanitize", "obs"),
     ("repro.histories", "audit"),
     ("repro.workload", "workload"),
     ("repro.harness", "workload"),
@@ -95,70 +80,53 @@ def subsystem_of_module(module: str) -> str:
     return "other"
 
 
-def subsystem_of_path(path: str) -> str:
-    """The subsystem label owning a source file path."""
+def _dotted(path: str) -> str:
+    """``.../repro/txn/locks.py`` → ``repro.txn.locks``; any other
+    file → its stem."""
     normalized = path.replace("\\", "/")
     index = normalized.rfind("/repro/")
-    if index < 0:
-        return "other"
-    dotted = normalized[index + 1:].removesuffix(".py").replace("/", ".")
-    return subsystem_of_module(dotted)
+    tail = normalized[index + 1:] if index >= 0 else normalized.rsplit("/", 1)[-1]
+    return tail.removesuffix(".py").replace("/", ".")
+
+
+def subsystem_of_path(path: str) -> str:
+    """The subsystem label owning a source file path."""
+    return subsystem_of_module(_dotted(path))
 
 
 # -- view 1: host-CPU attribution ----------------------------------------------
 
+#: Functions listed per subsystem row, hottest first.
+_TOP_FUNCTIONS = 3
+
 
 class HostProfiler:
-    """Attributes the kernel dispatch loop's host CPU to subsystems.
+    """Attributes the kernel drain loops' host CPU to subsystems.
 
     Attach with :meth:`attach` (or ``build_traced_scheme(...,
-    profile=True)`` / ``repro profile``): the profiler subscribes to the
-    kernel's ``loop_enter`` / ``dispatch_begin`` / ``loop_exit`` probes
-    and reads its host clock at *run boundaries* only. A run is a
-    maximal stretch of consecutive events sharing one dispatch
-    signature — the ``fn`` of a zero-delay callback, else
-    ``entry._callbacks`` (the waiter-list identity of a Future; the
-    class sentinel redirects a Callback to its ``fn``) — so
-    a storm of bare timeouts or repeated resumes of one process costs
-    two clock reads total, not two per event. Each boundary's clock
-    read both closes one run and opens the next, so the charges tile
-    the loop's wall time exactly: the per-subsystem ``cpu_s`` sum to
-    ``dispatch_wall_s`` up to float rounding, under any combination of
-    other probes. Bookkeeping is O(1) per *run*, not per event — the
-    resolve caches make repeat signatures a dict hit.
+    profile=True)`` / ``repro profile``). ``profile`` is the underlying
+    ``cProfile.Profile``: ``pstats.Stats(profiler.profile)`` is the
+    per-function drill-down behind any row of :meth:`report`.
     """
 
-    def __init__(self, clock: typing.Callable[[], float] | None = None) -> None:
-        #: The host clock, read at run boundaries; the injection point
-        #: that keeps ``time`` imports out of SIM_TIME scope.
-        self.clock = clock if clock is not None else hostclock.now
-        #: Exclusive host CPU per subsystem label, seconds.
-        self.cpu_s: dict[str, float] = {}
-        #: Events dispatched per subsystem label.
-        self.events: dict[str, int] = {}
-        #: Wall time spent inside the kernel's drain loop(s) while
-        #: attached, taken from the same clock reads that bound the
-        #: charges — so ``sum(cpu_s.values())`` equals this up to float
-        #: rounding.
-        self.dispatch_wall_s = 0.0
-        self._code_labels: dict[object, str] = {}
-        self._target_labels: dict[object, str] = {}
+    def __init__(self) -> None:
+        # Imported here, not at module top: the reference benchmark
+        # imports this module in every cold set-up interpreter, and
+        # only its traced rep ever profiles.
+        import cProfile
+
+        self.profile = cProfile.Profile()
+        #: Events dispatched inside the profiled drain loops.
+        self.total_events = 0
         self._kernel: typing.Any = None
-        # The open run: its signature, events so far, and the clock
-        # reads that opened it and the enclosing loop.
-        self._sig: typing.Any = None
-        self._run_events = 0
-        self._run_start = 0.0
-        self._loop_start = 0.0
+        self._events_at_enter = 0
 
     # -- kernel wiring --------------------------------------------------------
 
     def attach(self, kernel: "Kernel") -> None:
         """Subscribe to ``kernel``'s drain-loop probes."""
         kernel.probes.subscribe(
-            loop_enter=self._on_loop_enter,
-            dispatch_begin=self._on_dispatch,
-            loop_exit=self._on_loop_exit,
+            loop_enter=self._on_loop_enter, loop_exit=self._on_loop_exit
         )
         self._kernel = kernel
 
@@ -168,126 +136,66 @@ class HostProfiler:
             self._kernel.probes.detach(self)
             self._kernel = None
 
-    # -- accumulation ---------------------------------------------------------
-
     def _on_loop_enter(self) -> None:
-        self._sig = None
-        self._run_events = 0
-        self._loop_start = self._run_start = self.clock()
-
-    def _on_dispatch(self, seq: int, fn: typing.Any, entry: typing.Any) -> None:
-        sig = fn
-        if sig is None:
-            sig = entry._callbacks
-            if sig is None:
-                sig = entry.fn
-        if sig is not self._sig:
-            if self._run_events:
-                now = self.clock()
-                self._charge(self._sig, now - self._run_start, self._run_events)
-                self._run_start = now
-                self._run_events = 0
-            # The first live event opens its run without a clock read,
-            # so the pre-loop sliver lands in it and the charges still
-            # tile the whole loop.
-            self._sig = sig
-        self._run_events += 1
+        self._events_at_enter = self._kernel.events_processed
+        self.profile.enable()
 
     def _on_loop_exit(self) -> None:
-        now = self.clock()
-        # With no live events the loop still cost a sliver of wall
-        # time; it is booked against the kernel (``sig=None``) so the
-        # charges keep summing to dispatch_wall_s exactly.
-        self._charge(self._sig, now - self._run_start, self._run_events)
-        self._sig = None
-        self.dispatch_wall_s += now - self._loop_start
-
-    def _charge(self, sig: typing.Any, dt: float, n_events: int) -> None:
-        """Credit one signature run: ``dt`` host seconds, ``n_events`` events.
-
-        ``sig`` is the run's dispatch signature (a callable for a
-        Callback, the waiter list for a Future, ``None`` for an idle
-        loop).
-        """
-        label = self._resolve(sig)
-        self.cpu_s[label] = self.cpu_s.get(label, 0.0) + dt
-        self.events[label] = self.events.get(label, 0) + n_events
-
-    def _resolve(self, sig: typing.Any) -> str:
-        if callable(sig):
-            target = sig  # a Callback's fn
-        elif sig:
-            target = sig[0]  # the first waiter on a Future
-        else:
-            return "kernel"  # bare timeout/future: pure heap work
-        owner = getattr(target, "__self__", None)
-        if isinstance(owner, Process):
-            # A process resume: the CPU goes into the generator body,
-            # so label by the generator's defining file (survives
-            # generator exhaustion; memoized per code object).
-            code = owner._generator.gi_code
-            label = self._code_labels.get(code)
-            if label is None:
-                label = subsystem_of_path(code.co_filename)
-                self._code_labels[code] = label
-            return label
-        key = getattr(target, "__func__", target)
-        try:
-            label = self._target_labels.get(key)
-        except TypeError:  # unhashable callable: resolve uncached
-            key = None
-            label = None
-        if label is None:
-            if owner is not None:
-                module = type(owner).__module__
-            else:
-                module = getattr(target, "__module__", None) or ""
-            label = subsystem_of_module(module)
-            if key is not None:
-                self._target_labels[key] = label
-        return label
+        self.profile.disable()
+        self.total_events += self._kernel.events_processed - self._events_at_enter
 
     # -- results --------------------------------------------------------------
 
-    @property
-    def total_cpu_s(self) -> float:
-        """Host CPU attributed across all subsystems."""
-        return sum(self.cpu_s.values())
+    def _fold(self) -> dict[str, dict]:
+        """``{label: {"cpu_s", "calls", "functions": {name: cpu_s}}}``
+        from the profile's pstats rows."""
+        rows: dict[str, dict] = {}
 
-    @property
-    def total_events(self) -> int:
-        """Events dispatched while the profiler was attached."""
-        return sum(self.events.values())
+        def charge(label: str, func: tuple, seconds: float, calls: int) -> None:
+            row = rows.setdefault(label, {"cpu_s": 0.0, "calls": 0, "functions": {}})
+            row["cpu_s"] += seconds
+            row["calls"] += calls
+            name = _function_label(func)
+            row["functions"][name] = row["functions"].get(name, 0.0) + seconds
+
+        self.profile.create_stats()
+        for func, (_cc, calls, tottime, _ct, callers) in self.profile.stats.items():
+            if func[0] != "~":
+                charge(subsystem_of_path(func[0]), func, tottime, calls)
+                continue
+            # A C builtin: each caller pays what cProfile timed under
+            # it; the rest had no profiled caller — the drain loop.
+            for caller, (n, _cc, seconds, _ct) in callers.items():
+                charge(subsystem_of_path(caller[0]), func, seconds, n)
+                tottime -= seconds
+                calls -= n
+            if calls or tottime > 0.0:
+                charge("kernel", func, tottime, calls)
+        return rows
 
     def report(self) -> dict:
         """The attribution report, subsystems sorted by cpu_s descending."""
-        total = self.total_cpu_s
+        rows = self._fold()
+        total = sum(row["cpu_s"] for row in rows.values())
         subsystems: dict[str, dict] = {}
-        for label, cpu in sorted(
-            self.cpu_s.items(), key=lambda item: (-item[1], item[0])
-        ):
-            count = self.events.get(label, 0)
+        for label, row in sorted(rows.items(), key=lambda item: (-item[1]["cpu_s"], item[0])):
+            functions = sorted(row["functions"].items(), key=lambda item: (-item[1], item[0]))
             subsystems[label] = {
-                "cpu_s": cpu,
-                "share": cpu / total if total else 0.0,
-                "events": count,
-                "cpu_per_event": cpu / count if count else 0.0,
+                "cpu_s": row["cpu_s"],
+                "share": row["cpu_s"] / total if total else 0.0,
+                "calls": row["calls"],
+                "top": [[name, cpu] for name, cpu in functions[:_TOP_FUNCTIONS]],
             }
         return {
             "total_cpu_s": total,
-            "dispatch_wall_s": self.dispatch_wall_s,
             "total_events": self.total_events,
             "subsystems": subsystems,
         }
 
     def shares(self) -> dict[str, float]:
         """``{label: fraction of total cpu}``, label-sorted; {} when idle."""
-        total = self.total_cpu_s
-        if not total:
-            return {}
-        return {
-            label: cpu / total for label, cpu in sorted(self.cpu_s.items())
-        }
+        subsystems = self.report()["subsystems"]
+        return {label: subsystems[label]["share"] for label in sorted(subsystems)}
 
     def metrics(self) -> dict[str, object]:
         """The flat ``prof.*`` mapping the metric catalog documents.
@@ -300,15 +208,18 @@ class HostProfiler:
         subsystems = report["subsystems"]
         return {
             "prof.total_cpu_s": report["total_cpu_s"],
-            "prof.dispatch_wall_s": report["dispatch_wall_s"],
             "prof.total_events": report["total_events"],
             "prof.cpu_s": {k: v["cpu_s"] for k, v in subsystems.items()},
             "prof.share": {k: v["share"] for k, v in subsystems.items()},
-            "prof.events": {k: v["events"] for k, v in subsystems.items()},
-            "prof.cpu_per_event": {
-                k: v["cpu_per_event"] for k, v in subsystems.items()
-            },
+            "prof.calls": {k: v["calls"] for k, v in subsystems.items()},
         }
+
+
+def _function_label(func: tuple) -> str:
+    """A pstats ``(file, line, name)`` key as ``module.name``; a C
+    builtin keeps cProfile's own name for it."""
+    path, _line, name = func
+    return name if path == "~" else f"{_dotted(path)}.{name}"
 
 
 def attach_profiler(system: typing.Any) -> HostProfiler:
@@ -326,95 +237,19 @@ def attach_profiler(system: typing.Any) -> HostProfiler:
 def render_profile(report: dict) -> str:
     """Human-readable host-CPU table of :meth:`HostProfiler.report`."""
     lines = [
-        "host-CPU profile: {events} events dispatched in {cpu:.4f}s "
-        "(dispatch wall {wall:.4f}s)".format(
-            events=report["total_events"],
-            cpu=report["total_cpu_s"],
-            wall=report["dispatch_wall_s"],
+        "host-CPU profile: {events} events dispatched, {cpu:.4f}s exclusive "
+        "CPU (cProfile tottime)".format(
+            events=report["total_events"], cpu=report["total_cpu_s"]
         ),
-        f"{'subsystem':>10}  {'cpu_s':>9}  {'share':>6}  "
-        f"{'events':>9}  {'us/event':>9}",
+        f"{'subsystem':>10}  {'cpu_s':>9}  {'share':>6}  {'calls':>9}  top function",
     ]
     for label, entry in report["subsystems"].items():
+        top = entry["top"][0][0] if entry["top"] else ""
         lines.append(
             f"{label:>10}  {entry['cpu_s']:>9.4f}  {entry['share']:>6.1%}  "
-            f"{entry['events']:>9}  {entry['cpu_per_event'] * 1e6:>9.2f}"
+            f"{entry['calls']:>9}  {top}"
         )
     return "\n".join(lines)
-
-
-# -- host stack sampling (--sample) --------------------------------------------
-
-
-class StackSampler:
-    """Folded host stacks via ``sys.setprofile``.
-
-    A deterministic tracing profiler, not a statistical one: every
-    call/return boundary charges the elapsed host time to the stack
-    that was running. Expensive (it hooks every Python and C call), so
-    it is opt-in per run (``repro profile --sample``) and never sits
-    under the overhead gate. Stacks are relative to wherever
-    :meth:`start` was called; frames opened before that simply never
-    appear.
-    """
-
-    def __init__(self, clock: typing.Callable[[], float] | None = None) -> None:
-        self.clock = clock if clock is not None else hostclock.now
-        self._stack: list[str] = []
-        self._folded: dict[tuple[str, ...], float] = {}
-        self._labels: dict[object, str] = {}
-        self._last = 0.0
-
-    def start(self) -> None:
-        """Install the hook; charges accrue until :meth:`stop`."""
-        self._last = self.clock()
-        sys.setprofile(self._hook)
-
-    def stop(self) -> None:
-        """Remove the hook."""
-        sys.setprofile(None)
-
-    def _hook(self, frame: typing.Any, event: str, arg: typing.Any) -> None:
-        now = self.clock()
-        stack = self._stack
-        if stack:
-            key = tuple(stack)
-            self._folded[key] = self._folded.get(key, 0.0) + (now - self._last)
-        self._last = now
-        if event == "call":
-            stack.append(self._code_label(frame.f_code))
-        elif event == "c_call":
-            stack.append(self._c_label(arg))
-        elif event in ("return", "c_return", "c_exception"):
-            if stack:
-                stack.pop()
-
-    def _code_label(self, code: typing.Any) -> str:
-        label = self._labels.get(code)
-        if label is None:
-            path = code.co_filename.replace("\\", "/")
-            index = path.rfind("/repro/")
-            if index >= 0:
-                tail = path[index + 1:].removesuffix(".py").replace("/", ".")
-            else:
-                tail = path.rsplit("/", 1)[-1].removesuffix(".py")
-            label = f"{tail}.{code.co_name}"
-            self._labels[code] = label
-        return label
-
-    def _c_label(self, fn: typing.Any) -> str:
-        name = getattr(fn, "__qualname__", None) or repr(fn)
-        module = getattr(fn, "__module__", None)
-        return f"{module}.{name}" if module else str(name)
-
-    def folded(self) -> dict[tuple[str, ...], float]:
-        """``{stack: exclusive host seconds}`` accumulated so far."""
-        return dict(self._folded)
-
-    def top(self, n: int = 10) -> list[tuple[tuple[str, ...], float]]:
-        """The ``n`` hottest stacks, by exclusive host time."""
-        ranked = sorted(self._folded.items(), key=lambda item: -item[1])
-        return ranked[:n]
 
 
 # -- view 2: sim-time flamegraphs ----------------------------------------------
@@ -519,8 +354,8 @@ def export_folded(
 ) -> int:
     """Write a fold as flamegraph.pl collapsed text; returns line count.
 
-    Works for both views: sim-time folds from :func:`folded_stacks` and
-    host folds from :meth:`StackSampler.folded`. Values are scaled
+    Takes a sim-time fold from :func:`folded_stacks` (or any
+    ``{stack: seconds}`` mapping). Values are scaled
     (default ×1000) and rounded because the collapsed format wants
     integer sample counts; zero-weight stacks are dropped.
     """

@@ -45,11 +45,11 @@ class Callback:
 
     __slots__ = ("fn", "args", "_flags")
 
-    #: Class-level sentinel: the host profiler's ``dispatch_begin``
-    #: probe reads ``entry._callbacks`` on every Future or Callback entry
-    #: with a single attribute load to form the run signature. ``None``
-    #: here means "a Callback — use ``entry.fn`` instead" (a Future's
-    #: ``_callbacks`` is never ``None`` while it is scheduled).
+    #: Class-level sentinel read by the bare drain loop in
+    #: :meth:`Kernel.run`: it tells a Callback from a Future with the one
+    #: ``entry._callbacks`` load it needs for a Future anyway. ``None``
+    #: here means "a Callback — call ``entry.fn(*entry.args)``" (a
+    #: Future's ``_callbacks`` is never ``None`` while it is scheduled).
     _callbacks: typing.Any = None
 
     def __init__(
@@ -301,9 +301,9 @@ class Kernel:
             # this is the innermost loop of every measured simulation,
             # so it carries no probe walk, no stop test and no call
             # beyond the callbacks themselves and a clock advance —
-            # ``Callback._process`` (class sentinel ``_callbacks is
-            # None``) and ``Future._process`` are written out here;
-            # ``_drain`` keeps them behind its ``dispatch_begin`` probes.
+            # ``Callback._process`` and ``Future._process`` are written
+            # out here, told apart by ``Callback._callbacks``, the class
+            # sentinel ``None``; ``_drain`` calls them as methods.
             tier = self._tier
             popleft = tier.popleft
             limit = float("inf") if until is None else until
@@ -361,8 +361,8 @@ class Kernel:
         not carry (``target`` processed; ``single``: one live event).
 
         The probe lists are bound here, once per call. ``loop_enter`` /
-        ``loop_exit`` bracket the whole loop (a profiler's charges tile
-        exactly that wall time), ``dispatch_begin(seq, fn, entry)`` /
+        ``loop_exit`` bracket the whole loop (the host profiler switches
+        itself on and off there), ``dispatch_begin(seq, fn, entry)`` /
         ``dispatch_end()`` bracket each event, and a ``tiebreak`` policy
         picks among entries ready at the same instant.
         """

@@ -7,6 +7,7 @@ import functools
 import importlib
 import inspect
 import pathlib
+import pstats
 
 import pytest
 
@@ -165,8 +166,13 @@ class TestProbesCompose:
         run = run_traced("e2", seed=1, **probes)
         profiler = run.obs.profiler
         assert profiler.total_events == run.kernel.events_processed > 0
-        assert sum(profiler.cpu_s.values()) == pytest.approx(
-            profiler.dispatch_wall_s, rel=1e-9
+        # Every observer's cost is billed, the detector's and the
+        # policy's (``repro.sanitize``) to ``obs``, and nothing is lost.
+        report = profiler.report()
+        top = [name for name, _cpu in report["subsystems"]["obs"]["top"]]
+        assert any(name.startswith("repro.sanitize.") for name in top), top
+        assert sum(row["cpu_s"] for row in report["subsystems"].values()) == (
+            pytest.approx(pstats.Stats(profiler.profile).total_tt)
         )
         state = fingerprint(system_state(run.system))
         for dropped in ("profile", "races"):
