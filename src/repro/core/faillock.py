@@ -44,17 +44,27 @@ class FailLockPolicy:
     def __init__(self, site: Site) -> None:
         self.site = site
         self._reached: list[int] = []
+        #: Volatile mirror of the stable table: loaded on first use after
+        #: a power-on, dropped by a crash, written through on every change.
+        self._mirror: set[tuple[str, int]] | None = None
         site.rpc.register("faillock.collect", self._handle_collect)
         site.rpc.register("faillock.clear", self._handle_clear)
+        site.crash_hooks.append(self._drop_mirror)
 
     # -- stable table access ------------------------------------------------
 
     def _table(self) -> set[tuple[str, int]]:
-        table = self.site.stable.get(_STABLE_KEY)
-        if table is None:
-            table = set()
-            self.site.stable.put(_STABLE_KEY, table)
-        return table  # type: ignore[return-value]
+        if self._mirror is None:
+            stored = typing.cast(tuple, self.site.stable.get(_STABLE_KEY, ()))
+            self._mirror = set(stored)
+        return self._mirror
+
+    def _store(self, table: set[tuple[str, int]]) -> None:
+        # A sorted tuple: plain data, and bytes that no hash seed moves.
+        self.site.stable.put(_STABLE_KEY, tuple(sorted(table)))
+
+    def _drop_mirror(self) -> None:
+        self._mirror = None
 
     def entries(self) -> set[tuple[str, int]]:
         """Current fail-locks at this site (copies elsewhere known stale)."""
@@ -77,7 +87,7 @@ class FailLockPolicy:
         # them at this site are obsolete.
         for applied in applied_sites:
             table.discard((item, applied))
-        self.site.stable.put(_STABLE_KEY, table)
+        self._store(table)
 
     # -- RPC handlers (tracker side) ---------------------------------------------
 
@@ -89,7 +99,7 @@ class FailLockPolicy:
         table = self._table()
         for item in items:
             table.discard((item, recovering))
-        self.site.stable.put(_STABLE_KEY, table)
+        self._store(table)
         return True
 
     # -- recovery half ----------------------------------------------------------------

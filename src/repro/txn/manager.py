@@ -158,9 +158,11 @@ class TransactionManager:
     def _handle_outcome(self, query: OutcomeQuery, src: int) -> tuple[str, Version | None]:
         if query.txn_id in self._active:
             return ("active", None)
-        committed = self.site.stable.get(f"tm.commit.{query.txn_id}")
+        committed = typing.cast(
+            "tuple | None", self.site.stable.get(f"tm.commit.{query.txn_id}")
+        )
         if committed is not None:
-            return ("committed", committed)  # type: ignore[return-value]
+            return ("committed", Version(*committed))
         outcome = self._outcomes.get(query.txn_id)
         if outcome is not None:
             return outcome
@@ -504,7 +506,8 @@ class TransactionManager:
                 # BEFORE any COMMIT message leaves this site, so a
                 # restarted coordinator answers in-doubt participants
                 # correctly (presumed abort's one logging requirement).
-                self.site.stable.put(f"tm.commit.{txn.txn_id}", version)
+                # The version as a bare triple: plain data, no class.
+                self.site.stable.put(f"tm.commit.{txn.txn_id}", tuple(version))
             self._outcomes[txn.txn_id] = ("committed", version)
             self.recorder.mark_committed(txn.txn_id)
             self.stats.committed += 1

@@ -2,7 +2,7 @@
 
 Runs the traced log-shipping recovery scenario twice with the same seed
 and asserts the durable outcome is **byte-identical**: per-site final
-LSNs, the serialized log metadata, segment-directory and checkpoint
+LSNs, the serialized log metadata, truncation and checkpoint
 blobs (``wal.meta`` / ``wal.dir`` / ``wal.ckpt`` and every
 ``wal.ckpt.item.*``), the reconstructed copies (value, version,
 unreadable mark), and the stable session state. Any nondeterminism in the journal/replay path — record
@@ -61,8 +61,8 @@ def site_durable_state(site: typing.Any) -> dict:
         "truncated_through": wal.log.truncated_through_lsn,
         "meta_blob": site.stable._blobs.get(META_KEY),
         "directory_blob": site.stable._blobs.get(DIRECTORY_KEY),
-        # ``wal.dir`` stops at the last truncation; the directory a
-        # restart would reassemble from stable storage covers the rest.
+        # ``wal.dir`` names only the first retained segment; the directory
+        # a restart reassembles from the segments themselves covers them all.
         "segments": RedoLog(site.stable).segments,
         "checkpoint_digest": checkpoint_digest(site.stable),
         "session_last": site.stable.get("session.last"),

@@ -1,22 +1,24 @@
 """The append-only redo log, group-committed through stable storage.
 
-Layout in the site's :class:`~repro.storage.stable.StableStorage`:
+Layout in the site's :class:`~repro.storage.stable.StableStorage` — every
+blob plain data (tuples, dicts, numbers, strings), so pickling one runs
+no Python code:
 
-* ``wal.seg.<n>`` — one *segment* per group commit: the tuple of
-  records flushed together. Segment ids are consecutive and never
-  reused;
-* ``wal.meta`` — the four counters every group commit moves: next LSN,
-  durable LSN, next segment id, and the highest commit sequence number
-  among durable write records. Fixed size, rewritten by every flush;
-* ``wal.dir`` — what only truncation moves: the directory of the
-  segments retained behind the last truncation, the id of the first
-  segment flushed after it, the truncation watermarks and the per-item
+* ``wal.seg.<n>`` — one *segment* per group commit: the tuple of the
+  rows (:func:`~repro.wal.records.to_row`) of the records flushed
+  together. Segment ids are consecutive and never reused;
+* ``wal.meta`` — the four counters every group commit moves, as a tuple:
+  next LSN, durable LSN, next segment id, and the highest commit sequence
+  number among durable write records. Fixed size, rewritten by every
+  flush;
+* ``wal.dir`` — what only truncation moves, as a tuple: the id of the
+  first retained segment, the truncation watermarks and the per-item
   truncated-commit map. Rewritten by :meth:`RedoLog.truncate` (i.e. at
   checkpoints), never by a flush;
 * ``wal.ckpt`` — the header of the last fuzzy checkpoint: its LSN, the
-  high-commit watermark, the session state, the in-doubt prepares and
-  the mvcc stale cut. Fixed size but for the in-doubt prepares (written
-  by :class:`~repro.wal.wal.SiteWal`, not here);
+  high-commit watermark, the session state, the in-doubt prepares (as
+  rows) and the mvcc stale cut. Fixed size but for the in-doubt prepares
+  (written by :class:`~repro.wal.wal.SiteWal`, not here);
 * ``wal.ckpt.item.<name>`` — the durable image of one copy, as plain
   tuples: ``(value, (ts, commit, seq), unreadable, chain tail)``.
   Rewritten by a checkpoint only when the image moved since the last
@@ -24,14 +26,17 @@ Layout in the site's :class:`~repro.storage.stable.StableStorage`:
 
 Cost model: every :meth:`RedoLog.flush` is exactly one stable segment
 put plus one O(1) ``wal.meta`` put — independent of how many items the
-site holds and of how much log it retains. A checkpoint is one small put
-per item whose image moved since the last checkpoint plus the header
-put, then a truncation — independent of how many items the site holds.
-Restart pays instead: :meth:`RedoLog.load_meta` rebuilds the directory
-as the ``wal.dir`` prefix followed by the segments ``[tail_from,
-next_segment)``, whose LSN bounds follow from contiguity and from the
-segments themselves, and ``SiteWal.restore`` scans the stable keys for
-the ``wal.ckpt.item.`` prefix and reads every item image back.
+site holds and of how much log it retains. The flush also keeps a
+volatile *summary* of the segment (its record count and, per item, the
+highest write commit), so :meth:`RedoLog.truncate` reads no segment: it
+merges the summaries of the segments it drops, at a cost that follows
+the dropped segments, not the retained log. A checkpoint is one small
+put per item whose image moved since the last checkpoint plus the
+header put, then a truncation — independent of how many items the site
+holds. Restart pays instead: :meth:`RedoLog.load_meta` reads every
+retained segment ``[first retained, next_segment)`` once, for its LSN
+bounds and its summary, and ``SiteWal.restore`` scans the stable keys
+for the ``wal.ckpt.item.`` prefix and reads every item image back.
 
 Invariants:
 
@@ -52,7 +57,7 @@ from __future__ import annotations
 import typing
 
 from repro.storage.stable import StableStorage
-from repro.wal.records import LogRecord
+from repro.wal.records import LogRecord, from_row, to_row
 
 META_KEY = "wal.meta"
 DIRECTORY_KEY = "wal.dir"
@@ -60,15 +65,22 @@ SEGMENT_PREFIX = "wal.seg."
 CHECKPOINT_KEY = "wal.ckpt"
 CHECKPOINT_ITEM_PREFIX = "wal.ckpt.item."
 
-#: What ``wal.dir`` stands for until the first truncation writes it.
-_NEVER_TRUNCATED: dict = {
-    "segments": [],
-    "tail_from": 1,
-    "truncated_through_lsn": 0,
-    "truncated_max_commit": 0,
-    "truncated_records": 0,
-    "truncated_commit_by_item": {},
-}
+#: What ``wal.dir`` stands for until the first truncation writes it:
+#: first retained segment, truncated-through LSN, truncated max commit,
+#: truncated records, per-item truncated commits.
+_NEVER_TRUNCATED = (1, 0, 0, 0, {})
+
+
+def _summary(rows: tuple) -> tuple[int, dict[str, int]]:
+    """What truncating a segment of ``rows`` adds to the watermarks: its
+    record count and, per item, the highest commit of its writes."""
+    commits: dict[str, int] = {}
+    for row in rows:
+        if row[1] == "write" and row[4] is not None:
+            item, commit = row[2], row[4][1]
+            if commits.get(item, -1) < commit:
+                commits[item] = commit
+    return len(rows), commits
 
 
 class RedoLog:
@@ -81,6 +93,9 @@ class RedoLog:
         self.durable_lsn = 0
         #: Segment directory: ``(segment_id, first_lsn, last_lsn)``.
         self.segments: list[tuple[int, int, int]] = []
+        #: Each directory entry's :func:`_summary`, index for index.
+        #: Volatile: a crash drops it and :meth:`load_meta` rebuilds it.
+        self._summaries: list[tuple[int, dict[str, int]]] = []
         self._next_segment = 1
         self.truncated_through_lsn = 0
         self.truncated_max_commit = 0
@@ -96,61 +111,44 @@ class RedoLog:
 
     def load_meta(self) -> None:
         """Re-sync in-memory metadata from stable storage (restart path)."""
-        meta = typing.cast("dict | None", self.stable.get(META_KEY))
+        meta = typing.cast("tuple | None", self.stable.get(META_KEY))
         if meta is None:
             return
-        self.next_lsn = meta["next_lsn"]
-        self.durable_lsn = meta["durable_lsn"]
-        self._next_segment = meta["next_segment"]
-        self.high_commit = meta["high_commit"]
-        directory = typing.cast(
-            dict, self.stable.get(DIRECTORY_KEY, _NEVER_TRUNCATED)
-        )
+        self.next_lsn, self.durable_lsn, self._next_segment, self.high_commit = meta
+        (
+            first_segment, self.truncated_through_lsn, self.truncated_max_commit,
+            self.truncated_records, truncated_by_item,
+        ) = typing.cast(tuple, self.stable.get(DIRECTORY_KEY, _NEVER_TRUNCATED))
         # Copied: ``get`` hands out private blobs, the default it does not.
-        self.segments = list(directory["segments"])
-        self.truncated_through_lsn = directory["truncated_through_lsn"]
-        self.truncated_max_commit = directory["truncated_max_commit"]
-        self.truncated_records = directory["truncated_records"]
-        self.truncated_commit_by_item = dict(directory["truncated_commit_by_item"])
-        # Segments flushed since the last truncation: contiguity gives each
-        # one's first LSN and the newest one's last (the durable LSN); only
-        # the boundaries in between have to be read back.
-        first = self.segments[-1][2] + 1 if self.segments else self.truncated_through_lsn + 1
-        for segment_id in range(directory["tail_from"], self._next_segment):
-            last = self.durable_lsn
-            if segment_id + 1 < self._next_segment:
-                records = typing.cast(
-                    tuple, self.stable.get(f"{SEGMENT_PREFIX}{segment_id}")
-                )
-                last = records[-1].lsn
-            self.segments.append((segment_id, first, last))
-            first = last + 1
+        self.truncated_commit_by_item = dict(truncated_by_item)
+        # A segment put with no meta put after it has an id at or past
+        # ``next_segment``: invisible here, overwritten by the next flush.
+        self.segments = []
+        self._summaries = []
+        for segment_id in range(first_segment, self._next_segment):
+            rows = typing.cast(tuple, self.stable.get(f"{SEGMENT_PREFIX}{segment_id}"))
+            self._add_segment(segment_id, rows)
+
+    def _add_segment(self, segment_id: int, rows: tuple) -> None:
+        self.segments.append((segment_id, rows[0][0], rows[-1][0]))
+        self._summaries.append(_summary(rows))
 
     def _store_meta(self) -> int:
         """Persist the per-flush counters (fixed size)."""
         return self.stable.put(
             META_KEY,
-            {
-                "next_lsn": self.next_lsn,
-                "durable_lsn": self.durable_lsn,
-                "next_segment": self._next_segment,
-                "high_commit": self.high_commit,
-            },
+            (self.next_lsn, self.durable_lsn, self._next_segment, self.high_commit),
         )
 
     def _store_directory(self) -> None:
-        """Persist what a truncation changed; every directory entry is a
-        retained segment, so later flushes start at ``_next_segment``."""
+        """Persist what a truncation changed."""
+        first_segment = self.segments[0][0] if self.segments else self._next_segment
         self.stable.put(
             DIRECTORY_KEY,
-            {
-                "segments": self.segments,
-                "tail_from": self._next_segment,
-                "truncated_through_lsn": self.truncated_through_lsn,
-                "truncated_max_commit": self.truncated_max_commit,
-                "truncated_records": self.truncated_records,
-                "truncated_commit_by_item": self.truncated_commit_by_item,
-            },
+            (
+                first_segment, self.truncated_through_lsn, self.truncated_max_commit,
+                self.truncated_records, self.truncated_commit_by_item,
+            ),
         )
 
     # -- appending ------------------------------------------------------------
@@ -191,13 +189,13 @@ class RedoLog:
             return 0
         segment_id = self._next_segment
         self._next_segment += 1
-        records = tuple(self._buffer)
-        self.stable.put(f"{SEGMENT_PREFIX}{segment_id}", records)
-        self.segments.append((segment_id, records[0].lsn, records[-1].lsn))
-        self.durable_lsn = records[-1].lsn
+        rows = tuple([to_row(record) for record in self._buffer])
+        self.stable.put(f"{SEGMENT_PREFIX}{segment_id}", rows)
+        self._add_segment(segment_id, rows)
+        self.durable_lsn = rows[-1][0]
         self._buffer.clear()
         self._store_meta()
-        return len(records)
+        return len(rows)
 
     def discard_unflushed(self) -> int:
         """Crash path: drop the volatile tail; returns records lost."""
@@ -216,12 +214,12 @@ class RedoLog:
         for segment_id, _first, last in self.segments:
             if last <= lsn:
                 continue
-            records = typing.cast(
+            rows = typing.cast(
                 tuple, self.stable.get(f"{SEGMENT_PREFIX}{segment_id}", ())
             )
-            for record in records:
-                if record.lsn > lsn:
-                    yield record
+            for row in rows:
+                if row[0] > lsn:
+                    yield from_row(row)
 
     # -- truncation -----------------------------------------------------------
 
@@ -230,42 +228,36 @@ class RedoLog:
 
         Returns the number of records dropped. Tracks the highest commit
         sequence number ever truncated so catch-up requests anchored
-        behind it can be refused (they would silently miss updates).
-        The directory is persisted before any segment is deleted: a
-        crash in between leaves unreferenced segments, never a
-        directory naming a missing one.
+        behind it can be refused (they would silently miss updates); the
+        dropped segments' summaries say what that is, so no segment is
+        read. The directory is persisted before any segment is deleted:
+        a crash in between leaves segments behind the first retained id,
+        which nothing reads.
         """
         if through_lsn <= self.truncated_through_lsn:
             return 0
+        segments = self.segments
+        drop = 0
+        while drop < len(segments) and segments[drop][2] <= through_lsn:
+            drop += 1
+        if not drop:
+            return 0
+        by_item = self.truncated_commit_by_item
         dropped = 0
-        drop_ids: list[int] = []
-        keep: list[tuple[int, int, int]] = []
-        for segment_id, first, last in self.segments:
-            if last > through_lsn:
-                keep.append((segment_id, first, last))
-                continue
-            records = typing.cast(
-                tuple, self.stable.get(f"{SEGMENT_PREFIX}{segment_id}", ())
-            )
-            for record in records:
-                if record.kind == "write" and record.version is not None:
-                    self.truncated_max_commit = max(
-                        self.truncated_max_commit, record.version.commit
-                    )
-                    if record.item is not None:
-                        self.truncated_commit_by_item[record.item] = max(
-                            self.truncated_commit_by_item.get(record.item, 0),
-                            record.version.commit,
-                        )
-            dropped += len(records)
-            drop_ids.append(segment_id)
-            self.truncated_through_lsn = max(self.truncated_through_lsn, last)
-        if dropped:
-            self.segments = keep
-            self.truncated_records += dropped
-            self._store_directory()
-            for segment_id in drop_ids:
-                self.stable.delete(f"{SEGMENT_PREFIX}{segment_id}")
+        for count, commits in self._summaries[:drop]:
+            dropped += count
+            for item, commit in commits.items():
+                if commit > self.truncated_max_commit:
+                    self.truncated_max_commit = commit
+                if by_item.get(item, -1) < commit:
+                    by_item[item] = commit
+        drop_ids = [segment_id for segment_id, _first, _last in segments[:drop]]
+        self.truncated_through_lsn = segments[drop - 1][2]
+        del segments[:drop], self._summaries[:drop]
+        self.truncated_records += dropped
+        self._store_directory()
+        for segment_id in drop_ids:
+            self.stable.delete(f"{SEGMENT_PREFIX}{segment_id}")
         return dropped
 
     @property

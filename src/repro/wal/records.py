@@ -22,99 +22,57 @@ Records are redo-only (no undo for committed state: only committed
 copy mutations are journaled as ``"write"``; a prepare record journals
 an *intent*, which replay re-arms rather than applies) and totally
 ordered per site by ``lsn``.
+
+What reaches stable storage is a *row* (:func:`to_row`): the record's
+fields as a plain tuple, its version as a bare ``(ts, commit, seq)``
+triple. A row names no class, so pickling a segment of rows runs no
+Python code and spends no bytes on class references; :func:`from_row`
+turns a row read back into a :class:`LogRecord`.
 """
 
 from __future__ import annotations
 
-import operator
+import typing
 
 from repro.storage.copies import Version
 
 
-class LogRecord:
-    """One redo record. ``lsn`` is site-local and strictly increasing.
-
-    Immutable: assigning or deleting a field raises :class:`AttributeError`.
-    A slots class rather than a frozen dataclass, whose ``__init__`` pays a
-    lookup of ``object.__setattr__`` per field, and rather than a
-    ``NamedTuple``, which pickles as a constructor call: every group commit
-    pickles its records, and the blobs stay byte-identical to the frozen
-    dataclass this was — ``copyreg.__newobj__`` and the field list in
-    declaration order.
-    """
-
-    __slots__ = (
-        "lsn", "kind", "item", "value", "version", "session",
-        "session_started_at", "txn_id", "txn_seq", "coordinator",
-        "participants", "applied_sites", "missed_sites", "outcome",
-    )
+class LogRecord(typing.NamedTuple):
+    """One redo record. ``lsn`` is site-local and strictly increasing."""
 
     lsn: int
     kind: str  # "write" | "mark" | "clear" | "session" | "prepare" | "resolve"
-    item: str | None
-    value: object
-    version: Version | None
-    session: int | None
-    session_started_at: float | None
+    item: str | None = None
+    value: object = None
+    version: Version | None = None
+    session: int | None = None
+    session_started_at: float | None = None
     # 2PC context, populated on "prepare"/"resolve" records only. The
     # version field doubles as the intent's version_override; item and
     # value carry the buffered write itself.
-    txn_id: str | None
-    txn_seq: int
-    coordinator: int | None
-    participants: tuple[int, ...]
-    applied_sites: tuple[int, ...]
-    missed_sites: tuple[int, ...]
-    outcome: str | None  # "committed" | "aborted" on "resolve"
-
-    def __init__(
-        self, lsn: int, kind: str, item: str | None = None, value: object = None,
-        version: Version | None = None, session: int | None = None,
-        session_started_at: float | None = None, txn_id: str | None = None,
-        txn_seq: int = 0, coordinator: int | None = None,
-        participants: tuple[int, ...] = (), applied_sites: tuple[int, ...] = (),
-        missed_sites: tuple[int, ...] = (), outcome: str | None = None,
-    ) -> None:
-        _set(self, "lsn", lsn)
-        _set(self, "kind", kind)
-        _set(self, "item", item)
-        _set(self, "value", value)
-        _set(self, "version", version)
-        _set(self, "session", session)
-        _set(self, "session_started_at", session_started_at)
-        _set(self, "txn_id", txn_id)
-        _set(self, "txn_seq", txn_seq)
-        _set(self, "coordinator", coordinator)
-        _set(self, "participants", participants)
-        _set(self, "applied_sites", applied_sites)
-        _set(self, "missed_sites", missed_sites)
-        _set(self, "outcome", outcome)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __getstate__(self) -> list:
-        return list(_fields(self))
-
-    def __setstate__(self, state: list) -> None:
-        for name, value in zip(self.__slots__, state):
-            _set(self, name, value)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return _fields(self) == _fields(other)
-
-    def __hash__(self) -> int:
-        return hash(_fields(self))
-
-    def __repr__(self) -> str:
-        pairs = zip(self.__slots__, _fields(self))
-        return f"LogRecord({', '.join(f'{name}={value!r}' for name, value in pairs)})"
+    txn_id: str | None = None
+    txn_seq: int = 0
+    coordinator: int | None = None
+    participants: tuple[int, ...] = ()
+    applied_sites: tuple[int, ...] = ()
+    missed_sites: tuple[int, ...] = ()
+    outcome: str | None = None  # "committed" | "aborted" on "resolve"
 
 
-_set = object.__setattr__  # past LogRecord.__setattr__: construction, unpickling
-_fields = operator.attrgetter(*LogRecord.__slots__)  # every field, in order
+def to_row(record: LogRecord) -> tuple:
+    """``record`` as plain data: a tuple of its fields, the version bare."""
+    version = record.version
+    if version is None:
+        return tuple(record)
+    row = list(record)
+    row[4] = tuple(version)
+    return tuple(row)
+
+
+def from_row(row: tuple) -> LogRecord:
+    """The :class:`LogRecord` that :func:`to_row` made ``row`` of."""
+    if row[4] is None:
+        return LogRecord._make(row)
+    fields = list(row)
+    fields[4] = Version._make(fields[4])
+    return LogRecord._make(fields)

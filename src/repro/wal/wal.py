@@ -34,7 +34,7 @@ from repro.sim.events import Future
 from repro.storage.copies import Version
 from repro.wal.config import WalConfig
 from repro.wal.log import CHECKPOINT_ITEM_PREFIX, CHECKPOINT_KEY, RedoLog
-from repro.wal.records import LogRecord
+from repro.wal.records import LogRecord, from_row, to_row
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.site.site import Site
@@ -279,9 +279,9 @@ class SiteWal:
                 "session_last": stable.get(_SESSION_KEY, 0),
                 "session_started_at": stable.get(_SESSION_STARTED),
                 # In-doubt prepares survive log truncation through the
-                # header (the flush above made _unresolved exact).
+                # header (the flush above made _unresolved exact), as rows.
                 "in_doubt": {
-                    txn: tuple(records)
+                    txn: tuple(map(to_row, records))
                     for txn, records in self._unresolved.items()
                 },
                 # The durable snapshot cut (repro.mvcc); 0.0 when off.
@@ -346,8 +346,8 @@ class SiteWal:
             session_started = checkpoint["session_started_at"]
             high_commit = checkpoint["high_commit"]
             unresolved: dict[str, list[LogRecord]] = {
-                txn: list(records)
-                for txn, records in checkpoint["in_doubt"].items()
+                txn: list(map(from_row, rows))
+                for txn, rows in checkpoint["in_doubt"].items()
             }
             replayed = 0
             for record in self.log.records_after(checkpoint["lsn"]):

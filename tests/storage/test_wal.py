@@ -1,17 +1,17 @@
 """Unit tests for the durability subsystem: RedoLog, SiteWal, StableStorage."""
 
-import copyreg
-import dataclasses
-import io
 import pickle
+import pickletools
 
 import pytest
 
+from repro.core import RowaaConfig, RowaaSystem
 from repro.net import ConstantLatency, Network
 from repro.sim import Kernel
 from repro.site import Site
 from repro.storage.copies import Version
 from repro.storage.stable import StableStorage
+from repro.txn import TxnConfig
 from repro.wal import RedoLog, SiteWal, WalConfig
 from repro.wal.log import (
     CHECKPOINT_ITEM_PREFIX,
@@ -20,7 +20,8 @@ from repro.wal.log import (
     META_KEY,
     SEGMENT_PREFIX,
 )
-from repro.wal.records import LogRecord
+from repro.wal.records import LogRecord, from_row, to_row
+from tests.core.conftest import write_program
 
 
 def v(commit, ts=None):
@@ -63,32 +64,19 @@ class TestStableStorageIsolation:
         assert "k" not in stable
 
 
-@dataclasses.dataclass(frozen=True, slots=True)
-class _DataclassLogRecord:
-    """``LogRecord`` as the frozen slots dataclass it used to be: same
-    fields, same order, same defaults. The reference for its state and
-    its pickle blob."""
-
-    lsn: int
-    kind: str
-    item: object = None
-    value: object = None
-    version: object = None
-    session: object = None
-    session_started_at: object = None
-    txn_id: object = None
-    txn_seq: int = 0
-    coordinator: object = None
-    participants: tuple = ()
-    applied_sites: tuple = ()
-    missed_sites: tuple = ()
-    outcome: object = None
+def class_opcodes(blob):
+    """The opcodes of a pickle ``blob`` that name a class (and so make
+    ``pickle.loads`` import and call Python code)."""
+    return [
+        (op.name, arg) for op, arg, _pos in pickletools.genops(blob)
+        if op.name in ("GLOBAL", "STACK_GLOBAL", "INST", "OBJ")
+    ]
 
 
 class TestLogRecordPickle:
-    """``LogRecord`` is a hand-written immutable slots class whose pickle
-    state is what a frozen slots dataclass derives by walking
-    ``dataclasses.fields()``: same list, same bytes."""
+    """A record is a ``NamedTuple``; what stable storage holds is its
+    *row* — the same fields as a plain tuple, the version a bare triple —
+    so a segment blob names no class."""
 
     RECORDS = (
         LogRecord(1, "write", "X", 5, v(3)),
@@ -102,49 +90,43 @@ class TestLogRecordPickle:
         LogRecord(5, "resolve", txn_id="T9", outcome="committed"),
     )
 
-    @staticmethod
-    def mirror(record):
-        return _DataclassLogRecord(
-            **{name: getattr(record, name) for name in LogRecord.__slots__}
-        )
-
     def test_state_is_the_generic_dataclass_state(self):
-        names = [f.name for f in dataclasses.fields(_DataclassLogRecord)]
-        assert names == list(LogRecord.__slots__)
-        for name in names:  # same defaults, field by field
-            assert getattr(LogRecord(0, "k"), name) == getattr(
-                _DataclassLogRecord(0, "k"), name
-            )
+        """The row is the record's fields in order, as plain data, and
+        :func:`from_row` gives the record back, version and all."""
+        assert LogRecord._fields == (
+            "lsn", "kind", "item", "value", "version", "session",
+            "session_started_at", "txn_id", "txn_seq", "coordinator",
+            "participants", "applied_sites", "missed_sites", "outcome",
+        )
+        assert LogRecord(0, "k") == (0, "k", None, None, None, None, None, None,
+                                     0, None, (), (), (), None)
         for record in self.RECORDS:
-            generic = dataclasses._dataclass_getstate(self.mirror(record))  # type: ignore[attr-defined]
-            assert record.__getstate__() == generic
+            row = to_row(record)
+            assert type(row) is tuple and row == tuple(record)
+            assert record.version is None or type(row[4]) is tuple
+            back = from_row(row)
+            assert type(back) is LogRecord and back == record
+            assert type(back.version) is type(record.version)
             with pytest.raises(AttributeError):
                 record.lsn = 99
             with pytest.raises(AttributeError):
                 del record.kind
 
     def test_blob_equals_the_generic_blob_and_round_trips(self):
-        for protocol in (2, pickle.HIGHEST_PROTOCOL):
-
-            def dataclass_reduce(record, protocol=protocol):
-                # The frozen dataclass's own reduction of the record's
-                # fields, naming LogRecord.
-                newobj, (_cls,), state, *_rest = self.mirror(record).__reduce_ex__(
-                    protocol
-                )
-                assert newobj is copyreg.__newobj__
-                return (newobj, (LogRecord,), state)
-
-            class DataclassPickler(pickle.Pickler):
-                dispatch_table = {LogRecord: dataclass_reduce}
-
-            segment = list(self.RECORDS)
-            blob = pickle.dumps(segment, protocol=protocol)
-            buffer = io.BytesIO()
-            DataclassPickler(buffer, protocol=protocol).dump(segment)
-            assert blob == buffer.getvalue()
-            restored = pickle.loads(blob)
-            assert restored == segment
+        """A flushed segment is the pickle of its rows: no class opcode,
+        and reading it back yields the records appended."""
+        stable = StableStorage()
+        log = RedoLog(stable)
+        for record in self.RECORDS:
+            log.append(*record[1:])
+        log.flush()
+        blob = stable._blobs[f"{SEGMENT_PREFIX}1"]
+        rows = tuple(to_row(record) for record in self.RECORDS)
+        assert blob == pickle.dumps(rows, protocol=pickle.HIGHEST_PROTOCOL)
+        assert class_opcodes(blob) == []
+        assert class_opcodes(stable._blobs[META_KEY]) == []
+        assert list(log.records_after(0)) == list(self.RECORDS)
+        assert list(RedoLog(stable).records_after(0)) == list(self.RECORDS)
 
 
 class TestRedoLog:
@@ -225,22 +207,22 @@ class TestRedoLog:
             log.append("write", item="X", value=i, version=v(i))
             log.flush()
         assert DIRECTORY_KEY not in stable  # nothing truncated yet
-        assert set(stable.get(META_KEY)) == {
-            "next_lsn", "durable_lsn", "next_segment", "high_commit",
-        }
+        # next LSN, durable LSN, next segment id, high commit
+        assert stable.get(META_KEY) == (5, 4, 5, 4)
         log.truncate(2)
         directory_blob = stable._blobs[DIRECTORY_KEY]
-        assert stable.get(DIRECTORY_KEY)["segments"] == [(3, 3, 3), (4, 4, 4)]
-        assert stable.get(DIRECTORY_KEY)["tail_from"] == 5
+        # first retained segment, truncated-through LSN, truncated max
+        # commit, truncated records, per-item truncated commits
+        assert stable.get(DIRECTORY_KEY) == (3, 2, 2, 2, {"X": 2})
         log.append("write", item="X", value=5, version=v(5))
         log.flush()
         log.truncate(2)  # below the watermark: drops nothing, writes nothing
         assert stable._blobs[DIRECTORY_KEY] is directory_blob
 
     def test_reload_reassembles_prefix_and_tail(self):
-        """The directory a restart sees is the ``wal.dir`` prefix plus the
-        segments flushed since, with uneven sizes and a dropped volatile
-        tail in between."""
+        """The directory a restart reads back from the retained segments,
+        with uneven sizes, a truncation and a dropped volatile tail in
+        between."""
         stable = StableStorage()
         log = RedoLog(stable)
         commit = 0
@@ -250,7 +232,7 @@ class TestRedoLog:
                 log.append("write", item=f"X{commit % 3}", value=commit, version=v(commit))
             log.flush()
             if commit == 11:
-                log.truncate(4)  # drops segments 1-2, keeps 3-4 as the prefix
+                log.truncate(4)  # drops segments 1-2
                 log.append("write", item="X0", value=-1, version=v(99))
                 assert log.discard_unflushed() == 1  # crash: LSN 12 re-issued
         assert [entry[0] for entry in log.segments] == [3, 4, 5, 6, 7]
@@ -472,8 +454,9 @@ class TestRestoreRoundTripsTheDirectory:
         site.copies.mark_unreadable(ITEM_NAMES[5])  # never flushed
         site.copies.apply_write(ITEM_NAMES[0], -1, v(commit + 1))  # never flushed
         log = site.wal.log
-        directory = site.stable.get(DIRECTORY_KEY)
-        assert 0 < len(directory["segments"]) < len(log.segments)  # prefix + tail
+        # Segments from before the last checkpoint and after it.
+        assert log.segments[0][0] == site.stable.get(DIRECTORY_KEY)[0]
+        assert log.segments[0][2] <= site.wal.last_checkpoint_lsn < log.durable_lsn
         expected = (
             list(log.segments), dict(log.truncated_commit_by_item),
             log.truncated_through_lsn, log.truncated_max_commit,
@@ -497,3 +480,155 @@ class TestRestoreRoundTripsTheDirectory:
         assert site.copies.unreadable_items() == [ITEM_NAMES[3]]
         assert site.copies.unreadable_count() == 1
         assert not site.copies.get(ITEM_NAMES[5]).unreadable
+
+    def test_crash_between_truncations_matches_a_crash_free_twin(self):
+        """The truncation summary a power-on rebuilds from the retained
+        segments is the one the crash-free twin kept since its flushes:
+        every later truncation moves both alike."""
+        twins = []
+        for _ in range(2):
+            site = make_site(WalConfig(checkpoint_every=16, retain_records=6))
+            site.power_on()
+            site.become_operational()
+            for name in ITEM_NAMES[:8]:
+                site.copies.create(name, 0)
+            site.wal.checkpoint()
+            twins.append(site)
+        crashed, twin = twins
+        commit = 0
+        truncated_at_crash = None
+        for step, size in enumerate((1, 3, 2, 4) * 8):
+            for site in twins:
+                for offset in range(1, size + 1):
+                    name = ITEM_NAMES[(commit + offset) * 5 % 8]
+                    site.copies.apply_write(name, commit + offset, v(commit + offset))
+                site.wal.on_commit()
+            commit += size
+            if step == 12:
+                truncated_at_crash = crashed.wal.log.truncated_records
+                crashed.crash()
+                crashed.power_on()
+                assert crashed.wal.stats.replays == 1
+            logs = [site.wal.log for site in twins]
+            assert len({
+                (
+                    tuple(log.segments), tuple(log.truncated_commit_by_item.items()),
+                    log.truncated_max_commit, log.truncated_through_lsn,
+                    log.truncated_records,
+                )
+                for log in logs
+            }) == 1, step
+        # Truncations on both sides of the crash.
+        assert 0 < truncated_at_crash < crashed.wal.log.truncated_records
+
+    def test_segment_put_without_its_meta_put_is_invisible(self):
+        """A flush torn between its segment put and its ``wal.meta`` put
+        leaves a segment the reload does not see: not replayed, not in
+        the truncation summary, overwritten by the next flush."""
+        site = make_site(WalConfig(checkpoint_every=10**9, retain_records=0))
+        site.power_on()
+        site.become_operational()
+        for name in ("X", "Y"):
+            site.copies.create(name, 0)
+        site.wal.checkpoint()
+        for commit in (1, 2, 3):
+            site.copies.apply_write("X", commit, v(commit))
+            site.wal.on_commit()
+        log = site.wal.log
+        torn = f"{SEGMENT_PREFIX}{log._next_segment}"
+        site.stable.put(torn, (to_row(LogRecord(log.next_lsn, "write", "Y", 9, v(99))),))
+        site.crash()
+        site.power_on()
+        assert site.copies.get("Y").value == 0
+        assert [record.item for record in log.records_after(0)] == ["X"] * 3
+        assert log.high_commit == 3
+        site.wal.checkpoint()  # retains nothing: truncates every segment
+        assert log.truncated_commit_by_item == {"X": 3}
+        assert (log.truncated_max_commit, log.truncated_records) == (3, 3)
+        site.copies.apply_write("X", 4, v(4))
+        site.wal.on_commit()
+        assert [from_row(row).version for row in site.stable.get(torn)] == [v(4)]
+
+
+class TestTruncationSummary:
+    def test_checkpoint_reads_no_segment(self):
+        """Truncation merges the summaries the flushes kept: a checkpoint
+        gets no ``wal.seg.*`` blob, however much it truncates."""
+        site = make_site(WalConfig(checkpoint_every=10**9, retain_records=4))
+        for name in ("X", "Y"):
+            site.copies.create(name, 0)
+        for commit in range(1, 41):
+            site.copies.apply_write("X" if commit % 3 else "Y", commit, v(commit))
+            site.wal.on_commit()
+        stable = site.stable
+        segment_gets = []
+        real_get = stable.get
+
+        def get(key, default=None):
+            if key.startswith(SEGMENT_PREFIX):
+                segment_gets.append(key)
+            return real_get(key, default)
+
+        stable.get = get
+        try:
+            site.wal.checkpoint()
+        finally:
+            del stable.get
+        assert segment_gets == []
+        log = site.wal.log
+        assert log.truncated_records == 36
+        assert log.truncated_commit_by_item == {"X": 35, "Y": 36}
+        assert log.truncated_max_commit == 36
+
+
+class TestNoBlobNamesAClass:
+    def test_faillocks_world_through_a_crash_and_a_recovery(self):
+        """Every blob of the log, the commit decisions and the fail-lock
+        tables is plain data: unpickling it runs no Python code."""
+        kernel = Kernel(seed=1)
+        system = RowaaSystem(
+            kernel, n_sites=3, items={f"X{index}": 0 for index in range(8)},
+            latency=ConstantLatency(1.0),
+            rowaa_config=RowaaConfig(identify_mode="fail-locks"),
+            config=TxnConfig(rpc_timeout=30.0),
+            wal_config=WalConfig(checkpoint_every=8, retain_records=4),
+        )
+        system.boot()
+        system.crash(3)
+        kernel.run(until=40)
+        for index in range(6):
+            kernel.run(system.submit_with_retry(
+                1, write_program(f"X{index}", index + 1), attempts=5
+            ))
+        for site_id in (1, 2):  # a sorted tuple: no hash seed moves its bytes
+            table = system.cluster.site(site_id).stable.get("faillocks")
+            assert ("X0", 3) in table and table == tuple(sorted(table))
+        assert kernel.run(system.power_on(3)).succeeded
+        kernel.run(until=kernel.now + 100)
+        prefixes = ("wal.seg.", "wal.meta", "wal.dir", "wal.ckpt", "tm.commit.", "faillocks")
+        seen = set()
+        for site_id in system.cluster.site_ids:
+            site = system.cluster.site(site_id)
+            assert site.wal.stats.checkpoints > 1 and site.wal.log.truncated_records
+            for key, blob in site.stable._blobs.items():
+                prefix = next((p for p in prefixes if key.startswith(p)), None)
+                if prefix is not None:
+                    seen.add(prefix)
+                    assert class_opcodes(blob) == [], key
+        assert seen == set(prefixes)
+        assert system.cluster.site(3).wal.stats.replays == 1
+
+    def test_in_doubt_prepares_cross_the_header_as_rows(self):
+        site = make_site(WalConfig(checkpoint_every=10**9, retain_records=0))
+        site.power_on()
+        site.become_operational()
+        site.copies.create("X", 0)
+        prepare = site.wal.log_prepare("T7", 7, 2, (1, 2), "X", 5, v(4), (1, 2), ())
+        site.wal.checkpoint()  # truncates the prepare: only the header has it
+        assert site.wal.log.truncated_records == 1
+        assert class_opcodes(site.stable._blobs[CHECKPOINT_KEY]) == []
+        site.crash()
+        site.power_on()
+        assert site.wal.unresolved_prepares() == {"T7": (prepare,)}
+        restored = site.wal.unresolved_prepares()["T7"][0]
+        assert type(restored) is LogRecord and type(restored.version) is Version
