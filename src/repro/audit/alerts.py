@@ -132,7 +132,7 @@ class AlertLog:
         return len(lines)
 
     def render_summary(self) -> str:
-        """The auditor summary table printed by ``repro audit``."""
+        """The auditor summary table: each rule's count and first alert."""
         out = ["audit summary"]
         total = len(self.alerts)
         out.append(

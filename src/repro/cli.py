@@ -5,12 +5,7 @@ Usage::
     python -m repro list
     python -m repro e1 [--seed 3] [--scale small|full] [--jobs 4]
     python -m repro all --scale small --jobs 4
-    python -m repro trace --experiment e2 --out trace.json [--jsonl spans.jsonl]
-    python -m repro metrics --experiment e2 [--out metrics.json]
-    python -m repro audit --experiment e2 [--out alerts.jsonl]
-    python -m repro latency --experiment e10 [--out budget.json] [--series ts.jsonl]
-    python -m repro profile --experiment e11 [--folded f.txt]
-        [--speedscope s.json] [--out prof.json]
+    python -m repro run --experiment e2 [--seed 1] [--out DIR]
     python -m repro schedfuzz --experiment e2 [--schedules 8] [--races]
         [--out schedules.json | --replay schedules.json]
     python -m repro lint [--json] [--changed]
@@ -24,42 +19,21 @@ grid across a process pool — results are identical to a serial run
 by the reference benchmark, not from here: ``python -m benchmarks.perf``
 (``BENCHMARK.json``, ``benchmarks/perf/README.md``).
 
-``trace`` and ``metrics`` run one small traced scenario of an experiment
-(spans + timeline on; see :func:`repro.harness.runner.run_traced`) and
-export the observability stream: ``trace`` writes a Chrome trace-event
-file for chrome://tracing or https://ui.perfetto.dev (plus optionally
-the raw JSONL stream), ``metrics`` a metrics-registry snapshot; both
-print the recovery-timeline report.
-
-``latency`` runs a traced scenario with the windowed time-series
-sampler on and prints the critical-path **latency budget**
-(:mod:`repro.obs.critpath`): end-to-end ack latency decomposed into
-lock wait / execution / WAL stall / network / prepare wait / decision
-broadcast, with p50/p99 and share-of-total per category, plus the
-per-outage throughput troughs (:mod:`repro.obs.timeseries`). For
-``--experiment e10`` it runs *both* commit modes (async fast path and
-the sync baseline) so the budget tables line up side by side;
-``--out`` saves the machine-readable JSON and ``--series`` the sampled
-time-series JSONL.
-
-``profile`` runs a traced scenario with the **host-CPU profiler**
-(:mod:`repro.obs.profiler`): stdlib ``cProfile`` switched on for the
-kernel's drain loops, its exclusive time folded per subsystem
-(kernel/net/tm/dm/locks/wal/copier/mvcc/audit/obs/workload) into a
-table whose rows sum to cProfile's total ``tottime``, each with its
-hottest function. ``--folded``/``--speedscope`` export the *sim-time*
-flamegraph collapsed from the span tree; ``--out`` saves everything as
-JSON. What the probes cost is the reference benchmark's
-``obs.trace_overhead_pct`` (its traced rep runs with spans, timeline and
-this profiler on).
-
-``audit`` runs the same traced scenario under the online protocol
-auditor (:mod:`repro.audit`): live 1-STG cycle detection, session
-coherence, missing-list conservatism, ROWAA write coverage, WAL/durable
-coherence, and liveness watchdogs. It exports the structured alert
-stream as JSONL, prints the auditor summary table and the
-recovery-timeline report, and exits non-zero when any **critical**
-alert fired — which is exactly the CI audit gate.
+``run`` runs one small traced scenario of an experiment (spans and
+timeline on; see :func:`repro.harness.runner.run_traced`) with every
+observer attached at once: the online protocol auditor
+(:mod:`repro.audit`), the windowed time-series sampler
+(:mod:`repro.obs.timeseries`) and the host-CPU profiler
+(:mod:`repro.obs.profiler`). It writes one run directory
+(:data:`RUN_FILES`): the report it also prints (summary lines, then the
+recovery timeline with its latency-budget, throughput-trough and audit
+sections), the Chrome trace-event file for chrome://tracing or
+https://ui.perfetto.dev, the JSONL stream (spans, instants, sampled
+series, metrics snapshot), the alert stream, the latency budget, the
+sim-time flamegraph in flamegraph.pl collapsed format (speedscope opens
+it too) and the host-CPU fold. It exits 1 when any **critical** alert
+fired, which is exactly the CI audit gate. What the probes cost is the
+reference benchmark's ``obs.trace_overhead_pct``.
 
 ``schedfuzz`` runs the schedule-space sanitizer (:mod:`repro.sanitize`):
 K perturbed schedules of one traced scenario — same seed, shuffled
@@ -82,11 +56,13 @@ see ``docs/STATIC_ANALYSIS.md``.
 from __future__ import annotations
 
 import argparse
+import json
+import pathlib
 import sys
 import typing
 
 from repro.harness import parallel
-from repro.harness.runner import EXPERIMENTS, TracedRun, experiment_module, run_traced
+from repro.harness.runner import EXPERIMENTS, experiment_module, run_traced
 from repro.lint.cli import run_lint
 from repro.obs import hostclock
 from repro.obs.report import recovery_timeline, render_recovery_timeline
@@ -114,42 +90,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--out", default=None, metavar="PATH",
-        help="trace/metrics/audit/latency/profile/schedfuzz/lint: write "
-        "this run's output to a standalone file (trace default: "
-        "trace.json; audit default: alerts.jsonl)",
+        help="run: the run directory (default: run_<experiment>_<seed>); "
+        "schedfuzz: the schedule artifact; lint: the report",
     )
     # Options of the scenario-running subcommands (ignored elsewhere).
     parser.add_argument(
         "--experiment", dest="scenario", type=str.lower, default="e2",
         metavar="EID",
-        help="trace/metrics/audit/latency/profile/schedfuzz: which "
-        "experiment's traced scenario to run (default: e2; latency runs "
-        "every scenario of e10/e11, baseline first)",
-    )
-    parser.add_argument(
-        "--jsonl", default=None, metavar="PATH",
-        help="trace: also write the raw JSONL span/metric stream here",
-    )
-    parser.add_argument(
-        "--sample-period", type=float, default=None, metavar="T",
-        help="trace/latency: attach the windowed time-series sampler "
-        "with this period in sim-time units (latency default: 10)",
-    )
-    parser.add_argument(
-        "--series", default=None, metavar="PATH",
-        help="latency: write the sampled time series as JSONL here "
-        "(both modes appended for e10)",
-    )
-    # profile-only options (ignored by the other subcommands).
-    parser.add_argument(
-        "--folded", default=None, metavar="PATH",
-        help="profile: write the sim-time flamegraph as flamegraph.pl "
-        "collapsed folded stacks",
-    )
-    parser.add_argument(
-        "--speedscope", default=None, metavar="PATH",
-        help="profile: write the sim-time flamegraph as speedscope JSON "
-        "(open at https://www.speedscope.app)",
+        help="run/schedfuzz: which traced scenario to run (default: e2; "
+        "'list' names them)",
     )
     # schedfuzz-only options (ignored by the other subcommands).
     parser.add_argument(
@@ -239,180 +188,71 @@ def run_experiments(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_scenario(
-    args: argparse.Namespace, scenario: str | None = None, **probes: typing.Any
-) -> TracedRun | None:
-    """Run a traced scenario for the subcommand named in ``args.experiment``.
+#: What ``repro run`` writes into its run directory, in writing order
+#: (docs/OBSERVABILITY.md's "CLI" table says what each holds). All but
+#: ``profile.json``, the host-CPU fold, are a function of the scenario
+#: and the seed alone.
+RUN_FILES = (
+    "report.txt",
+    "trace.json",
+    "run.jsonl",
+    "alerts.jsonl",
+    "latency.json",
+    "sim.folded.txt",
+    "profile.json",
+)
 
-    The front half the scenario-running subcommands share: an unknown
-    experiment id prints ``<subcommand>: …`` to stderr and yields None
-    (the caller exits 2).
+
+def _write_json(path: pathlib.Path, document: dict) -> None:
+    with open(path, "w") as handle:
+        json.dump(document, handle, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
+def run_scenario(args: argparse.Namespace) -> int:
+    """The ``run`` subcommand: one traced scenario under every observer.
+
+    The protocol auditor, the windowed sampler and the host-CPU profiler
+    ride one :func:`run_traced`; every artifact of that run goes into
+    one directory (``--out``, default ``run_<experiment>_<seed>``) as
+    :data:`RUN_FILES`, and stdout is ``report.txt``. Exit status: 0 on a
+    clean run, 1 when a critical audit alert fired (the CI audit gate),
+    2 on an unknown experiment name, with no directory created.
     """
-    try:
-        return run_traced(scenario or args.scenario, seed=args.seed, **probes)
-    except ValueError as exc:
-        print(f"{args.experiment}: {exc}", file=sys.stderr)
-        return None
-
-
-def _print_report(
-    run: TracedRun, lines: typing.Mapping, skip: tuple[str, ...] = ()
-) -> None:
-    """The shared back half: ``key: value`` lines, then the
-    recovery-timeline report (minus the sections in ``skip``)."""
-    for key, value in lines.items():
-        print(f"{key}: {value}")
-    print()
-    timeline = recovery_timeline(run.system)
-    for section in skip:
-        timeline.pop(section, None)
-    print(render_recovery_timeline(timeline))
-
-
-def run_trace(args: argparse.Namespace) -> int:
-    """The ``trace`` subcommand: traced scenario -> Chrome trace file."""
     from repro.obs.export import export_chrome_trace, export_jsonl
+    from repro.obs.profiler import export_folded, folded_stacks
+    from repro.obs.timeseries import DEFAULT_PERIOD
 
-    run = _run_scenario(args, sample_period=args.sample_period)
-    if run is None:
+    try:
+        run = run_traced(
+            args.scenario, seed=args.seed,
+            audit=True, sample_period=DEFAULT_PERIOD, profile=True,
+        )
+    except ValueError as exc:
+        print(f"run: {exc}", file=sys.stderr)
         return 2
-    out = args.out or "trace.json"
-    n_events = export_chrome_trace(run.obs, out, label=run.label)
-    recorder = run.obs.spans
-    print(f"{out}: {n_events} trace events ({len(recorder.spans)} spans, "
-          f"{len(recorder.instants)} instants) — open in chrome://tracing "
-          "or https://ui.perfetto.dev")
-    if args.jsonl:
-        n_lines = export_jsonl(run.obs, args.jsonl, label=run.label)
-        print(f"{args.jsonl}: {n_lines} JSONL lines")
-    _print_report(run, run.summary)
-    return 0
-
-
-def run_metrics(args: argparse.Namespace) -> int:
-    """The ``metrics`` subcommand: traced scenario -> registry snapshot."""
-    from repro.obs.export import export_metrics_json
-
-    run = _run_scenario(args)
-    if run is None:
-        return 2
-    if args.out:
-        export_metrics_json(run.obs, args.out, label=run.label)
-        print(f"wrote metrics snapshot to {args.out}")
-    _print_report(run, dict(sorted(run.obs.registry.snapshot()["global"].items())))
-    return 0
-
-
-def run_latency(args: argparse.Namespace) -> int:
-    """The ``latency`` subcommand: critical-path budget + time series.
-
-    Runs the traced scenario with the windowed sampler attached, prints
-    the per-category latency budget and per-outage throughput troughs.
-    Given an experiment id with several scenarios in the registry
-    (``e10``: ``e10sync`` baseline then ``e10`` async; likewise
-    ``e11``) it runs them back to back on the same seed. Exit status:
-    0 on success, 2 on an unknown experiment name.
-    """
-    import json
-
-    from repro.obs.critpath import latency_budget, render_latency_budget
-    from repro.obs.timeseries import (
-        export_series_jsonl,
-        outage_stats,
-        render_outage_stats,
-    )
-
-    period = args.sample_period if args.sample_period is not None else 10.0
-    scenarios = EXPERIMENTS.get(args.scenario, {}).get("scenarios", [args.scenario])
-    budgets: dict[str, dict] = {}
-    troughs: dict[str, dict] = {}
-    for index, scenario in enumerate(scenarios):
-        run = _run_scenario(args, scenario, sample_period=period)
-        if run is None:
-            return 2
-        mode = run.summary.get("commit_mode")
-        print(f"== {scenario}" + (f" ({mode})" if mode else ""))
-        budget = latency_budget(run.obs)
-        budgets[scenario] = budget
-        print(render_latency_budget(budget))
-        sampler = run.obs.sampler
-        if sampler is not None and sampler.windows:
-            stats = outage_stats(sampler)
-            troughs[scenario] = stats
-            for line in render_outage_stats(stats):
-                print(line)
-            if args.series:
-                n_lines = export_series_jsonl(
-                    sampler, args.series, label=run.label, append=index > 0
-                )
-                print(f"{args.series}: +{n_lines} JSONL lines")
-        print()
-    if args.out:
-        with open(args.out, "w") as handle:
-            json.dump(
-                {
-                    "experiment": args.scenario,
-                    "seed": args.seed,
-                    "sample_period": period,
-                    "budgets": budgets,
-                    "throughput": troughs,
-                },
-                handle, indent=2, sort_keys=True,
-            )
-            handle.write("\n")
-        print(f"wrote latency budget to {args.out}")
-    return 0
-
-
-def run_profile(args: argparse.Namespace) -> int:
-    """The ``profile`` subcommand: host-CPU attribution + flamegraphs.
-
-    Runs the traced scenario under the host-CPU profiler (``cProfile``
-    over the kernel's drain loops) and prints the per-subsystem
-    attribution table (also folded into the recovery-timeline report
-    for any profiled run). ``--folded`` / ``--speedscope`` export the
-    sim-time flamegraph collapsed from the span tree; ``--out`` saves
-    the machine-readable JSON. Exit status: 0 on success, 2 on an
-    unknown experiment name.
-    """
-    import json
-
-    from repro.obs.profiler import (
-        export_folded,
-        export_speedscope,
-        folded_stacks,
-        render_profile,
-    )
-
-    run = _run_scenario(args, profile=True)
-    if run is None:
-        return 2
-    report = run.obs.profiler.report()
-    print(render_profile(report))
-    sim_folded = folded_stacks(run.obs.spans)
-    if args.speedscope:
-        n_stacks = export_speedscope(run.obs.spans, args.speedscope, label=run.label)
-        print(f"{args.speedscope}: speedscope profile, {n_stacks} sim-time "
-              "stacks — open at https://www.speedscope.app")
-    if args.folded:
-        n_lines = export_folded(sim_folded, args.folded)
-        print(f"{args.folded}: {n_lines} folded sim-time stacks "
-              "(flamegraph.pl collapsed format)")
-    if args.out:
-        document: dict = {
-            "experiment": run.experiment,
-            "seed": args.seed,
-            "host": report,
-            "sim_folded": [
-                {"stack": list(stack), "sim_time": value}
-                for stack, value in sorted(sim_folded.items())
-            ],
-        }
-        with open(args.out, "w") as handle:
-            json.dump(document, handle, indent=2)
-            handle.write("\n")
-        print(f"wrote profile to {args.out}")
-    _print_report(run, run.summary, skip=("profile",))  # the table led the output
+    out = pathlib.Path(args.out or f"run_{run.experiment}_{run.seed}")
+    out.mkdir(parents=True, exist_ok=True)
+    timeline = recovery_timeline(run.system)
+    report = "".join(f"{key}: {value}\n" for key, value in run.summary.items())
+    report += f"\n{render_recovery_timeline(timeline)}\n"
+    (out / "report.txt").write_text(report)
+    export_chrome_trace(run.obs, str(out / "trace.json"), label=run.label)
+    export_jsonl(run.obs, str(out / "run.jsonl"), label=run.label)
+    alerts = run.obs.audit.alerts
+    alerts.export_jsonl(str(out / "alerts.jsonl"), label=run.label)
+    _write_json(out / "latency.json", {
+        "label": run.label,
+        "latency": timeline.get("latency"),
+        "throughput": timeline.get("throughput"),
+    })
+    export_folded(folded_stacks(run.obs.spans), str(out / "sim.folded.txt"))
+    _write_json(out / "profile.json", run.obs.profiler.report())
+    print(report, end="")
+    if alerts.has_critical:
+        print(f"run: {alerts.count('critical')} critical alert(s)  << VIOLATION",
+              file=sys.stderr)
+        return 1
     return 0
 
 
@@ -430,8 +270,6 @@ def run_schedfuzz(args: argparse.Namespace) -> int:
     diverges — reproducing is the replay's *success*), 1 on divergence
     (or a replay that no longer reproduces), 2 on usage errors.
     """
-    import json
-
     from repro.sanitize.fuzz import replay_artifact, schedfuzz
 
     if args.replay is not None:
@@ -485,41 +323,12 @@ def run_schedfuzz(args: argparse.Namespace) -> int:
     return 1 if result.diverged else 0
 
 
-def run_audit(args: argparse.Namespace) -> int:
-    """The ``audit`` subcommand: traced scenario under the auditor.
-
-    Exit status: 0 when no critical alert fired, 1 on any critical
-    alert (the CI audit gate), 2 on an unknown experiment name.
-    """
-    run = _run_scenario(args, audit=True)
-    if run is None:
-        return 2
-    auditor = run.obs.audit
-    summary = auditor.summary()
-    out = args.out or "alerts.jsonl"
-    n_lines = auditor.alerts.export_jsonl(out, label=run.label)
-    print(f"{out}: {n_lines} JSONL lines")
-    print(auditor.alerts.render_summary())
-    _print_report(run, run.summary)
-    if auditor.alerts.has_critical:
-        print(
-            f"audit: {summary['critical']} critical alert(s)  << VIOLATION",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
-
-
 #: Subcommand -> handler; any other name is an experiment id
 #: (:func:`run_experiments`, which also serves ``all``).
 SUBCOMMANDS: dict[str, typing.Callable[[argparse.Namespace], int]] = {
     "list": run_list,
     "all": run_experiments,
-    "trace": run_trace,
-    "metrics": run_metrics,
-    "audit": run_audit,
-    "latency": run_latency,
-    "profile": run_profile,
+    "run": run_scenario,
     "schedfuzz": run_schedfuzz,
     "lint": run_lint,
 }

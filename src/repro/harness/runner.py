@@ -20,10 +20,10 @@ seed, **params) -> (kernel, system, result)`` builds the system with
 ``build`` (called like :func:`build_scheme`), drives it, and reads
 ``result`` off — a dict of the numbers it measured. The grid and the
 traced run are that one function at two parameter sets, so ``repro
-trace/audit/metrics/latency/profile/schedfuzz`` look at the world the
-table measured. A grid cell still needs a module-level adapter around
-it: cells run inside worker processes and are pickled by reference, and
-a kernel and a system do not cross back — the adapter binds
+run`` and ``repro schedfuzz`` look at the world the table measured. A
+grid cell still needs a module-level adapter around it: cells run
+inside worker processes and are pickled by reference, and a kernel and
+a system do not cross back — the adapter binds
 :func:`build_scheme` and returns what the table needs of ``result``
 and the finished system. The pickle boundary is about *where* a world
 runs, never *what* runs.
@@ -62,7 +62,7 @@ _E11_TRACE = dict(
 #: the ``full``/``small`` parameter scales of the CLI's grid (keywords
 #: of the module's ``plan``), and ``scenarios``: traced-scenario name ->
 #: the keywords its run binds on the module's ``scenario``, baseline
-#: first — the order ``repro latency`` runs an experiment's scenarios
+#: first — the order ``repro list`` names an experiment's scenarios
 #: in. ``per_client_streams`` is what lets ``repro schedfuzz`` reorder
 #: clients without changing their programs; a ``seed_tag`` names the
 #: kernel-seed derivation (:func:`tagged_seed`).
@@ -256,13 +256,13 @@ def build_traced_scheme(
     Every probe attaches through ``kernel.probes`` (its ``attach_*``
     function subscribes it), so any combination rides one run through
     the kernel's one probed drain loop, and each leaves a handle on the
-    bundle. ``audit=True`` (``repro audit``): a
+    bundle (``repro run`` attaches the first three). ``audit=True``: a
     :class:`~repro.audit.ProtocolAuditor`, attached before any load
     runs, on ``obs.audit``. ``sample_period``: a windowed time-series
     sampler (:func:`repro.obs.timeseries.attach_sampler`) ticking at
-    that period from boot, on ``obs.sampler``. ``profile=True``
-    (``repro profile``): a host-CPU profiler
-    (:func:`repro.obs.profiler.attach_profiler`), on ``obs.profiler``.
+    that period from boot, on ``obs.sampler``. ``profile=True``: a
+    host-CPU profiler (:func:`repro.obs.profiler.attach_profiler`), on
+    ``obs.profiler``.
     ``schedule`` (a :class:`~repro.sanitize.policy.ScheduleSpec`,
     ``repro schedfuzz``): the kernel's same-timestamp tie-breaks are
     resolved by the spec's policy, attached *before* the system is

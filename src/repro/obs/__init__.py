@@ -8,7 +8,7 @@ passed in). It bundles:
   its cost model is pull-based (components register *collectors* that
   scrape counters they keep anyway) plus rare push updates;
 * a :class:`~repro.obs.spans.SpanRecorder` — spans and timeline instants
-  are **off by default** and enabled per run (``repro trace``,
+  are **off by default** and enabled per run (``repro run``,
   :meth:`Observability.enable_timeline`): span sites pay a single
   branch when disabled, and the timeline subscribes to the kernel's
   probe bus only once it is enabled.

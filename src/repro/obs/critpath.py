@@ -42,8 +42,7 @@ sweep: it simply covers nothing, and time nothing covers lands in
 
 The aggregate (:func:`latency_budget`) is the per-category latency
 budget: totals, share-of-total, and per-transaction p50/p99, surfaced by
-``repro latency``, the recovery-timeline report, and the E10 CI
-artifact.
+the recovery-timeline report and ``repro run``'s ``latency.json``.
 """
 
 from __future__ import annotations

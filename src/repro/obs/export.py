@@ -182,11 +182,3 @@ def export_chrome_trace(obs: "Observability", path: str, label: str = "") -> int
     with open(path, "w") as fh:
         json.dump(document, fh)
     return len(events)
-
-
-def export_metrics_json(obs: "Observability", path: str, label: str = "") -> dict:
-    """Write the metrics snapshot to ``path``; returns the snapshot."""
-    snapshot = obs.registry.snapshot()
-    with open(path, "w") as fh:
-        json.dump({"label": label, "snapshot": snapshot}, fh, indent=2, sort_keys=True)
-    return snapshot

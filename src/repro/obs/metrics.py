@@ -151,6 +151,12 @@ class MetricsRegistry:
             instrument = self._series[key] = TimeSeries(name, site)
         return instrument
 
+    def has(self, name: str, site: int | None = None) -> bool:
+        """True when a histogram or series ``(name, site)`` exists; a
+        reader that must not create one asks this before its factory."""
+        key = (name, site)
+        return key in self._histograms or key in self._series
+
     def add_collector(
         self, collector: typing.Callable[[], dict[Key, float]]
     ) -> None:

@@ -22,20 +22,19 @@ tree already records where *simulated* time goes; the fold collapses it
 into root-to-leaf label paths, charging every instant of a root span's
 window to exactly one path (children clipped to their parent's window,
 latest-started span winning overlaps). Exports as flamegraph.pl
-collapsed text (:func:`export_folded`) and speedscope JSON
-(:func:`export_speedscope`).
+collapsed text (:func:`export_folded`), which speedscope also opens.
 
-Profiler results deliberately stay *out* of the metrics registry: they
-are host-machine wall-clock quantities, and the registry snapshots must
-remain deterministic for a fixed seed. They surface instead as the
-``prof.*`` mapping of :meth:`HostProfiler.metrics`, the rendered
-:func:`render_profile` table, and the ``profile`` section of the
-recovery-timeline report. See docs/OBSERVABILITY.md §Profiling.
+Profiler results deliberately stay *out* of the metrics registry and
+the recovery-timeline report: they are host-machine wall-clock
+quantities, and the registry snapshots and the report must remain
+deterministic for a fixed seed. They surface instead as the ``prof.*``
+mapping of :meth:`HostProfiler.metrics` and as :meth:`HostProfiler.report`,
+which ``repro run`` writes to its run directory's ``profile.json``. See
+docs/OBSERVABILITY.md §Profiling.
 """
 
 from __future__ import annotations
 
-import json
 import typing
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -104,7 +103,7 @@ class HostProfiler:
     """Attributes the kernel drain loops' host CPU to subsystems.
 
     Attach with :meth:`attach` (or ``build_traced_scheme(...,
-    profile=True)`` / ``repro profile``). ``profile`` is the underlying
+    profile=True)``, as ``repro run`` does). ``profile`` is the underlying
     ``cProfile.Profile``: ``pstats.Stats(profiler.profile)`` is the
     per-function drill-down behind any row of :meth:`report`.
     """
@@ -234,24 +233,6 @@ def attach_profiler(system: typing.Any) -> HostProfiler:
     return profiler
 
 
-def render_profile(report: dict) -> str:
-    """Human-readable host-CPU table of :meth:`HostProfiler.report`."""
-    lines = [
-        "host-CPU profile: {events} events dispatched, {cpu:.4f}s exclusive "
-        "CPU (cProfile tottime)".format(
-            events=report["total_events"], cpu=report["total_cpu_s"]
-        ),
-        f"{'subsystem':>10}  {'cpu_s':>9}  {'share':>6}  {'calls':>9}  top function",
-    ]
-    for label, entry in report["subsystems"].items():
-        top = entry["top"][0][0] if entry["top"] else ""
-        lines.append(
-            f"{label:>10}  {entry['cpu_s']:>9.4f}  {entry['share']:>6.1%}  "
-            f"{entry['calls']:>9}  {top}"
-        )
-    return "\n".join(lines)
-
-
 # -- view 2: sim-time flamegraphs ----------------------------------------------
 
 
@@ -368,59 +349,3 @@ def export_folded(
         for line in lines:
             handle.write(line + "\n")
     return len(lines)
-
-
-def speedscope_document(recorder: "SpanRecorder", label: str = "repro") -> dict:
-    """The span tree as a speedscope ``sampled`` profile (sim-time).
-
-    One sample per distinct root-to-leaf path, weighted by its
-    exclusive sim-time — open the file at https://www.speedscope.app
-    (the "Left Heavy" view is the flamegraph).
-    """
-    folded = folded_stacks(recorder)
-    frame_index: dict[str, int] = {}
-    frames: list[dict] = []
-    samples: list[list[int]] = []
-    weights: list[float] = []
-    for stack in sorted(folded):
-        weight = folded[stack]
-        if weight <= 0:
-            continue
-        indexed = []
-        for frame in stack:
-            index = frame_index.get(frame)
-            if index is None:
-                index = frame_index[frame] = len(frames)
-                frames.append({"name": frame})
-            indexed.append(index)
-        samples.append(indexed)
-        weights.append(weight)
-    return {
-        "$schema": "https://www.speedscope.app/file-format-schema.json",
-        "name": label,
-        "exporter": "repro profile",
-        "activeProfileIndex": 0,
-        "shared": {"frames": frames},
-        "profiles": [
-            {
-                "type": "sampled",
-                "name": label,
-                "unit": "seconds",
-                "startValue": 0.0,
-                "endValue": sum(weights),
-                "samples": samples,
-                "weights": weights,
-            }
-        ],
-    }
-
-
-def export_speedscope(
-    recorder: "SpanRecorder", path: str, label: str = "repro"
-) -> int:
-    """Write the speedscope JSON; returns the number of stacks."""
-    document = speedscope_document(recorder, label=label)
-    with open(path, "w") as handle:
-        json.dump(document, handle)
-        handle.write("\n")
-    return len(document["profiles"][0]["samples"])

@@ -18,8 +18,9 @@ Three analysis layers ride along when their inputs were recorded: the
 per-category **latency budget** (:mod:`repro.obs.critpath`, when spans
 are on), the **throughput trough** figures per outage
 (:mod:`repro.obs.timeseries`, when a windowed sampler was attached),
-and the **host-CPU profile** table (:mod:`repro.obs.profiler`, when a
-profiler was attached).
+and the **audit** verdict (:mod:`repro.audit`, when an auditor was
+attached). Host-CPU numbers never enter it, even with a profiler
+attached: the report is a function of the scenario and the seed.
 
 Works on any :class:`~repro.system.DatabaseSystem`; the copier/recovery
 fields appear when the system has the corresponding services (i.e. a
@@ -40,7 +41,13 @@ def recovery_timeline(system: typing.Any) -> dict:
     sites: dict[int, dict] = {}
     for site_id in system.cluster.site_ids:
         site = system.cluster.site(site_id)
-        downtime = registry.histogram("recovery.downtime", site_id)
+        # A report reads the registry, never adds to it: an instrument
+        # a site never used stays out of the metrics snapshot.
+        downtime = (
+            registry.histogram("recovery.downtime", site_id)
+            if registry.has("recovery.downtime", site_id)
+            else None
+        )
         records = recoveries[site_id].records if site_id in recoveries else []
         to_operational = [
             r.time_to_operational for r in records if r.time_to_operational is not None
@@ -48,7 +55,7 @@ def recovery_timeline(system: typing.Any) -> dict:
         entry: dict = {
             "crashes": site.crash_count,
             "recoveries": len(records),
-            "mttr": downtime.mean if downtime.count else None,
+            "mttr": downtime.mean if downtime is not None and downtime.count else None,
             "time_to_nominally_up": (
                 sum(to_operational) / len(to_operational) if to_operational else None
             ),
@@ -90,8 +97,10 @@ def recovery_timeline(system: typing.Any) -> dict:
                 and drained >= last_power_on
                 else None
             )
-            entry["drain_curve"] = list(
-                registry.series("recovery.unreadable", site_id).points
+            entry["drain_curve"] = (
+                list(registry.series("recovery.unreadable", site_id).points)
+                if registry.has("recovery.unreadable", site_id)
+                else []
             )
         sites[site_id] = entry
 
@@ -134,9 +143,6 @@ def recovery_timeline(system: typing.Any) -> dict:
     auditor = getattr(obs, "audit", None)
     if auditor is not None:
         report["audit"] = auditor.summary()
-    profiler = getattr(obs, "profiler", None)
-    if profiler is not None and profiler.total_events:
-        report["profile"] = profiler.report()
     return report
 
 
@@ -211,9 +217,4 @@ def render_recovery_timeline(report: dict) -> str:
         )
         for rule, count in sorted(audit["by_rule"].items()):
             lines.append(f"audit rule {rule}: {count}")
-    profile = report.get("profile")
-    if profile is not None:
-        from repro.obs.profiler import render_profile
-
-        lines.append(render_profile(profile))
     return "\n".join(lines)

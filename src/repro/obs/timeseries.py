@@ -18,14 +18,13 @@ windows:
 Gauges are sampled at each window's *end*; an outage shorter than one
 window can therefore hide between ticks — pick the period accordingly.
 
-Exporters: a compact JSONL stream (:func:`export_series_jsonl`, one line
-per series) and Chrome trace *counter-track* events
-(:func:`counter_events`, merged into the trace by
-:mod:`repro.obs.export`) so the dips render right under the span
-timeline in Perfetto. :func:`outage_stats` derives the recovery-timeline
-report's "throughput trough" figures: per outage (a maximal run of
-windows with any site down), the minimum windowed commit rate and the
-time to recover 90% of the all-up baseline rate.
+The series reach both exports of :mod:`repro.obs.export`: one
+``series`` line each in the JSONL stream, and Chrome trace
+*counter-track* events (:func:`counter_events`) so the dips render right
+under the span timeline in Perfetto. :func:`outage_stats` derives the
+recovery-timeline report's "throughput trough" figures: per outage (a
+maximal run of windows with any site down), the minimum windowed commit
+rate and the time to recover 90% of the all-up baseline rate.
 
 Cost model: one timer callback per period touching a handful of Python
 counters — never the kernel event loop. The bench's
@@ -35,7 +34,6 @@ as the rest of the observability layer.
 
 from __future__ import annotations
 
-import json
 import typing
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -207,37 +205,7 @@ def attach_sampler(
     return sampler
 
 
-# -- exporters ------------------------------------------------------------------
-
-
-def export_series_jsonl(
-    sampler: WindowedSampler, path: str, label: str = "", append: bool = False
-) -> int:
-    """Write the sampler's series to ``path`` as JSONL; returns lines.
-
-    One ``meta`` line (period, origin, window count) then one ``series``
-    line per probe. ``append=True`` concatenates another run into the
-    same file (each block keeps its own meta/label), which is how the
-    CLI pairs E10's sync and async runs in one artifact.
-    """
-    lines: list[dict] = [
-        {
-            "type": "meta",
-            "label": label,
-            "t0": sampler.t0,
-            "period": sampler.period,
-            "windows": sampler.windows,
-        }
-    ]
-    for entry in sampler.series():
-        record = dict(entry)
-        record["type"] = "series"
-        record["values"] = [round(v, 6) for v in record["values"]]
-        lines.append(record)
-    with open(path, "a" if append else "w") as fh:
-        for line in lines:
-            fh.write(json.dumps(line) + "\n")
-    return len(lines)
+# -- trace export ---------------------------------------------------------------
 
 
 def counter_events(

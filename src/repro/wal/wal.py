@@ -47,7 +47,7 @@ _SESSION_STARTED = "session.started_at"
 
 @dataclasses.dataclass
 class WalStats:
-    """Durability work accounting (surfaced by repro metrics / E9)."""
+    """Durability work accounting (surfaced by the recovery timeline / E9)."""
 
     records_appended: int = 0
     flushes: int = 0  # group commits (stable segment writes)

@@ -1,4 +1,5 @@
-"""End-to-end tests for the ``repro audit`` subcommand (the CI gate)."""
+"""End-to-end tests for the audit gate of ``repro run`` (the CI gate):
+every run is audited, and a critical alert makes it exit 1."""
 
 import json
 
@@ -8,19 +9,18 @@ from repro.core.rowaa import RowaaStrategy
 
 class TestAuditCli:
     def test_audit_e2_clean_run(self, tmp_path, capsys):
-        out = tmp_path / "alerts.jsonl"
+        out = tmp_path / "run"
         code = main([
-            "audit", "--experiment", "e2", "--seed", "1", "--out", str(out),
+            "run", "--experiment", "e2", "--seed", "1", "--out", str(out),
         ])
         assert code == 0
-        lines = [json.loads(line) for line in out.read_text().splitlines()]
+        alerts = (out / "alerts.jsonl").read_text()
+        lines = [json.loads(line) for line in alerts.splitlines()]
         assert lines[0]["type"] == "meta"
         assert lines[0]["label"] == "e2@seed=1"
         assert lines[0]["critical"] == 0
         assert all(doc["type"] == "alert" for doc in lines[1:])
         printed = capsys.readouterr().out
-        assert "audit summary" in printed
-        assert "all monitored invariants held" in printed
         assert "recovery timeline" in printed
         assert "audit: 0 alerts" in printed  # folded into the report
 
@@ -42,14 +42,15 @@ class TestAuditCli:
                 yield from original_write(self, ctx, item, value)
 
         monkeypatch.setattr(RowaaStrategy, "write", dropping_write)
-        out = tmp_path / "alerts.jsonl"
+        out = tmp_path / "run"
         code = main([
-            "audit", "--experiment", "e2", "--seed", "1", "--out", str(out),
+            "run", "--experiment", "e2", "--seed", "1", "--out", str(out),
         ])
         assert code == 1
         captured = capsys.readouterr()
         assert "VIOLATION" in captured.err
-        lines = [json.loads(line) for line in out.read_text().splitlines()]
+        alerts = (out / "alerts.jsonl").read_text()
+        lines = [json.loads(line) for line in alerts.splitlines()]
         assert lines[0]["critical"] >= 1
         rules = {doc["rule"] for doc in lines[1:]}
         assert "rowaa.write_coverage" in rules

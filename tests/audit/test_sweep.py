@@ -2,7 +2,7 @@
 
 This is the no-false-positives half of the auditor's acceptance
 criteria (the no-false-negatives half is ``test_fault_injection.py``);
-CI runs the same sweep through ``repro audit`` as the audit gate.
+CI runs the same sweep through ``repro run`` as the audit gate.
 """
 
 import pytest

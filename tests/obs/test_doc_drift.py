@@ -108,3 +108,19 @@ def test_probe_event_table_is_the_bus_closed_set():
         if line.startswith("| `")
     ]
     assert [name for row in rows for name in row] == list(EVENTS)
+
+
+def test_run_directory_table_is_the_cli_file_tuple():
+    """The "CLI" table documents exactly the files ``repro run`` writes,
+    one row each, in the CLI's own order."""
+    from repro.cli import RUN_FILES
+
+    text = DOC.read_text()
+    start = text.index("## CLI\n")
+    section = text[start:text.index("\n### ", start)]
+    rows = [
+        re.findall(r"`([a-z_.]+)`", line.split("|")[1])
+        for line in section.splitlines()
+        if line.startswith("| `")
+    ]
+    assert [name for row in rows for name in row] == list(RUN_FILES)

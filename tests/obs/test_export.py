@@ -8,7 +8,6 @@ from repro.obs.export import (
     chrome_trace_events,
     export_chrome_trace,
     export_jsonl,
-    export_metrics_json,
 )
 
 
@@ -93,13 +92,3 @@ class TestChromeTrace:
         )
         assert span["ts"] == original.start * US_PER_SIM_UNIT
 
-
-class TestMetricsExport:
-    def test_snapshot_file(self, tmp_path):
-        _kernel, _system, obs = _small_run()
-        path = tmp_path / "metrics.json"
-        snapshot = export_metrics_json(obs, str(path), label="unit")
-        doc = json.loads(path.read_text())
-        assert doc["label"] == "unit"
-        assert doc["snapshot"]["global"]["txn.committed"] == 1.0
-        assert snapshot["global"] == doc["snapshot"]["global"]

@@ -19,8 +19,6 @@ from repro.obs.profiler import (
     attach_profiler,
     folded_stacks,
     frame_label,
-    render_profile,
-    speedscope_document,
     subsystem_of_module,
     subsystem_of_path,
 )
@@ -197,9 +195,6 @@ class TestHostProfiler:
             "prof.total_cpu_s", "prof.total_events",
             "prof.cpu_s", "prof.share", "prof.calls",
         }
-        rendered = render_profile(report)
-        assert rendered.startswith("host-CPU profile: 50 events")
-        assert "kernel" in rendered
 
     def test_idle_profiler_is_empty(self):
         profiler = HostProfiler()
@@ -230,18 +225,22 @@ class TestSystemIntegration:
         cpu = _cpu(profiler)
         assert {"net", "tm", "locks", "wal"} <= set(cpu)
 
-    def test_recovery_timeline_embeds_profile(self):
+    def test_recovery_timeline_stays_host_free(self):
+        """A profiled run's report equals an unprofiled one's: host
+        CPU seconds would make it differ between two runs of one seed."""
         from repro.harness.runner import build_traced_scheme
-        from repro.obs.report import recovery_timeline, render_recovery_timeline
+        from repro.obs.report import recovery_timeline
 
-        kernel, system = build_traced_scheme(
-            "rowaa", 1, 3, {"X": 0}, profile=True
-        )
-        kernel.run(system.submit(1, _write_x))
-        system.stop()
-        report = recovery_timeline(system)
-        assert report["profile"]["total_events"] > 0
-        assert "host-CPU profile" in render_recovery_timeline(report)
+        reports = []
+        for profile in (True, False):
+            kernel, system = build_traced_scheme(
+                "rowaa", 1, 3, {"X": 0}, profile=profile
+            )
+            kernel.run(system.submit(1, _write_x))
+            system.stop()
+            assert (system.obs.profiler is not None) == profile
+            reports.append(recovery_timeline(system))
+        assert reports[0] == reports[1]
 
     def test_attach_profiler_helper(self):
         from repro.harness.runner import build_traced_scheme
@@ -339,23 +338,3 @@ class TestSimTimeFold:
         assert frame_label(control) == "control"
         assert frame_label(refresh) == "refresh"
         assert frame_label(plain) == "recover"
-
-    def test_speedscope_document_is_consistent(self):
-        kernel, recorder = self._recorder()
-        root = recorder.start("txn:T1", "user", 1)
-        kernel._now = 2.0
-        child = recorder.start("rpc:w", "rpc", 1, parent=root.span_id)
-        kernel._now = 5.0
-        recorder.finish(child)
-        recorder.finish(root)
-        doc = speedscope_document(recorder, label="test")
-        profile = doc["profiles"][0]
-        assert profile["type"] == "sampled"
-        assert profile["unit"] == "seconds"
-        assert len(profile["samples"]) == len(profile["weights"])
-        assert profile["endValue"] == pytest.approx(sum(profile["weights"]))
-        assert profile["endValue"] == pytest.approx(5.0)  # root duration
-        n_frames = len(doc["shared"]["frames"])
-        assert all(
-            0 <= i < n_frames for s in profile["samples"] for i in s
-        )

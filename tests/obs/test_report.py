@@ -64,3 +64,15 @@ class TestRecoveryTimeline:
         assert "recovery timeline" in text
         assert "drain site" in text
         assert "mean_mttr" in text
+
+
+def test_report_leaves_the_registry_as_it_found_it():
+    """Sites 1 and 2 never recover, so they have no downtime histogram;
+    building the report used to create empty ones, which then showed up
+    in any metrics snapshot taken after it."""
+    run = run_traced("e2", seed=1)
+    registry = run.obs.registry
+    before = registry.snapshot()
+    recovery_timeline(run.system)
+    assert registry.snapshot() == before
+    assert set(before["histograms"]["recovery.downtime"]) == {"site_3", "all"}

@@ -12,11 +12,12 @@ import json
 
 import pytest
 
+from repro.obs import Observability
+from repro.obs.export import export_jsonl
 from repro.obs.timeseries import (
     WindowedSampler,
     attach_sampler,
     counter_events,
-    export_series_jsonl,
     outage_stats,
     render_outage_stats,
 )
@@ -158,23 +159,21 @@ class TestOutageStats:
 
 
 class TestExporters:
-    def test_jsonl_roundtrip_and_append(self, tmp_path):
+    def test_export_jsonl_series_lines_hold_deltas(self, tmp_path):
         sampler = _outage_run()
-        path = tmp_path / "series.jsonl"
-        first = export_series_jsonl(sampler, str(path), label="runA")
-        second = export_series_jsonl(
-            sampler, str(path), label="runB", append=True
-        )
-        assert first == second == 3  # meta + two series
+        obs = Observability(sampler.kernel)
+        obs.sampler = sampler
+        path = tmp_path / "run.jsonl"
+        assert export_jsonl(obs, str(path), label="runA") == 4  # + 2 series
         lines = [json.loads(x) for x in path.read_text().splitlines()]
-        metas = [x for x in lines if x["type"] == "meta"]
-        assert [m["label"] for m in metas] == ["runA", "runB"]
-        assert all(m["windows"] == 6 for m in metas)
+        assert [x["type"] for x in lines] == ["meta", "series", "series", "metrics"]
+        assert lines[0]["label"] == "runA"
         committed = next(
             x for x in lines if x["type"] == "series"
             and x["name"] == "ts.committed"
         )
         assert committed["kind"] == "delta"
+        assert (committed["t0"], committed["period"]) == (0.0, 10.0)
         assert committed["values"] == [4.0, 4.0, 0.0, 0.0, 4.0, 4.0]
 
     def test_counter_events_rates_and_pids(self):

@@ -27,9 +27,9 @@ def test_list_names_every_traced_scenario(capsys):
 def test_unknown_scenario_lists_names_in_registry_order(capsys):
     """Sorted lexicographically the message read ``e1, e10, e10sync,
     e11, e11sync, e2, …``."""
-    assert main(["trace", "--experiment", "nope"]) == 2
+    assert main(["run", "--experiment", "nope"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("trace: unknown experiment 'nope'; choose from e1, e2, e3, ")
+    assert err.startswith("run: unknown experiment 'nope'; choose from e1, e2, e3, ")
     assert err.rstrip().endswith("e9, e10sync, e10, e11sync, e11")
 
 

@@ -2,7 +2,7 @@
 # Capture every seed-determined CLI artifact of this checkout into OUTDIR,
 # for a byte-identity comparison against another checkout's capture
 # (tools/diff_artifacts.py A B). Run from the repo root of the tree to
-# capture; takes ~3 min. Exit codes of the gates are recorded in
+# capture; takes ~2 min. Exit codes of the gates are recorded in
 # OUTDIR/exit_codes.txt, not propagated (an audit alert is an artifact).
 set -u
 
@@ -16,7 +16,6 @@ ROOT=$(cd "$(dirname "$0")/.." && pwd)
 export PYTHONPATH="$ROOT/src"
 SCENARIOS="e1 e2 e3 e4 e5 e6 e7 e8 e9 e10 e10sync e11 e11sync"
 
-# The scenario subcommands default their outputs into the cwd.
 cd "$OUT" || exit 2
 : > exit_codes.txt
 
@@ -28,22 +27,10 @@ run() {  # run NAME CMD... : stdout+stderr to NAME.txt, exit code recorded
 }
 
 for e in $SCENARIOS; do
-    run "trace_$e" python -m repro trace --experiment "$e" --seed 1 \
-        --out "trace_$e.json" --jsonl "trace_$e.jsonl"
-    run "audit_$e" python -m repro audit --experiment "$e" --seed 1 \
-        --out "audit_$e.jsonl"
-    run "metrics_$e" python -m repro metrics --experiment "$e" --seed 1 \
-        --out "metrics_$e.json"
-    # The sim-time flamegraphs are seed-determined (the span tree's
-    # shape); profile's stdout is host CPU seconds, so it is dropped.
-    python -m repro profile --experiment "$e" --seed 1 \
-        --folded "profile_$e.folded.txt" \
-        --speedscope "profile_$e.speedscope.json" > /dev/null 2>&1
-    echo "profile_$e $?" >> exit_codes.txt
-done
-for e in e10 e11; do
-    run "latency_$e" python -m repro latency --experiment "$e" --seed 1 \
-        --out "latency_$e.json" --series "latency_$e.series.jsonl"
+    # One run directory per scenario; profile.json is host CPU seconds,
+    # the one file that is not seed-determined, so it is dropped.
+    run "run_$e" python -m repro run --experiment "$e" --seed 1 --out "run_$e"
+    rm -f "run_$e/profile.json"
 done
 for e in e2 e10 e10sync; do
     run "schedfuzz_$e" python -m repro schedfuzz --experiment "$e" --seed 1 \

@@ -3,16 +3,16 @@
 # then which of the rest only the test suite reaches (tools/traffic_map.py).
 # Run from the repo root; OUTDIR gets claimed/, traffic/ and tests/ dump
 # directories and report.txt. Everything runs serially (a pool worker
-# dumps nothing) and traced: about 3 min for the claimed set, 4 min for
-# the rest of the traffic and 4 min for tier-1.
+# dumps nothing) and traced: about 12 min in all on a shared 2-core
+# host, a third of it tier-1.
 #
 # The claimed set is what the paper's claims need: the experiment grid at
 # both scales (it checks every experiment's claims), the 13-scenario
-# audit gate and the reference benchmark's selftest. The rest of the
-# traffic: every traced scenario under trace/metrics, latency, profile,
-# schedfuzz, both determinism gates, lint, the six BENCHMARK.json
-# workloads untraced and traced (the traced run drives all 26
-# micro-drivers), and the examples.
+# audit gate (`repro run`, which also attaches the sampler and the host
+# profiler) and the reference benchmark's selftest. The rest of the
+# traffic: schedfuzz, both determinism gates, lint, the six
+# BENCHMARK.json workloads untraced and traced (the traced run drives
+# all 26 micro-drivers), and the examples.
 set -u
 
 if [ $# -ne 1 ]; then
@@ -32,19 +32,13 @@ record() { local dir=$1; shift; python "$ROOT/tools/traffic_map.py" run "$OUT/$d
 claimed() { record claimed "$@"; }
 traffic() { record traffic "$@"; }
 
-# The scenario subcommands default their outputs into the cwd.
+# Every output is written under the scratch directory.
 cd "$SCRATCH" || exit 2
 claimed python -m repro all --scale small --seed 3
 claimed python -m repro all --scale full --seed 3
 for e in $SCENARIOS; do
-    claimed python -m repro audit --experiment "$e" --seed 1 --out a.jsonl
-    traffic python -m repro trace --experiment "$e" --seed 1 --out t.json --jsonl t.jsonl
-    traffic python -m repro metrics --experiment "$e" --seed 1 --out m.json
+    claimed python -m repro run --experiment "$e" --seed 1 --out "run_$e"
 done
-for e in e10 e11; do
-    traffic python -m repro latency --experiment "$e" --seed 1 --out l.json --series l.jsonl
-done
-traffic python -m repro profile --experiment e2 --seed 1 --out p.json --folded p.txt --speedscope p.ss.json
 traffic python -m repro schedfuzz --experiment e2 --seed 1 --schedules 2 --races --out s.json
 traffic python -m repro schedfuzz --experiment e10 --seed 1 --schedules 2 --out s.json
 traffic python -m repro.wal.determinism --seed 3
