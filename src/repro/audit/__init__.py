@@ -5,13 +5,12 @@ See :mod:`repro.audit.auditor` for the invariant catalog and
 """
 
 from repro.audit.alerts import SEVERITIES, Alert, AlertLog
-from repro.audit.auditor import AuditConfig, ProtocolAuditor, attach_auditor
+from repro.audit.auditor import ProtocolAuditor, attach_auditor
 from repro.audit.onestg import OnlineOneStg
 
 __all__ = [
     "Alert",
     "AlertLog",
-    "AuditConfig",
     "OnlineOneStg",
     "ProtocolAuditor",
     "SEVERITIES",

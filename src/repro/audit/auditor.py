@@ -56,7 +56,7 @@ so they never trip the critical-only CI gate): a nominally-up site
 whose non-NS unreadable count stops draining
 (``liveness.drain_stall``), a copier service with pending work but
 frozen counters (``liveness.copier_starved``), a 2PC span open past a
-configurable sim-time budget (``liveness.twopc_overrun``), and an
+sim-time budget (``liveness.twopc_overrun``), and an
 async-drain span open past its own budget
 (``liveness.drain_overrun``).
 
@@ -91,22 +91,19 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.system import DatabaseSystem
 
 
-@dataclasses.dataclass
-class AuditConfig:
-    """Watchdog cadence and sim-time budgets."""
-
-    watchdog_interval: float = 25.0
-    #: An operational site's non-NS unreadable count must change within
-    #: this budget while nonzero.
-    drain_stall_budget: float = 400.0
-    #: A copier service with pending items must advance some counter
-    #: within this budget.
-    copier_stall_budget: float = 400.0
-    #: A 2PC span may stay open at most this long (needs spans enabled).
-    twopc_budget: float = 200.0
-    #: An async-quorum drain span may stay open at most this long
-    #: (retries across site outages make drains slower than 2PC rounds).
-    drain_budget: float = 400.0
+#: How often the watchdog checks the sim-time budgets below.
+WATCHDOG_INTERVAL = 25.0
+#: An operational site's non-NS unreadable count must change within
+#: this budget while nonzero.
+DRAIN_STALL_BUDGET = 400.0
+#: A copier service with pending items must advance some counter
+#: within this budget.
+COPIER_STALL_BUDGET = 400.0
+#: A 2PC span may stay open at most this long (needs spans enabled).
+TWOPC_BUDGET = 200.0
+#: An async-quorum drain span may stay open at most this long
+#: (retries across site outages make drains slower than 2PC rounds).
+DRAIN_BUDGET = 400.0
 
 
 def _vkey(version: "Version") -> tuple[float, int]:
@@ -117,11 +114,8 @@ def _vkey(version: "Version") -> tuple[float, int]:
 class ProtocolAuditor:
     """Live invariant monitoring over one :class:`DatabaseSystem`."""
 
-    def __init__(
-        self, system: "DatabaseSystem", config: AuditConfig | None = None
-    ) -> None:
+    def __init__(self, system: "DatabaseSystem") -> None:
         self.system = system
-        self.config = config if config is not None else AuditConfig()
         self.kernel = system.kernel
         self.obs = system.obs
         self.recorder = system.recorder
@@ -691,7 +685,7 @@ class ProtocolAuditor:
 
     def _watchdog(self) -> typing.Generator:
         while not self._stopped:
-            yield self.kernel.timeout(self.config.watchdog_interval)
+            yield self.kernel.timeout(WATCHDOG_INTERVAL)
             if self._stopped:
                 return
             now = self.kernel.now
@@ -715,7 +709,7 @@ class ProtocolAuditor:
                 self._drain_state[site_id] = (count, now, False)
                 continue
             _, since, alerted = state
-            if not alerted and now - since >= self.config.drain_stall_budget:
+            if not alerted and now - since >= DRAIN_STALL_BUDGET:
                 self._alert(
                     "liveness.drain_stall",
                     "warning",
@@ -741,7 +735,7 @@ class ProtocolAuditor:
                 self._copier_state[site_id] = (signature, now, False)
                 continue
             _, since, alerted = state
-            if not alerted and now - since >= self.config.copier_stall_budget:
+            if not alerted and now - since >= COPIER_STALL_BUDGET:
                 self._alert(
                     "liveness.copier_starved",
                     "warning",
@@ -767,11 +761,11 @@ class ProtocolAuditor:
             elif span.category == "drain":
                 self._open_drains[span.span_id] = span
         self._budget_spans(
-            now, self._open_2pc, self.config.twopc_budget,
+            now, self._open_2pc, TWOPC_BUDGET,
             "liveness.twopc_overrun", "2PC",
         )
         self._budget_spans(
-            now, self._open_drains, self.config.drain_budget,
+            now, self._open_drains, DRAIN_BUDGET,
             "liveness.drain_overrun", "async drain",
         )
 
@@ -826,9 +820,7 @@ class ProtocolAuditor:
         }
 
 
-def attach_auditor(
-    system: "DatabaseSystem", config: AuditConfig | None = None
-) -> ProtocolAuditor:
+def attach_auditor(system: "DatabaseSystem") -> ProtocolAuditor:
     """Attach a :class:`ProtocolAuditor` to a built (idle) system.
 
     Idempotent: a system audits at most once. Attach after construction
@@ -838,4 +830,4 @@ def attach_auditor(
     existing = system.obs.audit
     if existing is not None:
         return existing
-    return ProtocolAuditor(system, config)
+    return ProtocolAuditor(system)

@@ -45,6 +45,9 @@ from repro.txn.transaction import TxnKind
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.txn.context import TxnContext
 
+#: Backoff before retrying an aborted EXCLUDE or INCLUDE transaction.
+RETRY_DELAY = 10.0
+
 
 def dir_item(item: str) -> str:
     """The directory item name for ``item``."""
@@ -104,9 +107,8 @@ class DirectoryRecoveryRecord:
 class DirectoryService:
     """Status transactions (EXCLUDE/INCLUDE) and recovery for one system."""
 
-    def __init__(self, system: "DatabaseSystem", retry_delay: float = 10.0) -> None:
+    def __init__(self, system: "DatabaseSystem") -> None:
         self.system = system
-        self.retry_delay = retry_delay
         self.exclude_committed = 0
         self.exclude_aborted = 0
         self.records: list[DirectoryRecoveryRecord] = []
@@ -145,7 +147,7 @@ class DirectoryService:
                 return
             except TransactionAborted:
                 self.exclude_aborted += 1
-                yield system.kernel.timeout(self.retry_delay)
+                yield system.kernel.timeout(RETRY_DELAY)
 
     def _exclude_program(self, home: int, item: str, crashed: int):
         system = self.system
@@ -202,7 +204,7 @@ class DirectoryService:
                 try:
                     yield from system.tms[site_id].run(program, kind=TxnKind.CONTROL)
                 except TransactionAborted:
-                    yield system.kernel.timeout(self.retry_delay)
+                    yield system.kernel.timeout(RETRY_DELAY)
                     continue
                 record.includes_committed += 1
                 break

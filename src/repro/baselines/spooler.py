@@ -10,8 +10,8 @@ itself up.
 
 This is the E2 counterpoint: time-to-operational grows with the number
 of updates missed (∝ outage length × write rate), where the paper's
-scheme is a constant few round trips. We charge a configurable per-update
-replay cost, standing in for the log I/O and re-scheduling work the
+scheme is a constant few round trips. We charge a fixed per-update
+replay cost (``REPLAY_COST_PER_UPDATE``), standing in for the log I/O and re-scheduling work the
 paper calls "a nontrivial problem".
 
 Keeping only the newest spooled version per (site, item) is the standard
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.core.config import RowaaConfig
+from repro.core.config import RECOVERY_PROBE_TIMEOUT, RowaaConfig
 from repro.core.recovery import RecoveryManager, RecoveryRecord
 from repro.core.system import RowaaSystem
 from repro.errors import NetworkError
@@ -31,6 +31,9 @@ from repro.site.site import Site
 from repro.storage.copies import Version
 
 _STABLE_KEY = "spool"
+
+#: Sim time a recovering site spends replaying one spooled update.
+REPLAY_COST_PER_UPDATE = 0.5
 
 
 class SpoolTracker:
@@ -89,8 +92,6 @@ class SpoolTracker:
 class SpoolerRecoveryManager(RecoveryManager):
     """Recovery that replays spooled updates *before* rejoining."""
 
-    replay_cost_per_update = 0.5
-
     def _prepare_database(self, record: RecoveryRecord) -> typing.Generator:
         me = self.site.site_id
         merged: dict[str, tuple[object, Version]] = {}
@@ -99,7 +100,7 @@ class SpoolerRecoveryManager(RecoveryManager):
             try:
                 entries = yield self.rpc.call(
                     peer, "spool.collect", me,
-                    timeout=self.config.recovery_probe_timeout,
+                    timeout=RECOVERY_PROBE_TIMEOUT,
                 )
             except NetworkError:
                 continue
@@ -112,7 +113,7 @@ class SpoolerRecoveryManager(RecoveryManager):
         for item, (value, version) in sorted(
             merged.items(), key=lambda entry: entry[1][1]
         ):
-            yield self.kernel.timeout(self.replay_cost_per_update)
+            yield self.kernel.timeout(REPLAY_COST_PER_UPDATE)
             if not self.site.copies.has(item):
                 continue
             copy = self.site.copies.get(item)
@@ -134,7 +135,7 @@ class SpoolerSystem(RowaaSystem):
     before rejoining vs mark-and-copy after rejoining.
     """
 
-    def __init__(self, *args, replay_cost_per_update: float = 0.5, **kwargs) -> None:
+    def __init__(self, *args, **kwargs) -> None:
         kwargs.setdefault(
             "rowaa_config", RowaaConfig(copier_mode="none", identify_mode="mark-all")
         )
@@ -147,7 +148,7 @@ class SpoolerSystem(RowaaSystem):
             tracker = SpoolTracker(site)
             self.spools[site_id] = tracker
             self.dms[site_id].stale_tracker = tracker
-            manager = SpoolerRecoveryManager(
+            self.recoveries[site_id] = SpoolerRecoveryManager(
                 self.kernel,
                 site,
                 self.tms[site_id],
@@ -156,8 +157,5 @@ class SpoolerSystem(RowaaSystem):
                 self.cluster,
                 self.copiers[site_id],
                 self.policies[site_id],
-                self.rowaa_config,
                 register_probe=False,  # the replaced manager's probe handler serves
             )
-            manager.replay_cost_per_update = replay_cost_per_update
-            self.recoveries[site_id] = manager

@@ -111,14 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
         "perturbed runs (reports ride on the artifact; they never gate)",
     )
     parser.add_argument(
-        "--no-shrink", action="store_true",
-        help="schedfuzz: skip delta-debugging the failing decision list",
-    )
-    parser.add_argument(
-        "--shrink-budget", type=int, default=48, metavar="N",
-        help="schedfuzz: max scenario re-runs spent shrinking (default 48)",
-    )
-    parser.add_argument(
         "--replay", default=None, metavar="PATH",
         help="schedfuzz: re-run the minimal schedule from a previously "
         "exported artifact instead of fuzzing",
@@ -221,12 +213,11 @@ def run_scenario(args: argparse.Namespace) -> int:
     """
     from repro.obs.export import export_chrome_trace, export_jsonl
     from repro.obs.profiler import export_folded, folded_stacks
-    from repro.obs.timeseries import DEFAULT_PERIOD
 
     try:
         run = run_traced(
             args.scenario, seed=args.seed,
-            audit=True, sample_period=DEFAULT_PERIOD, profile=True,
+            audit=True, sample=True, profile=True,
         )
     except ValueError as exc:
         print(f"run: {exc}", file=sys.stderr)
@@ -308,8 +299,7 @@ def run_schedfuzz(args: argparse.Namespace) -> int:
     try:
         result = schedfuzz(
             args.scenario, seed=args.seed, schedules=args.schedules,
-            shrink=not args.no_shrink, races=args.races,
-            shrink_budget=args.shrink_budget,
+            races=args.races,
         )
     except ValueError as exc:
         print(f"schedfuzz: {exc}", file=sys.stderr)

@@ -32,6 +32,14 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.site.site import Site
     from repro.txn.context import TxnContext
 
+#: Timeout of the in-transaction liveness re-check a type-2 performs
+#: before each claim (abandons the claim if the target answers).
+TYPE2_VERIFY_PING = 8.0
+#: Mean backoff between a :class:`ControlService`'s type-2 attempts
+#: (jittered to ×0.5–1.5), and how many it makes per detected crash.
+TYPE2_RETRY_DELAY = 10.0
+TYPE2_MAX_ATTEMPTS = 20
+
 
 def _write_each_ordered(
     ctx: "TxnContext",
@@ -198,16 +206,10 @@ class ControlService:
         site: "Site",
         tm: TransactionManager,
         cluster: "Cluster",
-        retry_delay: float = 10.0,
-        max_attempts: int = 20,
-        verify_ping_timeout: float = 8.0,
     ) -> None:
         self.site = site
         self.tm = tm
         self.cluster = cluster
-        self.retry_delay = retry_delay
-        self.max_attempts = max_attempts
-        self.verify_ping_timeout = verify_ping_timeout
         self.type2_committed = 0
         self.type2_aborted = 0
         #: site -> session number of the incarnation observed *at
@@ -243,7 +245,7 @@ class ControlService:
         """In-transaction liveness re-check (see make_type2_program)."""
         try:
             yield self.site.rpc.call(
-                target, "recovery.probe", None, timeout=self.verify_ping_timeout
+                target, "recovery.probe", None, timeout=TYPE2_VERIFY_PING
             )
         except (NetworkError, TransactionError):
             return True  # still unreachable: the claim stands
@@ -252,7 +254,7 @@ class ControlService:
     def _exclude(self, crashed: int, expected: int) -> typing.Generator:
         """Claim ``crashed``'s incarnation ``expected`` nominally down."""
         kernel = self.tm.kernel
-        for _attempt in range(self.max_attempts):
+        for _attempt in range(TYPE2_MAX_ATTEMPTS):
             if not self.site.is_operational:
                 return
             if self.cluster.detector(self.site.site_id).believes_up(crashed):
@@ -288,5 +290,5 @@ class ControlService:
                 # Jittered backoff: concurrent initiators retrying in
                 # lockstep re-collide forever.
                 rng = kernel.rng.stream("control.backoff")
-                yield kernel.timeout(self.retry_delay * (0.5 + rng.random()))
+                yield kernel.timeout(TYPE2_RETRY_DELAY * (0.5 + rng.random()))
         return

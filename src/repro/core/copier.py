@@ -21,7 +21,7 @@ import collections
 import dataclasses
 import typing
 
-from repro.core.config import RowaaConfig
+from repro.core.config import RECOVERY_PROBE_TIMEOUT, RowaaConfig
 from repro.core.nominal import is_ns_item, ns_item, unreadable_db_count
 from repro.errors import (
     CopyUnreadable,
@@ -42,6 +42,11 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Per-item copier lanes in flight per recovering site (eager catch-up).
 COPIER_LANES = 4
+#: Backoff before retrying a failed copier transaction.
+COPIER_RETRY_DELAY = 10.0
+#: Copier transaction attempts per item refresh (or log-shipping apply)
+#: before its marks are left to the next trigger.
+COPIER_MAX_ATTEMPTS = 10
 
 
 @dataclasses.dataclass
@@ -76,14 +81,12 @@ class CopierService:
         dm: DataManager,
         tm: TransactionManager,
         config: RowaaConfig,
-        max_attempts: int = 10,
     ) -> None:
         self.kernel = kernel
         self.site = site
         self.dm = dm
         self.tm = tm
         self.config = config
-        self.max_attempts = max_attempts
         self.stats = CopierStats()
         self.drained_at: float | None = None
         self._inflight: set[str] = set()
@@ -181,7 +184,7 @@ class CopierService:
 
     def _refresh_item_inner(self, item: str, span=None) -> typing.Generator:
         parent_span = span.span_id if span is not None else None
-        for _attempt in range(self.max_attempts):
+        for _attempt in range(COPIER_MAX_ATTEMPTS):
             if not self.site.copies.has(item):
                 return
             if not self.site.copies.get(item).unreadable:
@@ -200,7 +203,7 @@ class CopierService:
                     self.stats.total_failures += 1
                     return
                 self.stats.copier_aborts += 1
-                yield self.kernel.timeout(self.config.copier_retry_delay)
+                yield self.kernel.timeout(COPIER_RETRY_DELAY)
                 continue
             if outcome == "copied":
                 self.stats.copies_performed += 1
@@ -410,7 +413,7 @@ class CopierService:
                     peer,
                     "wal.ship",
                     request,
-                    timeout=self.config.recovery_probe_timeout,
+                    timeout=RECOVERY_PROBE_TIMEOUT,
                 )
             except NetworkError:
                 self._start_item_copy(self._pending_items())
@@ -456,7 +459,7 @@ class CopierService:
                     site_id,
                     "recovery.probe",
                     None,
-                    timeout=self.config.recovery_probe_timeout,
+                    timeout=RECOVERY_PROBE_TIMEOUT,
                 )
             except NetworkError:
                 continue
@@ -487,14 +490,14 @@ class CopierService:
 
     def _run_copier(self, program) -> typing.Generator:
         """Run ``program`` (returning a count) as a copier-kind
-        transaction, retrying aborts after ``copier_retry_delay``; 0 when
+        transaction, retrying aborts after ``COPIER_RETRY_DELAY``; 0 when
         every attempt aborted (per-item copy picks the leftovers up)."""
-        for _attempt in range(self.max_attempts):
+        for _attempt in range(COPIER_MAX_ATTEMPTS):
             try:
                 return (yield from self.tm.run(program, kind=TxnKind.COPIER))
             except TransactionAborted:
                 self.stats.copier_aborts += 1
-                yield self.kernel.timeout(self.config.copier_retry_delay)
+                yield self.kernel.timeout(COPIER_RETRY_DELAY)
         return 0
 
     def _ship_apply_program(self, records: list[ShipRecord]):

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import typing
 
+from repro.core.config import RECOVERY_PROBE_TIMEOUT
 from repro.core.nominal import is_ns_item
 from repro.errors import NetworkError
 from repro.site.site import Site
@@ -114,7 +115,7 @@ class FailLockPolicy:
                     site_id,
                     "faillock.collect",
                     me,
-                    timeout=manager.config.recovery_probe_timeout,
+                    timeout=RECOVERY_PROBE_TIMEOUT,
                 )
             except NetworkError:
                 continue

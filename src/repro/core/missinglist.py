@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import typing
 
+from repro.core.config import RECOVERY_PROBE_TIMEOUT
 from repro.core.nominal import is_ns_item
 from repro.errors import NetworkError
 from repro.site.site import Site
@@ -117,7 +118,7 @@ class MissingListPolicy:
                     site_id,
                     "ml.collect",
                     me,
-                    timeout=manager.config.recovery_probe_timeout,
+                    timeout=RECOVERY_PROBE_TIMEOUT,
                 )
             except NetworkError:
                 continue

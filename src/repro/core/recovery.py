@@ -26,7 +26,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-from repro.core.config import RowaaConfig
+from repro.core.config import RECOVERY_PROBE_TIMEOUT
 from repro.core.control import make_type1_program, make_type2_program
 from repro.core.copier import CopierService
 from repro.core.identify import IdentificationPolicy
@@ -39,6 +39,21 @@ from repro.site.site import Site
 from repro.storage.catalog import Catalog
 from repro.txn.manager import TransactionManager
 from repro.txn.transaction import TxnKind
+
+#: Backoff between recovery attempts (e.g. after a type-1 abort).
+RECOVERY_RETRY_DELAY = 10.0
+#: The procedure never gives up while the site stays RECOVERING: after
+#: this many consecutive failed type-1 attempts it waits
+#: ``5 * RECOVERY_RETRY_DELAY`` before each further attempt.
+RECOVERY_BACKOFF_AFTER = 25
+#: Pause between the type-1 commit and the precise policies' delta
+#: collection pass: a writer serialized just before the type-1 may have
+#: its commit-applications (which create the fail-lock/ML entries) still
+#: in flight to the tracker sites. One network round suffices under
+#: order-preserving latency; the fully general fix is concurrency-
+#: controlled tracker access, which §5 itself prescribes ("Access to
+#: elements should be under concurrency control").
+POST_ANNOUNCE_SETTLE = 3.0
 
 
 @dataclasses.dataclass
@@ -75,7 +90,6 @@ class RecoveryManager:
         cluster: Cluster,
         copiers: CopierService,
         identify: IdentificationPolicy,
-        config: RowaaConfig,
         register_probe: bool = True,
     ) -> None:
         self.kernel = kernel
@@ -86,7 +100,6 @@ class RecoveryManager:
         self.cluster = cluster
         self.copiers = copiers
         self.identify = identify
-        self.config = config
         self.records: list[RecoveryRecord] = []
         if register_probe:
             site.rpc.register("recovery.probe", self._handle_probe)
@@ -146,16 +159,16 @@ class RecoveryManager:
         # The loop never gives up while the site stays RECOVERING — the
         # paper's procedure succeeds whenever one operational site exists,
         # and until then there is nothing to do but retry. Backoff widens
-        # after `recovery_max_attempts` consecutive failures.
+        # after `RECOVERY_BACKOFF_AFTER` consecutive failures.
         attempt = 0
         while True:
             attempt += 1
             record.type1_attempts += 1
-            if attempt > self.config.recovery_max_attempts:
-                yield self.kernel.timeout(self.config.recovery_retry_delay * 5)
+            if attempt > RECOVERY_BACKOFF_AFTER:
+                yield self.kernel.timeout(RECOVERY_RETRY_DELAY * 5)
             source = yield from self._find_operational_site()
             if source is None:
-                yield self.kernel.timeout(self.config.recovery_retry_delay)
+                yield self.kernel.timeout(RECOVERY_RETRY_DELAY)
                 continue
             new_session = self.session.choose_next()
             observed: dict[int, int] = {}
@@ -183,8 +196,8 @@ class RecoveryManager:
             if getattr(self.identify, "needs_post_announce_pass", False):
                 # Let in-flight commit-applications (and the tracker
                 # entries they create) land before the delta collection —
-                # see RowaaConfig.post_announce_settle.
-                yield self.kernel.timeout(self.config.post_announce_settle)
+                # see POST_ANNOUNCE_SETTLE.
+                yield self.kernel.timeout(POST_ANNOUNCE_SETTLE)
                 delta_items = list((yield from self.identify.collect_stale(self)))
                 newly_marked = 0
                 for item in delta_items:
@@ -269,7 +282,7 @@ class RecoveryManager:
                 )
             except TransactionAborted:
                 pass  # another site may exclude it; we retry regardless
-        yield self.kernel.timeout(self.config.recovery_retry_delay)
+        yield self.kernel.timeout(RECOVERY_RETRY_DELAY)
         return None
 
     def _find_operational_site(self) -> typing.Generator:
@@ -278,7 +291,7 @@ class RecoveryManager:
             try:
                 operational, _session = yield self.rpc.call(
                     site_id, "recovery.probe", None,
-                    timeout=self.config.recovery_probe_timeout,
+                    timeout=RECOVERY_PROBE_TIMEOUT,
                 )
             except NetworkError:
                 continue

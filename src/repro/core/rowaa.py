@@ -21,6 +21,7 @@ import typing
 
 from repro.core.nominal import ns_item
 from repro.errors import NetworkError, TotalFailure, TransactionError
+from repro.txn.config import MAX_READ_ATTEMPTS
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.txn.context import TxnContext
@@ -71,7 +72,7 @@ class RowaaStrategy:
         if not candidates:
             raise TotalFailure(item)
         last_error: Exception | None = None
-        for site in candidates[: ctx.tm.config.max_read_attempts]:
+        for site in candidates[:MAX_READ_ATTEMPTS]:
             try:
                 value, _version = yield from ctx.dm_read(
                     site, item, expected=ctx.view[site]

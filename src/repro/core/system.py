@@ -110,20 +110,9 @@ class RowaaSystem(DatabaseSystem):
             policy = self._make_policy(site)
             dm.stale_tracker = policy
             copiers = CopierService(kernel, site, dm, tm, self.rowaa_config)
-            control = ControlService(
-                site, tm, self.cluster,
-                verify_ping_timeout=self.rowaa_config.type2_verify_ping,
-            )
+            control = ControlService(site, tm, self.cluster)
             recovery = RecoveryManager(
-                kernel,
-                site,
-                tm,
-                session,
-                self.catalog,
-                self.cluster,
-                copiers,
-                policy,
-                self.rowaa_config,
+                kernel, site, tm, session, self.catalog, self.cluster, copiers, policy
             )
             self.sessions[site_id] = session
             self.policies[site_id] = policy

@@ -239,7 +239,7 @@ def build_traced_scheme(
     catalog: Catalog | None = None,
     txn_config: TxnConfig | None = None,
     audit: bool = False,
-    sample_period: float | None = None,
+    sample: bool = False,
     profile: bool = False,
     schedule: typing.Any = None,
     races: bool = False,
@@ -258,9 +258,9 @@ def build_traced_scheme(
     the kernel's one probed drain loop, and each leaves a handle on the
     bundle (``repro run`` attaches the first three). ``audit=True``: a
     :class:`~repro.audit.ProtocolAuditor`, attached before any load
-    runs, on ``obs.audit``. ``sample_period``: a windowed time-series
-    sampler (:func:`repro.obs.timeseries.attach_sampler`) ticking at
-    that period from boot, on ``obs.sampler``. ``profile=True``: a
+    runs, on ``obs.audit``. ``sample=True``: a windowed time-series
+    sampler (:func:`repro.obs.timeseries.attach_sampler`) ticking from
+    boot, on ``obs.sampler``. ``profile=True``: a
     host-CPU profiler (:func:`repro.obs.profiler.attach_profiler`), on
     ``obs.profiler``.
     ``schedule`` (a :class:`~repro.sanitize.policy.ScheduleSpec`,
@@ -289,10 +289,10 @@ def build_traced_scheme(
         from repro.audit import attach_auditor
 
         attach_auditor(system)
-    if sample_period is not None:
+    if sample:
         from repro.obs.timeseries import attach_sampler
 
-        attach_sampler(system, sample_period)
+        attach_sampler(system)
     if profile:
         from repro.obs.profiler import attach_profiler
 
@@ -344,7 +344,7 @@ def run_traced(
     a callable of the scenario shape ``(build, seed) -> (kernel, system,
     result)``; the run's ``summary`` is ``result`` without its lists.
     ``probes`` are :func:`build_traced_scheme`'s probe
-    keywords (``audit``, ``sample_period``, ``profile``, ``schedule``,
+    keywords (``audit``, ``sample``, ``profile``, ``schedule``,
     ``races``); they are bound into the ``build`` the scenario receives,
     so a scenario never names a probe. The returned run's ``obs``
     carries whatever was attached (``obs.audit``, ``obs.sampler``,

@@ -15,7 +15,7 @@ A read-only transaction reads at a *cut* ``(ts, 0)``: per item, the
 newest chain version with key <= the cut. Two regimes pick the cut:
 
 * **Current site** (operational, no unreadable marks): ``ts = now - D``
-  where ``D`` (``floor_delay``) upper-bounds the one-way delivery
+  where ``D`` (``RO_STALENESS_FLOOR``) upper-bounds the one-way delivery
   latency of commit messages. Every committed version decided before
   ``now - D`` has then been applied locally, so the cut is a consistent
   committed prefix of the global commit order — at the price of a
@@ -45,6 +45,13 @@ from repro.storage.copies import Version
 
 #: A snapshot cut: the ``(ts, commit)`` prefix bound on version keys.
 Cut = typing.Tuple[float, int]
+
+#: ``D``, the snapshot staleness floor: a fully-current site serves
+#: read-only transactions at the cut ``now - D``. Must upper-bound the
+#: one-way delivery latency of COMMIT messages (see the module docstring).
+RO_STALENESS_FLOOR = 2.0
+#: Period of the background version-chain GC sweep.
+GC_PERIOD = 50.0
 
 
 def version_key(version: Version) -> Cut:
@@ -123,17 +130,9 @@ class MvccStats:
 class MultiVersionStore:
     """Committed version chains for every copy at one site."""
 
-    def __init__(
-        self,
-        kernel: typing.Any,
-        site: typing.Any,
-        floor_delay: float = 2.0,
-        gc_period: float = 50.0,
-    ) -> None:
+    def __init__(self, kernel: typing.Any, site: typing.Any) -> None:
         self.kernel = kernel
         self.site = site
-        self.floor_delay = floor_delay
-        self.gc_period = gc_period
         #: Durable-safe cut while the site is not fully current; advanced
         #: only at restore (see :meth:`on_restore`) and persisted through
         #: WAL checkpoints.
@@ -200,7 +199,7 @@ class MultiVersionStore:
         whether it is the stale (recovery) cut."""
         if self.is_stale_serving():
             return (self.stale_cut, 0), True
-        return (max(0.0, self.kernel.now - self.floor_delay), 0), False
+        return (max(0.0, self.kernel.now - RO_STALENESS_FLOOR), 0), False
 
     def read_at(self, item: str, cut: Cut) -> tuple[object, Version]:
         """Serve one snapshot read: the newest version with key <= cut."""
@@ -267,7 +266,7 @@ class MultiVersionStore:
         """Background sweep loop; spawn via ``site.spawn`` so it dies
         with a crash and restarts with the power-on hook."""
         while True:
-            yield self.kernel.timeout(self.gc_period)
+            yield self.kernel.timeout(GC_PERIOD)
             self.sweep()
 
     def stop_gc(self) -> None:
@@ -321,7 +320,7 @@ class MultiVersionStore:
         self.stale_cut = cut
         if not self.site.copies.unreadable_count():
             crash_time = self.site.last_crash_time or 0.0
-            self.stale_cut = max(cut, crash_time - self.floor_delay, 0.0)
+            self.stale_cut = max(cut, crash_time - RO_STALENESS_FLOOR, 0.0)
 
     # -- determinism digest ---------------------------------------------------
 

@@ -26,6 +26,8 @@ from __future__ import annotations
 import json
 import typing
 
+from repro.obs.timeseries import DEFAULT_PERIOD
+
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs import Observability
     from repro.obs.spans import Span
@@ -68,7 +70,7 @@ def export_jsonl(obs: "Observability", path: str, label: str = "") -> int:
             record = dict(entry)
             record["type"] = "series"
             record["t0"] = sampler.t0
-            record["period"] = sampler.period
+            record["period"] = DEFAULT_PERIOD
             lines.append(record)
     lines.append({"type": "metrics", "snapshot": obs.registry.snapshot()})
     with open(path, "w") as fh:

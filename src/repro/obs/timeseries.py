@@ -3,8 +3,8 @@
 The metrics registry is an end-of-run snapshot; throughput dips during
 an outage and the recovery ramp afterwards are invisible in it. The
 :class:`WindowedSampler` closes that gap: a periodic kernel timer
-(configurable period, **off by default** — nothing here runs unless a
-scenario opts in) snapshots a designated set of probes into fixed-width
+(every ``DEFAULT_PERIOD``, **off by default** — nothing here runs unless
+a scenario opts in) snapshots a designated set of probes into fixed-width
 windows:
 
 * ``ts.committed`` / ``ts.aborted`` — monotone counters, **delta
@@ -16,7 +16,7 @@ windows:
 * ``ts.site_up`` — per-site 0/1 availability gauge.
 
 Gauges are sampled at each window's *end*; an outage shorter than one
-window can therefore hide between ticks — pick the period accordingly.
+window can therefore hide between ticks.
 
 The series reach both exports of :mod:`repro.obs.export`: one
 ``series`` line each in the JSONL stream, and Chrome trace
@@ -39,8 +39,7 @@ import typing
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Kernel
 
-#: Default sampling period (sim-time units) when a caller enables the
-#: sampler without choosing one: fine enough to resolve a 40-unit
+#: Sampling period (sim-time units): fine enough to resolve a 40-unit
 #: outage, coarse enough to stay negligible.
 DEFAULT_PERIOD = 10.0
 
@@ -56,19 +55,16 @@ class WindowedSampler:
     """Fixed-width window snapshots of registered probes.
 
     Probes are registered (``add_delta`` / ``add_gauge``) before
-    :meth:`start`; every ``period`` sim-time units the sampler appends
-    one value per probe, so all series stay aligned: window ``w`` spans
-    ``(t0 + w*period, t0 + (w+1)*period]``.
+    :meth:`start`; every ``DEFAULT_PERIOD`` sim-time units the sampler
+    appends one value per probe, so all series stay aligned: window ``w``
+    spans ``(t0 + w*DEFAULT_PERIOD, t0 + (w+1)*DEFAULT_PERIOD]``.
     """
 
-    __slots__ = ("kernel", "period", "t0", "windows", "running",
+    __slots__ = ("kernel", "t0", "windows", "running",
                  "_timer", "_probes", "_values", "_last")
 
-    def __init__(self, kernel: "Kernel", period: float = DEFAULT_PERIOD) -> None:
-        if period <= 0:
-            raise ValueError(f"sample period must be positive, got {period}")
+    def __init__(self, kernel: "Kernel") -> None:
         self.kernel = kernel
-        self.period = float(period)
         self.t0 = kernel.now
         self.windows = 0
         self.running = False
@@ -106,7 +102,7 @@ class WindowedSampler:
         for name, site, kind, probe in self._probes:
             if kind == "delta":
                 self._last[(name, site)] = float(probe())
-        self._timer = self.kernel.schedule_callback(self.period, self._tick)
+        self._timer = self.kernel.schedule_callback(DEFAULT_PERIOD, self._tick)
 
     def stop(self) -> None:
         """Cancel the timer so an unbounded ``kernel.run()`` can drain."""
@@ -127,13 +123,13 @@ class WindowedSampler:
             else:
                 self._values[key].append(raw)
         self.windows += 1
-        self._timer = self.kernel.schedule_callback(self.period, self._tick)
+        self._timer = self.kernel.schedule_callback(DEFAULT_PERIOD, self._tick)
 
     # -- views ----------------------------------------------------------------
 
     def window_times(self) -> list[float]:
         """The end time of each completed window."""
-        return [self.t0 + (w + 1) * self.period for w in range(self.windows)]
+        return [self.t0 + (w + 1) * DEFAULT_PERIOD for w in range(self.windows)]
 
     def values(self, name: str, site: int | None = None) -> list[float]:
         """The recorded windows of one series (deltas for counters)."""
@@ -156,9 +152,7 @@ class WindowedSampler:
         return sorted({name for name, _s, _k, _p in self._probes})
 
 
-def attach_sampler(
-    system: typing.Any, period: float = DEFAULT_PERIOD
-) -> WindowedSampler:
+def attach_sampler(system: typing.Any) -> WindowedSampler:
     """Build, register, and start the standard sampler on ``system``.
 
     Wires the designated probe set (commit/abort rates, in-flight
@@ -167,7 +161,7 @@ def attach_sampler(
     ``system.obs.sampler`` (where exporters and the report find it), and
     starts the timer. ``system.stop()`` stops it.
     """
-    sampler = WindowedSampler(system.kernel, period)
+    sampler = WindowedSampler(system.kernel)
     tms = [system.tms[site_id] for site_id in sorted(system.tms)]
     sampler.add_delta(
         "ts.committed", lambda: float(sum(tm.stats.committed for tm in tms))
@@ -221,7 +215,7 @@ def counter_events(
     times = sampler.window_times()
     for entry in sampler.series():
         site = entry["site"]
-        scale = 1.0 / sampler.period if entry["kind"] == "delta" else 1.0
+        scale = 1.0 / DEFAULT_PERIOD if entry["kind"] == "delta" else 1.0
         name = (
             f"{entry['name']}/s" if entry["kind"] == "delta" else entry["name"]
         )
@@ -244,7 +238,7 @@ def counter_events(
 
 def commit_rates(sampler: WindowedSampler) -> tuple[list[float], list[float]]:
     """``(window_end_times, committed-per-sim-unit rates)``."""
-    rates = [v / sampler.period for v in sampler.values("ts.committed")]
+    rates = [v / DEFAULT_PERIOD for v in sampler.values("ts.committed")]
     return sampler.window_times(), rates
 
 
@@ -297,7 +291,7 @@ def outage_stats(sampler: WindowedSampler) -> dict:
                 break
         outages.append(
             {
-                "start": times[first] - sampler.period,
+                "start": times[first] - DEFAULT_PERIOD,
                 "end": times[last],
                 "windows": w - first,
                 "trough_rate": min(rates[first:w]),
@@ -310,7 +304,7 @@ def outage_stats(sampler: WindowedSampler) -> dict:
             }
         )
     return {
-        "period": sampler.period,
+        "period": DEFAULT_PERIOD,
         "baseline_rate": baseline,
         "recovery_fraction": RECOVERY_FRACTION,
         "outages": outages,

@@ -198,9 +198,7 @@ def schedfuzz(
     experiment: Scenario,
     seed: int = 0,
     schedules: int = 8,
-    shrink: bool = True,
     races: bool = False,
-    shrink_budget: int = 48,
     audit: bool = True,
 ) -> FuzzResult:
     """The full sweep: canonical + K shuffled schedules + shrink."""
@@ -228,7 +226,7 @@ def schedfuzz(
         ):
             result.divergent = run
             result.divergent_salt = salt
-    if result.divergent is not None and shrink:
+    if result.divergent is not None:
         plan = sparse_decisions(result.divergent.decisions)
 
         def diverges(candidate: dict[int, int]) -> bool:
@@ -240,9 +238,7 @@ def schedfuzz(
                     or probe.alerts != canonical.alerts)
 
         if plan:
-            result.minimal_plan, result.shrink_probes = ddmin(
-                plan, diverges, budget=shrink_budget
-            )
+            result.minimal_plan, result.shrink_probes = ddmin(plan, diverges)
     return result
 
 

@@ -7,8 +7,8 @@ non-canonical choices only; everything else is the FIFO default) with
 classic ddmin: drop chunks of decisions, re-run the scenario under a
 :class:`~repro.sanitize.policy.DirectedPolicy` with the survivors, and
 keep any subset that still diverges, until no single decision can be
-removed (or the run budget is exhausted — each probe is a full scenario
-run, so the budget is the knob that keeps shrinking bounded).
+removed (or ``SHRINK_BUDGET`` is exhausted — each probe is a full
+scenario run, so the budget is what keeps shrinking bounded).
 
 Note the usual delta-debugging caveat: removing an early decision shifts
 every later choice point, so a surviving decision's *ordinal* is an
@@ -23,12 +23,11 @@ import typing
 
 Plan = typing.Dict[int, int]
 
+#: Max scenario re-runs one shrink may spend.
+SHRINK_BUDGET = 48
 
-def ddmin(
-    plan: Plan,
-    diverges: typing.Callable[[Plan], bool],
-    budget: int = 64,
-) -> tuple[Plan, int]:
+
+def ddmin(plan: Plan, diverges: typing.Callable[[Plan], bool]) -> tuple[Plan, int]:
     """Minimize ``plan`` (sparse decisions) preserving ``diverges``.
 
     Returns ``(minimal_plan, probes_used)``. ``diverges(plan)`` must
@@ -45,11 +44,11 @@ def ddmin(
         return diverges({k: plan[k] for k in subset})
 
     granularity = 2
-    while len(keys) >= 2 and probes < budget:
+    while len(keys) >= 2 and probes < SHRINK_BUDGET:
         chunk = max(1, len(keys) // granularity)
         reduced = False
         start = 0
-        while start < len(keys) and probes < budget:
+        while start < len(keys) and probes < SHRINK_BUDGET:
             candidate = keys[:start] + keys[start + chunk:]
             if candidate and probe(candidate):
                 keys = candidate
@@ -65,7 +64,7 @@ def ddmin(
             granularity = min(len(keys), granularity * 2)
     # Final one-at-a-time pass (1-minimality) while budget lasts.
     index = 0
-    while index < len(keys) and probes < budget:
+    while index < len(keys) and probes < SHRINK_BUDGET:
         candidate = keys[:index] + keys[index + 1:]
         if candidate and probe(candidate):
             keys = candidate

@@ -1,7 +1,7 @@
 """Fixed-length deadlines that share one armed kernel entry per owner.
 
 An RPC node arms an ``rpc_timeout`` deadline per call and a data manager
-a ``decision_timeout`` deadline per participation, and almost every one
+a ``DECISION_TIMEOUT`` deadline per participation, and almost every one
 is disarmed long before it falls due. A kernel timer per deadline would
 keep a heap entry per call in flight; a :class:`DeadlineQueue` keeps the
 deadlines of one owner and one delay in a FIFO instead — a fixed delay

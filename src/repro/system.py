@@ -32,6 +32,10 @@ from repro.wal import WalConfig
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mvcc import MultiVersionStore, SnapshotManager
 
+#: Pause before :meth:`DatabaseSystem.submit_with_retry` retries an
+#: aborted transaction.
+RETRY_DELAY = 5.0
+
 StrategyFactory = typing.Callable[["DatabaseSystem"], ReplicationStrategy]
 
 
@@ -156,21 +160,14 @@ class DatabaseSystem:
 
             for site_id in self.cluster.site_ids:
                 site = self.cluster.site(site_id)
-                store = MultiVersionStore(
-                    kernel,
-                    site,
-                    floor_delay=self.config.ro_staleness_floor,
-                    gc_period=self.config.mvcc_gc_period,
-                )
+                store = MultiVersionStore(kernel, site)
                 site.mvcc = store
                 site.power_on_hooks.append(store.on_power_on)
                 manager = SnapshotManager(kernel, site, store)
                 self.mvcc[site_id] = store
                 self.snapshots[site_id] = manager
                 self.tms[site_id].snapshots = manager
-        self.deadlock_detector = GlobalDeadlockDetector(
-            kernel, self._live_lock_managers, interval=self.config.deadlock_interval
-        )
+        self.deadlock_detector = GlobalDeadlockDetector(kernel, self._live_lock_managers)
         # Detector-driven 2PC termination: when a site is declared down
         # or announces recovery, every DM promptly resolves the
         # transactions it coordinated (instead of waiting out the
@@ -246,7 +243,6 @@ class DatabaseSystem:
         site_id: int,
         program: TxnProgram,
         attempts: int = 3,
-        retry_delay: float = 5.0,
     ) -> Process:
         """Run a user transaction, retrying aborts as fresh transactions.
 
@@ -263,7 +259,7 @@ class DatabaseSystem:
                     return result
                 except TransactionAborted as exc:
                     last = exc
-                    yield self.kernel.timeout(retry_delay)
+                    yield self.kernel.timeout(RETRY_DELAY)
             assert last is not None
             raise last
 

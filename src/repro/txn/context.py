@@ -7,6 +7,7 @@ import typing
 from repro.errors import NetworkError, TotalFailure, TransactionError
 from repro.sim.events import Future
 from repro.storage.copies import Version
+from repro.txn.config import MAX_READ_ATTEMPTS
 from repro.txn.payloads import (
     BatchReadRequest,
     FinishRequest,
@@ -66,14 +67,14 @@ class TxnContext:
 
     def read_first(self, sites: typing.Sequence[int], item: str) -> typing.Generator:
         """Read-one with failover: try the copy of ``item`` at each of
-        ``sites`` in order (at most ``max_read_attempts`` of them) and
+        ``sites`` in order (at most ``MAX_READ_ATTEMPTS`` of them) and
         return the first value served; the last refusal propagates.
 
         The session-less read of the baselines — ROWAA's read owns its
         own loop (it carries ``ns_i[k]`` and the wait-for-copier fork).
         """
         last_error: Exception | None = None
-        for site in sites[: self.tm.config.max_read_attempts]:
+        for site in sites[:MAX_READ_ATTEMPTS]:
             try:
                 value, _version = yield from self.dm_read(site, item, expected=None)
                 return value

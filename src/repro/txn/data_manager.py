@@ -51,6 +51,18 @@ from repro.txn.payloads import (
     WriteRequest,
 )
 
+#: How long a participant waits for the coordinator's decision before
+#: starting cooperative termination (the orphan watch's deadline).
+DECISION_TIMEOUT = 200.0
+#: Retry period for a participant that is *prepared and in doubt*
+#: (termination attempted, no decisive evidence — the classic 2PC
+#: blocking window). Such a participant holds X locks that stall every
+#: conflicting transaction, so it re-polls much faster than
+#: ``DECISION_TIMEOUT``: the coordinator answers ``tm.outcome`` from
+#: stable storage the moment it is powered back on, long before its
+#: recovery procedure finishes.
+INDOUBT_RETRY = 25.0
+
 
 class WriteIntent(typing.NamedTuple):
     """A buffered write awaiting the 2PC decision (an immutable named
@@ -81,7 +93,7 @@ class _Participation:
     participants: tuple[int, ...] = ()
     durable: bool = False  # prepare records reached the WAL
     restored: bool = False  # re-armed from the WAL after a crash
-    #: The orphan watch's deadline (``decision_timeout`` after the first
+    #: The orphan watch's deadline (``DECISION_TIMEOUT`` after the first
     #: operation); None for a participation restored from the WAL.
     watch: Deadline | None = None
 
@@ -107,7 +119,7 @@ class DataManager:
         #: The orphan watch: one deadline per participation, the backstop
         #: for a coordinator that stops talking to us (see
         #: :meth:`_orphan_due`).
-        self._orphans = DeadlineQueue(kernel, config.decision_timeout, self._orphan_due)
+        self._orphans = DeadlineQueue(kernel, DECISION_TIMEOUT, self._orphan_due)
         self._decided: dict[str, tuple[str, Version | None]] = {}
         #: Wiring, not a probe: the on-demand copier trigger, called with
         #: the item of every read refused for an unreadable copy.
@@ -212,7 +224,7 @@ class DataManager:
         return part
 
     def _orphan_due(self, txn_id: str) -> None:
-        """The participation is still open ``decision_timeout`` after it
+        """The participation is still open ``DECISION_TIMEOUT`` after it
         began: run the termination loop, from this event on."""
         self.site.adopt(self._terminate(txn_id), name=f"orphan-watch:{txn_id}")
 
@@ -560,7 +572,7 @@ class DataManager:
         in-doubt participation — prepared, holding no locks (the site is
         recovering, so user traffic is fenced off by ``as[k] = 0``) —
         and a resolver process that queries the coordinator immediately
-        instead of waiting out ``decision_timeout``.
+        instead of waiting out ``DECISION_TIMEOUT``.
         """
         for txn_id, records in self.site.wal.unresolved_prepares().items():
             if txn_id in self._participations or txn_id in self._decided:
@@ -635,14 +647,14 @@ class DataManager:
 
         On the *down* transition: without this, locks held by a crashed
         coordinator's transactions leak until the periodic orphan
-        watcher's ``decision_timeout`` fires — long enough to stall user
+        watcher's ``DECISION_TIMEOUT`` fires — long enough to stall user
         transactions and, transitively, the NS lock chain a recovering
         site's type-1 needs (observed in the operations-dashboard
         incident). On the *up* transition: a durably prepared in-doubt
         participant blocked on the classic 2PC window gets its
         authoritative answer (stable decision record, else presumed
         abort) the moment the coordinator announces recovery, instead of
-        holding its X locks for up to ``decision_timeout`` after the
+        holding its X locks for up to ``DECISION_TIMEOUT`` after the
         coordinator is already back — under ``async_quorum``, whose
         pipelined prepares make every mid-transaction coordinator crash
         an in-doubt episode, that gap is the difference between a brief
@@ -656,7 +668,7 @@ class DataManager:
             ):
                 self._fast_resolving.add(part.txn_id)
                 # Resolve now; while blocked in doubt, re-poll at
-                # ``indoubt_retry`` — the coordinator answers
+                # ``INDOUBT_RETRY`` — the coordinator answers
                 # ``tm.outcome`` from stable storage the moment it is
                 # powered back on, which turns "X locks held until its
                 # recovery procedure completes" into "held until it has
@@ -686,7 +698,7 @@ class DataManager:
         pushes the outcome it learned to its peers. Once a prepared
         participant has *tried* termination and come up empty (blocked
         in doubt, X locks held), every loop re-polls at the much shorter
-        ``indoubt_retry``.
+        ``INDOUBT_RETRY``.
         """
         wait = None
         try:
@@ -702,11 +714,11 @@ class DataManager:
                         yield from self._announce_outcome(part)
                     return
                 if part.prepared:
-                    wait = self.config.indoubt_retry
+                    wait = INDOUBT_RETRY
                 elif give_up_unprepared:
                     return
                 else:
-                    wait = self.config.decision_timeout
+                    wait = DECISION_TIMEOUT
         finally:
             # Re-arms resolve_coordinated_by for this transaction (a
             # no-op for the two loops it did not spawn: their exit means

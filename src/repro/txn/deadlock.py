@@ -25,6 +25,9 @@ from repro.digraph import DiGraph, NoCycle, find_cycle
 from repro.sim.kernel import Kernel
 from repro.txn.locks import LockManager
 
+#: Virtual time between detection sweeps.
+DEADLOCK_INTERVAL = 25.0
+
 
 def txn_seq(txn_id: str) -> int:
     """Extract the global sequence number from a transaction id."""
@@ -42,19 +45,15 @@ class GlobalDeadlockDetector:
         Zero-argument callable returning the lock managers of the
         currently *live* sites (a crashed site's table is gone along with
         its in-flight transactions, so it must not contribute edges).
-    interval:
-        Virtual time between detection sweeps.
     """
 
     def __init__(
         self,
         kernel: Kernel,
         lock_managers: typing.Callable[[], typing.Iterable[LockManager]],
-        interval: float = 10.0,
     ) -> None:
         self.kernel = kernel
         self._lock_managers = lock_managers
-        self.interval = interval
         self.victims_chosen = 0
         self._proc = kernel.process(self._run(), name="deadlock-detector")
         self._proc.defuse()
@@ -66,7 +65,7 @@ class GlobalDeadlockDetector:
 
     def _run(self) -> typing.Generator:
         while True:
-            yield self.kernel.timeout(self.interval)
+            yield self.kernel.timeout(DEADLOCK_INTERVAL)
             self.sweep()
 
     def sweep(self) -> list[str]:

@@ -52,6 +52,12 @@ TxnProgram = typing.Callable[[TxnContext], typing.Generator]
 #: propagate unchanged so they surface as bugs).
 ABORT_CAUSES = (TransactionError, NetworkError)
 
+#: Extra ``dm.commit`` attempts the async drain makes per lagging site
+#: before giving the site up to recovery marks.
+DRAIN_RETRIES = 1
+#: Pause between drain retry rounds.
+DRAIN_RETRY_DELAY = 10.0
+
 
 @dataclasses.dataclass
 class TmStats:
@@ -405,7 +411,7 @@ class TransactionManager:
     ) -> typing.Generator:
         """Apply a decided commit at every write site, off the client path.
 
-        Lagging sites are retried ``drain_retries`` times; a site still
+        Lagging sites are retried ``DRAIN_RETRIES`` times; a site still
         unreachable after that is given up to recovery — its prepared
         participation resolves through the coordinator's stable decision
         record, and its copies catch up through the normal marks +
@@ -427,7 +433,7 @@ class TransactionManager:
         try:
             for site_id in read_only_sites:
                 ctx.release_site(site_id)
-            attempts = self.config.drain_retries + 1
+            attempts = DRAIN_RETRIES + 1
             for attempt in range(attempts):
                 acks = self.rpc.call_many(
                     remaining, "dm.commit", request,
@@ -444,7 +450,7 @@ class TransactionManager:
                 if not remaining:
                     break
                 if attempt + 1 < attempts:
-                    yield self.kernel.timeout(self.config.drain_retry_delay)
+                    yield self.kernel.timeout(DRAIN_RETRY_DELAY)
             self.stats.commit_ack_lost += len(remaining)
             if remaining:
                 self.mark_missed(txn, remaining, acked)

@@ -12,6 +12,9 @@ from repro.workload.generator import WorkloadGenerator
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.system import DatabaseSystem
 
+#: Pause before a client retries an aborted transaction.
+RETRY_DELAY = 5.0
+
 
 @dataclasses.dataclass
 class ClientStats:
@@ -63,7 +66,6 @@ class ClientPool:
         n_clients: int,
         think_time: float = 1.0,
         retries: int = 2,
-        retry_delay: float = 5.0,
         home_sites: typing.Sequence[int] | None = None,
         force_locking: bool = False,
         per_client_streams: bool = False,
@@ -73,7 +75,6 @@ class ClientPool:
         self.n_clients = n_clients
         self.think_time = think_time
         self.retries = retries
-        self.retry_delay = retry_delay
         self.force_locking = force_locking
         self.home_sites = list(home_sites) if home_sites is not None else list(
             system.cluster.site_ids
@@ -160,7 +161,7 @@ class ClientPool:
                     return "refused"  # home site crashed mid-read
                 except TransactionAborted:
                     if attempt < self.retries:
-                        yield kernel.timeout(self.retry_delay)
+                        yield kernel.timeout(RETRY_DELAY)
                 continue
             if not site.is_operational:
                 return "refused"
@@ -176,5 +177,5 @@ class ClientPool:
                 return "refused"  # home site crashed mid-transaction
             except TransactionAborted:
                 if attempt < self.retries:
-                    yield kernel.timeout(self.retry_delay)
+                    yield kernel.timeout(RETRY_DELAY)
         return "aborted"

@@ -32,11 +32,11 @@ def _read(item):
     return program
 
 
-def _build(config=None, **kwargs):
+def _build(**kwargs):
     kernel, system = build_traced_scheme(
         "rowaa", 11, 3, {"X": 0, "Y": 0}, **kwargs
     )
-    auditor = attach_auditor(system, config)
+    auditor = attach_auditor(system)
     return kernel, system, auditor
 
 

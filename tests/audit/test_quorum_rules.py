@@ -9,10 +9,12 @@ missing write). The clean-run silence of both rules is covered by the
 E10 entries in ``test_sweep.py`` plus the positive tests here.
 """
 
-from repro.audit import AuditConfig, attach_auditor
+from repro.audit import attach_auditor
+from repro.audit import auditor as auditor_module
 from repro.errors import TransactionError
 from repro.harness.runner import build_traced_scheme
 from repro.txn import TxnConfig
+from repro.txn import manager as manager_module
 from repro.txn.transaction import TxnStatus
 
 
@@ -23,14 +25,14 @@ def _write(item, value):
     return program
 
 
-def _build(config=None, **kwargs):
+def _build(**kwargs):
     kwargs.setdefault(
         "txn_config", TxnConfig(rpc_timeout=20.0, commit_mode="async_quorum")
     )
     kernel, system = build_traced_scheme(
         "rowaa", 11, 3, {"X": 0, "Y": 0}, **kwargs
     )
-    auditor = attach_auditor(system, config)
+    auditor = attach_auditor(system)
     return kernel, system, auditor
 
 
@@ -106,16 +108,14 @@ class TestDrainCoverage:
 
 
 class TestDrainWatchdog:
-    def test_slow_drain_overruns_budget(self):
-        """A drain held up past ``drain_budget`` trips the liveness
+    def test_slow_drain_overruns_budget(self, monkeypatch):
+        """A drain held up past ``DRAIN_BUDGET`` trips the liveness
         watchdog (warning — slow, not wrong)."""
+        monkeypatch.setattr(auditor_module, "WATCHDOG_INTERVAL", 5.0)
+        monkeypatch.setattr(auditor_module, "DRAIN_BUDGET", 10.0)
+        monkeypatch.setattr(manager_module, "DRAIN_RETRY_DELAY", 30.0)
         kernel, system, auditor = _build(
-            config=AuditConfig(watchdog_interval=5.0, drain_budget=10.0),
-            txn_config=TxnConfig(
-                rpc_timeout=60.0,
-                commit_mode="async_quorum",
-                drain_retry_delay=30.0,
-            ),
+            txn_config=TxnConfig(rpc_timeout=60.0, commit_mode="async_quorum"),
         )
 
         def stall(payload, src):

@@ -3,12 +3,13 @@
 import pytest
 
 from repro.baselines import build_system
+from repro.baselines.spooler import REPLAY_COST_PER_UPDATE
 from repro.net import ConstantLatency
 from repro.sim import Kernel
 from repro.txn import TxnConfig
 
 
-def make(kernel, items=None, replay_cost=0.5):
+def make(kernel, items=None):
     return build_system(
         "spooler",
         kernel,
@@ -17,7 +18,6 @@ def make(kernel, items=None, replay_cost=0.5):
         latency=ConstantLatency(1.0),
         detection_delay=5.0,
         config=TxnConfig(rpc_timeout=20.0),
-        replay_cost_per_update=replay_cost,
     )
 
 
@@ -77,7 +77,7 @@ class TestSpooler:
 
     def test_resume_latency_scales_with_missed_updates(self, kernel):
         """The §1 criticism: the more you missed, the longer you replay."""
-        system = make(kernel, replay_cost=1.0)
+        system = make(kernel)
         system.crash(3)
         kernel.run(until=40)
         for i in range(6):
@@ -85,16 +85,16 @@ class TestSpooler:
         record_many = kernel.run(system.power_on(3))
 
         kernel2 = Kernel(seed=32)
-        system2 = make(kernel2, replay_cost=1.0)
+        system2 = make(kernel2)
         system2.crash(3)
         kernel2.run(until=40)
         record_none = kernel2.run(system2.power_on(3))
 
         # Isolate the replay phase (power_on → identified): it grows by
-        # one replay_cost per missed update.
+        # one REPLAY_COST_PER_UPDATE per missed update.
         replay_many = record_many.identified_at - record_many.power_on_at
         replay_none = record_none.identified_at - record_none.power_on_at
-        assert replay_many >= replay_none + 6  # 6 updates × cost 1.0
+        assert replay_many >= replay_none + 6 * REPLAY_COST_PER_UPDATE
 
     def test_last_writer_wins_compression(self, kernel):
         system = make(kernel)

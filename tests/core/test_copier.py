@@ -85,7 +85,7 @@ class TestCopierEdgeCases:
         catalog = Catalog([1, 2, 3])
         catalog.add_item("X", [1, 3])
         catalog.add_item("Y", [1, 2, 3])
-        config = RowaaConfig(copier_mode="eager", copier_retry_delay=5.0)
+        config = RowaaConfig(copier_mode="eager")
         kernel, system = build_system(
             items={"X": 0, "Y": 0}, catalog=catalog, rowaa_config=config
         )
@@ -121,7 +121,7 @@ class TestCopierEdgeCases:
     def test_user_write_wins_race_with_copier(self):
         """If a user write commits first, the copier observes the cleared
         mark and does nothing."""
-        config = RowaaConfig(copier_mode="eager", copier_retry_delay=2.0)
+        config = RowaaConfig(copier_mode="eager")
         kernel, system = build_system(rowaa_config=config, seed=21)
         recovery = crash_write_recover(kernel, system, [("X", 1), ("Y", 2)])
         # Immediately hammer writes so some copier loses the race.

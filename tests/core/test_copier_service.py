@@ -80,7 +80,7 @@ class TestDrainMarker:
         assert second is not None and second > first
 
     def test_cleared_by_user_write_counted(self):
-        config = RowaaConfig(copier_mode="eager", copier_retry_delay=2.0)
+        config = RowaaConfig(copier_mode="eager")
         kernel, system = build_system(rowaa_config=config, seed=107)
         recovery = stale_site3(kernel, system, items=("X", "Y"))
         # A user write lands on Y before its copier gets there (retry

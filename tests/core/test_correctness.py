@@ -119,7 +119,7 @@ def run_soak(seed, n_sites=4, n_items=12, duration=2500.0, write_fraction=0.4):
         items=spec.initial_items(),
         latency=ConstantLatency(1.0),
         detection_delay=5.0,
-        config=TxnConfig(rpc_timeout=30.0, deadlock_interval=15.0),
+        config=TxnConfig(rpc_timeout=30.0),
     )
     system.boot()
     rng = random.Random(seed * 31 + 7)

@@ -14,7 +14,7 @@ def all_marked_scenario(seed=61):
     """Drive every copy of X unreadable: write while 3 is down; recover 3
     but crash 1 and 2 before its copiers can run; then recover them too
     (mark-all marks everything) — no readable copy of X remains."""
-    config = RowaaConfig(copier_mode="eager", copier_retry_delay=5.0)
+    config = RowaaConfig(copier_mode="eager")
     kernel, system = build_system(
         rowaa_config=config, seed=seed, detection_delay=2.0
     )
@@ -58,7 +58,7 @@ class TestResurrection:
     def test_no_resurrection_while_a_resident_is_down(self):
         """With a resident site nominally down, a newer version might
         live there: the copier must keep waiting, not guess."""
-        config = RowaaConfig(copier_mode="eager", copier_retry_delay=5.0)
+        config = RowaaConfig(copier_mode="eager")
         kernel, system = build_system(rowaa_config=config, seed=63,
                                       detection_delay=2.0)
         kernel.run(system.submit(1, write_program("X", 5)))

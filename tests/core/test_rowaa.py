@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import RowaaConfig
+from repro.core import RowaaConfig, control
 from repro.errors import TransactionAborted
 from repro.txn import TxnConfig
 from tests.core.conftest import build_system, read_program, write_program
@@ -98,8 +98,7 @@ class TestStaleViews:
         writes time out and abort, but a retry after exclusion commits."""
         kernel, system = build_system(detection_delay=10.0)
         system.crash(3)
-        proc = system.submit_with_retry(1, write_program("X", 8), attempts=5,
-                                        retry_delay=15.0)
+        proc = system.submit_with_retry(1, write_program("X", 8), attempts=5)
         result_error = None
         try:
             kernel.run(proc)
@@ -110,11 +109,13 @@ class TestStaleViews:
         stats = system.tms[1].stats
         assert stats.aborted >= 1  # the first attempt hit the rpc timeout
 
-    def test_write_disruption_window_grows_with_detection_delay(self):
+    def test_write_disruption_window_grows_with_detection_delay(self, monkeypatch):
         """Time from a crash until the first write commits again: no write
         commits while the nominal view still names the dead site (every
         attempt times out), so the window is roughly detection delay +
         type-2 commit + the in-flight timeout."""
+        # The type-2 liveness re-check is tightened like rpc_timeout below.
+        monkeypatch.setattr(control, "TYPE2_VERIFY_PING", 3.0)
         window = {}
         for delay in (2.0, 10.0, 40.0):
             kernel, system = build_system(
@@ -122,7 +123,6 @@ class TestStaleViews:
                 # Tight (but > RTT) timeouts so the detection delay, not
                 # timeout machinery, is the binding term of the window.
                 txn_config=TxnConfig(rpc_timeout=8.0),
-                rowaa_config=RowaaConfig(type2_verify_ping=3.0),
             )
 
             def hammer():

@@ -32,7 +32,7 @@ def test_eight_site_rolling_outages():
         catalog=catalog,
         latency=ConstantLatency(1.0),
         detection_delay=5.0,
-        config=TxnConfig(rpc_timeout=30.0, deadlock_interval=20.0),
+        config=TxnConfig(rpc_timeout=30.0),
         rowaa_config=RowaaConfig(identify_mode="fail-locks", copier_mode="both"),
     )
     system.boot()

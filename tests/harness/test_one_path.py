@@ -36,7 +36,7 @@ PROBES = set(inspect.signature(build_traced_scheme).parameters) - set(
 
 
 def test_probe_set_is_the_known_one():
-    assert PROBES == {"audit", "sample_period", "profile", "schedule", "races"}
+    assert PROBES == {"audit", "sample", "profile", "schedule", "races"}
 
 
 def _experiment_tree(eid):
@@ -132,7 +132,7 @@ class TestOneWorldPerExperiment:
         fails here by name."""
         world = traced_scenario(name)
         probed = functools.partial(
-            build_traced_scheme, audit=True, profile=True, sample_period=10.0
+            build_traced_scheme, audit=True, profile=True, sample=True
         )
         plain = world(build_scheme, 1)[2]
         assert plain and world(build_traced_scheme, 1)[2] == plain
@@ -143,7 +143,7 @@ class TestProbesCompose:
     def test_three_probes_ride_one_run(self):
         audited = run_traced("e2", seed=1, audit=True)
         run = run_traced(
-            "e2", seed=1, audit=True, sample_period=10.0, profile=True
+            "e2", seed=1, audit=True, sample=True, profile=True
         )
         assert run.obs.audit is not None
         assert run.obs.sampler is not None and run.obs.sampler.windows
@@ -510,6 +510,19 @@ class TestOneDataPath:
             # replint rules a run sees better (the hash-seed gate,
             # sim.ns_per_event), and the advisory tier only REP006 used.
             "HOT_PATH_FILES", "Severity",
+            # Options every caller left at one value, now constants of
+            # the module that reads them: 14 TxnConfig/RowaaConfig
+            # fields, AuditConfig's 5 budgets, and the parameters that
+            # duplicated their defaults.
+            "deadlock_interval", "decision_timeout", "indoubt_retry",
+            "max_read_attempts", "drain_retries", "drain_retry_delay",
+            "ro_staleness_floor", "mvcc_gc_period", "copier_retry_delay",
+            "recovery_probe_timeout", "recovery_retry_delay", "recovery_max_attempts",
+            "type2_verify_ping", "post_announce_settle", "AuditConfig",
+            "watchdog_interval", "drain_stall_budget", "copier_stall_budget",
+            "twopc_budget", "drain_budget", "verify_ping_timeout", "floor_delay",
+            "gc_period", "sample_period", "shrink", "no_shrink", "shrink_budget",
+            "retry_delay", "max_attempts", "interval", "replay_cost_per_update",
         }
         for module in ("repro.core.partition_merge", "repro.lint.rules.rep002_ordering",
                        "repro.lint.rules._setlike", "repro.lint.rules.rep006_slots"):
@@ -528,8 +541,22 @@ class TestOneDataPath:
             (ClientStats, "merge"), (LockManager, "_expire"),
         ):
             assert not hasattr(owner, name), (owner, name)
-        for flag in ("--bench-out", "--baseline", "--update-baseline"):
+        for flag in ("--bench-out", "--baseline", "--update-baseline",
+                     "--no-shrink", "--shrink-budget"):
             assert flag not in build_parser().format_help()
+        # Parameter names that live on elsewhere, checked on the
+        # signature that lost them.
+        from repro.audit import ProtocolAuditor, attach_auditor
+        from repro.core.recovery import RecoveryManager
+        from repro.obs.timeseries import WindowedSampler, attach_sampler
+        from repro.sanitize.shrink import ddmin
+
+        for function, parameter in (
+            (RecoveryManager, "config"), (ProtocolAuditor, "config"),
+            (attach_auditor, "config"), (WindowedSampler, "period"),
+            (attach_sampler, "period"), (ddmin, "budget"),
+        ):
+            assert parameter not in inspect.signature(function).parameters, function
         for text in ("quorum-wait", "quorum prepare round"):
             for path in sorted(self.SRC.rglob("*.py")):
                 assert text not in path.read_text(), (path, text)
@@ -544,56 +571,77 @@ class TestOneDataPath:
 
 
 class TestEveryOptionHasACaller:
-    """The static half of "did we verify the traffic": a config field is
-    either set by keyword somewhere in the traffic (experiments,
-    benchmark, examples) or is a choice the paper names / a time bound
-    of the simulated network, listed here with which. A field that is
-    neither is an option nobody needs — delete it with its fork."""
+    """The static half of "did we verify the traffic": every config field
+    is passed by keyword somewhere in the traffic — an experiment or a
+    benchmark workload — as a non-default literal or as an expression.
+    A field that is not is a value with one use: a constant of the
+    module that reads it. Examples show an option; they do not need it,
+    so they do not count."""
 
-    #: field -> the paper section that leaves the choice open, or
-    #: "timeout" for a period/bound that only has to fit the latency model.
-    PAPER_OR_TUNING = {
-        ("TxnConfig", "decision_timeout"): "timeout",
-        ("TxnConfig", "indoubt_retry"): "timeout",
-        ("TxnConfig", "max_read_attempts"): "§3.2 (how many copies a READ may try)",
-        ("TxnConfig", "drain_retries"): "timeout",
-        ("TxnConfig", "drain_retry_delay"): "timeout",
-        ("TxnConfig", "ro_staleness_floor"): "timeout",
-        ("TxnConfig", "mvcc_gc_period"): "timeout",
-        ("RowaaConfig", "copier_retry_delay"): "timeout",
-        ("RowaaConfig", "recovery_probe_timeout"): "timeout",
-        ("RowaaConfig", "recovery_retry_delay"): "timeout",
-        ("RowaaConfig", "recovery_max_attempts"): "§3.4 (step 3 repeats until a type-1 commits)",
-        ("RowaaConfig", "post_announce_settle"): "§5 (tracker access under concurrency control)",
-        ("RowaaConfig", "type2_verify_ping"): "timeout",
-        ("TxnConfig", "deadlock_interval"): "timeout",
-    }
-    TRAFFIC = ("src/repro/harness", "benchmarks", "examples")
+    TRAFFIC = ("src/repro/harness", "benchmarks")
 
     def _passed_by_keyword(self):
+        """(config, field) -> every keyword value the traffic passes."""
         root = pathlib.Path(experiments.__file__).parents[4]
-        passed = set()
+        passed = {}
         for directory in self.TRAFFIC:
             for path in sorted((root / directory).rglob("*.py")):
                 for node in ast.walk(ast.parse(path.read_text())):
                     if isinstance(node, ast.Call):
                         config = ast.unparse(node.func).split(".")[-1]
-                        passed |= {(config, keyword.arg) for keyword in node.keywords}
+                        for keyword in node.keywords:
+                            passed.setdefault((config, keyword.arg), []).append(
+                                keyword.value
+                            )
         return passed
 
-    def test_every_field_is_set_by_traffic_or_listed(self):
+    @staticmethod
+    def _chooses(value, default):
+        """True unless ``value`` is a literal equal to ``default``."""
+        try:
+            return ast.literal_eval(value) != default
+        except ValueError:
+            return True  # an expression: the caller computes a choice
+
+    @staticmethod
+    def _fields():
         import dataclasses
 
         from repro.core.config import RowaaConfig
         from repro.txn import TxnConfig
         from repro.wal import WalConfig
 
-        passed = self._passed_by_keyword()
-        fields = {
-            (config.__name__, field.name)
+        return [
+            (config.__name__, field)
             for config in (TxnConfig, RowaaConfig, WalConfig)
             for field in dataclasses.fields(config)
-        }
-        assert fields - passed == set(self.PAPER_OR_TUNING)
-        for reason in self.PAPER_OR_TUNING.values():
-            assert reason == "timeout" or reason.startswith("§"), reason
+        ]
+
+    def test_every_field_is_chosen_by_traffic(self):
+        passed = self._passed_by_keyword()
+        unchosen = [
+            (config, field.name)
+            for config, field in self._fields()
+            if not any(
+                self._chooses(value, field.default)
+                for value in passed.get((config, field.name), ())
+            )
+        ]
+        assert unchosen == []
+
+    def test_design_options_table_is_the_field_list(self):
+        """DESIGN.md's "Options" table: one row per field, in field
+        order, each with the field's default."""
+        root = pathlib.Path(experiments.__file__).parents[4]
+        text = (root / "DESIGN.md").read_text()
+        start = text.index("### Options")
+        section = text[start:text.index("\n## ", start)]
+        rows = [
+            [cell.strip().strip("`") for cell in line.split("|")[1:3]]
+            for line in section.splitlines()
+            if line.startswith("| `")
+        ]
+        assert rows == [
+            [f"{config}.{field.name}", repr(field.default).replace("'", '"')]
+            for config, field in self._fields()
+        ]

@@ -31,7 +31,7 @@ def _ro(system, site_id, items, out=None):
 
 def _build():
     kernel, system = build_traced_scheme("rowaa", 11, 3, {"X": 0, "Y": 0})
-    auditor = attach_auditor(system, None)
+    auditor = attach_auditor(system)
     return kernel, system, auditor
 
 

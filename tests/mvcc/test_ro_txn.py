@@ -12,6 +12,7 @@ import pytest
 
 from repro.errors import NotOperational, TransactionError
 from repro.harness.runner import build_scheme
+from repro.mvcc.store import RO_STALENESS_FLOOR
 from repro.txn.transaction import TxnKind
 
 
@@ -67,14 +68,12 @@ class TestSnapshotIsolation:
         # visible, and the view never runs ahead of the recorder.
         kernel, system = _build()
         kernel.run(system.submit(1, _write_pair(7)))
-        kernel.run(until=kernel.now + system.config.ro_staleness_floor + 1.0)
+        kernel.run(until=kernel.now + RO_STALENESS_FLOOR + 1.0)
         views: list = []
         kernel.run(_collect_ro(system, 2, ("X", "Y"), views))
         assert views[0]["values"] == [7, 7]
         assert not views[0]["stale"]
-        assert views[0]["staleness"] == pytest.approx(
-            system.config.ro_staleness_floor
-        )
+        assert views[0]["staleness"] == pytest.approx(RO_STALENESS_FLOOR)
 
     def test_ro_commits_are_counted_apart_from_rw(self):
         kernel, system = _build()

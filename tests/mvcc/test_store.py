@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import SnapshotUnavailable
 from repro.harness.runner import build_scheme
-from repro.mvcc.store import VersionChain, version_key
+from repro.mvcc.store import GC_PERIOD, RO_STALENESS_FLOOR, VersionChain, version_key
 from repro.storage.copies import Version
 
 
@@ -55,7 +55,7 @@ class TestServingCut:
         kernel.run(until=100.0)
         cut, stale = store.serving_cut()
         assert not stale
-        assert cut == (100.0 - store.floor_delay, 0)
+        assert cut == (100.0 - RO_STALENESS_FLOOR, 0)
 
     def test_recovering_site_serves_durable_stale_cut(self):
         kernel, system = _build()
@@ -70,7 +70,7 @@ class TestServingCut:
         assert stale
         # Fully current at crash time 50: the durable cut advances to
         # crash - D, and every version below it is provably held.
-        assert cut == (50.0 - store.floor_delay, 0)
+        assert cut == (50.0 - RO_STALENESS_FLOOR, 0)
 
     def test_read_below_truncated_chain_raises(self):
         kernel, system = _build()
@@ -108,7 +108,7 @@ class TestGc:
         kernel, system = _build()
         store = system.mvcc[1]
         self._grow_chain(kernel, system)
-        kernel.run(until=kernel.now + 3 * store.gc_period)
+        kernel.run(until=kernel.now + 3 * GC_PERIOD)
         assert store.stats.gc_sweeps >= 2
         assert len(store.chain("X")) == 1
 

@@ -74,7 +74,7 @@ class TestMetricCatalogDrift:
 
         documented = _catalog_tables()[3]
         _kernel, system = build_traced_scheme(
-            "rowaa", 1, 3, {"X": 0}, sample_period=10.0
+            "rowaa", 1, 3, {"X": 0}, sample=True
         )
         obs = system.obs
         live = set(obs.sampler.series_names())
@@ -124,3 +124,29 @@ def test_run_directory_table_is_the_cli_file_tuple():
         if line.startswith("| `")
     ]
     assert [name for row in rows for name in row] == list(RUN_FILES)
+
+
+def test_liveness_table_is_the_auditors_watchdogs():
+    """The liveness-watchdog table names exactly the auditor's
+    ``liveness.*`` rules, and every "(default N)" it quotes is the value
+    of the constant it names."""
+    from repro.audit import auditor
+
+    text = DOC.read_text()
+    start = text.index("Liveness watchdogs")
+    section = text[start:text.index("\n### ", start)]
+    source = pathlib.Path(auditor.__file__).read_text()
+    rules = [
+        re.findall(r"`(liveness\.[a-z_]+)`", line.split("|")[1])
+        for line in section.splitlines()
+        if line.startswith("| `")
+    ]
+    assert sorted(name for row in rules for name in row) == sorted(
+        set(re.findall(r'"(liveness\.[a-z_]+)"', source))
+    )
+    quoted = re.findall(r"`([A-Z_]+)` \(default ([0-9.]+)\)", section)
+    assert {name for name, _value in quoted} == {"WATCHDOG_INTERVAL"} | {
+        name for name in vars(auditor) if name.endswith("_BUDGET")
+    }
+    for name, value in quoted:
+        assert getattr(auditor, name) == float(value), name

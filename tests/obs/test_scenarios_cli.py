@@ -76,7 +76,7 @@ class TestRunDirectory:
         audited.obs.audit.alerts.export_jsonl(str(alerts), label=audited.label)
         assert (out / "alerts.jsonl").read_text() == alerts.read_text()
 
-        sampled = run_traced(experiment, seed=1, sample_period=DEFAULT_PERIOD)
+        sampled = run_traced(experiment, seed=1, sample=True)
         latency = json.loads((out / "latency.json").read_text())
         assert latency["latency"] == json.loads(json.dumps(latency_budget(sampled.obs)))
         assert latency["throughput"] == json.loads(

@@ -38,8 +38,8 @@ class _State:
         self.up = up
 
 
-def _sampler_with(state, kernel, period=10.0):
-    sampler = WindowedSampler(kernel, period=period)
+def _sampler_with(state, kernel):
+    sampler = WindowedSampler(kernel)
     sampler.add_delta("ts.committed", lambda: float(state.committed))
     sampler.add_gauge(
         "ts.site_up", lambda: 1.0 if state.up else 0.0, site=1
@@ -103,10 +103,6 @@ class TestSampler:
         sampler.stop()
         kernel.run()  # must terminate: the timer is cancelled
         assert sampler.windows == 2
-
-    def test_bad_period_rejected(self):
-        with pytest.raises(ValueError, match="period"):
-            WindowedSampler(Kernel(seed=0), period=0.0)
 
 
 def _outage_run():
@@ -200,7 +196,7 @@ class TestAttachSampler:
         from repro.harness.runner import build_traced_scheme
 
         kernel, system = build_traced_scheme(
-            "rowaa", 7, 3, {"X": 0}, sample_period=10.0
+            "rowaa", 7, 3, {"X": 0}, sample=True
         )
         obs = system.obs
         assert obs.sampler is not None

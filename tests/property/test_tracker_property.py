@@ -65,7 +65,6 @@ def test_identification_is_sound(plan, policy):
                 kernel.run(
                     system.submit_with_retry(
                         writer, _write_program(arg, counter), attempts=6,
-                        retry_delay=8.0,
                     )
                 )
             except Exception:

@@ -11,7 +11,7 @@ recovery marks, and the async drain racing a drained site going down.
 import pytest
 
 from repro.errors import TransactionAborted
-from repro.txn import TxnConfig
+from repro.txn import TxnConfig, data_manager
 from repro.txn.transaction import TxnStatus
 
 from tests.core.conftest import build_system, write_program
@@ -179,20 +179,17 @@ class TestCommitAckLoss:
 
 
 class TestIndoubtResolution:
-    def test_restored_coordinator_push_unblocks_peers_promptly(self):
+    def test_restored_coordinator_push_unblocks_peers_promptly(self, monkeypatch):
         """Pipelined prepares + coordinator crash: participants block in
         doubt (correctly), and are released within a few hops of the
         coordinator powering back on — by the restored participant's
         cooperative-termination push and the detector's up-transition
         trigger, not the slow poll (both poll periods are set far past
         the test horizon)."""
+        monkeypatch.setattr(data_manager, "DECISION_TIMEOUT", 5_000.0)
+        monkeypatch.setattr(data_manager, "INDOUBT_RETRY", 5_000.0)
         kernel, system = build_system(
-            txn_config=TxnConfig(
-                rpc_timeout=20.0,
-                commit_mode="async_quorum",
-                decision_timeout=5_000.0,
-                indoubt_retry=5_000.0,
-            )
+            txn_config=TxnConfig(rpc_timeout=20.0, commit_mode="async_quorum")
         )
 
         def stalls(ctx):

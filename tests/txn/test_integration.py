@@ -23,7 +23,7 @@ def make_system(kernel, n_sites=3, items=None, **kwargs):
         items=items,
         strategy_factory=lambda _system: StrictROWA(),
         latency=ConstantLatency(1.0),
-        config=TxnConfig(rpc_timeout=30.0, deadlock_interval=10.0),
+        config=TxnConfig(rpc_timeout=30.0),
         **kwargs,
     )
     system.boot()
@@ -236,7 +236,7 @@ class TestFailuresROWA:
         system.submit(1, slow_writer)
         kernel.run(until=10)
         system.crash(1)
-        kernel.run(until=600)  # decision_timeout elapses; orphan aborted
+        kernel.run(until=600)  # DECISION_TIMEOUT elapses; orphan aborted
 
         def writer(ctx):
             yield from ctx.write("Y", 2)  # Y is free anyway
@@ -264,7 +264,7 @@ class TestFailuresROWA:
             value = yield from ctx.read("X")
             return value
 
-        proc = system.submit_with_retry(1, flaky, attempts=3, retry_delay=1.0)
+        proc = system.submit_with_retry(1, flaky, attempts=3)
         assert kernel.run(proc) == 0
         assert len(attempts) == 2
 

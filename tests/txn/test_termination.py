@@ -13,17 +13,18 @@ from repro.errors import TransactionAborted
 from repro.net import ConstantLatency
 from repro.sim import Kernel
 from repro.system import DatabaseSystem
-from repro.txn import TxnConfig
+from repro.txn import TxnConfig, data_manager
 
 
-def make_system(kernel, decision_timeout=60.0):
+def make_system(kernel, monkeypatch, decision_timeout=60.0):
+    monkeypatch.setattr(data_manager, "DECISION_TIMEOUT", decision_timeout)
     system = DatabaseSystem(
         kernel,
         n_sites=3,
         items={"X": 0, "Y": 0},
         strategy_factory=lambda _system: StrictROWA(),
         latency=ConstantLatency(1.0),
-        config=TxnConfig(rpc_timeout=20.0, decision_timeout=decision_timeout),
+        config=TxnConfig(rpc_timeout=20.0),
     )
     system.boot()
     return system
@@ -44,11 +45,11 @@ def locked_items(system, site_id):
 
 
 class TestCoordinatorCrash:
-    def test_crash_before_prepare_aborts_orphans(self, kernel):
+    def test_crash_before_prepare_aborts_orphans(self, kernel, monkeypatch):
         """Coordinator dies mid-execution: remote write intents + locks
         are cleaned up by the orphan watcher (presumed abort is safe —
         no prepare ever happened)."""
-        system = make_system(kernel)
+        system = make_system(kernel, monkeypatch)
 
         def stalls(ctx):
             yield from ctx.write("X", 1)
@@ -62,12 +63,12 @@ class TestCoordinatorCrash:
         assert "X" not in locked_items(system, 2)
         assert system.copy_value(2, "X") == 0
 
-    def test_crash_after_decision_is_durable(self, kernel):
+    def test_crash_after_decision_is_durable(self, kernel, monkeypatch):
         """The commit decision is logged stably before COMMIT messages
         go out: even if the coordinator crashes immediately after and
         loses its volatile state, a restarted coordinator confirms the
         commit to in-doubt participants."""
-        system = make_system(kernel, decision_timeout=40.0)
+        system = make_system(kernel, monkeypatch, decision_timeout=40.0)
 
         def writer(ctx):
             yield from ctx.write("X", 7)
@@ -99,12 +100,12 @@ class TestCoordinatorCrash:
         assert system.copy_value(3, "X") == 7
         assert "X" not in locked_items(system, 2)
 
-    def test_indoubt_participant_blocks_until_coordinator_returns(self, kernel):
+    def test_indoubt_participant_blocks_until_coordinator_returns(self, kernel, monkeypatch):
         """Prepared + coordinator down + no peer knows: the participant
         must NOT guess (that could undo a decided commit); it waits and
         asks the restarted coordinator, which presumes abort for an
         unlogged transaction."""
-        system = make_system(kernel, decision_timeout=30.0)
+        system = make_system(kernel, monkeypatch, decision_timeout=30.0)
 
         # Drive prepare manually so we control the exact window.
         from repro.txn.payloads import PrepareRequest, WriteRequest
@@ -134,8 +135,8 @@ class TestCoordinatorCrash:
 
 
 class TestParticipantCrash:
-    def test_participant_crash_before_prepare_aborts_txn(self, kernel):
-        system = make_system(kernel)
+    def test_participant_crash_before_prepare_aborts_txn(self, kernel, monkeypatch):
+        system = make_system(kernel, monkeypatch)
 
         def writer(ctx):
             yield from ctx.write("X", 1)
@@ -149,10 +150,10 @@ class TestParticipantCrash:
         # Surviving participants rolled back.
         assert system.copy_value(2, "X") == 0
 
-    def test_participant_lost_vote_is_vote_no(self, kernel):
+    def test_participant_lost_vote_is_vote_no(self, kernel, monkeypatch):
         """A participant that crashed and restarted has no workspace:
         its prepare vote is 'no' and the transaction aborts everywhere."""
-        system = make_system(kernel)
+        system = make_system(kernel, monkeypatch)
 
         def writer(ctx):
             yield from ctx.write("X", 1)
@@ -169,10 +170,10 @@ class TestParticipantCrash:
         for site in (1, 2, 3):
             assert system.copy_value(site, "X") == 0
 
-    def test_peer_cooperation_resolves_in_doubt(self, kernel):
+    def test_peer_cooperation_resolves_in_doubt(self, kernel, monkeypatch):
         """Coordinator down, but a peer participant already received the
         COMMIT: the in-doubt participant learns the outcome from it."""
-        system = make_system(kernel, decision_timeout=30.0)
+        system = make_system(kernel, monkeypatch, decision_timeout=30.0)
         from repro.storage.copies import Version
         from repro.txn.payloads import CommitRequest, PrepareRequest, WriteRequest
 
