@@ -8,7 +8,6 @@ Usage::
     python -m repro run --experiment e2 [--seed 1] [--out DIR]
     python -m repro schedfuzz --experiment e2 [--schedules 8] [--races]
         [--out schedules.json | --replay schedules.json]
-    python -m repro lint [--json] [--changed]
 
 Each experiment prints the table documented in EXPERIMENTS.md and one
 line per paper claim checked on it (exit 1 if any fails); ``small`` scale
@@ -46,11 +45,10 @@ that ``--replay`` re-runs. ``--races`` additionally attaches the
 happens-before race detector (vector clocks over simulated strands) to
 the perturbed runs.
 
-``lint`` runs replint (:mod:`repro.lint`), the AST-based static
-analysis enforcing the same invariants the auditor checks dynamically
-(determinism, protocol isolation, durable-write discipline) over *all*
-code paths. Exit 0 clean, 1 on error findings, 2 on usage errors —
-see ``docs/STATIC_ANALYSIS.md``.
+Checks that only pass or fail are tier-1 tests (``python -m pytest
+tests/``), not subcommands: replint (:mod:`repro.lint`,
+``tests/lint/test_baseline_gate.py``) and the same-seed and
+cross-schedule determinism tests — see ``docs/STATIC_ANALYSIS.md``.
 """
 
 from __future__ import annotations
@@ -63,7 +61,6 @@ import typing
 
 from repro.harness import parallel
 from repro.harness.runner import EXPERIMENTS, experiment_module, run_traced
-from repro.lint.cli import run_lint
 from repro.obs import hostclock
 from repro.obs.report import recovery_timeline, render_recovery_timeline
 
@@ -91,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--out", default=None, metavar="PATH",
         help="run: the run directory (default: run_<experiment>_<seed>); "
-        "schedfuzz: the schedule artifact; lint: the report",
+        "schedfuzz: the schedule artifact",
     )
     # Options of the scenario-running subcommands (ignored elsewhere).
     parser.add_argument(
@@ -114,25 +111,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--replay", default=None, metavar="PATH",
         help="schedfuzz: re-run the minimal schedule from a previously "
         "exported artifact instead of fuzzing",
-    )
-    # lint-only options (ignored by the other subcommands).
-    parser.add_argument(
-        "--json", action="store_true",
-        help="lint: emit the machine-readable JSON report",
-    )
-    parser.add_argument(
-        "--path", action="append", default=None, metavar="PATH",
-        help="lint: file or directory to analyse (repeatable; default: "
-        "the installed repro package sources)",
-    )
-    parser.add_argument(
-        "--rules", default=None, metavar="IDS",
-        help="lint: comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--changed", nargs="?", const="HEAD", default=None, metavar="REF",
-        help="lint: only analyse files that differ from the given git ref "
-        "(default ref: HEAD); untracked files are included",
     )
     return parser
 
@@ -320,7 +298,6 @@ SUBCOMMANDS: dict[str, typing.Callable[[argparse.Namespace], int]] = {
     "all": run_experiments,
     "run": run_scenario,
     "schedfuzz": run_schedfuzz,
-    "lint": run_lint,
 }
 
 

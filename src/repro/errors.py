@@ -64,14 +64,6 @@ class RpcTimeout(NetworkError):
         self.dst = dst
 
 
-class SiteUnreachable(NetworkError):
-    """The destination site is down and cannot receive messages."""
-
-    def __init__(self, dst: int) -> None:
-        super().__init__(f"site {dst} is unreachable")
-        self.dst = dst
-
-
 # ---------------------------------------------------------------------------
 # Transaction errors
 # ---------------------------------------------------------------------------

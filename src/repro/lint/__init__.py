@@ -11,25 +11,20 @@ replint verifies them statically, over *all* code paths, at PR time.
 Pieces:
 
 * :mod:`repro.lint.engine` — file walker + per-file analysis driver.
-* :mod:`repro.lint.registry` — the rule base class and rule registry.
+* :mod:`repro.lint.rule` — the rule base class.
 * :mod:`repro.lint.rules` — the rule implementations (REP001, REP003–REP005,
-  REP007).
+  REP007) and :data:`~repro.lint.rules.RULES`, one instance of each.
 * :mod:`repro.lint.suppress` — ``# replint: disable=RULE`` comments.
-* :mod:`repro.lint.report` — human-readable and JSON reporters.
-* :mod:`repro.lint.cli` — the ``repro lint`` subcommand.
 
-See ``docs/STATIC_ANALYSIS.md`` for the rule catalog and workflow.
+The one runner is tier-1: ``tests/lint/test_baseline_gate.py`` lints
+``src/repro`` with every rule and fails on any finding or on a
+directive naming an unknown rule. See ``docs/STATIC_ANALYSIS.md`` for
+the rule catalog and workflow.
 """
 
 from repro.lint.engine import LintEngine
 from repro.lint.findings import Finding
-from repro.lint.registry import Rule, all_rules, get_rule, rule_ids
+from repro.lint.rule import Rule
+from repro.lint.rules import RULES
 
-__all__ = [
-    "Finding",
-    "LintEngine",
-    "Rule",
-    "all_rules",
-    "get_rule",
-    "rule_ids",
-]
+__all__ = ["RULES", "Finding", "LintEngine", "Rule"]

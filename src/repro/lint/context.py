@@ -35,14 +35,6 @@ class FileContext:
             lines=source.splitlines(),
         )
 
-    # -- navigation ---------------------------------------------------------
-
-    def line_text(self, lineno: int) -> str:
-        """Source text of 1-based ``lineno`` (empty if out of range)."""
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1]
-        return ""
-
     # -- scope matching -----------------------------------------------------
 
     def in_scope(self, prefixes: tuple[str, ...]) -> bool:

@@ -15,11 +15,13 @@ import typing
 from repro.lint import suppress
 from repro.lint.context import FileContext
 from repro.lint.findings import Finding
-from repro.lint.registry import Rule, all_rules
+from repro.lint.rule import Rule
+from repro.lint.rules import RULES
 
 
 class LintUsageError(ValueError):
-    """Bad invocation (unknown rule, missing path): exit code 2."""
+    """Bad invocation: a missing path, a non-Python file, or a file
+    outside the lint root."""
 
 
 @dataclasses.dataclass
@@ -75,10 +77,10 @@ class LintEngine:
     """
 
     def __init__(
-        self, root: pathlib.Path, rules: typing.Sequence[Rule] | None = None
+        self, root: pathlib.Path, rules: typing.Sequence[Rule] = RULES
     ) -> None:
         self.root = root.resolve()
-        self.rules: list[Rule] = list(rules) if rules is not None else all_rules()
+        self.rules = rules
 
     def lint_file(self, path: pathlib.Path) -> FileResult:
         """Analyse one file: parse, run rules, apply suppressions."""
@@ -93,7 +95,7 @@ class LintEngine:
             if rule.applies_to(ctx):
                 raw.extend(rule.check(ctx))
         directives = suppress.scan(ctx.lines, header_end=_header_end(ctx.tree))
-        known = {rule.id for rule in all_rules()}
+        known = {rule.id for rule in RULES}
         unknown = sorted(directives.referenced - known)
         kept: list[Finding] = []
         suppressed = 0
@@ -116,7 +118,8 @@ class LintEngine:
 
         Returns (findings, stats) where stats carries the file count,
         suppression count, and any unknown-rule suppression directives
-        (a usage error surfaced by the CLI).
+        (a directive naming no rule suppresses nothing, so the gate
+        fails on it as on a finding).
         """
         findings: list[Finding] = []
         suppressed = 0

@@ -9,9 +9,10 @@ import dataclasses
 class Finding:
     """One rule violation at one source location.
 
-    Every unsuppressed finding fails the gate (exit 1). ``path`` is the
-    file's path relative to the lint root, in POSIX form, so findings
-    are stable across machines and operating systems.
+    Every unsuppressed finding fails the gate
+    (``tests/lint/test_baseline_gate.py``). ``path`` is the file's path
+    relative to the lint root, in POSIX form, so findings are stable
+    across machines and operating systems.
     """
 
     rule: str
@@ -19,19 +20,8 @@ class Finding:
     line: int
     col: int
     message: str
-    snippet: str = ""
 
     def render(self) -> str:
         """One-line human-readable form (path:line:col style)."""
         return f"{self.path}:{self.line}:{self.col}: {self.rule} {self.message}"
 
-    def to_json(self) -> dict:
-        """JSON-serializable form (documented in STATIC_ANALYSIS.md)."""
-        return {
-            "rule": self.rule,
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "message": self.message,
-            "snippet": self.snippet,
-        }

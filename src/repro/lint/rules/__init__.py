@@ -1,9 +1,16 @@
-"""Rule implementations; importing this package registers them all."""
+"""The rule implementations: :data:`RULES` holds one instance of each."""
 
-from repro.lint.rules import (  # noqa: F401  (imported for registration)
-    rep001_determinism,
-    rep003_isolation,
-    rep004_durability,
-    rep005_floateq,
-    rep007_stale_yield,
+from repro.lint.rules.rep001_determinism import NondeterminismRule
+from repro.lint.rules.rep003_isolation import CrossSiteReachThroughRule
+from repro.lint.rules.rep004_durability import DurabilityBypassRule
+from repro.lint.rules.rep005_floateq import FloatEqualityRule
+from repro.lint.rules.rep007_stale_yield import StaleYieldRule
+
+#: Every rule, ordered by id; the engine runs these unless told otherwise.
+RULES = (
+    NondeterminismRule(),
+    CrossSiteReachThroughRule(),
+    DurabilityBypassRule(),
+    FloatEqualityRule(),
+    StaleYieldRule(),
 )

@@ -7,10 +7,11 @@ DESIGN.md §4:
 * ``SIM_TIME`` — code that runs *inside* simulated time: everything a
   scenario executes between ``kernel.run()`` entering and returning.
   Wall-clock reads here are run-to-run nondeterminism, which breaks
-  the ``repro.wal.determinism`` CI gate and seed-reproducibility of
-  every experiment table. (Hash-order iteration is the same failure;
-  ``tests/test_hash_seed.py`` sees it by running child interpreters
-  under different hash seeds and comparing their bytes.)
+  the same-seed durable-state test (``TestCrashReplayDeterminism``)
+  and seed-reproducibility of every experiment table. (Hash-order
+  iteration is the same failure; ``tests/test_hash_seed.py`` sees it by
+  running child interpreters under different hash seeds and comparing
+  their bytes.)
 * ``PROTOCOL`` — the replication protocol proper (session/ROWAA/copier
   machinery, TM/DM, baselines, workload drivers). These may touch a
   remote site's state only through the net RPC layer.

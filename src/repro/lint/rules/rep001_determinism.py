@@ -1,9 +1,10 @@
 """REP001 — nondeterminism sources outside RngRegistry / virtual time.
 
 Every run of a scenario must be a pure function of its seed: the
-``repro.wal.determinism`` CI gate replays a traced recovery twice and
-requires byte-identical durable state, and every experiment table is
-reproduced from ``--seed``. Two things break that silently:
+tier-1 test ``TestCrashReplayDeterminism``
+(``tests/storage/test_wal_checkpoint.py``) replays a traced recovery
+twice and requires byte-identical durable state, and every experiment
+table is reproduced from ``--seed``. Two things break that silently:
 
 * randomness not drawn from a named
   :class:`~repro.sim.rng.RngRegistry` stream (module-level ``random.*``
@@ -25,7 +26,7 @@ import typing
 
 from repro.lint.context import FileContext
 from repro.lint.findings import Finding
-from repro.lint.registry import Rule, register
+from repro.lint.rule import Rule
 from repro.lint.rules._scopes import SIM_TIME
 
 _WALL_CLOCK_TIME_FUNCS = frozenset(
@@ -44,7 +45,6 @@ _DATETIME_FACTORIES = frozenset({"now", "utcnow", "today", "fromtimestamp"})
 _DATETIME_RECEIVERS = frozenset({"datetime", "date"})
 
 
-@register
 class NondeterminismRule(Rule):
     id = "REP001"
     title = "randomness or wall-clock reads outside RngRegistry/virtual time"

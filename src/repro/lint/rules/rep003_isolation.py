@@ -30,7 +30,7 @@ import typing
 
 from repro.lint.context import FileContext
 from repro.lint.findings import Finding
-from repro.lint.registry import Rule, register
+from repro.lint.rule import Rule
 from repro.lint.rules._scopes import PROTOCOL
 
 
@@ -42,7 +42,6 @@ def _mentions_cluster(node: ast.expr) -> bool:
     return False
 
 
-@register
 class CrossSiteReachThroughRule(Rule):
     id = "REP003"
     title = "protocol code reaching through to another site's state"

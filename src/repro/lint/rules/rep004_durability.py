@@ -21,7 +21,7 @@ import typing
 
 from repro.lint.context import FileContext
 from repro.lint.findings import Finding
-from repro.lint.registry import Rule, register
+from repro.lint.rule import Rule
 from repro.lint.rules._scopes import DURABLE
 
 #: os.* calls that create/destroy/rename real filesystem state.
@@ -45,7 +45,6 @@ _OS_MUTATORS = frozenset(
 _PATH_MUTATORS = frozenset({"write_text", "write_bytes"})
 
 
-@register
 class DurabilityBypassRule(Rule):
     id = "REP004"
     title = "durable-state write bypassing the StableStorage/WAL API"

@@ -20,7 +20,7 @@ import typing
 
 from repro.lint.context import FileContext
 from repro.lint.findings import Finding
-from repro.lint.registry import Rule, register
+from repro.lint.rule import Rule
 
 _DECISION_SCOPE = (
     "repro/sim",
@@ -49,7 +49,6 @@ def _is_floatish(node: ast.expr) -> bool:
     return False
 
 
-@register
 class FloatEqualityRule(Rule):
     id = "REP005"
     title = "float equality comparison in a protocol decision"

@@ -42,7 +42,7 @@ import typing
 
 from repro.lint.context import FileContext
 from repro.lint.findings import Finding
-from repro.lint.registry import Rule, register
+from repro.lint.rule import Rule
 from repro.lint.rules._scopes import PROTOCOL
 
 #: Call names that commit a value into shared protocol state.
@@ -202,7 +202,6 @@ def _is_generator(func: ast.FunctionDef) -> bool:
     return False
 
 
-@register
 class StaleYieldRule(Rule):
     id = "REP007"
     title = "protocol state mutated after a yield from a stale pre-yield read"

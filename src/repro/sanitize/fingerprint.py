@@ -16,7 +16,7 @@ anything?" by comparing two artifacts against the canonical run:
   excluded for the same reason. ``strict_values=True`` restores
   value-level comparison for scenarios whose committed values are
   schedule-independent (single-writer recovery drills like E2 — the
-  ``repro.wal.determinism --cross-schedule`` gate).
+  tier-1 test ``test_e2_committed_values_are_schedule_independent``).
 * the **alert signature** — the multiset of ``(rule, severity)`` pairs
   fired by the protocol auditor. Alert *times* are schedule-dependent
   by nature and are excluded.

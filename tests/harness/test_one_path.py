@@ -523,9 +523,15 @@ class TestOneDataPath:
             "twopc_budget", "drain_budget", "verify_ping_timeout", "floor_delay",
             "gc_period", "sample_period", "shrink", "no_shrink", "shrink_budget",
             "retry_delay", "max_attempts", "interval", "replay_cost_per_update",
+            # Programs only CI called, now tier-1 tests: `repro lint`'s
+            # rule lookup, JSON report and git plumbing, and the error
+            # nothing raised.
+            "get_rule", "rule_ids", "render_json", "changed_files", "SiteUnreachable",
         }
         for module in ("repro.core.partition_merge", "repro.lint.rules.rep002_ordering",
-                       "repro.lint.rules._setlike", "repro.lint.rules.rep006_slots"):
+                       "repro.lint.rules._setlike", "repro.lint.rules.rep006_slots",
+                       "repro.lint.cli", "repro.lint.report", "repro.lint.registry",
+                       "repro.wal.determinism"):
             with pytest.raises(ImportError):
                 importlib.import_module(module)
         assert not {"mvcc", "lock_wait_timeout"} & {
@@ -534,7 +540,12 @@ class TestOneDataPath:
         # Names that live on elsewhere (``TransactionManager.submit_ro``,
         # ``collections.Counter``, E8's ``committed_txns`` column …) are
         # checked on the class that lost them.
+        import repro.lint.rule
+        from repro.lint.findings import Finding
+
         for owner, name in (
+            # ``RpcNode.register`` lives on; the rule registry's does not.
+            (repro.lint.rule, "register"), (Finding, "to_json"),
             (DatabaseSystem, "submit_ro"), (MetricsRegistry, "counter"),
             (HistoryRecorder, "committed_txns"), (LogRecord, "wire_size"),
             (Network, "site_ids"), (Timeout, "cancel"), (Timeout, "cancelled"),
@@ -542,7 +553,8 @@ class TestOneDataPath:
         ):
             assert not hasattr(owner, name), (owner, name)
         for flag in ("--bench-out", "--baseline", "--update-baseline",
-                     "--no-shrink", "--shrink-budget"):
+                     "--no-shrink", "--shrink-budget",
+                     "--json", "--path", "--rules", "--changed"):
             assert flag not in build_parser().format_help()
         # Parameter names that live on elsewhere, checked on the
         # signature that lost them.

@@ -12,7 +12,7 @@ import textwrap
 import pytest
 
 from repro.lint.engine import FileResult, LintEngine
-from repro.lint.registry import get_rule
+from repro.lint.rules import RULES
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[2]
 
@@ -29,9 +29,10 @@ def lint(tmp_path):
         path = tmp_path / relpath
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source), encoding="utf-8")
-        instances = None
+        instances = RULES
         if rules is not None:
-            instances = [get_rule(rule_id) for rule_id in rules]
+            by_id = {rule.id: rule for rule in RULES}
+            instances = [by_id[rule_id] for rule_id in rules]
         engine = LintEngine(tmp_path, rules=instances)
         return engine.lint_file(path)
 

@@ -18,8 +18,9 @@ from repro.obs.critpath import latency_budget
 from repro.obs.export import export_jsonl
 from repro.obs.timeseries import DEFAULT_PERIOD, outage_stats
 
-#: The one-artifact subcommands ``repro run`` replaced.
-RETIRED = ("trace", "metrics", "audit", "latency", "profile")
+#: The one-artifact subcommands ``repro run`` replaced, and ``lint``,
+#: whose one runner is now the tier-1 test tests/lint/test_baseline_gate.py.
+RETIRED = ("trace", "metrics", "audit", "latency", "profile", "lint")
 
 
 def _run(tmp_path, experiment):
@@ -135,7 +136,7 @@ class TestTraceCli:
         "subcommand",
         # Every subcommand that takes --experiment, then the retired
         # ones: each is now an unknown experiment name.
-        [name for name in SUBCOMMANDS if name not in ("list", "all", "lint")]
+        [name for name in SUBCOMMANDS if name not in ("list", "all")]
         + list(RETIRED),
     )
     def test_unknown_experiment_fails_cleanly(

@@ -16,6 +16,8 @@ is exactly a same-timestamp tie, so:
 
 import json
 
+from repro.harness.runner import run_traced
+from repro.sanitize.fingerprint import fingerprint, system_state
 from repro.sanitize.fuzz import replay_artifact, run_schedule, schedfuzz
 from repro.sanitize.policy import ScheduleSpec
 from repro.storage.copies import Version
@@ -110,6 +112,25 @@ class TestExperimentStability:
         result = schedfuzz("e2", seed=1, schedules=2, audit=True)
         assert not result.diverged, result.render()
         assert result.canonical.alerts == []
+
+    def test_e2_committed_values_are_schedule_independent(self):
+        # E2 is a single-writer recovery drill, so even the committed
+        # *values* must not depend on a tie-break — a stronger claim
+        # than the agreement partition schedfuzz compares. The
+        # canonical schedule runs with the tie-break seam engaged, so
+        # the seam itself is covered too.
+        fingerprints = {
+            label: fingerprint(system_state(
+                run_traced("e2", seed=3, schedule=ScheduleSpec(mode, salt)).system,
+                strict_values=True,
+            ))
+            for label, mode, salt in (
+                ("canonical", "canonical", 0),
+                ("shuffle[1]", "shuffle", 1),
+                ("shuffle[2]", "shuffle", 2),
+            )
+        }
+        assert len(set(fingerprints.values())) == 1, fingerprints
 
     def test_artifact_shape_without_divergence(self):
         result = schedfuzz("e2", seed=1, schedules=1, audit=False)

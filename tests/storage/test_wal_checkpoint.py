@@ -6,10 +6,13 @@ things that make this safe: the image assembled from stable keys is the full
 image of the live state at every checkpoint (differential), the cost
 follows the dirty count and not the database size, and a checkpoint torn
 after any prefix of its stable puts still restores the pre-crash durable
-state.
+state. The same-seed determinism test lives here too: it hashes the
+blobs these tests pin, so one flipped byte of one of them must move it.
 """
 
 import functools
+import hashlib
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -23,8 +26,13 @@ from repro.sim import Kernel
 from repro.site import Site
 from repro.storage.copies import Version
 from repro.wal import WalConfig
-from repro.wal.determinism import site_durable_state
-from repro.wal.log import CHECKPOINT_ITEM_PREFIX, CHECKPOINT_KEY
+from repro.wal.log import (
+    CHECKPOINT_ITEM_PREFIX,
+    CHECKPOINT_KEY,
+    DIRECTORY_KEY,
+    META_KEY,
+    RedoLog,
+)
 
 NEVER = WalConfig(checkpoint_every=10**9, retain_records=10**9)
 
@@ -314,6 +322,68 @@ class TestTornCheckpoint:
             assert site.copies.get("A").value == 6
             kernel.run(until=kernel.now + 120)  # recovery drains cleanly
             assert not auditor.alerts.has_critical, tear_after
+
+
+def checkpoint_digest(stable):
+    """Hash of the checkpoint header blob and every item blob, in key order."""
+    blobs = stable._blobs
+    digest = hashlib.sha256(blobs.get(CHECKPOINT_KEY, b""))
+    for key in sorted(blobs):
+        if key.startswith(CHECKPOINT_ITEM_PREFIX):
+            digest.update(key.encode())
+            digest.update(blobs[key])
+    return digest.hexdigest()
+
+
+def site_durable_state(site):
+    """Everything that must be reproducible about one site's durability."""
+    wal = site.wal
+    return {
+        "durable_lsn": wal.log.durable_lsn,
+        "next_lsn": wal.log.next_lsn,
+        "truncated_through": wal.log.truncated_through_lsn,
+        "meta_blob": site.stable._blobs.get(META_KEY),
+        "directory_blob": site.stable._blobs.get(DIRECTORY_KEY),
+        # ``wal.dir`` names only the first retained segment; the directory
+        # a restart reassembles from the segments themselves covers them all.
+        "segments": RedoLog(site.stable).segments,
+        "checkpoint_digest": checkpoint_digest(site.stable),
+        "session_last": site.stable.get("session.last"),
+        "copies": sorted(
+            (name, copy.value, tuple(copy.version), copy.unreadable)
+            for name, copy in (
+                (name, site.copies.get(name)) for name in site.copies.items()
+            )
+        ),
+        # Multiversion chain image (repro.mvcc): the rebuilt version
+        # chains and the durable snapshot cut must replay identically too.
+        "mvcc": site.mvcc.digest_state() if site.mvcc is not None else None,
+    }
+
+
+class TestCrashReplayDeterminism:
+    """§3.4's restart replays the same way: the traced log-shipping
+    recovery (E9) run twice at one seed leaves byte-identical durable
+    state at every site — LSNs, the log's meta and directory blobs, the
+    checkpoint header and item blobs, the segment directory a fresh
+    RedoLog reloads, the session number, the reconstructed copies and
+    the mvcc image. Anything unseeded that reaches a durable blob
+    (record order, checkpoint contents, truncation watermarks) shows
+    up here before it shows up as a flaky recovery."""
+
+    @staticmethod
+    def durable_digests(seed):
+        system = run_traced("e9", seed=seed).system
+        return {
+            site_id: hashlib.sha256(pickle.dumps(
+                site_durable_state(system.cluster.site(site_id)),
+                protocol=pickle.HIGHEST_PROTOCOL,
+            )).hexdigest()
+            for site_id in system.cluster.site_ids
+        }
+
+    def test_same_seed_same_durable_state(self):
+        assert self.durable_digests(3) == self.durable_digests(3)
 
 
 class TestDeterminismDigestCoversItemBlobs:

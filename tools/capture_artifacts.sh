@@ -44,8 +44,6 @@ for e in e2 e10; do
         --schedules 2 --races --out "races_$e.json"
 done
 run all_small python -m repro all --scale small --seed 3
-run determinism python -m repro.wal.determinism --seed 3
-run determinism_cross python -m repro.wal.determinism --cross-schedule --seed 3
 for example in "$ROOT"/examples/*.py; do
     run "example_$(basename "$example" .py)" python "$example"
 done

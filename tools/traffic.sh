@@ -10,9 +10,10 @@
 # both scales (it checks every experiment's claims), the 13-scenario
 # audit gate (`repro run`, which also attaches the sampler and the host
 # profiler) and the reference benchmark's selftest. The rest of the
-# traffic: schedfuzz, both determinism gates, lint, the six
-# BENCHMARK.json workloads untraced and traced (the traced run drives
-# all 26 micro-drivers), and the examples.
+# traffic: schedfuzz, the six BENCHMARK.json workloads untraced and
+# traced (the traced run drives all 26 micro-drivers), and the examples.
+# replint and the determinism checks are tier-1 tests, so they count
+# with the tests.
 set -u
 
 if [ $# -ne 1 ]; then
@@ -41,9 +42,6 @@ for e in $SCENARIOS; do
 done
 traffic python -m repro schedfuzz --experiment e2 --seed 1 --schedules 2 --races --out s.json
 traffic python -m repro schedfuzz --experiment e10 --seed 1 --schedules 2 --out s.json
-traffic python -m repro.wal.determinism --seed 3
-traffic python -m repro.wal.determinism --cross-schedule --seed 3
-traffic python -m repro lint
 for example in "$ROOT"/examples/*.py; do
     traffic python "$example"
 done
