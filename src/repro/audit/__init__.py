@@ -6,12 +6,10 @@ See :mod:`repro.audit.auditor` for the invariant catalog and
 
 from repro.audit.alerts import SEVERITIES, Alert, AlertLog
 from repro.audit.auditor import ProtocolAuditor, attach_auditor
-from repro.audit.onestg import OnlineOneStg
 
 __all__ = [
     "Alert",
     "AlertLog",
-    "OnlineOneStg",
     "ProtocolAuditor",
     "SEVERITIES",
     "attach_auditor",

@@ -8,9 +8,12 @@ kernel's probe bus (:mod:`repro.sim.probes`: ``admit``, ``read``,
 ``power_on``, ``recovered``) and continuously evaluates the paper's
 invariants while a simulation runs:
 
-1. **online 1SR** — an incremental serialization-graph (candidate
-   1-STG over DB items, §4) grown per committed transaction; the first
-   cycle is a critical ``onesr.cycle`` alert;
+1. **online 1SR** — §4's Corollary over the committed history so far:
+   :func:`repro.histories.graphs.build_one_stg` (the candidate 1-STG
+   over DB items that every 1SR verdict uses) must stay acyclic. It is
+   rebuilt at each watchdog tick that follows a commit, and at
+   :meth:`ProtocolAuditor.stop` and :meth:`ProtocolAuditor.summary`;
+   the first cycle is a critical ``onesr.cycle`` alert;
 2. **session coherence** (§3.1/§3.3) — a served physical operation
    whose ``expected`` tag differs from ``as[k]`` fires
    ``session.check``; a committed original control write installing a
@@ -51,8 +54,10 @@ invariants while a simulation runs:
    which presupposes a crash/recovery, so abandoning a continuously-up
    site would lose the write permanently.
 
-Liveness watchdogs run as a periodic kernel process (warning severity,
-so they never trip the critical-only CI gate): a nominally-up site
+Liveness watchdogs run as a periodic kernel process — the one that
+also evaluates rule 1, ended by :meth:`ProtocolAuditor.stop`, which
+``system.stop()`` calls — at warning severity, so they never trip the
+critical-only CI gate: a nominally-up site
 whose non-NS unreadable count stops draining
 (``liveness.drain_stall``), a copier service with pending work but
 frozen counters (``liveness.copier_starved``), a 2PC span open past a
@@ -75,13 +80,15 @@ import hashlib
 import typing
 
 from repro.audit.alerts import Alert, AlertLog
-from repro.audit.onestg import OnlineOneStg
 from repro.core.nominal import (
     db_item_filter,
     is_ns_item,
     ns_site,
     unreadable_db_count,
 )
+from repro.digraph import NoCycle, find_cycle
+from repro.errors import Interrupt
+from repro.histories.graphs import build_one_stg
 from repro.txn.transaction import Transaction, TxnKind, TxnStatus
 from repro.wal.log import CHECKPOINT_ITEM_PREFIX, CHECKPOINT_KEY
 
@@ -121,9 +128,9 @@ class ProtocolAuditor:
         self.recorder = system.recorder
         self.alerts = AlertLog()
         self.checks = 0  # invariant evaluations performed
-        self.stg = OnlineOneStg(
-            self.recorder, item_filter=db_item_filter, on_cycle=self._on_cycle
-        )
+        #: Committed transactions at the last watchdog 1SR check.
+        self._committed_seen = 0
+        self._cycle_found = False
         #: Omniscient oracle: latest committed version per logical item.
         self._oracle: dict[str, "Version"] = {}
         #: Per-site committed version history, ``(site, item) -> sorted
@@ -149,7 +156,6 @@ class ProtocolAuditor:
         #: Async commit decisions: txn_id -> {write site -> crash_count
         #: at decision time}, consumed by the matching drain hook.
         self._quorum_epochs: dict[str, dict[int, int]] = {}
-        self._stopped = False
         self._wire()
 
     # -- wiring ---------------------------------------------------------------
@@ -177,8 +183,11 @@ class ProtocolAuditor:
         )
 
     def stop(self) -> None:
-        """Stop the watchdog process (hook-driven checks stay live)."""
-        self._stopped = True
+        """End the watchdog process and run the final 1SR check
+        (hook-driven checks stay live)."""
+        if self._watchdog_proc.is_alive:
+            self._watchdog_proc.interrupt("stop")
+        self._check_one_sr()
 
     # -- alert plumbing -------------------------------------------------------
 
@@ -189,10 +198,17 @@ class ProtocolAuditor:
 
     # -- (1) online 1SR -------------------------------------------------------
 
-    def _pump(self) -> None:
-        self.stg.pump()
-
-    def _on_cycle(self, txn_id: str, cycle: list) -> None:
+    def _check_one_sr(self) -> None:
+        """The candidate 1-STG of the committed history must be acyclic
+        (§4 Corollary). The first cycle fires once; the graph is then
+        uncertifiable for good, so later checks are skipped."""
+        if self._cycle_found:
+            return
+        try:
+            cycle = find_cycle(build_one_stg(self.recorder, db_item_filter))
+        except NoCycle:
+            return
+        self._cycle_found = True
         nodes = sorted({node for edge in cycle for node in edge[:2]})
         self._alert(
             "onesr.cycle",
@@ -200,7 +216,7 @@ class ProtocolAuditor:
             "serialization graph cycle: the committed history is not "
             "certifiably one-serializable (§4)",
             txn_ids=tuple(nodes),
-            details={"closing_txn": txn_id, "cycle": [list(e) for e in cycle]},
+            details={"cycle": [list(e) for e in cycle]},
         )
 
     # -- (2) session coherence ------------------------------------------------
@@ -283,7 +299,6 @@ class ProtocolAuditor:
         self._record_site_version(site_id, item, version)
         if kind == "control" and not overridden and is_ns_item(item):
             self._ns_check(site_id, txn_id, item, value)
-        self._pump()
 
     # -- (6) multiversion snapshot reads --------------------------------------
 
@@ -473,7 +488,6 @@ class ProtocolAuditor:
             and txn.commit_mode == "async_quorum"
         ):
             self._check_quorum(txn)
-        self._pump()
 
     # -- (6) quorum commit soundness ------------------------------------------
 
@@ -684,10 +698,15 @@ class ProtocolAuditor:
     # -- liveness watchdogs ---------------------------------------------------
 
     def _watchdog(self) -> typing.Generator:
-        while not self._stopped:
-            yield self.kernel.timeout(WATCHDOG_INTERVAL)
-            if self._stopped:
-                return
+        while True:
+            try:
+                yield self.kernel.timeout(WATCHDOG_INTERVAL)
+            except Interrupt:
+                return  # stop()
+            committed = len(self.recorder.committed)
+            if committed != self._committed_seen:
+                self._committed_seen = committed
+                self._check_one_sr()
             now = self.kernel.now
             self._watch_drain(now)
             self._watch_copiers(now)
@@ -801,13 +820,11 @@ class ProtocolAuditor:
             ("audit.alerts_critical", None): float(self.alerts.count("critical")),
             ("audit.alerts_warning", None): float(self.alerts.count("warning")),
             ("audit.checks", None): float(self.checks),
-            ("audit.graph_txns", None): float(self.stg.graph.number_of_nodes()),
-            ("audit.graph_edges", None): float(self.stg.graph.number_of_edges()),
         }
 
     def summary(self) -> dict:
         """Auditor section of the recovery-timeline report."""
-        self._pump()
+        self._check_one_sr()
         return {
             "alerts": len(self.alerts.alerts),
             "critical": self.alerts.count("critical"),
@@ -816,7 +833,6 @@ class ProtocolAuditor:
                 rule: len(alerts) for rule, alerts in self.alerts.by_rule().items()
             },
             "checks": self.checks,
-            "graph": self.stg.stats,
         }
 
 
@@ -824,8 +840,8 @@ def attach_auditor(system: "DatabaseSystem") -> ProtocolAuditor:
     """Attach a :class:`ProtocolAuditor` to a built (idle) system.
 
     Idempotent: a system audits at most once. Attach after construction
-    and before driving load — the graph and oracle assume they observe
-    every commit.
+    and before driving load — the oracle assumes it observes every
+    commit.
     """
     existing = system.obs.audit
     if existing is not None:

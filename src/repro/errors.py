@@ -43,10 +43,6 @@ class Interrupt(Exception):
         self.cause = cause
 
 
-class SimTimeout(SimError):
-    """An operation guarded by a timeout did not complete in time."""
-
-
 # ---------------------------------------------------------------------------
 # Network errors
 # ---------------------------------------------------------------------------
@@ -175,26 +171,5 @@ class RecoveryError(ReproError):
     """Base class for recovery-procedure errors."""
 
 
-class NoOperationalSite(RecoveryError):
-    """Recovery cannot proceed: no operational site exists in the system.
-
-    The paper's algorithm requires at least one operational site; after
-    total failure recovery blocks by design (see DESIGN.md §5).
-    """
-
-
 class InvalidStateTransition(RecoveryError):
     """A site lifecycle method was called in the wrong state."""
-
-
-# ---------------------------------------------------------------------------
-# History / serializability checker errors
-# ---------------------------------------------------------------------------
-
-
-class HistoryError(ReproError):
-    """Base class for history-recording and checking errors."""
-
-
-class MalformedHistory(HistoryError):
-    """The recorded history violates a structural assumption of §4."""

@@ -10,6 +10,8 @@
   (original-writer provenance, copier-aware), write-order edges oriented
   by version (commit) order, and the induced read-before edges. By the
   §4 Corollary, acyclicity of this graph certifies one-serializability.
+  It is the one 1-STG construction in the package: :func:`check_one_sr`
+  and the protocol auditor's ``onesr.cycle`` rule both build it here.
 
 Both return a :class:`repro.digraph.DiGraph` whose nodes are transaction
 ids, in first-mention order — the order :func:`repro.digraph.find_cycle`

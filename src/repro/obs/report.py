@@ -212,8 +212,7 @@ def render_recovery_timeline(report: dict) -> str:
         lines.append(
             f"audit: {audit['alerts']} alerts "
             f"({audit['critical']} critical, {audit['warning']} warning), "
-            f"{audit['checks']} checks, 1-STG "
-            f"{audit['graph']['nodes']} txns / {audit['graph']['edges']} edges"
+            f"{audit['checks']} checks"
         )
         for rule, count in sorted(audit["by_rule"].items()):
             lines.append(f"audit rule {rule}: {count}")

@@ -204,6 +204,8 @@ class DatabaseSystem:
             store.stop_gc()
         if self.obs.sampler is not None:
             self.obs.sampler.stop()
+        if self.obs.audit is not None:
+            self.obs.audit.stop()
 
     def crash(self, site_id: int) -> None:
         """Inject a crash at ``site_id``."""

@@ -45,6 +45,16 @@ class TestDrainAndCopierWatchdogs:
         kernel.run(until=kernel.now + 100)
         assert auditor.alerts.count(rule="liveness.drain_stall") == 0
 
+    def test_system_stop_ends_the_watchdog(self):
+        """``system.stop()`` stops the auditor too, so an audited system
+        drains like a plain one: nothing is left on the kernel's queues."""
+        kernel, system = build_traced_scheme("rowaa", 13, 3, {"X": 0, "Y": 0})
+        attach_auditor(system)
+        kernel.run(until=50)
+        system.stop()
+        kernel.run(until=kernel.now + 1000)
+        assert kernel.peek() == float("inf")
+
 
 class TestTwoPcWatchdog:
     def test_open_2pc_span_past_budget_fires_once(self, monkeypatch):

@@ -9,6 +9,7 @@ import random
 
 import pytest
 
+from repro.audit import attach_auditor
 from repro.baselines import NaiveAvailableCopies
 from repro.core import RowaaSystem
 from repro.core.nominal import db_item_filter
@@ -69,6 +70,7 @@ class TestPaperExampleLive:
             config=TxnConfig(rpc_timeout=20.0),
         )
         system.boot()
+        auditor = attach_auditor(system)
         proc_a, proc_b = paper_example_scenario(system, kernel)
         kernel.run(proc_a)
         kernel.run(proc_b)
@@ -78,6 +80,15 @@ class TestPaperExampleLive:
         verdict = check_one_sr(system.recorder)
         assert not verdict.ok
         assert verdict.method == "exhaustive-no-order"
+        # The auditor sees it live: one critical alert naming both
+        # transactions, which later checks do not repeat.
+        kernel.run(until=kernel.now + 100)
+        system.stop()
+        auditor.summary()
+        (alert,) = auditor.alerts.alerts
+        assert (alert.rule, alert.severity) == ("onesr.cycle", "critical")
+        committed = tuple(sorted(system.recorder.committed))
+        assert len(committed) == 2 and alert.txn_ids == committed
 
     def test_rowaa_prevents_the_anomaly(self):
         """Same scenario under the paper's protocol: the stale-view
@@ -94,6 +105,7 @@ class TestPaperExampleLive:
             config=TxnConfig(rpc_timeout=20.0),
         )
         system.boot()
+        auditor = attach_auditor(system)
         proc_a, proc_b = paper_example_scenario(system, kernel)
         outcomes = []
         for proc in (proc_a, proc_b):
@@ -105,6 +117,8 @@ class TestPaperExampleLive:
         assert outcomes == ["rpc-timeout", "rpc-timeout"]
         assert check_one_sr(system.recorder, item_filter=db_item_filter).ok
         assert check_theorem3(system.recorder).ok
+        system.stop()
+        assert auditor.summary()["critical"] == 0, auditor.alerts.render_summary()
 
 
 def run_soak(seed, n_sites=4, n_items=12, duration=2500.0, write_fraction=0.4):

@@ -527,11 +527,15 @@ class TestOneDataPath:
             # rule lookup, JSON report and git plumbing, and the error
             # nothing raised.
             "get_rule", "rule_ids", "render_json", "changed_files", "SiteUnreachable",
+            # The auditor's incremental twin of ``build_one_stg``, and
+            # four exceptions nothing raised or caught.
+            "OnlineOneStg", "SimTimeout", "HistoryError", "MalformedHistory",
+            "NoOperationalSite",
         }
         for module in ("repro.core.partition_merge", "repro.lint.rules.rep002_ordering",
                        "repro.lint.rules._setlike", "repro.lint.rules.rep006_slots",
                        "repro.lint.cli", "repro.lint.report", "repro.lint.registry",
-                       "repro.wal.determinism"):
+                       "repro.wal.determinism", "repro.audit.onestg"):
             with pytest.raises(ImportError):
                 importlib.import_module(module)
         assert not {"mvcc", "lock_wait_timeout"} & {

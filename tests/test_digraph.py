@@ -105,7 +105,7 @@ def test_source_limits_the_search_to_what_it_reaches():
 def test_absent_source_is_a_key_error():
     """The one place semantics differ on purpose: the oracle iterates a
     string source as a container of nodes; here a missing node is a
-    caller's bug (``OnlineOneStg`` only passes nodes it just touched)."""
+    caller's bug."""
     ours, _ = both([("a", "b"), ("b", "a")])
     with pytest.raises(KeyError):
         find_cycle(ours, source="T9@9")
