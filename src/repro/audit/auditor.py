@@ -11,9 +11,10 @@ invariants while a simulation runs:
 1. **online 1SR** — §4's Corollary over the committed history so far:
    :func:`repro.histories.graphs.build_one_stg` (the candidate 1-STG
    over DB items that every 1SR verdict uses) must stay acyclic. It is
-   rebuilt at each watchdog tick that follows a commit, and at
-   :meth:`ProtocolAuditor.stop` and :meth:`ProtocolAuditor.summary`;
-   the first cycle is a critical ``onesr.cycle`` alert;
+   built at :meth:`ProtocolAuditor.stop` and
+   :meth:`ProtocolAuditor.summary` only — rebuilding it as the history
+   grows would cost quadratic time — and a cycle is a critical
+   ``onesr.cycle`` alert, stamped with the time of that check;
 2. **session coherence** (§3.1/§3.3) — a served physical operation
    whose ``expected`` tag differs from ``as[k]`` fires
    ``session.check``; a committed original control write installing a
@@ -128,8 +129,6 @@ class ProtocolAuditor:
         self.recorder = system.recorder
         self.alerts = AlertLog()
         self.checks = 0  # invariant evaluations performed
-        #: Committed transactions at the last watchdog 1SR check.
-        self._committed_seen = 0
         self._cycle_found = False
         #: Omniscient oracle: latest committed version per logical item.
         self._oracle: dict[str, "Version"] = {}
@@ -703,10 +702,6 @@ class ProtocolAuditor:
                 yield self.kernel.timeout(WATCHDOG_INTERVAL)
             except Interrupt:
                 return  # stop()
-            committed = len(self.recorder.committed)
-            if committed != self._committed_seen:
-                self._committed_seen = committed
-                self._check_one_sr()
             now = self.kernel.now
             self._watch_drain(now)
             self._watch_copiers(now)

@@ -13,9 +13,10 @@
   Bernstein–Goodman directory-oriented scheme [2]: per-item status
   directories maintained by status transactions (INCLUDE/EXCLUDE);
   contrast in control-overhead and resume latency (E2, E7).
-* :class:`~repro.baselines.spooler.SpoolerRecovery` — the Hammer–Shipman
-  reliable-spooler approach [6]: missed updates are queued and replayed
-  before the recovering site resumes (experiment E2).
+* :class:`~repro.baselines.spooler.SpoolerSystem` — the Hammer–Shipman
+  reliable-spooler approach [6]: missed updates are kept in the durable
+  §5 stale-copy table and replayed before the recovering site resumes
+  (experiment E2).
 """
 
 from repro.baselines.directories import (
@@ -26,7 +27,7 @@ from repro.baselines.directories import (
 from repro.baselines.naive import NaiveAvailableCopies
 from repro.baselines.quorum import QuorumConsensus
 from repro.baselines.rowa import StrictROWA
-from repro.baselines.spooler import SpoolerSystem, SpoolTracker
+from repro.baselines.spooler import SpoolerSystem
 from repro.baselines.systems import SCHEMES, build_rowaa_system, build_system
 
 __all__ = [
@@ -36,7 +37,6 @@ __all__ = [
     "NaiveAvailableCopies",
     "QuorumConsensus",
     "SCHEMES",
-    "SpoolTracker",
     "SpoolerSystem",
     "StrictROWA",
     "build_rowaa_system",

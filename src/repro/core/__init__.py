@@ -12,9 +12,9 @@ Package map (paper section in parentheses):
   (§3.3) and the service that initiates type 2 on failure detection.
 * :mod:`repro.core.copier` — copier transactions, eager and on-demand
   scheduling, and the §5 version-skip optimisation (§3.2, §5).
-* :mod:`repro.core.identify` / :mod:`~repro.core.faillock` /
-  :mod:`~repro.core.missinglist` — the three policies for identifying
-  out-of-date copies at recovery (§3.4 step 2, §5).
+* :mod:`repro.core.identify` — mark-all and the one §5 stale-copy table
+  (fail-locks when durable, missing lists when not): the policies for
+  identifying out-of-date copies at recovery (§3.4 step 2, §5).
 * :mod:`repro.core.recovery` — the four-step site recovery procedure
   with crash-during-recovery retries (§3.4).
 * :mod:`repro.core.system` — :class:`~repro.core.system.RowaaSystem`,

@@ -3,18 +3,18 @@
 The basic algorithm "simply assumes that all data at the recovering site
 are out-of-date"; the §5 refinements track precisely which copies missed
 updates so recovery marks (and copiers later refresh) only those. The
-algorithm "can choose many different methods" — the policy is pluggable:
+algorithm "can choose many different methods":
 
-* :class:`MarkAllPolicy` — the conservative baseline;
-* :class:`~repro.core.faillock.FailLockPolicy` — stable fail-lock tables;
-* :class:`~repro.core.missinglist.MissingListPolicy` — volatile missing
-  lists with the §5 add/remove rules.
+* :class:`MarkAllPolicy` — the conservative baseline, with no table;
+* :class:`StaleTracker` with ``durable=True`` — fail-locks (§5, citing
+  Bhargava's working paper [5]), and the spooled redo of §1 (Hammer &
+  Shipman [6]), which replays the values the table keeps;
+* :class:`StaleTracker` with ``durable=False`` — missing lists (§5).
 
-A policy has two halves: a per-site *tracker* fed by the DM on every
-committed write (``on_commit_write(item, applied, missed, value, version)``),
-and a *collect* step run by the recovering site to compute the items to
-mark. Soundness requirement: every item that missed a committed update
-during the outage must be in the returned set (over-approximation is
+A policy is a *collect* step run by the recovering site to compute the
+items to repair, and a cleanup (:meth:`after_marked`) once the repairs
+are durable. Soundness requirement: every item that missed a committed
+update during the outage must be collected (over-approximation is
 allowed and costs only copier work — experiment E5 measures exactly
 that).
 """
@@ -23,45 +23,22 @@ from __future__ import annotations
 
 import typing
 
+from repro.core.config import RECOVERY_PROBE_TIMEOUT
 from repro.core.nominal import is_ns_item
+from repro.errors import NetworkError
+from repro.site.site import Site
+from repro.storage.copies import DataCopy
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.recovery import RecoveryManager
 
+_STABLE_KEY = "stale"
 
-class IdentificationPolicy(typing.Protocol):
-    """Pluggable step-2 policy (see module docstring)."""
-
-    name: str
-
-    def on_commit_write(
-        self,
-        item: str,
-        applied_sites: tuple[int, ...],
-        missed_sites: tuple[int, ...],
-        value: object = None,
-        version: object = None,
-    ) -> None:
-        """Tracker half: called by the local DM at commit application."""
-        ...  # pragma: no cover - protocol
-
-    def collect_stale(self, manager: "RecoveryManager") -> typing.Generator:
-        """Recovery half: return the local items to mark unreadable.
-
-        Runs as a plain simulated process (may issue RPCs); returns an
-        iterable of item names. Must be read-only with respect to remote
-        tracker state: destructive cleanup belongs in
-        :meth:`after_marked`, which runs only once the unreadable marks
-        are safely (stably) applied — otherwise a crash between the two
-        steps loses the staleness knowledge.
-        """
-        ...  # pragma: no cover - protocol
-
-    def after_marked(
-        self, manager: "RecoveryManager", items: typing.Sequence[str]
-    ) -> typing.Generator:
-        """Cleanup after the marks are applied (e.g. clear remote entries)."""
-        ...  # pragma: no cover - protocol
+#: ``(value, (ts, commit, seq))`` of the newest write a copy missed; the
+#: version is ``None`` when that write is unknown — a miss reported
+#: without it (``dm.mark_missed``), or a copy only the residency rule
+#: suspects — so the copy can be marked but not replayed.
+Entry = tuple[object, "tuple | None"]
 
 
 class MarkAllPolicy:
@@ -69,26 +46,9 @@ class MarkAllPolicy:
 
     Nominal-session items are exempt — the type-1 control transaction
     refreshes them before any user transaction can run at this site.
+    Marking everything up front, it needs no delta pass: no write
+    committed during the recovery window can slip through unmarked.
     """
-
-    name = "mark-all"
-    #: Mark-all marks everything up front, so no write committed during
-    #: the recovery window can slip through unmarked. The precise
-    #: policies track *misses*, and a write serialized between their
-    #: collection pass and the type-1 commit records a miss they have
-    #: not seen yet — they need a delta pass after the announcement
-    #: (see RecoveryManager._recover and DESIGN.md §6).
-    needs_post_announce_pass = False
-
-    def on_commit_write(
-        self,
-        item: str,
-        applied_sites: tuple[int, ...],
-        missed_sites: tuple[int, ...],
-        value: object = None,
-        version: object = None,
-    ) -> None:
-        return  # nothing to track
 
     def collect_stale(self, manager: "RecoveryManager") -> typing.Generator:
         yield from ()
@@ -99,7 +59,180 @@ class MarkAllPolicy:
         ]
 
     def after_marked(
-        self, manager: "RecoveryManager", items: typing.Sequence[str]
+        self, manager: "RecoveryManager", items: typing.Iterable[str]
     ) -> typing.Generator:
         yield from ()
         return None
+
+
+def _supersedes(new: tuple | None, old: tuple | None) -> bool:
+    """Keep the newest missed write; an unknown version wins for good."""
+    return old is not None and (new is None or old < new)
+
+
+def _covers(copy: DataCopy) -> tuple | None:
+    """What a repaired copy makes obsolete: every entry (``None``) once
+    it is marked — a copier will fetch the newest value — else entries
+    no newer than its version, as after a replay."""
+    return None if copy.unreadable else tuple(copy.version)
+
+
+class StaleTracker:
+    """The §5 table: one entry per ``(item, missed site)``.
+
+    Every site that applies a committed write records, for each copy the
+    write skipped, the newest ``(value, version)`` that missed it; a
+    write that reaches a copy drops the entries about it ("removes (X,
+    i) ... adds (X, j)", §5). Fail-locks and missing lists read only the
+    keys; the spooler replays the values.
+
+    ``durable`` decides what a crash costs. A durable table (fail-locks,
+    the spooler) is written through to stable storage and a crash drops
+    only its mirror; a volatile one (missing lists, "in volatile storage
+    only") is lost, and its recovery re-seeds it from the peers' entries
+    naming other sites and stamps :attr:`valid_since`. A recovering
+    site then marks X when a resident of X could not be asked, or when
+    its table has been complete only since *after* our outage began (it
+    may have lost entries naming us). A durable table's ``valid_since``
+    stays 0, so the second rule never fires for it.
+    """
+
+    def __init__(self, site: Site, durable: bool) -> None:
+        self.site = site
+        self.durable = durable
+        #: Since when this table holds every miss it was told of.
+        self.valid_since = 0.0
+        #: The peers the last collection asked.
+        self._reached: list[int] = []
+        #: The table, loaded from stable storage on first use after a
+        #: power-on; a crash drops it (only a durable one reloads).
+        self._entries: dict[tuple[str, int], Entry] | None = None
+        site.rpc.register("stale.collect", self._handle_collect)
+        site.rpc.register("stale.clear", self._handle_clear)
+        site.crash_hooks.append(self._drop)
+
+    def _table(self) -> dict[tuple[str, int], Entry]:
+        if self._entries is None:
+            self._entries = self.site.stable.get(_STABLE_KEY, {})  # type: ignore[assignment]
+        return self._entries
+
+    def _store(self) -> None:
+        if self.durable:
+            # A dict of plain tuples, in insertion (commit) order: no
+            # blob names a class, and no hash seed moves its bytes.
+            self.site.stable.put(_STABLE_KEY, self._table())
+
+    def _drop(self) -> None:
+        self._entries = None
+
+    def entries(self) -> dict[tuple[str, int], Entry]:
+        """A copy of this site's table: copies elsewhere known stale."""
+        return dict(self._table())
+
+    # -- tracker half (fed by the DM at every committed write) -----------------
+
+    def on_commit_write(
+        self,
+        item: str,
+        applied_sites: tuple[int, ...],
+        missed_sites: tuple[int, ...],
+        value: object = None,
+        version: tuple | None = None,
+    ) -> None:
+        table = self._table()
+        if version is not None:
+            version = tuple(version)  # a bare triple
+        changed = False
+        for missed in missed_sites:
+            held = table.get((item, missed))
+            if held is None or _supersedes(version, held[1]):
+                table[(item, missed)] = (value, version)
+                changed = True
+        # The copies just written are current again.
+        for applied in applied_sites:
+            changed |= table.pop((item, applied), None) is not None
+        if changed:
+            self._store()
+
+    # -- RPC handlers (tracker side) -----------------------------------------------
+
+    def _handle_collect(self, recovering: int, src: int) -> tuple:
+        """Read-only: (the ``(item, value, version)`` rows naming the
+        recovering site, every other key, :attr:`valid_since`). Entries
+        go only by ``stale.clear``, once the recovering site's repairs
+        are durable — a crash between the two must not lose them."""
+        table = self._table()
+        mine = [(item, *table[(item, site)]) for item, site in sorted(table) if site == recovering]
+        others = sorted(key for key in table if key[1] != recovering)
+        return mine, others, self.valid_since
+
+    def _handle_clear(self, request: tuple[int, tuple], src: int) -> bool:
+        """Drop the entries the recovering site's repairs cover (see
+        :func:`_covers`); one a newer miss has replaced since stays, for
+        the delta pass to repair."""
+        recovering, collected = request
+        table = self._table()
+        for item, version in collected:
+            held = table.get((item, recovering))
+            if held is not None and not _supersedes(held[1], version):
+                del table[(item, recovering)]
+        self._store()
+        return True
+
+    # -- recovery half -----------------------------------------------------------------
+
+    def collect_stale(self, manager: "RecoveryManager") -> typing.Generator:
+        """Return ``{item: entry}`` for the local copies to repair, by item."""
+        me = self.site.site_id
+        down_since = manager.session.session_started_at or 0.0
+        found: dict[str, Entry] = {}
+        inherited: list[tuple[str, int]] = []
+        reached: dict[int, float] = {}
+        for site_id in manager.operational_peers():
+            try:
+                mine, others, valid_since = yield manager.rpc.call(
+                    site_id, "stale.collect", me, timeout=RECOVERY_PROBE_TIMEOUT,
+                )
+            except NetworkError:
+                continue
+            reached[site_id] = valid_since
+            for item, value, version in mine:
+                held = found.get(item)
+                if held is None or _supersedes(version, held[1]):
+                    found[item] = (value, version)
+            inherited.extend(tuple(key) for key in others)
+
+        # Residency rule: a resident we could not ask, or whose table is
+        # younger than our outage, may hold the only — or the newest —
+        # entry naming us.
+        for item in self.site.copies.items():
+            if is_ns_item(item):
+                continue
+            for resident in manager.catalog.sites_of(item):
+                if resident != me and reached.get(resident, float("inf")) > down_since:
+                    found[item] = (None, None)
+                    break
+
+        if not self.durable:
+            self._entries = dict.fromkeys(inherited, (None, None))
+            self.valid_since = manager.kernel.now
+        self._reached = list(reached)
+        # Sorted: the stale set drives marking and copier scheduling
+        # order, so set-hash order here would be run-to-run nondeterminism.
+        return {item: found[item] for item in sorted(found) if self.site.copies.has(item)}
+
+    def after_marked(
+        self, manager: "RecoveryManager", items: typing.Iterable[str]
+    ) -> typing.Generator:
+        """Drop the collected entries at the peers asked, now that the
+        repairs are durable. Fire and forget — a lost clear only costs a
+        future spurious mark."""
+        yield from ()
+        copies = self.site.copies
+        request = (self.site.site_id, tuple((item, _covers(copies.get(item))) for item in items))
+        for site_id in self._reached:
+            manager.rpc.call(site_id, "stale.clear", request)
+        return None
+
+
+IdentificationPolicy = typing.Union[MarkAllPolicy, StaleTracker]

@@ -6,8 +6,8 @@ Steps, exactly as the paper numbers them:
    the site/cluster lifecycle before this manager runs; only control
    transactions are processable.
 2. Mark the (possibly) out-of-date local copies unreadable, via the
-   configured identification policy (conservative mark-all, fail-locks,
-   or missing lists — §5).
+   configured identification policy (conservative mark-all, or a §5
+   stale-copy table: fail-locks or missing lists).
 3. Initiate a type-1 control transaction announcing the freshly chosen
    session number.
 4. If it commits, load the new session number into ``as[k]``: the site
@@ -29,7 +29,7 @@ import typing
 from repro.core.config import RECOVERY_PROBE_TIMEOUT
 from repro.core.control import make_type1_program, make_type2_program
 from repro.core.copier import CopierService
-from repro.core.identify import IdentificationPolicy
+from repro.core.identify import IdentificationPolicy, StaleTracker
 from repro.core.session import SessionManager
 from repro.errors import NetworkError, RpcTimeout, TransactionAborted
 from repro.sim.kernel import Kernel
@@ -48,7 +48,7 @@ RECOVERY_RETRY_DELAY = 10.0
 RECOVERY_BACKOFF_AFTER = 25
 #: Pause between the type-1 commit and the precise policies' delta
 #: collection pass: a writer serialized just before the type-1 may have
-#: its commit-applications (which create the fail-lock/ML entries) still
+#: its commit-applications (which create the stale-table entries) still
 #: in flight to the tracker sites. One network round suffices under
 #: order-preserving latency; the fully general fix is concurrency-
 #: controlled tracker access, which §5 itself prescribes ("Access to
@@ -90,7 +90,6 @@ class RecoveryManager:
         cluster: Cluster,
         copiers: CopierService,
         identify: IdentificationPolicy,
-        register_probe: bool = True,
     ) -> None:
         self.kernel = kernel
         self.site = site
@@ -101,8 +100,7 @@ class RecoveryManager:
         self.copiers = copiers
         self.identify = identify
         self.records: list[RecoveryRecord] = []
-        if register_probe:
-            site.rpc.register("recovery.probe", self._handle_probe)
+        site.rpc.register("recovery.probe", self._handle_probe)
 
     @property
     def rpc(self):
@@ -152,8 +150,10 @@ class RecoveryManager:
         self.records.append(record)
         self.copiers.reset_drain_marker()
 
-        # Step 2 (overridable): make the local database safe to rejoin.
-        yield from self._prepare_database(record)
+        # Step 2: make the local database safe to rejoin.
+        stale, _ = yield from self._identify()
+        record.marked_items = len(stale)
+        record.identified_at = self.kernel.now
 
         # Steps 3–4: claim nominally up, retrying through further crashes.
         # The loop never gives up while the site stays RECOVERING — the
@@ -187,26 +187,18 @@ class RecoveryManager:
                 continue
             # Step 4: committed — the site is nominally up. Before
             # loading as[k] (no user transaction can be served until
-            # then), precise identification policies run a DELTA pass:
-            # writes that committed between the step-2 collection and
-            # the type-1's commit recorded misses the first pass could
-            # not have seen. Writers serialized *after* the type-1 see
-            # the new session and either reach this site or abort on
-            # its still-zero as[k], so the delta pass closes the window.
-            if getattr(self.identify, "needs_post_announce_pass", False):
-                # Let in-flight commit-applications (and the tracker
-                # entries they create) land before the delta collection —
-                # see POST_ANNOUNCE_SETTLE.
+            # then), a stale-copy table runs step 2 again as a DELTA
+            # pass: writes that committed between the first collection
+            # and the type-1's commit recorded misses it could not have
+            # seen. Writers serialized *after* the type-1 see the new
+            # session and either reach this site or abort on its
+            # still-zero as[k], so the delta pass closes the window.
+            if isinstance(self.identify, StaleTracker):
+                # Let in-flight commit-applications (and the entries
+                # they create) land first — see POST_ANNOUNCE_SETTLE.
                 yield self.kernel.timeout(POST_ANNOUNCE_SETTLE)
-                delta_items = list((yield from self.identify.collect_stale(self)))
-                newly_marked = 0
-                for item in delta_items:
-                    if not self.site.copies.get(item).unreadable:
-                        newly_marked += 1
-                    self.site.copies.mark_unreadable(item)
-                record.marked_items += newly_marked
-                self.site.wal.flush()
-                yield from self.identify.after_marked(self, delta_items)
+                _, repaired = yield from self._identify()
+                record.marked_items += repaired
             self.session.activate(new_session, self.kernel.now)
             self.site.become_operational()
             self.cluster.notify_recovered(self.site.site_id)
@@ -224,23 +216,27 @@ class RecoveryManager:
             self.copiers.start_eager()
             return record
 
-    def _prepare_database(self, record: RecoveryRecord) -> typing.Generator:
-        """§3.4 step 2: identify and mark out-of-date copies.
-
-        Overridden by the spooler baseline, which instead replays missed
-        updates *before* rejoining (the approach the paper argues
-        against).
-        """
-        stale_items = list((yield from self.identify.collect_stale(self)))
-        for item in stale_items:
-            self.site.copies.mark_unreadable(item)
-        # The marks must be durable before after_marked() destroys
-        # the remote staleness knowledge (fail-locks/missing lists).
+    def _identify(self) -> typing.Generator:
+        """§3.4 step 2, and its delta pass: collect the stale copies,
+        repair them, make the repairs durable, then let the policy drop
+        what it collected. Returns ``(stale items, copies repaired)``."""
+        stale = yield from self.identify.collect_stale(self)
+        repaired = yield from self._repair(stale)
+        # Durable before after_marked() destroys the remote knowledge.
         self.site.wal.flush()
-        record.marked_items = len(stale_items)
-        record.identified_at = self.kernel.now
-        yield from self.identify.after_marked(self, stale_items)
-        return None
+        yield from self.identify.after_marked(self, stale)
+        return stale, repaired
+
+    def _repair(self, stale: typing.Iterable[str]) -> typing.Generator:
+        """Mark each stale copy unreadable; returns how many were
+        readable. The spooler baseline overrides it to replay instead."""
+        yield from ()
+        copies = self.site.copies
+        readable = 0
+        for item in stale:
+            readable += not copies.get(item).unreadable
+            copies.mark_unreadable(item)
+        return readable
 
     def _handle_type1_failure(
         self,

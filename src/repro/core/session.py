@@ -47,7 +47,7 @@ class SessionManager:
         """Stable record of when the current/last session began.
 
         Used by the missing-list refinement to bound the outage window
-        (see :mod:`repro.core.missinglist`).
+        (see :class:`repro.core.identify.StaleTracker`).
         """
         return self.site.stable.get(_STABLE_STARTED)  # type: ignore[return-value]
 

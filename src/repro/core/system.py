@@ -10,8 +10,8 @@
 * per-site control services (automatic type-2 on failure detection);
 * per-site recovery managers running the §3.4 procedure, started
   automatically by :meth:`power_on`;
-* the chosen §5 identification policy wired into every DM as its stale
-  tracker.
+* the chosen §5 identification policy; a stale-copy table is wired into
+  every DM as its stale tracker.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ import typing
 from repro.core.config import RowaaConfig
 from repro.core.control import ControlService
 from repro.core.copier import CopierService
-from repro.core.identify import IdentificationPolicy, MarkAllPolicy
-from repro.core.faillock import FailLockPolicy
-from repro.core.missinglist import MissingListPolicy
+from repro.core.identify import IdentificationPolicy, MarkAllPolicy, StaleTracker
 from repro.core.nominal import ns_item, unreadable_db_count
 from repro.core.recovery import RecoveryManager, RecoveryRecord
 from repro.core.rowaa import RowaaStrategy
@@ -45,6 +43,9 @@ INITIAL_SESSION = 1
 
 class RowaaSystem(DatabaseSystem):
     """A replicated DDBS running the paper's recovery protocol."""
+
+    #: What runs §3.4 at each site; the spooler baseline swaps it.
+    recovery_class = RecoveryManager
 
     def __init__(
         self,
@@ -108,10 +109,11 @@ class RowaaSystem(DatabaseSystem):
             tm = self.tms[site_id]
             session = SessionManager(site, dm)
             policy = self._make_policy(site)
-            dm.stale_tracker = policy
+            if isinstance(policy, StaleTracker):
+                dm.stale_tracker = policy
             copiers = CopierService(kernel, site, dm, tm, self.rowaa_config)
             control = ControlService(site, tm, self.cluster)
-            recovery = RecoveryManager(
+            recovery = self.recovery_class(
                 kernel, site, tm, session, self.catalog, self.cluster, copiers, policy
             )
             self.sessions[site_id] = session
@@ -134,10 +136,8 @@ class RowaaSystem(DatabaseSystem):
         mode = self.rowaa_config.identify_mode
         if mode == "mark-all":
             return MarkAllPolicy()
-        if mode == "fail-locks":
-            return FailLockPolicy(site)
-        if mode == "missing-lists":
-            return MissingListPolicy(site)
+        if mode in ("fail-locks", "missing-lists"):
+            return StaleTracker(site, durable=mode == "fail-locks")
         raise ValueError(f"unknown identify_mode {mode!r}")
 
     # -- lifecycle -------------------------------------------------------------

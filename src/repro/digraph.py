@@ -65,17 +65,15 @@ class DiGraph:
         return sum(len(out) for out in self._succ.values())
 
 
-def find_cycle(graph: DiGraph, source: Node | None = None) -> list[Edge]:
+def find_cycle(graph: DiGraph) -> list[Edge]:
     """The first cycle a depth-first search meets, as a list of edges.
 
-    Searches from every node in insertion order, or from ``source`` only
-    (``KeyError`` if it is not a node). Raises :class:`NoCycle` if the
-    searched part of the graph is acyclic.
+    Searches from every node in insertion order. Raises
+    :class:`NoCycle` if the graph is acyclic.
     """
     succ = graph._succ
-    starts: typing.Iterable[Node] = succ if source is None else (source,)
     finished: set[Node] = set()
-    for start in starts:
+    for start in succ:
         if start in finished:
             continue
         path = [start]

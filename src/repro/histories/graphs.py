@@ -66,20 +66,23 @@ def build_conflict_graph(
 
 def read_from_pairs(
     recorder: HistoryRecorder, item_filter: ItemFilter | None = None
-) -> set[tuple[str, str, str]]:
+) -> dict[tuple[str, str, str], None]:
     """The READ-FROM relation: (writer, item, reader) triples.
 
     Copier-aware (§4): the writer is the transaction that *originally*
     produced the version (carried through copiers unchanged). Self-reads
     (a transaction observing its own buffered write) are excluded.
+
+    An ordered set (a dict), in record order: the 1-STG's edge order,
+    and so the cycle a check reports, must not follow string hashes.
     """
-    pairs: set[tuple[str, str, str]] = set()
+    pairs: dict[tuple[str, str, str], None] = {}
     for op in _committed_ops(recorder, item_filter):
         if op.op is not OpType.READ:
             continue
         writer = recorder.writer_of_seq(op.version_seq)
         if writer != op.txn_id:
-            pairs.add((writer, op.item, op.txn_id))
+            pairs[(writer, op.item, op.txn_id)] = None
     return pairs
 
 

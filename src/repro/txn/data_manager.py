@@ -131,9 +131,10 @@ class DataManager:
         #: the DM serve stale-view requests, which the protocol auditor's
         #: session-coherence monitor must then catch.
         self.session_check_enabled = True
-        #: Optional §5 stale-tracking refinement (fail-locks / missing
-        #: lists); called as ``on_commit_write(item, applied, missed)``
-        #: for every committed physical write at this site.
+        #: Optional §5 stale-copy table (fail-locks, missing lists, the
+        #: spool); called as ``on_commit_write(item, applied, missed,
+        #: value, version)`` for every committed physical write at this
+        #: site.
         self.stale_tracker: typing.Any = None
         self.stats_session_rejections = 0
         self.stats_unreadable_rejections = 0

@@ -37,37 +37,6 @@ class FailureSchedule:
 
     # -- constructors ----------------------------------------------------------
 
-    @classmethod
-    def single_outage(
-        cls, site_id: int, crash_at: float, downtime: float
-    ) -> "FailureSchedule":
-        return cls(
-            [
-                FailureEvent(crash_at, "crash", site_id),
-                FailureEvent(crash_at + downtime, "power_on", site_id),
-            ]
-        )
-
-    @classmethod
-    def periodic(
-        cls,
-        site_id: int,
-        first_crash: float,
-        period: float,
-        downtime: float,
-        horizon: float,
-    ) -> "FailureSchedule":
-        """Crash every ``period``, stay down ``downtime``, until horizon."""
-        if downtime >= period:
-            raise ValueError("downtime must be shorter than the period")
-        events = []
-        time = first_crash
-        while time < horizon:
-            events.append(FailureEvent(time, "crash", site_id))
-            events.append(FailureEvent(time + downtime, "power_on", site_id))
-            time += period
-        return cls(events)
-
     #: RngRegistry stream name for schedule construction (see
     #: ``harness.placement`` for the precedent).
     RNG_STREAM = "workload.failures"

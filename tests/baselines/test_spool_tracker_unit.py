@@ -1,8 +1,8 @@
-"""Direct unit tests for the SpoolTracker."""
+"""Direct unit tests for the spool: the durable §5 stale-copy table."""
 
 import pytest
 
-from repro.baselines.spooler import SpoolTracker
+from repro.core.identify import StaleTracker
 from repro.net import ConstantLatency, Network
 from repro.sim import Kernel
 from repro.site import Site
@@ -14,36 +14,43 @@ def tracker():
     kernel = Kernel(seed=1)
     network = Network(kernel, latency=ConstantLatency(1.0))
     site = Site(kernel, network, 1)
-    return SpoolTracker(site)
+    return StaleTracker(site, durable=True)
 
 
 def v(ts, commit):
     return Version(ts, commit, commit)
 
 
+def spooled_for(tracker, site_id):
+    return {
+        item: entry for (item, missed), entry in tracker.entries().items()
+        if missed == site_id
+    }
+
+
 class TestSpoolTracker:
     def test_spools_for_missed_sites(self, tracker):
         tracker.on_commit_write("X", (1, 2), (3,), value=5, version=v(1.0, 1))
-        assert tracker.spooled_for(3) == {"X": (5, v(1.0, 1))}
-        assert tracker.spooled_for(2) == {}
+        assert spooled_for(tracker, 3) == {"X": (5, v(1.0, 1))}
+        assert spooled_for(tracker, 2) == {}
 
     def test_keeps_newest_version_only(self, tracker):
         tracker.on_commit_write("X", (1,), (3,), value=5, version=v(1.0, 1))
         tracker.on_commit_write("X", (1,), (3,), value=9, version=v(2.0, 2))
         tracker.on_commit_write("X", (1,), (3,), value=1, version=v(1.5, 3))
-        assert tracker.spooled_for(3)["X"] == (9, v(2.0, 2))
+        assert spooled_for(tracker, 3)["X"] == (9, v(2.0, 2))
 
     def test_applied_site_entry_removed(self, tracker):
         tracker.on_commit_write("X", (1,), (3,), value=5, version=v(1.0, 1))
         # A later write reaches site 3: its spooled entry is obsolete.
         tracker.on_commit_write("X", (1, 3), (), value=6, version=v(2.0, 2))
-        assert tracker.spooled_for(3) == {}
+        assert spooled_for(tracker, 3) == {}
 
     def test_clear_drops_only_target_site(self, tracker):
         tracker.on_commit_write("X", (1,), (2, 3), value=5, version=v(1.0, 1))
-        tracker._handle_clear(3, src=2)
-        assert tracker.spooled_for(3) == {}
-        assert tracker.spooled_for(2) != {}
+        tracker._handle_clear((3, (("X", v(1.0, 1)),)), src=2)
+        assert spooled_for(tracker, 3) == {}
+        assert spooled_for(tracker, 2) != {}
 
     def test_spool_survives_crash(self, tracker):
         """The spool is stable storage: multi-spooler reliability."""
@@ -51,10 +58,11 @@ class TestSpoolTracker:
         site.power_on()
         tracker.on_commit_write("X", (1,), (3,), value=5, version=v(1.0, 1))
         site.crash()
-        assert tracker.spooled_for(3) == {"X": (5, v(1.0, 1))}
+        assert spooled_for(tracker, 3) == {"X": (5, v(1.0, 1))}
 
     def test_collect_handler_returns_copy(self, tracker):
         tracker.on_commit_write("X", (1,), (3,), value=5, version=v(1.0, 1))
-        reply = tracker._handle_collect(3, src=3)
-        reply["X"] = "mutated"
-        assert tracker.spooled_for(3)["X"] == (5, v(1.0, 1))
+        mine, _others, _valid_since = tracker._handle_collect(3, src=3)
+        assert mine == [("X", 5, v(1.0, 1))]
+        mine[0] = "mutated"
+        assert spooled_for(tracker, 3)["X"] == (5, v(1.0, 1))

@@ -33,6 +33,13 @@ def write_program(item, value):
     return program
 
 
+def spooled_for(system, site_id, missed):
+    return {
+        item: entry for (item, target), entry in system.policies[site_id].entries().items()
+        if target == missed
+    }
+
+
 def read_program(item):
     def program(ctx):
         value = yield from ctx.read(item)
@@ -47,7 +54,7 @@ class TestSpooler:
         system.crash(3)
         kernel.run(until=40)
         kernel.run(system.submit(1, write_program("X0", 5)))
-        spooled = system.spools[1].spooled_for(3)
+        spooled = spooled_for(system, 1, 3)
         assert "X0" in spooled
         assert spooled["X0"][0] == 5
 
@@ -73,7 +80,7 @@ class TestSpooler:
         kernel.run(system.submit(1, write_program("X0", 5)))
         kernel.run(system.power_on(3))
         kernel.run(until=kernel.now + 30)
-        assert system.spools[1].spooled_for(3) == {}
+        assert spooled_for(system, 1, 3) == {}
 
     def test_resume_latency_scales_with_missed_updates(self, kernel):
         """The §1 criticism: the more you missed, the longer you replay."""
@@ -102,7 +109,47 @@ class TestSpooler:
         kernel.run(until=40)
         for value in (1, 2, 3):
             kernel.run(system.submit(1, write_program("X0", value)))
-        spooled = system.spools[1].spooled_for(3)
+        spooled = spooled_for(system, 1, 3)
         assert spooled["X0"][0] == 3  # only the newest version kept
         kernel.run(system.power_on(3))
         assert system.cluster.site(3).copies.get("X0").value == 3
+
+    def test_what_a_down_peer_may_know_of_is_marked(self, kernel):
+        """§5's residency rule: site 2 is down, so its spool may hold the
+        only, or the newest, entry naming site 3. Site 3 marks every copy
+        site 2 holds instead of replaying what site 1 spooled."""
+        system = make(kernel)
+        system.crash(3)
+        kernel.run(until=40)
+        kernel.run(system.submit(1, write_program("X0", 5)))
+        system.crash(2)
+        kernel.run(until=kernel.now + 40)
+        record = kernel.run(system.power_on(3))
+        assert record.succeeded and record.marked_items == 6
+        copies = system.cluster.site(3).copies
+        assert all(copies.get(f"X{i}").unreadable for i in range(6))
+        assert copies.get("X0").value == 0
+
+
+class TestSpoolerWindow:
+    """A write that commits while the recovering site replays its spool
+    misses that site too. The replay's clear must not drop its entry,
+    and the delta pass after the announcement must replay it."""
+
+    @pytest.mark.parametrize("y_spooled", [False, True], ids=["fresh-y", "spooled-y"])
+    def test_write_during_replay_is_not_lost(self, kernel, y_spooled):
+        names = [f"X{i}" for i in range(19)] + ["Y" if y_spooled else "X19"]
+        system = make(kernel, items={**{f"X{i}": 0 for i in range(20)}, "Y": 0})
+        system.crash(3)
+        kernel.run(until=40)
+        for value, item in enumerate(names, start=1):
+            kernel.run(system.submit(1, write_program(item, value)))
+        recovery = system.power_on(3)
+        kernel.run(until=kernel.now + 4)
+        writer = system.submit_with_retry(1, write_program("Y", 7), attempts=5)
+        record = kernel.run(recovery)
+        assert record.succeeded
+        assert writer.processed  # committed before the site rejoined
+        kernel.run(until=kernel.now + 30)
+        assert system.copy_value(3, "Y") == 7
+        assert kernel.run(system.submit(3, read_program("Y"))) == 7

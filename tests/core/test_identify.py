@@ -114,7 +114,7 @@ class TestMissingLists:
 
     def test_volatile_ml_falls_back_to_conservative(self):
         """A tracker site that rebooted during our outage has an ML that
-        may be incomplete: its ml_valid_since postdates our crash, so we
+        may be incomplete: its valid_since postdates our crash, so we
         must conservatively mark (vs fail-locks, which stay precise)."""
         config = RowaaConfig(identify_mode="missing-lists", copier_mode="none")
         kernel, system = build_system(

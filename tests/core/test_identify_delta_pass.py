@@ -15,33 +15,19 @@ from repro.core import RowaaConfig
 from tests.core.conftest import build_system, read_program, write_program
 
 
-class _StallingPolicy:
-    """Wraps an identification policy: after collecting, hold the
-    recovery for a while so a racing write can commit in the window."""
+def _stall_first_collection(tracker, kernel, stall, on_window):
+    """After the tracker's first collection, hold the recovery for a
+    while so a racing write can commit in the window."""
+    collect = tracker.collect_stale
 
-    def __init__(self, inner, kernel, stall, on_window=None):
-        self._inner = inner
-        self._kernel = kernel
-        self._stall = stall
-        self._on_window = on_window
-        self._stalled_once = False
-        self.name = inner.name
-        self.needs_post_announce_pass = inner.needs_post_announce_pass
-
-    def on_commit_write(self, *args, **kwargs):
-        return self._inner.on_commit_write(*args, **kwargs)
-
-    def collect_stale(self, manager):
-        items = yield from self._inner.collect_stale(manager)
-        if not self._stalled_once:
-            self._stalled_once = True
-            if self._on_window is not None:
-                self._on_window()
-            yield self._kernel.timeout(self._stall)
+    def stalling(manager):
+        items = yield from collect(manager)
+        tracker.collect_stale = collect  # once only
+        on_window()
+        yield kernel.timeout(stall)
         return items
 
-    def after_marked(self, manager, items):
-        return self._inner.after_marked(manager, items)
+    tracker.collect_stale = stalling
 
 
 @pytest.mark.parametrize("mode", ["fail-locks", "missing-lists"])
@@ -61,9 +47,8 @@ def test_write_in_collection_window_is_still_marked(mode):
         proc = system.submit_with_retry(1, write_program("B", 2), attempts=5)
         fired.append(proc)
 
-    manager = system.recoveries[3]
-    manager.identify = _StallingPolicy(
-        manager.identify, kernel, stall=40.0, on_window=racing_write
+    _stall_first_collection(
+        system.policies[3], kernel, stall=40.0, on_window=racing_write
     )
     record = kernel.run(system.power_on(3))
     assert record.succeeded

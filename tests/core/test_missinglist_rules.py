@@ -1,8 +1,8 @@
 """Directed tests for the §5 missing-list conservative rules.
 
 The volatile-ML mechanism stays sound through two per-item rules checked
-by the recovering site (see ``repro.core.missinglist``): mark X when a
-resident site of X is unreachable, or when a reachable resident's ML has
+by the recovering site (see ``repro.core.identify.StaleTracker``): mark X
+when a resident site of X is unreachable, or when a reachable resident's ML has
 only been valid since *after* our outage began. These tests pin down the
 exact boundaries — per-item scope of the unreachable rule under partial
 replication, and the strict ``>`` comparison of the validity-epoch rule.
@@ -57,7 +57,7 @@ class TestUnreachableResidentRule:
 
 
 class TestValidSinceRule:
-    """``ml_valid_since > previous session start`` — strictly greater."""
+    """``valid_since > previous session start`` — strictly greater."""
 
     def outage(self, kernel, system):
         system.crash(3)
@@ -70,7 +70,7 @@ class TestValidSinceRule:
         )
         down_since = self.outage(kernel, system)
         for tracker in (1, 2):
-            system.policies[tracker].ml_valid_since = down_since
+            system.policies[tracker].valid_since = down_since
         record = kernel.run(system.power_on(3))
         assert record.succeeded
         assert record.marked_items == 0
@@ -83,7 +83,7 @@ class TestValidSinceRule:
         )
         down_since = self.outage(kernel, system)
         for tracker in (1, 2):
-            system.policies[tracker].ml_valid_since = down_since + 0.001
+            system.policies[tracker].valid_since = down_since + 0.001
         record = kernel.run(system.power_on(3))
         assert record.succeeded
         # Full replication: both trackers host everything.
@@ -96,7 +96,7 @@ class TestValidSinceRule:
             items=dict(ITEMS), rowaa_config=ml_config()
         )
         down_since = self.outage(kernel, system)
-        system.policies[2].ml_valid_since = down_since + 5.0  # only one
+        system.policies[2].valid_since = down_since + 5.0  # only one
         record = kernel.run(system.power_on(3))
         assert record.succeeded
         assert record.marked_items == len(ITEMS)
@@ -111,9 +111,9 @@ class TestTrackerHandlers:
         policy.on_commit_write("X0", applied_sites=(1, 2), missed_sites=(3,))
         policy.on_commit_write("X1", applied_sites=(1, 3), missed_sites=(2,))
         mine, others, valid_since = policy._handle_collect(3, src=3)
-        assert mine == ["X0"]
+        assert [item for item, _value, _version in mine] == ["X0"]
         assert others == [("X1", 2)]
-        assert valid_since == policy.ml_valid_since
+        assert valid_since == policy.valid_since
         # Collect is read-only: nothing was removed yet.
         assert ("X0", 3) in policy.entries()
 
@@ -122,7 +122,7 @@ class TestTrackerHandlers:
         policy = system.policies[1]
         policy.on_commit_write("X0", applied_sites=(), missed_sites=(3,))
         policy.on_commit_write("X1", applied_sites=(), missed_sites=(2,))
-        assert policy._handle_clear((3, ("X0",)), src=3)
+        assert policy._handle_clear((3, (("X0", None),)), src=3)
         assert ("X0", 3) not in policy.entries()
         assert ("X1", 2) in policy.entries()
 

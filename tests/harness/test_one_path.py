@@ -531,11 +531,19 @@ class TestOneDataPath:
             # four exceptions nothing raised or caught.
             "OnlineOneStg", "SimTimeout", "HistoryError", "MalformedHistory",
             "NoOperationalSite",
+            # Three copies of the §5 stale-copy table, now one
+            # ``StaleTracker``; the two failure schedules only their
+            # tests built; the auditor's per-tick 1SR bookkeeping.
+            "FailLockPolicy", "MissingListPolicy", "SpoolTracker", "spools",
+            "spooled_for", "ml_valid_since", "needs_post_announce_pass",
+            "register_probe", "_prepare_database", "single_outage", "periodic",
+            "_committed_seen",
         }
         for module in ("repro.core.partition_merge", "repro.lint.rules.rep002_ordering",
                        "repro.lint.rules._setlike", "repro.lint.rules.rep006_slots",
                        "repro.lint.cli", "repro.lint.report", "repro.lint.registry",
-                       "repro.wal.determinism", "repro.audit.onestg"):
+                       "repro.wal.determinism", "repro.audit.onestg",
+                       "repro.core.faillock", "repro.core.missinglist"):
             with pytest.raises(ImportError):
                 importlib.import_module(module)
         assert not {"mvcc", "lock_wait_timeout"} & {

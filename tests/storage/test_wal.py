@@ -600,12 +600,12 @@ class TestNoBlobNamesAClass:
             kernel.run(system.submit_with_retry(
                 1, write_program(f"X{index}", index + 1), attempts=5
             ))
-        for site_id in (1, 2):  # a sorted tuple: no hash seed moves its bytes
-            table = system.cluster.site(site_id).stable.get("faillocks")
-            assert ("X0", 3) in table and table == tuple(sorted(table))
+        for site_id in (1, 2):  # a dict in commit order: no hash seed moves its bytes
+            table = system.cluster.site(site_id).stable.get("stale")
+            assert list(table)[:2] == [("X0", 3), ("X1", 3)]
         assert kernel.run(system.power_on(3)).succeeded
         kernel.run(until=kernel.now + 100)
-        prefixes = ("wal.seg.", "wal.meta", "wal.dir", "wal.ckpt", "tm.commit.", "faillocks")
+        prefixes = ("wal.seg.", "wal.meta", "wal.dir", "wal.ckpt", "tm.commit.", "stale")
         seen = set()
         for site_id in system.cluster.site_ids:
             site = system.cluster.site(site_id)

@@ -33,14 +33,14 @@ def both(insertions):
     return ours, oracle
 
 
-def cycles(ours, oracle, source=None):
-    """``(ours, oracle's)`` cycle from ``source``; ``None`` for no cycle."""
+def cycles(ours, oracle):
+    """``(ours, oracle's)`` first cycle; ``None`` for no cycle."""
     try:
-        mine = find_cycle(ours, source)
+        mine = find_cycle(ours)
     except NoCycle:
         mine = None
     try:
-        theirs = list(networkx.find_cycle(oracle, source))
+        theirs = list(networkx.find_cycle(oracle, None))
     except networkx.NetworkXNoCycle:
         theirs = None
     return mine, theirs
@@ -74,11 +74,10 @@ def test_random_digraphs_agree_edge_for_edge(seed):
             assert ours.has_node(tail) == oracle.has_node(tail)
             for head in names:
                 assert ours.has_edge(tail, head) == oracle.has_edge(tail, head)
-        for source in (None, *ours.nodes):
-            mine, theirs = cycles(ours, oracle, source)
-            assert mine == theirs, (insertions, source)
-            found += mine is not None
-    assert found > 10_000  # the comparison is not of two empty answers
+        mine, theirs = cycles(ours, oracle)
+        assert mine == theirs, insertions
+        found += mine is not None
+    assert found > 3_000  # the comparison is not of two empty answers
 
 
 def test_add_edges_from_is_add_edge_in_order():
@@ -93,22 +92,6 @@ def test_add_edges_from_is_add_edge_in_order():
 def test_cycle_starts_at_the_back_edges_head():
     ours, _ = both([("s", "a"), ("a", "b"), ("b", "c"), ("c", "a")])
     assert find_cycle(ours) == [("a", "b"), ("b", "c"), ("c", "a")]
-    assert find_cycle(ours, source="c") == [("c", "a"), ("a", "b"), ("b", "c")]
-
-
-def test_source_limits_the_search_to_what_it_reaches():
-    ours, _ = both([("a", "b"), ("b", "a"), ("c", "d")])
-    with pytest.raises(NoCycle):
-        find_cycle(ours, source="c")
-
-
-def test_absent_source_is_a_key_error():
-    """The one place semantics differ on purpose: the oracle iterates a
-    string source as a container of nodes; here a missing node is a
-    caller's bug."""
-    ours, _ = both([("a", "b"), ("b", "a")])
-    with pytest.raises(KeyError):
-        find_cycle(ours, source="T9@9")
 
 
 def test_deadlock_victims_of_a_contended_run_agree():

@@ -13,7 +13,10 @@ interpreters under several hash seeds and compares their bytes:
 * ``repro run --experiment e8 --seed 1 --out D``, every file of the run
   directory but ``profile.json`` (host CPU seconds): the report, the
   Chrome trace, the JSONL stream, the alert stream, the latency budget
-  and the sim-time flamegraph.
+  and the sim-time flamegraph;
+* the cycle ``check_one_sr`` reports for the §1 counter-example and for
+  a non-1SR naive-scheme run of E8's world — what the auditor's
+  ``onesr.cycle`` alert names.
 """
 
 import os
@@ -80,3 +83,51 @@ def test_same_seed_same_bytes_under_any_hash_seed(tmp_path):
         for name, data in run_dirs[first].items():
             assert run_dirs[hash_seed][name] == data, (
                 f"run {name} differs under PYTHONHASHSEED={hash_seed} vs {first}")
+
+
+#: Prints the 1SR verdict's detail for the §1 counter-example
+#: (``examples/paper_example.py``) and for E8's world under the naive
+#: scheme at kernel seed 7919, whose 1-STG has several cycles.
+ONE_SR_DETAILS = """
+import sys
+sys.path.insert(0, "examples")
+from paper_example import drive, two_copy_catalog
+from repro.baselines import build_system
+from repro.core.nominal import db_item_filter
+from repro.harness.experiments.e8_serializability import scenario
+from repro.harness.runner import build_scheme
+from repro.histories import check_one_sr
+from repro.net import ConstantLatency
+from repro.sim import Kernel
+from repro.txn import TxnConfig
+
+kernel = Kernel(seed=42)
+system = build_system(
+    "naive", kernel, 3, {"X": 0, "Y": 0}, catalog=two_copy_catalog(),
+    latency=ConstantLatency(1.0), detection_delay=5.0,
+    config=TxnConfig(rpc_timeout=20.0),
+)
+drive(system, kernel)
+print(check_one_sr(system.recorder).detail)
+_, system, _ = scenario(build_scheme, 7919, "naive", 3, 8, 300.0, 250, 80, 5, 300.0)
+print(check_one_sr(system.recorder, item_filter=db_item_filter).detail)
+"""
+
+
+def test_one_sr_cycle_is_the_same_under_any_hash_seed():
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    details = {}
+    for hash_seed in HASH_SEEDS:
+        env["PYTHONHASHSEED"] = hash_seed
+        done = subprocess.run(
+            [sys.executable, "-c", ONE_SR_DETAILS], cwd=REPO_ROOT, env=env,
+            capture_output=True, timeout=TIMEOUT_S,
+        )
+        assert done.returncode == 0, done.stderr.decode()
+        details[hash_seed] = done.stdout
+    first = details[HASH_SEEDS[0]]
+    lines = first.splitlines()
+    assert len(lines) == 2 and all(line.startswith(b"[(") for line in lines)  # two cycles
+    for hash_seed in HASH_SEEDS[1:]:
+        assert details[hash_seed] == first, (
+            f"check_one_sr detail differs under PYTHONHASHSEED={hash_seed} vs {HASH_SEEDS[0]}")

@@ -8,30 +8,6 @@ from repro.workload import FailureEvent, FailureSchedule
 
 
 class TestConstructors:
-    def test_single_outage(self):
-        schedule = FailureSchedule.single_outage(2, crash_at=10, downtime=30)
-        assert [
-            (event.time, event.action, event.site_id) for event in schedule
-        ] == [(10, "crash", 2), (40, "power_on", 2)]
-
-    def test_periodic(self):
-        schedule = FailureSchedule.periodic(
-            1, first_crash=5, period=100, downtime=20, horizon=250
-        )
-        times = [(event.time, event.action) for event in schedule]
-        assert times == [
-            (5, "crash"),
-            (25, "power_on"),
-            (105, "crash"),
-            (125, "power_on"),
-            (205, "crash"),
-            (225, "power_on"),
-        ]
-
-    def test_periodic_rejects_downtime_over_period(self):
-        with pytest.raises(ValueError):
-            FailureSchedule.periodic(1, 0, period=10, downtime=10, horizon=100)
-
     def test_events_sorted(self):
         schedule = FailureSchedule(
             [FailureEvent(9, "crash", 1), FailureEvent(3, "crash", 2)]
