@@ -40,12 +40,34 @@ class DiGraph:
     def add_edge(self, tail: Node, head: Node) -> None:
         """Insert ``tail -> head``, mentioning ``tail`` before ``head``."""
         succ = self._succ
-        succ.setdefault(tail, {})[head] = None
-        succ.setdefault(head, {})
+        out = succ.get(tail)
+        if out is None:
+            out = succ[tail] = {}
+        out[head] = None
+        if head not in succ:
+            succ[head] = {}
+
+    def add_edges(self, tail: Node, heads: typing.Iterable[Node]) -> None:
+        """:meth:`add_edge` from ``tail`` to each of ``heads``, in order."""
+        succ = self._succ
+        out = succ.get(tail)
+        for head in heads:
+            if out is None:
+                out = succ[tail] = {}
+            out[head] = None
+            if head not in succ:
+                succ[head] = {}
 
     def add_edges_from(self, edges: typing.Iterable[Edge]) -> None:
+        """:meth:`add_edge` for each edge, in order."""
+        succ = self._succ
         for tail, head in edges:
-            self.add_edge(tail, head)
+            out = succ.get(tail)
+            if out is None:
+                out = succ[tail] = {}
+            out[head] = None
+            if head not in succ:
+                succ[head] = {}
 
     def has_node(self, node: Node) -> bool:
         return node in self._succ

@@ -1,8 +1,9 @@
 """Execution histories and the §4 serializability theory.
 
 * :class:`~repro.histories.recorder.HistoryRecorder` — collects the
-  committed physical reads/writes of a run (reads carry the version they
-  observed, i.e. the writer they read from).
+  physical reads/writes of a run as rows of typed columns (reads carry
+  the version they observed, i.e. the writer they read from); the checks
+  read its committed ones as :class:`Op` tuples.
 * :mod:`repro.histories.graphs` — conflict graphs, serializability
   testing graphs (STG) and one-serializability testing graphs (1-STG),
   with the paper's copier-aware READ-FROM semantics.

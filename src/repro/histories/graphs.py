@@ -30,10 +30,10 @@ ItemFilter = typing.Callable[[str], bool]
 
 def _committed_ops(
     recorder: HistoryRecorder, item_filter: ItemFilter | None
-) -> list[Op]:
+) -> typing.Iterator[Op]:
     ops = recorder.committed_ops()
     if item_filter is not None:
-        ops = [op for op in ops if item_filter(op.item)]
+        ops = (op for op in ops if item_filter(op.item))
     return ops
 
 
@@ -47,19 +47,18 @@ def build_conflict_graph(
     operations on a copy are totally ordered by their lock grants, which
     the log order reflects.
     """
-    ops = _committed_ops(recorder, item_filter)
     graph = DiGraph()
-    for op in ops:
-        graph.add_node(op.txn_id)
     per_copy: dict[tuple[str, int], list[Op]] = {}
-    for op in ops:
+    for op in _committed_ops(recorder, item_filter):
+        graph.add_node(op.txn_id)
         per_copy.setdefault((op.item, op.site), []).append(op)
+    write = OpType.WRITE  # a local: an enum member's class lookup is slow
     for copy_ops in per_copy.values():
         for i, earlier in enumerate(copy_ops):
             for later in copy_ops[i + 1 :]:
                 if later.txn_id == earlier.txn_id:
                     continue
-                if earlier.op is OpType.WRITE or later.op is OpType.WRITE:
+                if earlier.op is write or later.op is write:
                     graph.add_edge(earlier.txn_id, later.txn_id)
     return graph
 
@@ -76,14 +75,7 @@ def read_from_pairs(
     An ordered set (a dict), in record order: the 1-STG's edge order,
     and so the cycle a check reports, must not follow string hashes.
     """
-    pairs: dict[tuple[str, str, str], None] = {}
-    for op in _committed_ops(recorder, item_filter):
-        if op.op is not OpType.READ:
-            continue
-        writer = recorder.writer_of_seq(op.version_seq)
-        if writer != op.txn_id:
-            pairs[(writer, op.item, op.txn_id)] = None
-    return pairs
+    return _scan(recorder, _committed_ops(recorder, item_filter))[1]
 
 
 def logical_write_order(
@@ -99,14 +91,32 @@ def logical_write_order(
     the candidate 1-STG. The implicit initial transaction opens every
     list.
     """
-    writers: dict[str, dict[tuple[float, int], str]] = {}
-    for op in _committed_ops(recorder, item_filter):
-        if op.op is OpType.WRITE and op.version_seq == op.txn_seq and op.kind != "copier":
-            writers.setdefault(op.item, {})[op.version_key] = op.txn_id
-    order: dict[str, list[str]] = {}
-    for item, by_version in writers.items():
-        order[item] = [INITIAL_TXN] + [by_version[key] for key in sorted(by_version)]
-    return order
+    return _scan(recorder, _committed_ops(recorder, item_filter))[0]
+
+
+def _scan(
+    recorder: HistoryRecorder, ops: typing.Iterable[Op]
+) -> tuple[dict[str, list[str]], dict[tuple[str, str, str], None]]:
+    """The logical write order and the READ-FROM pairs, in one pass."""
+    writers: dict[str, dict[tuple[float, int, int], str]] = {}
+    pairs: dict[tuple[str, str, str], None] = {}
+    writer_of_seq = recorder.writers()
+    read = OpType.READ  # a local: an enum member's class lookup is slow
+    for _, _, txn_id, txn_seq, kind, op, item, _, version_seq, ts, commit in ops:
+        if op is read:
+            writer = writer_of_seq[version_seq]
+            if writer != txn_id:
+                pairs[(writer, item, txn_id)] = None
+        elif version_seq == txn_seq and kind != "copier":
+            by_version = writers.get(item)
+            if by_version is None:
+                by_version = writers[item] = {}
+            by_version[(ts, commit, version_seq)] = txn_id
+    order = {
+        item: [INITIAL_TXN] + [by_version[key] for key in sorted(by_version)]
+        for item, by_version in writers.items()
+    }
+    return order, pairs
 
 
 def build_one_stg(
@@ -126,25 +136,26 @@ def build_one_stg(
     general — use the exhaustive checker for a verdict.
     """
     graph = DiGraph()
-    order = logical_write_order(recorder, item_filter)
-    reads = read_from_pairs(recorder, item_filter)
+    order, reads = _scan(recorder, _committed_ops(recorder, item_filter))
+    # Copiers are not transactions of the 1C history.
+    copiers = {txn for txn, kind in recorder.kinds.items() if kind == "copier"}
     position: dict[tuple[str, str], int] = {}
     for item, writers in order.items():
         for index, writer in enumerate(writers):
             position[(item, writer)] = index
             graph.add_node(writer)
-        for earlier, later in zip(writers, writers[1:]):
-            graph.add_edge(earlier, later)
+        graph.add_edges_from(zip(writers, writers[1:]))
     for writer, item, reader in reads:
-        if recorder.kinds.get(reader) == "copier":
-            continue  # copiers are not transactions of the 1C history
+        if reader in copiers:
+            continue
         graph.add_edge(writer, reader)
         writer_pos = position.get((item, writer))
         if writer_pos is None:
             # The version's writer wrote through copier provenance chains
             # only; treat it as positioned at its own write if recorded.
             continue
-        for later in order[item][writer_pos + 1 :]:
-            if later != reader:
-                graph.add_edge(reader, later)
+        later = order[item][writer_pos + 1 :]
+        while reader in later:  # once per version it wrote; no self-loop
+            later.remove(reader)
+        graph.add_edges(reader, later)
     return graph

@@ -50,6 +50,7 @@ from repro.txn.payloads import (
     SnapshotReadRequest,
     WriteRequest,
 )
+from repro.txn.transaction import kind_of
 
 #: How long a participant waits for the coordinator's decision before
 #: starting cooperative termination (the orphan watch's deadline).
@@ -597,7 +598,7 @@ class DataManager:
             self._participations[txn_id] = _Participation(
                 txn_id=txn_id,
                 txn_seq=txn_seq,
-                kind="user",
+                kind=kind_of(txn_id),
                 coordinator=coordinator,
                 writes=writes,
                 prepared=True,

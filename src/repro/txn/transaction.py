@@ -48,6 +48,14 @@ class TxnKind(enum.Enum):
 
 
 _KIND_PREFIX = {TxnKind.USER: "T", TxnKind.CONTROL: "C", TxnKind.COPIER: "P"}
+_PREFIX_KIND = {prefix: kind.value for kind, prefix in _KIND_PREFIX.items()}
+
+
+def kind_of(txn_id: str) -> str:
+    """The kind a transaction id's prefix names (see ``Transaction.txn_id``):
+    all a participation restored from the log, which records no kind,
+    knows of it. An id of no known prefix is a user transaction's."""
+    return _PREFIX_KIND.get(txn_id[:1], TxnKind.USER.value)
 
 
 class TxnStatus(enum.Enum):
