@@ -102,12 +102,12 @@ def _one_copy_txns(
 ) -> set[str]:
     """Committed non-copier transactions with at least one in-scope op."""
     txns: set[str] = set()
-    for op in recorder.committed_ops():
-        if item_filter is not None and not item_filter(op.item):
+    for _, _, txn_id, _, kind, _, item, _, _, _, _ in recorder._committed_rows():
+        if item_filter is not None and not item_filter(item):
             continue
-        if op.kind == "copier":
+        if kind == "copier":
             continue
-        txns.add(op.txn_id)
+        txns.add(txn_id)
     txns.discard(INITIAL_TXN)
     return txns
 

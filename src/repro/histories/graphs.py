@@ -23,18 +23,21 @@ from __future__ import annotations
 import typing
 
 from repro.digraph import DiGraph
-from repro.histories.recorder import INITIAL_TXN, HistoryRecorder, Op, OpType
+from repro.histories.recorder import INITIAL_TXN, HistoryRecorder, OpType
 
 ItemFilter = typing.Callable[[str], bool]
 
 
-def _committed_ops(
+def _committed_rows(
     recorder: HistoryRecorder, item_filter: ItemFilter | None
-) -> typing.Iterator[Op]:
-    ops = recorder.committed_ops()
+) -> typing.Iterator[tuple]:
+    """The committed ops as plain tuples in ``Op``'s field order (index,
+    time, txn_id, txn_seq, kind, op, item, site, version_seq,
+    version_ts, version_commit): no ``Op`` is built per op."""
+    rows = recorder._committed_rows()
     if item_filter is not None:
-        ops = (op for op in ops if item_filter(op.item))
-    return ops
+        rows = (row for row in rows if item_filter(row[6]))
+    return rows
 
 
 def build_conflict_graph(
@@ -48,18 +51,18 @@ def build_conflict_graph(
     the log order reflects.
     """
     graph = DiGraph()
-    per_copy: dict[tuple[str, int], list[Op]] = {}
-    for op in _committed_ops(recorder, item_filter):
-        graph.add_node(op.txn_id)
-        per_copy.setdefault((op.item, op.site), []).append(op)
+    per_copy: dict[tuple[str, int], list[tuple[str, OpType]]] = {}
+    for _, _, txn_id, _, _, op, item, site, _, _, _ in _committed_rows(recorder, item_filter):
+        graph.add_node(txn_id)
+        per_copy.setdefault((item, site), []).append((txn_id, op))
     write = OpType.WRITE  # a local: an enum member's class lookup is slow
     for copy_ops in per_copy.values():
-        for i, earlier in enumerate(copy_ops):
-            for later in copy_ops[i + 1 :]:
-                if later.txn_id == earlier.txn_id:
+        for i, (earlier, earlier_op) in enumerate(copy_ops):
+            for later, later_op in copy_ops[i + 1 :]:
+                if later == earlier:
                     continue
-                if earlier.op is write or later.op is write:
-                    graph.add_edge(earlier.txn_id, later.txn_id)
+                if earlier_op is write or later_op is write:
+                    graph.add_edge(earlier, later)
     return graph
 
 
@@ -75,7 +78,7 @@ def read_from_pairs(
     An ordered set (a dict), in record order: the 1-STG's edge order,
     and so the cycle a check reports, must not follow string hashes.
     """
-    return _scan(recorder, _committed_ops(recorder, item_filter))[1]
+    return _scan(recorder, _committed_rows(recorder, item_filter))[1]
 
 
 def logical_write_order(
@@ -91,18 +94,18 @@ def logical_write_order(
     the candidate 1-STG. The implicit initial transaction opens every
     list.
     """
-    return _scan(recorder, _committed_ops(recorder, item_filter))[0]
+    return _scan(recorder, _committed_rows(recorder, item_filter))[0]
 
 
 def _scan(
-    recorder: HistoryRecorder, ops: typing.Iterable[Op]
+    recorder: HistoryRecorder, rows: typing.Iterable[tuple]
 ) -> tuple[dict[str, list[str]], dict[tuple[str, str, str], None]]:
     """The logical write order and the READ-FROM pairs, in one pass."""
     writers: dict[str, dict[tuple[float, int, int], str]] = {}
     pairs: dict[tuple[str, str, str], None] = {}
     writer_of_seq = recorder.writers()
     read = OpType.READ  # a local: an enum member's class lookup is slow
-    for _, _, txn_id, txn_seq, kind, op, item, _, version_seq, ts, commit in ops:
+    for _, _, txn_id, txn_seq, kind, op, item, _, version_seq, ts, commit in rows:
         if op is read:
             writer = writer_of_seq[version_seq]
             if writer != txn_id:
@@ -136,7 +139,7 @@ def build_one_stg(
     general — use the exhaustive checker for a verdict.
     """
     graph = DiGraph()
-    order, reads = _scan(recorder, _committed_ops(recorder, item_filter))
+    order, reads = _scan(recorder, _committed_rows(recorder, item_filter))
     # Copiers are not transactions of the 1C history.
     copiers = {txn for txn, kind in recorder.kinds.items() if kind == "copier"}
     position: dict[tuple[str, str], int] = {}

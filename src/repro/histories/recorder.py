@@ -20,6 +20,8 @@ the same for every op of a transaction — its id, sequence number, kind
 and outcome — is kept once, in a transaction table the rows index into.
 Readers never see the rows: :attr:`HistoryRecorder.ops` and
 :meth:`HistoryRecorder.committed_ops` build :class:`Op` tuples on demand.
+The package's own checks scan ``_committed_rows()`` instead: the same
+fields as plain tuples, so a check builds no ``Op`` per op.
 """
 
 from __future__ import annotations
@@ -234,7 +236,7 @@ class HistoryRecorder:
     @property
     def ops(self) -> list[Op]:
         """Every recorded op, aborted transactions' included, in record order."""
-        return list(self._views())
+        return list(_as_ops(self._rows()))
 
     def committed_ops(self) -> typing.Iterator[Op]:
         """Ops of committed transactions, in global record order: one
@@ -242,8 +244,13 @@ class HistoryRecorder:
 
         The implicit initial transaction is always considered committed.
         """
+        return _as_ops(self._committed_rows())
+
+    def _committed_rows(self) -> typing.Iterator[tuple]:
+        """:meth:`committed_ops` as plain tuples in :class:`Op`'s field
+        order: what this package's checks scan, with no ``Op`` per op."""
         committed = bytes(flags & _COMMITTED for flags in self._txn_flags)
-        return self._views(committed)
+        return self._rows(committed)
 
     @property
     def kinds(self) -> dict[str, str]:
@@ -281,10 +288,10 @@ class HistoryRecorder:
     def _flagged(self, flag: int) -> set[str]:
         return {txn_id for txn_id, flags in zip(self._txns, self._txn_flags) if flags & flag}
 
-    def _views(self, txn_selected: bytes | None = None) -> typing.Iterator[Op]:
-        """Lazily, one :class:`Op` per row (per row whose transaction is
-        selected), in record order, of the rows recorded by the time of
-        the call."""
+    def _rows(self, txn_selected: bytes | None = None) -> typing.Iterator[tuple]:
+        """Lazily, one tuple in :class:`Op`'s field order per row (per row
+        whose transaction is selected), in record order, of the rows
+        recorded by the time of the call."""
         time, txn, write, item, site, version_seq, version_ts, version_commit = self._columns
         txn = txn.tolist()  # read four times below: one int per op, not four
         txn_ids = list(self._txns)
@@ -305,9 +312,13 @@ class HistoryRecorder:
         )
         if txn_selected is not None:
             fields = itertools.compress(fields, map(txn_selected.__getitem__, txn))
-        # ``tuple.__new__(Op, fields)`` is what ``Op._make`` does, minus
-        # a Python-level call per op.
-        return map(tuple.__new__, itertools.repeat(Op), fields)
+        return fields
+
+
+def _as_ops(rows: typing.Iterator[tuple]) -> typing.Iterator[Op]:
+    # ``tuple.__new__(Op, row)`` is what ``Op._make`` does, minus a
+    # Python-level call per op.
+    return map(tuple.__new__, itertools.repeat(Op), rows)
 
 
 def _unrecordable(row: tuple) -> UnrecordableOp:

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import typing
 
-from repro.errors import Interrupt, SimError
+from repro.errors import Interrupt, ReproError, SimError
 from repro.sim.events import _NO_CALLBACKS, _PENDING, F_PROCESSED, Future
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -144,7 +144,15 @@ class Process(Future):
 
     def _step(self, value: object, exc: BaseException | None) -> None:
         """One turn: send ``value`` (or throw ``exc``) into the generator,
-        then wait on the future it yields, or finish."""
+        then wait on the future it yields, or finish.
+
+        An exception's traceback holds every frame it passed through, and
+        a frame holds its locals: a future or process whose ``_exc`` is
+        that exception closes a reference cycle, which only the cyclic
+        collector would free. So when the turn ends, a protocol signal
+        (:func:`_is_signal`) thrown in or raised out drops its traceback,
+        and a bug raised out drops this frame's entry (it holds ``self``)
+        but keeps the generator's frames for its diagnostics."""
         probes = self.kernel.probes
         probed = probes.step_enter
         if probed:
@@ -157,11 +165,19 @@ class Process(Future):
                 if exc is None:
                     target = self._generator.send(value)
                 else:
-                    target = self._generator.throw(exc)
+                    try:
+                        target = self._generator.throw(exc)
+                    finally:
+                        if _is_signal(exc):
+                            exc.__traceback__ = None
             except StopIteration as stop:
                 self._finish(stop.value, None)
                 return
             except BaseException as error:  # noqa: BLE001 - failure propagates via the future
+                if _is_signal(error):
+                    error.__traceback__ = None
+                else:
+                    error.__traceback__ = error.__traceback__.tb_next
                 self._finish(None, error)
                 return
             if not isinstance(target, Future):
@@ -203,3 +219,10 @@ class Process(Future):
         self._callbacks = None
         self._flags |= F_PROCESSED
         on_exit(self)
+
+
+def _is_signal(error: BaseException) -> bool:
+    """True for a value the protocol passes around (an abort cause, an
+    RPC failure, an interrupt), whose traceback is no diagnostic; a
+    :class:`SimError` is kernel misuse, a bug, and keeps its frames."""
+    return isinstance(error, (ReproError, Interrupt)) and not isinstance(error, SimError)

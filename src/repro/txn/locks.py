@@ -52,11 +52,17 @@ class LockMode(enum.Enum):
 
     def covers(self, other: "LockMode") -> bool:
         """True if holding ``self`` satisfies a request for ``other``."""
-        return self is LockMode.X or other is LockMode.S
+        return self is _X or other is _S
 
     def compatible(self, other: "LockMode") -> bool:
         """True if this mode can be held concurrently with ``other``."""
-        return self is LockMode.S and other is LockMode.S
+        return self is _S and other is _S
+
+
+#: The members as module names: a global load, where ``LockMode.X`` is a
+#: class attribute lookup (≈ 80 ns on 3.11) on every grant decision.
+_S = LockMode.S
+_X = LockMode.X
 
 
 @dataclasses.dataclass(slots=True)
@@ -145,7 +151,7 @@ class LockManager:
             future.succeed()
             return future
 
-        upgrade = held is LockMode.S and mode is LockMode.X
+        upgrade = held is _S and mode is _X
         request = _Request(txn_id, mode, future, upgrade=upgrade)
 
         if self._can_grant(state, request):
@@ -298,7 +304,7 @@ class LockManager:
             self._record_wait(item, head)
             if not head.future.triggered:
                 head.future.succeed()
-            if head.mode is LockMode.X:
+            if head.mode is _X:
                 break
         if not state.holders and not queue:
             del self._table[item]
@@ -324,10 +330,12 @@ class LockManager:
             )
 
     def _compatible_with_holders(self, state: _LockState, request: _Request) -> bool:
-        return all(
-            holder == request.txn_id or request.mode.compatible(mode)
-            for holder, mode in state.holders.items()
-        )
+        txn_id = request.txn_id
+        shared = request.mode is _S
+        for holder, mode in state.holders.items():
+            if holder != txn_id and not (shared and mode is _S):
+                return False
+        return True
 
     def _abandon(self, item: str, request: _Request) -> None:
         state = self._table.get(item)
@@ -342,7 +350,9 @@ class LockManager:
 
     def _left_queue(self, state: _LockState, request: _Request) -> None:
         """Bookkeeping for a request that just left ``state.queue``, by any
-        route: drop its per-transaction index entry."""
+        route: drop its per-transaction index entry and its abandon hook
+        (the hook holds the request, which holds the future)."""
+        request.future._abandon_hook = None
         waiting = self._queued_by_txn[request.txn_id]
         waiting.remove(state)
         if not waiting:

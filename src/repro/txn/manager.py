@@ -48,6 +48,12 @@ from repro.txn.transaction import Transaction, TxnKind, TxnStatus, next_commit_s
 
 TxnProgram = typing.Callable[[TxnContext], typing.Generator]
 
+#: Enum members as module names: a global load where ``TxnKind.USER`` is
+#: a class attribute lookup (≈ 80 ns on 3.11), on every transaction.
+_USER = TxnKind.USER
+_COMMITTED = TxnStatus.COMMITTED
+_ABORTED = TxnStatus.ABORTED
+
 #: Exceptions that abort the transaction (vs. programming errors, which
 #: propagate unchanged so they surface as bugs).
 ABORT_CAUSES = (TransactionError, NetworkError)
@@ -207,13 +213,13 @@ class TransactionManager:
             self.stats.ro_refused += 1
             raise NotOperational(self.site_id)
         txn = Transaction(
-            home_site=self.site_id, kind=TxnKind.USER, read_only=True,
+            home_site=self.site_id, kind=_USER, read_only=True,
             start_time=self.kernel.now,
         )
         obs = self.site.obs
         if obs.spans_on:
             txn.span = obs.spans.start(
-                f"txn:{txn.txn_id}", TxnKind.USER.value, self.site_id,
+                f"txn:{txn.txn_id}", _USER.value, self.site_id,
                 parent=parent_span, txn_id=txn.txn_id,
             )
             obs.spans.annotate(txn.span, read_only=True)
@@ -224,13 +230,13 @@ class TransactionManager:
             try:
                 result = yield from program(ctx)
             except ABORT_CAUSES as exc:
-                self._finish_ro(txn, TxnStatus.ABORTED, reason=_reason_of(exc))
+                self._finish_ro(txn, _ABORTED, reason=_reason_of(exc))
                 raise TransactionAborted(txn.txn_id, _reason_of(exc)) from exc
             except BaseException:
                 if not txn.is_finished:
-                    self._finish_ro(txn, TxnStatus.ABORTED, reason="crash-or-bug")
+                    self._finish_ro(txn, _ABORTED, reason="crash-or-bug")
                 raise
-            self._finish_ro(txn, TxnStatus.COMMITTED)
+            self._finish_ro(txn, _COMMITTED)
             return result
         finally:
             # Unpin whatever happened — a leaked pin would wedge GC.
@@ -256,9 +262,9 @@ class TransactionManager:
         )
         if txn.span is not None:
             obs.spans.finish(txn.span, status=status.value, reason=reason)
-            if status is TxnStatus.COMMITTED:
+            if status is _COMMITTED:
                 obs.spans.annotate(txn.span, ack_time=self.kernel.now)
-        if status is TxnStatus.COMMITTED:
+        if status is _COMMITTED:
             self.stats.ro_committed += 1
             self.stats.ro_latencies.append(txn.end_time - txn.start_time)
         else:
@@ -278,7 +284,7 @@ class TransactionManager:
         span when tracing is on (e.g. a copier refresh round or a
         recovery run spawning control transactions).
         """
-        if kind is TxnKind.USER and not self.site.is_operational:
+        if kind is _USER and not self.site.is_operational:
             self.stats.refused += 1
             raise NotOperational(self.site_id)
         txn = Transaction(home_site=self.site_id, kind=kind, start_time=self.kernel.now)
@@ -291,7 +297,7 @@ class TransactionManager:
         ctx = TxnContext(self, txn)
         self._active.add(txn.txn_id)
         try:
-            if kind is TxnKind.USER:
+            if kind is _USER:
                 yield from self.strategy.begin(ctx)
             result = yield from program(ctx)
         except ABORT_CAUSES as exc:
@@ -304,7 +310,7 @@ class TransactionManager:
                 self._abort_fire_and_forget(ctx, "crash-or-bug")
             raise
         yield from self._commit(ctx)
-        if kind is TxnKind.USER:
+        if kind is _USER:
             # The commit strategy has returned: this is the moment the
             # client ack leaves, whatever the commit mode kept on the
             # client path.
@@ -324,13 +330,13 @@ class TransactionManager:
         read_only_sites = sorted(txn.touched_sites - txn.wrote_sites)
 
         if not write_sites:
-            self._finish(txn, TxnStatus.COMMITTED, None)
+            self._finish(txn, _COMMITTED, None)
             for site_id in read_only_sites:
                 ctx.release_site(site_id)
             return
 
         strategy = self.commit_strategies[Sync2pcCommit.name]
-        if txn.kind is TxnKind.USER:
+        if txn.kind is _USER:
             strategy = self.commit_strategies[self.config.commit_mode]
 
         obs = self.site.obs
@@ -466,7 +472,7 @@ class TransactionManager:
 
     def _abort(self, ctx: TxnContext, cause: BaseException) -> typing.Generator:
         txn = ctx.txn
-        self._finish(txn, TxnStatus.ABORTED, None, reason=_reason_of(cause))
+        self._finish(txn, _ABORTED, None, reason=_reason_of(cause))
         acks = self.rpc.call_many(
             sorted(txn.touched_sites), "dm.abort", FinishRequest(txn.txn_id),
             timeout=self.config.rpc_timeout, span_parent=txn.span_id,
@@ -482,7 +488,7 @@ class TransactionManager:
 
     def _abort_fire_and_forget(self, ctx: TxnContext, reason: str) -> None:
         txn = ctx.txn
-        self._finish(txn, TxnStatus.ABORTED, None, reason=reason)
+        self._finish(txn, _ABORTED, None, reason=reason)
         if self.site.rpc.running:
             self.rpc.call_many(
                 sorted(txn.touched_sites), "dm.abort", FinishRequest(txn.txn_id),
@@ -506,7 +512,7 @@ class TransactionManager:
         )
         if txn.span is not None:
             obs.spans.finish(txn.span, status=status.value, reason=reason)
-        if status is TxnStatus.COMMITTED:
+        if status is _COMMITTED:
             if txn.wrote_sites:
                 # The commit point: force the decision to stable storage
                 # BEFORE any COMMIT message leaves this site, so a

@@ -7,8 +7,11 @@ writes, control and ``NS[k]`` items, many sites and items, sequence
 numbers up to the column's limit, outcomes before, after and without
 ops — it must answer every query exactly as a recorder that keeps an
 ``Op`` per op does: ``ops``, ``committed_ops()``, ``writer_of_seq``,
-``kinds``, the outcome sets and the §4 checks. A value no column can hold
-raises :class:`UnrecordableOp` and leaves the log as it was.
+``kinds``, the outcome sets and the §4 checks. The checks scan the
+recorder's plain-tuple rows, the reference's ``Op`` tuples: the conflict
+graph and the 1-STG must come out the same node for node and edge for
+edge, in the same order. A value no column can hold raises
+:class:`UnrecordableOp` and leaves the log as it was.
 """
 
 import hypothesis.strategies as st
@@ -16,7 +19,15 @@ import pytest
 from hypothesis import given, settings
 
 from repro.core.nominal import db_item_filter
-from repro.histories import HistoryRecorder, Op, OpType, check_one_sr, check_theorem3
+from repro.histories import (
+    HistoryRecorder,
+    Op,
+    OpType,
+    build_conflict_graph,
+    build_one_stg,
+    check_one_sr,
+    check_theorem3,
+)
 from repro.histories.recorder import INITIAL_TXN, UnrecordableOp
 
 MAX_U32 = 2**32 - 1
@@ -59,6 +70,8 @@ class ListRecorder:
     def committed_ops(self):
         return [op for op in self.ops if op.txn_id in self.committed]
 
+    _committed_rows = committed_ops  # what the checks scan: ``Op``s here
+
 
 @st.composite
 def histories(draw):
@@ -91,6 +104,11 @@ def histories(draw):
     return calls
 
 
+def adjacency(graph):
+    """Every node in order, each with its out-edges in order."""
+    return [(node, list(heads)) for node, heads in graph._succ.items()]
+
+
 def outcome(call):
     """``call()``'s value, or the type of what it raised."""
     try:
@@ -116,6 +134,11 @@ def test_columns_answer_as_the_op_list_does(calls):
     for seq in seqs:
         expected = reference.writers().get(seq, KeyError)
         assert outcome(lambda: recorder.writer_of_seq(seq)) == expected
+    for build in (build_conflict_graph, build_one_stg):
+        for item_filter in (None, db_item_filter):
+            assert outcome(lambda: adjacency(build(recorder, item_filter))) == outcome(
+                lambda: adjacency(build(reference, item_filter))
+            )
     for check in (
         check_theorem3,
         check_one_sr,

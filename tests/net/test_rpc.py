@@ -1,5 +1,7 @@
 """Unit tests for the RPC layer."""
 
+import traceback
+
 import pytest
 
 from repro.errors import RpcTimeout, SessionMismatch
@@ -66,6 +68,22 @@ class TestCalls:
         with pytest.raises(RemoteError) as excinfo:
             kernel.run(a.call(2, "buggy"))
         assert isinstance(excinfo.value.original, ZeroDivisionError)
+
+    def test_a_blocking_handler_bug_keeps_the_handler_frame(self, kernel, net):
+        a = make_node(kernel, net, 1)
+        b = make_node(kernel, net, 2)
+
+        def buggy(payload, src):
+            yield kernel.timeout(1)
+            return 1 / 0
+
+        b.register("buggy", buggy)
+        with pytest.raises(RemoteError) as excinfo:
+            kernel.run(a.call(2, "buggy"))
+        original = excinfo.value.original
+        assert isinstance(original, ZeroDivisionError)
+        frames = [frame.name for frame in traceback.extract_tb(original.__traceback__)]
+        assert frames[-1] == "buggy"
 
     def test_unknown_kind_fails(self, kernel, net):
         a = make_node(kernel, net, 1)

@@ -1,8 +1,11 @@
 """Unit tests for simulated processes."""
 
+import gc
+import traceback
+
 import pytest
 
-from repro.errors import Interrupt, SimError
+from repro.errors import DeadlockDetected, Interrupt, SimError, TransactionAborted, UnhandledFailure
 from repro.sim import Kernel, Queue
 from tests.sim.test_kernel import loop_variants
 
@@ -340,3 +343,77 @@ class TestQueue:
         q.put("stale")
         q.clear()
         assert len(q) == 0
+
+
+def cyclic_garbage(scenario):
+    """How many objects the cyclic collector finds after ``scenario()``
+    ran with it off: what reference counting alone could not free."""
+    gc.collect()
+    gc.disable()
+    try:
+        scenario()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+def frame_names(error):
+    return [frame.name for frame in traceback.extract_tb(error.__traceback__)]
+
+
+class TestNoReferenceCycles:
+    """What a finished process leaves is freed by reference counting;
+    a bug's traceback keeps the frames that raised it."""
+
+    def test_a_caught_failure_leaves_no_cycle(self, kernel):
+        def body():
+            ack = kernel.event()
+            ack.fail(TransactionAborted("T1@1", "victim"), delay=1)
+            try:
+                yield ack
+            except TransactionAborted:
+                pass
+            yield kernel.timeout(1)
+            return "done"
+
+        def scenario():
+            assert kernel.run(kernel.process(body())) == "done"
+
+        assert cyclic_garbage(scenario) == 0
+
+    @pytest.mark.parametrize("error", [DeadlockDetected, RuntimeError])
+    def test_a_failed_adopted_serve_leaves_no_cycle(self, kernel, error):
+        def serve():
+            yield kernel.timeout(1)
+            raise error("T1@1")
+
+        def scenario():
+            failures = []
+            kernel.adopt(serve(), lambda process: failures.append(process.exception))
+            kernel.run()
+            assert isinstance(failures[0], error)
+
+        assert cyclic_garbage(scenario) == 0
+
+    def test_a_bug_keeps_the_frames_that_raised_it(self, kernel):
+        def serve():
+            yield kernel.timeout(1)
+            raise RuntimeError("bug")
+
+        exits = []
+        kernel.adopt(serve(), exits.append)
+        kernel.run()
+        assert frame_names(exits[0].exception)[-1] == "serve"
+
+    @pytest.mark.parametrize("error", [TransactionAborted("T1@1", "victim"), KeyError("bug")])
+    def test_an_unobserved_failure_still_raises_chained(self, kernel, error):
+        def body():
+            yield kernel.timeout(1)
+            raise error
+
+        kernel.process(body())
+        with pytest.raises(UnhandledFailure) as info:
+            kernel.run()
+        assert info.value.__cause__ is error
+        if isinstance(error, KeyError):
+            assert frame_names(error)[-1] == "body"

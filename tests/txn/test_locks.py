@@ -5,6 +5,7 @@ import pytest
 from repro.errors import DeadlockDetected
 from repro.sim import Kernel
 from repro.txn import LockManager, LockMode
+from tests.sim.test_process import cyclic_garbage
 
 
 @pytest.fixture
@@ -257,3 +258,31 @@ class TestLiveEntriesOnly:
         locks.acquire("T3@1", "A", LockMode.X)
         # Walked in rank order: A (locked first) before B.
         assert locks.wait_edges() == [("T3@1", "T1@1"), ("T2@1", "T1@1")]
+
+
+class TestNoReferenceCycles:
+    @pytest.mark.parametrize("route", ["granted", "killed", "abandoned"])
+    def test_a_request_that_left_the_queue_leaves_no_cycle(self, kernel, locks, route):
+        def scenario():
+            locks.acquire("T1@1", "X", LockMode.X)
+            if route == "abandoned":
+                def waiter_body():
+                    yield locks.acquire("T2@1", "X", LockMode.X)
+
+                proc = kernel.process(waiter_body())
+                proc.defuse()
+                kernel.run()
+                proc.interrupt("crash")
+            else:
+                waiter = locks.acquire("T2@1", "X", LockMode.X)
+                waiter.add_callback(lambda _future: None)
+                if route == "granted":
+                    locks.release_all("T1@1")
+                else:
+                    assert locks.kill_waiter("T2@1")
+            kernel.run()
+            locks.release_all("T1@1")
+            locks.release_all("T2@1")
+            assert locks._table == {} and not locks._queued_by_txn
+
+        assert cyclic_garbage(scenario) == 0
