@@ -32,8 +32,8 @@ invariants while a simulation runs:
    (``wal.durable_monotonic``), checkpoint ≤ durable LSN
    (``wal.checkpoint_bound``), and replay fidelity: at crash time the
    auditor fingerprints the state reconstructible from checkpoint + log
-   (its own ~30-line mirror of ``SiteWal.restore``), and at power-on
-   the restored copies/session must hash identically
+   (its own ~40-line mirror of ``SiteWal.restore``), and at power-on
+   the restored copies/session/§5 table must hash identically
    (``wal.replay_fingerprint``);
 6. **multiversion snapshot reads** (``repro.mvcc``) — the auditor
    mirrors every site's committed version history (fed by the same
@@ -651,6 +651,7 @@ class ProtocolAuditor:
                 )
         session_last = checkpoint["session_last"]
         session_started = checkpoint["session_started_at"]
+        stale = checkpoint["stale_table"]
         for record in site.wal.log.records_after(checkpoint["lsn"]):
             if record.kind == "write":
                 items[record.item] = (record.value, record.version, False)
@@ -666,23 +667,27 @@ class ProtocolAuditor:
                 session_last = record.session
                 if record.session_started_at is not None:
                     session_started = record.session_started_at
-        return self._fingerprint(items, session_last, session_started)
+            elif record.kind == "stale":
+                version = record.version and tuple(record.version)
+                for missed in record.missed_sites:
+                    stale[(record.item, missed)] = (record.value, version)
+            elif record.kind == "unstale":
+                for applied in record.applied_sites:
+                    stale.pop((record.item, applied), None)
+        return self._fingerprint(items, session_last, session_started, stale)
 
     def _state_fingerprint(self, site: "Site") -> str:
-        """Hash of the live copies + stable session state (post-restore)."""
+        """Hash of the live copies + the WAL's mirrors (post-restore)."""
         items = {}
         for name in site.copies.items():
             copy = site.copies.get(name)
             items[name] = (copy.value, copy.version, copy.unreadable)
-        return self._fingerprint(
-            items,
-            site.stable.get("session.last", 0),
-            site.stable.get("session.started_at"),
-        )
+        wal = site.wal
+        return self._fingerprint(items, wal.session_last, wal.session_started_at, wal.stale_table)
 
     @staticmethod
     def _fingerprint(
-        items: dict, session_last: object, session_started: object
+        items: dict, session_last: object, session_started: object, stale: dict
     ) -> str:
         digest = hashlib.sha256()
         for name in sorted(items):
@@ -692,6 +697,7 @@ class ProtocolAuditor:
                 repr((name, value, normalized, bool(unreadable))).encode()
             )
         digest.update(repr(("session", session_last, session_started)).encode())
+        digest.update(repr(sorted(stale.items())).encode())
         return digest.hexdigest()
 
     # -- liveness watchdogs ---------------------------------------------------

@@ -8,7 +8,8 @@ algorithm "can choose many different methods":
 * :class:`MarkAllPolicy` — the conservative baseline, with no table;
 * :class:`StaleTracker` with ``durable=True`` — fail-locks (§5, citing
   Bhargava's working paper [5]), and the spooled redo of §1 (Hammer &
-  Shipman [6]), which replays the values the table keeps;
+  Shipman [6]), which replays the values the table keeps; the table is
+  journaled in the site's redo log;
 * :class:`StaleTracker` with ``durable=False`` — missing lists (§5).
 
 A policy is a *collect* step run by the recovering site to compute the
@@ -31,8 +32,6 @@ from repro.storage.copies import DataCopy
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.recovery import RecoveryManager
-
-_STABLE_KEY = "stale"
 
 #: ``(value, (ts, commit, seq))`` of the newest write a copy missed; the
 #: version is ``None`` when that write is unknown — a miss reported
@@ -87,10 +86,13 @@ class StaleTracker:
     keys; the spooler replays the values.
 
     ``durable`` decides what a crash costs. A durable table (fail-locks,
-    the spooler) is written through to stable storage and a crash drops
-    only its mirror; a volatile one (missing lists, "in volatile storage
-    only") is lost, and its recovery re-seeds it from the peers' entries
-    naming other sites and stamps :attr:`valid_since`. A recovering
+    the spooler) is the WAL's :attr:`~repro.wal.wal.SiteWal.stale_table`:
+    each change is one ``stale`` / ``unstale`` redo record, durable when
+    the call that made it returns (a commit's records ride its group
+    flush), and restart rebuilds it from checkpoint + log. A volatile
+    one (missing lists, "in volatile storage only") is lost by a crash,
+    and its recovery re-seeds it from the peers' entries naming other
+    sites and stamps :attr:`valid_since`. A recovering
     site then marks X when a resident of X could not be asked, or when
     its table has been complete only since *after* our outage began (it
     may have lost entries naming us). A durable table's ``valid_since``
@@ -104,26 +106,17 @@ class StaleTracker:
         self.valid_since = 0.0
         #: The peers the last collection asked.
         self._reached: list[int] = []
-        #: The table, loaded from stable storage on first use after a
-        #: power-on; a crash drops it (only a durable one reloads).
-        self._entries: dict[tuple[str, int], Entry] | None = None
+        #: The table when it is volatile; a crash drops it.
+        self._entries: dict[tuple[str, int], Entry] = {}
         site.rpc.register("stale.collect", self._handle_collect)
         site.rpc.register("stale.clear", self._handle_clear)
         site.crash_hooks.append(self._drop)
 
     def _table(self) -> dict[tuple[str, int], Entry]:
-        if self._entries is None:
-            self._entries = self.site.stable.get(_STABLE_KEY, {})  # type: ignore[assignment]
-        return self._entries
-
-    def _store(self) -> None:
-        if self.durable:
-            # A dict of plain tuples, in insertion (commit) order: no
-            # blob names a class, and no hash seed moves its bytes.
-            self.site.stable.put(_STABLE_KEY, self._table())
+        return self.site.wal.stale_table if self.durable else self._entries
 
     def _drop(self) -> None:
-        self._entries = None
+        self._entries = {}
 
     def entries(self) -> dict[tuple[str, int], Entry]:
         """A copy of this site's table: copies elsewhere known stale."""
@@ -142,17 +135,19 @@ class StaleTracker:
         table = self._table()
         if version is not None:
             version = tuple(version)  # a bare triple
-        changed = False
+        stale = []
         for missed in missed_sites:
             held = table.get((item, missed))
             if held is None or _supersedes(version, held[1]):
                 table[(item, missed)] = (value, version)
-                changed = True
+                stale.append(missed)
         # The copies just written are current again.
-        for applied in applied_sites:
-            changed |= table.pop((item, applied), None) is not None
-        if changed:
-            self._store()
+        unstale = [site for site in applied_sites if table.pop((item, site), None) is not None]
+        if self.durable:
+            if stale:
+                self.site.wal.log_stale(item, tuple(stale), value=value, version=version)
+            if unstale:
+                self.site.wal.log_stale(item, applied=tuple(unstale))
 
     # -- RPC handlers (tracker side) -----------------------------------------------
 
@@ -168,15 +163,16 @@ class StaleTracker:
 
     def _handle_clear(self, request: tuple[int, tuple], src: int) -> bool:
         """Drop the entries the recovering site's repairs cover (see
-        :func:`_covers`); one a newer miss has replaced since stays, for
-        the delta pass to repair."""
+        :func:`_covers`), as a write reaching the copy would; one a newer
+        miss has replaced since stays, for the delta pass to repair."""
         recovering, collected = request
         table = self._table()
         for item, version in collected:
             held = table.get((item, recovering))
             if held is not None and not _supersedes(held[1], version):
-                del table[(item, recovering)]
-        self._store()
+                self.on_commit_write(item, (recovering,), ())
+        if self.durable:
+            self.site.wal.flush()
         return True
 
     # -- recovery half -----------------------------------------------------------------

@@ -4,7 +4,9 @@ The actual session number is "a variable shared by the TM and DM at site
 k" — here the DM holds it (:attr:`DataManager.actual_session`) and the
 TM reads it through this manager. The *last used* session number is kept
 in stable storage "so that the next time the site recovers, a new
-session number can be assigned correctly"; zero is reserved for
+session number can be assigned correctly": here as ``session`` records
+of the site's redo log (:meth:`repro.wal.wal.SiteWal.log_session`),
+which restart replays into the WAL's mirror; zero is reserved for
 not-operational, and numbers increase monotonically over a site's
 lifetime (the paper permits recycling; nothing here needs it, so a
 number is never reused).
@@ -14,9 +16,6 @@ from __future__ import annotations
 
 from repro.site.site import Site
 from repro.txn.data_manager import DataManager
-
-_STABLE_KEY = "session.last"
-_STABLE_STARTED = "session.started_at"
 
 
 class SessionManager:
@@ -40,7 +39,7 @@ class SessionManager:
     @property
     def last_used(self) -> int:
         """The most recent session number ever used (stable)."""
-        return int(self.site.stable.get(_STABLE_KEY, 0))  # type: ignore[arg-type]
+        return self.site.wal.session_last
 
     @property
     def session_started_at(self) -> float | None:
@@ -49,18 +48,15 @@ class SessionManager:
         Used by the missing-list refinement to bound the outage window
         (see :class:`repro.core.identify.StaleTracker`).
         """
-        return self.site.stable.get(_STABLE_STARTED)  # type: ignore[return-value]
+        return self.site.wal.session_started_at
 
     def choose_next(self) -> int:
         """Reserve the next session number (recovery step 3, §3.4).
 
-        Persisted before use: even if the site crashes immediately
-        after, the number is never reused.
+        Forced to the log before use: even if the site crashes
+        immediately after, the number is never reused.
         """
         next_number = self.last_used + 1
-        self.site.stable.put(_STABLE_KEY, next_number)
-        # Session state must be reconstructible from checkpoint +
-        # log alone: journal the reservation durably before use.
         self.site.wal.log_session(next_number)
         return next_number
 
@@ -70,5 +66,4 @@ class SessionManager:
             fn(self.site.site_id, ("session",), "write",
                "SessionManager.activate", session_number)
         self.dm.actual_session = session_number
-        self.site.stable.put(_STABLE_STARTED, now)
         self.site.wal.log_session(session_number, started_at=now)

@@ -52,7 +52,7 @@ def system_state(
                 copies.append((item, copy.unreadable))
         state[site_id] = {
             "copies": sorted(copies),
-            "session_last": site.stable.get("session.last"),
+            "session_last": site.wal.session_last,
         }
     state["agreement"] = {
         item: _partition(values) for item, values in sorted(per_item.items())

@@ -46,6 +46,8 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.txn.context import TxnContext
     from repro.txn.manager import TransactionManager
 
+_COMMITTED = TxnStatus.COMMITTED  # a global load, not a class lookup, per commit
+
 
 def quorum_needed(catalog, txn: Transaction, write_sites: list[int]) -> int:
     """The §"Commit modes" quorum rule: the decision needs, for every
@@ -100,7 +102,7 @@ class Sync2pcCommit:
             raise TransactionAborted(txn.txn_id, "prepare-failed")
 
         version = tm.decide_version(txn)
-        tm._finish(txn, TxnStatus.COMMITTED, version)
+        tm._finish(txn, _COMMITTED, version)
         acks = tm.rpc.call_many(
             write_sites, "dm.commit", CommitRequest(txn.txn_id, version),
             timeout=tm.config.rpc_timeout, span_parent=span_parent,
@@ -159,6 +161,6 @@ class AsyncQuorumCommit:
         # _finish before any COMMIT message leaves this site, then the
         # client is acked — the applies happen in the drain process.
         version = tm.decide_version(txn)
-        tm._finish(txn, TxnStatus.COMMITTED, version)
+        tm._finish(txn, _COMMITTED, version)
         tm.stats.async_commits += 1
         tm.spawn_drain(ctx, write_sites, read_only_sites, version)

@@ -21,6 +21,8 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mvcc.snapshot import Snapshot
     from repro.txn.manager import TransactionManager
 
+_USER = TxnKind.USER  # a global load, not a class lookup, per transaction
+
 
 class TxnContext:
     """What a transaction program sees.
@@ -40,7 +42,7 @@ class TxnContext:
         self.view: dict[int, int] = txn.view  # site -> nominal session seen
         #: Pipelined 2PC: under ``async_quorum``, every user-transaction
         #: write carries a prepare vote (the ack doubles as phase one).
-        self.prepare_on_write = tm.prepare_on_write and txn.kind is TxnKind.USER
+        self.prepare_on_write = tm.prepare_on_write and txn.kind is _USER
 
     # -- logical operations (user programs) ------------------------------------
 

@@ -52,6 +52,10 @@ from repro.txn.payloads import (
 )
 from repro.txn.transaction import kind_of
 
+#: Module names: a global load, not a class lookup, on every physical op.
+_S = LockMode.S
+_X = LockMode.X
+
 #: How long a participant waits for the coordinator's decision before
 #: starting cooperative termination (the orphan watch's deadline).
 DECISION_TIMEOUT = 200.0
@@ -306,7 +310,7 @@ class DataManager:
         self, txn_id: str, txn_seq: int, item: str, peek: bool
     ) -> typing.Generator:
         """Scheduler decision 1 — read one committed copy (2PL: S lock)."""
-        yield self.lock_manager.acquire(txn_id, item, LockMode.S)
+        yield self.lock_manager.acquire(txn_id, item, _S)
         copy = self._copy(item)
         if copy.unreadable and not peek:
             # Drop the S lock just granted: the transaction observed no
@@ -428,7 +432,7 @@ class DataManager:
 
     def _admit_write(self, txn_id: str, txn_seq: int, item: str) -> typing.Generator:
         """Scheduler decision 2 — admit one write intent (2PL: X lock)."""
-        yield self.lock_manager.acquire(txn_id, item, LockMode.X)
+        yield self.lock_manager.acquire(txn_id, item, _X)
         self._copy(item)
 
     # -- 2PC participant ------------------------------------------------------------
@@ -458,6 +462,8 @@ class DataManager:
         if self.stale_tracker is not None:
             for item, missed in request.pairs:
                 self.stale_tracker.on_commit_write(item, (), (missed,))
+            if self.stale_tracker.durable:
+                self.site.wal.flush()  # durable before the coordinator hears back
         return True
 
     def _handle_outcome(self, query: OutcomeQuery, src: int) -> tuple[str, Version | None]:

@@ -64,6 +64,9 @@ class TxnStatus(enum.Enum):
     ABORTED = "aborted"
 
 
+_ACTIVE = TxnStatus.ACTIVE  # a global load, not a class lookup, per is_finished
+
+
 @dataclasses.dataclass
 class Transaction:
     """A transaction instance, created at its home site's TM.
@@ -117,7 +120,7 @@ class Transaction:
 
     @property
     def is_finished(self) -> bool:
-        return self.status is not TxnStatus.ACTIVE
+        return self.status is not _ACTIVE
 
     def __repr__(self) -> str:
         return f"<{self.txn_id} {self.kind.value} {self.status.value}>"

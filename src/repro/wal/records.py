@@ -1,15 +1,18 @@
 """Redo-log record types.
 
 One :class:`LogRecord` is appended for every committed mutation of a
-site's copy store:
+site's copy store, session state and durable §5 stale-copy table:
 
 * ``"write"`` — a committed physical write (value + version), including
   copier renovations and NS/control updates;
 * ``"mark"`` / ``"clear"`` — unreadable-mark transitions outside a
   value write (recovery step 2 marking, equal-version validations under
   timestamp ordering), so a restart preserves §3.4's readability state;
-* ``"session"`` — a session-number event (reservation or activation),
-  making session state recoverable from the log alone.
+* ``"session"`` — a session-number event (reservation or activation):
+  the only durable copy of the session state;
+* ``"stale"`` / ``"unstale"`` — ``item``'s entries in that table at
+  ``missed_sites`` became ``(value, version)``, or those at
+  ``applied_sites`` were dropped;
 * ``"prepare"`` — a durably prepared write intent under the
   ``async_quorum`` commit mode: the buffered value plus enough 2PC
   context (coordinator, participant set) to re-arm the participation as
@@ -41,7 +44,7 @@ class LogRecord(typing.NamedTuple):
     """One redo record. ``lsn`` is site-local and strictly increasing."""
 
     lsn: int
-    kind: str  # "write" | "mark" | "clear" | "session" | "prepare" | "resolve"
+    kind: str  # "write" "mark" "clear" "session" "stale" "unstale" "prepare" "resolve"
     item: str | None = None
     value: object = None
     version: Version | None = None

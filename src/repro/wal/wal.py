@@ -12,13 +12,13 @@ and its :class:`~repro.storage.stable.StableStorage`:
 * after ``checkpoint_every`` durable records a *fuzzy checkpoint* is
   taken: the image ``(value, version, unreadable, chain tail)`` of every
   item whose image moved since the last checkpoint, each under its own
-  stable key, then a fixed-size header with the stable session state,
+  stable key, then a header with the session state and the §5 table,
   after which the log is truncated down to the configured retention
   tail — a checkpoint costs O(items dirtied), not O(database);
 * on power-on, :meth:`restore` rebuilds copies, versions, unreadable
-  marks and session state **purely** from checkpoint + log replay
-  (the in-memory copy store is explicitly reset first — nothing that
-  "magically survived" the crash is consulted).
+  marks, session state and the §5 table **purely** from checkpoint +
+  log replay (the in-memory copy store is explicitly reset first —
+  nothing that "magically survived" the crash is consulted).
 
 A site whose stable storage holds no checkpoint (never initialised by a
 :class:`~repro.system.DatabaseSystem`, e.g. a bare ``Site`` in a unit
@@ -38,11 +38,6 @@ from repro.wal.records import LogRecord, from_row, to_row
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.site.site import Site
-
-# Stable keys owned by repro.core.session; the WAL rewrites them at
-# restore so session state is reproducible from checkpoint + log alone.
-_SESSION_KEY = "session.last"
-_SESSION_STARTED = "session.started_at"
 
 
 @dataclasses.dataclass
@@ -64,15 +59,11 @@ class WalStats:
 
 @dataclasses.dataclass
 class RestoreResult:
-    """What one power-on reconstruction did."""
+    """What one power-on reconstruction did; what it rebuilt is the
+    WAL's own state (``last_checkpoint_lsn``, ``restore_high_commit``,
+    the in-doubt prepares and the mirrors)."""
 
-    checkpoint_lsn: int
-    durable_lsn: int
     records_replayed: int
-    high_commit: int  # max commit seq durably known at this site
-    session_last: int
-    session_started_at: float | None
-    in_doubt: int = 0  # prepared-undecided transactions re-armed
 
 
 class SiteWal:
@@ -103,6 +94,11 @@ class SiteWal:
         #: by :meth:`mark_dirty`; emptied by every checkpoint. Invariant:
         #: restoring a clean item's blob yields its live image.
         self._dirty: dict[str, None] = {}
+        #: Mirrors of the log: the session state (§3.1) and the durable
+        #: §5 stale-copy table (its owner: repro.core.identify).
+        self.session_last = 0
+        self.session_started_at: float | None = None
+        self.stale_table: dict[tuple[str, int], tuple] = {}
         self._flush_soon: Future | None = None
         site.copies.subscribers.append(self._journal)
         site.crash_hooks.append(self._on_crash)
@@ -137,7 +133,18 @@ class SiteWal:
                f"SiteWal.log_session[{session}]")
         self.log.append("session", session=session, session_started_at=started_at)
         self.stats.records_appended += 1
+        self.session_last = session
+        if started_at is not None:
+            self.session_started_at = started_at
         self.flush()
+
+    def log_stale(self, item: str, missed=(), applied=(), value=None, version=None) -> None:
+        """Journal that ``item``'s :attr:`stale_table` entries at ``missed``
+        became ``(value, version)`` (``stale``), or those at ``applied``
+        went (``unstale``). Durable at the next flush."""
+        kind = "stale" if missed else "unstale"
+        self.log.append(kind, item, value, version, missed_sites=missed, applied_sites=applied)
+        self.stats.records_appended += 1
 
     # -- durable prepares (async_quorum commit mode) ---------------------------
 
@@ -276,10 +283,12 @@ class SiteWal:
             {
                 "lsn": checkpoint_lsn,
                 "high_commit": self.log.high_commit,
-                "session_last": stable.get(_SESSION_KEY, 0),
-                "session_started_at": stable.get(_SESSION_STARTED),
+                "session_last": self.session_last,
+                "session_started_at": self.session_started_at,
+                "stale_table": self.stale_table,
                 # In-doubt prepares survive log truncation through the
-                # header (the flush above made _unresolved exact), as rows.
+                # header (the flush above made them and the mirrors
+                # exact), as rows.
                 "in_doubt": {
                     txn: tuple(map(to_row, records))
                     for txn, records in self._unresolved.items()
@@ -308,7 +317,7 @@ class SiteWal:
     # -- restart ---------------------------------------------------------------
 
     def restore(self) -> RestoreResult | None:
-        """Rebuild copies/versions/marks/session from checkpoint + replay.
+        """Rebuild copies/versions/marks/session/§5 table from checkpoint + replay.
 
         Returns None (and touches nothing) when stable storage holds no
         checkpoint — the site was never initialised through a
@@ -342,8 +351,9 @@ class SiteWal:
                     tails.append((name, tail))
             # Every replayed record moves its item past its stable image.
             dirty: dict[str, None] = {}
-            session_last = checkpoint["session_last"]
-            session_started = checkpoint["session_started_at"]
+            self.session_last = checkpoint["session_last"]
+            self.session_started_at = checkpoint["session_started_at"]
+            stale = self.stale_table = checkpoint["stale_table"]
             high_commit = checkpoint["high_commit"]
             unresolved: dict[str, list[LogRecord]] = {
                 txn: list(map(from_row, rows))
@@ -366,9 +376,16 @@ class SiteWal:
                         copies.clear_unreadable(record.item)
                         dirty[record.item] = None
                 elif record.kind == "session":
-                    session_last = record.session
+                    self.session_last = record.session
                     if record.session_started_at is not None:
-                        session_started = record.session_started_at
+                        self.session_started_at = record.session_started_at
+                elif record.kind == "stale":
+                    version = None if record.version is None else tuple(record.version)
+                    for site in record.missed_sites:
+                        stale[(record.item, site)] = (record.value, version)
+                elif record.kind == "unstale":
+                    for site in record.applied_sites:
+                        stale.pop((record.item, site), None)
                 elif record.kind == "prepare":
                     unresolved.setdefault(record.txn_id, []).append(record)
                 elif record.kind == "resolve":
@@ -376,8 +393,6 @@ class SiteWal:
             self._unresolved = unresolved
             self._dirty = dirty
             self.stats.in_doubt_restored += len(unresolved)
-            stable.put(_SESSION_KEY, session_last)
-            stable.put(_SESSION_STARTED, session_started)
         finally:
             self._restoring = False
             if span is not None:
@@ -393,15 +408,7 @@ class SiteWal:
             mvcc.on_restore(checkpoint["stale_cut"], tails)
         self.stats.replays += 1
         self.stats.records_replayed += replayed
-        return RestoreResult(
-            checkpoint_lsn=checkpoint["lsn"],
-            durable_lsn=self.log.durable_lsn,
-            records_replayed=replayed,
-            high_commit=high_commit,
-            session_last=session_last,
-            session_started_at=session_started,
-            in_doubt=len(self._unresolved),
-        )
+        return RestoreResult(records_replayed=replayed)
 
     # -- crash -----------------------------------------------------------------
 

@@ -3,9 +3,10 @@
 Each test breaks exactly one protocol mechanism (skips the session
 check, installs a stale NS value, silently regresses a copy, drops a
 write-all fan-out leg, under-populates a missing list, corrupts the
-durable image) and asserts the matching rule fires — the auditor has no
-false negatives. The complementary no-false-positives property is
-``test_sweep.py`` (E1–E9 under the auditor, zero alerts).
+durable image, drops a record from replay) and asserts the matching
+rule fires — the auditor has no false negatives. The complementary
+no-false-positives property is ``test_sweep.py`` (E1–E9 under the
+auditor, zero alerts).
 """
 
 from repro.audit import attach_auditor
@@ -194,6 +195,29 @@ class TestWalCoherence:
         system.power_on(3)
         assert auditor.alerts.count(rule="wal.replay_fingerprint") == 1
         kernel.run(until=kernel.now + 60)  # let the recovery drain
+
+    def test_restore_dropping_an_unstale_record_fails_replay_fingerprint(self):
+        kernel, system, auditor = _build(
+            rowaa_config=RowaaConfig(identify_mode="fail-locks")
+        )
+        system.crash(3)
+        kernel.run(until=kernel.now + 40)
+        kernel.run(system.submit_with_retry(1, _write("X", 7), attempts=5))
+        assert kernel.run(system.power_on(3)).succeeded
+        kernel.run(until=kernel.now + 60)  # site 3's stale.clear lands
+        site = system.cluster.sites[1]
+        wal = site.wal
+        assert ("X", 3) not in wal.stale_table
+        assert "unstale" in {r.kind for r in wal.log.records_after(wal.last_checkpoint_lsn)}
+        system.crash(1)
+        replay = wal.log.records_after
+        wal.log.records_after = lambda lsn: (
+            record for record in replay(lsn) if record.kind != "unstale"
+        )
+        system.power_on(1)
+        del wal.log.records_after
+        assert ("X", 3) in wal.stale_table  # the dropped record's entry is back
+        assert auditor.alerts.count(rule="wal.replay_fingerprint") == 1
 
     def test_clean_crash_recovery_fingerprint_silent(self):
         kernel, system, auditor = _build()

@@ -1,6 +1,7 @@
 """Tests for the §5 out-of-date identification policies."""
 
 from repro.core import RowaaConfig
+from repro.txn.payloads import MarkMissedRequest
 from tests.core.conftest import build_system, write_program
 
 
@@ -69,6 +70,31 @@ class TestFailLocks:
         # Site 3's recovery still learns about X0.
         kernel.run(system.power_on(3))
         assert system.cluster.site(3).copies.get("X0").unreadable
+
+    def test_a_reported_miss_survives_a_crash_in_the_same_instant(self):
+        """``dm.mark_missed`` answers only once its entries are durable:
+        a crash at the very instant it returns keeps them."""
+        config = RowaaConfig(identify_mode="fail-locks", copier_mode="none")
+        kernel, system = build_system(items=dict(ITEMS), rowaa_config=config)
+        now = kernel.now
+        assert system.dms[1]._handle_mark_missed(MarkMissedRequest("T9", (("X5", 3),)), 2)
+        system.crash(1)
+        assert kernel.now == now
+        assert kernel.run(system.power_on(1)).succeeded
+        assert system.policies[1].entries()[("X5", 3)] == (None, None)
+
+    def test_a_clear_survives_a_crash_in_the_same_instant(self):
+        """``stale.clear`` answers only once its drops are durable."""
+        config = RowaaConfig(identify_mode="fail-locks", copier_mode="none")
+        kernel, system = build_system(items=dict(ITEMS), rowaa_config=config)
+        system.crash(3)
+        kernel.run(until=40)
+        kernel.run(system.submit_with_retry(1, write_program("X0", 1), attempts=5))
+        assert ("X0", 3) in system.policies[1].entries()
+        assert system.policies[1]._handle_clear((3, (("X0", None),)), 3)
+        system.crash(1)
+        assert kernel.run(system.power_on(1)).succeeded
+        assert ("X0", 3) not in system.policies[1].entries()
 
     def test_conservative_when_resident_down(self):
         """With another resident site unreachable, every item it holds is

@@ -6,6 +6,7 @@ import pickletools
 import pytest
 
 from repro.core import RowaaConfig, RowaaSystem
+from repro.core.identify import StaleTracker
 from repro.net import ConstantLatency, Network
 from repro.sim import Kernel
 from repro.site import Site
@@ -324,11 +325,11 @@ class TestSiteWal:
         site.wal.on_commit()
         site.copies.mark_unreadable("Y")
         site.wal.flush()
-        site.stable.put("session.last", 4)
         site.wal.log_session(4)
         # Corrupt ALL volatile state: restore must not consult it.
         site.copies.reset()
         site.copies.create("X", -999)
+        site.wal.session_last = -1
         result = site.wal.restore()
         assert result is not None
         assert result.records_replayed >= 3
@@ -336,7 +337,7 @@ class TestSiteWal:
         assert site.copies.get("X").version == v(3)
         assert not site.copies.get("X").unreadable
         assert site.copies.get("Y").unreadable
-        assert site.stable.get("session.last") == 4
+        assert site.wal.session_last == 4
         assert site.wal.restore_high_commit == 3
 
     def test_power_on_restores_only_after_a_crash(self):
@@ -368,9 +369,12 @@ class TestSiteWal:
             "high_commit": 1,
             "session_last": 0,
             "session_started_at": None,
+            "stale_table": {},
             "in_doubt": {},
             "stale_cut": 0.0,
         }
+        # Every stable key is the log's.
+        assert all(key.startswith("wal.") for key in site.stable.keys())
         image = site.stable.get(CHECKPOINT_ITEM_PREFIX + "X")
         assert image == (1, (1.0, 1, 0), False, ())
         assert type(image[1]) is tuple  # plain tuples, not a Version
@@ -433,6 +437,67 @@ class TestFlushCostIsSizeIndependent:
         assert site.wal.stats.checkpoints == 1  # the genesis one only
         assert len(site.wal.log.segments) == 600  # all of it retained
         assert len(set(deltas)) == 1
+
+
+class TestSiteStateLivesInTheLog:
+    """The session number (§3.1) and the durable §5 stale-copy table are
+    redo records: the WAL's attributes mirror them, the checkpoint
+    header snapshots them, and restore alone rebuilds them."""
+
+    def test_restore_rebuilds_session_state_and_stale_table(self):
+        site = make_site(WalConfig(checkpoint_every=1000, retain_records=1000))
+        tracker = StaleTracker(site, durable=True)
+        site.wal.checkpoint()
+        site.wal.log_session(1)
+        site.wal.log_session(1, started_at=5.0)
+        tracker.on_commit_write("X", (1,), (2, 3), value=7, version=v(1))
+        site.wal.flush()
+        site.wal.checkpoint()  # the header carries all three from here
+        site.wal.log_session(2)
+        tracker.on_commit_write("Y", (1,), (3,), value=8, version=v(2))
+        tracker.on_commit_write("X", (1, 2), (), value=9, version=v(3))
+        tracker.on_commit_write("Z", (), (2,))  # a miss reported without its write
+        site.wal.flush()
+        table = {("X", 3): (7, (1.0, 1, 0)), ("Y", 3): (8, (2.0, 2, 0)), ("Z", 2): (None, None)}
+        assert site.wal.stale_table == table
+        # Corrupt the volatile mirrors: restore must not consult them.
+        site.wal.session_last, site.wal.session_started_at = -1, -1.0
+        site.wal.stale_table[("bogus", 9)] = (0, None)
+        result = site.wal.restore()
+        assert result.records_replayed == 4  # session, stale, unstale, stale
+        assert (site.wal.session_last, site.wal.session_started_at) == (2, 5.0)
+        assert site.wal.stale_table == table
+        assert list(site.wal.stale_table) == list(table)  # change order
+        restored = site.wal.stale_table.values()
+        assert all(type(version) is not Version for _value, version in restored)
+        assert tracker.entries() == table
+
+    @staticmethod
+    def _one_change_costs(entries):
+        """Stable bytes and puts of one stale and one unstale change,
+        each made durable, with ``entries`` in the table. The table is
+        filled by one write that missed ``entries`` sites: one record,
+        so every later LSN (and its pickled width) is the same."""
+        site = make_site(WalConfig(checkpoint_every=10**9, retain_records=0))
+        tracker = StaleTracker(site, durable=True)
+        site.wal.checkpoint()
+        tracker.on_commit_write("X", (), tuple(range(4, 4 + entries)), 1, v(1))
+        site.wal.flush()
+        site.wal.checkpoint()  # the big table is in the header now
+        costs = []
+        for applied, missed in (((), (2,)), ((2,), ())):
+            bytes_before, puts_before = site.stable.bytes_written, site.stable.writes
+            tracker.on_commit_write("Y", applied, missed, 2, v(2))
+            site.wal.flush()
+            stable = site.stable
+            costs.append((stable.bytes_written - bytes_before, stable.writes - puts_before))
+        assert len(site.wal.stale_table) == entries
+        return costs
+
+    def test_a_stale_change_costs_the_same_at_10_100_and_256_entries(self):
+        costs = [self._one_change_costs(entries) for entries in (10, 100, 256)]
+        assert costs[0] == costs[1] == costs[2]
+        assert all(puts == 2 for _bytes, puts in costs[0])  # a segment and wal.meta
 
 
 class TestRestoreRoundTripsTheDirectory:
@@ -583,8 +648,9 @@ class TestTruncationSummary:
 
 class TestNoBlobNamesAClass:
     def test_faillocks_world_through_a_crash_and_a_recovery(self):
-        """Every blob of the log, the commit decisions and the fail-lock
-        tables is plain data: unpickling it runs no Python code."""
+        """Every blob of the log (whose segments and checkpoint header
+        carry the fail-lock tables) and of the commit decisions is plain
+        data: unpickling it runs no Python code."""
         kernel = Kernel(seed=1)
         system = RowaaSystem(
             kernel, n_sites=3, items={f"X{index}": 0 for index in range(8)},
@@ -601,11 +667,14 @@ class TestNoBlobNamesAClass:
                 1, write_program(f"X{index}", index + 1), attempts=5
             ))
         for site_id in (1, 2):  # a dict in commit order: no hash seed moves its bytes
-            table = system.cluster.site(site_id).stable.get("stale")
-            assert list(table)[:2] == [("X0", 3), ("X1", 3)]
+            site = system.cluster.site(site_id)
+            assert site.wal.stats.checkpoints > 1  # the header carries the table
+            header = site.stable.get(CHECKPOINT_KEY)["stale_table"]
+            assert list(header)[:2] == [("X0", 3), ("X1", 3)]
+            assert list(site.wal.stale_table)[:2] == [("X0", 3), ("X1", 3)]
         assert kernel.run(system.power_on(3)).succeeded
         kernel.run(until=kernel.now + 100)
-        prefixes = ("wal.seg.", "wal.meta", "wal.dir", "wal.ckpt", "tm.commit.", "stale")
+        prefixes = ("wal.seg.", "wal.meta", "wal.dir", "wal.ckpt", "tm.commit.")
         seen = set()
         for site_id in system.cluster.site_ids:
             site = system.cluster.site(site_id)

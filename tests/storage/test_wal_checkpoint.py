@@ -59,7 +59,8 @@ def item_keys(stable):
 def assert_assembled_image_is_the_full_image(site):
     """Header + item blobs read back from stable keys alone equal the
     whole-database image (copies in creation order, every mvcc chain, the
-    session state, the in-doubt prepares) computed from live state."""
+    session state, the stale-copy table, the in-doubt prepares) computed
+    from live state."""
     stable, wal, mvcc = site.stable, site.wal, site.mvcc
     assembled, tails = {}, {}
     for key in item_keys(stable):
@@ -90,8 +91,9 @@ def assert_assembled_image_is_the_full_image(site):
     assert stable.get(CHECKPOINT_KEY) == {
         "lsn": wal.log.durable_lsn,
         "high_commit": wal.log.high_commit,
-        "session_last": stable.get("session.last", 0),
-        "session_started_at": stable.get("session.started_at"),
+        "session_last": wal.session_last,
+        "session_started_at": wal.session_started_at,
+        "stale_table": wal.stale_table,
         "in_doubt": wal.unresolved_prepares(),
         "stale_cut": mvcc.stale_cut if mvcc is not None else 0.0,
     }
@@ -348,7 +350,8 @@ def site_durable_state(site):
         # a restart reassembles from the segments themselves covers them all.
         "segments": RedoLog(site.stable).segments,
         "checkpoint_digest": checkpoint_digest(site.stable),
-        "session_last": site.stable.get("session.last"),
+        "session_last": wal.session_last,
+        "stale_table": wal.stale_table,
         "copies": sorted(
             (name, copy.value, tuple(copy.version), copy.unreadable)
             for name, copy in (
@@ -366,8 +369,8 @@ class TestCrashReplayDeterminism:
     recovery (E9) run twice at one seed leaves byte-identical durable
     state at every site — LSNs, the log's meta and directory blobs, the
     checkpoint header and item blobs, the segment directory a fresh
-    RedoLog reloads, the session number, the reconstructed copies and
-    the mvcc image. Anything unseeded that reaches a durable blob
+    RedoLog reloads, the session number, the stale-copy table, the
+    reconstructed copies and the mvcc image. Anything unseeded that reaches a durable blob
     (record order, checkpoint contents, truncation watermarks) shows
     up here before it shows up as a flaky recovery."""
 

@@ -32,6 +32,26 @@ its retention rule comes from:
 * the TM stats' latency lists (``commit_latencies``, ``ack_latencies``)
   — one sample per commit, the benchmark's and experiments' input; kept
   for the run.
+
+Stable storage holds six key families, and a fail-locks crash/recover
+world writes exactly these (``test_stable_key_families``). The log is
+the only durable format for site state: the session number and the §5
+stale-copy table are redo records and parts of the checkpoint header,
+not keys of their own. Each family's retention rule:
+
+* ``wal.seg.<n>`` — one segment per group commit; a checkpoint's
+  truncation deletes every segment wholly behind its ``retain_records``
+  tail, so about ``checkpoint_every + retain_records`` records stay;
+* ``wal.meta`` — one key, four counters, rewritten by every flush;
+* ``wal.dir`` — one key, rewritten by every truncation; its per-item
+  truncated-commit map has at most one entry per item;
+* ``wal.ckpt`` — one key, the checkpoint header, rewritten by every
+  checkpoint; its stale-copy table has at most one entry per (item,
+  site) and its in-doubt prepares are work in flight;
+* ``wal.ckpt.item.<name>`` — one image per copy, rewritten in place;
+* ``tm.commit.<txn_id>`` — one decision per coordinated commit, never
+  deleted: the unbounded family, whose forgetting rule is ROADMAP 15
+  (ii).
 """
 
 import collections
@@ -42,9 +62,12 @@ import tracemalloc
 import pytest
 
 from repro.baselines import build_rowaa_system
+from repro.core import RowaaConfig
 from repro.harness.runner import quiesce
 from repro.net.latency import ConstantLatency
 from repro.sim import Kernel
+from repro.storage.stable import StableStorage
+from repro.wal import WalConfig
 from repro.workload import ClientPool, WorkloadGenerator, WorkloadSpec
 
 HORIZON = 150.0
@@ -122,16 +145,18 @@ def test_history_costs_bytes_not_objects(horizon):
 CYCLIC_GARBAGE_BOUND = 0
 
 
-def run_world(world, horizon):
+def run_world(world, horizon, **system_kwargs):
     """An abort-heavy world (16 items, zipf 1.0, half writes), or a
-    crash/recover one (site 3 down for the middle third of the load)."""
+    crash/recover one (site 3 down for the middle third of the load);
+    ``system_kwargs`` go to the system."""
     kernel = Kernel(seed=7)
     if world == "abort_heavy":
         spec = WorkloadSpec(n_items=16, ops_per_txn=4, write_fraction=0.5, zipf_s=1.0)
     else:
         spec = WorkloadSpec(n_items=64, ops_per_txn=4, write_fraction=0.5)
     system = build_rowaa_system(
-        kernel, 3, spec.initial_items(), latency=ConstantLatency(1.0), detection_delay=5.0
+        kernel, 3, spec.initial_items(), latency=ConstantLatency(1.0), detection_delay=5.0,
+        **system_kwargs,
     )
     pool = ClientPool(
         system, WorkloadGenerator(spec, random.Random(7)), 8, per_client_streams=True
@@ -165,3 +190,64 @@ def test_no_cyclic_garbage_per_transaction(world, horizon):
     aborted = sum(tm.stats.aborted for tm in system.tms.values())
     assert aborted > 0  # the abort path ran
     assert found <= CYCLIC_GARBAGE_BOUND, census.most_common(12)
+
+
+#: Every stable key family a system writes (see the module docstring).
+STABLE_FAMILIES = {
+    "wal.seg.*", "wal.meta", "wal.dir", "wal.ckpt", "wal.ckpt.item.*", "tm.commit.*"
+}
+#: Small enough that both horizons truncate the log many times.
+FAMILY_WAL = WalConfig(checkpoint_every=16, retain_records=16)
+
+
+def family(key):
+    for prefix in ("wal.seg.", "wal.ckpt.item.", "tm.commit."):
+        if key.startswith(prefix):
+            return prefix + "*"
+    return key
+
+
+def stable_families(horizon):
+    """(families written, live keys and live bytes per family) of a
+    fail-locks crash/recover world run to ``horizon``."""
+    written = set()
+    put = StableStorage.put
+
+    def counting_put(stable, key, value):
+        written.add(family(key))
+        return put(stable, key, value)
+
+    StableStorage.put = counting_put
+    try:
+        system = run_world(
+            "crash_recover", horizon,
+            rowaa_config=RowaaConfig(identify_mode="fail-locks"), wal_config=FAMILY_WAL,
+        )
+    finally:
+        StableStorage.put = put
+    keys = collections.Counter()
+    size = collections.Counter()
+    for site_id in system.cluster.site_ids:
+        stable = system.cluster.site(site_id).stable
+        for key in stable.keys():
+            keys[family(key)] += 1
+            size[family(key)] += stable.size_of(key)
+    copies = sum(len(system.cluster.site(s).copies.items()) for s in system.cluster.site_ids)
+    return system, written, keys, size, copies
+
+
+def test_stable_key_families():
+    short, long = stable_families(HORIZON), stable_families(4 * HORIZON)
+    for system, written, keys, _size, copies in (short, long):
+        assert written == set(keys) == STABLE_FAMILIES
+        assert all(site.wal.log.truncated_records for site in system.cluster.sites.values())
+        assert keys["wal.ckpt.item.*"] == copies
+        for name in ("wal.meta", "wal.dir", "wal.ckpt"):
+            assert keys[name] == len(system.cluster.site_ids)
+        segments = 2 * (FAMILY_WAL.checkpoint_every + FAMILY_WAL.retain_records)
+        assert keys["wal.seg.*"] <= len(system.cluster.site_ids) * segments
+    short_size, long_size = short[3], long[3]
+    # Four times the history: the decisions grow with it, nothing else does.
+    assert long[2]["tm.commit.*"] >= 4 * short[2]["tm.commit.*"]
+    for name in STABLE_FAMILIES - {"tm.commit.*"}:
+        assert long_size[name] <= 2 * short_size[name], name
