@@ -6,7 +6,7 @@ Usage::
     python -m repro e1 [--seed 3] [--scale small|full] [--jobs 4]
     python -m repro all --scale small --jobs 4
     python -m repro run --experiment e2 [--seed 1] [--out DIR]
-    python -m repro schedfuzz --experiment e2 [--schedules 8] [--races]
+    python -m repro schedfuzz --experiment e2 [--schedules 8]
         [--out schedules.json | --replay schedules.json]
 
 Each experiment prints the table documented in EXPERIMENTS.md and one
@@ -41,9 +41,7 @@ committed-state fingerprint and audit-alert signature. A divergence
 means the protocol's outcome depended on an arbitrary scheduling
 tie-break; the failing decision list is then delta-debugged down to a
 minimal replayable schedule and exported (``--out``) as a JSON artifact
-that ``--replay`` re-runs. ``--races`` additionally attaches the
-happens-before race detector (vector clocks over simulated strands) to
-the perturbed runs.
+that ``--replay`` re-runs.
 
 Checks that only pass or fail are tier-1 tests (``python -m pytest
 tests/``), not subcommands: replint (:mod:`repro.lint`,
@@ -101,11 +99,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--schedules", type=int, default=8, metavar="K",
         help="schedfuzz: number of perturbed schedules (default: 8)",
-    )
-    parser.add_argument(
-        "--races", action="store_true",
-        help="schedfuzz: attach the happens-before race detector to the "
-        "perturbed runs (reports ride on the artifact; they never gate)",
     )
     parser.add_argument(
         "--replay", default=None, metavar="PATH",
@@ -276,8 +269,7 @@ def run_schedfuzz(args: argparse.Namespace) -> int:
         return 2
     try:
         result = schedfuzz(
-            args.scenario, seed=args.seed, schedules=args.schedules,
-            races=args.races,
+            args.scenario, seed=args.seed, schedules=args.schedules
         )
     except ValueError as exc:
         print(f"schedfuzz: {exc}", file=sys.stderr)

@@ -30,11 +30,7 @@ class SessionManager:
     @property
     def current(self) -> int:
         """The actual session number ``as[k]`` (0 when not operational)."""
-        value = self.dm.actual_session
-        for fn in self.site.kernel.probes.access:
-            fn(self.site.site_id, ("session",), "read",
-               "SessionManager.current", value)
-        return value
+        return self.dm.actual_session
 
     @property
     def last_used(self) -> int:
@@ -62,8 +58,5 @@ class SessionManager:
 
     def activate(self, session_number: int, now: float) -> None:
         """Load ``as[k]`` with the new number (recovery step 4, §3.4)."""
-        for fn in self.site.kernel.probes.access:
-            fn(self.site.site_id, ("session",), "write",
-               "SessionManager.activate", session_number)
         self.dm.actual_session = session_number
         self.site.wal.log_session(session_number, started_at=now)

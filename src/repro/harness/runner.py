@@ -242,7 +242,6 @@ def build_traced_scheme(
     sample: bool = False,
     profile: bool = False,
     schedule: typing.Any = None,
-    races: bool = False,
     **kwargs: typing.Any,
 ) -> tuple[Kernel, DatabaseSystem]:
     """Like :func:`build_scheme`, but with spans + timeline recording on.
@@ -267,8 +266,6 @@ def build_traced_scheme(
     ``repro schedfuzz``): the kernel's same-timestamp tie-breaks are
     resolved by the spec's policy, attached *before* the system is
     built so boot-time ties are perturbed too, on ``obs.policy``.
-    ``races=True``: a happens-before race detector
-    (:func:`repro.sanitize.hb.attach_detector`), on ``obs.sanitizer``.
     All of it is per kernel: nothing outlives the run, so there is
     nothing to tear down.
     """
@@ -278,10 +275,6 @@ def build_traced_scheme(
         from repro.sanitize.policy import attach_policy
 
         obs.policy = attach_policy(kernel, schedule)
-    if races:
-        from repro.sanitize.hb import attach_detector
-
-        obs.sanitizer = attach_detector(kernel)
     system = _build_system(
         kernel, scheme, n_sites, items, catalog, txn_config, obs=obs, **kwargs
     )
@@ -344,11 +337,11 @@ def run_traced(
     a callable of the scenario shape ``(build, seed) -> (kernel, system,
     result)``; the run's ``summary`` is ``result`` without its lists.
     ``probes`` are :func:`build_traced_scheme`'s probe
-    keywords (``audit``, ``sample``, ``profile``, ``schedule``,
-    ``races``); they are bound into the ``build`` the scenario receives,
-    so a scenario never names a probe. The returned run's ``obs``
-    carries whatever was attached (``obs.audit``, ``obs.sampler``,
-    ``obs.profiler``, ``obs.policy``, ``obs.sanitizer``).
+    keywords (``audit``, ``sample``, ``profile``, ``schedule``); they
+    are bound into the ``build`` the scenario receives, so a scenario
+    never names a probe. The returned run's ``obs`` carries whatever was
+    attached (``obs.audit``, ``obs.sampler``, ``obs.profiler``,
+    ``obs.policy``).
 
     Spans still open at the horizon are closed here with
     ``truncated=True`` so exports and critpath see them (idempotent

@@ -11,7 +11,13 @@ determinism gate meaningless.
 
 The harness/obs/audit/cli layers sit outside the simulated machines
 and legitimately write artifacts (traces, tables, alert streams), so
-they are outside this rule's scope.
+the file-I/O half of the rule skips them.
+
+The other half holds everywhere: stable storage has one writer per
+record kind. The redo log (``repro/wal``) writes every durable record
+and the TM (``repro/txn/manager.py``) its commit decisions; a
+``.put`` / ``.delete`` on a receiver named ``stable`` anywhere else is
+a second durable format that crash replay does not know about.
 """
 
 from __future__ import annotations
@@ -23,6 +29,9 @@ from repro.lint.context import FileContext
 from repro.lint.findings import Finding
 from repro.lint.rule import Rule
 from repro.lint.rules._scopes import DURABLE
+
+#: The only writers of stable storage (see the module docstring).
+_STABLE_WRITERS: tuple[str, ...] = ("repro/wal", "repro/txn/manager.py")
 
 #: os.* calls that create/destroy/rename real filesystem state.
 _OS_MUTATORS = frozenset(
@@ -48,14 +57,29 @@ _PATH_MUTATORS = frozenset({"write_text", "write_bytes"})
 class DurabilityBypassRule(Rule):
     id = "REP004"
     title = "durable-state write bypassing the StableStorage/WAL API"
-    scope = DURABLE
 
     def check(self, ctx: FileContext) -> typing.Iterator[Finding]:
+        file_io = ctx.in_scope(DURABLE)
+        stable_writer = ctx.in_scope(_STABLE_WRITERS)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
-            if isinstance(func, ast.Name) and func.id == "open":
+            if (
+                not stable_writer
+                and isinstance(func, ast.Attribute)
+                and func.attr in ("put", "delete")
+                and _is_stable(func.value)
+            ):
+                yield self.finding(
+                    ctx,
+                    node,
+                    f"stable.{func.attr}() outside repro/wal and the TM's "
+                    "commit record; durable state has one writer, the redo log",
+                )
+            elif not file_io:
+                continue
+            elif isinstance(func, ast.Name) and func.id == "open":
                 yield self.finding(
                     ctx,
                     node,
@@ -90,3 +114,10 @@ class DurabilityBypassRule(Rule):
                         "simulation-layer code; durable state must go "
                         "through StableStorage / the WAL",
                     )
+
+
+def _is_stable(receiver: ast.expr) -> bool:
+    """True for ``stable`` or ``<anything>.stable``."""
+    if isinstance(receiver, ast.Name):
+        return receiver.id == "stable"
+    return isinstance(receiver, ast.Attribute) and receiver.attr == "stable"

@@ -5,10 +5,8 @@ number ``as[k]``, an unreadable mark), *yields* — suspending for an
 arbitrary stretch of simulated time — and then mutates site state using
 the value it read earlier is acting on a world that may no longer exist:
 a recovery can install a new session, a copier can renovate the copy,
-while the coroutine sleeps. The dynamic companion of this rule is the
-schedsan coroutine-atomicity check (:mod:`repro.sanitize.hb`), which
-catches the interleavings a given seed happens to execute; this rule
-flags the *pattern* on every code path.
+while the coroutine sleeps. This rule flags the *pattern* on every
+code path; no dynamic check looks for it in a run.
 
 Statically: inside any generator function in the protocol layers, a
 local variable whose **last** assignment reads session/unreadable state
@@ -32,7 +30,7 @@ revalidation that clears the taint, and is the fix::
 The analysis is a linear source-order approximation (branches are
 visited in order, loops once): cheap, deterministic, and biased toward
 silence — a value smuggled through a container or an attribute escapes
-it, which the dynamic check backstops.
+it.
 """
 
 from __future__ import annotations

@@ -200,12 +200,6 @@ class Network:
     def send(self, msg: Message) -> None:
         """Send ``msg``; delivery (or drop) happens after a sampled latency."""
         kernel = self.kernel
-        # Happens-before message edge: a race detector stamps the
-        # sender's vector clock by msg_id, joined (``join`` probe) when
-        # the rpc layer picks the message up.
-        if kernel.probes.send:
-            for fn in kernel.probes.send:
-                fn(msg.msg_id)
         try:
             dst = self._endpoints[msg.dst]
             src = self._endpoints[msg.src]

@@ -78,17 +78,6 @@ class RemoteError(NetworkError):
         self.original = original
 
 
-class DispatchStrand:
-    """One incarnation of a node's inbox drain (start to stop): what its
-    steps pass to the ``step_enter`` / ``step_exit`` probes, so a race
-    detector sees one strand with one clock, as for a process."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-
 class RpcNode:
     """Per-site RPC endpoint: handler registry, inbox drain, caller API."""
 
@@ -104,7 +93,7 @@ class RpcNode:
         "_handlers",
         "_pending",
         "_deadlines",
-        "_strand",
+        "_incarnation",
         "_servers",
         "_serve_seq",
         "_serve_names",
@@ -137,8 +126,10 @@ class RpcNode:
         #: probes' and the type-2 ping's), so each queue keeps a single
         #: kernel entry armed however many calls are in flight.
         self._deadlines: dict[float, DeadlineQueue] = {}
-        #: The running incarnation of the inbox drain; None while stopped.
-        self._strand: DispatchStrand | None = None
+        #: The running incarnation of the inbox drain, an identity token
+        #: its steps carry (a step of an earlier incarnation parks
+        #: nothing); None while stopped.
+        self._incarnation: object | None = None
         #: Serves in flight, in dispatch order (the order stop() tears
         #: them down in): serve number -> the process driving a handler's
         #: generator, or None while the serve is dispatched but not
@@ -157,20 +148,20 @@ class RpcNode:
     @property
     def running(self) -> bool:
         """True from :meth:`start` to :meth:`stop`."""
-        return self._strand is not None
+        return self._incarnation is not None
 
     def start(self) -> None:
         """Begin receiving: mark the endpoint up and start dispatching."""
         if self.running:
             return
         self.endpoint.go_up()
-        strand = self._strand = DispatchStrand(f"rpc-dispatch[{self.site_id}]")
-        self.kernel.schedule_callback(0.0, self._receive, strand, None)
+        incarnation = self._incarnation = object()
+        self.kernel.schedule_callback(0.0, self._receive, incarnation, None)
 
     def stop(self) -> None:
         """Crash-stop: drop inbox, drain, servers and pending calls."""
         self.endpoint.go_down()
-        self._strand = None
+        self._incarnation = None
         servers, self._servers = self._servers, {}
         for number, server in servers.items():
             if server is None:
@@ -319,8 +310,8 @@ class RpcNode:
 
     # -- server side -----------------------------------------------------------
 
-    def _receive(self, strand: DispatchStrand, msg: Message | None) -> None:
-        """One step of the inbox drain ``strand``: dispatch ``msg`` (in
+    def _receive(self, incarnation: object, msg: Message | None) -> None:
+        """One step of the inbox drain ``incarnation``: dispatch ``msg`` (in
         hand; None on a start) and every message queued behind it, then
         park on the endpoint again — unless the node stopped since this
         step was scheduled: the message in hand is still dispatched, as by
@@ -332,36 +323,20 @@ class RpcNode:
         their callers before any caller's follow-up flush fires, so the
         follow-up calls coalesce.
         """
-        probes = self.kernel.probes
-        probed = probes.step_enter
-        if probed:
-            for fn in probed:
-                fn(strand)
-        try:
-            inbox = self.endpoint.inbox
-            while msg is not None:
-                # Happens-before message edge, joined per message even
-                # though the wake-up event may predate it: the greedy
-                # drain handles messages whose sender clocks the
-                # wake-up's scheduling edge did not carry.
-                for fn in probes.join:
-                    fn(msg.msg_id)
-                if msg.reply_to is not None:
-                    self._complete_call(msg)
-                elif msg.kind == "rpc.batch":
-                    self._spawn_batch(msg)
-                else:
-                    self._spawn_server(
-                        msg.kind, msg.payload, msg.src, msg.span_id,
-                        functools.partial(self._reply, msg),
-                    )
-                msg = inbox.popleft() if inbox else None
-            if strand is self._strand:
-                self.endpoint.receive(self._receive, strand)
-        finally:
-            if probed:
-                for fn in probes.step_exit:
-                    fn(strand)
+        inbox = self.endpoint.inbox
+        while msg is not None:
+            if msg.reply_to is not None:
+                self._complete_call(msg)
+            elif msg.kind == "rpc.batch":
+                self._spawn_batch(msg)
+            else:
+                self._spawn_server(
+                    msg.kind, msg.payload, msg.src, msg.span_id,
+                    functools.partial(self._reply, msg),
+                )
+            msg = inbox.popleft() if inbox else None
+        if incarnation is self._incarnation:
+            self.endpoint.receive(self._receive, incarnation)
 
     def _complete_call(self, msg: Message) -> None:
         if msg.kind == "rpc.batch.reply":

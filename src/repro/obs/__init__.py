@@ -67,9 +67,6 @@ class Observability:
         #: The host-CPU profiler
         #: (:func:`repro.obs.profiler.attach_profiler`).
         self.profiler: typing.Any = None
-        #: The happens-before race detector
-        #: (:func:`repro.sanitize.hb.attach_detector`).
-        self.sanitizer: typing.Any = None
         #: The tie-break policy (:func:`repro.sanitize.policy.attach_policy`);
         #: its ``decisions`` are the run's recorded schedule.
         self.policy: typing.Any = None

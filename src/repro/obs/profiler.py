@@ -45,8 +45,8 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Module-prefix → subsystem label, longest prefix first. ``harness``
 #: folds into ``workload``: both are load generation and scenario
-#: driving, not protocol work. ``sanitize`` (race detector, tie-break
-#: policy) is an observer like the rest of ``obs``.
+#: driving, not protocol work. ``sanitize`` (the tie-break policy) is
+#: an observer like the rest of ``obs``.
 _MODULE_LABELS: tuple[tuple[str, str], ...] = (
     ("repro.txn.data_manager", "dm"),
     ("repro.txn.locks", "locks"),

@@ -14,11 +14,6 @@ non-canonical decisions that still reproduces the divergence, and the
 whole story — canonical baseline, per-schedule verdicts, the failing
 and minimal decision lists, and the rendered state/alert diff — is
 exported as a replayable JSON artifact (``--replay`` re-runs it).
-
-Race detection (:mod:`repro.sanitize.hb`) is opt-in via ``races=True``:
-reports ride on the result but never gate the verdict, because the
-detector intentionally over-approximates (benign races the protocol
-resolves by design are still reported).
 """
 
 from __future__ import annotations
@@ -54,7 +49,6 @@ class ScheduleRun:
     alerts: list[tuple[str, str]]
     decisions: list[int]
     summary: dict
-    races: list = dataclasses.field(default_factory=list)
 
 
 @dataclasses.dataclass
@@ -70,7 +64,6 @@ class FuzzResult:
     divergent_salt: int | None = None
     minimal_plan: dict[int, int] | None = None
     shrink_probes: int = 0
-    races: list = dataclasses.field(default_factory=list)
     audit: bool = True
 
     @property
@@ -109,8 +102,6 @@ class FuzzResult:
                     f"decision(s) after {self.shrink_probes} shrink probe(s): "
                     f"{sorted(self.minimal_plan.items())}"
                 )
-        if self.races:
-            lines.append(f"race reports: {len(self.races)} (see artifact)")
         return "\n".join(lines)
 
     def artifact(self) -> dict:
@@ -139,7 +130,6 @@ class FuzzResult:
                 }
                 for run in self.perturbed
             ],
-            "races": [dataclasses.asdict(report) for report in self.races],
         }
         if self.divergent is not None:
             plan = sparse_decisions(self.divergent.decisions)
@@ -172,17 +162,14 @@ def run_schedule(
     schedule: ScheduleSpec | None,
     label: str,
     audit: bool = True,
-    races: bool = False,
 ) -> ScheduleRun:
     """Run one schedule of ``experiment`` and capture its artifacts."""
     from repro.harness.runner import run_traced
 
-    traced = run_traced(
-        experiment, seed=seed, audit=audit, schedule=schedule, races=races
-    )
+    traced = run_traced(experiment, seed=seed, audit=audit, schedule=schedule)
     obs = traced.obs
     state = system_state(traced.system)
-    policy, detector = obs.policy, obs.sanitizer
+    policy = obs.policy
     return ScheduleRun(
         label=label,
         fingerprint=fingerprint(state),
@@ -190,7 +177,6 @@ def run_schedule(
         alerts=alert_signature(obs),
         decisions=list(policy.decisions) if policy is not None else [],
         summary=dict(traced.summary),
-        races=list(detector.races) if detector is not None else [],
     )
 
 
@@ -198,7 +184,6 @@ def schedfuzz(
     experiment: Scenario,
     seed: int = 0,
     schedules: int = 8,
-    races: bool = False,
     audit: bool = True,
 ) -> FuzzResult:
     """The full sweep: canonical + K shuffled schedules + shrink."""
@@ -207,7 +192,7 @@ def schedfuzz(
     )
     canonical = run_schedule(
         experiment, seed, ScheduleSpec(mode="canonical"), "canonical",
-        audit=audit, races=False,
+        audit=audit,
     )
     result = FuzzResult(
         experiment=name, seed=seed, schedules=schedules,
@@ -216,10 +201,9 @@ def schedfuzz(
     for salt in range(1, schedules + 1):
         run = run_schedule(
             experiment, seed, ScheduleSpec(mode="shuffle", salt=salt),
-            f"shuffle[{salt}]", audit=audit, races=races,
+            f"shuffle[{salt}]", audit=audit,
         )
         result.perturbed.append(run)
-        result.races.extend(run.races)
         if result.divergent is None and (
             run.fingerprint != canonical.fingerprint
             or run.alerts != canonical.alerts
@@ -232,7 +216,7 @@ def schedfuzz(
         def diverges(candidate: dict[int, int]) -> bool:
             probe = run_schedule(
                 experiment, seed, directed_spec(candidate), "shrink-probe",
-                audit=audit, races=False,
+                audit=audit,
             )
             return (probe.fingerprint != canonical.fingerprint
                     or probe.alerts != canonical.alerts)

@@ -29,14 +29,11 @@ import typing
 
 Subscriber = typing.Callable[..., typing.Any]
 
-#: The closed event set. Kernel edges first, then the generic
-#: state-access event, then the protocol moments (each carries the
-#: emitting ``site_id`` first).
+#: The closed event set. Kernel edges first, then the protocol moments
+#: (each carries the emitting ``site_id`` first).
 EVENTS = (
     "tiebreak", "scheduled", "loop_enter", "loop_exit",
-    "dispatch_begin", "dispatch_end", "step_enter", "step_exit",
-    "send", "join",
-    "access",
+    "dispatch_begin", "dispatch_end",
     "admit", "read", "snapshot_read", "apply", "logical_write",
     "txn_finish", "drain_done", "wal_flush", "wal_checkpoint", "gc",
     "crash", "power_on", "recovered",
@@ -47,7 +44,8 @@ class Probes:
     """Subscriber lists for the closed event set, one slot per event.
 
     A slot's list is only ever mutated in place, never rebound, so an
-    emitter may hold on to it (``CopyStore``, the rpc dispatcher).
+    emitter may hold on to it (the kernel's probed loop binds its lists
+    once per run).
     """
 
     __slots__ = EVENTS

@@ -153,56 +153,44 @@ class Process(Future):
         (:func:`_is_signal`) thrown in or raised out drops its traceback,
         and a bug raised out drops this frame's entry (it holds ``self``)
         but keeps the generator's frames for its diagnostics."""
-        probes = self.kernel.probes
-        probed = probes.step_enter
-        if probed:
-            # Bracket the turn so a race detector can attribute every
-            # state access inside it to this strand (and tick its clock).
-            for fn in probed:
-                fn(self)
         try:
-            try:
-                if exc is None:
-                    target = self._generator.send(value)
-                else:
-                    try:
-                        target = self._generator.throw(exc)
-                    finally:
-                        if _is_signal(exc):
-                            exc.__traceback__ = None
-            except StopIteration as stop:
-                self._finish(stop.value, None)
-                return
-            except BaseException as error:  # noqa: BLE001 - failure propagates via the future
-                if _is_signal(error):
-                    error.__traceback__ = None
-                else:
-                    error.__traceback__ = error.__traceback__.tb_next
-                self._finish(None, error)
-                return
-            if not isinstance(target, Future):
-                self._finish(
-                    None,
-                    SimError(f"process {self.name!r} yielded {target!r}, expected a Future"),
-                )
-                return
-            self._waiting_on = target
-            # Future.add_callback, inlined for the two pending cases.
-            callbacks = target._callbacks
-            if callbacks is _NO_CALLBACKS:
-                target._callbacks = [self._resume]
-            elif type(callbacks) is list:
-                callbacks.append(self._resume)
-            else:  # already processed, or an adopted process (which refuses)
+            if exc is None:
+                target = self._generator.send(value)
+            else:
                 try:
-                    target.add_callback(self._resume)
-                except SimError as error:
-                    self._waiting_on = None
-                    self._finish(None, error)
-        finally:
-            if probed:
-                for fn in probes.step_exit:
-                    fn(self)
+                    target = self._generator.throw(exc)
+                finally:
+                    if _is_signal(exc):
+                        exc.__traceback__ = None
+        except StopIteration as stop:
+            self._finish(stop.value, None)
+            return
+        except BaseException as error:  # noqa: BLE001 - failure propagates via the future
+            if _is_signal(error):
+                error.__traceback__ = None
+            else:
+                error.__traceback__ = error.__traceback__.tb_next
+            self._finish(None, error)
+            return
+        if not isinstance(target, Future):
+            self._finish(
+                None,
+                SimError(f"process {self.name!r} yielded {target!r}, expected a Future"),
+            )
+            return
+        self._waiting_on = target
+        # Future.add_callback, inlined for the two pending cases.
+        callbacks = target._callbacks
+        if callbacks is _NO_CALLBACKS:
+            target._callbacks = [self._resume]
+        elif type(callbacks) is list:
+            callbacks.append(self._resume)
+        else:  # already processed, or an adopted process (which refuses)
+            try:
+                target.add_callback(self._resume)
+            except SimError as error:
+                self._waiting_on = None
+                self._finish(None, error)
 
     def _finish(self, value: object, exc: BaseException | None) -> None:
         on_exit = self._on_exit

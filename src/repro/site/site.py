@@ -54,7 +54,7 @@ class Site:
         self.obs = obs if obs is not None else Observability(kernel)
         self.rpc = RpcNode(kernel, network, site_id, obs=self.obs)
         self.stable = StableStorage()
-        self.copies = CopyStore(site_id, probes=kernel.probes)
+        self.copies = CopyStore(site_id)
         self.status = SiteStatus.DOWN
         #: Wiring, not probes: the components that must reset or re-arm
         #: with the site (WAL, DM, TM, copier, ...). Observers subscribe

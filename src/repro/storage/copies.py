@@ -5,9 +5,6 @@ from __future__ import annotations
 import dataclasses
 import typing
 
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.sim.probes import Probes
-
 
 class Version(typing.NamedTuple):
     """Total order on committed writes of a logical item.
@@ -65,13 +62,8 @@ class CopyStore:
     copier refresh) is a set-size read rather than a walk over all copies.
     """
 
-    def __init__(self, site_id: int, probes: "Probes | None" = None) -> None:
+    def __init__(self, site_id: int) -> None:
         self.site_id = site_id
-        #: Subscribers of the owning kernel's ``access`` probe (a race
-        #: detector); a bare store outside any site has no bus.
-        self._access: typing.Sequence[typing.Callable[..., None]] = (
-            probes.access if probes is not None else ()
-        )
         self._copies: dict[str, DataCopy] = {}
         self._unreadable: set[str] = set()
         self.bytes_copied = 0  # crude copier work counter (E5)
@@ -113,10 +105,6 @@ class CopyStore:
 
     def apply_write(self, item: str, value: object, version: Version) -> None:
         """Install a committed write; clears the unreadable mark (§3.2)."""
-        if self._access:
-            for fn in self._access:
-                fn(self.site_id, ("copy", item), "write",
-                   "CopyStore.apply_write", version)
         copy = self._copies[item]
         copy.value = value
         copy.version = version
@@ -127,13 +115,6 @@ class CopyStore:
 
     def mark_unreadable(self, item: str) -> None:
         """Flag the copy as possibly stale (recovery step 2, §3.4)."""
-        # A mark flip is a write to the same ``("copy", item)`` key as a
-        # value install: a copier validating a copy races a user write
-        # to it exactly like two value writes would.
-        if self._access:
-            for fn in self._access:
-                fn(self.site_id, ("copy", item), "write",
-                   "CopyStore.mark_unreadable")
         self._copies[item].unreadable = True
         self._unreadable.add(item)
         for fn in self.subscribers:
@@ -141,10 +122,6 @@ class CopyStore:
 
     def clear_unreadable(self, item: str) -> None:
         """Validate the copy without changing it (equal-version copier)."""
-        if self._access:
-            for fn in self._access:
-                fn(self.site_id, ("copy", item), "write",
-                   "CopyStore.clear_unreadable")
         self._copies[item].unreadable = False
         self._unreadable.discard(item)
         for fn in self.subscribers:
@@ -187,10 +164,6 @@ class CopyStore:
         """Install/overwrite a copy with explicit full state (replay only:
         unlike :meth:`apply_write`, this sets the mark rather than
         clearing it and is never journaled by the caller)."""
-        if self._access:
-            for fn in self._access:
-                fn(self.site_id, ("copy", item), "write",
-                   "CopyStore.install", version)
         copy = self._copies.get(item)
         if copy is None:
             copy = self._copies[item] = DataCopy(item=item, value=value)

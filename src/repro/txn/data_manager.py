@@ -181,15 +181,6 @@ class DataManager:
     # -- access checks -----------------------------------------------------------
 
     def _check_access(self, expected: int | None, privileged: bool) -> None:
-        probes = self.kernel.probes
-        if probes.access:
-            # The session check is the protocol's load-bearing read of
-            # as[k]: a request validated against a session number that a
-            # concurrent activate() is replacing is exactly the
-            # interleaving the schedule sanitizer exists to surface.
-            for fn in probes.access:
-                fn(self.site_id, ("session",), "read",
-                   "DataManager._check_access", self.actual_session)
         if not privileged:
             # §3.1: the request carries the session number the requester
             # believes this site is in; inequality with as[k] rejects it.
@@ -205,7 +196,7 @@ class DataManager:
                 raise SessionMismatch(self.site_id, expected, self.actual_session)
             if not self.site.is_operational:
                 raise NotOperational(self.site_id)
-        for fn in probes.admit:
+        for fn in self.kernel.probes.admit:
             fn(self.site_id, expected, privileged, self.actual_session)
 
     def _participation(

@@ -131,14 +131,6 @@ class LockManager:
         Fails with :class:`DeadlockDetected` if the request is chosen as a
         deadlock victim.
         """
-        access = self.kernel.probes.access
-        if access:
-            # Lock-table traffic is protocol-normal concurrency, so it is
-            # recorded as an ordering note (report context), never
-            # race-checked.
-            where = f"LockManager.acquire[{mode.value}:{txn_id}]"
-            for fn in access:
-                fn(self.site_id, ("lock", item), "note", where)
         state = self._table.get(item)
         if state is None:
             rank = self._rank.setdefault(item, len(self._rank))
@@ -181,11 +173,6 @@ class LockManager:
 
     def release_all(self, txn_id: str) -> None:
         """Strict 2PL release point: drop every lock held by ``txn_id``."""
-        access = self.kernel.probes.access
-        if access:
-            where = f"LockManager.release_all[{txn_id}]"
-            for fn in access:
-                fn(self.site_id, ("lock",), "note", where)
         items = self._held_by_txn.pop(txn_id, {})
         for item in items:
             state = self._table.get(item)

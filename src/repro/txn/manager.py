@@ -139,7 +139,6 @@ class TransactionManager:
         #: reads), else None and :meth:`submit_ro` refuses.
         self.snapshots: typing.Any = None
         self._active: set[str] = set()
-        self._outcomes: dict[str, tuple[str, Version | None]] = {}
         site.rpc.register("tm.outcome", self._handle_outcome)
         site.crash_hooks.append(self._on_crash)
 
@@ -159,15 +158,19 @@ class TransactionManager:
     # -- crash semantics ----------------------------------------------------
 
     def _on_crash(self) -> None:
-        # Presumed abort: abort outcomes are volatile and forgotten; an
-        # in-doubt participant asking a restarted coordinator about an
-        # unlogged transaction gets "aborted", which is correct because
-        # commit decisions are *stably logged before any COMMIT message
-        # is sent* (see :meth:`_finish`).
         self._active.clear()
-        self._outcomes.clear()
 
     def _handle_outcome(self, query: OutcomeQuery, src: int) -> tuple[str, Version | None]:
+        """Active, else the stable decision, else presumed abort.
+
+        Presumed abort keeps no outcome in memory: "aborted" is right
+        for every transaction without a decision record, because a
+        commit with writes is stably logged *before any COMMIT message
+        is sent* (see :meth:`_finish`). A commit without writes has no
+        record and is answered "aborted" too, which is its outcome at
+        every participant: a reader's locks are released the same way
+        by either decision.
+        """
         if query.txn_id in self._active:
             return ("active", None)
         committed = typing.cast(
@@ -175,10 +178,7 @@ class TransactionManager:
         )
         if committed is not None:
             return ("committed", Version(*committed))
-        outcome = self._outcomes.get(query.txn_id)
-        if outcome is not None:
-            return outcome
-        return ("aborted", None)  # presumed abort
+        return ("aborted", None)
 
     # -- public API -----------------------------------------------------------
 
@@ -520,12 +520,10 @@ class TransactionManager:
                 # correctly (presumed abort's one logging requirement).
                 # The version as a bare triple: plain data, no class.
                 self.site.stable.put(f"tm.commit.{txn.txn_id}", tuple(version))
-            self._outcomes[txn.txn_id] = ("committed", version)
             self.recorder.mark_committed(txn.txn_id)
             self.stats.committed += 1
             self.stats.commit_latencies.append(txn.end_time - txn.start_time)
         else:
-            self._outcomes[txn.txn_id] = ("aborted", None)
             self.recorder.mark_aborted(txn.txn_id)
             self.stats.aborted += 1
             self.stats.aborts_by_reason[reason or "unknown"] += 1

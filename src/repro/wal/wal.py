@@ -111,13 +111,6 @@ class SiteWal:
         self._dirty[item] = None
         if op == "create":
             return  # schema, not a mutation: imaged at the next checkpoint
-        access = self.site.kernel.probes.access
-        if access:
-            # WAL appends are serialized by the log itself; record them
-            # as ordering notes (report context), never race-checked.
-            for fn in access:
-                fn(self.site.site_id, ("wal", item), "note",
-                   f"SiteWal._journal[{op}]")
         self.log.append(op, item=item, value=value, version=version)
         self.stats.records_appended += 1
 
@@ -128,9 +121,6 @@ class SiteWal:
 
     def log_session(self, session: int, started_at: float | None = None) -> None:
         """Journal a session reservation/activation and make it durable."""
-        for fn in self.site.kernel.probes.access:
-            fn(self.site.site_id, ("wal", "session"), "note",
-               f"SiteWal.log_session[{session}]")
         self.log.append("session", session=session, session_started_at=started_at)
         self.stats.records_appended += 1
         self.session_last = session

@@ -250,7 +250,7 @@ class TestAttachment:
         kernel.run(system.submit(1, _write("X", 1)))
         assert not kernel.probes  # running load attaches nothing
         attach_auditor(system)
-        assert kernel.probes and kernel.probes.apply and not kernel.probes.access
+        assert kernel.probes and kernel.probes.apply and not kernel.probes.tiebreak
 
     def test_summary_shape(self):
         kernel, system, auditor = _build()

@@ -11,6 +11,7 @@ import pstats
 
 import pytest
 
+from repro.audit import attach_auditor
 from repro.baselines import build_rowaa_system
 from repro.harness import experiments
 from repro.harness.runner import (
@@ -23,7 +24,6 @@ from repro.harness.runner import (
     traced_scenario,
 )
 from repro.sanitize.fingerprint import alert_signature, fingerprint, system_state
-from repro.sanitize.hb import attach_detector
 from repro.sanitize.policy import ScheduleSpec
 from repro.sim import Kernel
 from repro.sim.probes import EVENTS, Probes
@@ -36,7 +36,7 @@ PROBES = set(inspect.signature(build_traced_scheme).parameters) - set(
 
 
 def test_probe_set_is_the_known_one():
-    assert PROBES == {"audit", "sample", "profile", "schedule", "races"}
+    assert PROBES == {"audit", "sample", "profile", "schedule"}
 
 
 def _experiment_tree(eid):
@@ -155,19 +155,18 @@ class TestProbesCompose:
         assert run.label == "e2@seed=1"
 
     def test_every_probe_rides_one_run(self):
-        """Profiler + detector + policy + auditor on one kernel. At the
-        parent ``profile`` with ``races`` or any ``schedule`` left the
-        profiler with 0 events, silently. The auditor's watchdog adds
-        kernel events of its own (so it shifts which ties exist); the
-        profiler and the detector only observe, so taking either away
-        must change nothing the others see."""
+        """Profiler + policy + auditor on one kernel. Once ``profile``
+        with any ``schedule`` left the profiler with 0 events, silently.
+        The auditor's watchdog adds kernel events of its own (so it
+        shifts which ties exist); the profiler only observes, so taking
+        it away must change nothing the others see."""
         schedule = ScheduleSpec("shuffle", salt=1)
-        probes = dict(audit=True, profile=True, races=True, schedule=schedule)
+        probes = dict(audit=True, profile=True, schedule=schedule)
         run = run_traced("e2", seed=1, **probes)
         profiler = run.obs.profiler
         assert profiler.total_events == run.kernel.events_processed > 0
-        # Every observer's cost is billed, the detector's and the
-        # policy's (``repro.sanitize``) to ``obs``, and nothing is lost.
+        # Every observer's cost is billed, the policy's
+        # (``repro.sanitize``) to ``obs``, and nothing is lost.
         report = profiler.report()
         top = [name for name, _cpu in report["subsystems"]["obs"]["top"]]
         assert any(name.startswith("repro.sanitize.") for name in top), top
@@ -175,13 +174,10 @@ class TestProbesCompose:
             pytest.approx(pstats.Stats(profiler.profile).total_tt)
         )
         state = fingerprint(system_state(run.system))
-        for dropped in ("profile", "races"):
-            fewer = run_traced("e2", seed=1, **{**probes, dropped: False})
-            assert fewer.obs.policy.decisions == run.obs.policy.decisions, dropped
-            assert fingerprint(system_state(fewer.system)) == state, dropped
-            assert alert_signature(fewer.obs) == alert_signature(run.obs), dropped
-            if dropped == "profile":
-                assert fewer.obs.sanitizer.summary() == run.obs.sanitizer.summary()
+        fewer = run_traced("e2", seed=1, **{**probes, "profile": False})
+        assert fewer.obs.policy.decisions == run.obs.policy.decisions
+        assert fingerprint(system_state(fewer.system)) == state
+        assert alert_signature(fewer.obs) == alert_signature(run.obs)
         # The committed state is the schedule-only run's too (and its
         # decisions are the un-audited composed run's).
         perturbed = run_traced("e2", seed=1, schedule=schedule)
@@ -192,37 +188,39 @@ class TestProbesCompose:
 
 
 class TestProbesArePerKernel:
-    """Detector state lives on its kernel's bus: no process-wide seam."""
+    """Observer state lives on its kernel's bus: no process-wide seam."""
 
     def test_a_detector_sees_only_its_own_kernel(self):
+        """The detector here is the protocol auditor."""
         def write(ctx):
             yield from ctx.write("X0", 1)
 
-        watched, other = Kernel(seed=0), Kernel(seed=0)
-        detector = attach_detector(watched)
-        systems = [build_rowaa_system(kernel, 2, {"X0": 0}) for kernel in (watched, other)]
+        watched, other = (build_rowaa_system(Kernel(seed=0), 2, {"X0": 0})
+                          for _ in range(2))
+        auditor = attach_auditor(watched)
         # Attached last: under a process-wide seam this one would have
-        # received every store's accesses, on both kernels.
-        bystander = attach_detector(Kernel(seed=0))
-        for system in systems:
+        # received every store's mutations, on both kernels.
+        bystander = attach_auditor(build_rowaa_system(Kernel(seed=0), 2, {"X0": 0}))
+        checks = bystander.checks
+        for system in (watched, other):
             system.kernel.run(system.submit_with_retry(1, write, attempts=4))
             assert system.copy_value(2, "X0") == 1
-        assert detector.accesses_checked > 0 and detector.notes
-        assert not other.probes
-        assert bystander.accesses_checked == 0 and not bystander.notes
+        assert auditor.checks > 0
+        assert not other.kernel.probes
+        assert bystander.checks == checks
 
     def test_a_raising_scenario_leaves_nothing_behind(self):
         seen = []
 
         def exploding(build, seed):
             kernel, system = build("rowaa", seed, 2, {"X0": 0})
-            seen.append((kernel, system.obs.sanitizer))
+            seen.append((kernel, system.obs.audit))
             raise RuntimeError("boom")
 
         with pytest.raises(RuntimeError, match="boom"):
-            run_traced(exploding, seed=0, races=True)
-        (kernel, detector), = seen
-        assert detector.on_access in kernel.probes.access
+            run_traced(exploding, seed=0, audit=True)
+        (kernel, auditor), = seen
+        assert auditor._on_apply in kernel.probes.apply
         # The next kernel starts with an empty bus: there is no global
         # to clear.
         assert not Kernel(seed=0).probes
@@ -538,12 +536,18 @@ class TestOneDataPath:
             "spooled_for", "ml_valid_since", "needs_post_announce_pass",
             "register_probe", "_prepare_database", "single_outage", "periodic",
             "_committed_seen",
+            # The happens-before race detector, which gated no run, its
+            # handle on the bundle and the RPC drain's strand class; the
+            # TM's in-memory outcomes, which presumed abort answers.
+            "RaceDetector", "RaceReport", "attach_detector", "sanitizer", "races",
+            "DispatchStrand", "_outcomes",
         }
         for module in ("repro.core.partition_merge", "repro.lint.rules.rep002_ordering",
                        "repro.lint.rules._setlike", "repro.lint.rules.rep006_slots",
                        "repro.lint.cli", "repro.lint.report", "repro.lint.registry",
                        "repro.wal.determinism", "repro.audit.onestg",
-                       "repro.core.faillock", "repro.core.missinglist"):
+                       "repro.core.faillock", "repro.core.missinglist",
+                       "repro.sanitize.hb"):
             with pytest.raises(ImportError):
                 importlib.import_module(module)
         assert not {"mvcc", "lock_wait_timeout"} & {
@@ -566,21 +570,28 @@ class TestOneDataPath:
             assert not hasattr(owner, name), (owner, name)
         for flag in ("--bench-out", "--baseline", "--update-baseline",
                      "--no-shrink", "--shrink-budget",
-                     "--json", "--path", "--rules", "--changed"):
+                     "--json", "--path", "--rules", "--changed", "--races"):
             assert flag not in build_parser().format_help()
         # Parameter names that live on elsewhere, checked on the
         # signature that lost them.
-        from repro.audit import ProtocolAuditor, attach_auditor
+        from repro.audit import ProtocolAuditor
         from repro.core.recovery import RecoveryManager
         from repro.obs.timeseries import WindowedSampler, attach_sampler
+        from repro.sanitize.fuzz import run_schedule, schedfuzz
         from repro.sanitize.shrink import ddmin
 
         for function, parameter in (
             (RecoveryManager, "config"), (ProtocolAuditor, "config"),
             (attach_auditor, "config"), (WindowedSampler, "period"),
             (attach_sampler, "period"), (ddmin, "budget"),
+            (build_traced_scheme, "races"), (schedfuzz, "races"),
+            (run_schedule, "races"), (CopyStore, "probes"),
         ):
             assert parameter not in inspect.signature(function).parameters, function
+        # The probe events only the race detector read.
+        assert not {"access", "send", "join", "step_enter", "step_exit"} & set(
+            Probes.__slots__
+        )
         for text in ("quorum-wait", "quorum prepare round"):
             for path in sorted(self.SRC.rglob("*.py")):
                 assert text not in path.read_text(), (path, text)

@@ -248,6 +248,30 @@ class TestRep004DurabilityBypass:
         )
         assert result.findings == []
 
+    def test_stable_write_outside_its_writers_flagged(self, lint):
+        # One writer per durable record: the redo log and the TM's
+        # commit record. Holds outside the simulated layers too.
+        result = lint(
+            "repro/audit/x.py",
+            """
+            def forge(site, stable):
+                site.stable.put("tm.commit.T1", (1, 1))
+                stable.delete("wal.meta")
+            """,
+            rules=["REP004"],
+        )
+        assert rules_of(result) == ["REP004", "REP004"]
+
+    def test_stable_write_by_its_writers_allowed(self, lint):
+        source = """
+            def record(site, stable, decisions):
+                site.stable.put("tm.commit.T1", (1, 1))
+                stable.delete("wal.seg.0")
+                decisions.put("T1", "committed")
+            """
+        for path in ("repro/wal/x.py", "repro/txn/manager.py"):
+            assert lint(path, source, rules=["REP004"]).findings == []
+
 
 class TestRep005FloatEquality:
     def test_float_literal_equality_flagged(self, lint):

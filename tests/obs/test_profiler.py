@@ -41,7 +41,7 @@ class TestSubsystemMap:
         assert subsystem_of_module("repro.wal") == "wal"
         assert subsystem_of_module("repro.mvcc.store") == "mvcc"
         assert subsystem_of_module("repro.obs.timeseries") == "obs"
-        assert subsystem_of_module("repro.sanitize.hb") == "obs"
+        assert subsystem_of_module("repro.sanitize.fuzz") == "obs"
         assert subsystem_of_module("repro.sanitize.policy") == "obs"
         assert subsystem_of_module("repro.harness.runner") == "workload"
         assert subsystem_of_module("repro.workload") == "workload"

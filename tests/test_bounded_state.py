@@ -24,9 +24,9 @@ its retention rule comes from:
   fixed cost per op (``test_history_costs_bytes_not_objects``);
 * the recorder's per-transaction table (id, seq, kind, outcome) — one
   row per transaction for the same check; it is in that same budget;
-* the TM's ``_outcomes``, the DM's ``_decided`` and the stable
-  ``tm.commit.<txn_id>`` keys — the presumed-abort answers to in-doubt
-  participants; until every participant has acknowledged, forgetting
+* the DM's ``_decided`` and the stable ``tm.commit.<txn_id>`` keys —
+  the answers to in-doubt participants (the TM keeps none in memory:
+  no decision record is presumed abort); until every participant has acknowledged, forgetting
   one is unsafe, and the rule for forgetting them after that is
   ROADMAP 15 (ii);
 * the TM stats' latency lists (``commit_latencies``, ``ack_latencies``)

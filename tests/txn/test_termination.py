@@ -9,6 +9,7 @@ log at the coordinator and cooperative termination at participants
 import pytest
 
 from repro.baselines import StrictROWA
+from repro.core.system import RowaaSystem
 from repro.errors import TransactionAborted
 from repro.net import ConstantLatency
 from repro.sim import Kernel
@@ -199,3 +200,49 @@ class TestParticipantCrash:
         # Site 3 resolved via site 2's knowledge: committed there too.
         assert system.copy_value(3, "Y") == 5
         assert "Y" not in locked_items(system, 3)
+
+
+class TestLostRelease:
+    def test_lost_release_of_a_read_only_commit_frees_its_s_locks(
+        self, kernel, monkeypatch
+    ):
+        """A committed read-only transaction logs no decision (there is
+        nothing to make durable) and frees its S locks with a
+        fire-and-forget ``dm.release``. When that message is lost, the
+        orphan watch asks the coordinator, which has no record of it:
+        presumed abort frees the locks — releasing a reader's locks by
+        abort or by commit is the same act — and a writer of the item
+        is no longer stalled behind them."""
+        monkeypatch.setattr(data_manager, "DECISION_TIMEOUT", 60.0)
+        system = RowaaSystem(
+            kernel, n_sites=3, items={"X": 0},
+            latency=ConstantLatency(1.0), config=TxnConfig(rpc_timeout=20.0),
+        )
+        system.boot()
+        network = system.cluster.network
+        send, lost = network.send, []
+
+        def lose_releases(msg):
+            if msg.kind == "dm.release":
+                lost.append(msg.dst)
+            else:
+                send(msg)
+
+        network.send = lose_releases
+
+        def reader(ctx):
+            return (yield from ctx.read("X"))
+
+        assert kernel.run(system.submit(1, reader)) == 0
+        assert lost  # the release never left site 1
+        network.send = send
+        kernel.run(until=kernel.now + 200)
+        for site in (1, 2, 3):
+            assert locked_items(system, site) == set()
+
+        def writer(ctx):
+            yield from ctx.write("X", 5)
+
+        kernel.run(system.submit(2, writer))
+        for site in (1, 2, 3):
+            assert system.copy_value(site, "X") == 5

@@ -36,13 +36,6 @@ for e in e2 e10 e10sync; do
     run "schedfuzz_$e" python -m repro schedfuzz --experiment "$e" --seed 1 \
         --schedules 8 --out "schedfuzz_$e.json"
 done
-# The race detector's reports: what a change of carrier (a callback for a
-# process) can silently rewire — its happens-before edges run through
-# strands and scheduling edges, which no fingerprint above looks at.
-for e in e2 e10; do
-    run "races_$e" python -m repro schedfuzz --experiment "$e" --seed 1 \
-        --schedules 2 --races --out "races_$e.json"
-done
 run all_small python -m repro all --scale small --seed 3
 for example in "$ROOT"/examples/*.py; do
     run "example_$(basename "$example" .py)" python "$example"

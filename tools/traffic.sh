@@ -40,7 +40,7 @@ claimed python -m repro all --scale full --seed 3
 for e in $SCENARIOS; do
     claimed python -m repro run --experiment "$e" --seed 1 --out "run_$e"
 done
-traffic python -m repro schedfuzz --experiment e2 --seed 1 --schedules 2 --races --out s.json
+traffic python -m repro schedfuzz --experiment e2 --seed 1 --schedules 2 --out s.json
 traffic python -m repro schedfuzz --experiment e10 --seed 1 --schedules 2 --out s.json
 for example in "$ROOT"/examples/*.py; do
     traffic python "$example"
