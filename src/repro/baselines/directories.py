@@ -124,6 +124,8 @@ class DirectoryService:
         if not site.is_operational:
             return
         for item in self.system.catalog.items_at(crashed):
+            if is_dir_item(item):
+                continue  # a directory has no directory of its own
             site.spawn(
                 self._exclude_loop(observer, item, crashed),
                 name=f"exclude:{item}:{crashed}",

@@ -19,6 +19,7 @@ from repro.core.config import RowaaConfig
 from repro.harness.parallel import Cell
 from repro.harness.runner import build_scheme, outage, tagged_seed, wind_down
 from repro.harness.tables import Claim, Table
+from repro.sim.rng import sha256
 from repro.wal import WalConfig
 
 MODES = ("log_ship", "item_copy")
@@ -111,12 +112,10 @@ def claims(table: Table) -> list[Claim]:
 
 def _state_fingerprint(system, site_id, n_items):
     """Order-independent digest of the site's user-item values."""
-    import hashlib
-
     text = ";".join(
         f"X{i}={system.copy_value(site_id, f'X{i}')!r}" for i in range(n_items)
     )
-    return hashlib.sha256(text.encode()).hexdigest()[:12]
+    return sha256(text.encode()).hex()[:12]
 
 
 def _one_cell(**params):

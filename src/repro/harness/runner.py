@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import hashlib
 import importlib
 import types
 import typing
@@ -42,7 +41,7 @@ from repro.baselines import build_system
 from repro.net.latency import ConstantLatency
 from repro.obs import Observability
 from repro.sim.kernel import Kernel
-from repro.sim.rng import RngRegistry
+from repro.sim.rng import RngRegistry, sha256
 from repro.storage.catalog import Catalog
 from repro.system import DatabaseSystem
 from repro.txn.config import TxnConfig
@@ -389,8 +388,7 @@ def cell_seed(*parts: object) -> int:
     worker pool, or in a fresh interpreter tomorrow.
     """
     text = ":".join(str(part) for part in parts)
-    digest = hashlib.sha256(text.encode()).digest()
-    return int.from_bytes(digest[:4], "big")
+    return int.from_bytes(sha256(text.encode())[:4], "big")
 
 
 def tagged_seed(seed_tag: tuple, seed: int) -> int:

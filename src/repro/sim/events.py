@@ -35,6 +35,8 @@ _NO_CALLBACKS: tuple = ()
 F_PROCESSED = 1
 F_DEFUSED = 2
 F_CANCELLED = 4
+#: A :class:`~repro.sim.process.Process` taken over by ``Kernel.adopt``.
+F_ADOPTED = 8
 
 
 class Future:
@@ -195,7 +197,7 @@ class Future:
                 fn(self)
         elif self._exc is not None and not self._flags & F_DEFUSED:
             # Nobody is listening for this failure: surface it loudly.
-            self.kernel._report_unhandled(self)
+            self.kernel.report_unhandled(self)
 
     def __repr__(self) -> str:
         label = self.name or self.__class__.__name__

@@ -224,10 +224,14 @@ class Kernel:
         return Timeout(self, delay, value)
 
     def process(
-        self, generator: typing.Generator[Future, object, object], name: str = ""
+        self,
+        generator: typing.Generator[Future, object, object],
+        name: str = "",
+        on_exit: typing.Callable[[Process], None] | None = None,
     ) -> Process:
-        """Start a new simulated process running ``generator``."""
-        return Process(self, generator, name=name)
+        """Start a new simulated process running ``generator``; ``on_exit``
+        (no waiter) is called when it ends."""
+        return Process(self, generator, name=name, on_exit=on_exit)
 
     def adopt(
         self,
@@ -243,7 +247,7 @@ class Kernel:
         before this returns), and the process cannot be waited on — so it
         costs no start and no completion event.
         """
-        return Process(self, generator, name=name, on_exit=on_exit)
+        return Process(self, generator, name=name, on_exit=on_exit, adopt=True)
 
     # -- execution -----------------------------------------------------------
 
@@ -362,13 +366,13 @@ class Kernel:
 
         The probe lists are bound here, once per call. ``loop_enter`` /
         ``loop_exit`` bracket the whole loop (the host profiler switches
-        itself on and off there), ``dispatch_begin(seq, fn, entry)`` /
-        ``dispatch_end()`` bracket each event, and a ``tiebreak`` policy
-        picks among entries ready at the same instant.
+        itself on and off there), ``dispatch_begin(seq, fn, entry)`` runs
+        before each event, and a ``tiebreak`` policy picks among entries
+        ready at the same instant.
         """
         probes = self.probes
         choose = probes.tiebreak[-1] if probes.tiebreak else None
-        begin, end = probes.dispatch_begin, probes.dispatch_end
+        begin = probes.dispatch_begin
         tier = self._tier
         limit = float("inf") if until is None else until
         for probe in probes.loop_enter:
@@ -384,14 +388,10 @@ class Kernel:
                 self.events_processed += 1
                 for probe in begin:
                     probe(seq, fn, entry)
-                try:
-                    if fn is None:
-                        entry._process()
-                    else:
-                        fn(*entry)
-                finally:
-                    for probe in end:
-                        probe()
+                if fn is None:
+                    entry._process()
+                else:
+                    fn(*entry)
                 if self._unhandled:
                     self._raise_unhandled()
                 if single or (target is not None and target._flags & F_PROCESSED):
@@ -427,7 +427,9 @@ class Kernel:
         tier.extend(batch)
         return chosen
 
-    def _report_unhandled(self, event: Future) -> None:
+    def report_unhandled(self, event: Future) -> None:
+        """Record a failure nobody observes; the drain loop raises
+        :class:`UnhandledFailure` for it once the current event ends."""
         self._unhandled.append(event)
 
     def _raise_unhandled(self) -> typing.NoReturn:

@@ -33,7 +33,7 @@ Subscriber = typing.Callable[..., typing.Any]
 #: (each carries the emitting ``site_id`` first).
 EVENTS = (
     "tiebreak", "scheduled", "loop_enter", "loop_exit",
-    "dispatch_begin", "dispatch_end",
+    "dispatch_begin",
     "admit", "read", "snapshot_read", "apply", "logical_write",
     "txn_finish", "drain_done", "wal_flush", "wal_checkpoint", "gc",
     "crash", "power_on", "recovered",

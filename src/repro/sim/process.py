@@ -26,6 +26,11 @@ only needs to hear the outcome once, can **adopt** the generator instead
 the outcome is reported by one direct ``on_exit(process)`` call, and the
 process is not awaitable — so neither the start nor the completion is a
 kernel event. The RPC layer serves every handler that yields this way.
+
+An awaitable process may carry an ``on_exit`` hook too: it is called when
+the generator ends, beside (not instead of) the completion event, and it
+is no waiter — a failure nobody waits on is still unobserved. A site's
+background processes leave its process table this way.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from __future__ import annotations
 import typing
 
 from repro.errors import Interrupt, ReproError, SimError
-from repro.sim.events import _NO_CALLBACKS, _PENDING, F_PROCESSED, Future
+from repro.sim.events import _NO_CALLBACKS, _PENDING, F_ADOPTED, F_PROCESSED, Future
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.sim.kernel import Kernel
@@ -48,11 +53,11 @@ _NOT_AWAITABLE: frozenset = frozenset()
 class Process(Future):
     """A simulated thread of control driving a generator.
 
-    With ``on_exit`` the process is *adopted* (see the module docstring):
-    it takes its first step inside the constructor and calls
-    ``on_exit(self)`` exactly once when the generator returns, raises or
-    is interrupted to death; ``value`` / ``exception`` are readable from
-    then on.
+    ``on_exit(self)`` is called exactly once when the generator returns,
+    raises or is interrupted to death; ``value`` / ``exception`` are
+    readable from then on. With ``adopt`` the process is *adopted* (see
+    the module docstring): it takes its first step inside the constructor
+    and ``on_exit`` is its only outcome.
     """
 
     __slots__ = ("_generator", "_waiting_on", "_on_exit")
@@ -63,6 +68,7 @@ class Process(Future):
         generator: typing.Generator[Future, object, object],
         name: str = "",
         on_exit: typing.Callable[["Process"], None] | None = None,
+        adopt: bool = False,
     ) -> None:
         if not hasattr(generator, "send"):
             raise TypeError(
@@ -75,17 +81,18 @@ class Process(Future):
         self._name = name or getattr(generator, "__name__", "process")
         self._value = _PENDING
         self._exc = None
-        self._flags = 0
         self._abandon_hook = None
         self._generator = generator
         self._waiting_on: Future | None = None
         self._on_exit = on_exit
-        if on_exit is None:
+        if not adopt:
+            self._flags = 0
             self._callbacks = _NO_CALLBACKS
             # Kick off on a scheduled callback so creation order, not call
             # depth, determines execution order.
             kernel.schedule_callback(0.0, self._start)
         else:
+            self._flags = F_ADOPTED
             self._callbacks = _NOT_AWAITABLE
             self._step(None, None)
 
@@ -95,7 +102,7 @@ class Process(Future):
         return self._value is _PENDING
 
     def add_callback(self, fn: typing.Callable[[Future], None]) -> None:
-        if self._on_exit is not None:
+        if self._flags & F_ADOPTED:
             raise SimError(
                 f"{self!r} is adopted: its outcome goes to on_exit, it cannot be waited on"
             )
@@ -150,7 +157,7 @@ class Process(Future):
         a frame holds its locals: a future or process whose ``_exc`` is
         that exception closes a reference cycle, which only the cyclic
         collector would free. So when the turn ends, a protocol signal
-        (:func:`_is_signal`) thrown in or raised out drops its traceback,
+        (:func:`is_signal`) thrown in or raised out drops its traceback,
         and a bug raised out drops this frame's entry (it holds ``self``)
         but keeps the generator's frames for its diagnostics."""
         try:
@@ -160,13 +167,13 @@ class Process(Future):
                 try:
                     target = self._generator.throw(exc)
                 finally:
-                    if _is_signal(exc):
+                    if is_signal(exc):
                         exc.__traceback__ = None
         except StopIteration as stop:
             self._finish(stop.value, None)
             return
         except BaseException as error:  # noqa: BLE001 - failure propagates via the future
-            if _is_signal(error):
+            if is_signal(error):
                 error.__traceback__ = None
             else:
                 error.__traceback__ = error.__traceback__.tb_next
@@ -193,24 +200,27 @@ class Process(Future):
                 self._finish(None, error)
 
     def _finish(self, value: object, exc: BaseException | None) -> None:
-        on_exit = self._on_exit
-        if on_exit is None:
+        if not self._flags & F_ADOPTED:
             if exc is None:
                 self.succeed(value)
             else:
                 self.fail(exc)
-            return
-        # Adopted: nobody waits on the future, so it is never scheduled;
-        # it goes straight to its processed state and reports in place.
-        self._value = value
-        self._exc = exc
-        self._callbacks = None
-        self._flags |= F_PROCESSED
-        on_exit(self)
+        else:
+            # Adopted: nobody waits on the future, so it is never
+            # scheduled; it goes straight to its processed state and
+            # reports in place.
+            self._value = value
+            self._exc = exc
+            self._callbacks = None
+            self._flags |= F_PROCESSED
+        on_exit = self._on_exit
+        if on_exit is not None:
+            on_exit(self)
 
 
-def _is_signal(error: BaseException) -> bool:
+def is_signal(error: BaseException) -> bool:
     """True for a value the protocol passes around (an abort cause, an
-    RPC failure, an interrupt), whose traceback is no diagnostic; a
-    :class:`SimError` is kernel misuse, a bug, and keeps its frames."""
+    RPC failure, an interrupt), whose traceback is no diagnostic and
+    whose failing process a site defuses; a :class:`SimError` is kernel
+    misuse, a bug, and keeps its frames."""
     return isinstance(error, (ReproError, Interrupt)) and not isinstance(error, SimError)

@@ -10,7 +10,7 @@ from repro.net.network import Network
 from repro.net.rpc import RpcNode
 from repro.obs import Observability
 from repro.sim.kernel import Kernel
-from repro.sim.process import Process
+from repro.sim.process import Process, is_signal
 from repro.storage.copies import CopyStore
 from repro.storage.stable import StableStorage
 from repro.wal import SiteWal, WalConfig
@@ -94,27 +94,40 @@ class Site:
     def spawn(self, generator: typing.Generator, name: str = "") -> Process:
         """Run a process that dies with the site.
 
-        The process is killed (interrupted) on :meth:`crash`; its failure
-        by interrupt is expected and therefore defused.
+        The process is killed (interrupted) on :meth:`crash`. A failure
+        by a protocol signal (:func:`is_signal`: the crash's interrupt,
+        an abort, an RPC failure) is defused; any other — a bug — that
+        no caller waits on reaches the kernel's unhandled-failure path
+        (DESIGN.md §5, "No unobserved failure").
         """
-        proc = self.kernel.process(generator, name=f"site{self.site_id}:{name}")
-        proc.defuse()
+        proc = self.kernel.process(
+            generator, f"site{self.site_id}:{name}", self._spawned_exited
+        )
         self._procs[proc] = None
-        proc.add_callback(lambda _ev: self._procs.pop(proc, None))
         return proc
 
     def adopt(self, generator: typing.Generator, name: str = "") -> Process:
         """:meth:`spawn` for a caller that is itself the event in which
         the process is due to start (:meth:`Kernel.adopt`): the first step
         runs before this returns, and neither the start nor the
-        completion is a kernel event. Not awaitable."""
+        completion is a kernel event. Not awaitable, so a failure that is
+        not a signal is always unobserved."""
         proc = self.kernel.adopt(generator, self._adopted_exited, f"site{self.site_id}:{name}")
         if proc.is_alive:
             self._procs[proc] = None
         return proc
 
+    def _spawned_exited(self, proc: Process) -> None:
+        self._procs.pop(proc, None)
+        exc = proc.exception
+        if exc is not None and is_signal(exc):
+            proc.defuse()
+
     def _adopted_exited(self, proc: Process) -> None:
         self._procs.pop(proc, None)
+        exc = proc.exception
+        if exc is not None and not is_signal(exc):
+            self.kernel.report_unhandled(proc)
 
     # -- lifecycle ----------------------------------------------------------------
 

@@ -6,6 +6,7 @@ from repro.baselines import build_system
 from repro.baselines.directories import dir_item
 from repro.net import ConstantLatency
 from repro.sim import Kernel
+from repro.site import Site
 from repro.txn import TxnConfig
 
 
@@ -54,6 +55,27 @@ class TestDirectories:
         members = system.cluster.site(1).copies.get(dir_item("X")).value
         assert members == (1, 2)
         assert system.directory_service.exclude_committed >= 1
+
+    def test_exclude_loops_end_without_an_exception(self, kernel, monkeypatch):
+        """One EXCLUDE loop per data item of the crashed site, per
+        observer; a directory item has no directory, so no loop."""
+        loops = []
+        spawn = Site.spawn
+
+        def recording(site, generator, name=""):
+            proc = spawn(site, generator, name)
+            if name.startswith("exclude:"):
+                loops.append(proc)
+            return proc
+
+        monkeypatch.setattr(Site, "spawn", recording)
+        system = make(kernel)
+        system.crash(3)
+        kernel.run(until=200)
+        assert sorted(proc.name for proc in loops) == [
+            f"site{observer}:exclude:{item}:3" for observer in (1, 2) for item in "XY"
+        ]
+        assert all(not proc.is_alive and proc.exception is None for proc in loops)
 
     def test_writes_proceed_after_exclude(self, kernel):
         system = make(kernel)

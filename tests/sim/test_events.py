@@ -111,8 +111,8 @@ class TestFuture:
         first.fail(RuntimeError("one"))
         second.fail(ValueError("two"))
         kernel.run()  # defused: both process silently
-        kernel._report_unhandled(first)
-        kernel._report_unhandled(second)
+        kernel.report_unhandled(first)
+        kernel.report_unhandled(second)
         kernel.timeout(0)
         with pytest.raises(UnhandledFailure) as info:
             kernel.run()

@@ -417,3 +417,43 @@ class TestNoReferenceCycles:
         assert info.value.__cause__ is error
         if isinstance(error, KeyError):
             assert frame_names(error)[-1] == "body"
+
+
+class TestExitHook:
+    """``kernel.process(..., on_exit=...)``: an awaitable process whose
+    hook runs when the generator ends. The hook is no waiter: the
+    completion is still an event, and a failure nobody waits on is still
+    unobserved unless the hook defuses it."""
+
+    def test_hook_runs_at_the_end_and_the_completion_is_still_an_event(self):
+        for kernel in loop_variants():
+            exits = []
+
+            def body(kernel=kernel):
+                yield kernel.timeout(2)
+                return "done"
+
+            proc = kernel.process(body(), on_exit=exits.append)
+            kernel.run()
+            assert exits == [proc] and proc.value == "done"
+            assert kernel.events_processed == 3  # start, timeout, completion
+
+    def test_hook_is_no_waiter(self):
+        for kernel in loop_variants():
+            def body(kernel=kernel):
+                yield kernel.timeout(1)
+                raise RuntimeError("inside")
+
+            kernel.process(body(), on_exit=lambda proc: None)
+            with pytest.raises(UnhandledFailure):
+                kernel.run()
+
+    def test_hook_may_defuse(self):
+        for kernel in loop_variants():
+            def body(kernel=kernel):
+                yield kernel.timeout(1)
+                raise RuntimeError("inside")
+
+            proc = kernel.process(body(), on_exit=lambda proc: proc.defuse())
+            kernel.run()
+            assert isinstance(proc.exception, RuntimeError)

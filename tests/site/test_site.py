@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.errors import InvalidStateTransition
+from repro.errors import Interrupt, InvalidStateTransition, TransactionAborted, UnhandledFailure
 from repro.net import ConstantLatency, Network
 from repro.sim import Kernel
 from repro.site import Site, SiteStatus
@@ -67,6 +67,8 @@ class TestLifecycle:
 
 class TestCrashSemantics:
     def test_crash_kills_spawned_processes(self, kernel, site):
+        """Spawned and adopted alike, silently: the crash's interrupt is
+        a protocol signal, not an unobserved failure."""
         site.power_on()
         progress = []
 
@@ -74,11 +76,13 @@ class TestCrashSemantics:
             yield kernel.timeout(100)
             progress.append("done")  # must never run
 
-        site.spawn(worker(), name="worker")
+        procs = [site.spawn(worker(), name="worker")]
+        kernel.call_soon(lambda: procs.append(site.adopt(worker(), name="adopted")))
         kernel.run(until=5)
         site.crash()
         kernel.run()
         assert progress == []
+        assert [type(proc.exception) for proc in procs] == [Interrupt, Interrupt]
 
     def test_crash_runs_hooks(self, site):
         site.power_on()
@@ -112,3 +116,60 @@ class TestCrashSemantics:
         site.spawn(quick(), name="quick")
         kernel.run()
         assert done == [True]
+
+
+class TestUnobservedFailures:
+    """A background process's failure is defused only when it is a
+    protocol signal; a bug nobody waits on stops the run."""
+
+    def test_bug_in_a_background_process_stops_the_run(self, kernel, site):
+        site.power_on()
+
+        def broken():
+            yield kernel.timeout(1)
+            raise AssertionError("invariant")
+
+        site.spawn(broken(), name="broken")
+        with pytest.raises(UnhandledFailure) as info:
+            kernel.run()
+        assert isinstance(info.value.failures[0], AssertionError)
+
+    def test_bug_in_an_adopted_process_stops_the_run(self, kernel, site):
+        site.power_on()
+
+        def broken():
+            yield kernel.timeout(1)
+            raise AssertionError("invariant")
+
+        kernel.call_soon(lambda: site.adopt(broken(), name="broken"))
+        with pytest.raises(UnhandledFailure):
+            kernel.run()
+
+    def test_aborted_transaction_is_silent(self, kernel, site):
+        site.power_on()
+
+        def aborts():
+            yield kernel.timeout(1)
+            raise TransactionAborted("T1", "deadlock")
+
+        proc = site.spawn(aborts(), name="txn")
+        kernel.run()
+        assert isinstance(proc.exception, TransactionAborted)
+
+    def test_awaited_failure_reaches_only_its_caller(self, kernel, site):
+        site.power_on()
+        caught = []
+
+        def broken():
+            yield kernel.timeout(1)
+            raise ValueError("app bug")
+
+        def caller():
+            try:
+                yield site.spawn(broken(), name="txn")
+            except ValueError as exc:
+                caught.append(exc)
+
+        kernel.process(caller())
+        kernel.run()
+        assert [str(exc) for exc in caught] == ["app bug"]

@@ -3,7 +3,8 @@
 ``pyproject.toml`` declares ``dependencies = []``; these two tests hold
 it to that. The static one reads every import statement; the dynamic one
 catches what a scan cannot (``importlib``, a dependency of a dependency)
-on the path a run actually takes: CLI import, build, boot, load.
+on the path a run actually takes: CLI import, build, boot, load — and
+that this path loads no OpenSSL.
 """
 
 import ast
@@ -55,6 +56,9 @@ pool = ClientPool(system, WorkloadGenerator(spec, random.Random(1)), 2, think_ti
 pool.start(50.0)
 kernel.run(until=50.0)
 assert pool.stats.committed > 0
+# Seeds come from the in-tree SHA-256: OpenSSL (``_hashlib``, ``_ssl``)
+# is not mapped into a run (DESIGN.md §5, "What a run maps").
+assert not {"_hashlib", "_ssl"} & set(sys.modules), sorted({"_hashlib", "_ssl"} & set(sys.modules))
 # ``import multiprocessing`` aliases ``__main__`` under this name.
 allowed = sys.stdlib_module_names | {"repro", "__mp_main__"}
 print(*sorted(m for m in set(sys.modules) - at_start if m.partition(".")[0] not in allowed))
