@@ -50,8 +50,6 @@ class SnapshotManager:
         self.site = site
         self.store = store
         self.begun = 0
-        # Created eagerly so the metric catalog (and its doc-drift gate)
-        # sees the histogram even in runs with no read-only traffic.
         self._age = site.obs.registry.histogram(
             "mvcc.snapshot_age", site.site_id
         )

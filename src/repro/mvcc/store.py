@@ -235,9 +235,13 @@ class MultiVersionStore:
         return horizon
 
     def sweep(self) -> int:
-        """One GC pass: truncate every chain below the horizon, keeping
-        the floor version each surviving cut still resolves to."""
-        horizon = self.gc_horizon()
+        """One GC pass: :meth:`trim` at the current horizon."""
+        self.stats.gc_sweeps += 1
+        return self.trim(self.gc_horizon())
+
+    def trim(self, horizon: Cut) -> int:
+        """Truncate every chain below ``horizon``, keeping the floor
+        version each surviving cut still resolves to."""
         pins = tuple(sorted(self._pins.values()))
         reclaimed = 0
         for item in sorted(self._multi):
@@ -259,7 +263,6 @@ class MultiVersionStore:
             for fn in self.kernel.probes.gc:
                 fn(self.site.site_id, item, removed, pins, chain_before)
         self.stats.gc_reclaimed += reclaimed
-        self.stats.gc_sweeps += 1
         return reclaimed
 
     def run_gc(self) -> typing.Generator:
@@ -312,7 +315,10 @@ class MultiVersionStore:
         ``cut``: advanced to ``last_crash_time - D`` only when no
         unreadable mark survived in the durable state — a crash
         mid-recovery keeps the older cut, which is conservative (more
-        stale) but never inconsistent.
+        stale) but never inconsistent. Last, one :meth:`trim` at the
+        restored horizon (the stale cut, unless a pin is older) takes
+        back what replay restored of the versions a sweep had reclaimed
+        since the checkpoint (DESIGN.md §8).
         """
         for item, records in tails:
             for ts, commit, seq, value in records:
@@ -321,6 +327,7 @@ class MultiVersionStore:
         if not self.site.copies.unreadable_count():
             crash_time = self.site.last_crash_time or 0.0
             self.stale_cut = max(cut, crash_time - RO_STALENESS_FLOOR, 0.0)
+        self.trim(self.gc_horizon())
 
     # -- determinism digest ---------------------------------------------------
 

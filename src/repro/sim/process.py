@@ -224,3 +224,12 @@ def is_signal(error: BaseException) -> bool:
     whose failing process a site defuses; a :class:`SimError` is kernel
     misuse, a bug, and keeps its frames."""
     return isinstance(error, (ReproError, Interrupt)) and not isinstance(error, SimError)
+
+
+def defuse_signal(process: Process) -> None:
+    """``on_exit`` hook for a process nobody waits on: an end by a
+    protocol signal is defused, and any other failure — a bug — reaches
+    the kernel's unhandled-failure path (DESIGN.md §5)."""
+    exc = process.exception
+    if exc is not None and is_signal(exc):
+        process.defuse()

@@ -10,7 +10,7 @@ from repro.net.network import Network
 from repro.net.rpc import RpcNode
 from repro.obs import Observability
 from repro.sim.kernel import Kernel
-from repro.sim.process import Process, is_signal
+from repro.sim.process import Process, defuse_signal, is_signal
 from repro.storage.copies import CopyStore
 from repro.storage.stable import StableStorage
 from repro.wal import SiteWal, WalConfig
@@ -66,8 +66,8 @@ class Site:
         #: power-on, rebuilds copies/session state from checkpoint + log
         #: replay.
         self.wal = SiteWal(self, wal_config)
-        #: Version chains for snapshot reads; set by the DatabaseSystem
-        #: when the multiversion subsystem is on.
+        #: Version chains for snapshot reads; built by the site's first
+        #: ``beginRO`` (``TransactionManager.snapshot_manager``).
         self.mvcc: "MultiVersionStore | None" = None
         # Insertion-ordered dict-as-set: a plain set would interrupt the
         # procs in id-hash order on crash(), which varies across
@@ -119,9 +119,7 @@ class Site:
 
     def _spawned_exited(self, proc: Process) -> None:
         self._procs.pop(proc, None)
-        exc = proc.exception
-        if exc is not None and is_signal(exc):
-            proc.defuse()
+        defuse_signal(proc)
 
     def _adopted_exited(self, proc: Process) -> None:
         self._procs.pop(proc, None)

@@ -148,25 +148,6 @@ class DatabaseSystem:
         if concurrency == "to":
             for tm in self.tms.values():
                 tm.version_policy = "timestamp"
-        # Multiversion snapshot reads (repro.mvcc): 2PL only — commit
-        # versions then order by decision instant, which is what makes
-        # the ``now - D`` time cut a consistent committed prefix. The TO
-        # scheduler's timestamp versions (txn start time) break that
-        # argument, so the subsystem stays off there.
-        self.mvcc: dict[int, "MultiVersionStore"] = {}
-        self.snapshots: dict[int, "SnapshotManager"] = {}
-        if concurrency == "2pl":
-            from repro.mvcc import MultiVersionStore, SnapshotManager
-
-            for site_id in self.cluster.site_ids:
-                site = self.cluster.site(site_id)
-                store = MultiVersionStore(kernel, site)
-                site.mvcc = store
-                site.power_on_hooks.append(store.on_power_on)
-                manager = SnapshotManager(kernel, site, store)
-                self.mvcc[site_id] = store
-                self.snapshots[site_id] = manager
-                self.tms[site_id].snapshots = manager
         self.deadlock_detector = GlobalDeadlockDetector(kernel, self._live_lock_managers)
         # Detector-driven 2PC termination: when a site is declared down
         # or announces recovery, every DM promptly resolves the
@@ -183,6 +164,20 @@ class DatabaseSystem:
                 lambda changed, dm=dm: dm.resolve_coordinated_by(changed)
             )
         instrument_system(self)
+
+    @property
+    def snapshots(self) -> dict[int, "SnapshotManager"]:
+        """The snapshot managers of the sites that have taken a snapshot."""
+        return {
+            site_id: tm.snapshots
+            for site_id, tm in self.tms.items()
+            if tm.snapshots is not None
+        }
+
+    @property
+    def mvcc(self) -> dict[int, "MultiVersionStore"]:
+        """The version stores of the same sites as :attr:`snapshots`."""
+        return {site_id: manager.store for site_id, manager in self.snapshots.items()}
 
     def _live_lock_managers(self):
         return [

@@ -23,6 +23,7 @@ import typing
 
 from repro.digraph import DiGraph, NoCycle, find_cycle
 from repro.sim.kernel import Kernel
+from repro.sim.process import defuse_signal
 from repro.txn.locks import LockManager
 
 #: Virtual time between detection sweeps.
@@ -55,8 +56,7 @@ class GlobalDeadlockDetector:
         self.kernel = kernel
         self._lock_managers = lock_managers
         self.victims_chosen = 0
-        self._proc = kernel.process(self._run(), name="deadlock-detector")
-        self._proc.defuse()
+        self._proc = kernel.process(self._run(), "deadlock-detector", defuse_signal)
 
     def stop(self) -> None:
         """Halt the periodic sweeps (lets ``kernel.run()`` drain)."""

@@ -46,6 +46,9 @@ from repro.txn.payloads import (
 from repro.txn.strategy import CommitStrategy, ReplicationStrategy
 from repro.txn.transaction import Transaction, TxnKind, TxnStatus, next_commit_seq
 
+if typing.TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.mvcc import SnapshotManager
+
 TxnProgram = typing.Callable[[TxnContext], typing.Generator]
 
 #: Enum members as module names: a global load where ``TxnKind.USER`` is
@@ -134,10 +137,9 @@ class TransactionManager:
             Sync2pcCommit.name: Sync2pcCommit(self),
             AsyncQuorumCommit.name: AsyncQuorumCommit(self),
         }
-        #: The site's :class:`~repro.mvcc.snapshot.SnapshotManager`; wired
-        #: by the system under 2PL concurrency (multiversion snapshot
-        #: reads), else None and :meth:`submit_ro` refuses.
-        self.snapshots: typing.Any = None
+        #: The site's :class:`~repro.mvcc.snapshot.SnapshotManager`, None
+        #: until :meth:`snapshot_manager` builds it.
+        self.snapshots: "SnapshotManager | None" = None
         self._active: set[str] = set()
         site.rpc.register("tm.outcome", self._handle_outcome)
         site.crash_hooks.append(self._on_crash)
@@ -209,7 +211,8 @@ class TransactionManager:
         self, program: typing.Callable, parent_span: int | None = None
     ) -> typing.Generator:
         """Read-only transaction body (see :meth:`submit_ro`)."""
-        if self.site.is_down or self.snapshots is None:
+        if self.site.is_down or self.version_policy != "commit":
+            # Snapshot reads require 2PL (DESIGN.md §8, refused combinations).
             self.stats.ro_refused += 1
             raise NotOperational(self.site_id)
         txn = Transaction(
@@ -223,7 +226,8 @@ class TransactionManager:
                 parent=parent_span, txn_id=txn.txn_id,
             )
             obs.spans.annotate(txn.span, read_only=True)
-        snapshot = self.snapshots.begin()
+        snapshots = self.snapshot_manager()
+        snapshot = snapshots.begin()
         ctx = ReadOnlyTxnContext(self, txn, snapshot)
         self._active.add(txn.txn_id)
         try:
@@ -240,7 +244,24 @@ class TransactionManager:
             return result
         finally:
             # Unpin whatever happened — a leaked pin would wedge GC.
-            self.snapshots.release(snapshot)
+            snapshots.release(snapshot)
+
+    def snapshot_manager(self) -> "SnapshotManager":
+        """The site's snapshot manager, built with its version store at
+        the first call — the first ``beginRO`` here: the store seeds its
+        chains from the current copies and sweeps with the site from
+        then on (DESIGN.md §8)."""
+        if self.snapshots is None:
+            # Here, so a world without snapshots never loads the module.
+            from repro.mvcc import MultiVersionStore, SnapshotManager
+
+            site = self.site
+            store = site.mvcc = MultiVersionStore(self.kernel, site)
+            site.power_on_hooks.append(store.on_power_on)
+            if not site.is_down:
+                store.on_power_on()
+            self.snapshots = SnapshotManager(self.kernel, site, store)
+        return self.snapshots
 
     def _finish_ro(
         self, txn: Transaction, status: TxnStatus, reason: str | None = None

@@ -6,7 +6,7 @@ import dataclasses
 import typing
 
 from repro.errors import Interrupt, NotOperational, TransactionAborted
-from repro.sim.process import Process
+from repro.sim.process import Process, defuse_signal
 from repro.workload.generator import WorkloadGenerator
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -101,9 +101,9 @@ class ClientPool:
             home = self.home_sites[index % len(self.home_sites)]
             proc = self.system.kernel.process(
                 self._client_loop(home, deadline, self._generators[index]),
-                name=f"client{index}@{home}",
+                f"client{index}@{home}",
+                defuse_signal,
             )
-            proc.defuse()
             self._procs.append(proc)
         return self._procs
 
@@ -148,7 +148,7 @@ class ClientPool:
             if snapshot_path:
                 # Snapshot reads only need the site powered on: a
                 # RECOVERING home still answers them from its durable
-                # stale cut (the TM refuses if the mvcc subsystem is off).
+                # stale cut (the TM refuses under TO concurrency).
                 if site.is_down:
                     return "refused"
                 proc = self.system.tms[home].submit_ro(program)

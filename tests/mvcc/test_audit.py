@@ -38,12 +38,13 @@ def _build():
 class TestSnapshotConsistencyRule:
     def test_tampered_chain_fires_on_ro_read(self):
         kernel, system, auditor = _build()
+        store = system.tms[1].snapshot_manager().store
         kernel.run(system.submit(1, _write("X", 1)))
         kernel.run(system.submit(1, _write("X", 2)))
         kernel.run(until=kernel.now + 10.0)
         # Drop the newest committed version behind the store's back: the
         # serve now returns an older version than the site ever should.
-        chain = system.mvcc[1].chain("X")
+        chain = store.chain("X")
         chain.records.pop()
         chain.keys.pop()
         kernel.run(_ro(system, 1, ("X",)))
@@ -68,10 +69,11 @@ class TestSnapshotConsistencyRule:
 class TestGcPinnedRule:
     def test_gc_ignoring_pins_fires(self):
         kernel, system, auditor = _build()
-        store = system.mvcc[1]
+        manager = system.tms[1].snapshot_manager()
+        store = manager.store
         kernel.run(system.submit(1, _write("X", 1)))
         kernel.run(until=kernel.now + 10.0)
-        snapshot = system.snapshots[1].begin()  # pins the old cut
+        snapshot = manager.begin()  # pins the old cut
         for value in (2, 3, 4):
             kernel.run(system.submit(1, _write("X", value)))
             kernel.run(until=kernel.now + 5.0)
@@ -86,16 +88,17 @@ class TestGcPinnedRule:
 
     def test_gc_respecting_pins_stays_silent(self):
         kernel, system, auditor = _build()
-        store = system.mvcc[1]
+        manager = system.tms[1].snapshot_manager()
+        store = manager.store
         kernel.run(system.submit(1, _write("X", 1)))
         kernel.run(until=kernel.now + 10.0)
-        snapshot = system.snapshots[1].begin()
+        snapshot = manager.begin()
         for value in (2, 3, 4):
             kernel.run(system.submit(1, _write("X", value)))
             kernel.run(until=kernel.now + 5.0)
         kernel.run(until=kernel.now + 50.0)
         store.sweep()
-        system.snapshots[1].release(snapshot)
+        manager.release(snapshot)
         store.sweep()
         assert auditor.alerts.count(rule="mvcc.gc_pinned") == 0
 
@@ -103,6 +106,8 @@ class TestGcPinnedRule:
 class TestReplayDeterminism:
     def _scenario(self):
         kernel, system = build_scheme("rowaa", 7, 3, {"X": 0, "Y": 0})
+        for tm in system.tms.values():
+            tm.snapshot_manager()
         for value in (1, 2):
             kernel.run(system.submit(1, _write("X", value)))
             kernel.run(until=kernel.now + 5.0)

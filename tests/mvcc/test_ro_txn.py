@@ -10,10 +10,11 @@ drained), and write-path refusal.
 
 import pytest
 
-from repro.errors import NotOperational, TransactionError
+from repro.errors import NotOperational, TransactionAborted, TransactionError
 from repro.harness.runner import build_scheme
 from repro.mvcc.store import RO_STALENESS_FLOOR
 from repro.txn.transaction import TxnKind
+from repro.wal.log import CHECKPOINT_ITEM_PREFIX
 
 
 def _write_pair(value):
@@ -85,6 +86,56 @@ class TestSnapshotIsolation:
         assert system.mvcc[1].stats.ro_served == 1
 
 
+class TestBuiltAtFirstSnapshot:
+    """A site builds its version store at its first ``beginRO``."""
+
+    def test_read_write_traffic_alone_builds_no_store(self):
+        kernel, system = _build()
+        for value in (1, 2, 3):
+            kernel.run(system.submit(1, _write_pair(value)))
+        kernel.run(until=kernel.now + 120.0)  # past two GC periods
+        assert system.mvcc == {} and system.snapshots == {}
+        for site in system.cluster.sites.values():
+            assert site.mvcc is None
+            assert not [proc for proc in site._procs if "mvcc-gc" in proc.name]
+            site.wal.checkpoint()
+            tails = [
+                site.stable.get(key)[3]
+                for key in site.stable.keys()
+                if key.startswith(CHECKPOINT_ITEM_PREFIX)
+            ]
+            assert tails and not any(tails)
+
+    def test_first_snapshot_builds_its_site_only_at_the_genesis_cut(self):
+        kernel, system = _build()
+        assert kernel.now == 0.0
+        views: list = []
+        kernel.run(_collect_ro(system, 2, ("X", "Y"), views))
+        assert list(system.mvcc) == [2] and list(system.snapshots) == [2]
+        assert system.cluster.site(2).mvcc is system.mvcc[2]
+        assert views[0]["values"] == [0, 0]
+        assert views[0]["staleness"] == 0.0  # the cut (0, 0): genesis
+        assert [p for p in system.cluster.site(2)._procs if "mvcc-gc" in p.name]
+
+    def test_first_snapshot_while_recovering_aborts_on_pre_crash_writes(self):
+        kernel, system = _build()
+        kernel.run(system.submit(1, _write_pair(3)))
+        kernel.run(until=30.0)
+        system.crash(3)
+        kernel.run(until=kernel.now + 40.0)
+        system.power_on(3)
+        assert not system.cluster.site(3).is_operational  # RECOVERING
+        # No pre-crash version was kept, so the stale cut finds no floor
+        # for X or Y: a clean abort, never a wrong (genesis) value.
+        for items in (("X", "Y"), ("Y",)):
+            views: list = []
+            with pytest.raises(TransactionAborted) as caught:
+                kernel.run(_collect_ro(system, 3, items, views))
+            assert caught.value.reason == "snapshot-unavailable"
+            assert views == []
+        assert system.mvcc[3].stats.ro_served == 0
+
+
 class TestLockFreedom:
     def test_ro_read_completes_while_writer_holds_x_lock(self):
         kernel, system = _build()
@@ -120,6 +171,7 @@ class TestLockFreedom:
 class TestRecoveringSiteServes:
     def test_reads_answered_while_missing_list_drains(self):
         kernel, system = _build()
+        kernel.run(_collect_ro(system, 3, ("X",), []))  # site 3 keeps versions
         kernel.run(system.submit(1, _write_pair(3)))
         kernel.run(until=30.0)
         system.crash(3)

@@ -48,10 +48,15 @@ def _build(n_sites=3, items=None):
     return kernel, system
 
 
+def _store(system, site_id):
+    """The site's version store, built as a first ``beginRO`` builds it."""
+    return system.tms[site_id].snapshot_manager().store
+
+
 class TestServingCut:
     def test_current_site_serves_rolling_floor(self):
         kernel, system = _build()
-        store = system.mvcc[1]
+        store = _store(system, 1)
         kernel.run(until=100.0)
         cut, stale = store.serving_cut()
         assert not stale
@@ -59,12 +64,12 @@ class TestServingCut:
 
     def test_recovering_site_serves_durable_stale_cut(self):
         kernel, system = _build()
+        store = _store(system, 3)
         kernel.run(system.submit(1, _write("X", 1)))
         kernel.run(until=50.0)
         system.crash(3)
         kernel.run(until=60.0)
         system.power_on(3)
-        store = system.mvcc[3]
         assert not system.cluster.site(3).is_operational
         cut, stale = store.serving_cut()
         assert stale
@@ -74,13 +79,13 @@ class TestServingCut:
 
     def test_read_below_truncated_chain_raises(self):
         kernel, system = _build()
-        store = system.mvcc[1]
+        store = _store(system, 1)
         with pytest.raises(SnapshotUnavailable):
             store.read_at("X", (-1.0, 0))
 
     def test_initial_version_readable_at_genesis_cut(self):
         _kernel, system = _build()
-        value, version = system.mvcc[1].read_at("X", (0.0, 0))
+        value, version = _store(system, 1).read_at("X", (0.0, 0))
         assert value == 0
         assert version_key(version) == (0.0, 0)
 
@@ -93,7 +98,7 @@ class TestGc:
 
     def test_unpinned_chain_shrinks_to_one(self):
         kernel, system = _build()
-        store = system.mvcc[1]
+        store = _store(system, 1)
         self._grow_chain(kernel, system)
         assert len(store.chain("X")) == 5  # initial + 4 commits
         kernel.run(until=kernel.now + 50.0)
@@ -106,7 +111,7 @@ class TestGc:
 
     def test_background_sweep_runs_on_kernel_timer(self):
         kernel, system = _build()
-        store = system.mvcc[1]
+        store = _store(system, 1)
         self._grow_chain(kernel, system)
         kernel.run(until=kernel.now + 3 * GC_PERIOD)
         assert store.stats.gc_sweeps >= 2
@@ -114,8 +119,8 @@ class TestGc:
 
     def test_pin_blocks_reclaim_of_snapshot_floor(self):
         kernel, system = _build()
-        store = system.mvcc[1]
-        manager = system.snapshots[1]
+        store = _store(system, 1)
+        manager = system.tms[1].snapshot_manager()
         kernel.run(system.submit(1, _write("X", 1)))
         kernel.run(until=kernel.now + 10.0)
         snapshot = manager.begin()
@@ -132,7 +137,7 @@ class TestGc:
 
     def test_release_is_idempotent(self):
         _kernel, system = _build()
-        manager = system.snapshots[1]
+        manager = system.tms[1].snapshot_manager()
         snapshot = manager.begin()
         manager.release(snapshot)
         manager.release(snapshot)
@@ -140,7 +145,7 @@ class TestGc:
 
     def test_gc_hook_reports_truncation(self):
         kernel, system = _build()
-        store = system.mvcc[1]
+        store = _store(system, 1)
         seen = []
         kernel.probes.gc.append(
             lambda site_id, item, removed, pins, before: seen.append(
@@ -156,7 +161,10 @@ class TestGc:
 class TestCheckpointPayload:
     def test_payload_round_trips_through_on_restore(self):
         kernel, system = _build()
-        store = system.mvcc[1]
+        store = _store(system, 1)
+        # A snapshot pinned at the genesis cut keeps on_restore's closing
+        # trim from reclaiming anything, so the whole chain must return.
+        system.tms[1].snapshot_manager().begin()
         kernel.run(system.submit(1, _write("X", 1)))
         kernel.run(system.submit(1, _write("X", 2)))
         copies = system.cluster.site(1).copies

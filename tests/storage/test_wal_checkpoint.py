@@ -121,6 +121,28 @@ class TestCreatedAfterGenesis:
         assert site.wal.log.buffered == 0 and site.wal.stats.records_appended == 0
 
 
+class TestRestoreKeepsSweptVersionsSwept:
+    def test_replayed_versions_below_the_restored_horizon_are_trimmed(self):
+        site = make_site(mvcc=True)
+        site.copies.create("X", 0)
+        site.copies.apply_write("X", 1, v(1))
+        site.wal.checkpoint()
+        for commit in range(2, 7):
+            site.copies.apply_write("X", commit, v(commit))
+        site.wal.flush()
+        store = site.mvcc
+        assert len(store.chain("X")) == 6
+        site.kernel.run(until=20.0)
+        assert store.sweep() == 5  # the horizon is now - D = 18
+        site.crash()
+        site.power_on()
+        # Replay re-inserted v(2)..v(5); the restore's closing trim at the
+        # stale cut (crash 20 - D) reclaims them again, and counts them.
+        assert store.versions_retained() == 1
+        assert store.stats.gc_reclaimed == 10
+        assert store.sweep() == 0
+
+
 class TestDifferentialAgainstTheFullImage:
     @pytest.mark.parametrize("every", [None, 4])
     @pytest.mark.parametrize("name", ["e9", "e10", "e11"])
