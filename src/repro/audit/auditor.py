@@ -652,6 +652,7 @@ class ProtocolAuditor:
         session_last = checkpoint["session_last"]
         session_started = checkpoint["session_started_at"]
         stale = checkpoint["stale_table"]
+        decided = checkpoint["decided"]
         for record in site.wal.log.records_after(checkpoint["lsn"]):
             if record.kind == "write":
                 items[record.item] = (record.value, record.version, False)
@@ -674,7 +675,9 @@ class ProtocolAuditor:
             elif record.kind == "unstale":
                 for applied in record.applied_sites:
                     stale.pop((record.item, applied), None)
-        return self._fingerprint(items, session_last, session_started, stale)
+            elif record.kind == "decision":
+                decided[record.txn_id] = record.version
+        return self._fingerprint(items, session_last, session_started, stale, decided)
 
     def _state_fingerprint(self, site: "Site") -> str:
         """Hash of the live copies + the WAL's mirrors (post-restore)."""
@@ -683,11 +686,13 @@ class ProtocolAuditor:
             copy = site.copies.get(name)
             items[name] = (copy.value, copy.version, copy.unreadable)
         wal = site.wal
-        return self._fingerprint(items, wal.session_last, wal.session_started_at, wal.stale_table)
+        return self._fingerprint(
+            items, wal.session_last, wal.session_started_at, wal.stale_table, wal.decided
+        )
 
     @staticmethod
     def _fingerprint(
-        items: dict, session_last: object, session_started: object, stale: dict
+        items: dict, session_last: object, session_started: object, stale: dict, decided: dict
     ) -> str:
         digest = hashlib.sha256()
         for name in sorted(items):
@@ -698,6 +703,7 @@ class ProtocolAuditor:
             )
         digest.update(repr(("session", session_last, session_started)).encode())
         digest.update(repr(sorted(stale.items())).encode())
+        digest.update(repr(sorted((txn, tuple(v)) for txn, v in decided.items())).encode())
         return digest.hexdigest()
 
     # -- liveness watchdogs ---------------------------------------------------

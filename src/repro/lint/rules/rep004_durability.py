@@ -13,11 +13,11 @@ The harness/obs/audit/cli layers sit outside the simulated machines
 and legitimately write artifacts (traces, tables, alert streams), so
 the file-I/O half of the rule skips them.
 
-The other half holds everywhere: stable storage has one writer per
-record kind. The redo log (``repro/wal``) writes every durable record
-and the TM (``repro/txn/manager.py``) its commit decisions; a
-``.put`` / ``.delete`` on a receiver named ``stable`` anywhere else is
-a second durable format that crash replay does not know about.
+The other half holds everywhere: stable storage has one writer. The
+redo log (``repro/wal``) writes every durable record, the
+coordinator's commit decisions among them; a ``.put`` / ``.delete`` on
+a receiver named ``stable`` anywhere else is a second durable format
+that crash replay does not know about.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from repro.lint.rule import Rule
 from repro.lint.rules._scopes import DURABLE
 
 #: The only writers of stable storage (see the module docstring).
-_STABLE_WRITERS: tuple[str, ...] = ("repro/wal", "repro/txn/manager.py")
+_STABLE_WRITERS: tuple[str, ...] = ("repro/wal",)
 
 #: os.* calls that create/destroy/rename real filesystem state.
 _OS_MUTATORS = frozenset(

@@ -235,9 +235,11 @@ class MultiVersionStore:
         return horizon
 
     def sweep(self) -> int:
-        """One GC pass: :meth:`trim` at the current horizon."""
+        """One GC pass: :meth:`trim` at the current horizon, counted."""
         self.stats.gc_sweeps += 1
-        return self.trim(self.gc_horizon())
+        reclaimed = self.trim(self.gc_horizon())
+        self.stats.gc_reclaimed += reclaimed
+        return reclaimed
 
     def trim(self, horizon: Cut) -> int:
         """Truncate every chain below ``horizon``, keeping the floor
@@ -262,7 +264,6 @@ class MultiVersionStore:
             # active at sweep time, and the pre-sweep version list.
             for fn in self.kernel.probes.gc:
                 fn(self.site.site_id, item, removed, pins, chain_before)
-        self.stats.gc_reclaimed += reclaimed
         return reclaimed
 
     def run_gc(self) -> typing.Generator:
@@ -318,7 +319,7 @@ class MultiVersionStore:
         stale) but never inconsistent. Last, one :meth:`trim` at the
         restored horizon (the stale cut, unless a pin is older) takes
         back what replay restored of the versions a sweep had reclaimed
-        since the checkpoint (DESIGN.md §8).
+        since the checkpoint (DESIGN.md §8), counting none of them.
         """
         for item, records in tails:
             for ts, commit, seq, value in records:

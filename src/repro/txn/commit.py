@@ -4,7 +4,7 @@ Two implementations of the :class:`~repro.txn.strategy.CommitStrategy`
 seam, selected by ``TxnConfig.commit_mode``:
 
 * :class:`Sync2pcCommit` — the baseline presumed-abort 2PC: a prepare
-  round to every write site, the stable decision, a commit round, and
+  round to every write site, the logged decision, a commit round, and
   only then the client ack. Client latency is two sequential RPC rounds
   past the write-all.
 
@@ -14,7 +14,7 @@ seam, selected by ``TxnConfig.commit_mode``:
   the intent durably (WAL group commit) and votes yes in the same ack
   the write-all already waits for. At the commit point the coordinator
   checks the quorum rule — for every written item, a majority of the
-  item's resident copies must be prepared — stably logs the decision,
+  item's resident copies must be prepared — forces the decision to the log,
   acks the client immediately, and *drains* the ``dm.commit`` applies in
   a background process. Client latency is the write-all round alone.
 
@@ -123,6 +123,8 @@ class Sync2pcCommit:
                 lost.append(site_id)
         if lost:
             tm.mark_missed(txn, lost, acked)
+        else:  # every write site acked: forget it (DESIGN.md §6, item 3)
+            tm.site.wal.decided.pop(txn.txn_id, None)
 
 
 class AsyncQuorumCommit:
@@ -157,7 +159,7 @@ class AsyncQuorumCommit:
                 span, prepared=len(prepared), needed=txn.quorum_needed,
                 quorum_pipelined=True,
             )
-        # The commit point: the decision is stably logged inside
+        # The commit point: the decision is forced into the log inside
         # _finish before any COMMIT message leaves this site, then the
         # client is acked — the applies happen in the drain process.
         version = tm.decide_version(txn)

@@ -163,23 +163,22 @@ class TransactionManager:
         self._active.clear()
 
     def _handle_outcome(self, query: OutcomeQuery, src: int) -> tuple[str, Version | None]:
-        """Active, else the stable decision, else presumed abort.
+        """Active, else the logged decision, else presumed abort.
 
-        Presumed abort keeps no outcome in memory: "aborted" is right
-        for every transaction without a decision record, because a
-        commit with writes is stably logged *before any COMMIT message
-        is sent* (see :meth:`_finish`). A commit without writes has no
-        record and is answered "aborted" too, which is its outcome at
-        every participant: a reader's locks are released the same way
-        by either decision.
+        "aborted" is right for every transaction without a decision in
+        ``wal.decided``: a commit with writes is logged *before any
+        COMMIT message is sent* (see :meth:`_finish`), and forgotten
+        only once every write site has acknowledged it, when no
+        participant can still ask (DESIGN.md §6). A commit without
+        writes has no record and is answered "aborted" too, which is its
+        outcome at every participant: a reader's locks are released the
+        same way by either decision.
         """
         if query.txn_id in self._active:
             return ("active", None)
-        committed = typing.cast(
-            "tuple | None", self.site.stable.get(f"tm.commit.{query.txn_id}")
-        )
+        committed = self.site.wal.decided.get(query.txn_id)
         if committed is not None:
-            return ("committed", Version(*committed))
+            return ("committed", committed)
         return ("aborted", None)
 
     # -- public API -----------------------------------------------------------
@@ -268,8 +267,8 @@ class TransactionManager:
     ) -> None:
         """Terminate a read-only transaction.
 
-        Deliberately disjoint from :meth:`_finish`: no stable commit
-        record, no history-recorder outcome, and none of the RW stats —
+        Deliberately disjoint from :meth:`_finish`: no commit decision
+        logged, no history-recorder outcome, and none of the RW stats —
         a snapshot read commits locally by construction, and mixing it
         into the RW counters would flatter every 2PC statistic.
         """
@@ -440,10 +439,10 @@ class TransactionManager:
 
         Lagging sites are retried ``DRAIN_RETRIES`` times; a site still
         unreachable after that is given up to recovery — its prepared
-        participation resolves through the coordinator's stable decision
-        record, and its copies catch up through the normal marks +
+        participation resolves through the coordinator's logged decision,
+        kept for it, and its copies catch up through the normal marks +
         ``wal.ship`` transport. Every give-up increments
-        ``tm.commit_ack_lost``.
+        ``tm.commit_ack_lost``; a drain that every site acked forgets the decision.
         """
         txn = ctx.txn
         obs = self.site.obs
@@ -481,13 +480,15 @@ class TransactionManager:
             self.stats.commit_ack_lost += len(remaining)
             if remaining:
                 self.mark_missed(txn, remaining, acked)
+            else:
+                self.site.wal.decided.pop(txn.txn_id, None)
             self.stats.drains_completed += 1
             for fn in self.kernel.probes.drain_done:
                 fn(self.site_id, txn, tuple(acked), tuple(remaining))
         finally:
             # Also runs when the coordinator crashes mid-drain: the span
             # closes, and the participants finish via in-doubt
-            # resolution against the stable decision record.
+            # resolution against the logged decision.
             if span is not None:
                 obs.spans.finish(span, acked=len(acked), lost=len(remaining))
 
@@ -535,12 +536,11 @@ class TransactionManager:
             obs.spans.finish(txn.span, status=status.value, reason=reason)
         if status is _COMMITTED:
             if txn.wrote_sites:
-                # The commit point: force the decision to stable storage
+                # The commit point: force the decision into the log
                 # BEFORE any COMMIT message leaves this site, so a
                 # restarted coordinator answers in-doubt participants
                 # correctly (presumed abort's one logging requirement).
-                # The version as a bare triple: plain data, no class.
-                self.site.stable.put(f"tm.commit.{txn.txn_id}", tuple(version))
+                self.site.wal.log_decision(txn.txn_id, version)
             self.recorder.mark_committed(txn.txn_id)
             self.stats.committed += 1
             self.stats.commit_latencies.append(txn.end_time - txn.start_time)

@@ -16,9 +16,10 @@ no Python code:
   truncated-commit map. Rewritten by :meth:`RedoLog.truncate` (i.e. at
   checkpoints), never by a flush;
 * ``wal.ckpt`` — the header of the last fuzzy checkpoint: its LSN, the
-  high-commit watermark, the session state, the in-doubt prepares (as
-  rows) and the mvcc stale cut. Fixed size but for the in-doubt prepares
-  (written by :class:`~repro.wal.wal.SiteWal`, not here);
+  high-commit watermark, the session state, the §5 table, the commit
+  decisions (bare triples), the in-doubt prepares (as rows) and the mvcc
+  stale cut. Fixed size but for the table, the decisions and the
+  prepares (written by :class:`~repro.wal.wal.SiteWal`, not here);
 * ``wal.ckpt.item.<name>`` — the durable image of one copy, as plain
   tuples: ``(value, (ts, commit, seq), unreadable, chain tail)``.
   Rewritten by a checkpoint only when the image moved since the last

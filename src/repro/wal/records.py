@@ -1,7 +1,7 @@
 """Redo-log record types.
 
 One :class:`LogRecord` is appended for every committed mutation of a
-site's copy store, session state and durable §5 stale-copy table:
+site's copy store, session, durable §5 stale-copy table and decisions:
 
 * ``"write"`` — a committed physical write (value + version), including
   copier renovations and NS/control updates;
@@ -19,7 +19,9 @@ site's copy store, session state and durable §5 stale-copy table:
   *in-doubt* after a crash and resolve it cooperatively;
 * ``"resolve"`` — the observed decision for a previously prepared
   transaction; a restart treats prepares without a matching resolve as
-  in-doubt.
+  in-doubt;
+* ``"decision"`` — a coordinator's commit decision (``txn_id``, ``version``),
+  forced before any COMMIT leaves; no record means "aborted".
 
 Records are redo-only (no undo for committed state: only committed
 copy mutations are journaled as ``"write"``; a prepare record journals
@@ -44,13 +46,13 @@ class LogRecord(typing.NamedTuple):
     """One redo record. ``lsn`` is site-local and strictly increasing."""
 
     lsn: int
-    kind: str  # "write" "mark" "clear" "session" "stale" "unstale" "prepare" "resolve"
+    kind: str  # "write" "mark" "clear" "session" "stale" "unstale" "prepare" "resolve" "decision"
     item: str | None = None
     value: object = None
     version: Version | None = None
     session: int | None = None
     session_started_at: float | None = None
-    # 2PC context, populated on "prepare"/"resolve" records only. The
+    # 2PC context, populated on "prepare"/"resolve"/"decision" records only. The
     # version field doubles as the intent's version_override; item and
     # value carry the buffered write itself.
     txn_id: str | None = None

@@ -12,13 +12,13 @@ and its :class:`~repro.storage.stable.StableStorage`:
 * after ``checkpoint_every`` durable records a *fuzzy checkpoint* is
   taken: the image ``(value, version, unreadable, chain tail)`` of every
   item whose image moved since the last checkpoint, each under its own
-  stable key, then a header with the session state and the §5 table,
-  after which the log is truncated down to the configured retention
-  tail — a checkpoint costs O(items dirtied), not O(database);
+  stable key, then a header with the session state, the §5 table and the
+  decisions, after which the log is truncated down to the configured
+  retention tail — a checkpoint costs O(items dirtied), not O(database);
 * on power-on, :meth:`restore` rebuilds copies, versions, unreadable
-  marks, session state and the §5 table **purely** from checkpoint +
-  log replay (the in-memory copy store is explicitly reset first —
-  nothing that "magically survived" the crash is consulted).
+  marks, session state, the §5 table and the decisions **purely** from
+  checkpoint + log replay (the in-memory copy store is explicitly reset
+  first — nothing that "magically survived" the crash is consulted).
 
 A site whose stable storage holds no checkpoint (never initialised by a
 :class:`~repro.system.DatabaseSystem`, e.g. a bare ``Site`` in a unit
@@ -99,6 +99,9 @@ class SiteWal:
         self.session_last = 0
         self.session_started_at: float | None = None
         self.stale_table: dict[tuple[str, int], tuple] = {}
+        #: Mirror of the log: this site's commit decisions as coordinator,
+        #: kept until every write site has acknowledged (DESIGN.md §6).
+        self.decided: dict[str, Version] = {}
         self._flush_soon: Future | None = None
         site.copies.subscribers.append(self._journal)
         site.crash_hooks.append(self._on_crash)
@@ -135,6 +138,14 @@ class SiteWal:
         kind = "stale" if missed else "unstale"
         self.log.append(kind, item, value, version, missed_sites=missed, applied_sites=applied)
         self.stats.records_appended += 1
+
+    def log_decision(self, txn_id: str, version: Version) -> None:
+        """Journal the coordinator's commit decision and force it: the
+        commit point, durable before any COMMIT message leaves."""
+        self.log.append("decision", txn_id=txn_id, version=version)
+        self.stats.records_appended += 1
+        self.decided[txn_id] = version
+        self.flush()
 
     # -- durable prepares (async_quorum commit mode) ---------------------------
 
@@ -276,6 +287,7 @@ class SiteWal:
                 "session_last": self.session_last,
                 "session_started_at": self.session_started_at,
                 "stale_table": self.stale_table,
+                "decided": {txn: tuple(version) for txn, version in self.decided.items()},
                 # In-doubt prepares survive log truncation through the
                 # header (the flush above made them and the mirrors
                 # exact), as rows.
@@ -307,7 +319,7 @@ class SiteWal:
     # -- restart ---------------------------------------------------------------
 
     def restore(self) -> RestoreResult | None:
-        """Rebuild copies/versions/marks/session/§5 table from checkpoint + replay.
+        """Rebuild copies/versions/marks/session/§5 table/decisions from the log.
 
         Returns None (and touches nothing) when stable storage holds no
         checkpoint — the site was never initialised through a
@@ -344,6 +356,9 @@ class SiteWal:
             self.session_last = checkpoint["session_last"]
             self.session_started_at = checkpoint["session_started_at"]
             stale = self.stale_table = checkpoint["stale_table"]
+            decided = self.decided = {
+                txn: Version(*version) for txn, version in checkpoint["decided"].items()
+            }
             high_commit = checkpoint["high_commit"]
             unresolved: dict[str, list[LogRecord]] = {
                 txn: list(map(from_row, rows))
@@ -380,6 +395,8 @@ class SiteWal:
                     unresolved.setdefault(record.txn_id, []).append(record)
                 elif record.kind == "resolve":
                     unresolved.pop(record.txn_id, None)
+                elif record.kind == "decision":  # even one forgotten since
+                    decided[record.txn_id] = record.version
             self._unresolved = unresolved
             self._dirty = dirty
             self.stats.in_doubt_restored += len(unresolved)

@@ -219,6 +219,25 @@ class TestWalCoherence:
         assert ("X", 3) in wal.stale_table  # the dropped record's entry is back
         assert auditor.alerts.count(rule="wal.replay_fingerprint") == 1
 
+    def test_restore_dropping_a_decision_record_fails_replay_fingerprint(self):
+        kernel, system, auditor = _build()
+        kernel.run(system.submit(1, _write("X", 7)))
+        wal = system.cluster.sites[1].wal
+        assert wal.decided == {}  # every write site acknowledged: forgotten
+        (txn_id,) = [
+            r.txn_id for r in wal.log.records_after(wal.last_checkpoint_lsn)
+            if r.kind == "decision"
+        ]
+        system.crash(1)
+        replay = wal.log.records_after
+        wal.log.records_after = lambda lsn: (
+            record for record in replay(lsn) if record.kind != "decision"
+        )
+        system.power_on(1)
+        del wal.log.records_after
+        assert txn_id not in wal.decided  # replay would have brought it back
+        assert auditor.alerts.count(rule="wal.replay_fingerprint") == 1
+
     def test_clean_crash_recovery_fingerprint_silent(self):
         kernel, system, auditor = _build()
         kernel.run(system.submit(1, _write("X", 7)))

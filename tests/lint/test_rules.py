@@ -249,28 +249,25 @@ class TestRep004DurabilityBypass:
         assert result.findings == []
 
     def test_stable_write_outside_its_writers_flagged(self, lint):
-        # One writer per durable record: the redo log and the TM's
-        # commit record. Holds outside the simulated layers too.
-        result = lint(
-            "repro/audit/x.py",
-            """
+        # One writer: the redo log, which also logs the coordinator's
+        # commit decisions. Holds outside the simulated layers too.
+        source = """
             def forge(site, stable):
-                site.stable.put("tm.commit.T1", (1, 1))
+                site.stable.put("decision.T1", (1, 1))
                 stable.delete("wal.meta")
-            """,
-            rules=["REP004"],
-        )
-        assert rules_of(result) == ["REP004", "REP004"]
+            """
+        for path in ("repro/audit/x.py", "repro/txn/manager.py"):
+            result = lint(path, source, rules=["REP004"])
+            assert rules_of(result) == ["REP004", "REP004"], path
 
     def test_stable_write_by_its_writers_allowed(self, lint):
         source = """
             def record(site, stable, decisions):
-                site.stable.put("tm.commit.T1", (1, 1))
+                site.stable.put("wal.ckpt", {})
                 stable.delete("wal.seg.0")
                 decisions.put("T1", "committed")
             """
-        for path in ("repro/wal/x.py", "repro/txn/manager.py"):
-            assert lint(path, source, rules=["REP004"]).findings == []
+        assert lint("repro/wal/x.py", source, rules=["REP004"]).findings == []
 
 
 class TestRep005FloatEquality:

@@ -370,6 +370,7 @@ class TestSiteWal:
             "session_last": 0,
             "session_started_at": None,
             "stale_table": {},
+            "decided": {},
             "in_doubt": {},
             "stale_cut": 0.0,
         }
@@ -649,7 +650,7 @@ class TestTruncationSummary:
 class TestNoBlobNamesAClass:
     def test_faillocks_world_through_a_crash_and_a_recovery(self):
         """Every blob of the log (whose segments and checkpoint header
-        carry the fail-lock tables) and of the commit decisions is plain
+        carry the fail-lock tables and the commit decisions) is plain
         data: unpickling it runs no Python code."""
         kernel = Kernel(seed=1)
         system = RowaaSystem(
@@ -674,7 +675,7 @@ class TestNoBlobNamesAClass:
             assert list(site.wal.stale_table)[:2] == [("X0", 3), ("X1", 3)]
         assert kernel.run(system.power_on(3)).succeeded
         kernel.run(until=kernel.now + 100)
-        prefixes = ("wal.seg.", "wal.meta", "wal.dir", "wal.ckpt", "tm.commit.")
+        prefixes = ("wal.seg.", "wal.meta", "wal.dir", "wal.ckpt")
         seen = set()
         for site_id in system.cluster.site_ids:
             site = system.cluster.site(site_id)

@@ -24,20 +24,20 @@ its retention rule comes from:
   fixed cost per op (``test_history_costs_bytes_not_objects``);
 * the recorder's per-transaction table (id, seq, kind, outcome) — one
   row per transaction for the same check; it is in that same budget;
-* the DM's ``_decided`` and the stable ``tm.commit.<txn_id>`` keys —
-  the answers to in-doubt participants (the TM keeps none in memory:
-  no decision record is presumed abort); until every participant has acknowledged, forgetting
-  one is unsafe, and the rule for forgetting them after that is
-  ROADMAP 15 (ii);
+* the DM's ``_decided`` — a participant's answers to its in-doubt peers
+  (cooperative termination); the coordinator's own decisions are not
+  here: it forgets one once every write site has acknowledged it (the
+  presumed-abort rule, DESIGN.md §6), so they are work in flight;
 * the TM stats' latency lists (``commit_latencies``, ``ack_latencies``)
   — one sample per commit, the benchmark's and experiments' input; kept
   for the run.
 
-Stable storage holds six key families, and a fail-locks crash/recover
-world writes exactly these (``test_stable_key_families``). The log is
-the only durable format for site state: the session number and the §5
-stale-copy table are redo records and parts of the checkpoint header,
-not keys of their own. Each family's retention rule:
+Stable storage holds five key families, all the redo log's, and a
+fail-locks crash/recover world writes exactly these
+(``test_stable_key_families``). The log is the only durable format for
+site state: the session number, the §5 stale-copy table and the
+coordinator's commit decisions are redo records and parts of the
+checkpoint header, not keys of their own. Each family's retention rule:
 
 * ``wal.seg.<n>`` — one segment per group commit; a checkpoint's
   truncation deletes every segment wholly behind its ``retain_records``
@@ -47,11 +47,10 @@ not keys of their own. Each family's retention rule:
   truncated-commit map has at most one entry per item;
 * ``wal.ckpt`` — one key, the checkpoint header, rewritten by every
   checkpoint; its stale-copy table has at most one entry per (item,
-  site) and its in-doubt prepares are work in flight;
-* ``wal.ckpt.item.<name>`` — one image per copy, rewritten in place;
-* ``tm.commit.<txn_id>`` — one decision per coordinated commit, never
-  deleted: the unbounded family, whose forgetting rule is ROADMAP 15
-  (ii).
+  site), and its in-doubt prepares and commit decisions are work in
+  flight (a decision is kept past its last acknowledgement only when an
+  acknowledgement was lost, or when a restart replayed it);
+* ``wal.ckpt.item.<name>`` — one image per copy, rewritten in place.
 """
 
 import collections
@@ -193,15 +192,13 @@ def test_no_cyclic_garbage_per_transaction(world, horizon):
 
 
 #: Every stable key family a system writes (see the module docstring).
-STABLE_FAMILIES = {
-    "wal.seg.*", "wal.meta", "wal.dir", "wal.ckpt", "wal.ckpt.item.*", "tm.commit.*"
-}
+STABLE_FAMILIES = {"wal.seg.*", "wal.meta", "wal.dir", "wal.ckpt", "wal.ckpt.item.*"}
 #: Small enough that both horizons truncate the log many times.
 FAMILY_WAL = WalConfig(checkpoint_every=16, retain_records=16)
 
 
 def family(key):
-    for prefix in ("wal.seg.", "wal.ckpt.item.", "tm.commit."):
+    for prefix in ("wal.seg.", "wal.ckpt.item."):
         if key.startswith(prefix):
             return prefix + "*"
     return key
@@ -246,8 +243,9 @@ def test_stable_key_families():
             assert keys[name] == len(system.cluster.site_ids)
         segments = 2 * (FAMILY_WAL.checkpoint_every + FAMILY_WAL.retain_records)
         assert keys["wal.seg.*"] <= len(system.cluster.site_ids) * segments
+        for site in system.cluster.sites.values():
+            assert len(site.wal.decided) <= FAMILY_WAL.checkpoint_every
     short_size, long_size = short[3], long[3]
-    # Four times the history: the decisions grow with it, nothing else does.
-    assert long[2]["tm.commit.*"] >= 4 * short[2]["tm.commit.*"]
-    for name in STABLE_FAMILIES - {"tm.commit.*"}:
+    # Four times the history: no family grows with it.
+    for name in STABLE_FAMILIES:
         assert long_size[name] <= 2 * short_size[name], name

@@ -1,8 +1,9 @@
 """2PC termination protocol edge cases (coordinator/participant crashes).
 
 The paper assumes a correct atomic-commitment substrate ([9, 10]); these
-tests pin down the one we built: presumed abort with a stable commit
-log at the coordinator and cooperative termination at participants
+tests pin down the one we built: presumed abort with the coordinator's
+commit decision forced into its redo log (and forgotten once every write
+site has acknowledged it) and cooperative termination at participants
 (DESIGN.md §6, items 2-3).
 """
 
@@ -13,22 +14,52 @@ from repro.core.system import RowaaSystem
 from repro.errors import TransactionAborted
 from repro.net import ConstantLatency
 from repro.sim import Kernel
+from repro.storage.catalog import Catalog
 from repro.system import DatabaseSystem
 from repro.txn import TxnConfig, data_manager
+from repro.txn.transaction import TxnStatus
+from repro.wal import WalConfig
+from repro.wal.log import CHECKPOINT_KEY
 
 
-def make_system(kernel, monkeypatch, decision_timeout=60.0):
+def make_system(kernel, monkeypatch, decision_timeout=60.0, **kwargs):
     monkeypatch.setattr(data_manager, "DECISION_TIMEOUT", decision_timeout)
+    kwargs.setdefault("config", TxnConfig(rpc_timeout=20.0))
     system = DatabaseSystem(
         kernel,
         n_sites=3,
         items={"X": 0, "Y": 0},
         strategy_factory=lambda _system: StrictROWA(),
         latency=ConstantLatency(1.0),
-        config=TxnConfig(rpc_timeout=20.0),
+        **kwargs,
     )
     system.boot()
     return system
+
+
+ASYNC = TxnConfig(rpc_timeout=20.0, commit_mode="async_quorum")
+
+
+def write(item, value):
+    def program(ctx):
+        yield from ctx.write(item, value)
+
+    return program
+
+
+def crash_at_commit_point(system, coordinator, victim):
+    """Crash ``victim`` right after ``coordinator`` logs a commit
+    decision, before any dm.commit is processed remotely."""
+    tm = system.tms[coordinator]
+    original_finish = tm._finish
+
+    def finish_then_crash(txn, status, version, reason=None):
+        original_finish(txn, status, version, reason)
+        if status is TxnStatus.COMMITTED:
+            tm._finish = original_finish
+            system.crash(victim)
+
+    tm._finish = finish_then_crash
 
 
 @pytest.fixture
@@ -133,6 +164,59 @@ class TestCoordinatorCrash:
         kernel.run(until=kernel.now + 200)
         assert "X" not in locked_items(system, 2)
         assert system.copy_value(2, "X") == 0
+
+
+class TestForgottenDecisions:
+    @pytest.mark.parametrize("config", [None, ASYNC], ids=["sync_2pc", "async_quorum"])
+    def test_forgotten_after_a_clean_commit(self, kernel, monkeypatch, config):
+        """Once every write site has acknowledged the COMMIT, no
+        participant can ask for the decision: the coordinator forgets
+        it, and no stable key but the log's is left."""
+        kwargs = {} if config is None else {"config": config}
+        system = make_system(kernel, monkeypatch, **kwargs)
+        kernel.run(system.submit(1, write("X", 7)))
+        kernel.run(until=kernel.now + 50)  # the async drain lands
+        wal = system.cluster.site(1).wal
+        assert any(
+            r.kind == "decision" for r in wal.log.records_after(wal.last_checkpoint_lsn)
+        )
+        assert wal.decided == {}
+        assert all(key.startswith("wal.") for key in system.cluster.site(1).stable.keys())
+        for site_id in (1, 2, 3):
+            assert system.copy_value(site_id, "X") == 7
+
+    def test_a_decision_outlives_truncation(self, kernel, monkeypatch):
+        """A decision whose drain gave up on a site is kept; once a
+        checkpoint truncates its record, the header carries it across a
+        coordinator restart, and the site's re-armed in-doubt prepare
+        still learns "committed"."""
+        catalog = Catalog([1, 2, 3])
+        catalog.add_item("X", (1, 2, 3))
+        catalog.add_item("Y", (1, 2))  # writable while site 3 is down
+        system = make_system(
+            kernel, monkeypatch, decision_timeout=30.0, config=ASYNC, catalog=catalog,
+            wal_config=WalConfig(checkpoint_every=4, retain_records=0),
+        )
+        crash_at_commit_point(system, coordinator=1, victim=3)
+        kernel.run(system.submit(1, write("X", 7)))  # site 3 prepared durably
+        assert system.cluster.site(3).is_down
+        kernel.run(until=kernel.now + 100)  # the drain gives site 3 up
+        wal = system.cluster.site(1).wal
+        assert system.tms[1].stats.commit_ack_lost == 1
+        (txn_id,) = wal.decided
+        for value in range(4):
+            kernel.run(system.submit(1, write("Y", value)))
+        kernel.run(until=kernel.now + 50)
+        # Only the header has it: its record is truncated.
+        assert txn_id not in {r.txn_id for r in wal.log.records_after(0)}
+        assert txn_id in system.cluster.site(1).stable.get(CHECKPOINT_KEY)["decided"]
+        system.crash(1)
+        system.power_on(1)
+        assert txn_id in wal.decided
+        system.power_on(3)  # re-arms the transaction in doubt
+        kernel.run(until=kernel.now + 200)
+        assert system.copy_value(3, "X") == 7
+        assert "X" not in locked_items(system, 3)
 
 
 class TestParticipantCrash:
