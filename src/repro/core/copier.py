@@ -67,7 +67,6 @@ class CopierStats:
     ship_validated: int = 0  # marks cleared via the final versions map
     ship_bytes: int = 0  # nominal bytes of all ship replies received
     ship_served_records: int = 0  # records this site served to peers
-    ship_fallback_truncated: int = 0  # streams refused: peer truncated
     ship_fallback_items: int = 0  # items handed to per-item copy after a stream
 
 
@@ -304,21 +303,15 @@ class CopierService:
         Filters the retained log suffix to write records of items the
         requester hosts whose commit sequence lies above the requester's
         anchor, tagging each with whether this record is still the peer's
-        *current* version. Refuses when truncation dropped any record the
-        requester might need.
+        *current* version. A peer that truncated its log serves what it
+        still holds: the final page's ``versions`` map and the
+        requester's per-item fallback cover the rest.
         """
         del src  # the request names the requester explicitly
         wal = self.site.wal
         if not self.site.is_operational:
-            return ShipReply(serving=False, truncated=False)
+            return ShipReply(serving=False)
         catalog = self.tm.catalog
-        for item, commit in wal.log.truncated_commit_by_item.items():
-            if (
-                commit > request.after_commit
-                and not is_ns_item(item)
-                and request.requester in catalog.sites_of(item)
-            ):
-                return ShipReply(serving=True, truncated=True)
         copies = self.site.copies
         records: list[ShipRecord] = []
         cursor = request.cursor_lsn
@@ -365,7 +358,6 @@ class CopierService:
         self.stats.ship_served_records += len(records)
         return ShipReply(
             serving=True,
-            truncated=False,
             records=tuple(records),
             next_cursor=cursor,
             done=done,
@@ -421,13 +413,6 @@ class CopierService:
             if not reply.serving:
                 self._start_item_copy(self._pending_items())
                 return
-            if reply.truncated:
-                # The peer dropped records we would need: the stream
-                # would silently skip updates. Per-item copy is always
-                # complete, so hand everything over (§3.2 fallback).
-                self.stats.ship_fallback_truncated += 1
-                self._start_item_copy(self._pending_items())
-                return
             self.stats.ship_batches += 1
             self.stats.records_shipped += len(reply.records)
             self.stats.ship_bytes += reply.wire_size
@@ -443,7 +428,8 @@ class CopierService:
         leftovers = self._pending_items()
         if leftovers:
             # Items the stream could not cover: not hosted/readable at
-            # the peer, or shipped only as non-current versions.
+            # the peer, shipped only as non-current versions, or
+            # written by records the peer has truncated.
             self.stats.ship_fallback_items += len(leftovers)
             self._start_item_copy(leftovers)
         else:

@@ -163,9 +163,6 @@ def instrument_rowaa(system: typing.Any) -> None:
             values[("copier.ship_served_records", site_id)] = float(
                 stats.ship_served_records
             )
-            values[("copier.ship_fallback_truncated", site_id)] = float(
-                stats.ship_fallback_truncated
-            )
             values[("copier.ship_fallback_items", site_id)] = float(
                 stats.ship_fallback_items
             )

@@ -11,10 +11,10 @@ no Python code:
   next LSN, durable LSN, next segment id, and the highest commit sequence
   number among durable write records. Fixed size, rewritten by every
   flush;
-* ``wal.dir`` — what only truncation moves, as a tuple: the id of the
-  first retained segment, the truncation watermarks and the per-item
-  truncated-commit map. Rewritten by :meth:`RedoLog.truncate` (i.e. at
-  checkpoints), never by a flush;
+* ``wal.dir`` — what only truncation moves, as a pair: the id of the
+  first retained segment and the truncated-through LSN. Fixed size,
+  rewritten by :meth:`RedoLog.truncate` (i.e. at checkpoints), never by
+  a flush;
 * ``wal.ckpt`` — the header of the last fuzzy checkpoint: its LSN, the
   high-commit watermark, the session state, the §5 table, the commit
   decisions (bare triples), the in-doubt prepares (as rows) and the mvcc
@@ -27,17 +27,16 @@ no Python code:
 
 Cost model: every :meth:`RedoLog.flush` is exactly one stable segment
 put plus one O(1) ``wal.meta`` put — independent of how many items the
-site holds and of how much log it retains. The flush also keeps a
-volatile *summary* of the segment (its record count and, per item, the
-highest write commit), so :meth:`RedoLog.truncate` reads no segment: it
-merges the summaries of the segments it drops, at a cost that follows
-the dropped segments, not the retained log. A checkpoint is one small
-put per item whose image moved since the last checkpoint plus the
-header put, then a truncation — independent of how many items the site
-holds. Restart pays instead: :meth:`RedoLog.load_meta` reads every
-retained segment ``[first retained, next_segment)`` once, for its LSN
-bounds and its summary, and ``SiteWal.restore`` scans the stable keys
-for the ``wal.ckpt.item.`` prefix and reads every item image back.
+site holds and of how much log it retains. :meth:`RedoLog.truncate`
+reads no segment (the directory's LSN bounds say what it drops) and
+writes one O(1) ``wal.dir`` put plus one delete per dropped segment. A
+checkpoint is one small put per item whose image moved since the last
+checkpoint plus the header put, then a truncation — independent of how
+many items the site holds. Restart pays instead:
+:meth:`RedoLog.load_meta` reads every retained segment ``[first
+retained, next_segment)`` once, for its LSN bounds, and
+``SiteWal.restore`` scans the stable keys for the ``wal.ckpt.item.``
+prefix and reads every item image back.
 
 Invariants:
 
@@ -46,11 +45,10 @@ Invariants:
   buffer and is lost by a crash — the owner counts those losses);
 * segments partition the durable LSN range ``(truncated_through,
   durable_lsn]`` in order, without gaps (a crash re-issues the LSNs of
-  the dropped tail);
-* ``truncated_max_commit`` is the highest commit sequence number among
-  ever-truncated write records: a catch-up request anchored at or below
-  it cannot be served completely from the log and must fall back to
-  per-item copy.
+  the dropped tail), so the log has truncated exactly
+  ``truncated_through`` records. A log-shipping peer streams whatever
+  it still holds; the requester item-copies what the stream did not
+  cover (``repro.core.copier``), so truncation never refuses a stream.
 """
 
 from __future__ import annotations
@@ -67,21 +65,8 @@ CHECKPOINT_KEY = "wal.ckpt"
 CHECKPOINT_ITEM_PREFIX = "wal.ckpt.item."
 
 #: What ``wal.dir`` stands for until the first truncation writes it:
-#: first retained segment, truncated-through LSN, truncated max commit,
-#: truncated records, per-item truncated commits.
-_NEVER_TRUNCATED = (1, 0, 0, 0, {})
-
-
-def _summary(rows: tuple) -> tuple[int, dict[str, int]]:
-    """What truncating a segment of ``rows`` adds to the watermarks: its
-    record count and, per item, the highest commit of its writes."""
-    commits: dict[str, int] = {}
-    for row in rows:
-        if row[1] == "write" and row[4] is not None:
-            item, commit = row[2], row[4][1]
-            if commits.get(item, -1) < commit:
-                commits[item] = commit
-    return len(rows), commits
+#: first retained segment, truncated-through LSN.
+_NEVER_TRUNCATED = (1, 0)
 
 
 class RedoLog:
@@ -94,17 +79,8 @@ class RedoLog:
         self.durable_lsn = 0
         #: Segment directory: ``(segment_id, first_lsn, last_lsn)``.
         self.segments: list[tuple[int, int, int]] = []
-        #: Each directory entry's :func:`_summary`, index for index.
-        #: Volatile: a crash drops it and :meth:`load_meta` rebuilds it.
-        self._summaries: list[tuple[int, dict[str, int]]] = []
         self._next_segment = 1
         self.truncated_through_lsn = 0
-        self.truncated_max_commit = 0
-        self.truncated_records = 0
-        #: Per-item highest commit sequence ever truncated (write records
-        #: only). Lets a catch-up server gate precisely: only truncated
-        #: commits of items the *requester* hosts can invalidate a stream.
-        self.truncated_commit_by_item: dict[str, int] = {}
         self.high_commit = 0  # max Version.commit among durable+buffered writes
         self.load_meta()
 
@@ -116,23 +92,15 @@ class RedoLog:
         if meta is None:
             return
         self.next_lsn, self.durable_lsn, self._next_segment, self.high_commit = meta
-        (
-            first_segment, self.truncated_through_lsn, self.truncated_max_commit,
-            self.truncated_records, truncated_by_item,
-        ) = typing.cast(tuple, self.stable.get(DIRECTORY_KEY, _NEVER_TRUNCATED))
-        # Copied: ``get`` hands out private blobs, the default it does not.
-        self.truncated_commit_by_item = dict(truncated_by_item)
+        first_segment, self.truncated_through_lsn = typing.cast(
+            tuple, self.stable.get(DIRECTORY_KEY, _NEVER_TRUNCATED)
+        )
         # A segment put with no meta put after it has an id at or past
         # ``next_segment``: invisible here, overwritten by the next flush.
         self.segments = []
-        self._summaries = []
         for segment_id in range(first_segment, self._next_segment):
             rows = typing.cast(tuple, self.stable.get(f"{SEGMENT_PREFIX}{segment_id}"))
-            self._add_segment(segment_id, rows)
-
-    def _add_segment(self, segment_id: int, rows: tuple) -> None:
-        self.segments.append((segment_id, rows[0][0], rows[-1][0]))
-        self._summaries.append(_summary(rows))
+            self.segments.append((segment_id, rows[0][0], rows[-1][0]))
 
     def _store_meta(self) -> int:
         """Persist the per-flush counters (fixed size)."""
@@ -142,15 +110,9 @@ class RedoLog:
         )
 
     def _store_directory(self) -> None:
-        """Persist what a truncation changed."""
+        """Persist what a truncation changed (fixed size)."""
         first_segment = self.segments[0][0] if self.segments else self._next_segment
-        self.stable.put(
-            DIRECTORY_KEY,
-            (
-                first_segment, self.truncated_through_lsn, self.truncated_max_commit,
-                self.truncated_records, self.truncated_commit_by_item,
-            ),
-        )
+        self.stable.put(DIRECTORY_KEY, (first_segment, self.truncated_through_lsn))
 
     # -- appending ------------------------------------------------------------
 
@@ -192,7 +154,7 @@ class RedoLog:
         self._next_segment += 1
         rows = tuple([to_row(record) for record in self._buffer])
         self.stable.put(f"{SEGMENT_PREFIX}{segment_id}", rows)
-        self._add_segment(segment_id, rows)
+        self.segments.append((segment_id, rows[0][0], rows[-1][0]))
         self.durable_lsn = rows[-1][0]
         self._buffer.clear()
         self._store_meta()
@@ -227,13 +189,10 @@ class RedoLog:
     def truncate(self, through_lsn: int) -> int:
         """Drop whole segments whose records all have ``lsn <= through_lsn``.
 
-        Returns the number of records dropped. Tracks the highest commit
-        sequence number ever truncated so catch-up requests anchored
-        behind it can be refused (they would silently miss updates); the
-        dropped segments' summaries say what that is, so no segment is
-        read. The directory is persisted before any segment is deleted:
-        a crash in between leaves segments behind the first retained id,
-        which nothing reads.
+        Returns the number of records dropped, read off the directory's
+        LSN bounds: no segment is read. The directory is persisted before
+        any segment is deleted: a crash in between leaves segments behind
+        the first retained id, which nothing reads.
         """
         if through_lsn <= self.truncated_through_lsn:
             return 0
@@ -243,23 +202,20 @@ class RedoLog:
             drop += 1
         if not drop:
             return 0
-        by_item = self.truncated_commit_by_item
-        dropped = 0
-        for count, commits in self._summaries[:drop]:
-            dropped += count
-            for item, commit in commits.items():
-                if commit > self.truncated_max_commit:
-                    self.truncated_max_commit = commit
-                if by_item.get(item, -1) < commit:
-                    by_item[item] = commit
         drop_ids = [segment_id for segment_id, _first, _last in segments[:drop]]
+        dropped = segments[drop - 1][2] - self.truncated_through_lsn
         self.truncated_through_lsn = segments[drop - 1][2]
-        del segments[:drop], self._summaries[:drop]
-        self.truncated_records += dropped
+        del segments[:drop]
         self._store_directory()
         for segment_id in drop_ids:
             self.stable.delete(f"{SEGMENT_PREFIX}{segment_id}")
         return dropped
+
+    @property
+    def truncated_records(self) -> int:
+        """Records truncated so far: LSNs start at 1 and segments
+        partition the durable range without gaps."""
+        return self.truncated_through_lsn
 
     @property
     def buffered(self) -> int:

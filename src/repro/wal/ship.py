@@ -9,10 +9,11 @@ record's version is the peer's *current* version of the item — only
 current records may clear the requester's unreadable mark (an
 intermediate version is still stale data and must stay unreadable).
 
-The peer refuses (``truncated=True``) when it has truncated any write
-record the requester might need (``after_commit <=
-truncated_max_commit``): the stream would silently skip updates, so the
-requester must fall back to per-item copy.
+A peer that truncated its log streams the suffix it still holds. The
+stream may miss updates the truncation dropped; that is safe, because
+the requester clears a mark only for a shipped *current* record or a
+version the final page's ``versions`` map vouches for, and hands every
+item still marked to per-item copy.
 
 This transport is also how the ``async_quorum`` commit mode covers its
 lagging copies: a drained site that missed its asynchronous apply (it
@@ -72,7 +73,6 @@ class ShipReply:
     """
 
     serving: bool  # False: peer not operational / no WAL — try another
-    truncated: bool  # True: peer's log cannot cover after_commit
     records: tuple[ShipRecord, ...] = ()
     next_cursor: int = 0
     done: bool = False

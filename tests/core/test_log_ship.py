@@ -74,18 +74,23 @@ class TestLogShipCatchup:
         # via the final versions map — together draining every mark.
         assert stats.ship_applied >= 1
         assert stats.ship_applied + stats.ship_validated >= N_ITEMS
-        assert stats.ship_fallback_truncated == 0
+        assert stats.ship_fallback_items == 0
 
     def test_truncated_peer_forces_item_copy_fallback(self):
+        """A peer that truncated every record still streams: its final
+        ``versions`` map clears the untouched items, and exactly the
+        missed ones fall back to per-item copy."""
+        missed = 10
         _, system, _ = run_outage(
             "log_ship",
-            missed=10,
+            missed=missed,
             wal_config=WalConfig(checkpoint_every=4, retain_records=0),
         )
         stats = system.copiers[3].stats
-        assert stats.ship_fallback_truncated == 1
-        assert stats.ship_applied == 0
-        assert stats.copies_performed + stats.copies_skipped_version > 0
+        assert stats.records_shipped == stats.ship_applied == 0
+        assert stats.ship_validated == N_ITEMS - missed
+        assert stats.ship_fallback_items == stats.copies_performed == missed
+        assert stats.copies_skipped_version == 0
         assert_site3_current(system)
 
     def test_handler_refuses_while_not_operational(self):
@@ -106,26 +111,31 @@ class TestLogShipCatchup:
         system.stop()
 
     def test_handler_flags_truncation_only_for_requester_items(self):
-        """NS truncations and foreign items must not poison the gate."""
+        """Truncation flags nothing: a peer that truncated records still
+        serves its retained suffix and, on the final page, its current
+        version of every item the requester hosts."""
         kernel = Kernel(seed=23)
         system = RowaaSystem(
             kernel,
             n_sites=3,
-            items={"X": 0},
+            items={"X": 0, "Y": 0},
             latency=ConstantLatency(1.0),
             rowaa_config=RowaaConfig(catchup_mode="log_ship"),
             config=TxnConfig(rpc_timeout=30.0),
+            wal_config=WalConfig(checkpoint_every=10**9, retain_records=1),
         )
         system.boot()
-        server = system.copiers[1]
-        wal = system.cluster.site(1).wal
-        # Fake an NS-only truncation record far above any anchor.
-        wal.log.truncated_commit_by_item["NS[2]"] = 10**6
+        for value in (1, 2, 3):
+            kernel.run(system.submit(1, write_program("X", value)))
+        site = system.cluster.site(1)
+        site.wal.checkpoint()  # retains the last segment only
+        assert site.wal.log.truncated_records > 0
         request = ShipRequest(requester=3, after_commit=0, cursor_lsn=0, batch=4)
-        reply = server._handle_ship(request, src=3)
-        assert reply.serving and not reply.truncated
-        # A truncated commit of a requester-hosted item does trip it.
-        wal.log.truncated_commit_by_item["X"] = 10**6
-        reply = server._handle_ship(request, src=3)
-        assert reply.truncated
+        reply = system.copiers[1]._handle_ship(request, src=3)
+        assert reply.serving and reply.done
+        # The retained suffix holds the last write to X only, and it is current.
+        assert [(r.item, r.value, r.current) for r in reply.records] == [("X", 3, True)]
+        assert reply.versions == {
+            item: site.copies.get(item).version for item in ("X", "Y")
+        }
         system.stop()

@@ -471,7 +471,7 @@ class TestOneDataPath:
         from repro.storage.copies import CopyStore
         from repro.system import DatabaseSystem
         from repro.txn import LockManager, TxnConfig
-        from repro.wal import WalConfig
+        from repro.wal import ShipReply, WalConfig
         from repro.wal.records import LogRecord
         from repro.workload import ClientStats
 
@@ -541,6 +541,10 @@ class TestOneDataPath:
             # TM's in-memory outcomes, which presumed abort answers.
             "RaceDetector", "RaceReport", "attach_detector", "sanitizer", "races",
             "DispatchStrand", "_outcomes",
+            # The log-ship truncation gate and the redo log's bookkeeping
+            # that only it read: a truncated peer streams what it holds.
+            "truncated_commit_by_item", "truncated_max_commit", "_summary",
+            "_summaries", "ship_fallback_truncated",
         }
         for module in ("repro.core.partition_merge", "repro.lint.rules.rep002_ordering",
                        "repro.lint.rules._setlike", "repro.lint.rules.rep006_slots",
@@ -566,6 +570,7 @@ class TestOneDataPath:
             (HistoryRecorder, "committed_txns"), (LogRecord, "wire_size"),
             (Network, "site_ids"), (Timeout, "cancel"), (Timeout, "cancelled"),
             (ClientStats, "merge"), (LockManager, "_expire"),
+            (ShipReply, "truncated"),
         ):
             assert not hasattr(owner, name), (owner, name)
         for flag in ("--bench-out", "--baseline", "--update-baseline",

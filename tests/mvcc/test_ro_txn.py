@@ -76,6 +76,21 @@ class TestSnapshotIsolation:
         assert not views[0]["stale"]
         assert views[0]["staleness"] == pytest.approx(RO_STALENESS_FLOOR)
 
+    def test_read_returns_what_read_many_returns(self):
+        # ``ctx.read`` of a beginRO program is ``read_many`` of one item.
+        kernel, system = _build()
+        kernel.run(system.submit(1, _write_pair(7)))
+        kernel.run(until=kernel.now + RO_STALENESS_FLOOR + 1.0)
+        seen: list = []
+
+        def ro_program(ctx):
+            one = yield from ctx.read("X")
+            (many,) = yield from ctx.read_many(["X"])
+            seen.append((one, many))
+
+        kernel.run(kernel.process(system.tms[2].run_ro(ro_program), name="test-ro"))
+        assert seen == [(7, 7)]
+
     def test_ro_commits_are_counted_apart_from_rw(self):
         kernel, system = _build()
         views: list = []

@@ -174,9 +174,7 @@ class TestRedoLog:
             log.append("write", item="X" if i < 3 else "Y", value=i, version=v(i))
             log.flush()  # one record per segment
         assert log.truncate(2) == 2
-        assert log.truncated_through_lsn == 2
-        assert log.truncated_max_commit == 2
-        assert log.truncated_commit_by_item == {"X": 2}
+        assert log.truncated_through_lsn == log.truncated_records == 2
         assert [r.lsn for r in log.records_after(0)] == [3, 4]
         # Truncation below the watermark is a no-op.
         assert log.truncate(1) == 0
@@ -195,13 +193,14 @@ class TestRedoLog:
         assert reloaded.next_lsn == log.next_lsn
         assert reloaded.durable_lsn == log.durable_lsn
         assert reloaded.segments == log.segments
-        assert reloaded.truncated_commit_by_item == {"X": 1}
+        assert reloaded.truncated_through_lsn == reloaded.truncated_records == 1
         assert reloaded.high_commit == 3
         assert [r.value for r in reloaded.records_after(0)] == [2, 3]
 
     def test_flush_leaves_the_directory_alone(self):
         """Stable layout: a flush rewrites ``wal.meta`` (four counters) and
-        never ``wal.dir``; only a truncation that drops something does."""
+        never ``wal.dir`` (two integers); only a truncation that drops
+        something does."""
         stable = StableStorage()
         log = RedoLog(stable)
         for i in range(1, 5):
@@ -212,9 +211,8 @@ class TestRedoLog:
         assert stable.get(META_KEY) == (5, 4, 5, 4)
         log.truncate(2)
         directory_blob = stable._blobs[DIRECTORY_KEY]
-        # first retained segment, truncated-through LSN, truncated max
-        # commit, truncated records, per-item truncated commits
-        assert stable.get(DIRECTORY_KEY) == (3, 2, 2, 2, {"X": 2})
+        # first retained segment, truncated-through LSN
+        assert stable.get(DIRECTORY_KEY) == (3, 2)
         log.append("write", item="X", value=5, version=v(5))
         log.flush()
         log.truncate(2)  # below the watermark: drops nothing, writes nothing
@@ -241,9 +239,7 @@ class TestRedoLog:
         assert reloaded.segments == log.segments
         assert reloaded.segments[0][1] == reloaded.truncated_through_lsn + 1 == 5
         assert reloaded.segments[-1][2] == reloaded.durable_lsn == 18
-        assert reloaded.truncated_commit_by_item == log.truncated_commit_by_item
-        assert reloaded.truncated_commit_by_item == {"X1": 4, "X2": 2, "X0": 3}
-        assert (reloaded.truncated_max_commit, reloaded.truncated_records) == (4, 4)
+        assert reloaded.truncated_records == log.truncated_records == 4
         assert reloaded.next_lsn == log.next_lsn == 19
         assert reloaded.high_commit == log.high_commit == 99
         assert [r.lsn for r in reloaded.records_after(0)] == list(range(5, 19))
@@ -425,9 +421,6 @@ class TestFlushCostIsSizeIndependent:
         config = WalConfig(checkpoint_every=512, retain_records=64)
         small, small_site = _flush_bytes_per_commit(16, config, 4096, 200)
         large, large_site = _flush_bytes_per_commit(4096, config, 4096, 200)
-        # The premise: what truncation tracks per item did grow with the store.
-        assert len(small_site.wal.log.truncated_commit_by_item) == 16
-        assert len(large_site.wal.log.truncated_commit_by_item) > 3000
         assert large_site.wal.stats.checkpoints == small_site.wal.stats.checkpoints > 1
         assert small == large
         assert len(set(large)) == 1  # across checkpoints and truncations too
@@ -503,6 +496,8 @@ class TestSiteStateLivesInTheLog:
 
 class TestRestoreRoundTripsTheDirectory:
     def test_crash_restore_reassembles_segments_and_truncated_commits(self):
+        """The directory (segments, truncation watermark) a power-on
+        rebuilds from stable storage equals the one the crash dropped."""
         site = make_site(WalConfig(checkpoint_every=16, retain_records=6))
         site.power_on()
         site.become_operational()
@@ -523,23 +518,15 @@ class TestRestoreRoundTripsTheDirectory:
         # Segments from before the last checkpoint and after it.
         assert log.segments[0][0] == site.stable.get(DIRECTORY_KEY)[0]
         assert log.segments[0][2] <= site.wal.last_checkpoint_lsn < log.durable_lsn
-        expected = (
-            list(log.segments), dict(log.truncated_commit_by_item),
-            log.truncated_through_lsn, log.truncated_max_commit,
-            log.truncated_records, log.durable_lsn,
-        )
+        assert 0 < log.truncated_records == log.segments[0][1] - 1
+        expected = (list(log.segments), log.truncated_through_lsn, log.durable_lsn)
         site.crash()
         # Corrupt the volatile directory: restore must rebuild it from stable.
         log.segments = [(99, 1, 1)]
-        log.truncated_commit_by_item = {"bogus": 1}
-        log.truncated_through_lsn = log.truncated_max_commit = log.truncated_records = -1
+        log.truncated_through_lsn = -1
         site.power_on()
         assert site.wal.stats.replays == 1
-        assert (
-            log.segments, log.truncated_commit_by_item,
-            log.truncated_through_lsn, log.truncated_max_commit,
-            log.truncated_records, log.durable_lsn,
-        ) == expected
+        assert (log.segments, log.truncated_through_lsn, log.durable_lsn) == expected
         assert log.next_lsn == log.durable_lsn + 1
         assert site.copies.get(ITEM_NAMES[commit % 8]).value == commit
         # The rebuilt store's mark index matches the marks replay restored.
@@ -548,9 +535,9 @@ class TestRestoreRoundTripsTheDirectory:
         assert not site.copies.get(ITEM_NAMES[5]).unreadable
 
     def test_crash_between_truncations_matches_a_crash_free_twin(self):
-        """The truncation summary a power-on rebuilds from the retained
-        segments is the one the crash-free twin kept since its flushes:
-        every later truncation moves both alike."""
+        """The directory a power-on rebuilds from the retained segments
+        is the one the crash-free twin kept since its flushes: every
+        later truncation moves both alike."""
         twins = []
         for _ in range(2):
             site = make_site(WalConfig(checkpoint_every=16, retain_records=6))
@@ -577,11 +564,7 @@ class TestRestoreRoundTripsTheDirectory:
                 assert crashed.wal.stats.replays == 1
             logs = [site.wal.log for site in twins]
             assert len({
-                (
-                    tuple(log.segments), tuple(log.truncated_commit_by_item.items()),
-                    log.truncated_max_commit, log.truncated_through_lsn,
-                    log.truncated_records,
-                )
+                (tuple(log.segments), log.truncated_through_lsn, log.truncated_records)
                 for log in logs
             }) == 1, step
         # Truncations on both sides of the crash.
@@ -590,7 +573,8 @@ class TestRestoreRoundTripsTheDirectory:
     def test_segment_put_without_its_meta_put_is_invisible(self):
         """A flush torn between its segment put and its ``wal.meta`` put
         leaves a segment the reload does not see: not replayed, not in
-        the truncation summary, overwritten by the next flush."""
+        the directory or the truncation count, overwritten by the next
+        flush."""
         site = make_site(WalConfig(checkpoint_every=10**9, retain_records=0))
         site.power_on()
         site.become_operational()
@@ -609,8 +593,9 @@ class TestRestoreRoundTripsTheDirectory:
         assert [record.item for record in log.records_after(0)] == ["X"] * 3
         assert log.high_commit == 3
         site.wal.checkpoint()  # retains nothing: truncates every segment
-        assert log.truncated_commit_by_item == {"X": 3}
-        assert (log.truncated_max_commit, log.truncated_records) == (3, 3)
+        assert log.segments == []
+        assert log.truncated_records == log.durable_lsn
+        assert torn in site.stable  # outside the directory: not truncated either
         site.copies.apply_write("X", 4, v(4))
         site.wal.on_commit()
         assert [from_row(row).version for row in site.stable.get(torn)] == [v(4)]
@@ -618,8 +603,8 @@ class TestRestoreRoundTripsTheDirectory:
 
 class TestTruncationSummary:
     def test_checkpoint_reads_no_segment(self):
-        """Truncation merges the summaries the flushes kept: a checkpoint
-        gets no ``wal.seg.*`` blob, however much it truncates."""
+        """Truncation reads the directory's LSN bounds: a checkpoint gets
+        no ``wal.seg.*`` blob, however much it truncates."""
         site = make_site(WalConfig(checkpoint_every=10**9, retain_records=4))
         for name in ("X", "Y"):
             site.copies.create(name, 0)
@@ -643,8 +628,7 @@ class TestTruncationSummary:
         assert segment_gets == []
         log = site.wal.log
         assert log.truncated_records == 36
-        assert log.truncated_commit_by_item == {"X": 35, "Y": 36}
-        assert log.truncated_max_commit == 36
+        assert stable.get(DIRECTORY_KEY) == (37, 36)
 
 
 class TestNoBlobNamesAClass:

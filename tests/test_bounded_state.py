@@ -43,8 +43,8 @@ checkpoint header, not keys of their own. Each family's retention rule:
   truncation deletes every segment wholly behind its ``retain_records``
   tail, so about ``checkpoint_every + retain_records`` records stay;
 * ``wal.meta`` — one key, four counters, rewritten by every flush;
-* ``wal.dir`` — one key, rewritten by every truncation; its per-item
-  truncated-commit map has at most one entry per item;
+* ``wal.dir`` — one key, rewritten by every truncation: two integers
+  (first retained segment, truncated-through LSN), ≤ 24 bytes;
 * ``wal.ckpt`` — one key, the checkpoint header, rewritten by every
   checkpoint; its stale-copy table has at most one entry per (item,
   site), and its in-doubt prepares and commit decisions are work in
@@ -241,6 +241,8 @@ def test_stable_key_families():
         assert keys["wal.ckpt.item.*"] == copies
         for name in ("wal.meta", "wal.dir", "wal.ckpt"):
             assert keys[name] == len(system.cluster.site_ids)
+        for site in system.cluster.sites.values():
+            assert site.stable.size_of("wal.dir") <= 24
         segments = 2 * (FAMILY_WAL.checkpoint_every + FAMILY_WAL.retain_records)
         assert keys["wal.seg.*"] <= len(system.cluster.site_ids) * segments
         for site in system.cluster.sites.values():

@@ -224,6 +224,27 @@ class TestCrashReset:
         assert dm._participations == {}
         assert dm.lock_manager is not old_locks
 
+    def test_restored_in_doubt_commit_superseded_by_a_copy_installs_nothing(self, rig):
+        """A durably prepared write comes back in doubt after a restart; a
+        copy moves past it before the outcome arrives. The commit then
+        installs nothing and records no history write, and the newer
+        version and its unreadable mark stay as they were."""
+        _kernel, site, dm, recorder = rig
+        prepared, newer = Version(5.0, 5, 0), Version(9.0, 9, 0)
+        site.wal.log_prepare("T7@2", 7, 2, (1, 2), "X", 77, prepared, (1, 2), ())
+        site.wal.checkpoint()  # the prepare is durable, no resolve follows
+        site.crash()
+        site.power_on()  # restore re-arms T7@2 in doubt
+        assert dm._participations["T7@2"].restored
+        site.copies.apply_write("X", 88, newer)  # a copier refresh past the prepare
+        site.copies.mark_unreadable("X")
+        dm._handle_commit(CommitRequest("T7@2", prepared), src=2)
+        copy = site.copies.get("X")
+        assert (copy.value, copy.version, copy.unreadable) == (88, newer, True)
+        assert [op for op in recorder.ops if op.txn_id == "T7@2"] == []
+        assert "T7@2" not in dm._participations
+        assert dm._decided["T7@2"] == ("committed", prepared)
+
 
 # -- a batch is the per-item sequence ------------------------------------------
 
